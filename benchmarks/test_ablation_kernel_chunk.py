@@ -1,10 +1,15 @@
-"""Ablation bench: BRAM chunk size (S) of the functional updater kernel.
+"""Ablation bench: elements per updater-kernel call (the update unit).
 
-The hardware picks S to fit BRAM; the functional emulator's throughput
-also depends on it (per-chunk dispatch overhead vs streaming).  This
-ablation sweeps S and reports emulator throughput, asserting results stay
-bit-identical across chunk sizes (the invariant that makes S a pure
-performance knob).
+``UpdaterKernel.run`` applies the optimizer's fused sequence once over
+whatever it is handed — in the engines, one resident subgroup of ``D``
+elements; it does not dispatch per BRAM chunk ``S``.  So the size that
+matters for emulator throughput is the unit the caller slices the shard
+into: small units pay the fixed per-call cost (validation, arena
+checkout, a dozen ufunc dispatches) once per few microseconds of
+arithmetic, very large ones fall out of cache between the sequence's
+passes.  This ablation sweeps the unit and reports throughput, asserting
+results stay bit-identical across unit sizes — the element-wise
+invariant that makes the size a pure performance knob.
 """
 
 import time
@@ -15,20 +20,28 @@ from repro.csd import UpdaterKernel
 from repro.optim import Adam
 
 ELEMENTS = 1 << 20
-CHUNKS = (1 << 12, 1 << 14, 1 << 16, 1 << 18)
+UNITS = (1 << 12, 1 << 14, 1 << 16, 1 << 18)
 
 
-def _throughput(chunk_elements, repeats=3):
+def _throughput(unit_elements, repeats=3):
     rng = np.random.default_rng(0)
     optimizer = Adam(lr=1e-3)
-    kernel = UpdaterKernel(optimizer, chunk_elements=chunk_elements)
+    kernel = UpdaterKernel(optimizer)
     params = rng.standard_normal(ELEMENTS).astype(np.float32)
     grads = rng.standard_normal(ELEMENTS).astype(np.float32)
     state = optimizer.init_state(ELEMENTS)
-    kernel.run(params, grads, state, 1)
+
+    def update(step):
+        for start in range(0, ELEMENTS, unit_elements):
+            unit = slice(start, start + unit_elements)
+            kernel.run(params[unit], grads[unit],
+                       {name: buf[unit] for name, buf in state.items()},
+                       step)
+
+    update(1)
     start = time.perf_counter()
     for step in range(2, repeats + 2):
-        kernel.run(params, grads, state, step)
+        update(step)
     elapsed = time.perf_counter() - start
     streamed = 4 * 4 * ELEMENTS * repeats  # grads + 3 state words
     return streamed / elapsed, params
@@ -38,9 +51,9 @@ def test_kernel_chunk_size_ablation(benchmark, save_result):
     def run():
         results = {}
         reference = None
-        for chunk in CHUNKS:
-            throughput, params = _throughput(chunk)
-            results[chunk] = throughput
+        for unit in UNITS:
+            throughput, params = _throughput(unit)
+            results[unit] = throughput
             if reference is None:
                 reference = params
             else:
@@ -48,12 +61,12 @@ def test_kernel_chunk_size_ablation(benchmark, save_result):
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Tiny chunks pay per-dispatch overhead; big chunks must not be
+    # Tiny units pay per-call overhead; big units must not be
     # dramatically slower than the sweet spot.
-    assert results[CHUNKS[-1]] > 0.5 * max(results.values())
-    lines = ["updater emulator throughput vs chunk size (S):"]
-    for chunk, throughput in results.items():
-        lines.append(f"  S={chunk:>7,} elements: "
+    assert results[UNITS[-1]] > 0.5 * max(results.values())
+    lines = ["updater emulator throughput vs elements per kernel call:"]
+    for unit, throughput in results.items():
+        lines.append(f"  unit={unit:>7,} elements: "
                      f"{throughput / 1e9:6.2f} GB/s")
-    lines.append("results bit-identical across all chunk sizes: yes")
+    lines.append("results bit-identical across all unit sizes: yes")
     save_result("ablation_kernel_chunk", "\n".join(lines))

@@ -6,8 +6,8 @@ framework with the Lion optimizer (Chen et al., 2023 — sign-momentum, a
 single state word per parameter):
 
 1. implement the update rule as a :class:`FlatOptimizer`;
-2. run the template's **sanity checker** (chunked kernel must match the
-   flat host reference bitwise);
+2. run the template's **sanity checker** (the update streamed chunk by
+   chunk must match one flat update bitwise, i.e. be element-wise);
 3. compose an accelerator **design** and check it fits the KU15P;
 4. train through the Smart-Infinity engine using the custom kernel.
 
@@ -73,10 +73,10 @@ def main():
     # 1. Register the optimizer so engines can instantiate it by name.
     OPTIMIZERS.setdefault("lion", Lion)
 
-    # 2. Sanity-check: chunked FPGA execution == flat host reference.
+    # 2. Sanity-check: chunk-streamed execution == one flat update.
     sanity_check_updater(Lion(lr=1e-3), num_elements=4096, num_steps=3,
                          chunk_elements=128)
-    print("sanity check: chunked Lion kernel is bit-identical to host")
+    print("sanity check: chunk-streamed Lion update is bit-identical to the flat one")
 
     # 3. Resource estimation against the SmartSSD's KU15P.
     design = lion_design()

@@ -32,7 +32,6 @@ from ..errors import CapacityError, KernelError
 from ..hw.csd import CSDSpec, smartssd
 from ..storage.blockdev import FileBlockDevice, IOCounters
 from ..storage.tensor_store import TensorStore
-from .kernels import DecompressorKernel, UpdaterKernel
 
 
 class SmartSSDDevice:
@@ -185,15 +184,6 @@ class SmartSSDDevice:
         """
         if self.fault_site is not None:
             self.fault_site.guard(op)
-
-    def make_updater(self, optimizer,
-                     chunk_elements: int = 16_384) -> UpdaterKernel:
-        return UpdaterKernel(optimizer, chunk_elements=chunk_elements)
-
-    def make_decompressor(self,
-                          chunk_elements: int = 16_384
-                          ) -> DecompressorKernel:
-        return DecompressorKernel(chunk_elements=chunk_elements)
 
     def close(self) -> None:
         self.ssd.close()

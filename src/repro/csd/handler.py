@@ -25,8 +25,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class HandlerStats:
     buffer_bytes: int = 0
     #: Peak number of DRAM buffer bytes ever in use (fixed by design).
     peak_buffer_bytes: int = 0
-    lazy_queue_peak: int = 0
-    timeline: List[Tuple[str, int]] = field(default_factory=list)
 
 
 class TransferHandler:
@@ -108,8 +106,9 @@ class TransferHandler:
             event.set()
             self._buffer_free[name] = event
 
-        self._lazy_queue: "queue.Queue[Optional[Tuple[str, int, int]]]" = (
-            queue.Queue())
+        # C-level queue: a put is the whole hand-off (no task accounting).
+        self._lazy_queue: "queue.SimpleQueue[Optional[tuple]]" = \
+            queue.SimpleQueue()
         # Commit log of lazy state write-backs that actually reached the
         # SSD: (region name, subgroup start).  The engine's demotion path
         # reads it (after abandon() joins the worker) to decide which
@@ -153,7 +152,6 @@ class TransferHandler:
                 self._writer_error = exc
             finally:
                 self._buffer_free[name].set()
-                self._lazy_queue.task_done()
                 telemetry.span_end(token)
                 if token is not None:
                     telemetry.histogram(
@@ -245,14 +243,11 @@ class TransferHandler:
                     self._buffer_free[name].clear()
                     self._lazy_queue.put(
                         (name, subgroup.start, subgroup.count))
-                self.stats.lazy_queue_peak = max(
-                    self.stats.lazy_queue_peak, self._lazy_queue.qsize())
                 if timed:
                     telemetry.gauge("handler_lazy_queue_depth",
                                     self._lazy_queue.qsize(),
                                     device=self.device.device_id)
                 self.stats.subgroups_processed += 1
-                self.stats.timeline.append(("subgroup", subgroup.index))
 
             # Wait for this subgroup's lazy writes before reusing the state
             # buffers in the next loop iteration (enforced by the events).

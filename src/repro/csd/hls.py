@@ -8,9 +8,9 @@ decompressor logic (§VI, Fig. 8).  This module is the software analogue:
 * a **resource estimator** that sums component costs and checks the design
   fits the target FPGA — reproducing Table III's utilization numbers for
   the Adam updater with and without the Top-K decompressor;
-* a **sanity checker** that runs a candidate updater kernel against the
-  host reference on random data before it is "deployed" (the paper's
-  template includes the same).
+* a **sanity checker** that streams a candidate updater's logic chunk by
+  chunk against its own flat result on random data before it is
+  "deployed" (the paper's template includes the same).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..errors import KernelError
 from ..hw.fpga import FPGAResources, FPGASpec
 from ..optim import OPTIMIZERS
 from ..optim.base import FlatOptimizer
-from .kernels import UpdaterKernel
 
 # ----------------------------------------------------------------------
 # component resource costs (calibrated so the composed Adam and
@@ -151,29 +150,40 @@ def sanity_check_updater(optimizer: FlatOptimizer,
                          num_elements: int = 4096, num_steps: int = 3,
                          chunk_elements: int = 128, seed: int = 0,
                          ) -> None:
-    """Verify a chunked kernel matches the flat host reference bitwise.
+    """Verify an optimizer's update is element-wise, bit for bit.
 
-    Raises :class:`KernelError` on any mismatch.  This is the "sanity
-    checker of logic" the paper's HLS templates include, run before a
-    custom updater is used for training.
+    Streams ``chunk_elements``-sized chunks through ``optimizer.step``,
+    as the hardware streams a subgroup through its BRAM buffer, and
+    compares parameters and states with one flat ``step``.  Shards,
+    subgroups and the updater kernel's single pass per subgroup all
+    rely on this contract.  Raises :class:`KernelError` on a mismatch:
+    the "sanity checker of logic" of the paper's HLS templates, run
+    before a custom updater is used for training.
     """
+    if chunk_elements <= 0:
+        raise KernelError("chunk_elements must be positive")
     rng = np.random.default_rng(seed)
-    host_params = rng.standard_normal(num_elements).astype(np.float32)
-    kernel_params = host_params.copy()
-    host_state = optimizer.init_state(num_elements)
-    kernel_state = optimizer.init_state(num_elements)
-    kernel = UpdaterKernel(optimizer, chunk_elements=chunk_elements)
+    flat_params = rng.standard_normal(num_elements).astype(np.float32)
+    chunked_params = flat_params.copy()
+    flat_state = optimizer.init_state(num_elements)
+    chunked_state = optimizer.init_state(num_elements)
 
     for step in range(1, num_steps + 1):
         grads = rng.standard_normal(num_elements).astype(np.float32)
-        optimizer.step(host_params, grads.copy(), host_state, step)
-        kernel.run(kernel_params, grads.copy(), kernel_state, step)
-        if not np.array_equal(host_params, kernel_params):
+        optimizer.step(flat_params, grads.copy(), flat_state, step)
+        streamed = grads.copy()
+        for start in range(0, num_elements, chunk_elements):
+            stop = min(start + chunk_elements, num_elements)
+            optimizer.step(
+                chunked_params[start:stop], streamed[start:stop],
+                {name: buf[start:stop]
+                 for name, buf in chunked_state.items()}, step)
+        if not np.array_equal(flat_params, chunked_params):
             raise KernelError(
-                f"updater kernel diverged from host reference at step "
-                f"{step}: max |diff| = "
-                f"{np.abs(host_params - kernel_params).max()}")
-        for name in host_state:
-            if not np.array_equal(host_state[name], kernel_state[name]):
+                f"chunked update diverged from the flat reference at "
+                f"step {step}: max |diff| = "
+                f"{np.abs(flat_params - chunked_params).max()}")
+        for name in flat_state:
+            if not np.array_equal(flat_state[name], chunked_state[name]):
                 raise KernelError(
-                    f"kernel state {name!r} diverged at step {step}")
+                    f"optimizer state {name!r} diverged at step {step}")

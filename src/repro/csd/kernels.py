@@ -1,14 +1,17 @@
 """Functional FPGA kernels: the updater and the Top-K decompressor.
 
-These emulate the microarchitecture of §V in software.  The updater and
-decompressor process data exactly the way the hardware pipelines do — in
-chunks of ``S`` elements that fit the accelerator's BRAM buffer, streaming
-through a subgroup of at most ``D`` elements resident in the accelerator's
-DRAM — so buffer-size violations that would break the hardware also raise
-here.  Because every optimizer update is element-wise, chunked execution is
-*bit-identical* to the flat host update; the tests assert this, which is
-the software analogue of the paper's claim that SmartUpdate is
-"algorithmically identical to the baseline".
+These emulate the microarchitecture of §V in software.  The hardware
+streams a subgroup of at most ``D`` elements, resident in accelerator
+DRAM, through a BRAM buffer of ``S`` elements.  Every optimizer update is
+element-wise, so that streaming changes no result, and the updater
+emulator runs the optimizer's fused sequence **once over the resident
+subgroup** — one validation and one dispatch, each vector operation long
+enough to release the GIL usefully — *bit-identical* to the flat host
+update: the paper's "algorithmically identical to the baseline".  That a
+(possibly custom) optimizer is element-wise is checked where it is
+admitted, by :func:`repro.csd.hls.sanity_check_updater`.  The
+decompressor scatters its stream ``S`` pairs at a time, and buffer-size
+violations that would break the hardware raise here too.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ class KernelCounters:
 class UpdaterKernel:
     """The general updater (§V-A): SIMD AXPBY pipeline over one subgroup.
 
-    Wraps a :class:`FlatOptimizer` and replays its element-wise update over
-    BRAM-sized chunks, exactly like the hardware PEs stream the subgroup
-    from accelerator DRAM.
+    Applies a :class:`FlatOptimizer`'s element-wise update to the resident
+    subgroup in one pass.  ``chunk_elements`` is the design's BRAM buffer
+    size ``S``, which cannot change an element-wise result.
     """
 
     def __init__(self, optimizer: FlatOptimizer,
@@ -57,16 +60,11 @@ class UpdaterKernel:
         """Update ``params``/``state`` in place from ``grads``.
 
         All arrays must be flat float32 views of the accelerator DRAM
-        buffers; chunks are processed front to back.
+        buffers.
         """
         self.optimizer.check(params, grads, state)
+        self.optimizer.step(params, grads, state, step_num)
         total = params.size
-        for start in range(0, total, self.chunk_elements):
-            stop = min(start + self.chunk_elements, total)
-            chunk_state = {name: buf[start:stop]
-                           for name, buf in state.items()}
-            self.optimizer.step(params[start:stop], grads[start:stop],
-                                chunk_state, step_num)
         self.counters.invocations += 1
         self.counters.elements_processed += total
         # The pipeline streams grads + all state words in and out.

@@ -13,12 +13,14 @@ the optimizer state on storage.  Two consequences are modelled faithfully:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List
 
 import numpy as np
 
 from ..errors import TrainingError
+from ..memory import thread_arena
 
 
 def to_fp16(array: np.ndarray) -> np.ndarray:
@@ -45,10 +47,23 @@ def has_overflow(arrays: Iterable[np.ndarray]) -> bool:
 
 
 def global_grad_norm(arrays: Iterable[np.ndarray]) -> float:
-    """L2 norm over the concatenation of all gradient arrays."""
+    """L2 norm over the concatenation of all gradient arrays.
+
+    Doubles as the NaN/Inf scan: float32 squares cannot overflow float64
+    nor cancel, so the norm is non-finite exactly when some element is.
+    The float64 squares are staged in the calling thread's arena.
+    """
+    arena = thread_arena()
     total = 0.0
     for array in arrays:
-        total += float(np.square(array, dtype=np.float64).sum())
+        if array.size == 0:
+            continue
+        squares = arena.acquire(array.size, np.float64)
+        try:
+            np.square(array.reshape(-1), dtype=np.float64, out=squares)
+            total += float(squares.sum())
+        finally:
+            arena.release(squares)
     return float(np.sqrt(total))
 
 
@@ -104,12 +119,14 @@ def clip_gradients(arrays: List[np.ndarray], max_norm: float) -> float:
 
     Returns the pre-clip norm.  Requires the *whole model's* gradients —
     the second constraint (§IV-C) that serializes gradient offload before
-    the update phase.
+    the update phase.  A non-finite norm is the overflow verdict (see
+    :func:`global_grad_norm`): the arrays are then left untouched — the
+    engines still offload them on the skipped step.
     """
     if max_norm <= 0:
         raise TrainingError("max_norm must be positive")
     norm = global_grad_norm(arrays)
-    if norm > max_norm:
+    if math.isfinite(norm) and norm > max_norm:
         factor = max_norm / (norm + 1e-12)
         for array in arrays:
             array *= factor

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import FlatOptimizer, StateDict, scratch_buffers
+from ..memory import thread_arena
+from .base import FlatOptimizer, StateDict
 
 
 class AdaGrad(FlatOptimizer):
@@ -28,7 +29,10 @@ class AdaGrad(FlatOptimizer):
              step_num: int) -> None:
         self.check(params, grads, state)
         accumulator = state["accumulator"]
-        with scratch_buffers(params.size, 2) as (t1, t2):
+        arena = thread_arena()
+        t1 = arena.acquire(params.size)
+        t2 = arena.acquire(params.size)
+        try:
             np.multiply(grads, grads, out=t1)
             accumulator += t1
             np.sqrt(accumulator, out=t2)
@@ -36,3 +40,6 @@ class AdaGrad(FlatOptimizer):
             np.multiply(grads, np.float32(self.lr), out=t1)
             t1 /= t2
             params -= t1
+        finally:
+            arena.release(t2)
+            arena.release(t1)

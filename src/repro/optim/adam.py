@@ -2,9 +2,10 @@
 
 The update is written as a fixed sequence of element-wise vector operations
 — the exact shape the FPGA updater's SIMD AXPBY units execute (§V-A).  The
-CSD kernel implementation in `repro.csd.kernels` replays this same sequence
-chunk by chunk, so results are bit-identical by construction, and the test
-suite asserts it.
+CSD kernel in `repro.csd.kernels` runs this same sequence over each
+resident subgroup, so results are bit-identical by construction; that the
+sequence is element-wise (any split gives the same bits) is what
+`repro.csd.hls.sanity_check_updater` and the test suite assert.
 
 Every operation runs **in place** (``out=``) against two arena-owned
 scratch vectors, so a steady-state step allocates nothing: the fused
@@ -20,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import FlatOptimizer, StateDict, scratch_buffers
+from ..memory import thread_arena
+from .base import FlatOptimizer, StateDict
 
 
 class Adam(FlatOptimizer):
@@ -46,7 +48,10 @@ class Adam(FlatOptimizer):
         variance = state["variance"]
         one = np.float32(1.0)
 
-        with scratch_buffers(params.size, 2) as (t1, t2):
+        arena = thread_arena()
+        t1 = arena.acquire(params.size)
+        t2 = arena.acquire(params.size)
+        try:
             # AXPBY: m = beta1 * m + (1 - beta1) * g
             momentum *= self.beta1
             np.multiply(grads, one - self.beta1, out=t1)
@@ -68,6 +73,9 @@ class Adam(FlatOptimizer):
             t1 *= np.float32(self.lr)
             t1 /= t2
             params -= t1
+        finally:
+            arena.release(t2)
+            arena.release(t1)
 
 
 class AdamW(Adam):
@@ -86,8 +94,12 @@ class AdamW(Adam):
         # Decoupled decay applies directly to the parameters, before the
         # Adam moment update (scalar product lr * wd folded first, as the
         # original left-to-right expression evaluated it).
-        with scratch_buffers(params.size, 1) as (t1,):
+        arena = thread_arena()
+        t1 = arena.acquire(params.size)
+        try:
             np.multiply(params, np.float32(self.lr) * self.weight_decay,
                         out=t1)
             params -= t1
+        finally:
+            arena.release(t1)
         super().step(params, grads, state, step_num)

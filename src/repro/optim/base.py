@@ -32,13 +32,9 @@ StateDict = Dict[str, np.ndarray]
 def scratch_buffers(num_elements: int,
                     count: int) -> Iterator[List[np.ndarray]]:
     """Check out ``count`` float32 scratch vectors from the per-thread
-    arena.
-
-    The fused in-place optimizer kernels stage their temporaries here
-    instead of allocating fresh ndarrays per ``step()`` call, so at
-    steady state an update pass performs zero allocations — each engine
-    worker thread reuses the same size-classed blocks every subgroup.
-    Contents are undefined on entry (like ``np.empty``).
+    arena for the length of a block loop (contents undefined on entry,
+    like ``np.empty``).  Per-call hot paths acquire and release directly:
+    the generator behind this context costs more than the checkout.
     """
     arena = thread_arena()
     buffers = [arena.acquire(num_elements) for _ in range(count)]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import FlatOptimizer, StateDict, scratch_buffers
+from ..memory import thread_arena
+from .base import FlatOptimizer, StateDict
 
 
 class SGDMomentum(FlatOptimizer):
@@ -31,6 +32,10 @@ class SGDMomentum(FlatOptimizer):
         # AXPBY: m = mu * m + 1.0 * g
         buf *= self.momentum
         buf += grads
-        with scratch_buffers(params.size, 1) as (t1,):
+        arena = thread_arena()
+        t1 = arena.acquire(params.size)
+        try:
             np.multiply(buf, np.float32(self.lr), out=t1)
             params -= t1
+        finally:
+            arena.release(t1)

@@ -36,7 +36,7 @@ from ..telemetry.flight import FlightRecorder, IncidentDumper
 from ..telemetry.health import (Alert, DEFAULT_SLO_RULES, RulesEngine,
                                 StepHealthMonitor, parse_rules)
 from ..nn.modules import Module
-from ..nn.precision import (LossScaler, clip_gradients, has_overflow)
+from ..nn.precision import LossScaler, clip_gradients
 from ..optim import make_optimizer
 from ..optim.base import scratch_buffers
 from ..storage.blockdev import FileBlockDevice
@@ -70,7 +70,8 @@ class TrainingConfig:
     error_feedback: bool = True
     #: SU+O (optimized transfer handler) vs plain SU (naive loop).
     use_transfer_handler: bool = True
-    #: BRAM chunk size of the functional FPGA kernels (S).
+    #: BRAM chunk size (S) of the functional decompressor and quantizer
+    #: kernels; the updater runs each subgroup in one pass whatever S is.
     kernel_chunk_elements: int = 16_384
     #: Model-compression extension (§VIII-B): the CSD quantizes updated
     #: masters to int8 before the upstream transfer, and the host
@@ -375,6 +376,15 @@ class MixedPrecisionTrainer:
     # ------------------------------------------------------------------
     # step driver: wall-clock timing, health signals, incident capture
     # ------------------------------------------------------------------
+    def train_step(self, *batch: np.ndarray) -> "StepResult":
+        """One full iteration (forward, backward + offload, update)."""
+        return self._run_step([batch])
+
+    def train_step_accumulated(
+            self, batches: Sequence[Sequence[np.ndarray]]) -> "StepResult":
+        """One iteration with gradient accumulation over micro-batches."""
+        return self._run_step([tuple(batch) for batch in batches])
+
     def _run_step(self, batches: Sequence[Sequence[np.ndarray]]
                   ) -> "StepResult":
         """Run one step via the engine's ``_step_impl`` under the
@@ -532,58 +542,44 @@ class MixedPrecisionTrainer:
 
     def forward_backward(self, batch: Sequence[np.ndarray]
                          ) -> Tuple[float, np.ndarray, float, bool]:
-        """One scaled forward/backward pass.
-
-        Returns ``(loss, flat_unscaled_grads, grad_norm, overflow)``; on
-        overflow the gradients are unusable and the step must be skipped.
-        Clipping is applied in place when no overflow occurred.
-        """
-        self.model.zero_grad()
-        with self._activation_scope():
-            loss = self.loss_fn(self.model, *batch)
-            # Overflow in the scaled backward pass is the signal the loss
-            # scaler exists to catch; silence numpy's warning for it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = loss * float(self.scaler.scale)
-                scaled.backward()
-                flat_grads = self.space.gather_grads()
-                flat_grads *= np.float32(1.0 / self.scaler.scale)
-        overflow = has_overflow([flat_grads])
-        norm = 0.0
-        if not overflow:
-            norm = clip_gradients([flat_grads], self.config.grad_clip)
-        return float(loss.item()), flat_grads, norm, overflow
+        """One scaled forward/backward pass (a single micro-batch)."""
+        return self.forward_backward_many([batch])
 
     def forward_backward_many(self, batches: Sequence[Sequence[np.ndarray]]
                               ) -> Tuple[float, np.ndarray, float, bool]:
-        """Gradient accumulation over micro-batches.
+        """Scaled forward/backward over one or more micro-batches.
 
-        Runs forward/backward per micro-batch, averages the unscaled
-        gradients, then applies the NaN/Inf scan and clipping once on the
-        combined gradient — matching large-batch semantics.
+        Returns ``(loss, flat_unscaled_grads, grad_norm, overflow)``.  The
+        unscaled gradients are averaged over the micro-batches (large-
+        batch semantics); one pass over the result then clips and gives
+        the overflow verdict — the norm is non-finite exactly when some
+        gradient is, and a NaN/Inf in any micro-batch survives the mean.
+        On overflow the gradients are left as they are, the reported norm
+        is 0.0 and the step must be skipped.
         """
         if not batches:
             raise TrainingError("need at least one micro-batch")
         total_loss = 0.0
         combined: Optional[np.ndarray] = None
-        overflow = False
         for batch in batches:
             self.model.zero_grad()
             with self._activation_scope():
                 loss = self.loss_fn(self.model, *batch)
+                # Overflow in the scaled backward pass is the signal the
+                # loss scaler exists to catch; silence numpy's warning.
                 with np.errstate(over="ignore", invalid="ignore"):
                     scaled = loss * float(self.scaler.scale)
                     scaled.backward()
                     flat = self.space.gather_grads()
                     flat *= np.float32(1.0 / self.scaler.scale)
             total_loss += float(loss.item())
-            overflow = overflow or has_overflow([flat])
             combined = flat if combined is None else combined + flat
-        combined *= np.float32(1.0 / len(batches))
-        norm = 0.0
-        if not overflow:
-            norm = clip_gradients([combined], self.config.grad_clip)
-        return total_loss / len(batches), combined, norm, overflow
+        if len(batches) > 1:
+            combined *= np.float32(1.0 / len(batches))
+        norm = clip_gradients([combined], self.config.grad_clip)
+        overflow = not math.isfinite(norm)
+        return (total_loss / len(batches), combined,
+                0.0 if overflow else norm, overflow)
 
 
 class BaselineOffloadEngine(MixedPrecisionTrainer):
@@ -657,27 +653,14 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
             raise
 
     # ------------------------------------------------------------------
-    def train_step(self, *batch: np.ndarray) -> StepResult:
-        """One full iteration: forward, backward+offload, CPU update."""
-        return self._run_step([batch])
-
-    def train_step_accumulated(
-            self, batches: Sequence[Sequence[np.ndarray]]) -> StepResult:
-        """One iteration with gradient accumulation over micro-batches."""
-        return self._run_step([tuple(batch) for batch in batches])
-
     def _step_impl(self, batches: Sequence[Sequence[np.ndarray]]
                    ) -> StepResult:
         with telemetry.trace_span("iteration", engine="baseline",
                                   schedule=self.schedule) as span:
             self.meter.begin_iteration()
             with telemetry.trace_span("forward_backward"):
-                if len(batches) == 1:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward(batches[0])
-                else:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward_many(batches)
+                loss, flat_grads, norm, overflow = \
+                    self.forward_backward_many(batches)
 
             if self.schedule == "interleaved":
                 return self._finish_interleaved(span, loss, flat_grads,

@@ -120,24 +120,12 @@ class HostOffloadEngine(MixedPrecisionTrainer):
                 self._interleave = InterleavedScheduler(self._pool)
         self.space.install_fp16_params(self._masters)
 
-    def train_step(self, *batch: np.ndarray) -> StepResult:
-        """One iteration: fw/bw on the GPU, CPU update in host memory."""
-        return self._run_step([batch])
-
-    def train_step_accumulated(self, batches) -> StepResult:
-        """One iteration with gradient accumulation over micro-batches."""
-        return self._run_step([tuple(batch) for batch in batches])
-
     def _step_impl(self, batches) -> StepResult:
         with telemetry.trace_span("iteration", engine="host") as span:
             self.meter.begin_iteration()
             with telemetry.trace_span("forward_backward"):
-                if len(batches) == 1:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward(batches[0])
-                else:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward_many(batches)
+                loss, flat_grads, norm, overflow = \
+                    self.forward_backward_many(batches)
             proceed = self.scaler.update(overflow)
             if proceed:
                 self.step_count += 1
@@ -164,10 +152,10 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         """Block-wise CPU update over the host-resident states.
 
         Blocks touch disjoint slices of the masters/state/gradient
-        vectors and install disjoint flat ranges (serialized by the
-        parameter space's writer lock), so they run concurrently on the
-        worker pool — bit-identically to the sequential loop, since the
-        update is element-wise.
+        vectors and install disjoint ranges of the parameter space's flat
+        working buffer, so they run concurrently on the worker pool —
+        bit-identically to the sequential loop, since the update is
+        element-wise.
 
         The fused optimizer stages its temporaries in each worker
         thread's private arena (:func:`repro.memory.thread_arena`), so a

@@ -9,13 +9,13 @@ property this module preserves and the tests assert.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import PartitionError
+from ..memory import thread_arena
 from ..nn.modules import Module
 from ..nn.precision import to_fp16
 
@@ -41,30 +41,46 @@ class FlatParameterSpace:
     order; offsets are contiguous with no padding, so every element of the
     flat vector maps to exactly one model parameter element.
 
-    Writers are funneled through one lock: concurrent per-CSD update
-    workers install their updated subgroups into *disjoint* flat ranges,
-    but a range can straddle a parameter tensor whose storage both
-    writers touch, and :meth:`scatter_slice` re-binds ``param.data`` —
-    the lock makes each install atomic so no writer can observe (or
-    clobber) a half-installed neighbour.  Reads (`gather_*`) happen only
-    between fan-outs, on the coordinating thread.
+    The space **owns the working copy**: one flat float32 buffer, with
+    every ``param.data`` bound at construction to a reshaped view of its
+    slot.  An install is a copy into a flat range — no tree walk, no
+    re-binding — and concurrent per-CSD workers install *disjoint*
+    ranges, so they need no lock even when two ranges straddle one
+    parameter tensor.  Installs overwrite live parameter storage, so
+    they must not overlap a forward/backward pass still using those
+    parameters (the constraint on a gradient-ready interleaving,
+    ROADMAP item 2b).
+
+    ``param.data`` may still be re-bound from outside (``Module.
+    load_state_dict`` does); :meth:`gather_grads` — run by every step
+    before its installs — :meth:`gather_params` and
+    :meth:`scatter_params` re-adopt such a parameter (copy in, bind
+    back), so updates never land in storage the model no longer reads.
     """
 
     def __init__(self, module: Module) -> None:
         self.module = module
-        self._write_lock = threading.Lock()
         self.slots: List[ParamSlot] = []
+        params = []
         offset = 0
         for name, param in module.named_parameters():
             slot = ParamSlot(name=name, offset=offset, size=param.size,
                              shape=param.data.shape)
             self.slots.append(slot)
+            params.append(param)
             offset += param.size
         if offset == 0:
             raise PartitionError("module has no parameters")
         self.total_elements = offset
         self._by_name: Dict[str, ParamSlot] = {
             slot.name: slot for slot in self.slots}
+        self._flat = np.empty(offset, dtype=np.float32)
+        #: (parameter, slot, the view of ``_flat`` its data is bound to).
+        self._bound = [
+            (param, slot,
+             self._flat[slot.offset:slot.end].reshape(slot.shape))
+            for param, slot in zip(params, self.slots)]
+        self._adopt_detached()
 
     def slot(self, name: str) -> ParamSlot:
         try:
@@ -72,25 +88,30 @@ class FlatParameterSpace:
         except KeyError:
             raise PartitionError(f"unknown parameter {name!r}")
 
+    def _adopt_detached(self) -> None:
+        """Re-bind parameters bound elsewhere, keeping their values."""
+        for param, _slot, view in self._bound:
+            if param.data is not view:
+                np.copyto(view, param.data)
+                param.data = view
+
     # ------------------------------------------------------------------
     # gather / scatter
     # ------------------------------------------------------------------
     def gather_params(self) -> np.ndarray:
-        """Current module parameters as one flat float32 vector."""
-        flat = np.empty(self.total_elements, dtype=np.float32)
-        for slot, (_name, param) in zip(self.slots,
-                                        self.module.named_parameters()):
-            flat[slot.offset:slot.end] = param.data.reshape(-1)
-        return flat
+        """Current module parameters as one flat float32 vector (a copy)."""
+        self._adopt_detached()
+        return self._flat.copy()
 
     def scatter_params(self, flat: np.ndarray) -> None:
         """Write a flat vector back into the module's parameters."""
-        self._check_flat(flat)
-        with self._write_lock:
-            for slot, (_name, param) in zip(self.slots,
-                                            self.module.named_parameters()):
-                param.data = flat[slot.offset:slot.end].reshape(
-                    slot.shape).astype(np.float32)
+        if flat.ndim != 1 or flat.size != self.total_elements:
+            raise PartitionError(
+                f"flat vector must have {self.total_elements} elements, "
+                f"got shape {flat.shape}")
+        np.copyto(self._flat, flat, casting="same_kind")
+        for param, _slot, view in self._bound:
+            param.data = view
 
     def scatter_slice(self, start: int, values: np.ndarray) -> None:
         """Write ``values`` into flat range [start, start+len) of the module.
@@ -104,24 +125,14 @@ class FlatParameterSpace:
             raise PartitionError(
                 f"slice [{start}, {end}) outside flat space of "
                 f"{self.total_elements}")
-        with self._write_lock:
-            for slot, (_name, param) in zip(self.slots,
-                                            self.module.named_parameters()):
-                lo = max(start, slot.offset)
-                hi = min(end, slot.end)
-                if lo >= hi:
-                    continue
-                flat_view = param.data.reshape(-1)
-                flat_view[lo - slot.offset:hi - slot.offset] = (
-                    values[lo - start:hi - start])
-                param.data = flat_view.reshape(slot.shape)
+        np.copyto(self._flat[start:end], values, casting="same_kind")
 
     def gather_grads(self) -> np.ndarray:
         """Accumulated gradients as one flat float32 vector (zeros where a
         parameter received no gradient)."""
+        self._adopt_detached()
         flat = np.zeros(self.total_elements, dtype=np.float32)
-        for slot, (_name, param) in zip(self.slots,
-                                        self.module.named_parameters()):
+        for param, slot, _view in self._bound:
             if param.grad is not None:
                 flat[slot.offset:slot.end] = param.grad.reshape(-1)
         return flat
@@ -133,20 +144,18 @@ class FlatParameterSpace:
         parameters quantized through FP16, while ``masters`` stay FP32 in
         the optimizer state.
         """
-        self._check_flat(masters)
-        working = to_fp16(masters).astype(np.float32)
-        self.scatter_params(working)
+        self.scatter_params(to_fp16(masters))
 
     def install_fp16_slice(self, start: int, masters: np.ndarray) -> None:
-        """FP16-quantize and install one flat slice of master parameters."""
-        working = to_fp16(masters).astype(np.float32)
-        self.scatter_slice(start, working)
-
-    def _check_flat(self, flat: np.ndarray) -> None:
-        if flat.ndim != 1 or flat.size != self.total_elements:
-            raise PartitionError(
-                f"flat vector must have {self.total_elements} elements, "
-                f"got shape {flat.shape}")
+        """FP16-quantize and install one flat slice of master parameters
+        (two casts through an arena float16 scratch, no temporaries)."""
+        arena = thread_arena()
+        half = arena.acquire(masters.size, np.float16)
+        try:
+            np.copyto(half, masters, casting="same_kind")
+            self.scatter_slice(start, half)
+        finally:
+            arena.release(half)
 
 
 @dataclass(frozen=True)

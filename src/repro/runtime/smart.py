@@ -384,14 +384,6 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def train_step(self, *batch: np.ndarray) -> StepResult:
-        """One full iteration across all CSDs."""
-        return self._run_step([batch])
-
-    def train_step_accumulated(self, batches) -> StepResult:
-        """One iteration with gradient accumulation over micro-batches."""
-        return self._run_step([tuple(batch) for batch in batches])
-
     def _step_impl(self, batches) -> StepResult:
         if self._proc is not None:
             return self._step_impl_process(batches)
@@ -403,12 +395,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                  dev.internal_traffic.bytes_written)
                 for dev in self.devices]
             with telemetry.trace_span("forward_backward"):
-                if len(batches) == 1:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward(batches[0])
-                else:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward_many(batches)
+                loss, flat_grads, norm, overflow = \
+                    self.forward_backward_many(batches)
 
             if self.schedule == "interleaved":
                 # The overflow verdict only needs the backward's NaN
@@ -487,12 +475,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                                   backend="process") as span:
             self.meter.begin_iteration()
             with telemetry.trace_span("forward_backward"):
-                if len(batches) == 1:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward(batches[0])
-                else:
-                    loss, flat_grads, norm, overflow = \
-                        self.forward_backward_many(batches)
+                loss, flat_grads, norm, overflow = \
+                    self.forward_backward_many(batches)
 
             if self.schedule == "interleaved":
                 # Fused per-shard step task: each child runs its

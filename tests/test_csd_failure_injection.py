@@ -1,6 +1,9 @@
 """Failure injection: errors in the handler's background writer must
 surface at the next synchronization point, never be swallowed."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -83,4 +86,74 @@ def test_failure_does_not_hang_worker(tmp_path):
     with pytest.raises(StorageError):
         handler.run_update_pass(plan_subgroups(192, 64), kernel, 1, load)
     handler.close()  # must not deadlock
+    device.close()
+
+
+def test_handler_stress_commit_log_complete_and_no_deadlock(tmp_path):
+    """Tiny subgroups, hundreds of passes, one lazy-writer failure: every
+    clean pass leaves a complete commit log, the failed pass raises, and
+    the hand-off through the worker queue never wedges."""
+    total, subgroup, passes, failing_pass = 256, 8, 300, 150
+    subgroups = plan_subgroups(total, subgroup)
+
+    class FlakyVariance(SmartSSDDevice):
+        """Fails one lazy write-back of the ``variance`` region."""
+
+        fail_on = failing_pass * len(subgroups) + 7
+        seen = 0
+
+        def p2p_write_from(self, region, start, buffer, count):
+            if region == "variance":
+                self.seen += 1
+                if self.seen == self.fail_on:
+                    raise StorageError("injected flash write failure")
+            super().p2p_write_from(region, start, buffer, count)
+
+    device = FlakyVariance(str(tmp_path / "s.img"), 1 << 20)
+    seed(device, total)
+    optimizer = Adam(lr=1e-3)
+    kernel = UpdaterKernel(optimizer)
+    complete = {(name, sub.start) for name in optimizer.state_names
+                for sub in subgroups}
+    outcome = {}
+
+    def load(sub, buffer):
+        return device.p2p_read_into("grads", sub.start, buffer, sub.count)
+
+    def stress():
+        raised = []
+        with TransferHandler(device, optimizer.state_names,
+                             subgroup) as handler:
+            for index in range(passes):
+                try:
+                    handler.run_update_pass(subgroups, kernel, index + 1,
+                                            load)
+                except StorageError:
+                    raised.append(index)
+                    continue
+                assert handler.state_commits == complete, index
+            outcome["lazy"] = handler.stats.lazy_writebacks
+        outcome["raised"] = raised
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def guarded():
+            try:
+                stress()
+            except BaseException as exc:  # reported by the assert below
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=guarded, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "handler deadlocked"
+    assert "error" not in outcome, outcome["error"]
+    assert outcome.get("raised") == [failing_pass], outcome
+    # Only the failed write and the few the worker skipped while the
+    # error was pending are missing.
+    assert len(complete) * (passes - 1) <= outcome["lazy"] \
+        < len(complete) * passes
     device.close()

@@ -8,7 +8,7 @@ from repro.csd import (get_design, register_design, registered_designs,
 from repro.csd.hls import KernelDesign, SHELL
 from repro.errors import KernelError
 from repro.hw import FPGAResources, ku15p
-from repro.optim import Adam
+from repro.optim import Adam, make_optimizer
 from repro.optim.base import FlatOptimizer
 
 
@@ -88,6 +88,35 @@ def test_oversized_design_does_not_fit():
 
 def test_sanity_checker_passes_correct_kernels():
     sanity_check_updater(Adam(lr=1e-3), num_elements=512, num_steps=2)
+
+
+@pytest.mark.parametrize("name", ["adam", "adamw", "sgd", "adagrad"])
+def test_sanity_checker_passes_builtins_at_awkward_chunk(name):
+    # 1000 = 10 x 97 + 30: full chunks plus a ragged tail.
+    sanity_check_updater(make_optimizer(name), num_elements=1000,
+                         num_steps=3, chunk_elements=97)
+
+
+def test_sanity_checker_catches_non_elementwise_updater():
+    class MaxNormalized(FlatOptimizer):
+        """Divides by the largest |gradient| it was handed, so every
+        element's update depends on which others share its call — the
+        updater kernel's one pass per subgroup would not be exact."""
+
+        def __init__(self):
+            super().__init__(lr=0.1)
+
+        def step(self, params, grads, state, step_num):
+            params -= np.float32(self.lr) * grads / np.abs(grads).max()
+
+    with pytest.raises(KernelError, match="diverged"):
+        sanity_check_updater(MaxNormalized(), num_elements=1000,
+                             num_steps=1, chunk_elements=97)
+
+
+def test_sanity_checker_rejects_bad_chunk():
+    with pytest.raises(KernelError):
+        sanity_check_updater(Adam(), chunk_elements=0)
 
 
 def test_sanity_checker_catches_broken_updater():

@@ -22,23 +22,50 @@ def random_problem(size, seed=0):
 # ----------------------------------------------------------------------
 # updater kernel: the paper's "algorithmically identical" claim
 # ----------------------------------------------------------------------
+def _run_in_units(kernel, unit, params, grads, state, step):
+    """Hand the kernel the vector ``unit`` elements at a time, the way
+    the handler hands it subgroups."""
+    for start in range(0, params.size, unit):
+        piece = slice(start, start + unit)
+        kernel.run(params[piece], grads[piece],
+                   {name: buf[piece] for name, buf in state.items()}, step)
+
+
 @pytest.mark.parametrize("name", ["adam", "adamw", "sgd", "adagrad"])
-def test_chunked_updater_bitwise_matches_host(name):
+def test_subgroup_wise_updater_bitwise_matches_host(name):
     optimizer = make_optimizer(name)
     params, grads = random_problem(1000, seed=3)
     host_params = params.copy()
     host_state = optimizer.init_state(1000)
     kernel_params = params.copy()
     kernel_state = optimizer.init_state(1000)
-    kernel = UpdaterKernel(optimizer, chunk_elements=97)  # awkward chunk
+    kernel = UpdaterKernel(optimizer)
 
     for step in range(1, 5):
         optimizer.step(host_params, grads.copy(), host_state, step)
-        kernel.run(kernel_params, grads.copy(), kernel_state, step)
+        _run_in_units(kernel, 97, kernel_params, grads.copy(),  # awkward
+                      kernel_state, step)
         np.testing.assert_array_equal(host_params, kernel_params)
         for key in host_state:
             np.testing.assert_array_equal(host_state[key],
                                           kernel_state[key])
+
+
+def test_updater_runs_the_fused_sequence_once_per_call():
+    """One validation + one optimizer dispatch per resident subgroup,
+    whatever the design's BRAM chunk size S."""
+    calls = []
+
+    class Counting(Adam):
+        def step(self, params, grads, state, step_num):
+            calls.append(params.size)
+            super().step(params, grads, state, step_num)
+
+    optimizer = Counting()
+    kernel = UpdaterKernel(optimizer, chunk_elements=64)
+    params, grads = random_problem(1000)
+    kernel.run(params, grads, optimizer.init_state(1000), 1)
+    assert calls == [1000]
 
 
 def test_updater_counters():
@@ -58,10 +85,11 @@ def test_updater_rejects_bad_chunk():
 
 
 @settings(max_examples=20, deadline=None)
-@given(size=st.integers(1, 500), chunk=st.integers(1, 64),
+@given(size=st.integers(1, 500), unit=st.integers(1, 64),
        seed=st.integers(0, 1000))
-def test_chunking_invariance_property(size, chunk, seed):
-    """Any chunk size gives the identical result (element-wise update)."""
+def test_unit_size_invariance_property(size, unit, seed):
+    """Any split of the vector into kernel calls gives the identical
+    result (element-wise update)."""
     optimizer = Adam(lr=1e-2)
     params, grads = random_problem(size, seed=seed)
     ref_params = params.copy()
@@ -70,9 +98,11 @@ def test_chunking_invariance_property(size, chunk, seed):
 
     kernel_params = params.copy()
     kernel_state = optimizer.init_state(size)
-    UpdaterKernel(optimizer, chunk_elements=chunk).run(
-        kernel_params, grads.copy(), kernel_state, 1)
+    _run_in_units(UpdaterKernel(optimizer), unit, kernel_params,
+                  grads.copy(), kernel_state, 1)
     np.testing.assert_array_equal(ref_params, kernel_params)
+    for key in ref_state:
+        np.testing.assert_array_equal(ref_state[key], kernel_state[key])
 
 
 # ----------------------------------------------------------------------

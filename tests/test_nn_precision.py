@@ -117,3 +117,92 @@ def test_clip_preserves_direction(seed):
                    / (np.linalg.norm(grads[0])
                       * np.linalg.norm(original) + 1e-12))
     assert cosine == pytest.approx(1.0, abs=1e-5)
+
+
+# ----------------------------------------------------------------------
+# one pass: the norm is the overflow scan
+# ----------------------------------------------------------------------
+def _two_pass_reference(arrays):
+    """The parent commit's scan + norm, kept here as the reference:
+    a separate isfinite pass and a fresh float64 temporary per array."""
+    total = 0.0
+    for array in arrays:
+        total += float(np.square(array, dtype=np.float64).sum())
+    return has_overflow(arrays), float(np.sqrt(total))
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+_SPECIALS = {
+    "nan": [np.array([1.0, np.nan, 2.0], dtype=np.float32)],
+    "+inf": [np.array([np.inf, 1.0], dtype=np.float32)],
+    "-inf": [np.array([1.0, -np.inf], dtype=np.float32)],
+    "inf and -inf": [np.array([np.inf], dtype=np.float32),
+                     np.array([-np.inf, 3.0], dtype=np.float32)],
+    "float32 max": [np.full(1000, np.finfo(np.float32).max,
+                            dtype=np.float32)],
+    "all zero": [np.zeros(17, dtype=np.float32)],
+    "multi-array, multi-dim": [
+        np.arange(12, dtype=np.float32).reshape(3, 4),
+        np.full(5, -2.5, dtype=np.float32),
+        np.zeros((2, 2), dtype=np.float32)],
+    "nan in a later array": [np.ones(4, dtype=np.float32),
+                             np.array([np.nan], dtype=np.float32)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPECIALS))
+def test_one_pass_verdict_and_norm_match_two_pass_on_specials(case):
+    arrays = [a.copy() for a in _SPECIALS[case]]
+    overflow, norm = _two_pass_reference(arrays)
+    assert _same_bits(global_grad_norm(arrays), norm)
+    # max_norm above every finite norm here, so nothing is rescaled.
+    returned = clip_gradients(arrays, max_norm=1e300)
+    assert _same_bits(returned, norm)
+    assert (not np.isfinite(returned)) == overflow
+    for got, want in zip(arrays, _SPECIALS[case]):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+       poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       scale=st.sampled_from([1e-20, 1.0, 1e4, 1e30]))
+def test_one_pass_verdict_and_norm_match_two_pass(seed, sizes, poison,
+                                                  scale):
+    rng = np.random.default_rng(seed)
+    arrays = [(rng.standard_normal(n) * scale).astype(np.float32)
+              for n in sizes]
+    if poison is not None:
+        victim = arrays[rng.integers(len(arrays))]
+        victim[rng.integers(victim.size)] = poison
+    overflow, norm = _two_pass_reference(arrays)
+    assert _same_bits(global_grad_norm(arrays), norm)
+    assert (not np.isfinite(norm)) == overflow
+    assert overflow == (poison is not None)
+
+
+def test_clip_with_norm_exactly_at_max_norm_leaves_gradients():
+    grads = [np.array([3.0, 4.0], dtype=np.float32)]
+    assert clip_gradients(grads, max_norm=5.0) == 5.0
+    np.testing.assert_array_equal(grads[0], [3.0, 4.0])
+    # Just under the norm, the clip engages.
+    clip_gradients(grads, max_norm=4.99)
+    assert global_grad_norm(grads) == pytest.approx(4.99, rel=1e-6)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_clip_leaves_gradients_untouched_on_non_finite_norm(poison):
+    """The phased engines still offload the gradient buffer (and fold it
+    into the error-feedback residual) on a skipped step; a norm of +inf
+    used to give factor 0 and zero that very buffer."""
+    original = [np.array([1.0, poison, -2.0], dtype=np.float32),
+                np.array([7.0], dtype=np.float32)]
+    grads = [a.copy() for a in original]
+    norm = clip_gradients(grads, max_norm=1.0)
+    assert not np.isfinite(norm)
+    for got, want in zip(grads, original):
+        np.testing.assert_array_equal(got, want)

@@ -14,9 +14,12 @@ import pytest
 from repro.errors import TrainingError
 from repro.nn import SequenceClassifier, bert_config, \
     make_classification_dataset
+from repro.api import ENGINE_MODES, create_engine
 from repro.runtime import (BaselineOffloadEngine, SmartInfinityEngine,
                            TrainingConfig, distribute_shards,
-                           expected_traffic)
+                           expected_traffic, load_checkpoint,
+                           save_checkpoint)
+from repro.runtime.checkpoint import _gather_state
 
 VOCAB = 32
 SEQ = 16
@@ -213,6 +216,7 @@ def test_overflow_skips_update_and_halves_scale(tmp_path, dataset):
     result = engine.train_step(dataset.train_tokens[:4],
                                dataset.train_labels[:4])
     assert result.overflow
+    assert result.grad_norm == 0.0  # the non-finite norm is not reported
     assert result.step == 0  # skipped
     assert engine.scaler.scale == 2.0 ** 125
     assert engine.scaler.skipped_steps == 1
@@ -293,3 +297,79 @@ def test_traffic_invariant_to_subgroup_size(tmp_path, dataset):
                         result.traffic.internal_total)
         engine.close()
     assert len(set(totals.values())) == 1
+
+
+# ----------------------------------------------------------------------
+# the flat-backed working copy survives outside re-binding
+# ----------------------------------------------------------------------
+def _model_flat(model):
+    """Parameters read through the module, never through the space."""
+    return np.concatenate([value.reshape(-1)
+                           for value in model.state_dict().values()])
+
+
+def _fp16_masters(engine):
+    masters = _gather_state(engine)["master_params"]
+    return masters.astype(np.float16).astype(np.float32)
+
+
+def _engine(mode, directory, seed=7):
+    return create_engine(mode, make_model(seed), loss_fn, str(directory),
+                         config=config(num_csds=2, raid_members=2))
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+def test_load_state_dict_between_steps_keeps_updates_visible(
+        tmp_path, dataset, mode):
+    """``Module.load_state_dict`` re-binds every ``param.data`` away from
+    the engine's flat working buffer; the next step must re-adopt them,
+    or its installs would land in storage the model no longer reads."""
+    batches = [(dataset.train_tokens[i:i + 8], dataset.train_labels[i:i + 8])
+               for i in (0, 8, 16)]
+    with _engine(mode, tmp_path / "plain") as plain, \
+            _engine(mode, tmp_path / "rebound") as rebound:
+        for engine in (plain, rebound):
+            engine.train_step(*batches[0])
+        # Same values, fresh arrays: detaches without changing the run.
+        rebound.model.load_state_dict(rebound.model.state_dict())
+        for batch in batches[1:]:
+            expected = plain.train_step(*batch)
+            result = rebound.train_step(*batch)
+            assert result.loss == expected.loss
+            np.testing.assert_array_equal(_model_flat(rebound.model),
+                                          _model_flat(plain.model))
+            # The model computes with exactly the FP16 of the masters.
+            np.testing.assert_array_equal(_model_flat(rebound.model),
+                                          _fp16_masters(rebound))
+
+        # Different values: the step's forward sees them, and the update
+        # still replaces them with the FP16 of the updated masters.
+        loaded = {name: np.zeros_like(value) for name, value
+                  in rebound.model.state_dict().items()}
+        rebound.model.load_state_dict(loaded)
+        result = rebound.train_step(*batches[0])
+        assert result.loss != plain.train_step(*batches[0]).loss
+        np.testing.assert_array_equal(_model_flat(rebound.model),
+                                      _fp16_masters(rebound))
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+def test_checkpoint_round_trip_into_a_rebound_model(tmp_path, dataset, mode):
+    first = (dataset.train_tokens[:8], dataset.train_labels[:8])
+    second = (dataset.train_tokens[8:16], dataset.train_labels[8:16])
+    path = str(tmp_path / "state.npz")
+    with _engine(mode, tmp_path / "source") as source, \
+            _engine(mode, tmp_path / "target", seed=11) as target:
+        source.train_step(*first)
+        save_checkpoint(source, path)
+        target.train_step(*second)  # diverge first
+        target.model.load_state_dict(target.model.state_dict())
+        load_checkpoint(target, path)
+        # Restored weights are what the model reads, straight away.
+        np.testing.assert_array_equal(_model_flat(target.model),
+                                      _fp16_masters(source))
+        expected = source.train_step(*second)
+        result = target.train_step(*second)
+        assert result.loss == expected.loss
+        np.testing.assert_array_equal(_model_flat(target.model),
+                                      _model_flat(source.model))

@@ -1,5 +1,8 @@
 """Tests for parameter flattening and CSD shard distribution."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,3 +165,122 @@ def test_shard_coverage_property(total, devices):
     assert sum(s.count for s in shards) == total
     assert len(shards) == devices
     assert all(s.count >= 1 for s in shards)
+
+
+# ----------------------------------------------------------------------
+# the flat-backed working copy
+# ----------------------------------------------------------------------
+def _model_flat(model):
+    """Parameters read through the module, never through the space."""
+    return np.concatenate([value.reshape(-1)
+                           for value in model.state_dict().values()])
+
+
+def test_parameters_are_views_of_one_flat_buffer():
+    model = tiny_model()
+    before = _model_flat(model)
+    space = FlatParameterSpace(model)
+    np.testing.assert_array_equal(_model_flat(model), before)
+    for _name, param in model.named_parameters():
+        assert param.data.base is not None
+        assert np.shares_memory(param.data, space._flat)
+    # An install is visible through the module without any re-binding.
+    bound = [param.data for _name, param in model.named_parameters()]
+    space.scatter_slice(3, np.full(5, 9.0, dtype=np.float32))
+    np.testing.assert_array_equal(_model_flat(model)[3:8], 9.0)
+    for data, (_name, param) in zip(bound, model.named_parameters()):
+        assert param.data is data
+
+
+def test_install_fp16_slice_matches_full_install():
+    sliced, full = tiny_model(), tiny_model()
+    space_sliced, space_full = (FlatParameterSpace(sliced),
+                                FlatParameterSpace(full))
+    rng = np.random.default_rng(0)
+    masters = (rng.standard_normal(space_full.total_elements) * 1e-3
+               ).astype(np.float32)
+    space_full.install_fp16_params(masters)
+    for start in range(0, masters.size, 701):  # straddles parameters
+        space_sliced.install_fp16_slice(start, masters[start:start + 701])
+    np.testing.assert_array_equal(_model_flat(sliced), _model_flat(full))
+    with pytest.raises(PartitionError):
+        space_sliced.install_fp16_slice(masters.size - 2, masters[:3])
+
+
+def test_concurrent_adjacent_installs_need_no_lock():
+    """Two writers install adjacent slices whose boundary falls inside
+    one parameter tensor; disjoint flat ranges never interfere, so every
+    round ends in the sequential result."""
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    straddled = max(space.slots, key=lambda slot: slot.size)
+    boundary = straddled.offset + straddled.size // 2 + 1
+    assert straddled.offset < boundary < straddled.end
+    rounds = 1000
+    rng = np.random.default_rng(1)
+    masters = rng.standard_normal(
+        (rounds, space.total_elements)).astype(np.float32)
+    # Writers and the checking thread meet before and after each round.
+    barrier = threading.Barrier(3, timeout=30)
+    failures = []
+
+    def writer(start, stop):
+        try:
+            for index in range(rounds):
+                barrier.wait()
+                space.install_fp16_slice(start, masters[index, start:stop])
+                barrier.wait()
+        except BaseException as exc:  # surfaced by the assert below
+            failures.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=writer, args=(0, boundary)),
+               threading.Thread(target=writer,
+                                args=(boundary, space.total_elements))]
+    # More runnable threads than cores and a short switch interval, so
+    # the two installs really interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for index in range(rounds):
+            barrier.wait()
+            barrier.wait()
+            expected = masters[index].astype(np.float16).astype(np.float32)
+            np.testing.assert_array_equal(_model_flat(model), expected)
+    except threading.BrokenBarrierError:
+        pass  # a writer failed; its exception is reported below
+    except BaseException:
+        barrier.abort()  # release the writers before reporting
+        raise
+    finally:
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not failures, failures
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_rebound_parameter_is_readopted():
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    state = {name: value + np.float32(1.0)
+             for name, value in model.state_dict().items()}
+    model.load_state_dict(state)  # re-binds every param.data
+    name, param = next(iter(model.named_parameters()))
+    assert not np.shares_memory(param.data, space._flat)
+
+    space.gather_grads()
+    assert np.shares_memory(param.data, space._flat)
+    np.testing.assert_array_equal(param.data, state[name])
+    # ... so a later install reaches the storage the model reads.
+    space.scatter_slice(0, np.zeros(4, dtype=np.float32))
+    np.testing.assert_array_equal(_model_flat(model)[:4], 0.0)
+
+    model.load_state_dict(state)
+    np.testing.assert_array_equal(space.gather_params(),
+                                  _model_flat(model))
+    model.load_state_dict(state)
+    space.scatter_params(np.zeros(space.total_elements, dtype=np.float32))
+    np.testing.assert_array_equal(_model_flat(model), 0.0)
