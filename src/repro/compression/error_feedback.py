@@ -24,25 +24,23 @@ class ErrorFeedback:
         if num_elements <= 0:
             raise TrainingError("num_elements must be positive")
         self.residual = np.zeros(num_elements, dtype=np.float32)
-        # Persistent staging for the compensated vector and the kept-value
-        # gather, so a steady-state compress step allocates nothing.
-        self._compensated = np.empty(num_elements, dtype=np.float32)
+        # Persistent staging for the kept-value gather, so a steady-state
+        # compress step allocates nothing.
         self._kept: np.ndarray = np.empty(0, dtype=np.float32)
 
     def compensate(self, gradient: np.ndarray) -> np.ndarray:
-        """Return ``gradient + residual`` (the vector to compress).
+        """Add ``gradient`` into the residual and return it (the vector
+        to compress).
 
-        The result lives in a per-instance staging buffer that is reused
-        by the next ``compensate`` call — consume it (compress + absorb)
-        before compensating again.
+        The result *is* :attr:`residual`: follow every ``compensate``
+        with the ``absorb`` that takes the transmitted part back out.
         """
         flat = np.asarray(gradient, dtype=np.float32).reshape(-1)
         if flat.size != self.residual.size:
             raise TrainingError(
                 f"gradient size {flat.size} != residual size "
                 f"{self.residual.size}")
-        np.add(flat, self.residual, out=self._compensated)
-        return self._compensated
+        return np.add(flat, self.residual, out=self.residual)
 
     def absorb(self, compensated: np.ndarray,
                compressed: CompressedGradient) -> None:
@@ -51,10 +49,12 @@ class ErrorFeedback:
         Equivalent to ``residual = compensated - decompress(compressed)``
         element for element — including non-finite inputs, where a kept
         ``inf`` must leave ``inf - inf = nan`` behind — but written as a
-        copy plus a k-sized gather/subtract at the kept indices, so no
-        dense temporaries are materialized.
+        k-sized gather/subtract at the kept indices (after a copy, unless
+        ``compensated`` is what :meth:`compensate` returned), so no dense
+        temporaries are materialized.
         """
-        np.copyto(self.residual, compensated)
+        if compensated is not self.residual:
+            np.copyto(self.residual, compensated)
         if self._kept.size != compressed.num_kept:
             self._kept = np.empty(compressed.num_kept, dtype=np.float32)
         np.take(compensated, compressed.indices, out=self._kept)

@@ -67,14 +67,65 @@ def keep_count(num_elements: int, volume_ratio: float) -> int:
     return max(1, min(kept, num_elements))
 
 
+#: Size of the strided ``|g|`` sample that places the candidate threshold,
+#: and the fewest sample elements allowed above it (so that a tiny ratio
+#: does not hang the candidate count on a handful of samples).
+_SAMPLE_ELEMENTS = 8192
+_MIN_SAMPLE_RANK = 32
+
+
+def _candidates(bits: np.ndarray, kept: int) -> np.ndarray:
+    """Ascending indices of a superset of the ``kept`` largest patterns.
+
+    A strided sample places a threshold expected to pass ``2 x kept``
+    elements.  A zero threshold (a mostly-zero vector) passes the
+    non-zeros, topped up with the lowest-index zeros when fewer than
+    ``kept`` exist; otherwise too few passing means the sample misjudged,
+    and every index is a candidate.
+    """
+    sample = bits[::max(1, bits.size // _SAMPLE_ELEMENTS)]
+    rank = min(sample.size, max(_MIN_SAMPLE_RANK,
+                                -(-2 * kept * sample.size // bits.size)))
+    threshold = np.partition(sample, sample.size - rank)[sample.size - rank]
+    chosen = np.flatnonzero(bits >= max(threshold, 1))
+    if chosen.size >= kept:
+        return chosen
+    if threshold > 0:
+        return np.arange(bits.size)
+    zeros = np.flatnonzero(bits[:kept] == 0)[:kept - chosen.size]
+    return np.sort(np.concatenate((chosen, zeros)))
+
+
+def _select_topk(magnitudes: np.ndarray, kept: int) -> np.ndarray:
+    """Ascending indices of exactly the ``kept`` largest magnitudes,
+    ranked by (magnitude descending, index ascending).
+
+    Candidates are found on the float32 bit patterns, which order like
+    the non-negative magnitudes with infinity and then NaN on top, so a
+    non-finite element always is one; such input then keeps
+    ``argpartition``'s order (NaN first) and its arbitrary ties.
+    """
+    pool_indices = _candidates(magnitudes.view(np.int32), kept)
+    pool = magnitudes[pool_indices]
+    if not np.isfinite(pool.max()):
+        top = np.argpartition(magnitudes, magnitudes.size - kept)[-kept:]
+        top.sort()
+        return top
+    cut = np.partition(pool, pool.size - kept)[pool.size - kept]
+    keep = pool > cut
+    ties = np.flatnonzero(pool == cut)[:kept - np.count_nonzero(keep)]
+    keep[ties] = True
+    return np.compress(keep, pool_indices)
+
+
 def compress_topk(gradient: np.ndarray,
                   volume_ratio: float = 0.02,
                   abs_scratch: np.ndarray = None) -> CompressedGradient:
     """GPU-side compression: keep the largest-magnitude elements.
 
-    Selection uses ``argpartition`` (the GPU does a partial sort); kept
-    indices are re-sorted ascending (in place) so the FPGA decompressor's
-    scatter walks memory sequentially, as the hardware pipeline does.
+    Selection is exact with pinned ties (:func:`_select_topk`; the GPU
+    does a partial sort); kept indices come out ascending, so the FPGA
+    decompressor's scatter walks memory sequentially, as the hardware does.
 
     The engine hot path hands in contiguous fp32 1-D shard slices, which
     are used as-is — the input is only ever read, and the fancy-indexed
@@ -98,9 +149,7 @@ def compress_topk(gradient: np.ndarray,
             magnitudes = np.abs(flat, out=abs_scratch[:flat.size])
         else:
             magnitudes = np.abs(flat)
-        top = np.argpartition(magnitudes, flat.size - kept)[-kept:]
-        top.sort()
-        indices = top.astype(np.int32)
+        indices = _select_topk(magnitudes, kept).astype(np.int32)
     return CompressedGradient(indices=indices,
                               values=flat[indices],
                               original_size=flat.size)

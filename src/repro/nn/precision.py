@@ -33,6 +33,60 @@ def from_fp16(array: np.ndarray) -> np.ndarray:
     return np.asarray(array, dtype=np.float16).astype(np.float32)
 
 
+#: Elements per pass of :func:`round_fp16`, so that the source, the
+#: destination and both scratch vectors stay cache-resident.
+_ROUND_CHUNK = 1 << 16
+_EXPONENT_BITS = np.int32(0x7F800000)
+_SIGN_BIT = np.int32(-0x80000000)
+#: Exponent field of 2**-14: below it FP16's spacing stops shrinking.
+_MIN_EXPONENT = np.int32(113 << 23)
+#: The 23 - 10 dropped mantissa bits, as an exponent-field increment.
+_MAGIC_SHIFT = np.int32(13 << 23)
+
+
+def round_fp16(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out <- float32(float16(src))`` without materialising the half.
+
+    FP16's spacing for ``|x|`` in ``[2**e, 2**(e+1))`` is float32's at
+    ``m = 2**(max(e, -14) + 13)``, so ``(|x| + m) - m`` rounds exactly as
+    the cast does (to nearest even, normals and subnormals alike); the
+    sign bit is OR-ed back, so ``-0`` keeps it.  Bit-equal to the two
+    casts for ``|x| < 65520``; a pass that holds a larger or non-finite
+    value takes the casts themselves.  ``src`` and ``out`` are contiguous
+    float32 of one size and may be the same memory; the scratch comes
+    from the calling thread's arena.
+    """
+    if not (src.dtype == out.dtype == np.float32 and src.size == out.size
+            and src.flags.c_contiguous and out.flags.c_contiguous):
+        raise TrainingError(
+            "round_fp16 needs two contiguous float32 arrays of one size")
+    src, out = src.reshape(-1), out.reshape(-1)
+    arena = thread_arena()
+    chunk = max(1, min(src.size, _ROUND_CHUNK))
+    magnitude, magic = arena.acquire(chunk), arena.acquire(chunk)
+    try:
+        for start in range(0, src.size, chunk):
+            x, y = src[start:start + chunk], out[start:start + chunk]
+            mag, add = magnitude[:x.size], magic[:x.size]
+            bits, add_bits = x.view(np.int32), add.view(np.int32)
+            np.abs(x, out=mag)
+            if not mag.max() < 65520.0:  # rounds to inf, or is NaN
+                np.copyto(y, from_fp16(to_fp16(x)))
+                continue
+            np.bitwise_and(bits, _EXPONENT_BITS, out=add_bits)
+            np.maximum(add_bits, _MIN_EXPONENT, out=add_bits)
+            add_bits += _MAGIC_SHIFT
+            mag += add
+            mag -= add
+            np.bitwise_and(bits, _SIGN_BIT, out=add_bits)
+            np.bitwise_or(mag.view(np.int32), add_bits,
+                          out=y.view(np.int32))
+    finally:
+        arena.release(magic)
+        arena.release(magnitude)
+    return out
+
+
 def has_overflow(arrays: Iterable[np.ndarray]) -> bool:
     """True when any gradient array contains NaN or +-Inf.
 

@@ -570,8 +570,7 @@ class MixedPrecisionTrainer:
                 with np.errstate(over="ignore", invalid="ignore"):
                     scaled = loss * float(self.scaler.scale)
                     scaled.backward()
-                    flat = self.space.gather_grads()
-                    flat *= np.float32(1.0 / self.scaler.scale)
+                    flat = self.space.gather_grads(1.0 / self.scaler.scale)
             total_loss += float(loss.item())
             combined = flat if combined is None else combined + flat
         if len(batches) > 1:

@@ -15,9 +15,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import PartitionError
-from ..memory import thread_arena
 from ..nn.modules import Module
-from ..nn.precision import to_fp16
+from ..nn.precision import round_fp16
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,27 @@ class FlatParameterSpace:
         self._adopt_detached()
         return self._flat.copy()
 
-    def scatter_params(self, flat: np.ndarray) -> None:
-        """Write a flat vector back into the module's parameters."""
+    def _full(self, flat: np.ndarray) -> np.ndarray:
+        """The live flat buffer, as the target of a whole-model ``flat``."""
         if flat.ndim != 1 or flat.size != self.total_elements:
             raise PartitionError(
                 f"flat vector must have {self.total_elements} elements, "
                 f"got shape {flat.shape}")
-        np.copyto(self._flat, flat, casting="same_kind")
-        for param, _slot, view in self._bound:
-            param.data = view
+        self._adopt_detached()
+        return self._flat
+
+    def _range(self, start: int, count: int) -> np.ndarray:
+        """Live storage of flat range [start, start+count)."""
+        end = start + count
+        if start < 0 or end > self.total_elements:
+            raise PartitionError(
+                f"slice [{start}, {end}) outside flat space of "
+                f"{self.total_elements}")
+        return self._flat[start:end]
+
+    def scatter_params(self, flat: np.ndarray) -> None:
+        """Write a flat vector back into the module's parameters."""
+        np.copyto(self._full(flat), flat, casting="same_kind")
 
     def scatter_slice(self, start: int, values: np.ndarray) -> None:
         """Write ``values`` into flat range [start, start+len) of the module.
@@ -120,21 +131,22 @@ class FlatParameterSpace:
         subgroup as their urgent write-backs complete, without waiting for
         the whole model.
         """
-        end = start + values.size
-        if start < 0 or end > self.total_elements:
-            raise PartitionError(
-                f"slice [{start}, {end}) outside flat space of "
-                f"{self.total_elements}")
-        np.copyto(self._flat[start:end], values, casting="same_kind")
+        np.copyto(self._range(start, values.size), values,
+                  casting="same_kind")
 
-    def gather_grads(self) -> np.ndarray:
-        """Accumulated gradients as one flat float32 vector (zeros where a
-        parameter received no gradient)."""
+    def gather_grads(self, scale: float = 1.0) -> np.ndarray:
+        """Accumulated gradients times ``scale`` as one flat float32
+        vector (zeros where a parameter received no gradient); the
+        unscaling multiply rides the copy instead of a second pass."""
         self._adopt_detached()
-        flat = np.zeros(self.total_elements, dtype=np.float32)
+        scale = np.float32(scale)
+        flat = np.empty(self.total_elements, dtype=np.float32)
         for param, slot, _view in self._bound:
-            if param.grad is not None:
-                flat[slot.offset:slot.end] = param.grad.reshape(-1)
+            target = flat[slot.offset:slot.end]
+            if param.grad is None:
+                target.fill(0.0)
+            else:
+                np.multiply(param.grad.reshape(-1), scale, out=target)
         return flat
 
     def install_fp16_params(self, masters: np.ndarray) -> None:
@@ -144,18 +156,12 @@ class FlatParameterSpace:
         parameters quantized through FP16, while ``masters`` stay FP32 in
         the optimizer state.
         """
-        self.scatter_params(to_fp16(masters))
+        round_fp16(masters, self._full(masters))
 
     def install_fp16_slice(self, start: int, masters: np.ndarray) -> None:
-        """FP16-quantize and install one flat slice of master parameters
-        (two casts through an arena float16 scratch, no temporaries)."""
-        arena = thread_arena()
-        half = arena.acquire(masters.size, np.float16)
-        try:
-            np.copyto(half, masters, casting="same_kind")
-            self.scatter_slice(start, half)
-        finally:
-            arena.release(half)
+        """FP16-quantize one flat slice of master parameters straight
+        into the live flat buffer (no half-precision temporary)."""
+        round_fp16(masters, self._range(start, masters.size))
 
 
 @dataclass(frozen=True)

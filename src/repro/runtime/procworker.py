@@ -2,7 +2,7 @@
 
 The thread pool in :mod:`repro.runtime.parallel` gives the Fig. 11
 fan-out its structure, but CPython's GIL caps how much of the per-device
-work (Top-K ``argpartition``, optimizer ufuncs, int8 quantization) truly
+work (Top-K selection, optimizer ufuncs, int8 quantization) truly
 overlaps.  This module moves each CSD's state machine into a persistent
 worker *process*:
 
@@ -282,13 +282,14 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # the two per-step tasks
     # ------------------------------------------------------------------
-    def offload(self) -> Dict[str, object]:
-        """Mirror of the thread engine's ``offload_one`` for this shard.
+    def offload(self, overflow: bool) -> Dict[str, object]:
+        """Mirror of the thread engine's ``_offload_device`` (this shard).
 
         Compression (which mutates the child-resident error-feedback
-        residual) runs exactly once and the stream is published to the
-        channel *before* any device I/O, so the parent's host-CPU path
-        can consume it after a demotion at any point of the step.
+        residual, except on an ``overflow`` step) runs exactly once and
+        the stream is published to the channel *before* any device I/O,
+        so the parent's host-CPU path can consume it after a demotion at
+        any point of the step.
         """
         resp = self._base_resp()
         snapshot = self._traffic_snapshot()
@@ -301,7 +302,8 @@ class _ShardWorker:
             if ratio is not None:
                 with thread_arena().checkout(self.shard.count) as scratch:
                     compressed = compress_with_feedback(
-                        self.grads, self.feedback, ratio,
+                        self.grads,
+                        None if overflow else self.feedback, ratio,
                         abs_scratch=scratch)
                 np.copyto(self.comp_indices, compressed.indices)
                 np.copyto(self.comp_values, compressed.values)
@@ -334,9 +336,10 @@ class _ShardWorker:
         shard chains overlap freely across worker processes with no
         offload barrier.  The per-device operation sequence is exactly
         offload-then-update — identical to the phased two-task protocol
-        — so results and fault streams are bit-identical.
+        — so results and fault streams are bit-identical.  The parent
+        withholds the update exactly on an overflow step.
         """
-        resp = self.offload()
+        resp = self.offload(overflow=not do_update)
         if not do_update or self.demoted:
             return resp
         upd = self.update(step_count, lr)
@@ -551,7 +554,7 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
                 f"no shard worker for index {index} in this process "
                 f"(init task missing or routed elsewhere)")
         if op == "offload":
-            resp = worker.offload()
+            resp = worker.offload(bool(task["overflow"]))
         elif op == "step":
             resp = worker.step(int(task["step_count"]),
                                float(task["lr"]),
@@ -716,12 +719,13 @@ class ProcessShardCoordinator:
     # ------------------------------------------------------------------
     # per-step protocol
     # ------------------------------------------------------------------
-    def offload(self, flat_grads: np.ndarray) -> List[Dict[str, object]]:
+    def offload(self, flat_grads: np.ndarray,
+                overflow: bool) -> List[Dict[str, object]]:
         """Phase 1: gradients down through the channels, then the
         children compress (if configured) and write to their devices."""
         for shard, channel in zip(self.shards, self.channels):
             np.copyto(channel.grads, flat_grads[shard.start:shard.end])
-        return self._run("offload")
+        return self._run("offload", overflow=bool(overflow))
 
     def update(self, step_count: int, lr: float
                ) -> List[Dict[str, object]]:

@@ -412,7 +412,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                     self._apply_lr_schedule()
 
                 def device_chain(index: int) -> None:
-                    compressed = self._offload_device(index, flat_grads)
+                    compressed = self._offload_device(index, flat_grads,
+                                                      overflow)
                     if proceed:
                         self._update_device_guarded(index, compressed,
                                                     flat_grads)
@@ -424,8 +425,10 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                                          range(self.num_csds))
             else:
                 with telemetry.trace_span("grad_offload"):
-                    compressed_per_device = \
-                        self._offload_gradients(flat_grads)
+                    compressed_per_device = self._pool.map_ordered(
+                        lambda index: self._offload_device(
+                            index, flat_grads, overflow),
+                        range(self.num_csds))
 
                 proceed = self.scaler.update(overflow)
                 if proceed:
@@ -513,7 +516,7 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                                 self._install_upstream_shard(index)
             else:
                 with telemetry.trace_span("grad_offload"):
-                    for resp in proc.offload(flat_grads):
+                    for resp in proc.offload(flat_grads, overflow):
                         self.meter.add_host_write(int(resp["host_write"]))
                         self._absorb_child_traffic(resp)
                         if resp.get("demoted_now"):
@@ -675,15 +678,14 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                 if feedback is not None and "ef_residual" in arrays:
                     feedback.residual[:] = arrays["ef_residual"][view]
 
-    def _offload_gradients(self, flat_grads: np.ndarray
-                           ) -> List[Optional[CompressedGradient]]:
-        """Backward-phase offload: write each shard's gradients to its
-        owner CSD (dense, or GPU-compressed for SmartComp).
+    def _offload_device(self, index: int, flat_grads: np.ndarray,
+                        overflow: bool) -> Optional[CompressedGradient]:
+        """Backward-phase offload of one shard's gradients to its owner
+        CSD (dense, or GPU-compressed for SmartComp).
 
-        Fans out across the worker pool: per-shard Top-K selection
-        (``argpartition``) and the device write touch only that shard's
-        slice, error-feedback residual and backing file, so the devices'
-        offloads are independent.
+        Per-shard Top-K selection and the device write touch only that
+        shard's slice, error-feedback residual and backing file, so the
+        devices' offloads fan out across the worker pool independently.
 
         Resilience: compression (which mutates the error-feedback
         residual) happens exactly once, *before* any device I/O, so a
@@ -691,15 +693,12 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         stream instead of recompressing — double-applying the residual
         would break bit-identity.  A demoted device gets no I/O at all;
         its compressed stream still feeds the host-CPU update path.
-        """
-        return self._pool.map_ordered(
-            lambda index: self._offload_device(index, flat_grads),
-            range(self.num_csds))
 
-    def _offload_device(self, index: int, flat_grads: np.ndarray
-                        ) -> Optional[CompressedGradient]:
-        """Offload one shard's gradients to its owner CSD (see
-        :meth:`_offload_gradients` for the resilience contract)."""
+        On an ``overflow`` step — the verdict is in before any offload —
+        the stream is still compressed and written (same host bytes,
+        same device op counts) but bypasses error feedback: the update
+        is skipped, so the NaN/Inf must not enter the residual.
+        """
         ratio = self.config.compression_ratio
         device = self.devices[index]
         shard = self.shards[index]
@@ -715,8 +714,9 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                 # temporary per iteration.
                 with thread_arena().checkout(shard.count) as scratch:
                     compressed = compress_with_feedback(
-                        shard_grads, self.feedback[index], ratio,
-                        abs_scratch=scratch)
+                        shard_grads,
+                        None if overflow else self.feedback[index],
+                        ratio, abs_scratch=scratch)
             if index in self._host_shards:
                 return compressed
             try:

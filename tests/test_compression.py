@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import topk
 from repro.compression import (CompressedGradient, ErrorFeedback,
                                compress_lowrank, compress_randomk,
                                compress_topk, compress_with_feedback,
@@ -130,6 +131,99 @@ def test_topk_roundtrip_norm_never_increases(size, seed):
 
 
 # ----------------------------------------------------------------------
+# Top-K selection: exact, with the tie rule pinned
+# ----------------------------------------------------------------------
+def _reference_topk(gradient, ratio):
+    """Rank by (magnitude descending, index ascending), keep the first
+    k: a stable argsort of the negated magnitudes."""
+    flat = np.asarray(gradient, dtype=np.float32).reshape(-1)
+    kept = keep_count(flat.size, ratio)
+    return np.sort(np.argsort(-np.abs(flat), kind="stable")[:kept])
+
+
+def _assert_matches_reference(gradient, ratio):
+    compressed = compress_topk(gradient, ratio)
+    want = _reference_topk(gradient, ratio)
+    assert compressed.indices.dtype == np.int32
+    np.testing.assert_array_equal(compressed.indices, want)
+    np.testing.assert_array_equal(compressed.values,
+                                  gradient.reshape(-1)[want])
+
+
+def _topk_cases():
+    rng = np.random.default_rng(0)
+    size = 5 * topk._SAMPLE_ELEMENTS + 123     # sampled with stride 5
+    dense = rng.standard_normal(size).astype(np.float32)
+    tied = rng.integers(-3, 4, size=size).astype(np.float32)
+    mostly_zero = dense * (rng.random(size) < 0.1)
+    few_nonzero = np.zeros(size, dtype=np.float32)
+    few_nonzero[rng.choice(size, 40, replace=False)] = \
+        rng.standard_normal(40).astype(np.float32)
+    # Every sampled position is large, nothing else is: the threshold
+    # lands among the large values and too few elements pass it.
+    sample_sees_large = dense * np.float32(1e-3)
+    sample_sees_large[::5] = 10.0 + rng.random(sample_sees_large[::5].size)
+    # Every sampled position is small: the threshold passes nearly all.
+    sample_sees_small = dense.copy()
+    sample_sees_small[::5] *= np.float32(1e-6)
+    return {
+        "dense": dense, "tied": tied,
+        "all equal": np.full(size, -2.5, dtype=np.float32),
+        "all zero": np.zeros(size, dtype=np.float32),
+        "mostly zero": mostly_zero.astype(np.float32),
+        "fewer than k non-zero": few_nonzero,
+        "sample sees only large": sample_sees_large,
+        "sample sees only small": sample_sees_small,
+        "small": dense[:37], "two-dimensional": dense[:4096].reshape(64, 64),
+    }
+
+
+_TOPK_CASES = _topk_cases()
+
+
+@pytest.mark.parametrize("ratio", [0.002, 0.02, 0.5, 1.9])
+@pytest.mark.parametrize("case", sorted(_TOPK_CASES))
+def test_topk_matches_stable_argsort_reference(case, ratio):
+    _assert_matches_reference(_TOPK_CASES[case], ratio)
+
+
+def test_topk_misjudged_sample_falls_back_to_every_index():
+    bits = np.abs(_TOPK_CASES["sample sees only large"]).view(np.int32)
+    kept = keep_count(bits.size, 0.5)
+    assert topk._candidates(bits, kept).size == bits.size
+    # ... while a well-placed threshold passes about 2 x kept.
+    bits = np.abs(_TOPK_CASES["dense"]).view(np.int32)
+    kept = keep_count(bits.size, 0.02)
+    assert kept <= topk._candidates(bits, kept).size < 4 * kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 400), ratio=st.floats(0.01, 2.0),
+       levels=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_topk_matches_reference_on_tied_inputs_property(size, ratio, levels,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    gradient = rng.integers(-levels, levels + 1, size=size).astype(np.float32)
+    _assert_matches_reference(gradient, ratio)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_topk_non_finite_input_keeps_argpartition_behaviour(poison):
+    """NaN ranks above infinity above everything finite, wherever the
+    sample looks (index 1 is never sampled at this size)."""
+    rng = np.random.default_rng(1)
+    size = 4 * topk._SAMPLE_ELEMENTS
+    gradient = rng.permutation(size).astype(np.float32) + 1.0
+    gradient[1], gradient[size // 2] = poison, np.inf
+    for ratio in (0.001, 0.02):
+        kept = keep_count(size, ratio)
+        compressed = compress_topk(gradient, ratio)
+        old = np.sort(np.argpartition(np.abs(gradient), size - kept)[-kept:])
+        np.testing.assert_array_equal(compressed.indices, old)
+        assert {1, size // 2} <= set(compressed.indices.tolist())
+
+
+# ----------------------------------------------------------------------
 # alternatives
 # ----------------------------------------------------------------------
 def test_randomk_same_wire_format():
@@ -193,6 +287,24 @@ def test_error_feedback_without_memory_loses_information():
     compressed = compress_with_feedback(gradient, None, 1.0)
     dense = decompress_topk(compressed)
     assert dense[1] == 0.0
+
+
+def test_error_feedback_compensates_in_place_or_absorbs_a_copy():
+    """``compensate`` hands back the residual itself (no staging vector);
+    ``absorb`` still accepts any other compensated vector."""
+    rng = np.random.default_rng(2)
+    first, second = (rng.standard_normal(64).astype(np.float32)
+                     for _ in range(2))
+    in_place, foreign = ErrorFeedback(64), ErrorFeedback(64)
+    for gradient in (first, second):
+        compensated = in_place.compensate(gradient)
+        assert compensated is in_place.residual
+        compressed = compress_topk(compensated, 0.25)
+        in_place.absorb(compensated, compressed)
+        separate = gradient + foreign.residual
+        foreign.absorb(separate, compress_topk(separate, 0.25))
+        np.testing.assert_array_equal(in_place.residual, foreign.residual)
+        assert not in_place.residual[compressed.indices].any()
 
 
 def test_error_feedback_shape_checks():

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TrainingError
+from repro.nn import precision
 from repro.nn.precision import (LossScaler, clip_gradients, from_fp16,
-                                global_grad_norm, has_overflow, to_fp16)
+                                global_grad_norm, has_overflow, round_fp16,
+                                to_fp16)
 
 
 def test_fp16_roundtrip_quantizes():
@@ -196,9 +198,9 @@ def test_clip_with_norm_exactly_at_max_norm_leaves_gradients():
 
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
 def test_clip_leaves_gradients_untouched_on_non_finite_norm(poison):
-    """The phased engines still offload the gradient buffer (and fold it
-    into the error-feedback residual) on a skipped step; a norm of +inf
-    used to give factor 0 and zero that very buffer."""
+    """The phased engines still offload the gradient buffer on a skipped
+    step; a norm of +inf used to give factor 0 and zero that very
+    buffer."""
     original = [np.array([1.0, poison, -2.0], dtype=np.float32),
                 np.array([7.0], dtype=np.float32)]
     grads = [a.copy() for a in original]
@@ -206,3 +208,130 @@ def test_clip_leaves_gradients_untouched_on_non_finite_norm(poison):
     assert not np.isfinite(norm)
     for got, want in zip(grads, original):
         np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# round_fp16: the FP16 round trip without the half
+# ----------------------------------------------------------------------
+#: First float32 bit pattern (sign cleared) the identity does not cover.
+_OVERFLOW_BITS = int(np.float32(65520.0).view(np.uint32))
+
+
+def _two_cast_reference(values: np.ndarray) -> np.ndarray:
+    """What the installs did before: a software cast each way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values.astype(np.float16).astype(np.float32)
+
+
+def _assert_rounds_like_two_casts(bits: np.ndarray, fast_only=None):
+    """``round_fp16`` == the two casts, bit for bit, on the float32
+    values with these uint32 patterns.  With ``fast_only`` (a
+    monkeypatch) the cast fallback is disabled for the call."""
+    values = np.ascontiguousarray(bits, dtype=np.uint32).view(np.float32)
+    out = np.empty_like(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fast_only is None:
+            round_fp16(values, out)
+        else:
+            with fast_only.context() as patch:
+                patch.setattr(precision, "to_fp16", None)
+                round_fp16(values, out)
+    want = _two_cast_reference(values)
+    mismatch = np.flatnonzero(out.view(np.uint32) != want.view(np.uint32))
+    assert mismatch.size == 0, (
+        f"{mismatch.size} patterns differ, first {bits[mismatch[0]]:#010x}")
+
+
+def _boundary_mantissas() -> np.ndarray:
+    """The 4096 lowest mantissas and every 2**12-th one +- 1: every
+    FP16 rounding boundary (a multiple of 2**12) and its neighbours."""
+    ties = np.arange(0, 1 << 23, 1 << 12, dtype=np.int64)
+    near = np.concatenate([np.arange(1 << 12), ties - 1, ties, ties + 1])
+    return np.unique(near[(near >= 0) & (near < 1 << 23)]).astype(np.uint32)
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+def test_round_fp16_matches_two_casts_on_every_exponent(sign, monkeypatch):
+    mantissas = _boundary_mantissas()
+    for exponent in range(256):
+        bits = (np.uint32(sign << 31) | np.uint32(exponent << 23)
+                | mantissas)
+        _assert_rounds_like_two_casts(bits)
+        covered = bits[(bits & 0x7FFFFFFF) < _OVERFLOW_BITS]
+        if covered.size:
+            _assert_rounds_like_two_casts(covered, fast_only=monkeypatch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                         max_size=64))
+def test_round_fp16_matches_two_casts_on_drawn_patterns(patterns):
+    _assert_rounds_like_two_casts(np.array(patterns, dtype=np.uint32))
+
+
+def test_round_fp16_special_values(monkeypatch):
+    below = np.nextafter(np.float32(65520.0), np.float32(0.0))
+    tiny = np.float32(2.0 ** -25)       # the tie between 0 and 2**-24
+    covered = np.array(
+        [0.0, -0.0, 1e-45, -1e-45, 2.0 ** -24, tiny, -tiny,
+         np.nextafter(tiny, np.float32(1.0)), 6.0e-8, -6.1e-5, 6.1035e-5,
+         1.0, -1.0009766, 65504.0, below, -below], dtype=np.float32)
+    _assert_rounds_like_two_casts(covered.view(np.uint32),
+                                  fast_only=monkeypatch)
+    out = np.empty_like(covered)
+    round_fp16(covered, out)
+    assert np.signbit(out[[1, 3, 6]]).all() and not out[[1, 3, 6]].any()
+    assert out[-2] == 65504.0 and out[-1] == -65504.0
+    fallback = np.array([65520.0, -65520.0, 1e38, np.inf, -np.inf, np.nan,
+                         1.0], dtype=np.float32)
+    _assert_rounds_like_two_casts(fallback.view(np.uint32))
+    with pytest.raises(TypeError):      # ... and it did take the casts
+        _assert_rounds_like_two_casts(fallback.view(np.uint32),
+                                      fast_only=monkeypatch)
+
+
+def test_round_fp16_in_place_and_across_chunks():
+    rng = np.random.default_rng(0)
+    values = (rng.standard_normal(3 * precision._ROUND_CHUNK + 17)
+              * 10.0 ** rng.integers(-9, 4, size=3 * precision._ROUND_CHUNK
+                                     + 17)).astype(np.float32)
+    values[precision._ROUND_CHUNK + 5] = np.inf  # one chunk falls back
+    want = _two_cast_reference(values)
+    live = values.copy()
+    view = live[1:-1]                   # the live buffer outlives the call
+    with np.errstate(over="ignore"):
+        assert round_fp16(view, view).base is live
+    np.testing.assert_array_equal(live[1:-1].view(np.uint32),
+                                  want[1:-1].view(np.uint32))
+    assert live[0] == values[0] and live[-1] == values[-1]
+    round_fp16(values[:0], live[:0])    # empty is a no-op
+
+
+def test_round_fp16_rejects_what_it_cannot_view():
+    ok = np.zeros(8, dtype=np.float32)
+    for bad in (np.zeros(8, dtype=np.float64), np.zeros(16, np.float32)[::2],
+                np.zeros(9, dtype=np.float32)):
+        with pytest.raises(TrainingError):
+            round_fp16(bad, ok)
+        with pytest.raises(TrainingError):
+            round_fp16(ok, bad)
+
+
+@pytest.mark.exhaustive
+def test_round_fp16_matches_two_casts_on_all_patterns(monkeypatch):
+    """All 2**32 float32 patterns: the covered range with the cast
+    fallback disabled, the rest through it (about three minutes)."""
+    step = 1 << 22
+    for sign in (0, 1 << 31):
+        for start in range(0, 1 << 31, step):
+            stop = start + step
+            bits = np.arange(start, stop, dtype=np.uint32) | np.uint32(sign)
+            if stop <= _OVERFLOW_BITS:
+                _assert_rounds_like_two_casts(bits, fast_only=monkeypatch)
+            elif start >= _OVERFLOW_BITS:
+                _assert_rounds_like_two_casts(bits)
+            else:
+                split = _OVERFLOW_BITS - start
+                _assert_rounds_like_two_casts(bits[:split],
+                                              fast_only=monkeypatch)
+                _assert_rounds_like_two_casts(bits[split:])

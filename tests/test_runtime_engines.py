@@ -232,6 +232,63 @@ def test_overflow_skips_update_and_halves_scale(tmp_path, dataset):
     engine.close()
 
 
+def _poison_next_gradients(engine):
+    """One ``inf`` and one ``nan`` (one per shard) in the next step's
+    gradients, after which the engine gathers normally again."""
+    gather = engine.space.gather_grads
+
+    def poisoned(*args):
+        del engine.space.gather_grads
+        flat = gather(*args)
+        flat[3], flat[-5] = np.inf, np.nan
+        return flat
+
+    engine.space.gather_grads = poisoned
+
+
+@pytest.mark.parametrize("schedule", ["phased", "interleaved"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_skipped_step_leaves_error_feedback_alone(tmp_path, dataset,
+                                                  backend, schedule):
+    """The overflowing step's gradients are offloaded (same host bytes)
+    but never reach the error-feedback residual, so training recovers
+    exactly as if the step had only backed the loss scale off."""
+    cfg = config(num_csds=2, parallel_csds=2, parallel_backend=backend,
+                 schedule=schedule, compression_ratio=0.1,
+                 error_feedback=True)
+    batches = [(dataset.train_tokens[i:i + 8], dataset.train_labels[i:i + 8])
+               for i in (0, 8, 16, 24)]
+    with create_engine("smart", make_model(), loss_fn,
+                       str(tmp_path / "poisoned"), config=cfg) as engine, \
+            create_engine("smart", make_model(), loss_fn,
+                          str(tmp_path / "clean"), config=cfg) as clean:
+        for batch in batches[:2]:
+            written = engine.train_step(*batch).traffic.host_writes
+            clean.train_step(*batch)
+        residual = engine.gather_state_arrays()["ef_residual"]
+        assert np.any(residual)
+
+        _poison_next_gradients(engine)
+        skipped = engine.train_step(*batches[2])
+        assert skipped.overflow and skipped.step == 2
+        assert skipped.traffic.host_writes == written
+        assert skipped.traffic.host_reads == 0
+        np.testing.assert_array_equal(
+            engine.gather_state_arrays()["ef_residual"], residual)
+        clean.scaler.update(True)  # all the skipped step may change
+
+        for batch in batches[2:] + batches[:2]:
+            result, expected = (engine.train_step(*batch),
+                                clean.train_step(*batch))
+            assert not result.overflow
+            assert result.loss == expected.loss
+        for name, array in engine.gather_state_arrays().items():
+            np.testing.assert_array_equal(
+                array, clean.gather_state_arrays()[name], err_msg=name)
+        np.testing.assert_array_equal(engine.space.gather_params(),
+                                      clean.space.gather_params())
+
+
 def test_gradient_clipping_bounds_reported_norm(tmp_path, dataset):
     cfg = config()
     engine = BaselineOffloadEngine(make_model(), loss_fn,

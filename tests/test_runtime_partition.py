@@ -87,6 +87,25 @@ def test_gather_grads_places_by_slot():
     assert grads[slot.end:].sum() == 0
 
 
+def test_gather_grads_scales_while_it_copies():
+    """One pass, bit-equal to gathering and then multiplying the flat
+    vector — the separate unscale pass the engines used to run."""
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    rng = np.random.default_rng(3)
+    params = [param for _name, param in model.named_parameters()]
+    for param in params[1:]:            # the first slot has no gradient
+        param.grad = (rng.standard_normal(param.data.shape)
+                      * 1e4).astype(np.float32)
+    params[-1].grad.flat[0] = np.inf
+    scale = 1.0 / 2.0 ** 16 * 3.0       # not a power of two: it rounds
+    want = space.gather_grads()
+    want *= np.float32(scale)
+    got = space.gather_grads(scale)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert not got[:space.slots[0].size].any()
+
+
 def test_slot_lookup_unknown():
     space = FlatParameterSpace(tiny_model())
     with pytest.raises(PartitionError):
@@ -203,8 +222,12 @@ def test_install_fp16_slice_matches_full_install():
     for start in range(0, masters.size, 701):  # straddles parameters
         space_sliced.install_fp16_slice(start, masters[start:start + 701])
     np.testing.assert_array_equal(_model_flat(sliced), _model_flat(full))
+    np.testing.assert_array_equal(
+        _model_flat(full), masters.astype(np.float16).astype(np.float32))
     with pytest.raises(PartitionError):
         space_sliced.install_fp16_slice(masters.size - 2, masters[:3])
+    with pytest.raises(PartitionError):
+        space_full.install_fp16_params(masters[:-1])
 
 
 def test_concurrent_adjacent_installs_need_no_lock():
