@@ -27,7 +27,7 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
     u = x.data
-    inner = _SQRT_2_OVER_PI * (u + 0.044715 * u ** 3)
+    inner = _SQRT_2_OVER_PI * (u + 0.044715 * (u * u * u))
     t = np.tanh(inner)
     result = 0.5 * u * (1.0 + t)
 

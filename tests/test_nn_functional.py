@@ -31,6 +31,19 @@ def test_gelu_grad(rng):
     check_gradient(lambda t: F.gelu(t).sum(), rng.standard_normal(10))
 
 
+def test_gelu_within_1e6_of_float64_reference(rng):
+    """The cube is two multiplies, not a libm ``powf`` per element; the
+    result stays as close to the float64 formula as it was."""
+    values = np.concatenate([np.linspace(-4.0, 4.0, 20001),
+                             rng.standard_normal(20000)]).astype(np.float32)
+    wide = values.astype(np.float64)
+    reference = 0.5 * wide * (1.0 + np.tanh(
+        np.sqrt(2.0 / np.pi) * (wide + 0.044715 * wide ** 3)))
+    out = F.gelu(Tensor(values)).data
+    assert out.dtype == np.float32
+    assert np.abs(out - reference).max() < 1e-6
+
+
 def test_sigmoid_values_and_grad(rng):
     out = F.sigmoid(Tensor(np.zeros(3, dtype=np.float32)))
     np.testing.assert_allclose(out.data, 0.5)
