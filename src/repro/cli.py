@@ -653,7 +653,7 @@ def _cmd_whatif(args) -> int:
         if args.interleave:
             validation = telemetry.validate_interleave(
                 model=args.model, csds=args.csds, method=args.method,
-                gpu=args.gpu, ratio=args.ratio)
+                gpu=args.gpu, ratio=args.ratio, base=(trace, graph))
             validations.append(validation)
             ok = validation.error <= args.max_error
             print(("PASS " if ok else "FAIL ") + validation.render())
@@ -667,7 +667,8 @@ def _cmd_whatif(args) -> int:
         for channel, factor in targets:
             validation = telemetry.validate_scale(
                 channel, factor, model=args.model, csds=args.csds,
-                method=args.method, gpu=args.gpu, ratio=args.ratio)
+                method=args.method, gpu=args.gpu, ratio=args.ratio,
+                schedule=schedule, base=(trace, graph))
             validations.append(validation)
             ok = validation.error <= args.max_error
             print(("PASS " if ok else "FAIL ") + validation.render())

@@ -39,6 +39,9 @@ class Event:
     registration order.  Processes wait on events by yielding them.
     """
 
+    __slots__ = ("sim", "name", "triggered", "value", "failed",
+                 "_callbacks")
+
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
@@ -80,12 +83,23 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation."""
 
+    __slots__ = ()
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "timeout") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name)
-        sim._schedule(sim.now + delay, self, value)
+        # The most-created event by far: Event.__init__ and
+        # Simulator._schedule inlined (a non-negative delay cannot land
+        # before now, so the schedule-in-the-past check has no case).
+        self.sim = sim
+        self.name = name
+        self.triggered = False
+        self.value = None
+        self.failed = False
+        self._callbacks = []
+        heapq.heappush(sim._heap, (sim._now + delay, next(sim._sequence),
+                                   self, value))
 
 
 class AllOf(Event):
@@ -94,6 +108,8 @@ class AllOf(Event):
     The value is the list of child values in the order the children were
     given.  An empty iterable triggers immediately.
     """
+
+    __slots__ = ("_children", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event],
                  name: str = "all_of") -> None:
@@ -121,6 +137,8 @@ class Process(Event):
     triggers with the return value, so other processes can join it with
     ``yield process``.
     """
+
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "process") -> None:
@@ -233,12 +251,12 @@ class Simulator:
         accidental infinite event loops in model code.
         """
         budget = max_events
-        while self._heap:
-            when, _seq, event, value = self._heap[0]
-            if until is not None and when > until:
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self._now = until
                 return self._now
-            heapq.heappop(self._heap)
+            when, _seq, event, value = pop(heap)
             self._now = when
             self._processed += 1
             budget -= 1

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
-from .core import Event, Simulator
+from .core import Event, Simulator, Timeout
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One completed channel operation, kept for breakdown analysis."""
 
     channel: str
@@ -78,17 +77,17 @@ class Channel:
         if nbytes < 0:
             raise SimulationError(
                 f"negative transfer size {nbytes} on channel {self.name!r}")
-        start = max(self.sim.now, self._free_at)
+        now = self.sim.now
+        start = max(now, self._free_at)
         duration = self.latency + nbytes / self.bandwidth
         end = start + duration
         self._free_at = end
         self.bytes_total += nbytes
         self.ops_total += 1
         if self._record:
-            self.records.append(TransferRecord(
-                channel=self.name, tag=tag, nbytes=nbytes,
-                start=start, end=end))
-        return self.sim.timeout(end - self.sim.now, value=nbytes)
+            self.records.append(
+                TransferRecord(self.name, tag, nbytes, start, end))
+        return Timeout(self.sim, end - now, nbytes)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``horizon`` (default: now) the channel was busy."""

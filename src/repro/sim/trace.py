@@ -56,24 +56,6 @@ def summarize_channels(channels: Iterable[Channel],
     return summaries
 
 
-def iter_transfer_records(channels: Iterable[Channel]
-                          ) -> List[Tuple[TransferRecord, Channel]]:
-    """Every transfer record across ``channels`` with its owning channel,
-    globally ordered by (start, end).
-
-    Ties keep each channel's own FIFO record order (Python's sort is
-    stable), which is what lets the dependency-graph builder
-    (:mod:`repro.telemetry.critpath`) treat the returned order as a
-    topological order of the measured schedule.
-    """
-    pairs: List[Tuple[TransferRecord, Channel]] = []
-    for channel in channels:
-        for record in channel.records:
-            pairs.append((record, channel))
-    pairs.sort(key=lambda pair: (pair[0].start, pair[0].end))
-    return pairs
-
-
 def bottleneck(channels: Iterable[Channel],
                horizon: Optional[float] = None) -> ChannelSummary:
     """The channel with the most cumulative busy time."""

@@ -62,7 +62,7 @@ from typing import Iterator, Optional
 from .attrib import (Attribution, BottleneckVerdict, COMPUTE,
                      ResourceUsage, attribute, attribute_channels,
                      attribute_spans, merge_intervals)
-from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagEdge, DagNode,
+from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagNode,
                        DepGraph, InterleaveValidation, Intervention,
                        PathStep, Projection,
                        ProjectionValidation, add_csds, compression_ratio,
@@ -97,7 +97,6 @@ __all__ = [
     "Counter",
     "CritPathReport",
     "DEFAULT_SLO_RULES",
-    "DagEdge",
     "DagNode",
     "DepGraph",
     "EVENTS_SCHEMA",

@@ -32,6 +32,7 @@ The bottleneck verdict names the resource with the highest busy
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,14 +59,23 @@ def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
     return merged
 
 
-def _clip(intervals: Sequence[Interval], start: float,
-          end: float) -> List[Interval]:
-    """Intersect disjoint sorted ``intervals`` with [start, end)."""
-    clipped = []
-    for a, b in intervals:
-        lo, hi = max(a, start), min(b, end)
-        if hi > lo:
-            clipped.append((lo, hi))
+def _clip(intervals: Sequence[Interval], ends: Sequence[float],
+          start: float, end: float) -> List[Interval]:
+    """Intersect disjoint sorted ``intervals`` with [start, end).
+
+    ``ends`` is the intervals' end column (sorted too, because they are
+    disjoint): two bisections find the overlapping run, and only its
+    first and last member can stick out of the window.
+    """
+    first = bisect.bisect_right(ends, start)
+    last = bisect.bisect_left(intervals, (end,), first)
+    if first >= last:
+        return []
+    clipped = list(intervals[first:last])
+    if clipped[0][0] < start:
+        clipped[0] = (start, clipped[0][1])
+    if clipped[-1][1] > end:
+        clipped[-1] = (clipped[-1][0], end)
     return clipped
 
 
@@ -153,6 +163,45 @@ class Attribution:
             step_seconds=self.step_seconds)
 
 
+def _sweep_window(start: float, end: float,
+                  clipped: Mapping[str, Sequence[Interval]]
+                  ) -> Dict[str, float]:
+    """Owned seconds per bucket over one phase window, in the order the
+    buckets first own a slice.
+
+    One sweep over the sorted cut points: the active set changes only at
+    interval boundaries, and the owner of a contested slice is the
+    active resource busiest across the whole window (lexicographic
+    tie-break) — rank 0 of ``ranked``.
+    """
+    weight = {name: sum(e - s for s, e in ivs)
+              for name, ivs in clipped.items() if ivs}
+    ranked = sorted(weight, key=lambda name: (-weight[name], name))
+    opens: Dict[float, List[int]] = {}
+    closes: Dict[float, List[int]] = {}
+    for rank, name in enumerate(ranked):
+        for s, e in clipped[name]:
+            opens.setdefault(s, []).append(rank)
+            closes.setdefault(e, []).append(rank)
+    owned: Dict[str, float] = {}
+    active = set()
+    lo = before = None
+    for hi in sorted({start, end, *opens, *closes}):
+        active.difference_update(closes.get(hi, ()))
+        active.update(opens.get(hi, ()))
+        here = ranked[min(active)] if active else COMPUTE
+        if lo is not None:
+            # A slice is owned by whoever is busy at its midpoint.  One
+            # ulp wide, it has no float strictly inside: the midpoint
+            # rounds onto an endpoint, and when that is ``hi`` the
+            # resources busy *at* hi own it (an interval starting there
+            # counts, one ending there does not).
+            owner = here if (lo + hi) / 2.0 >= hi else before
+            owned[owner] = owned.get(owner, 0.0) + (hi - lo)
+        lo, before = hi, here
+    return owned
+
+
 def attribute(phase_windows: Sequence[PhaseWindow],
               busy_windows: Mapping[str, Sequence[Interval]],
               bytes_by_resource: Optional[Mapping[str, float]] = None,
@@ -175,6 +224,8 @@ def attribute(phase_windows: Sequence[PhaseWindow],
                 f"attribution needs sequential phases")
     merged = {str(name): merge_intervals(intervals)
               for name, intervals in busy_windows.items()}
+    ends = {name: [e for _, e in intervals]
+            for name, intervals in merged.items()}
 
     step_seconds = sum(end - start for _, start, end in windows)
     if horizon is None:
@@ -185,40 +236,19 @@ def attribute(phase_windows: Sequence[PhaseWindow],
     for phase, start, end in ordered:
         if phase not in phases:
             phases.append(phase)
-        clipped = {name: _clip(intervals, start, end)
-                   for name, intervals in merged.items()}
-        clipped = {name: ivs for name, ivs in clipped.items() if ivs}
-        # Phase-local weight decides contested slices: the resource that
-        # is busiest across the whole phase gates it.
-        weight = {name: sum(e - s for s, e in ivs)
-                  for name, ivs in clipped.items()}
-        cuts = {start, end}
-        for ivs in clipped.values():
-            for s, e in ivs:
-                cuts.add(s)
-                cuts.add(e)
-        edges = sorted(cuts)
-        for lo, hi in zip(edges, edges[1:]):
-            if hi <= lo:
-                continue
-            mid = (lo + hi) / 2.0
-            active = [name for name, ivs in clipped.items()
-                      if any(s <= mid < e for s, e in ivs)]
-            if active:
-                owner = max(sorted(active), key=lambda n: weight[n])
-            else:
-                owner = COMPUTE
+        owned = _sweep_window(start, end, {
+            name: _clip(intervals, ends[name], start, end)
+            for name, intervals in merged.items()})
+        # Re-tile this window exactly: rounding across many slices must
+        # not break the conservation invariant the tests assert.  Per
+        # window, not per label — a label repeats once per step in a
+        # multi-step trace, and each repeat tiles its own window.
+        drift = (end - start) - sum(owned.values())
+        if abs(drift) > 0.0:
+            owned[max(owned, key=owned.get)] += drift
+        for owner, seconds in owned.items():
             key = (phase, owner)
-            buckets[key] = buckets.get(key, 0.0) + (hi - lo)
-        # Re-tile exactly: rounding across many slices must not break
-        # the conservation invariant the tests assert.
-        phase_sum = sum(seconds for (p, _), seconds in buckets.items()
-                        if p == phase)
-        drift = (end - start) - phase_sum
-        if buckets and abs(drift) > 0.0:
-            largest = max((key for key in buckets if key[0] == phase),
-                          key=lambda key: buckets[key])
-            buckets[largest] += drift
+            buckets[key] = buckets.get(key, 0.0) + seconds
 
     usage: Dict[str, ResourceUsage] = {}
     for name, intervals in merged.items():

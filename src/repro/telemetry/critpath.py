@@ -49,7 +49,8 @@ import bisect
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..errors import TelemetryError
 
@@ -64,8 +65,7 @@ _DEVICE_RESOURCE = re.compile(r"^(ssd|csd)(\d+)-")
 _GRADIENT_TAGS = ("grad-offload",)
 
 
-@dataclass(frozen=True)
-class DagNode:
+class DagNode(NamedTuple):
     """One tracked operation: a channel transfer or a resource span."""
 
     index: int
@@ -82,21 +82,6 @@ class DagNode:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-
-@dataclass(frozen=True)
-class DagEdge:
-    """A precedence constraint ``dst`` waits on, with its measured lag.
-
-    ``src`` is a node index, or ``-1`` for the virtual step source;
-    ``kind`` is ``serial`` (same-channel FIFO), ``causal``
-    (latest-finisher trigger), or ``source`` (step-origin anchor).
-    """
-
-    src: int
-    dst: int
-    lag: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -180,28 +165,29 @@ class DepGraph:
     lower to a higher index.  ``replay`` recomputes the schedule under
     modified durations; unchanged durations short-circuit to the
     measured schedule, which is what makes factor-1.0 projections exact.
+
+    Edges are not materialised.  Nodes that finish at the same instant
+    form one *barrier group* (members in index order), and every causal
+    edge into a node comes from a prefix of one group with one lag, so a
+    node stores four numbers — its serial predecessor, its trigger
+    group, how many of the group's members existed when it started, and
+    the lag — however many lock-step devices finished together.
     """
 
-    def __init__(self, nodes: Sequence[DagNode], edges: Sequence[DagEdge],
-                 step_seconds: float, origin: float = 0.0) -> None:
+    def __init__(self, nodes: Sequence[DagNode], step_seconds: float,
+                 origin: float = 0.0) -> None:
         self.nodes = list(nodes)
-        self.edges = list(edges)
         self.step_seconds = float(step_seconds)
         self.origin = float(origin)
         #: The step's (phase, start, end) windows, when the builder had
         #: them — schedule-level interventions (:func:`interleave`) need
         #: phase boundaries, not just node timings.
         self.phase_windows: List[Tuple[str, float, float]] = []
-        self.preds: List[List[DagEdge]] = [[] for _ in self.nodes]
-        self.succs: List[List[DagEdge]] = [[] for _ in self.nodes]
-        for edge in self.edges:
-            self.preds[edge.dst].append(edge)
-            if edge.src >= 0:
-                self.succs[edge.src].append(edge)
         self.measured_starts = [node.start for node in self.nodes]
         self.measured_ends = [node.end for node in self.nodes]
         self.makespan = (max(self.measured_ends) - self.origin
                          if self.nodes else 0.0)
+        self._infer_edges()
 
     # ------------------------------------------------------------------
     # construction
@@ -216,10 +202,12 @@ class DepGraph:
         output) define the step duration the projections are measured
         against.
         """
-        from ..sim.trace import iter_transfer_records
-        raw = [(record.start, record.end, record.channel, record.tag,
-                record.nbytes, float(getattr(channel, "latency", 0.0)))
-               for record, channel in iter_transfer_records(channels)]
+        raw = []
+        for channel in channels:
+            latency = float(getattr(channel, "latency", 0.0))
+            raw.extend((record.start, record.end, record.channel,
+                        record.tag, record.nbytes, latency)
+                       for record in channel.records)
         step_seconds = sum(end - start
                            for _phase, start, end in phase_windows
                            if end > start)
@@ -295,51 +283,68 @@ class DepGraph:
     def _build(cls, raw: Sequence[Tuple[float, float, str, str, float,
                                         float]],
                step_seconds: float, origin: float) -> "DepGraph":
+        # Stable: ties keep each resource's own FIFO order, which makes
+        # the sorted order a topological order of the measured schedule.
         ordered = sorted(raw, key=lambda item: (item[0], item[1]))
-        nodes = [DagNode(index=i, resource=res, tag=tag, nbytes=nbytes,
-                         start=start, end=end, latency=latency)
+        nodes = [DagNode(i, res, tag, nbytes, start, end, latency)
                  for i, (start, end, res, tag, nbytes, latency)
                  in enumerate(ordered)]
-        edges: List[DagEdge] = []
+        return cls(nodes, step_seconds, origin=origin)
+
+    def _infer_edges(self) -> None:
+        n = len(self.nodes)
+        #: Same-resource predecessor (-1: none).  Pure FIFO, lag 0, not
+        #: the measured gap — the measured request timing is the causal
+        #: edges' job, and pinning it here would stop a faster channel
+        #: from draining its queue earlier than it did.
+        serials = self._serial = [-1] * n
+        #: Barrier group of the latest finish not after the node's start
+        #: (-1: none).  Every member that existed then — the first
+        #: ``_prefix[i]`` of the group — is a plausible trigger (legs of
+        #: one all_of barrier) and carries the same ``_lag[i]``.
+        triggers = self._trigger = [-1] * n
+        prefixes = self._prefix = [0] * n
+        #: Causal lag; for a node with no predecessor at all, its lead-in
+        #: from the step origin (the source edge).
+        lags = self._lag = [0.0] * n
+        #: The barrier group each node's own finish belongs to.
+        groups = self._group = [0] * n
+        members: List[List[int]] = []
+        group_at: Dict[float, int] = {}
+        instants: List[float] = []   # distinct finish instants, sorted
         last_on: Dict[str, int] = {}
-        # Finished nodes so far, keyed by end time, for the
-        # latest-finisher query (all candidates have a lower index
-        # because nodes are processed in start order).
-        ends_sorted: List[Tuple[float, int]] = []
-        for node in nodes:
-            preds = set()
-            serial = last_on.get(node.resource)
-            if serial is not None:
-                # Pure FIFO: lag 0, not the measured gap — the measured
-                # request timing is the causal edge's job, and pinning
-                # it here would stop a faster channel from draining its
-                # queue earlier than it did.
-                edges.append(DagEdge(src=serial, dst=node.index,
-                                     lag=0.0, kind="serial"))
-                preds.add(serial)
-            cut = bisect.bisect_right(ends_sorted, (node.start, len(nodes)))
-            if cut > 0:
-                best_end = ends_sorted[cut - 1][0]
-                lo = bisect.bisect_left(ends_sorted, (best_end, -1))
-                # Every node finishing exactly at best_end is a
-                # plausible trigger (legs of one all_of barrier).
-                for end, src in ends_sorted[lo:cut]:
-                    lag = max(0.0, node.start - end)
-                    if src == serial and lag == 0.0:
-                        # Identical to the serial FIFO edge; a positive
-                        # lag still gets its own causal edge so the
-                        # measured request timing stays anchored.
-                        continue
-                    edges.append(DagEdge(src=src, dst=node.index,
-                                         lag=lag, kind="causal"))
-                    preds.add(src)
-            if not preds:
-                edges.append(DagEdge(src=-1, dst=node.index,
-                                     lag=max(0.0, node.start - origin),
-                                     kind="source"))
-            last_on[node.resource] = node.index
-            bisect.insort(ends_sorted, (node.end, node.index))
-        return cls(nodes, edges, step_seconds, origin=origin)
+        edges = 0
+        for index, (_, resource, _, _, start, end, _) in enumerate(
+                self.nodes):
+            serial = serials[index] = last_on.get(resource, -1)
+            if serial >= 0:
+                edges += 1
+            cut = bisect.bisect_right(instants, start)
+            if cut:
+                instant = instants[cut - 1]
+                group = triggers[index] = group_at[instant]
+                lag = lags[index] = max(0.0, start - instant)
+                edges += len(members[group])
+                prefixes[index] = len(members[group])
+                if serial >= 0 and lag == 0.0 and groups[serial] == group:
+                    # That causal edge is the serial FIFO edge again; a
+                    # positive lag still counts on its own, it anchors
+                    # the measured request timing.
+                    edges -= 1
+            elif serial < 0:
+                lags[index] = max(0.0, start - self.origin)
+                edges += 1
+            last_on[resource] = index
+            group = group_at.get(end)
+            if group is None:
+                group = group_at[end] = len(members)
+                members.append([])
+                bisect.insort(instants, end)
+            groups[index] = group
+            members[group].append(index)
+        self._members = members
+        #: Serial + causal + source edges the per-edge list would hold.
+        self.num_edges = edges
 
     # ------------------------------------------------------------------
     # replay
@@ -368,13 +373,26 @@ class DepGraph:
                     self.makespan)
         starts = [0.0] * len(self.nodes)
         ends = [0.0] * len(self.nodes)
-        for node in self.nodes:
+        # Latest replayed finish per barrier group.  Nodes replay in
+        # index order, so when a node reads its trigger group the
+        # running max covers exactly the prefix it waited on; adding the
+        # lag after the max equals the max over per-member sums because
+        # a rounded add is monotone.
+        finished = [float("-inf")] * len(self._members)
+        for index, duration in enumerate(durations):
             ready = self.origin
-            for edge in self.preds[node.index]:
-                base = self.origin if edge.src < 0 else ends[edge.src]
-                ready = max(ready, base + edge.lag)
-            starts[node.index] = ready
-            ends[node.index] = ready + durations[node.index]
+            serial, trigger = self._serial[index], self._trigger[index]
+            if serial >= 0:
+                ready = max(ready, ends[serial])
+            if trigger >= 0:
+                ready = max(ready, finished[trigger] + self._lag[index])
+            elif serial < 0:
+                ready = max(ready, self.origin + self._lag[index])
+            starts[index] = ready
+            end = ends[index] = ready + duration
+            group = self._group[index]
+            if end > finished[group]:
+                finished[group] = end
         makespan = (max(ends) - self.origin) if ends else 0.0
         return starts, ends, makespan
 
@@ -393,37 +411,52 @@ class DepGraph:
         """CPM over the measured schedule."""
         n = len(self.nodes)
         starts, ends = self.measured_starts, self.measured_ends
+        durations = self.durations()
         horizon = self.origin + self.makespan
         tol = 1e-9 * max(1.0, abs(horizon))
         latest_end = [horizon] * n
-        for node in reversed(self.nodes):
-            for edge in self.succs[node.index]:
-                latest_start_succ = (latest_end[edge.dst]
-                                     - self.nodes[edge.dst].duration)
-                latest_end[node.index] = min(
-                    latest_end[node.index], latest_start_succ - edge.lag)
-        slack = [max(0.0, (latest_end[i] - self.nodes[i].duration)
-                     - starts[i])
+        # Tightest latest-start-minus-lag any later node has pushed onto
+        # each barrier group.  Going backwards, whatever a group has
+        # collected by the time a member is reached came from nodes that
+        # started after that member existed, so it binds the member.
+        bound = [horizon] * len(self._members)
+        for index in range(n - 1, -1, -1):
+            limit = bound[self._group[index]]
+            if limit < latest_end[index]:
+                latest_end[index] = limit
+            latest_start = latest_end[index] - durations[index]
+            serial, trigger = self._serial[index], self._trigger[index]
+            if serial >= 0 and latest_start < latest_end[serial]:
+                latest_end[serial] = latest_start
+            if trigger >= 0:
+                limit = latest_start - self._lag[index]
+                if limit < bound[trigger]:
+                    bound[trigger] = limit
+        slack = [max(0.0, (latest_end[i] - durations[i]) - starts[i])
                  for i in range(n)]
 
         path_nodes: List[DagNode] = []
         if self.nodes:
             current = max(range(n), key=lambda i: (ends[i], -i))
             while True:
-                node = self.nodes[current]
-                path_nodes.append(node)
-                determining = None
-                for edge in self.preds[current]:
-                    if edge.src < 0:
-                        continue
-                    if abs(ends[edge.src] + edge.lag
-                           - starts[current]) <= tol:
-                        if (determining is None
-                                or ends[edge.src] > ends[determining]
-                                or (ends[edge.src] == ends[determining]
-                                    and edge.src > determining)):
-                            determining = edge.src
-                if determining is None:
+                path_nodes.append(self.nodes[current])
+                # The predecessor that released this node: among those
+                # whose finish + lag meets its start, the latest
+                # finisher, highest index on ties — within the trigger
+                # group that is the last member of the prefix.
+                determining = -1
+                serial, trigger = self._serial[current], self._trigger[current]
+                if serial >= 0 and abs(ends[serial]
+                                       - starts[current]) <= tol:
+                    determining = serial
+                if trigger >= 0:
+                    last = self._members[trigger][self._prefix[current] - 1]
+                    if (abs(ends[last] + self._lag[current]
+                            - starts[current]) <= tol
+                            and (determining < 0 or (ends[last], last)
+                                 > (ends[determining], determining))):
+                        determining = last
+                if determining < 0:
                     break
                 current = determining
             path_nodes.reverse()
@@ -439,7 +472,7 @@ class DepGraph:
         return CritPathReport(step_seconds=self.step_seconds,
                               makespan=self.makespan, path=path,
                               slack=slack, num_nodes=n,
-                              num_edges=len(self.edges))
+                              num_edges=self.num_edges)
 
     # ------------------------------------------------------------------
     # introspection helpers for interventions
@@ -746,50 +779,9 @@ class InterleaveValidation(ProjectionValidation):
                 f"(error {self.error:.2%})")
 
 
-def validate_interleave(model: str = "gpt2-1.16b", csds: int = 4,
-                        method: str = "su_o_c", gpu: str = "a5000",
-                        ratio: float = 0.02) -> InterleaveValidation:
-    """Project the interleaved schedule from a phased trace, then run
-    the DES with ``schedule="interleaved"`` genuinely applied.
-
-    Any disagreement is pure projection error (the two-regime bound in
-    :func:`_project_interleave` vs the gated pipeline's real contention).
-    """
-    from ..hw.gpu import a100_40g, a4000, a5000
-    from ..hw.topology import default_system
-    from ..nn.models import get_model
-    from ..perf.scenarios import trace_scenario
-    from ..perf.workload import make_workload
-
-    gpus = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
-    workload = make_workload(get_model(model))
-    system = default_system(num_csds=csds, gpu=gpus[gpu]())
-    base = trace_scenario(system, workload, method,
-                          compression_ratio=ratio)
-    graph = DepGraph.from_channels(base.fabric.all_channels(),
-                                   base.phase_windows)
-    projection = project(graph, interleave())
-    rerun = trace_scenario(system, workload, method,
-                           compression_ratio=ratio,
-                           schedule="interleaved")
-    return InterleaveValidation(
-        channel="schedule:interleaved", factor=1.0,
-        baseline_step_seconds=base.breakdown.total,
-        projected_step_seconds=projection.projected_step_seconds,
-        actual_step_seconds=rerun.breakdown.total)
-
-
-def validate_scale(channel: str, factor: float,
-                   model: str = "gpt2-1.16b", csds: int = 4,
-                   method: str = "su_o_c", gpu: str = "a5000",
-                   ratio: float = 0.02) -> ProjectionValidation:
-    """Project a channel scaling, then actually apply it in the DES.
-
-    The re-run multiplies the channel's bandwidth by ``1 / factor``
-    (a factor-0.5 projection — transfers twice as fast — doubles the
-    bandwidth), so per-record durations match the projection exactly
-    and any disagreement is pure edge-inference error.
-    """
+def _simulate(model: str, csds: int, method: str, gpu: str, ratio: float,
+              **counterfactual):
+    """One DES iteration of the named configuration."""
     # Lazy imports: telemetry stays importable without perf/hw/nn.
     from ..hw.gpu import a100_40g, a4000, a5000
     from ..hw.topology import default_system
@@ -797,28 +789,79 @@ def validate_scale(channel: str, factor: float,
     from ..perf.scenarios import trace_scenario
     from ..perf.workload import make_workload
 
+    gpus = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
+    return trace_scenario(
+        default_system(num_csds=csds, gpu=gpus[gpu]()),
+        make_workload(get_model(model)), method,
+        compression_ratio=ratio, **counterfactual)
+
+
+def _measure(model: str, csds: int, method: str, gpu: str, ratio: float,
+             schedule: str = "phased") -> Tuple[object, DepGraph]:
+    """The unmodified iteration and its graph: the ``base`` the
+    validators project from when the caller does not hand one in."""
+    trace = _simulate(model, csds, method, gpu, ratio, schedule=schedule)
+    return trace, DepGraph.from_channels(trace.fabric.all_channels(),
+                                         trace.phase_windows)
+
+
+def validate_interleave(model: str = "gpt2-1.16b", csds: int = 4,
+                        method: str = "su_o_c", gpu: str = "a5000",
+                        ratio: float = 0.02,
+                        base: Optional[Tuple[object, DepGraph]] = None
+                        ) -> InterleaveValidation:
+    """Project the interleaved schedule from a phased trace, then run
+    the DES with ``schedule="interleaved"`` genuinely applied.
+
+    ``base`` is the phased ``(ScenarioTrace, DepGraph)`` of this
+    configuration when the caller already holds it; only the
+    counterfactual is simulated then.  Any disagreement is pure
+    projection error (the two-regime bound in
+    :func:`_project_interleave` vs the gated pipeline's real contention).
+    """
+    trace, graph = base or _measure(model, csds, method, gpu, ratio)
+    projection = project(graph, interleave())
+    rerun = _simulate(model, csds, method, gpu, ratio,
+                      schedule="interleaved")
+    return InterleaveValidation(
+        channel="schedule:interleaved", factor=1.0,
+        baseline_step_seconds=trace.breakdown.total,
+        projected_step_seconds=projection.projected_step_seconds,
+        actual_step_seconds=rerun.breakdown.total)
+
+
+def validate_scale(channel: str, factor: float,
+                   model: str = "gpt2-1.16b", csds: int = 4,
+                   method: str = "su_o_c", gpu: str = "a5000",
+                   ratio: float = 0.02, schedule: str = "phased",
+                   base: Optional[Tuple[object, DepGraph]] = None
+                   ) -> ProjectionValidation:
+    """Project a channel scaling, then actually apply it in the DES.
+
+    The re-run multiplies the channel's bandwidth by ``1 / factor``
+    (a factor-0.5 projection — transfers twice as fast — doubles the
+    bandwidth), so per-record durations match the projection exactly
+    and any disagreement is pure edge-inference error.  ``base`` is the
+    unscaled ``(ScenarioTrace, DepGraph)`` of this configuration and
+    ``schedule`` when the caller already holds it; only the
+    counterfactual is simulated then.
+    """
     if factor <= 0:
         raise TelemetryError(
             f"scale factor must be positive, got {factor}")
-    gpus = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
-    workload = make_workload(get_model(model))
-    system = default_system(num_csds=csds, gpu=gpus[gpu]())
-    base = trace_scenario(system, workload, method,
-                          compression_ratio=ratio)
-    graph = DepGraph.from_channels(base.fabric.all_channels(),
-                                   base.phase_windows)
-    known = {c.name for c in base.fabric.all_channels()}
+    trace, graph = base or _measure(model, csds, method, gpu, ratio,
+                                    schedule)
+    known = {c.name for c in trace.fabric.all_channels()}
     if channel not in known:
         raise TelemetryError(
             f"unknown channel {channel!r}; this run has "
             f"{sorted(known)}")
     projection = project(graph, scale(channel, factor))
-    rerun = trace_scenario(system, workload, method,
-                           compression_ratio=ratio,
-                           channel_scales={channel: 1.0 / factor})
+    rerun = _simulate(model, csds, method, gpu, ratio, schedule=schedule,
+                      channel_scales={channel: 1.0 / factor})
     return ProjectionValidation(
         channel=channel, factor=float(factor),
-        baseline_step_seconds=base.breakdown.total,
+        baseline_step_seconds=trace.breakdown.total,
         projected_step_seconds=projection.projected_step_seconds,
         actual_step_seconds=rerun.breakdown.total)
 
@@ -901,7 +944,6 @@ def write_critpath_jsonl(path: str, report: CritPathReport,
 __all__ = [
     "CRITPATH_SCHEMA",
     "CritPathReport",
-    "DagEdge",
     "DagNode",
     "DepGraph",
     "InterleaveValidation",

@@ -16,6 +16,7 @@ The tentpole claims, checked here:
   JSONL export behave as documented.
 """
 
+import functools
 import json
 
 import pytest
@@ -46,6 +47,14 @@ def _trace(method, model="gpt2-1.16b", csds=4):
 def _graph(trace):
     return DepGraph.from_channels(trace.fabric.all_channels(),
                                   trace.phase_windows)
+
+
+@functools.lru_cache(maxsize=None)
+def _base(method):
+    """One simulated base per method for every validation below: each
+    call then only runs its own counterfactual re-simulation."""
+    trace = _trace(method)
+    return trace, _graph(trace)
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +158,14 @@ def test_replay_rejects_wrong_duration_count():
     ("csd0-updater", 0.5),
 ])
 def test_projection_within_5pct_of_des_rerun(method, channel, factor):
-    validation = validate_scale(channel, factor, method=method)
+    validation = validate_scale(channel, factor, method=method,
+                                base=_base(method))
     assert validation.error <= 0.05, validation.render()
 
 
 def test_validate_scale_identity_is_zero_error():
-    validation = validate_scale("host-link-down", 1.0, method="su_o_c")
+    validation = validate_scale("host-link-down", 1.0, method="su_o_c",
+                                base=_base("su_o_c"))
     assert validation.error == pytest.approx(0.0, abs=1e-12)
     assert validation.projected_step_seconds == pytest.approx(
         validation.baseline_step_seconds)
@@ -162,7 +173,7 @@ def test_validate_scale_identity_is_zero_error():
 
 def test_validate_scale_rejects_unknown_channel():
     with pytest.raises(TelemetryError, match="unknown channel"):
-        validate_scale("warp-core", 1.5)
+        validate_scale("warp-core", 1.5, base=_base("su_o_c"))
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +340,8 @@ def test_critpath_jsonl_schema(tmp_path):
     graph = _graph(_trace("su_o_c"))
     report = graph.critical_path()
     ranked = rank_interventions(graph, default_interventions(graph))
-    validation = validate_scale("host-link-down", 1.0)
+    validation = validate_scale("host-link-down", 1.0,
+                                base=_base("su_o_c"))
     path = str(tmp_path / "critpath.jsonl")
     write_critpath_jsonl(path, report, projections=ranked,
                          validations=[validation],
