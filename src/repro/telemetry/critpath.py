@@ -324,8 +324,8 @@ class DepGraph:
                 instant = instants[cut - 1]
                 group = triggers[index] = group_at[instant]
                 lag = lags[index] = max(0.0, start - instant)
-                edges += len(members[group])
-                prefixes[index] = len(members[group])
+                prefix = prefixes[index] = len(members[group])
+                edges += prefix
                 if serial >= 0 and lag == 0.0 and groups[serial] == group:
                     # That causal edge is the serial FIFO edge again; a
                     # positive lag still counts on its own, it anchors
@@ -420,16 +420,18 @@ class DepGraph:
         # collected by the time a member is reached came from nodes that
         # started after that member existed, so it binds the member.
         bound = [horizon] * len(self._members)
+        groups, serials, triggers, lags = (self._group, self._serial,
+                                           self._trigger, self._lag)
         for index in range(n - 1, -1, -1):
-            limit = bound[self._group[index]]
+            limit = bound[groups[index]]
             if limit < latest_end[index]:
                 latest_end[index] = limit
             latest_start = latest_end[index] - durations[index]
-            serial, trigger = self._serial[index], self._trigger[index]
+            serial, trigger = serials[index], triggers[index]
             if serial >= 0 and latest_start < latest_end[serial]:
                 latest_end[serial] = latest_start
             if trigger >= 0:
-                limit = latest_start - self._lag[index]
+                limit = latest_start - lags[index]
                 if limit < bound[trigger]:
                     bound[trigger] = limit
         slack = [max(0.0, (latest_end[i] - durations[i]) - starts[i])
