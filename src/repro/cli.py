@@ -33,13 +33,6 @@ Eleven subcommands:
 * ``trace`` — export a Chrome trace-event JSON (open in Perfetto)
   unifying the sim-time DES timeline with wall-clock telemetry spans
   from a functional-engine proxy run.
-* ``bench`` — measure real wall-clock steps/s through the functional
-  Smart-Infinity engine, sequential vs thread-pooled multi-CSD, and
-  write ``BENCH_parallel.json``; ``--compare`` appends to a history
-  file and fails on a throughput regression.  Each run also records a
-  health summary (signals, alerts, flight-recorder stats) next to its
-  arena stats; ``--no-flight`` disables the recorder to measure its
-  overhead.
 * ``scenario`` — declarative chaos + workload campaigns
   (``repro.scenarios``): ``list`` the bundled (or given) scenario
   files, ``run`` them with per-phase pass/fail against any engine mode
@@ -61,8 +54,6 @@ Examples::
     python -m repro sweep devices --model gpt2-4.0b
     python -m repro experiment fig9
     python -m repro trace --model gpt2-4.0b --csds 6 --method su_o_c
-    python -m repro bench --quick --out BENCH_parallel.json
-    python -m repro bench --quick --compare
     python -m repro scenario list
     python -m repro scenario run examples/scenarios/dropout_recovery.json
     python -m repro scenario run --backend process --chaos-seed 7
@@ -73,7 +64,7 @@ Examples::
 Prometheus-style exposition of per-channel counters and gauges; ``top``
 extends it with the attribution series and can also write a structured
 JSONL event log (``--jsonl``).  Every engine-backed subcommand
-(``top``, ``whatif``, ``health``, ``trace``, ``bench``, ``scenario``)
+(``top``, ``whatif``, ``health``, ``trace``, ``scenario``)
 shares one flag vocabulary — ``--backend``, ``--workers``,
 ``--fault-plan``, ``--chaos-seed``, ``--slo`` — with identical
 semantics everywhere (``top`` and ``whatif`` are simulation-only and
@@ -296,39 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(ALL_EXPERIMENTS) + sorted(EXTENSION_EXPERIMENTS),
         help="experiment id (e.g. fig9, table1, ext_bottlenecks)")
 
-    bench = commands.add_parser(
-        "bench", help="wall-clock steps/s: sequential vs thread-pooled "
-                      "multi-CSD execution")
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny workload (CI smoke): structure over "
-                            "statistical weight")
-    bench.add_argument("--csds", default="1,2,4",
-                       help="comma-separated CSD counts (default 1,2,4)")
-    bench.add_argument("--steps", type=int, default=None,
-                       help="timed steps per configuration (default: "
-                            "workload preset)")
-    bench.add_argument("--out", default="BENCH_parallel.json",
-                       help="JSON report path (default "
-                            "BENCH_parallel.json)")
-    bench.add_argument("--compare", action="store_true",
-                       help="append this run to the bench history and "
-                            "fail (exit 1) if throughput regressed "
-                            "beyond the threshold vs the matching "
-                            "baseline")
-    bench.add_argument("--history",
-                       default="benchmarks/results/BENCH_parallel.json",
-                       help="bench history file for --compare (default "
-                            "benchmarks/results/BENCH_parallel.json)")
-    bench.add_argument("--regression-threshold", type=float, default=0.2,
-                       metavar="FRACTION",
-                       help="relative steps/s drop that fails the gate "
-                            "(default 0.2 = 20%%)")
-    bench.add_argument("--no-flight", action="store_true",
-                       help="disable the flight recorder for this bench "
-                            "(to measure its overhead against a default "
-                            "run)")
-    _add_shared_options(bench)
-
     scenario = commands.add_parser(
         "scenario", help="declarative chaos + workload campaigns: "
                          "list, run, or replay scenario files "
@@ -360,7 +318,7 @@ def _add_shared_options(subparser) -> None:
 
     One definition keeps ``--backend``/``--workers``/``--fault-plan``/
     ``--chaos-seed``/``--slo`` byte-identical (names, defaults, help)
-    across ``top``, ``health``, ``trace``, ``bench`` and ``scenario``.
+    across ``top``, ``health``, ``trace`` and ``scenario``.
     ``--backend`` defaults to None so handlers can tell "explicitly
     thread" from "unset" (``top`` ignores engine-side flags with a
     notice; everything else falls back to thread).
@@ -399,12 +357,11 @@ def _add_shared_options(subparser) -> None:
              "output is bit-identical either way (default phased)")
     subparser.add_argument(
         "--activation-offload", default=None,
-        choices=("recompute", "spill", "auto"),
+        choices=("recompute", "spill"),
         help="boundary-activation policy for checkpointed losses: "
-             "recompute (keep in host memory), spill (write to the "
+             "recompute (keep in host memory) or spill (write to the "
              "SSD-backed spill store, async-prefetch before "
-             "backward), or auto (spill when the engine owns "
-             "storage); bit-identical either way (default recompute)")
+             "backward); bit-identical either way (default recompute)")
 
 
 def _resolve_fault_plan(args) -> Optional[FaultPlan]:
@@ -514,7 +471,7 @@ def _cmd_top(args) -> int:
         if value is not None]
     if ignored:
         print(f"[top is simulation-only; ignoring "
-              f"{', '.join(ignored)} — use health/trace/bench/scenario "
+              f"{', '.join(ignored)} — use health/trace/scenario "
               "to drive the functional engine]")
     slo_rules = (telemetry.load_slo_rules(args.slo)
                  if args.slo is not None else None)
@@ -585,7 +542,7 @@ def _cmd_whatif(args) -> int:
         if value is not None]
     if ignored:
         print(f"[whatif is simulation-only; ignoring "
-              f"{', '.join(ignored)} — use health/trace/bench/scenario "
+              f"{', '.join(ignored)} — use health/trace/scenario "
               "to drive the functional engine]")
     schedule = args.schedule or "phased"
     if args.interleave and schedule == "interleaved":
@@ -878,51 +835,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .runtime.bench import render_report, run_parallel_bench
-
-    try:
-        csd_counts = tuple(int(part) for part in args.csds.split(",")
-                           if part.strip())
-    except ValueError:
-        print(f"invalid --csds list: {args.csds!r}")
-        return 2
-    if not csd_counts or any(count < 1 for count in csd_counts):
-        print(f"--csds needs positive device counts, got {args.csds!r}")
-        return 2
-    report = run_parallel_bench(quick=args.quick, out_path=args.out,
-                                csd_counts=csd_counts, steps=args.steps,
-                                fault_plan=_resolve_fault_plan(args),
-                                flight=not args.no_flight,
-                                backend=args.backend or "thread",
-                                workers=args.workers,
-                                slo_rules=_resolve_slo_rules(args),
-                                schedule=args.schedule or "phased",
-                                activation_offload=args.activation_offload
-                                or "recompute")
-    print(render_report(report))
-    print(f"[saved to {args.out}]")
-    if args.compare:
-        from .runtime.bench_history import (append_entry,
-                                            compare_to_history,
-                                            entry_from_report,
-                                            load_history, save_history)
-        history = load_history(args.history)
-        entry = entry_from_report(report)
-        # Compare against the history *before* appending, so the run
-        # never gates against itself.
-        comparison = compare_to_history(
-            entry, history, threshold=args.regression_threshold)
-        append_entry(history, entry)
-        save_history(args.history, history)
-        print(comparison.render())
-        print(f"[history: {args.history}, "
-              f"{len(history['entries'])} entries]")
-        if not comparison.ok:
-            return 1
-    return 0
-
-
 def _scenario_files(paths: List[str]) -> List[str]:
     """Expand scenario files / directories into a flat sorted list."""
     out: List[str] = []
@@ -1078,7 +990,6 @@ _HANDLERS = {
     "health": _cmd_health,
     "experiment": _cmd_experiment,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "scenario": _cmd_scenario,
 }
 

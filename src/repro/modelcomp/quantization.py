@@ -16,6 +16,7 @@ by half a quantization step — both property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -107,8 +108,15 @@ class QuantizerKernel:
     check rejects misconfigured kernels, as the HLS templates would).
     """
 
+    #: Default BRAM chunk, rounded down to a whole number of groups.
+    DEFAULT_CHUNK_ELEMENTS = 16_384
+
     def __init__(self, group_size: int = 4096,
-                 chunk_elements: int = 16_384) -> None:
+                 chunk_elements: Optional[int] = None) -> None:
+        if chunk_elements is None:
+            chunk_elements = max(
+                group_size,
+                self.DEFAULT_CHUNK_ELEMENTS // group_size * group_size)
         if chunk_elements % group_size != 0:
             raise KernelError(
                 f"chunk ({chunk_elements}) must be a multiple of the "

@@ -3,13 +3,17 @@
 Fine-tuning jobs (the paper's §VII-J use case) need durable state: the
 FP32 masters, the optimizer moments, the loss-scaler state and the step
 counter.  A checkpoint taken from any engine restores into any other —
-the engines share one flat state layout — so a run can start on the
-baseline and resume under Smart-Infinity, bit-identically (tested).
+the engines share one flat state layout, which each exposes through
+``gather_state_arrays`` / ``scatter_state_arrays`` — so a run can start
+on the baseline and resume under Smart-Infinity, bit-identically
+(tested).  Checkpoint I/O is maintenance traffic, outside the fault
+domain.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import contextlib
+import os
 
 import numpy as np
 
@@ -19,66 +23,36 @@ from ..errors import TrainingError
 FORMAT_VERSION = 1
 
 
-def _gather_state(engine) -> Dict[str, np.ndarray]:
-    """Flat masters + moments from any engine, by duck typing.
-
-    Checkpoint I/O is maintenance traffic (outside the fault domain), and
-    a demoted device's shard is gathered from its host-resident copy —
-    checkpointing keeps working after graceful degradation, which is
-    exactly when a checkpoint matters most.
-    """
-    state_names = engine.optimizer.state_names
-    if hasattr(engine, "gather_state_arrays"):  # SmartInfinityEngine
-        # The engine owns its shard layout (thread-mode device stores or
-        # process-mode shared-memory channels), so the gather lives
-        # there; both backends produce the same flat arrays.
-        return engine.gather_state_arrays()
-    if hasattr(engine, "store"):            # BaselineOffloadEngine
-        out = {"master_params": engine.store.read_array("master_params")}
-        for name in state_names:
-            out[name] = engine.store.read_array(name)
-        return out
-    if hasattr(engine, "_masters"):         # HostOffloadEngine
-        out = {"master_params": engine._masters.copy()}
-        for name in state_names:
-            out[name] = engine._state[name].copy()
-        return out
-    raise TrainingError(f"cannot checkpoint engine {type(engine)!r}")
-
-
-def _scatter_state(engine, arrays: Dict[str, np.ndarray]) -> None:
-    """Write flat masters + moments back into an engine's storage."""
-    state_names = engine.optimizer.state_names
-    if hasattr(engine, "scatter_state_arrays"):  # SmartInfinityEngine
-        engine.scatter_state_arrays(arrays)
-        return
-    if hasattr(engine, "store"):
-        engine.store.write_array("master_params",
-                                 arrays["master_params"])
-        for name in state_names:
-            engine.store.write_array(name, arrays[name])
-        return
-    if hasattr(engine, "_masters"):
-        engine._masters[:] = arrays["master_params"]
-        for name in state_names:
-            engine._state[name][:] = arrays[name]
-        return
-    raise TrainingError(f"cannot restore engine {type(engine)!r}")
-
-
 def save_checkpoint(engine, path: str) -> None:
-    """Persist an engine's full training state to ``path`` (.npz)."""
-    arrays = _gather_state(engine)
-    np.savez(
-        path,
-        format_version=FORMAT_VERSION,
-        step_count=engine.step_count,
-        loss_scale=engine.scaler.scale,
-        skipped_steps=engine.scaler.skipped_steps,
-        optimizer=engine.config.optimizer,
-        num_params=engine.num_params,
-        **arrays,
-    )
+    """Persist an engine's full training state to ``path``, atomically.
+
+    The archive is written to a temp file beside ``path``, flushed to
+    the device and renamed over it, so a crash mid-save leaves the
+    previous checkpoint intact.  ``path`` is used verbatim (no ``.npz``
+    suffix is appended).
+    """
+    arrays = engine.gather_state_arrays()
+    temp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(temp, "wb") as handle:
+            np.savez(
+                handle,
+                format_version=FORMAT_VERSION,
+                step_count=engine.step_count,
+                loss_scale=engine.scaler.scale,
+                good_steps=engine.scaler._good_steps,
+                skipped_steps=engine.scaler.skipped_steps,
+                optimizer=engine.config.optimizer,
+                num_params=engine.num_params,
+                **arrays,
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def load_checkpoint(engine, path: str) -> None:
@@ -108,9 +82,12 @@ def load_checkpoint(engine, path: str) -> None:
             arrays[name] = data[name]
         if "ef_residual" in data:
             arrays["ef_residual"] = data["ef_residual"]
-        _scatter_state(engine, arrays)
+        engine.scatter_state_arrays(arrays)
         engine.step_count = int(data["step_count"])
         engine.scaler.scale = float(data["loss_scale"])
+        # Absent in files written before the growth countdown was saved.
+        engine.scaler._good_steps = (int(data["good_steps"])
+                                     if "good_steps" in data else 0)
         engine.scaler.skipped_steps = int(data["skipped_steps"])
     working = arrays["master_params"].copy()
     mask = getattr(engine, "pruning_mask", None)

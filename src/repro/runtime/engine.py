@@ -70,9 +70,6 @@ class TrainingConfig:
     error_feedback: bool = True
     #: SU+O (optimized transfer handler) vs plain SU (naive loop).
     use_transfer_handler: bool = True
-    #: BRAM chunk size (S) of the functional decompressor and quantizer
-    #: kernels; the updater runs each subgroup in one pass whatever S is.
-    kernel_chunk_elements: int = 16_384
     #: Model-compression extension (§VIII-B): the CSD quantizes updated
     #: masters to int8 before the upstream transfer, and the host
     #: dequantizes for the STE forward pass.
@@ -114,8 +111,7 @@ class TrainingConfig:
     #: ``recompute`` keeps boundaries in host memory (classic activation
     #: checkpointing), ``spill`` writes them to an SSD-backed spill
     #: device during forward and async-prefetches them ahead of backward
-    #: (:mod:`repro.nn.offload`), ``auto`` lets the engine pick spill
-    #: exactly when it owns a storage directory to spill to.
+    #: (:mod:`repro.nn.offload`; needs an engine with a storage directory).
     activation_offload: str = "recompute"
     #: Fault-injection plan for the storage/CSD fleet (None = no faults).
     #: See :mod:`repro.faults` for the failure model.
@@ -204,35 +200,6 @@ class TrainingConfig:
     def to_json_file(self, path: str) -> None:
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-
-
-#: create_engine mode string per engine class, for migration hints.
-_ENGINE_MODES_BY_CLASS = {
-    "BaselineOffloadEngine": "baseline",
-    "HostOffloadEngine": "host_offload",
-    "SmartInfinityEngine": "smart",
-}
-
-
-def fold_deprecated_kwarg(config: TrainingConfig, kwarg: str, value,
-                          field_name: str, engine: str) -> TrainingConfig:
-    """Reject a removed constructor kwarg with a migration hint.
-
-    The engines' fleet-geometry kwargs (``num_ssds``, ``num_csds``,
-    ``host_memory_bytes``) moved into :class:`TrainingConfig` so the
-    :func:`repro.api.create_engine` factory can build any engine from a
-    mode string plus one config object.  The old signatures went through
-    a DeprecationWarning cycle and are now hard errors: the message
-    names the exact ``create_engine`` call to write instead.
-    """
-    if value is None:
-        return config
-    mode = _ENGINE_MODES_BY_CLASS.get(engine, "<mode>")
-    raise TrainingError(
-        f"{engine}({kwarg}=...) was removed; set "
-        f"TrainingConfig(..., {field_name}={value!r}) and build the "
-        f"engine via repro.api.create_engine({mode!r}, model, loss_fn, "
-        f"storage_dir, config=config)")
 
 
 def make_fault_injector(config: TrainingConfig) -> Optional["FaultInjector"]:
@@ -328,13 +295,14 @@ class MixedPrecisionTrainer:
         """Resolve the activation mode and build the spill store.
 
         Engines call this once they know whether they own a storage
-        directory; ``auto`` resolves to spill exactly when they do.
+        directory; ``spill`` without one is a configuration error.
         """
-        from .interleave import make_spill_store, resolve_activation_offload
+        from .interleave import resolve_activation_offload
         self.activation_offload = resolve_activation_offload(
             self.config, storage_dir is not None)
         if self.activation_offload == "spill":
-            self._spill = make_spill_store(self.config, storage_dir)
+            from ..nn.offload import ActivationSpillStore
+            self._spill = ActivationSpillStore(storage_dir)
 
     def _activation_scope(self):
         """Context activating the spill store for checkpointed forwards."""
@@ -585,11 +553,8 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Infinity-style baseline: RAID0 storage + CPU update."""
 
     def __init__(self, model: Module, loss_fn: LossFn, storage_dir: str,
-                 num_ssds: Optional[int] = None,
                  config: Optional[TrainingConfig] = None) -> None:
-        config = fold_deprecated_kwarg(
-            config or TrainingConfig(), "num_ssds", num_ssds,
-            "raid_members", "BaselineOffloadEngine")
+        config = config or TrainingConfig()
         super().__init__(model, loss_fn, config)
         num_ssds = config.raid_members
         if num_ssds < 1:
@@ -772,6 +737,19 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
 
             # Refresh the FP16 working copy from the updated masters.
             self.space.install_fp16_slice(start, masters)
+
+    # ------------------------------------------------------------------
+    # checkpoint hooks
+    # ------------------------------------------------------------------
+    def gather_state_arrays(self) -> Dict[str, np.ndarray]:
+        """Flat masters + moments for checkpointing."""
+        return {name: self.store.read_array(name)
+                for name in ("master_params", *self._state_names)}
+
+    def scatter_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Write flat masters + moments back into storage."""
+        for name in ("master_params", *self._state_names):
+            self.store.write_array(name, arrays[name])
 
     def close(self) -> None:
         if self._closed:

@@ -21,7 +21,7 @@ assert — the whole engine family computes one trajectory.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,12 +42,8 @@ class HostOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Offload-style training: optimizer states in host memory."""
 
     def __init__(self, model: Module, loss_fn: LossFn,
-                 config: Optional[TrainingConfig] = None,
-                 host_memory_bytes: Optional[int] = None) -> None:
-        from .engine import fold_deprecated_kwarg
-        config = fold_deprecated_kwarg(
-            config or TrainingConfig(), "host_memory_bytes",
-            host_memory_bytes, "host_memory_bytes", "HostOffloadEngine")
+                 config: Optional[TrainingConfig] = None) -> None:
+        config = config or TrainingConfig()
         super().__init__(model, loss_fn, config)
         self._closed = False
         host_memory_bytes = config.host_memory_bytes
@@ -61,8 +57,8 @@ class HostOffloadEngine(MixedPrecisionTrainer):
                 f"is {host_memory_bytes} B — this is exactly the wall "
                 "storage-offloaded training exists to break")
         self.meter = TrafficMeter()
-        # No storage directory here, so activation_offload=auto resolves
-        # to recompute (and explicit spill is rejected loudly).
+        # No storage directory here: activation_offload=spill is
+        # rejected loudly.
         try:
             self._init_activation_offload(None)
         except BaseException:
@@ -211,6 +207,18 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         """The host-resident optimizer state (for inspection/tests)."""
         return [self._masters] + [self._state[name]
                                   for name in self.optimizer.state_names]
+
+    def gather_state_arrays(self) -> Dict[str, np.ndarray]:
+        """Flat masters + moments for checkpointing (private copies)."""
+        return {"master_params": self._masters.copy(),
+                **{name: self._state[name].copy()
+                   for name in self.optimizer.state_names}}
+
+    def scatter_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Adopt flat masters + moments from a checkpoint."""
+        self._masters[:] = arrays["master_params"]
+        for name in self.optimizer.state_names:
+            self._state[name][:] = arrays[name]
 
     def close(self) -> None:
         """Release the worker pool (no storage to close). Idempotent."""

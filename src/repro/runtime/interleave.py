@@ -19,10 +19,7 @@ This module is the host-side machinery for that schedule:
   window applies backpressure on the shared host link (submitting past
   the window blocks the producer), and :meth:`InterleavedScheduler.drain`
   awaits completion in submission order so error handling and telemetry
-  match the phased barrier exactly;
-* :func:`make_spill_store` builds the SSD-backed activation spill
-  device (:mod:`repro.nn.offload`) for engines that own a storage
-  directory.
+  match the phased barrier exactly.
 
 Bit-identity: interleaving never reorders the operations *of one
 shard* — each shard still runs offload-then-update on a single worker
@@ -48,7 +45,7 @@ R = TypeVar("R")
 SCHEDULES = ("phased", "interleaved")
 
 #: Boundary-activation handling during checkpointed training.
-ACTIVATION_MODES = ("recompute", "spill", "auto")
+ACTIVATION_MODES = ("recompute", "spill")
 
 
 def resolve_schedule(config) -> str:
@@ -62,47 +59,22 @@ def resolve_schedule(config) -> str:
 
 
 def resolve_activation_offload(config, has_spill_device: bool = True) -> str:
-    """Resolve ``config.activation_offload`` to ``recompute`` or ``spill``.
+    """Validate ``config.activation_offload`` (``recompute`` | ``spill``).
 
-    ``auto`` is the planner hook: spill wins whenever the engine owns a
-    storage device to spill to (the emulated SSD write+read of one
-    boundary is cheaper than holding it in host DRAM, which is the
-    resource storage-offloaded training is short of); engines without
-    storage fall back to recompute.  An *explicit* ``spill`` on a
-    storage-less engine is a configuration error, not a silent fallback.
+    ``spill`` on an engine without a storage directory is a
+    configuration error, not a silent fallback.
     """
     mode = getattr(config, "activation_offload", "recompute")
     if mode not in ACTIVATION_MODES:
         raise TrainingError(
             f"unknown activation_offload mode {mode!r}; expected one of "
             f"{', '.join(ACTIVATION_MODES)}")
-    if mode == "auto":
-        return "spill" if has_spill_device else "recompute"
     if mode == "spill" and not has_spill_device:
         raise TrainingError(
             "activation_offload='spill' needs a storage-backed engine "
             "(baseline or smart); the host-offload engine has no spill "
-            "device — use 'auto' to fall back to recompute")
+            "device")
     return mode
-
-
-def make_spill_store(config, storage_dir: Optional[str]):
-    """The engine's activation spill store, or None when not spilling.
-
-    Returns an :class:`~repro.nn.offload.ActivationSpillStore` exactly
-    when the resolved mode is ``spill`` and the engine owns a storage
-    directory; the caller installs it as the trainer's ``_spill`` and
-    closes it on teardown.
-    """
-    if storage_dir is None:
-        return None
-    if resolve_activation_offload(config, True) != "spill":
-        return None
-    if getattr(config, "activation_offload", "recompute") == "auto" \
-            and resolve_activation_offload(config, True) != "spill":
-        return None  # pragma: no cover - defensive, auto resolves above
-    from ..nn.offload import ActivationSpillStore
-    return ActivationSpillStore(storage_dir)
 
 
 class InterleavedScheduler:
@@ -206,7 +178,6 @@ __all__ = [
     "InterleavedScheduler",
     "SCHEDULES",
     "activation_scope",
-    "make_spill_store",
     "resolve_activation_offload",
     "resolve_schedule",
 ]

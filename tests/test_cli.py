@@ -103,34 +103,6 @@ def test_trace_default_output_name(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "gpt2-1.16b-su.trace.json").exists()
 
 
-def test_bench_quick_writes_report(tmp_path, capsys):
-    out = str(tmp_path / "bench.json")
-    assert main(["bench", "--quick", "--csds", "1,2", "--steps", "1",
-                 "--out", out]) == 0
-    printed = capsys.readouterr().out
-    assert "wall-clock parallel bench" in printed
-    assert "SmartComp stream cache" in printed
-    import json
-    with open(out) as handle:
-        report = json.load(handle)
-    assert report["schema"].startswith("smart-infinity/bench-parallel")
-    assert report["environment"]["usable_cpus"] >= 1
-    configs = {(run["num_csds"], run["workers"])
-               for run in report["runs"]}
-    assert configs == {(1, 1), (2, 1), (2, 2)}
-    # Parallel must have reproduced sequential bit-for-bit.
-    checksums = {run["param_checksum"] for run in report["runs"]
-                 if run["num_csds"] == 2}
-    assert len(checksums) == 1
-    assert report["smartcomp_cache"]["reduction_factor"] >= 1.0
-
-
-def test_bench_rejects_bad_csds_list(tmp_path, capsys):
-    assert main(["bench", "--quick", "--csds", "two",
-                 "--out", str(tmp_path / "x.json")]) == 2
-    assert "invalid --csds" in capsys.readouterr().out
-
-
 def test_trace_workers_flag_runs_functional_proxy(tmp_path, capsys):
     out = str(tmp_path / "w.trace.json")
     assert main(["trace", "--model", "gpt2-1.16b", "--csds", "2",
@@ -278,36 +250,10 @@ def test_health_accepts_custom_slo_rules(tmp_path, capsys, monkeypatch):
     assert "[info] always" in out
 
 
-def test_bench_report_embeds_health_and_no_flight_flag(tmp_path, capsys):
-    import json
-    out_path = str(tmp_path / "bench.json")
-    assert main(["bench", "--quick", "--csds", "1", "--steps", "1",
-                 "--out", out_path]) == 0
-    printed = capsys.readouterr().out
-    assert "health:" in printed
-    assert "flight recorder on" in printed
-    with open(out_path) as handle:
-        report = json.load(handle)
-    assert report["flight_recorder"] is True
-    (run,) = report["runs"]
-    assert run["health"]["alerts"] == 0
-    assert "steps_per_s" in run["health"]["signals"]
-    assert run["health"]["flight"]["events_recorded"] > 0
-
-    assert main(["bench", "--quick", "--csds", "1", "--steps", "1",
-                 "--no-flight", "--out", out_path]) == 0
-    assert "flight recorder off" in capsys.readouterr().out
-    with open(out_path) as handle:
-        report = json.load(handle)
-    assert report["flight_recorder"] is False
-    assert report["runs"][0]["health"]["flight"] is None
-
-
 # ----------------------------------------------------------------------
 # shared flag vocabulary + the scenario subcommand
 # ----------------------------------------------------------------------
-ENGINE_SUBCOMMANDS = ("top", "health", "trace", "bench", "scenario",
-                      "whatif")
+ENGINE_SUBCOMMANDS = ("top", "health", "trace", "scenario", "whatif")
 SHARED_FLAGS = ("--backend", "--workers", "--fault-plan",
                 "--chaos-seed", "--slo")
 

@@ -346,19 +346,18 @@ def test_create_engine_matches_direct_construction(tmp_path, dataset):
     np.testing.assert_array_equal(factory_params, direct_params)
 
 
-def test_removed_ctor_kwargs_raise_with_migration_hint(tmp_path):
-    """The PR-3 deprecation shims completed their cycle: the old
-    fleet-geometry kwargs are hard errors naming the create_engine
-    equivalent."""
-    with pytest.raises(TrainingError, match="create_engine..smart"):
+def test_removed_ctor_kwargs_raise_type_error(tmp_path):
+    """The old fleet-geometry kwargs are gone from the signatures: fleet
+    geometry is a TrainingConfig field (docs/API.md)."""
+    with pytest.raises(TypeError, match="num_csds"):
         SmartInfinityEngine(make_model(), loss_fn,
                             str(tmp_path / "legacy"),
                             num_csds=3, config=config())
-    with pytest.raises(TrainingError, match="raid_members=2"):
+    with pytest.raises(TypeError, match="num_ssds"):
         BaselineOffloadEngine(make_model(), loss_fn,
                               str(tmp_path / "legacy-b"),
                               num_ssds=2, config=config())
-    with pytest.raises(TrainingError, match="host_offload"):
+    with pytest.raises(TypeError, match="host_memory_bytes"):
         HostOffloadEngine(make_model(), loss_fn,
                           host_memory_bytes=1 << 30)
 

@@ -27,7 +27,6 @@ from repro.nn import (ActivationSpillStore, SequenceClassifier,
                       bert_config, spill_beats_recompute)
 from repro.nn.checkpoint import checkpointed_classifier_loss
 from repro.runtime import CSDWorkerPool, TrainingConfig
-from repro.runtime.bench_history import _config_key, _matches
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.interleave import (ACTIVATION_MODES,
                                       InterleavedScheduler, SCHEDULES,
@@ -79,24 +78,21 @@ def train(mode, tmp_path, tag, steps=3, fn=loss_fn, **config_kwargs):
 class TestConfig:
     def test_schedule_round_trips_through_dict(self):
         config = TrainingConfig(schedule="interleaved",
-                                activation_offload="auto")
+                                activation_offload="spill")
         clone = TrainingConfig.from_dict(config.to_dict())
         assert clone.schedule == "interleaved"
-        assert clone.activation_offload == "auto"
+        assert clone.activation_offload == "spill"
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(TrainingError, match="schedule"):
             resolve_schedule(TrainingConfig(schedule="pipelined"))
 
     def test_unknown_activation_mode_rejected(self):
-        with pytest.raises(TrainingError, match="activation_offload"):
-            resolve_activation_offload(
-                TrainingConfig(activation_offload="cache"), True)
-
-    def test_auto_resolution_is_engine_contextual(self):
-        auto = TrainingConfig(activation_offload="auto")
-        assert resolve_activation_offload(auto, True) == "spill"
-        assert resolve_activation_offload(auto, False) == "recompute"
+        # "auto" was a mode once; it is rejected like any unknown one.
+        for mode in ("cache", "auto"):
+            with pytest.raises(TrainingError, match="activation_offload"):
+                resolve_activation_offload(
+                    TrainingConfig(activation_offload=mode), True)
 
     def test_explicit_spill_without_storage_rejected(self):
         spill = TrainingConfig(activation_offload="spill")
@@ -111,7 +107,7 @@ class TestConfig:
 
     def test_mode_tuples_cover_the_public_surface(self):
         assert SCHEDULES == ("phased", "interleaved")
-        assert ACTIVATION_MODES == ("recompute", "spill", "auto")
+        assert ACTIVATION_MODES == ("recompute", "spill")
 
 
 # ----------------------------------------------------------------------
@@ -337,15 +333,14 @@ class TestActivationSpill:
         finally:
             store.close()
 
-    @pytest.mark.parametrize("mode", ["spill", "auto"])
-    def test_smart_spill_matches_recompute(self, tmp_path, mode):
+    def test_smart_spill_matches_recompute(self, tmp_path):
         kwargs = dict(num_csds=2, parallel_csds=2, steps=3,
                       fn=ckpt_loss_fn, schedule="interleaved")
         assert_same_run(
             train("smart", tmp_path, "rc", activation_offload="recompute",
                   **kwargs),
-            train("smart", tmp_path, f"sp-{mode}",
-                  activation_offload=mode, **kwargs))
+            train("smart", tmp_path, "sp", activation_offload="spill",
+                  **kwargs))
 
     def test_baseline_spill_matches_recompute(self, tmp_path):
         kwargs = dict(raid_members=2, steps=2, fn=ckpt_loss_fn)
@@ -354,15 +349,6 @@ class TestActivationSpill:
                   activation_offload="recompute", **kwargs),
             train("baseline", tmp_path, "bsp",
                   activation_offload="spill", **kwargs))
-
-    def test_host_auto_falls_back_to_recompute(self):
-        engine = create_engine("host_offload", make_model(), loss_fn, None,
-                               config=TrainingConfig(
-                                   activation_offload="auto"))
-        try:
-            assert engine.activation_offload == "recompute"
-        finally:
-            engine.close()
 
     def test_cost_model_prefers_spill_for_slow_recompute(self):
         # 1 MB boundary, 10 ms recompute: spill wins easily.
@@ -431,51 +417,3 @@ class TestSimulatedInterleave:
         validation = validate_interleave(model="gpt2-1.16b", csds=4,
                                          method="su_o_c")
         assert validation.error < 0.05
-
-
-# ----------------------------------------------------------------------
-# bench-history fingerprinting
-# ----------------------------------------------------------------------
-class TestBenchFingerprint:
-    def test_config_key_separates_schedules_and_modes(self):
-        run = {"num_csds": 2, "workers": 2, "backend": "thread"}
-        assert _config_key(run) == "2x2"
-        assert _config_key({**run, "schedule": "interleaved"}) == \
-            "2x2+interleaved"
-        assert _config_key({**run, "activation_offload": "spill"}) == \
-            "2x2~spill"
-        assert _config_key({**run, "backend": "process",
-                            "schedule": "interleaved",
-                            "activation_offload": "spill"}) == \
-            "2x2@process+interleaved~spill"
-
-    def test_matches_rejects_cross_schedule_baselines(self):
-        base = {"quick": True, "workload": {"dim": 32},
-                "environment": {"cpu_count": 4, "usable_cpus": 4}}
-        entry = {**base, "environment": {**base["environment"],
-                                         "schedule": "interleaved"}}
-        assert not _matches(entry, base)
-        assert _matches(entry, {**base, "environment": {
-            **base["environment"], "schedule": "interleaved"}})
-        # Legacy entries without the field are phased/recompute runs.
-        phased = {**base, "environment": {**base["environment"],
-                                          "schedule": "phased"}}
-        assert _matches(phased, base)
-
-    def test_report_entry_carries_pipeline_fingerprint(self):
-        from repro.runtime.bench_history import entry_from_report
-
-        report = {
-            "quick": True,
-            "environment": {"cpu_count": 4, "usable_cpus": 4,
-                            "schedule": "interleaved",
-                            "activation_offload": "recompute"},
-            "workload": {"dim": 32},
-            "runs": [{"num_csds": 2, "workers": 2, "backend": "thread",
-                      "schedule": "interleaved",
-                      "activation_offload": "recompute",
-                      "steps_per_second": 10.0}],
-        }
-        entry = entry_from_report(report, timestamp=1.0)
-        assert entry["environment"]["schedule"] == "interleaved"
-        assert "2x2+interleaved" in entry["configs"]

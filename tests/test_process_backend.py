@@ -212,7 +212,9 @@ class TestResolveBackend:
     {},
     {"compression_ratio": 0.05},
     {"compression_ratio": 0.05, "quantized_upstream": True},
-], ids=["dense", "smartcomp", "smartcomp+quant"])
+    {"use_transfer_handler": False},
+    {"pruning_sparsity": 0.3},
+], ids=["dense", "smartcomp", "smartcomp+quant", "naive", "pruned"])
 def test_process_backend_bitwise_identical(tmp_path, config_kwargs):
     thread_params, _, thread_traffic = train_smart(
         tmp_path, "thread", "thread", **config_kwargs)
@@ -222,28 +224,40 @@ def test_process_backend_bitwise_identical(tmp_path, config_kwargs):
     assert thread_traffic == proc_traffic
 
 
-def test_process_backend_chaos_dropout_parity(tmp_path):
+@pytest.mark.parametrize("schedule", ["phased", "interleaved"])
+@pytest.mark.parametrize("rules, config_kwargs", [
+    ((FaultRule(kind="device_dropout", device=1, probability=0.10),
+      FaultRule(kind="io_error", probability=0.05)), {}),
+    # Op 55 of device 1 is a state write-back of step 2's second
+    # subgroup on the naive loop: parameters committed, states not.
+    ((FaultRule(kind="device_dropout", device=1, at_op=55),),
+     {"use_transfer_handler": False}),
+], ids=["probabilistic", "mid-update-naive"])
+def test_process_backend_chaos_dropout_parity(tmp_path, schedule, rules,
+                                              config_kwargs):
     """A dead CSD demotes to the host path identically in both backends.
 
     The dropout fires in a worker process, whose shard is salvaged over
     shared memory into the parent's host path; parameters, fault
     accounting (injections, retries, demotions, degraded steps) and
-    traffic must all match the thread run exactly.
+    traffic must all match the thread run exactly, on both schedules.
     """
-    plan = FaultPlan(seed=3, rules=(
-        FaultRule(kind="device_dropout", device=1, probability=0.10),
-        FaultRule(kind="io_error", probability=0.05),
-    ))
+    plan = FaultPlan(seed=3, rules=rules)
     thread_params, thread_faults, thread_traffic = train_smart(
-        tmp_path, "thread", "thread", steps=4, fault_plan=plan)
+        tmp_path, "thread", "thread", steps=4, fault_plan=plan,
+        schedule=schedule, **config_kwargs)
     proc_params, proc_faults, proc_traffic = train_smart(
-        tmp_path, "process", "process", steps=4, fault_plan=plan)
+        tmp_path, "process", "process", steps=4, fault_plan=plan,
+        schedule=schedule, **config_kwargs)
     assert thread_faults["demotions"] == 1  # the plan actually fired
     np.testing.assert_array_equal(thread_params, proc_params)
     assert thread_traffic == proc_traffic
-    for key in ("injected", "retries", "retries_exhausted", "dropouts",
-                "demotions", "degraded_steps"):
-        assert thread_faults[key] == proc_faults[key], key
+    assert thread_faults == proc_faults
+    if "use_transfer_handler" in config_kwargs:
+        # Step 2's pass was cut short mid-way: its internal reads lie
+        # strictly between a one-device step's and a two-device step's.
+        reads = [step.internal_reads for step in thread_traffic]
+        assert reads[3] < reads[1] < reads[0]
 
 
 def test_checkpoint_round_trip_across_backends(tmp_path):

@@ -19,7 +19,6 @@ from repro.runtime import (BaselineOffloadEngine, SmartInfinityEngine,
                            TrainingConfig, distribute_shards,
                            expected_traffic, load_checkpoint,
                            save_checkpoint)
-from repro.runtime.checkpoint import _gather_state
 
 VOCAB = 32
 SEQ = 16
@@ -308,9 +307,7 @@ def test_working_params_are_fp16_quantized(tmp_path, dataset):
     np.testing.assert_array_equal(
         working, working.astype(np.float16).astype(np.float32))
     # But the fp32 masters on storage generally are not fp16 values.
-    masters = np.concatenate([
-        device.store.read_array("master_params")
-        for device in engine.devices])
+    masters = engine.gather_state_arrays()["master_params"]
     assert not np.array_equal(
         masters, masters.astype(np.float16).astype(np.float32))
     engine.close()
@@ -366,7 +363,7 @@ def _model_flat(model):
 
 
 def _fp16_masters(engine):
-    masters = _gather_state(engine)["master_params"]
+    masters = engine.gather_state_arrays()["master_params"]
     return masters.astype(np.float16).astype(np.float32)
 
 

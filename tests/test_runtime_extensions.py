@@ -137,6 +137,92 @@ def test_checkpoint_restores_scaler_and_step(tmp_path, dataset):
     assert fresh.scaler.scale == 1234.0
 
 
+def test_checkpoint_resumes_the_scaler_growth_countdown(tmp_path, dataset):
+    """A resumed run must not restart the loss scaler's growth interval:
+    3 steps -> save -> load -> 3 steps ends where 6 straight steps do."""
+    def build(tag):
+        engine = SmartInfinityEngine(make_model(), loss_fn,
+                                     str(tmp_path / tag),
+                                     config=config(num_csds=2))
+        engine.scaler.growth_interval = 4
+        return engine
+
+    straight = build("straight")
+    steps(straight, dataset, count=3, seed=0)
+    steps(straight, dataset, count=3, seed=1)
+    assert straight.scaler.scale == 2.0 ** 17      # grew once, at step 4
+
+    first = build("first")
+    steps(first, dataset, count=3, seed=0)
+    ckpt = str(tmp_path / "growth.npz")
+    save_checkpoint(first, ckpt)
+    first.close()
+    resumed = build("resumed")
+    load_checkpoint(resumed, ckpt)
+    assert resumed.scaler._good_steps == 3
+    steps(resumed, dataset, count=3, seed=1)
+
+    assert resumed.scaler.scale == straight.scaler.scale
+    assert resumed.scaler._good_steps == straight.scaler._good_steps
+    np.testing.assert_array_equal(resumed.space.gather_params(),
+                                  straight.space.gather_params())
+    straight.close()
+    resumed.close()
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, dataset,
+                                                   monkeypatch):
+    engine = HostOffloadEngine(make_model(), loss_fn, config=config())
+    steps(engine, dataset, count=1)
+    ckpt = str(tmp_path / "atomic.npz")
+    save_checkpoint(engine, ckpt)
+    steps(engine, dataset, count=1)
+
+    real_savez = np.savez
+
+    def torn_savez(file, **arrays):
+        real_savez(file, master_params=arrays["master_params"])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(engine, ckpt)
+    monkeypatch.undo()
+
+    assert os.listdir(tmp_path) == ["atomic.npz"]     # no temp file left
+    fresh = HostOffloadEngine(make_model(seed=2), loss_fn, config=config())
+    load_checkpoint(fresh, ckpt)
+    assert fresh.step_count == 1
+
+
+def test_checkpoint_path_is_used_verbatim(tmp_path, dataset):
+    engine = HostOffloadEngine(make_model(), loss_fn, config=config())
+    steps(engine, dataset, count=1)
+    ckpt = str(tmp_path / "no_suffix")
+    save_checkpoint(engine, ckpt)
+    assert os.listdir(tmp_path) == ["no_suffix"]
+    fresh = HostOffloadEngine(make_model(seed=2), loss_fn, config=config())
+    load_checkpoint(fresh, ckpt)
+    assert fresh.step_count == 1
+
+
+def test_checkpoint_from_before_good_steps_was_saved_still_loads(
+        tmp_path, dataset):
+    engine = HostOffloadEngine(make_model(), loss_fn, config=config())
+    steps(engine, dataset, count=2)
+    ckpt = str(tmp_path / "old.npz")
+    save_checkpoint(engine, ckpt)
+    with np.load(ckpt) as data:
+        old_format = {key: data[key] for key in data if key != "good_steps"}
+    np.savez(ckpt, **old_format)
+
+    fresh = HostOffloadEngine(make_model(seed=2), loss_fn, config=config())
+    fresh.scaler._good_steps = 7
+    load_checkpoint(fresh, ckpt)
+    assert fresh.step_count == 2
+    assert fresh.scaler._good_steps == 0
+
+
 def test_checkpoint_validates_compatibility(tmp_path, dataset):
     engine = HostOffloadEngine(make_model(), loss_fn, config=config())
     ckpt = str(tmp_path / "v.npz")
@@ -163,7 +249,7 @@ def test_checkpoint_validates_compatibility(tmp_path, dataset):
 # ----------------------------------------------------------------------
 def quantized_config(**kwargs):
     return config(quantized_upstream=True, quantization_group=512,
-                  kernel_chunk_elements=1024, **kwargs)
+                  **kwargs)
 
 
 def test_quantized_upstream_cuts_host_reads_4x(tmp_path, dataset):
@@ -188,9 +274,7 @@ def test_quantized_upstream_working_copy_close_to_masters(tmp_path,
                                  str(tmp_path / "qa"), config=quantized_config(num_csds=2))
     steps(engine, dataset, count=2)
     working = engine.space.gather_params()
-    masters = np.concatenate([
-        device.store.read_array("master_params")
-        for device in engine.devices])
+    masters = engine.gather_state_arrays()["master_params"]
     # Quantization error is bounded: int8 with per-group scales.
     assert np.abs(working - masters).max() < 0.05
     assert not np.array_equal(working, masters)
