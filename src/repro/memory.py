@@ -19,7 +19,7 @@ Design:
   freelist and checkout/release stay same-thread (enforced);
 * stats are first-class: per-arena counters plus a process-wide
   :func:`aggregate_arena_stats` view that survives arena death, which the
-  steady-state tests and ``repro bench`` read.
+  steady-state tests and the benchmark harness read.
 
 Telemetry (when a session is active): the ``arena_bytes_in_use`` /
 ``arena_high_water_bytes`` gauges and ``arena_checkouts_total`` /

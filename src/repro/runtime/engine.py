@@ -287,6 +287,12 @@ class MixedPrecisionTrainer:
     def num_params(self) -> int:
         return self.space.total_elements
 
+    def __enter__(self) -> "MixedPrecisionTrainer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # activation spill (SSD-backed boundary activations, repro.nn.offload)
     # ------------------------------------------------------------------
@@ -759,9 +765,3 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
         self._close_spill()
         if self.volume is not None:
             self.volume.close()
-
-    def __enter__(self) -> "BaselineOffloadEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

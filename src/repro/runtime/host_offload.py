@@ -229,9 +229,3 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         self._pool.close()
         if self._arena is not None:
             self._arena.close()
-
-    def __enter__(self) -> "HostOffloadEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

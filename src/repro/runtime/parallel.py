@@ -49,8 +49,8 @@ def usable_cpus() -> int:
 
     ``os.cpu_count`` reports the machine; cgroup/affinity limits (CI
     runners, containers, taskset) can pin the process to fewer cores.
-    Worker resolution and the bench environment fingerprint both use
-    this, so "4 workers" never silently means "4 workers on 1 core".
+    Worker and backend resolution use this, so "4 workers" never
+    silently means "4 workers on 1 core".
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

@@ -210,20 +210,21 @@ class _ChildShard:
         elif op == "step":
             resp = worker.step(self.grads, int(task["step_count"]),
                                float(task["lr"]), bool(task["do_update"]))
-        else:
-            if op == "read_state":
-                worker.read_state(self.rows)
-            elif op == "write_state":
-                worker.write_state(self.rows, bool(task.get("residual")))
-            elif op == "close":
-                worker.close(abandon=bool(task.get("abandon")))
-            else:
-                raise TrainingError(f"unknown shard task op {op!r}")
+        elif op == "read_state":
+            worker.read_state(self.rows)
             return {"index": worker.index}
+        elif op == "write_state":
+            worker.write_state(self.rows, bool(task.get("residual")))
+            return {"index": worker.index}
+        elif op == "close":
+            worker.close(abandon=bool(task.get("abandon")))
+            return {"index": worker.index}
+        else:
+            raise TrainingError(f"unknown shard task op {op!r}")
         # Publish what the parent's host-CPU path may need before it can
         # see this response: the step's compressed stream, and after a
-        # demotion the salvaged masters (through ``upstream``) and
-        # optimizer states (through their rows).
+        # demotion the salvaged masters and optimizer states, through
+        # their rows.
         if op != "update" and worker.compressed is not None:
             np.copyto(self.stream[0], worker.compressed.indices)
             np.copyto(self.stream[1], worker.compressed.values)

@@ -70,37 +70,6 @@ class UpstreamSink(Protocol):
         masters must land in; leaving the block cleanly delivers them."""
 
 
-def build_shard_device(storage_dir: str, shard: Shard,
-                       config: TrainingConfig, optimizer,
-                       site=None) -> SmartSSDDevice:
-    """Create and lay out one shard's SmartSSD (file, regions, DRAM)."""
-    words = 2 + optimizer.states_per_param
-    capacity = 4 * shard.count * words + shard.count + (2 << 20)
-    device = SmartSSDDevice(
-        os.path.join(storage_dir, f"csd{shard.device_id}.img"),
-        capacity, device_id=shard.device_id, fault_site=site)
-    device.store.allocate(MASTERS, shard.count)
-    for name in optimizer.state_names:
-        device.store.allocate(name, shard.count)
-    if config.compression_ratio is None:
-        device.store.allocate("grads", shard.count)
-    else:
-        kept = keep_count(shard.count, config.compression_ratio)
-        device.store.allocate("comp_indices", kept, dtype=np.int32)
-        device.store.allocate("comp_values", kept, dtype=np.float32)
-    if config.quantized_upstream:
-        # §VIII-B: int8 masters + per-group scales, laid out so each
-        # subgroup owns a fixed stripe of the scales region.
-        max_sub = min(config.subgroup_elements, shard.count)
-        groups_per_sub = -(-max_sub // config.quantization_group)
-        num_subs = -(-shard.count // max_sub)
-        device.store.allocate("masters_q", shard.count, dtype=np.int8)
-        device.store.allocate("masters_scales",
-                              num_subs * groups_per_sub,
-                              dtype=np.float32)
-    return device
-
-
 def dense_shard_grads(compressed: Optional[CompressedGradient],
                       shard_grads: np.ndarray) -> np.ndarray:
     """The gradient vector the shard's update kernel would consume."""
@@ -199,11 +168,11 @@ class ShardWorker:
         self._grads: Optional[np.ndarray] = None
         max_sub = min(config.subgroup_elements, shard.count)
         self.subgroups = plan_subgroups(shard.count, max_sub)
+        self._edges = np.array(
+            [subgroup.start for subgroup in self.subgroups] + [shard.count])
         self._groups_per_sub = -(-max_sub // config.quantization_group)
         self.handler: Optional[TransferHandler] = None
-        site = faults.site(shard.device_id) if faults is not None else None
-        self.device = build_shard_device(storage_dir, shard, config,
-                                         optimizer, site)
+        self.device = self._open_device(storage_dir)
         try:
             # Initial state placement (setup traffic, not metered and
             # outside the fault domain).
@@ -228,6 +197,35 @@ class ShardWorker:
             # The caller never gets a handle to close.
             self.close(abandon=True)
             raise
+
+    def _open_device(self, storage_dir: str) -> SmartSSDDevice:
+        """Create and lay out this shard's SmartSSD (file, regions, DRAM)."""
+        shard, config, faults = self.shard, self.config, self.faults
+        words = 2 + self.optimizer.states_per_param
+        device = SmartSSDDevice(
+            os.path.join(storage_dir, f"csd{shard.device_id}.img"),
+            4 * shard.count * words + shard.count + (2 << 20),
+            device_id=shard.device_id,
+            fault_site=(faults.site(shard.device_id)
+                        if faults is not None else None))
+        device.store.allocate(MASTERS, shard.count)
+        for name in self.state_names:
+            device.store.allocate(name, shard.count)
+        if config.compression_ratio is None:
+            device.store.allocate("grads", shard.count)
+        else:
+            kept = keep_count(shard.count, config.compression_ratio)
+            device.store.allocate("comp_indices", kept, dtype=np.int32)
+            device.store.allocate("comp_values", kept, dtype=np.float32)
+        if config.quantized_upstream:
+            # §VIII-B: int8 masters + per-group scales, laid out so each
+            # subgroup owns a fixed stripe of the scales region.
+            device.store.allocate("masters_q", shard.count, dtype=np.int8)
+            device.store.allocate(
+                "masters_scales",
+                len(self.subgroups) * self._groups_per_sub,
+                dtype=np.float32)
+        return device
 
     # ------------------------------------------------------------------
     def _response(self) -> Dict[str, object]:
@@ -307,17 +305,17 @@ class ShardWorker:
         committed_params: Set[int] = set()
         committed_states: Set[Tuple[str, int]] = set()
         try:
-            try:
-                self._update_pass(step_count, resp, committed_params,
-                                  committed_states)
-            finally:
-                resp["internal_read"] = traffic.bytes_read - reads
-                resp["internal_write"] = traffic.bytes_written - writes
+            self._update_pass(step_count, resp, committed_params,
+                              committed_states)
         except (DeviceFailedError, RetryExhaustedError) as exc:
             self._demote(exc, resp, step_count,
                          in_flight=(committed_params, committed_states))
         finally:
             self._grads = None
+        # The salvage reads of a demotion are maintenance traffic, not
+        # P2P, so the delta is the pass's own whether or not it finished.
+        resp["internal_read"] = traffic.bytes_read - reads
+        resp["internal_write"] = traffic.bytes_written - writes
         return resp
 
     def step(self, grads: np.ndarray, step_count: int, lr: float,
@@ -419,11 +417,7 @@ class ShardWorker:
             raise
         # Subgroups tile [0, shard.count) in order, so one sorted lookup
         # of every boundary yields each subgroup's [lo, hi) stream slice.
-        edges = np.fromiter(
-            (subgroup.start for subgroup in self.subgroups),
-            dtype=np.int64, count=len(self.subgroups))
-        edges = np.append(edges, self.shard.count)
-        bounds = np.searchsorted(indices, edges, side="left")
+        bounds = np.searchsorted(indices, self._edges, side="left")
         decompressor = self.decompressor
 
         def load_compressed(subgroup: Subgroup,

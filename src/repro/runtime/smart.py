@@ -372,9 +372,3 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
             return
         self._closed = True
         self._release()
-
-    def __enter__(self) -> "SmartInfinityEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
