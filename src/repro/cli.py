@@ -1,12 +1,10 @@
 """Command-line interface.
 
-Eleven subcommands:
+Eight subcommands:
 
 * ``list-models`` — print the analytic model zoo (names, sizes, shapes).
 * ``simulate`` — run one DES training-iteration configuration and print
   its phase breakdown and speedup over the baseline.
-* ``analyze`` — per-channel bottleneck attribution for every method on
-  one machine, optionally with an ASCII occupancy timeline.
 * ``top`` — the bottleneck observatory dashboard: per-link utilization
   bars, the phase x resource ownership table, a bottleneck verdict, and
   a health/alerts pane (SLO rules over the attribution), over a fresh
@@ -27,9 +25,9 @@ Eleven subcommands:
   rates, link utilization) as rolling EWMA windows, the SLO alerts that
   fired, and the flight-recorder / incident-dump state; one-shot by
   default, ``--watch`` refreshes live.
-* ``sweep`` — sweep one axis (devices / model / ratio) and tabulate the
-  resulting speedups.
-* ``experiment`` — regenerate any paper table or figure by id.
+* ``experiment`` — regenerate a paper table or figure by id and print
+  it; with ``--write DIR`` write its result file instead, and with no id
+  every experiment's (this is how ``results/`` is produced).
 * ``trace`` — export a Chrome trace-event JSON (open in Perfetto)
   unifying the sim-time DES timeline with wall-clock telemetry spans
   from a functional-engine proxy run.
@@ -44,15 +42,14 @@ Examples::
 
     python -m repro list-models
     python -m repro simulate --model gpt2-8.4b --csds 10 --method su_o_c
-    python -m repro analyze --model gpt2-8.4b --csds 10 --timeline
     python -m repro top --once --model gpt2-4.0b --csds 10
     python -m repro top --once --trace gpt2-4.0b-su_o_c.trace.json
     python -m repro whatif --model gpt2-4.0b --csds 10
     python -m repro whatif --scale host-link-down=0.5 --validate
     python -m repro health --once --steps 5
     python -m repro health --fault-plan examples/chaos.json --chaos-seed 7
-    python -m repro sweep devices --model gpt2-4.0b
     python -m repro experiment fig9
+    python -m repro experiment --write results
     python -m repro trace --model gpt2-4.0b --csds 6 --method su_o_c
     python -m repro scenario list
     python -m repro scenario run examples/scenarios/dropout_recovery.json
@@ -60,19 +57,19 @@ Examples::
     python -m repro scenario replay examples/scenarios/dropout_recovery.json \\
         --log events.jsonl
 
-``simulate`` and ``analyze`` accept ``--metrics`` to print a
+``simulate`` and ``trace`` accept ``--metrics`` to print a
 Prometheus-style exposition of per-channel counters and gauges; ``top``
 extends it with the attribution series and can also write a structured
-JSONL event log (``--jsonl``).  Every engine-backed subcommand
-(``top``, ``whatif``, ``health``, ``trace``, ``scenario``)
-shares one flag vocabulary — ``--backend``, ``--workers``,
-``--fault-plan``, ``--chaos-seed``, ``--slo`` — with identical
-semantics everywhere (``top`` and ``whatif`` are simulation-only and
-note when they ignore the engine-side flags).  ``python -m repro
---version`` prints the package version.  ``--slo`` takes a JSON rules file (see ``examples/slo.json``);
-chaos runs of ``trace`` and ``health`` write automatic
-``smart-infinity/flightrec/v1`` dumps on incidents (``--dump-dir``,
-default ``flightrec/``).
+JSONL event log (``--jsonl``).  The subcommands that drive the
+functional engine (``health``, ``trace``, ``scenario``) share one flag
+vocabulary — ``--backend``, ``--workers``, ``--fault-plan``,
+``--chaos-seed``, ``--slo``, ``--schedule``, ``--activation-offload`` —
+with identical semantics everywhere; ``top`` and ``whatif`` are
+simulation-only and take just ``--schedule`` (and ``top`` ``--slo``).
+``python -m repro --version`` prints the package version.  ``--slo``
+takes a JSON rules file (see ``examples/slo.json``); chaos runs of
+``trace`` and ``health`` write automatic ``smart-infinity/flightrec/v1``
+dumps on incidents (``--dump-dir``, default ``flightrec/``).
 """
 
 from __future__ import annotations
@@ -87,20 +84,14 @@ from typing import List, Optional
 
 from . import telemetry
 from .errors import TelemetryError
-from .experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+from .experiments import REGISTRY, write_results
 from .faults import FaultPlan
-from .hw.gpu import a100_40g, a4000, a5000
-from .hw.topology import default_system
-from .nn.models import ZOO, get_model
-from .perf.analysis import compare_bottlenecks
-from .perf.scenarios import (EXTENSION_METHODS, METHODS,
-                             simulate_iteration, trace_scenario)
-from .perf.sweeps import render_sweep, sweep_devices, sweep_models, \
-    sweep_ratios
-from .perf.workload import make_workload
+from .hw.gpu import GPUS
+from .nn.models import ZOO
+from .perf.analysis import observe, resolve
+from .perf.scenarios import (EXTENSION_METHODS, METHODS, SCHEDULES,
+                             simulate_iteration)
 from .version import __version__
-
-_GPUS = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
 
 #: Where ``scenario`` looks for campaigns when none are given (relative
 #: to the working directory, i.e. a repo checkout).
@@ -120,15 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser(
         "simulate", help="simulate one training iteration")
-    simulate.add_argument("--model", default="gpt2-4.0b")
-    simulate.add_argument("--csds", type=int, default=10)
-    simulate.add_argument("--method", default="su_o_c",
-                          choices=METHODS + EXTENSION_METHODS)
-    simulate.add_argument("--gpu", default="a5000", choices=sorted(_GPUS))
+    _add_scenario_options(simulate)
     simulate.add_argument("--batch-size", type=int, default=4)
     simulate.add_argument("--optimizer", default="adam")
-    simulate.add_argument("--ratio", type=float, default=0.02,
-                          help="SmartComp volume ratio")
     simulate.add_argument("--schedule", default="phased",
                           choices=("phased", "interleaved"),
                           help="execution pipeline: phased or "
@@ -138,32 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="print a Prometheus-style exposition of "
                                "the simulated channel metrics")
 
-    analyze = commands.add_parser(
-        "analyze", help="per-channel bottleneck attribution")
-    analyze.add_argument("--model", default="gpt2-4.0b")
-    analyze.add_argument("--csds", type=int, default=10)
-    analyze.add_argument("--gpu", default="a5000", choices=sorted(_GPUS))
-    analyze.add_argument("--timeline", action="store_true",
-                         help="render an ASCII occupancy timeline of the "
-                              "baseline and SU+O+C runs")
-    analyze.add_argument("--metrics", action="store_true",
-                         help="print a Prometheus-style exposition of "
-                              "per-channel metrics for baseline and "
-                              "SU+O+C")
-
     top = commands.add_parser(
         "top", help="bottleneck observatory: per-link utilization, "
                     "phase x resource ownership, verdict")
     top.add_argument("--trace", default=None, metavar="TRACE_JSON",
                      help="attribute a finished Chrome trace-event file "
                           "instead of running a fresh simulation")
-    top.add_argument("--model", default="gpt2-4.0b")
-    top.add_argument("--csds", type=int, default=10)
-    top.add_argument("--method", default="su_o_c",
-                     choices=METHODS + EXTENSION_METHODS)
-    top.add_argument("--gpu", default="a5000", choices=sorted(_GPUS))
-    top.add_argument("--ratio", type=float, default=0.02,
-                     help="SmartComp volume ratio")
+    _add_scenario_options(top)
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (default: refresh "
                           "live every --interval seconds until Ctrl-C)")
@@ -175,19 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--metrics", action="store_true",
                      help="also print the Prometheus-style exposition "
                           "of the attribution series")
-    _add_shared_options(top)
+    _add_schedule_option(top)
+    _add_slo_option(top)
 
     whatif = commands.add_parser(
         "whatif", help="critical-path what-if engine: dependency DAG, "
                        "slack, and ranked counterfactual projections "
                        "over one simulated iteration")
-    whatif.add_argument("--model", default="gpt2-4.0b")
-    whatif.add_argument("--csds", type=int, default=10)
-    whatif.add_argument("--method", default="su_o_c",
-                        choices=METHODS + EXTENSION_METHODS)
-    whatif.add_argument("--gpu", default="a5000", choices=sorted(_GPUS))
-    whatif.add_argument("--ratio", type=float, default=0.02,
-                        help="SmartComp volume ratio")
+    _add_scenario_options(whatif)
     whatif.add_argument(
         "--scale", action="append", default=None, metavar="CHANNEL=FACTOR",
         help="project the named channel's transfers taking FACTOR times "
@@ -223,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jsonl", default=None, metavar="EVENTS_JSONL",
         help="write the critical path, projections, and validations as "
              "a smart-infinity/critpath/v1 JSONL event log")
-    _add_shared_options(whatif)
+    _add_schedule_option(whatif)
 
     health = commands.add_parser(
         "health", help="step-health monitor: per-step signals, SLO "
@@ -249,17 +210,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "--interval seconds until Ctrl-C")
     health.add_argument("--interval", type=float, default=2.0,
                         help="refresh period for --watch (default 2)")
-    _add_shared_options(health)
+    _add_engine_options(health)
 
     trace = commands.add_parser(
         "trace", help="export a Chrome trace-event JSON for Perfetto")
-    trace.add_argument("--model", default="gpt2-4.0b")
-    trace.add_argument("--csds", type=int, default=6)
-    trace.add_argument("--method", default="su_o_c",
-                       choices=METHODS + EXTENSION_METHODS)
-    trace.add_argument("--gpu", default="a5000", choices=sorted(_GPUS))
-    trace.add_argument("--ratio", type=float, default=0.02,
-                       help="SmartComp volume ratio")
+    _add_scenario_options(trace, csds=6)
     trace.add_argument("--out", default=None,
                        help="output path (default "
                             "<model>-<method>.trace.json)")
@@ -270,22 +225,19 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--metrics", action="store_true",
                        help="also print the Prometheus-style metrics "
                             "collected during the trace")
-    _add_shared_options(trace)
-
-    sweep = commands.add_parser(
-        "sweep", help="sweep one axis and tabulate speedups")
-    sweep.add_argument("axis", choices=("devices", "model", "ratio"))
-    sweep.add_argument("--model", default="gpt2-4.0b")
-    sweep.add_argument("--max-devices", type=int, default=10)
-    sweep.add_argument("--method", default="su_o_c",
-                       choices=METHODS[1:] + EXTENSION_METHODS)
+    _add_engine_options(trace)
 
     experiment = commands.add_parser(
-        "experiment", help="regenerate a paper table/figure")
+        "experiment", help="regenerate a paper table/figure (or, with "
+                           "--write and no id, every result file)")
     experiment.add_argument(
-        "id",
-        choices=sorted(ALL_EXPERIMENTS) + sorted(EXTENSION_EXPERIMENTS),
-        help="experiment id (e.g. fig9, table1, ext_bottlenecks)")
+        "id", nargs="?", choices=list(REGISTRY),
+        help="experiment id (e.g. fig9, table1, ext_bottlenecks); "
+             "omit it with --write to run them all")
+    experiment.add_argument(
+        "--write", default=None, metavar="DIR",
+        help="write <stem>.txt result file(s) under DIR instead of "
+             "printing (the committed ones live in results/)")
 
     scenario = commands.add_parser(
         "scenario", help="declarative chaos + workload campaigns: "
@@ -309,19 +261,47 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log", default=None, metavar="EVENTS_JSONL",
         help="run (single scenario): write the event log here; "
              "replay: the previous run's log to byte-compare against")
-    _add_shared_options(scenario)
+    _add_engine_options(scenario)
     return parser
 
 
-def _add_shared_options(subparser) -> None:
-    """The flag vocabulary shared by every engine-backed subcommand.
+def _add_scenario_options(subparser, csds: int = 10) -> None:
+    """The flags that name one DES scenario (``perf.analysis.resolve``
+    and ``observe`` take exactly these)."""
+    subparser.add_argument("--model", default="gpt2-4.0b")
+    subparser.add_argument("--csds", type=int, default=csds)
+    subparser.add_argument("--method", default="su_o_c",
+                           choices=METHODS + EXTENSION_METHODS)
+    subparser.add_argument("--gpu", default="a5000", choices=sorted(GPUS))
+    subparser.add_argument("--ratio", type=float, default=0.02,
+                           help="SmartComp volume ratio")
 
-    One definition keeps ``--backend``/``--workers``/``--fault-plan``/
-    ``--chaos-seed``/``--slo`` byte-identical (names, defaults, help)
-    across ``top``, ``health``, ``trace`` and ``scenario``.
-    ``--backend`` defaults to None so handlers can tell "explicitly
-    thread" from "unset" (``top`` ignores engine-side flags with a
-    notice; everything else falls back to thread).
+
+def _add_schedule_option(subparser) -> None:
+    subparser.add_argument(
+        "--schedule", default=None, choices=SCHEDULES,
+        help="execution pipeline: phased (offload barrier, then "
+             "update) or interleaved (per-block offload+update "
+             "enqueued as backprop produces gradients); training "
+             "output is bit-identical either way (default phased)")
+
+
+def _add_slo_option(subparser) -> None:
+    subparser.add_argument(
+        "--slo", default=None, metavar="RULES_JSON",
+        help="SLO rules file (examples/slo.json shape) replacing the "
+             "built-in rule set")
+
+
+def _add_engine_options(subparser) -> None:
+    """The flag vocabulary of the subcommands that drive the functional
+    engine (``health``, ``trace``, ``scenario``).
+
+    One definition keeps the flags byte-identical (names, defaults,
+    help) across them.  Defaults are None so ``scenario`` can tell
+    "explicitly thread" from "unset" and leave a campaign's own choice
+    alone; ``health`` and ``trace`` fall back to thread / phased /
+    recompute.
     """
     subparser.add_argument(
         "--backend", default=None,
@@ -344,17 +324,8 @@ def _add_shared_options(subparser) -> None:
         help="re-seed the fault plan (or, without --fault-plan, enable "
              "the default transient-chaos plan) with SEED; for "
              "scenario runs this re-seeds the whole campaign")
-    subparser.add_argument(
-        "--slo", default=None, metavar="RULES_JSON",
-        help="SLO rules file (examples/slo.json shape) replacing the "
-             "built-in rule set")
-    subparser.add_argument(
-        "--schedule", default=None,
-        choices=("phased", "interleaved"),
-        help="execution pipeline: phased (offload barrier, then "
-             "update) or interleaved (per-block offload+update "
-             "enqueued as backprop produces gradients); training "
-             "output is bit-identical either way (default phased)")
+    _add_slo_option(subparser)
+    _add_schedule_option(subparser)
     subparser.add_argument(
         "--activation-offload", default=None,
         choices=("recompute", "spill"),
@@ -402,14 +373,13 @@ def _cmd_list_models(_args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    workload = make_workload(get_model(args.model),
-                             batch_size=args.batch_size,
-                             optimizer=args.optimizer)
-    system = default_system(num_csds=args.csds, gpu=_GPUS[args.gpu]())
-    trace = trace_scenario(system, workload, args.method,
-                           compression_ratio=args.ratio,
-                           schedule=args.schedule)
-    breakdown = trace.breakdown
+    system, workload = resolve(args.model, args.csds, args.gpu,
+                               batch_size=args.batch_size,
+                               optimizer=args.optimizer)
+    observed = observe(system, workload, args.method,
+                       compression_ratio=args.ratio,
+                       schedule=args.schedule)
+    breakdown = observed.breakdown
     base = simulate_iteration(system, workload, "baseline")
     print(f"model {args.model}, {args.csds} device(s), {args.gpu}, "
           f"method {args.method}"
@@ -424,55 +394,14 @@ def _cmd_simulate(args) -> int:
     if args.metrics:
         registry = telemetry.MetricsRegistry()
         telemetry.record_channel_metrics(
-            registry, trace.fabric.all_channels(),
+            registry, observed.channels,
             horizon=breakdown.total, method=args.method)
         print()
         print(registry.render_prometheus(), end="")
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    workload = make_workload(get_model(args.model))
-    system = default_system(num_csds=args.csds, gpu=_GPUS[args.gpu]())
-    for method, analysis in compare_bottlenecks(system, workload).items():
-        print(analysis.render())
-        print()
-    if args.timeline:
-        from .perf.scenarios import run_scenario
-        from .sim.trace import render_timeline
-        for method in ("baseline", "su_o_c"):
-            breakdown, fabric = run_scenario(system, workload, method)
-            channels = [fabric.link_up, fabric.link_down, fabric.cpu,
-                        fabric.devices[0].nand_read,
-                        fabric.devices[0].nand_write,
-                        fabric.devices[0].fpga_updater]
-            print(f"--- {method} ---")
-            print(render_timeline(channels, horizon=breakdown.total))
-            print()
-    if args.metrics:
-        registry = telemetry.MetricsRegistry()
-        for method in ("baseline", "su_o_c"):
-            trace = trace_scenario(system, workload, method)
-            telemetry.record_channel_metrics(
-                registry, trace.fabric.all_channels(),
-                horizon=trace.breakdown.total, method=method)
-        print(registry.render_prometheus(), end="")
-    return 0
-
-
 def _cmd_top(args) -> int:
-    # top shares the engine flag vocabulary but renders simulations /
-    # finished traces, so the engine-side flags have nothing to act on.
-    ignored = [flag for flag, value in (
-        ("--backend", args.backend), ("--workers", args.workers),
-        ("--fault-plan", args.fault_plan),
-        ("--chaos-seed", args.chaos_seed),
-        ("--activation-offload", args.activation_offload))
-        if value is not None]
-    if ignored:
-        print(f"[top is simulation-only; ignoring "
-              f"{', '.join(ignored)} — use health/trace/scenario "
-              "to drive the functional engine]")
     slo_rules = (telemetry.load_slo_rules(args.slo)
                  if args.slo is not None else None)
 
@@ -532,18 +461,6 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_whatif(args) -> int:
-    # whatif, like top, shares the engine flag vocabulary but replays a
-    # simulated iteration, so every engine-side flag is ignorable.
-    ignored = [flag for flag, value in (
-        ("--backend", args.backend), ("--workers", args.workers),
-        ("--fault-plan", args.fault_plan),
-        ("--chaos-seed", args.chaos_seed), ("--slo", args.slo),
-        ("--activation-offload", args.activation_offload))
-        if value is not None]
-    if ignored:
-        print(f"[whatif is simulation-only; ignoring "
-              f"{', '.join(ignored)} — use health/trace/scenario "
-              "to drive the functional engine]")
     schedule = args.schedule or "phased"
     if args.interleave and schedule == "interleaved":
         print("--interleave projects the schedule change from a phased "
@@ -564,25 +481,21 @@ def _cmd_whatif(args) -> int:
             return 2
         scales.append((channel, factor))
 
-    workload = make_workload(get_model(args.model))
-    system = default_system(num_csds=args.csds, gpu=_GPUS[args.gpu]())
-    trace = trace_scenario(system, workload, args.method,
-                           compression_ratio=args.ratio,
-                           schedule=schedule)
-    graph = telemetry.DepGraph.from_channels(trace.fabric.all_channels(),
-                                             trace.phase_windows)
-    if not graph.nodes:
+    observed = observe(*resolve(args.model, args.csds, args.gpu),
+                       args.method, compression_ratio=args.ratio,
+                       schedule=schedule)
+    graph, report = observed.graph, observed.critpath
+    if report is None:
         print("critical path: no dependency data (the simulated "
               "iteration recorded no transfers)")
         return 0
-    known = {channel.name for channel in trace.fabric.all_channels()}
+    known = {channel.name for channel in observed.channels}
     for channel, _factor in scales:
         if channel not in known:
             print(f"unknown channel {channel!r}; this run has: "
                   f"{', '.join(sorted(known))}")
             return 2
 
-    report = graph.critical_path()
     print(f"what-if observatory — sim:{args.model}/{args.method} "
           f"({args.csds} CSDs, {args.gpu}"
           + ("" if schedule == "phased" else f", {schedule}") + ")")
@@ -607,26 +520,21 @@ def _cmd_whatif(args) -> int:
     validations = []
     exit_code = 0
     if args.validate:
+        named = dict(model=args.model, csds=args.csds, method=args.method,
+                     gpu=args.gpu, ratio=args.ratio,
+                     base=(observed.trace, graph))
         if args.interleave:
-            validation = telemetry.validate_interleave(
-                model=args.model, csds=args.csds, method=args.method,
-                gpu=args.gpu, ratio=args.ratio, base=(trace, graph))
-            validations.append(validation)
-            ok = validation.error <= args.max_error
-            print(("PASS " if ok else "FAIL ") + validation.render())
-            if not ok:
-                exit_code = 1
+            validations.append(telemetry.validate_interleave(**named))
         # Without explicit --scale flags (and not in interleave mode),
         # probe the busiest resource — the one whose projection a
         # reader is most likely to act on.
         targets = scales if (scales or args.interleave) \
             else [(graph.resources()[0], 1.5)]
-        for channel, factor in targets:
-            validation = telemetry.validate_scale(
-                channel, factor, model=args.model, csds=args.csds,
-                method=args.method, gpu=args.gpu, ratio=args.ratio,
-                schedule=schedule, base=(trace, graph))
-            validations.append(validation)
+        validations += [
+            telemetry.validate_scale(channel, factor, schedule=schedule,
+                                     **named)
+            for channel, factor in targets]
+        for validation in validations:
             ok = validation.error <= args.max_error
             print(("PASS " if ok else "FAIL ") + validation.render())
             if not ok:
@@ -710,16 +618,15 @@ def _run_functional_proxy(num_csds: int, method: str, ratio: float,
 
 def _cmd_trace(args) -> int:
     out = args.out or f"{args.model}-{args.method}.trace.json"
-    workload = make_workload(get_model(args.model))
-    system = default_system(num_csds=args.csds, gpu=_GPUS[args.gpu]())
+    system, workload = resolve(args.model, args.csds, args.gpu)
     fault_plan = _resolve_fault_plan(args)
     proxy = None
     with telemetry.session() as session:
         with telemetry.trace_span("des.simulate", model=args.model,
                                   method=args.method, csds=args.csds):
-            trace = trace_scenario(system, workload, args.method,
-                                   compression_ratio=args.ratio,
-                                   schedule=args.schedule or "phased")
+            trace = observe(system, workload, args.method,
+                            compression_ratio=args.ratio,
+                            schedule=args.schedule or "phased").trace
         if not args.skip_functional:
             with telemetry.trace_span("functional.proxy",
                                       method=args.method,
@@ -830,8 +737,16 @@ def _cmd_health(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
-    print(registry[args.id].run().render())
+    if args.write is not None:
+        ids = [args.id] if args.id is not None else None
+        for path in write_results(args.write, ids).values():
+            print(f"wrote {path}")
+    elif args.id is None:
+        print("experiment needs an id to print, or --write DIR to "
+              "regenerate every result file")
+        return 2
+    else:
+        print(REGISTRY[args.id].run().render())
     return 0
 
 
@@ -963,28 +878,9 @@ def _cmd_scenario(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_sweep(args) -> int:
-    if args.axis == "devices":
-        rows = sweep_devices(args.model,
-                             counts=range(1, args.max_devices + 1),
-                             method=args.method)
-        print(render_sweep(rows, "#devices"))
-    elif args.axis == "model":
-        from .nn.models import models_by_family
-        names = [spec.name for spec in models_by_family("gpt2")]
-        rows = sweep_models(names, method=args.method)
-        print(render_sweep(rows, "model"))
-    else:
-        rows = sweep_ratios(args.model, ratios=(0.01, 0.02, 0.05, 0.10))
-        print(render_sweep(rows, "ratio"))
-    return 0
-
-
 _HANDLERS = {
     "list-models": _cmd_list_models,
-    "sweep": _cmd_sweep,
     "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
     "top": _cmd_top,
     "whatif": _cmd_whatif,
     "health": _cmd_health,

@@ -3,7 +3,6 @@
 from .alternatives import (LowRankGradient, compress_lowrank,
                            compress_randomk, decompress_lowrank)
 from .error_feedback import ErrorFeedback, compress_with_feedback
-from .onebit import OneBitGradient, compress_onebit, decompress_onebit
 from .topk import (CompressedGradient, compress_topk, compression_error,
                    decompress_topk, keep_count)
 
@@ -11,9 +10,6 @@ __all__ = [
     "CompressedGradient",
     "ErrorFeedback",
     "LowRankGradient",
-    "OneBitGradient",
-    "compress_onebit",
-    "decompress_onebit",
     "compress_lowrank",
     "compress_randomk",
     "compress_topk",

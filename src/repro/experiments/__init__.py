@@ -1,9 +1,18 @@
-"""Per-experiment reproduction modules (one per paper table/figure)."""
+"""Per-experiment reproduction modules (one per paper table/figure).
+
+Every module has ``run()`` returning a result with ``render()``, and a
+``RESULT_STEM``: its committed output is ``results/<RESULT_STEM>.txt``,
+written by :func:`write_results` (``python -m repro experiment --write
+results``) and held byte for byte by ``tests/test_golden_results.py``.
+"""
+
+import os
+from typing import Dict, Iterable, Optional
 
 from . import (ext_bottlenecks, ext_csd_sensitivity, ext_modelcomp, fig3,
                fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
                fig17, table1, table3, table4)
-from .report import fmt_bytes, render_table
+from .report import WALLCLOCK, fmt_bytes, pinned, render_table
 
 #: Extension studies beyond the paper's evaluation section.
 EXTENSION_EXPERIMENTS = {
@@ -12,7 +21,7 @@ EXTENSION_EXPERIMENTS = {
     "ext_modelcomp": ext_modelcomp,
 }
 
-#: Experiment registry: id -> module (each has run() and Result.render()).
+#: The paper's tables and figures: id -> module.
 ALL_EXPERIMENTS = {
     "fig3": fig3,
     "table1": table1,
@@ -29,6 +38,32 @@ ALL_EXPERIMENTS = {
     "table4": table4,
 }
 
-__all__ = (["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "fmt_bytes",
-            "render_table"] + sorted(ALL_EXPERIMENTS)
-           + sorted(EXTENSION_EXPERIMENTS))
+#: Everything ``python -m repro experiment`` can run.
+REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+
+
+def result_text(experiment_id: str) -> str:
+    """Run one experiment; the text of its result file."""
+    return REGISTRY[experiment_id].run().render() + "\n"
+
+
+def write_results(directory: str,
+                  experiment_ids: Optional[Iterable[str]] = None
+                  ) -> Dict[str, str]:
+    """Run experiments (default: all) and write each one's result file
+    under ``directory``; returns id -> path."""
+    os.makedirs(directory, exist_ok=True)
+    paths = {}
+    for experiment_id in experiment_ids or REGISTRY:
+        path = os.path.join(
+            directory, REGISTRY[experiment_id].RESULT_STEM + ".txt")
+        with open(path, "w") as handle:
+            handle.write(result_text(experiment_id))
+        paths[experiment_id] = path
+    return paths
+
+
+__all__ = (["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "REGISTRY",
+            "WALLCLOCK", "fmt_bytes", "pinned", "render_table",
+            "result_text", "write_results"]
+           + sorted(REGISTRY))

@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..hw.topology import default_system
-from ..nn.models import get_model
-from ..perf.analysis import IterationAnalysis, compare_bottlenecks
-from ..perf.workload import make_workload
+from ..perf.analysis import Observation, observe, resolve
+from ..perf.scenarios import METHODS
+
+RESULT_STEM = "ext_bottlenecks"
 
 
 @dataclass(frozen=True)
 class BottleneckResult:
     """Per-method channel attribution for one machine."""
 
-    analyses: Dict[str, IterationAnalysis]
+    analyses: Dict[str, Observation]
 
     def baseline_bound_by_shared_link(self) -> bool:
         return self.analyses["baseline"].bottleneck.name.startswith(
@@ -46,11 +46,6 @@ class BottleneckResult:
 def run(model_name: str = "gpt2-8.4b",
         num_csds: int = 10) -> BottleneckResult:
     """Attribute each method's time to fabric channels."""
-    workload = make_workload(get_model(model_name))
-    system = default_system(num_csds=num_csds)
-    return BottleneckResult(
-        analyses=compare_bottlenecks(system, workload))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())
+    system, workload = resolve(model_name, num_csds)
+    return BottleneckResult(analyses={
+        method: observe(system, workload, method) for method in METHODS})

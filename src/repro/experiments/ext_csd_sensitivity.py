@@ -22,6 +22,8 @@ from ..perf.scenarios import simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "ext_csd_sensitivity"
+
 PRODUCTS = ("smartssd", "noload", "csd3000", "gen5")
 
 
@@ -73,7 +75,3 @@ def run(model_name: str = "gpt2-8.4b",
         bandwidth[name] = csd.p2p_read_bandwidth
     return CSDSensitivityResult(speedups=speedups, iteration_times=times,
                                 internal_bandwidth=bandwidth)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

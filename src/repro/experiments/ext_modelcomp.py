@@ -30,6 +30,8 @@ from ..api import create_engine
 from ..runtime.engine import TrainingConfig
 from .report import render_table
 
+RESULT_STEM = "ext_modelcomp"
+
 
 @dataclass(frozen=True)
 class ModelCompResult:
@@ -128,7 +130,3 @@ def run(epochs: int = 5) -> ModelCompResult:
     return ModelCompResult(accuracies=accuracies, upstream_bytes=upstream,
                            modelled_speedup=modelled,
                            pruned_zero_fraction=zeros)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -16,6 +16,8 @@ from ..perf.scenarios import simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig10_large_models"
+
 LARGE_MODELS = ("gpt2-16.6b", "gpt2-24.6b", "gpt2-33.0b")
 SSD_COUNTS = (6, 10)
 
@@ -60,7 +62,3 @@ def run(models=LARGE_MODELS, ssd_counts=SSD_COUNTS,
             speedups[(model_name, num_ssds)] = base.total / smart.total
             totals[(model_name, num_ssds)] = (base.total, smart.total)
     return Fig10Result(speedups=speedups, totals=totals)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

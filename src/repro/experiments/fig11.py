@@ -22,6 +22,8 @@ from ..perf.scenarios import PhaseBreakdown, simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig11_scaling"
+
 MODEL = "gpt2-4.0b"
 
 
@@ -102,7 +104,3 @@ def run(max_ssds: int = 10, batch_size: int = 4,
             "smart": simulate_iteration(system, workload, "su_o_c"),
         }
     return Fig11Result(series=series, breakdowns=breakdowns)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -19,6 +19,8 @@ from ..perf.scenarios import simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig12_optimizers"
+
 MODEL = "gpt2-4.0b"
 OPTIMIZERS = ("adam", "sgd", "adagrad")
 
@@ -69,7 +71,3 @@ def run(ssd_counts=(6, 10), batch_size: int = 4,
             smart = simulate_iteration(system, workload, "su_o_c").total
             speedups[optimizer_name][count] = base / smart
     return Fig12Result(speedups=speedups, states_per_param=states)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -26,6 +26,8 @@ from ..api import create_engine
 from ..runtime.engine import TrainingConfig
 from .report import render_table
 
+RESULT_STEM = "fig13_models"
+
 MODELS = ("bloom-7.1b", "vit-1.9b")
 
 
@@ -119,7 +121,3 @@ def run(ssd_counts=(6, 10), batch_size: int = 4,
         functional["bloom-tiny"] = _train_tiny_bloom()
         functional["vit-tiny"] = _train_tiny_vit()
     return Fig13Result(speedups=speedups, functional_loss=functional)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -20,7 +20,10 @@ from ..compression.topk import compress_topk
 from ..csd.kernels import DecompressorKernel, UpdaterKernel
 from ..hw.csd import smartssd
 from ..optim import Adam
-from .report import render_table
+from ..perf.analysis import observe, resolve
+from .report import WALLCLOCK, render_table
+
+RESULT_STEM = "fig14_throughput"
 
 GB = 1e9
 
@@ -62,14 +65,8 @@ class Fig14Result:
     def render(self) -> str:
         rows = [(name, f"{value / GB:.2f} GB/s")
                 for name, value in self.modelled.items()]
-        part_a = render_table(("module", "throughput"), rows,
-                              title="Fig 14 (hardware model)")
-        rows_b = [(name, f"{value / GB:.2f} GB/s")
-                  for name, value in self.measured.items()]
-        part_b = render_table(
-            ("functional kernel", "throughput on this host"), rows_b,
-            title="Functional emulator throughput (numpy)")
-        parts = [part_a, part_b]
+        parts = [render_table(("module", "throughput"), rows,
+                              title="Fig 14 (hardware model)")]
         if self.pipeline:
             rows_c = [(name,
                        f"{value:.1%}",
@@ -81,6 +78,13 @@ class Fig14Result:
                 rows_c,
                 title="Attributed SU+O+C pipeline occupancy (device 0, "
                       "busy fraction of step)"))
+        if self.measured:
+            rows_b = [(name, f"{value / GB:.2f} GB/s")
+                      for name, value in self.measured.items()]
+            parts.append(render_table(
+                ("functional kernel", "throughput on this host"), rows_b,
+                title=f"{WALLCLOCK}: functional emulator throughput "
+                      "(numpy)"))
         return "\n\n".join(parts)
 
 
@@ -122,19 +126,8 @@ def _attributed_pipeline(model: str = "gpt2-4.0b",
                          schedule: str = "phased") -> Dict[str, float]:
     """Busy fraction of device 0's channels in an attributed SU+O+C
     iteration — the occupancy view of the figure's bandwidth claim."""
-    from ..hw.topology import default_system
-    from ..nn.models import get_model
-    from ..perf.scenarios import trace_scenario
-    from ..perf.workload import make_workload
-    from ..telemetry.attrib import attribute_channels
-
-    workload = make_workload(get_model(model))
-    system = default_system(num_csds=num_csds)
-    trace = trace_scenario(system, workload, "su_o_c",
-                           schedule=schedule)
-    attribution = attribute_channels(
-        trace.phase_windows, trace.fabric.all_channels(),
-        horizon=trace.breakdown.total)
+    attribution = observe(*resolve(model, num_csds), "su_o_c",
+                          schedule=schedule).attribution
     wanted = ("ssd0-read", "ssd0-write", "csd0-updater",
               "csd0-decompressor")
     return {name: attribution.usage[name].utilization
@@ -159,7 +152,3 @@ def run(measure: bool = True) -> Fig14Result:
         pipeline=_attributed_pipeline(),
         pipeline_interleaved=_attributed_pipeline(
             schedule="interleaved"))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

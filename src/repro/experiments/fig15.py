@@ -17,6 +17,8 @@ from ..perf.scenarios import simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig15_cost"
+
 MODEL = "gpt2-4.0b"
 
 
@@ -75,7 +77,3 @@ def run(max_devices: int = 10, batch_size: int = 4) -> Fig15Result:
         series["smart"].append(
             cost_efficiency(system, workload, "su_o_c", smart))
     return Fig15Result(series=series)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -15,6 +15,8 @@ from ..perf.scenarios import simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig16_ratio"
+
 MODEL = "gpt2-4.0b"
 RATIOS = (0.01, 0.02, 0.05, 0.10)
 
@@ -60,7 +62,3 @@ def run(num_ssds: int = 10, batch_size: int = 4,
         speedups[ratio] = base / smart
     return Fig16Result(speedups=speedups,
                        uncompressed_speedup=base / plain)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

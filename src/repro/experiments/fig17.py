@@ -19,6 +19,8 @@ from ..perf.scenarios import PhaseBreakdown, simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig17_multigpu"
+
 MODEL = "gpt2-1.16b"
 
 
@@ -68,7 +70,3 @@ def run(num_csds: int = 10, batch_size: int = 4,
             "smart": simulate_iteration(system, workload, "su_o_c"),
         }
     return Fig17Result(breakdowns=breakdowns)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

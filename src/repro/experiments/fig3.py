@@ -21,6 +21,8 @@ from ..perf.scenarios import PhaseBreakdown, simulate_iteration
 from ..perf.workload import make_workload
 from .report import render_table
 
+RESULT_STEM = "fig03_motivation"
+
 MOTIVATION_MODELS = ("gpt2-1.16b", "gpt2-4.0b", "gpt2-8.4b")
 
 
@@ -77,7 +79,3 @@ def run(max_ssds: int = 10, batch_size: int = 4) -> Fig3Result:
     ]
     speedups = [times[0] / t for t in times]
     return Fig3Result(breakdowns=breakdowns, raid_speedups=speedups)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

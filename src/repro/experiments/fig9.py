@@ -21,10 +21,13 @@ from typing import Dict, List, Tuple
 
 from ..hw.topology import default_system
 from ..nn.models import get_model
-from ..perf.scenarios import METHODS, PhaseBreakdown, trace_scenario
+from ..perf.analysis import observe
+from ..perf.scenarios import METHODS, PhaseBreakdown
 from ..perf.workload import make_workload
-from ..telemetry.attrib import BottleneckVerdict, attribute_channels
+from ..telemetry.attrib import BottleneckVerdict
 from .report import render_table
+
+RESULT_STEM = "fig09_ablation"
 
 GRID_MODELS = ("gpt2-1.16b", "gpt2-4.0b", "gpt2-8.4b",
                "bert-1.2b", "bert-4.0b", "bert-8.3b")
@@ -87,10 +90,7 @@ def _simulate_cell(system, workload) -> Tuple[
     breakdowns: Dict[str, PhaseBreakdown] = {}
     verdicts: Dict[str, BottleneckVerdict] = {}
     for method in METHODS:
-        trace = trace_scenario(system, workload, method)
-        attribution = attribute_channels(
-            trace.phase_windows, trace.fabric.all_channels(),
-            horizon=trace.breakdown.total)
+        attribution = observe(system, workload, method).attribution
         totals = attribution.phase_totals()
         breakdowns[method] = PhaseBreakdown(
             forward=totals.get("forward", 0.0),
@@ -114,7 +114,3 @@ def run(models=GRID_MODELS, ssd_counts=SSD_COUNTS,
             results[(model_name, num_ssds)] = cell
             bottlenecks[(model_name, num_ssds)] = verdicts
     return Fig9Result(results=results, bottlenecks=bottlenecks)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -9,6 +9,16 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+#: Opens a result's wall-clock block.  Such a block is rendered last, so
+#: the text before it repeats byte for byte on any host and is what
+#: ``tests/test_golden_results.py`` holds the committed file to.
+WALLCLOCK = "Wall-clock on the generating host (not pinned)"
+
+
+def pinned(text: str) -> str:
+    """``text`` without its wall-clock block (all of it if none)."""
+    return text.partition(WALLCLOCK)[0]
+
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  title: str = "") -> str:

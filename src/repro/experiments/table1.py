@@ -23,6 +23,8 @@ from ..runtime.partition import distribute_shards
 from ..runtime.stats import expected_traffic
 from .report import render_table
 
+RESULT_STEM = "table1_traffic"
+
 METHOD_LABELS = {
     "baseline": "ZeRO-Inf",
     "smartupdate": "SmartUpdate",
@@ -134,7 +136,3 @@ def run(model_name: str = "gpt2-4.0b") -> Table1Result:
         num_params_measured=num_params,
         measured=measured,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

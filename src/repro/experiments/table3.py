@@ -21,6 +21,8 @@ from ..csd.hls import updater_design
 from ..hw.fpga import ku15p
 from .report import render_table
 
+RESULT_STEM = "table3_resources"
+
 #: The published utilization percentages.
 PAPER_UTILIZATION = {
     "adam": {"LUT": 33.66, "BRAM": 27.13, "URAM": 34.38, "DSP": 11.03},
@@ -61,7 +63,3 @@ def run() -> Table3Result:
         "adam+topk": updater_design(
             "adam", with_decompressor=True).utilization(fpga),
     })
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -33,6 +33,8 @@ from ..api import create_engine
 from ..runtime.engine import TrainingConfig
 from .report import render_table
 
+RESULT_STEM = "table4_finetune"
+
 FINETUNE_MODELS = ("bert-0.34b", "gpt2-0.77b", "gpt2-1.6b")
 COMPRESSION_RATIOS = (0.10, 0.05, 0.02, 0.01)
 METHOD_ORDER = ("baseline", "su_o", "comp_10", "comp_5", "comp_2", "comp_1")
@@ -154,7 +156,3 @@ def run(tasks=("mnli", "qqp", "sst2", "qnli"), epochs: int = 3,
                 base / smart)
     return Table4Result(accuracies=accuracies, speedups=speedups,
                         tasks=tuple(tasks))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().render())

@@ -71,3 +71,7 @@ def a4000() -> GPUSpec:
     multi-GPU expansion topology of the paper's discussion section."""
     return GPUSpec(name="RTX-A4000", memory_bytes=16 * GB,
                    peak_flops=76 * TFLOP, cost_usd=1100.0)
+
+
+#: Catalog names the CLI's ``--gpu`` accepts, and what each one builds.
+GPUS = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}

@@ -1,7 +1,13 @@
-"""Bottleneck analysis over simulated iterations.
+"""One simulated iteration and everything the observers read off it.
 
-Answers the "where does the time go" questions behind the paper's
-narrative, per method:
+:func:`resolve` turns the names a command line carries (model, device
+count, GPU) into the DES's inputs; :func:`observe` runs one scenario and
+returns an :class:`Observation` — the timeline plus, on first use, the
+channel summaries, the phase x resource attribution and the critical
+path.  ``simulate``, ``top``, ``whatif``, ``trace`` and the
+``ext_bottlenecks`` experiment all go through these two, so the "where
+does the time go" answers behind the paper's narrative are computed one
+way:
 
 * baseline — the shared host interconnect saturates (Fig. 3b);
 * SmartUpdate — the bottleneck moves to the per-device NAND channels,
@@ -12,38 +18,80 @@ narrative, per method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..hw.topology import SystemSpec
+from ..hw.gpu import GPUS
+from ..hw.topology import SystemSpec, default_system
+from ..nn.models import get_model
+from ..sim.resources import Channel
 from ..sim.trace import (ChannelSummary, summarize_channels,
                          traffic_by_tag)
 from ..telemetry.attrib import Attribution, attribute_channels
 from ..telemetry.critpath import CritPathReport, DepGraph
-from .scenarios import PhaseBreakdown, trace_scenario
-from .workload import Workload
+from .scenarios import PhaseBreakdown, ScenarioTrace, trace_scenario
+from .workload import Workload, make_workload
 
 
-@dataclass(frozen=True)
-class IterationAnalysis:
-    """Breakdown plus channel-level attribution of one simulated run."""
+def resolve(model: str, csds: int, gpu: str = "a5000",
+            **workload_kwargs) -> Tuple[SystemSpec, Workload]:
+    """``(system, workload)`` for a zoo model name, a device count and a
+    GPU catalog name; ``workload_kwargs`` go to :func:`make_workload`."""
+    return (default_system(num_csds=csds, gpu=GPUS[gpu]()),
+            make_workload(get_model(model), **workload_kwargs))
 
-    method: str
-    breakdown: PhaseBreakdown
-    channels: List[ChannelSummary]
-    tag_bytes: Dict[str, float]
-    #: Phase x resource decomposition (buckets tile the step exactly).
-    attribution: Optional[Attribution] = None
-    #: Critical path over the same channel records (CPM slack + the
-    #: gating chain the what-if engine replays).
-    critpath: Optional[CritPathReport] = None
+
+class Observation:
+    """One scenario's timeline and its derived views.
+
+    The views are computed when first read and then kept: ``simulate``
+    and ``trace`` only need the timeline, ``top`` the attribution and
+    the path, ``whatif`` the graph.
+    """
+
+    def __init__(self, method: str, trace: ScenarioTrace) -> None:
+        self.method = method
+        self.trace = trace
+
+    @property
+    def breakdown(self) -> PhaseBreakdown:
+        return self.trace.breakdown
+
+    @cached_property
+    def channels(self) -> List[Channel]:
+        return self.trace.fabric.all_channels()
+
+    @cached_property
+    def summaries(self) -> List[ChannelSummary]:
+        """Per-channel totals, busiest first."""
+        return summarize_channels(self.channels)
+
+    @cached_property
+    def tag_bytes(self) -> Dict[str, float]:
+        return traffic_by_tag(self.channels)
+
+    @cached_property
+    def attribution(self) -> Attribution:
+        """Phase x resource decomposition (buckets tile the step)."""
+        return attribute_channels(self.trace.phase_windows, self.channels,
+                                  horizon=self.breakdown.total)
+
+    @cached_property
+    def graph(self) -> DepGraph:
+        return DepGraph.from_channels(self.channels,
+                                      self.trace.phase_windows)
+
+    @cached_property
+    def critpath(self) -> Optional[CritPathReport]:
+        """CPM slack + the gating chain; ``None`` without transfers."""
+        return self.graph.critical_path() if self.graph.nodes else None
 
     @property
     def bottleneck(self) -> ChannelSummary:
-        return self.channels[0]
+        return self.summaries[0]
 
     def channel(self, name: str) -> ChannelSummary:
-        for summary in self.channels:
+        for summary in self.summaries:
             if summary.name == name:
                 return summary
         raise KeyError(f"unknown channel {name!r}")
@@ -59,13 +107,12 @@ class IterationAnalysis:
                  f"{self.breakdown.total:.2f}s, bottleneck = "
                  f"{self.bottleneck.name} "
                  f"({self.bottleneck.busy_time:.2f}s busy)"]
-        for summary in self.channels[:top]:
+        for summary in self.summaries[:top]:
             lines.append(
                 f"  {summary.name:<22} busy {summary.busy_time:6.2f}s  "
                 f"util {summary.utilization:6.1%}  "
                 f"{summary.bytes_total / 1e9:8.2f} GB")
-        if self.attribution is not None:
-            lines.append("  " + self.attribution.verdict().render())
+        lines.append("  " + self.attribution.verdict().render())
         if self.critpath is not None and self.critpath.path:
             shares = sorted(self.critpath.resource_seconds().items(),
                             key=lambda kv: -kv[1])
@@ -81,30 +128,11 @@ class IterationAnalysis:
         return "\n".join(lines)
 
 
-def analyze_iteration(system: SystemSpec, workload: Workload, method: str,
-                      compression_ratio: float = 0.02
-                      ) -> IterationAnalysis:
-    """Run one scenario and attribute time to channels."""
-    trace = trace_scenario(
-        system, workload, method, compression_ratio=compression_ratio)
-    channels = trace.fabric.all_channels()
-    graph = DepGraph.from_channels(channels, trace.phase_windows)
-    return IterationAnalysis(
-        method=method,
-        breakdown=trace.breakdown,
-        channels=summarize_channels(channels),
-        tag_bytes=traffic_by_tag(channels),
-        attribution=attribute_channels(trace.phase_windows, channels,
-                                       horizon=trace.breakdown.total),
-        critpath=graph.critical_path() if graph.nodes else None,
-    )
-
-
-def compare_bottlenecks(system: SystemSpec, workload: Workload,
-                        methods=("baseline", "su", "su_o", "su_o_c")
-                        ) -> Dict[str, IterationAnalysis]:
-    """Bottleneck analysis for several methods on the same machine."""
-    return {
-        method: analyze_iteration(system, workload, method)
-        for method in methods
-    }
+def observe(system: SystemSpec, workload: Workload, method: str,
+            compression_ratio: float = 0.02, schedule: str = "phased",
+            channel_scales: Optional[Mapping[str, float]] = None
+            ) -> Observation:
+    """Run one scenario (see :func:`trace_scenario`) and wrap it."""
+    return Observation(method, trace_scenario(
+        system, workload, method, compression_ratio=compression_ratio,
+        channel_scales=channel_scales, schedule=schedule))

@@ -530,10 +530,15 @@ class ProcessShardCoordinator:
 
     # ------------------------------------------------------------------
     def close(self, abandon: bool = False) -> None:
-        """Tear down workers, pool and the shared arena. Idempotent."""
+        """Tear down workers, pool and the shared arena. Idempotent.
+
+        Drops the engine's bound methods too, so refcounting alone
+        frees a closed engine (see the in-process coordinator).
+        """
         if self._closed:
             return
         self._closed = True
+        self._install = self._on_demotion = None
         if self.pool is not None:
             try:
                 self.pool.map_ordered(_shard_task, [

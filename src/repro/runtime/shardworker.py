@@ -672,10 +672,17 @@ class InProcessShardCoordinator:
                     host[name][:] = arrays[name][view]
 
     def close(self, abandon: bool = False) -> None:
-        """Release the pool, then every handler and device. Idempotent."""
+        """Release the pool, then every handler and device. Idempotent.
+
+        The sinks and the demotion callback are bound methods of the
+        engine that owns this coordinator; dropping them here is what
+        lets refcounting alone free a closed engine.
+        """
         self.pool.close()
         for worker in self._workers:
             worker.close(abandon=abandon)
+            worker.sink = None
+        self._on_demotion = None
 
 
 __all__ = ["InProcessShardCoordinator", "ShardWorker", "UpstreamSink"]

@@ -2,9 +2,7 @@
 
 from .core import AllOf, Event, Process, Simulator, Timeout
 from .resources import Channel, PhaseClock, Semaphore, Store, TransferRecord
-from .trace import (ChannelSummary, bottleneck, busy_in_window,
-                    phase_channel_matrix, render_timeline,
-                    summarize_channels, traffic_by_tag)
+from .trace import ChannelSummary, summarize_channels, traffic_by_tag
 
 __all__ = [
     "AllOf",
@@ -18,10 +16,6 @@ __all__ = [
     "Store",
     "Timeout",
     "TransferRecord",
-    "bottleneck",
-    "busy_in_window",
-    "phase_channel_matrix",
-    "render_timeline",
     "summarize_channels",
     "traffic_by_tag",
 ]

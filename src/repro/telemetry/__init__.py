@@ -66,7 +66,6 @@ from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagNode,
                        DepGraph, InterleaveValidation, Intervention,
                        PathStep, Projection,
                        ProjectionValidation, add_csds, compression_ratio,
-                       condense as condense_critpath,
                        default_interventions, interleave, project,
                        rank_interventions,
                        render_projections, scale, validate_interleave,
@@ -120,7 +119,6 @@ __all__ = [
     "attribute_channels",
     "attribute_spans",
     "compression_ratio",
-    "condense_critpath",
     "default_interventions",
     "evaluate_attribution",
     "interleave",

@@ -781,30 +781,24 @@ class InterleaveValidation(ProjectionValidation):
                 f"(error {self.error:.2%})")
 
 
-def _simulate(model: str, csds: int, method: str, gpu: str, ratio: float,
-              **counterfactual):
-    """One DES iteration of the named configuration."""
-    # Lazy imports: telemetry stays importable without perf/hw/nn.
-    from ..hw.gpu import a100_40g, a4000, a5000
-    from ..hw.topology import default_system
-    from ..nn.models import get_model
-    from ..perf.scenarios import trace_scenario
-    from ..perf.workload import make_workload
+def observe_named(model: str, csds: int, method: str, gpu: str, ratio: float,
+             **counterfactual):
+    """One observed DES iteration of the named configuration (a
+    :class:`repro.perf.analysis.Observation`)."""
+    # Lazy import: telemetry stays importable without perf/hw/nn.
+    from ..perf.analysis import observe, resolve
 
-    gpus = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
-    return trace_scenario(
-        default_system(num_csds=csds, gpu=gpus[gpu]()),
-        make_workload(get_model(model)), method,
-        compression_ratio=ratio, **counterfactual)
+    return observe(*resolve(model, csds, gpu), method,
+                   compression_ratio=ratio, **counterfactual)
 
 
 def _measure(model: str, csds: int, method: str, gpu: str, ratio: float,
              schedule: str = "phased") -> Tuple[object, DepGraph]:
     """The unmodified iteration and its graph: the ``base`` the
     validators project from when the caller does not hand one in."""
-    trace = _simulate(model, csds, method, gpu, ratio, schedule=schedule)
-    return trace, DepGraph.from_channels(trace.fabric.all_channels(),
-                                         trace.phase_windows)
+    observed = observe_named(model, csds, method, gpu, ratio,
+                             schedule=schedule)
+    return observed.trace, observed.graph
 
 
 def validate_interleave(model: str = "gpt2-1.16b", csds: int = 4,
@@ -823,8 +817,8 @@ def validate_interleave(model: str = "gpt2-1.16b", csds: int = 4,
     """
     trace, graph = base or _measure(model, csds, method, gpu, ratio)
     projection = project(graph, interleave())
-    rerun = _simulate(model, csds, method, gpu, ratio,
-                      schedule="interleaved")
+    rerun = observe_named(model, csds, method, gpu, ratio,
+                     schedule="interleaved")
     return InterleaveValidation(
         channel="schedule:interleaved", factor=1.0,
         baseline_step_seconds=trace.breakdown.total,
@@ -859,8 +853,8 @@ def validate_scale(channel: str, factor: float,
             f"unknown channel {channel!r}; this run has "
             f"{sorted(known)}")
     projection = project(graph, scale(channel, factor))
-    rerun = _simulate(model, csds, method, gpu, ratio, schedule=schedule,
-                      channel_scales={channel: 1.0 / factor})
+    rerun = observe_named(model, csds, method, gpu, ratio, schedule=schedule,
+                     channel_scales={channel: 1.0 / factor})
     return ProjectionValidation(
         channel=channel, factor=float(factor),
         baseline_step_seconds=trace.breakdown.total,
@@ -869,25 +863,8 @@ def validate_scale(channel: str, factor: float,
 
 
 # ----------------------------------------------------------------------
-# condensed + JSONL exports
+# JSONL export
 # ----------------------------------------------------------------------
-def condense(report: CritPathReport, top: int = 4) -> Dict[str, object]:
-    """The bench-report embedding: coverage plus top path resources."""
-    shares = sorted(report.resource_seconds().items(),
-                    key=lambda kv: -kv[1])
-    return {
-        "step_seconds": report.step_seconds,
-        "path_seconds": report.path_seconds,
-        "wait_seconds": report.wait_seconds,
-        "path_fraction": (report.path_seconds / report.step_seconds
-                          if report.step_seconds > 0 else 0.0),
-        "path_hops": len(report.path),
-        "tracked_ops": report.num_nodes,
-        "top_resources": {name: round(seconds, 6)
-                          for name, seconds in shares[:top]},
-    }
-
-
 def write_critpath_jsonl(path: str, report: CritPathReport,
                          projections: Sequence[Projection] = (),
                          validations: Sequence[ProjectionValidation] = (),
@@ -955,7 +932,6 @@ __all__ = [
     "ProjectionValidation",
     "add_csds",
     "compression_ratio",
-    "condense",
     "default_interventions",
     "interleave",
     "project",

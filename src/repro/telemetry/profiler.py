@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import TelemetryError
-from .attrib import (Attribution, COMPUTE, PHASE_SPAN_NAMES,
-                     attribute, attribute_channels)
-from .critpath import CritPathReport, DepGraph
+from .attrib import Attribution, COMPUTE, PHASE_SPAN_NAMES, attribute
+from .critpath import CritPathReport, DepGraph, observe_named
 from .metrics import MetricsRegistry
 
 #: Schema marker of the JSONL attribution event log.
@@ -51,32 +50,17 @@ def profile_scenario(model: str = "gpt2-4.0b", csds: int = 10,
                      ratio: float = 0.02,
                      schedule: str = "phased") -> ProfileReport:
     """Simulate one iteration and attribute its time to channels."""
-    # Lazy imports: telemetry must stay importable without perf/hw/nn.
-    from ..hw.gpu import a100_40g, a4000, a5000
-    from ..hw.topology import default_system
-    from ..nn.models import get_model
-    from ..perf.scenarios import trace_scenario
-    from ..perf.workload import make_workload
-
-    gpus = {"a5000": a5000, "a100": a100_40g, "a4000": a4000}
-    workload = make_workload(get_model(model))
-    system = default_system(num_csds=csds, gpu=gpus[gpu]())
-    trace = trace_scenario(system, workload, method,
-                           compression_ratio=ratio, schedule=schedule)
-    attribution = attribute_channels(trace.phase_windows,
-                                     trace.fabric.all_channels(),
-                                     horizon=trace.breakdown.total)
-    graph = DepGraph.from_channels(trace.fabric.all_channels(),
-                                   trace.phase_windows)
+    observed = observe_named(model, csds, method, gpu, ratio,
+                             schedule=schedule)
     return ProfileReport(
         source="sim",
         label=f"{model}/{method} ({csds} CSDs, {gpu})"
               + ("" if schedule == "phased" else f", {schedule}"),
-        attribution=attribution,
+        attribution=observed.attribution,
         meta={"model": model, "method": method, "csds": csds,
               "gpu": gpu, "ratio": ratio, "schedule": schedule,
-              "iteration_seconds": trace.breakdown.total},
-        critpath=graph.critical_path() if graph.nodes else None)
+              "iteration_seconds": observed.breakdown.total},
+        critpath=observed.critpath)
 
 
 def load_chrome_trace(path: str) -> ProfileReport:

@@ -38,13 +38,6 @@ def test_simulate_other_optimizer_and_gpu(capsys):
     assert "a100" in capsys.readouterr().out
 
 
-def test_analyze_prints_bottlenecks(capsys):
-    assert main(["analyze", "--model", "gpt2-1.16b", "--csds", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "bottleneck" in out
-    assert "method baseline" in out
-
-
 def test_experiment_runs_table3(capsys):
     assert main(["experiment", "table3"]) == 0
     assert "Table III" in capsys.readouterr().out
@@ -60,13 +53,27 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_analyze_timeline_renders_gantt(capsys):
-    assert main(["analyze", "--model", "gpt2-1.16b", "--csds", "2",
-                 "--timeline"]) == 0
-    out = capsys.readouterr().out
-    assert "timeline over" in out
-    assert "ssd0-read" in out
-    assert "#" in out
+@pytest.mark.parametrize("argv", [
+    ["sweep", "devices"],      # experiment fig9 | fig10 | fig11 | fig16
+    ["analyze", "--csds", "2"],     # experiment ext_bottlenecks, top
+])
+def test_removed_subcommands_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_has_exactly_the_eight_subcommands():
+    from repro.cli import _build_parser
+
+    subparsers = next(
+        action for action in _build_parser()._actions
+        if getattr(action, "choices", None)
+        and "simulate" in action.choices)
+    assert sorted(subparsers.choices) == sorted([
+        "list-models", "simulate", "top", "whatif", "health", "trace",
+        "experiment", "scenario"])
 
 
 def test_docstring_lists_every_subcommand():
@@ -253,9 +260,10 @@ def test_health_accepts_custom_slo_rules(tmp_path, capsys, monkeypatch):
 # ----------------------------------------------------------------------
 # shared flag vocabulary + the scenario subcommand
 # ----------------------------------------------------------------------
-ENGINE_SUBCOMMANDS = ("top", "health", "trace", "scenario", "whatif")
+ENGINE_SUBCOMMANDS = ("health", "trace", "scenario")
 SHARED_FLAGS = ("--backend", "--workers", "--fault-plan",
-                "--chaos-seed", "--slo")
+                "--chaos-seed", "--slo", "--schedule",
+                "--activation-offload")
 
 
 def test_engine_subcommands_share_identical_flags():
@@ -280,12 +288,22 @@ def test_engine_subcommands_share_identical_flags():
         assert options["--backend"][1] is None
 
 
-def test_top_notes_ignored_engine_flags(capsys):
-    assert main(["top", "--once", "--model", "gpt2-1.16b", "--csds", "2",
-                 "--backend", "process", "--chaos-seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "simulation-only" in out
-    assert "--backend" in out and "--chaos-seed" in out
+@pytest.mark.parametrize("command,flag", [
+    (command, flag)
+    for command, kept in (("top", ("--schedule", "--slo")),
+                          ("whatif", ("--schedule",)))
+    for flag in SHARED_FLAGS if flag not in kept])
+def test_simulation_only_subcommands_reject_engine_flags(command, flag,
+                                                         capsys):
+    """top and whatif replay a simulation; they used to accept the
+    engine flags only to print that they ignore them."""
+    value = {"--backend": "process", "--activation-offload": "spill",
+             "--slo": "examples/slo.json",
+             "--fault-plan": "examples/chaos.json"}.get(flag, "3")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--csds", "2", flag, value])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -350,14 +368,6 @@ def test_whatif_rejects_unknown_channel(capsys):
     out = capsys.readouterr().out
     assert "unknown channel" in out
     assert "host-link-down" in out
-
-
-def test_whatif_notes_ignored_engine_flags(capsys):
-    assert main(["whatif", "--model", "gpt2-1.16b", "--csds", "2",
-                 "--method", "su", "--backend", "process"]) == 0
-    out = capsys.readouterr().out
-    assert "simulation-only" in out
-    assert "--backend" in out
 
 
 def _tiny_scenario_doc(name="tiny", **extra):

@@ -333,3 +333,41 @@ def test_error_feedback_transmits_everything_eventually(seed):
     # Remaining residual accounts exactly for the gap.
     np.testing.assert_allclose(total_sent + feedback.residual, total_true,
                                rtol=1e-3, atol=1e-3)
+
+
+@pytest.mark.exhaustive
+def test_error_feedback_keeps_accuracy_at_an_aggressive_ratio(tmp_path):
+    """DESIGN.md names error feedback as what keeps SmartComp's accuracy
+    close to exact training: at a 4 % volume ratio the residual memory
+    must not hurt, and training with it stays clearly above chance."""
+    from repro.nn import functional as F
+    from repro.nn import (SequenceClassifier, bert_config,
+                          make_classification_dataset)
+    from repro.runtime import SmartInfinityEngine, TrainingConfig
+
+    dataset = make_classification_dataset(num_train=192, num_dev=96,
+                                          seq_len=32, vocab_size=64,
+                                          noise=0.02, seed=21)
+
+    def accuracy(error_feedback):
+        model = SequenceClassifier(
+            bert_config(vocab_size=64, dim=48, num_layers=2, num_heads=4,
+                        max_seq_len=32), num_classes=3, seed=8)
+        config = TrainingConfig(optimizer="adam",
+                                optimizer_kwargs={"lr": 5e-3},
+                                subgroup_elements=8192,
+                                compression_ratio=0.04,
+                                error_feedback=error_feedback, num_csds=2)
+        workdir = tmp_path / f"feedback-{error_feedback}"
+        with SmartInfinityEngine(model, lambda m, t, l: m.loss(t, l),
+                                 str(workdir), config=config) as engine:
+            for epoch in range(5):
+                rng = np.random.default_rng(epoch)
+                for tokens, labels in dataset.batches(8, rng):
+                    engine.train_step(tokens, labels)
+        model.eval()
+        return F.accuracy(model(dataset.dev_tokens), dataset.dev_labels)
+
+    with_feedback = accuracy(True)
+    assert with_feedback >= accuracy(False) - 0.05
+    assert with_feedback > 0.6   # chance is 1/3

@@ -12,8 +12,8 @@ The tentpole claims, checked here:
   step time within 5% of a full DES re-run with the channel's
   bandwidth actually changed (:func:`validate_scale`);
 * the intervention algebra (scale / add_csds / compression_ratio),
-  ranking, condensed summaries, and the ``smart-infinity/critpath/v1``
-  JSONL export behave as documented.
+  ranking, and the ``smart-infinity/critpath/v1`` JSONL export behave
+  as documented.
 """
 
 import functools
@@ -31,7 +31,7 @@ from repro.perf.workload import make_workload
 from repro.telemetry import SpanTracer, attribute_channels
 from repro.telemetry.critpath import (CRITPATH_SCHEMA, DepGraph,
                                       add_csds, compression_ratio,
-                                      condense, default_interventions,
+                                      default_interventions,
                                       project, rank_interventions,
                                       render_projections, scale,
                                       validate_scale,
@@ -324,17 +324,8 @@ def test_synthetic_fifo_chain_invariants(durations, gap):
 
 
 # ----------------------------------------------------------------------
-# condensed summaries and the JSONL export
+# the JSONL export
 # ----------------------------------------------------------------------
-
-def test_condense_reports_coverage_and_top_resources():
-    graph = _graph(_trace("su_o_c"))
-    summary = condense(graph.critical_path(), top=2)
-    assert summary["path_hops"] > 0
-    assert summary["tracked_ops"] == len(graph.nodes)
-    assert 0.0 < summary["path_fraction"] <= 1.0 + 1e-9
-    assert len(summary["top_resources"]) <= 2
-
 
 def test_critpath_jsonl_schema(tmp_path):
     graph = _graph(_trace("su_o_c"))

@@ -1,15 +1,17 @@
 """Shape checks for every paper experiment module.
 
 Heavy experiments run here with reduced settings; the full configurations
-run under ``benchmarks/``.  Each test asserts the *qualitative* result the
-paper reports — who wins, where things saturate, what stays equal.
+are what ``tests/test_golden_results.py`` holds ``results/`` to.  Each test
+asserts the *qualitative* result the paper reports — who wins, where things
+saturate, what stays equal.
 """
 
 import pytest
 
-from repro.experiments import (ALL_EXPERIMENTS, fig3, fig9, fig10, fig11,
-                               fig12, fig13, fig14, fig15, fig16, fig17,
-                               table1, table3, table4)
+from repro.experiments import (ALL_EXPERIMENTS, ext_bottlenecks,
+                               ext_csd_sensitivity, ext_modelcomp, fig3,
+                               fig9, fig10, fig11, fig12, fig13, fig14,
+                               fig15, fig16, fig17, table1, table3, table4)
 
 
 def test_registry_covers_all_evaluation_artifacts():
@@ -40,6 +42,12 @@ def test_table1_measured_equals_closed_form():
     assert analytic["smartupdate"]["host_reads"] == 4 * p
     assert analytic["smartcomp"]["host_writes"] < analytic[
         "smartupdate"]["host_writes"] * 0.03
+    # SmartUpdate removes 75% of the baseline's host traffic.
+    from repro.runtime import expected_traffic
+    base = expected_traffic(p, "baseline")
+    smart = expected_traffic(p, "smartupdate")
+    assert (base["host_reads"] + base["host_writes"]) / (
+        smart["host_reads"] + smart["host_writes"]) == 4.0
     assert "Table I" in result.render()
 
 
@@ -60,12 +68,34 @@ def test_fig9_reduced_grid_orders_methods():
     assert "Fig 9" in result.render()
 
 
+def test_fig9_full_grid_stays_in_the_paper_bands():
+    """Paper: SU 1.18-1.24 @6 and 1.54-1.60 @10; SU+O up to 1.60-1.66
+    @10; SU+O+C 1.85-1.98 @10 — with modelling margin, on the grid
+    ``results/fig09_ablation.txt`` records."""
+    result = fig9.run()
+    for num_ssds, method, low, high in ((6, "su", 1.00, 1.40),
+                                        (10, "su", 1.35, 1.75),
+                                        (10, "su_o", 1.50, 1.90),
+                                        (10, "su_o_c", 1.75, 2.25)):
+        lo, hi = result.speedup_range(num_ssds, method)
+        assert low <= lo and hi <= high, (num_ssds, method)
+    # "Almost identical" across models: a tight spread, same ordering.
+    for num_ssds in (6, 10):
+        lo, hi = result.speedup_range(num_ssds, "su_o_c")
+        assert hi - lo < 0.45
+        for model in result.models():
+            assert (result.speedup(model, num_ssds, "su")
+                    < result.speedup(model, num_ssds, "su_o")
+                    < result.speedup(model, num_ssds, "su_o_c"))
+
+
 def test_fig10_stable_speedup_on_large_models():
-    result = fig10.run(models=("gpt2-16.6b", "gpt2-33.0b"))
+    result = fig10.run()
     for num_ssds in (6, 10):
         assert result.spread(num_ssds) < 0.3
-    assert result.speedups[("gpt2-33.0b", 10)] > result.speedups[
-        ("gpt2-33.0b", 6)]
+    for model in fig10.LARGE_MODELS:
+        assert result.speedups[(model, 10)] > result.speedups[(model, 6)]
+        assert result.speedups[(model, 6)] > 1.2
     assert "Fig 10" in result.render()
 
 
@@ -88,6 +118,8 @@ def test_fig12_adam_gains_most():
     assert result.states_per_param == {"adam": 3, "sgd": 2, "adagrad": 2}
     for optimizer in fig12.OPTIMIZERS:
         assert result.speedups[optimizer][10] > 1.0
+        assert result.speedups[optimizer][6] > 1.0
+    assert result.speedups["sgd"][10] > result.speedups["sgd"][6]
     assert "Fig 12" in result.render()
 
 
@@ -133,6 +165,9 @@ def test_fig17_congested_topology_still_wins_but_less():
     for num_gpus in (1, 2, 3):
         assert result.speedup(num_gpus) > 1.0
         assert result.speedup(num_gpus) < default_speedup
+        # Congestion shows up in BW+Grad, not in the update phase.
+        cell = result.breakdowns[num_gpus]
+        assert cell["smart"].backward_grad < cell["baseline"].backward_grad
     assert "Fig 17" in result.render()
 
 
@@ -147,3 +182,50 @@ def test_table4_su_exact_and_compression_mild():
         assert result.speedups[(model, "comp_2")] > result.speedups[
             (model, "su_o")] > 1.0
     assert "Table IV" in result.render()
+
+
+@pytest.mark.exhaustive
+def test_table4_full_configuration():
+    """All four tasks, three epochs, every ratio (~30 s): the run
+    ``results/table4_finetune.txt`` records."""
+    result = table4.run()
+    assert result.su_matches_baseline()
+    for method in ("comp_10", "comp_5", "comp_2", "comp_1"):
+        assert result.compression_accuracy_drop(method) < 0.15, method
+    # Compression adds speedup over SU+O; milder ratios sit between
+    # (paper: 1.10x -> 1.40x band at 6 SSDs).
+    for model in table4.FINETUNE_MODELS:
+        assert result.speedups[(model, "comp_1")] >= result.speedups[
+            (model, "comp_10")] > result.speedups[(model, "su_o")]
+        assert 1.0 < result.speedups[(model, "su_o")] < 1.6
+
+
+def test_ext_bottlenecks_tells_the_papers_causal_story():
+    result = ext_bottlenecks.run()
+    assert result.baseline_bound_by_shared_link()
+    assert result.smart_bound_by_nand()
+    # SU+O+C leaves under 20% of the baseline's shared-link bytes.
+    assert result.smart_sheds_shared_link() < 0.2
+
+
+def test_ext_csd_sensitivity_faster_internal_path_helps():
+    """The baseline is pinned at the shared link no matter how fast the
+    flash gets (§VIII-C), so a faster CSD buys more speedup."""
+    result = ext_csd_sensitivity.run()
+    assert result.faster_internal_path_helps()
+    assert result.speedups["gen5"] > result.speedups["smartssd"]
+    assert all(value > 1.5 for value in result.speedups.values())
+
+
+@pytest.mark.exhaustive
+def test_ext_modelcomp_quantized_upstream_and_pruning():
+    result = ext_modelcomp.run()
+    # CSD-side int8 quantization cuts upstream host reads ~4x without
+    # wrecking fine-tuning accuracy (the straight-through estimator).
+    assert result.quantization_cuts_upstream_4x()
+    assert result.accuracies["int8"] > result.accuracies["fp32"] - 0.10
+    # Pruned fine-tuning keeps the mask and still reaches useful accuracy.
+    assert result.pruned_zero_fraction >= 0.45
+    assert result.accuracies["pruned-50%"] > 0.5
+    assert result.modelled_speedup["su_o_c_q"] >= result.modelled_speedup[
+        "su_o_c"]

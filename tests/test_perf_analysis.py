@@ -4,8 +4,8 @@ import pytest
 
 from repro.hw import default_system
 from repro.nn.models import get_model
-from repro.perf.analysis import analyze_iteration, compare_bottlenecks
-from repro.perf.scenarios import simulate_iteration
+from repro.perf.analysis import observe
+from repro.perf.scenarios import METHODS, simulate_iteration
 from repro.perf.workload import make_workload
 
 
@@ -16,7 +16,9 @@ def workload():
 
 @pytest.fixture(scope="module")
 def analyses(workload):
-    return compare_bottlenecks(default_system(num_csds=10), workload)
+    system = default_system(num_csds=10)
+    return {method: observe(system, workload, method)
+            for method in METHODS}
 
 
 def test_baseline_bound_by_shared_interconnect(analyses):
@@ -39,7 +41,7 @@ def test_smartcomp_sheds_most_shared_link_traffic(analyses):
 
 def test_breakdown_matches_simulate_iteration(workload):
     system = default_system(num_csds=6)
-    analysis = analyze_iteration(system, workload, "su_o")
+    analysis = observe(system, workload, "su_o")
     direct = simulate_iteration(system, workload, "su_o")
     assert analysis.breakdown.total == pytest.approx(direct.total)
 
@@ -66,8 +68,8 @@ def test_render_mentions_bottleneck(analyses):
 
 def test_quantized_upstream_method_reduces_upstream(workload):
     system = default_system(num_csds=10)
-    plain = analyze_iteration(system, workload, "su_o_c")
-    quant = analyze_iteration(system, workload, "su_o_c_q")
+    plain = observe(system, workload, "su_o_c")
+    quant = observe(system, workload, "su_o_c_q")
     assert quant.tag_bytes["masters-up"] == pytest.approx(
         plain.tag_bytes["masters-up"] / 4, rel=0.01)
     assert quant.breakdown.total <= plain.breakdown.total

@@ -224,6 +224,31 @@ def test_process_backend_bitwise_identical(tmp_path, config_kwargs):
     assert thread_traffic == proc_traffic
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_closed_engine_is_freed_by_refcount_alone(tmp_path, backend):
+    """The coordinator holds the engine's bound methods (install,
+    demotion); ``close()`` must drop them, or a dropped engine waits for
+    the cycle collector with its flat buffers and arenas."""
+    import gc
+    import weakref
+
+    tokens, labels = make_batch()
+    config = TrainingConfig(
+        optimizer="adam", subgroup_elements=4096, parallel_csds=2,
+        num_csds=2, parallel_backend=backend, compression_ratio=0.02)
+    gc.collect()
+    gc.disable()
+    try:
+        with create_engine("smart", make_model(), loss_fn,
+                           str(tmp_path), config=config) as engine:
+            engine.train_step(tokens, labels)
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("schedule", ["phased", "interleaved"])
 @pytest.mark.parametrize("rules, config_kwargs", [
     ((FaultRule(kind="device_dropout", device=1, probability=0.10),

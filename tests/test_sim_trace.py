@@ -1,10 +1,9 @@
-"""Tests for timeline/bottleneck analysis over channels."""
+"""Tests for the per-channel summaries over simulated channels."""
 
 import pytest
 
-from repro.sim import (Channel, Simulator, bottleneck, busy_in_window,
-                       phase_channel_matrix, render_timeline,
-                       summarize_channels, traffic_by_tag)
+from repro.sim import (Channel, Simulator, summarize_channels,
+                       traffic_by_tag)
 
 
 def make_activity():
@@ -26,16 +25,6 @@ def test_summaries_sorted_by_busy_time():
     assert summaries[1].busy_time == pytest.approx(1.0)
 
 
-def test_bottleneck_is_busiest_channel():
-    _sim, fast, slow = make_activity()
-    assert bottleneck([fast, slow]).name == "slow"
-
-
-def test_bottleneck_requires_channels():
-    with pytest.raises(ValueError):
-        bottleneck([])
-
-
 def test_summary_achieved_bandwidth():
     _sim, fast, _slow = make_activity()
     summary = summarize_channels([fast])[0]
@@ -43,89 +32,8 @@ def test_summary_achieved_bandwidth():
     assert summary.utilization == pytest.approx(1.0 / 15.0)
 
 
-def test_busy_in_window_partial_overlap():
-    _sim, _fast, slow = make_activity()
-    # slow busy over [0, 15]; window [5, 12] fully covered.
-    assert busy_in_window(slow.records, 5.0, 12.0) == pytest.approx(7.0)
-    # Window entirely after activity.
-    assert busy_in_window(slow.records, 20.0, 25.0) == 0.0
-    # Degenerate window.
-    assert busy_in_window(slow.records, 5.0, 5.0) == 0.0
-
-
 def test_traffic_by_tag_aggregates_across_channels():
     _sim, fast, slow = make_activity()
     totals = traffic_by_tag([fast, slow])
     assert totals["a"] == pytest.approx(150.0)
     assert totals["b"] == pytest.approx(100.0)
-
-
-def test_render_timeline_shows_busy_buckets():
-    _sim, fast, slow = make_activity()
-    art = render_timeline([fast, slow], horizon=15.0, width=15)
-    lines = art.splitlines()
-    assert len(lines) == 3
-    fast_row = lines[1]
-    slow_row = lines[2]
-    # fast is busy only in the first bucket; slow in every bucket.
-    assert fast_row.count("#") == 1
-    assert slow_row.count("#") == 15
-
-
-def test_render_timeline_rejects_bad_horizon():
-    _sim, fast, _slow = make_activity()
-    with pytest.raises(ValueError):
-        render_timeline([fast], horizon=0.0)
-
-
-def test_render_timeline_rejects_nonpositive_width():
-    _sim, fast, _slow = make_activity()
-    with pytest.raises(ValueError, match="width"):
-        render_timeline([fast], horizon=15.0, width=0)
-    with pytest.raises(ValueError, match="width"):
-        render_timeline([fast], horizon=15.0, width=-3)
-
-
-def test_busy_in_window_empty_records():
-    assert busy_in_window([], 0.0, 10.0) == 0.0
-
-
-def test_busy_in_window_inverted_window():
-    _sim, _fast, slow = make_activity()
-    assert busy_in_window(slow.records, 12.0, 5.0) == 0.0
-
-
-def test_busy_in_window_clips_at_both_edges():
-    _sim, fast, _slow = make_activity()
-    # fast busy over [0, 1]; window [0.25, 0.75] is interior.
-    assert busy_in_window(fast.records, 0.25, 0.75) == pytest.approx(0.5)
-    # Window straddles the end of the transfer.
-    assert busy_in_window(fast.records, 0.5, 2.0) == pytest.approx(0.5)
-
-
-def test_phase_channel_matrix():
-    _sim, fast, slow = make_activity()
-    matrix = phase_channel_matrix(
-        [fast, slow], {"early": (0.0, 1.0), "late": (10.0, 15.0)})
-    assert matrix["early"]["fast"] == pytest.approx(1.0)
-    assert matrix["early"]["slow"] == pytest.approx(1.0)
-    assert matrix["late"]["fast"] == 0.0
-    assert matrix["late"]["slow"] == pytest.approx(5.0)
-
-
-def test_phase_channel_matrix_degenerate_phases():
-    _sim, fast, slow = make_activity()
-    matrix = phase_channel_matrix(
-        [fast, slow],
-        {"empty": (3.0, 3.0), "inverted": (9.0, 2.0),
-         "partial": (0.5, 2.0)})
-    assert matrix["empty"] == {"fast": 0.0, "slow": 0.0}
-    assert matrix["inverted"] == {"fast": 0.0, "slow": 0.0}
-    assert matrix["partial"]["fast"] == pytest.approx(0.5)
-    assert matrix["partial"]["slow"] == pytest.approx(1.5)
-
-
-def test_phase_channel_matrix_no_channels_or_phases():
-    _sim, fast, _slow = make_activity()
-    assert phase_channel_matrix([], {"p": (0.0, 1.0)}) == {"p": {}}
-    assert phase_channel_matrix([fast], {}) == {}

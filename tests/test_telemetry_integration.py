@@ -206,15 +206,11 @@ def test_cli_trace_metrics_flag_prints_exposition(tmp_path, capsys):
     assert "storage_pread_latency_us" in printed
 
 
-def test_cli_simulate_and_analyze_metrics_flags(capsys):
+def test_cli_simulate_metrics_flag(capsys):
     assert main(["simulate", "--model", "gpt2-1.16b", "--csds", "2",
                  "--metrics"]) == 0
     out = capsys.readouterr().out
     assert 'des_channel_utilization{channel="host-link-up"' in out
-    assert main(["analyze", "--model", "gpt2-1.16b", "--csds", "2",
-                 "--metrics"]) == 0
-    out = capsys.readouterr().out
-    assert 'method="baseline"' in out
     assert 'method="su_o_c"' in out
 
 
