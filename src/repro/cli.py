@@ -114,11 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(simulate)
     simulate.add_argument("--batch-size", type=int, default=4)
     simulate.add_argument("--optimizer", default="adam")
-    simulate.add_argument("--schedule", default="phased",
-                          choices=("phased", "interleaved"),
-                          help="execution pipeline: phased or "
-                               "interleaved (per-block updates overlap "
-                               "the backward pass)")
+    _add_schedule_option(simulate)
     simulate.add_argument("--metrics", action="store_true",
                           help="print a Prometheus-style exposition of "
                                "the simulated channel metrics")
@@ -376,15 +372,14 @@ def _cmd_simulate(args) -> int:
     system, workload = resolve(args.model, args.csds, args.gpu,
                                batch_size=args.batch_size,
                                optimizer=args.optimizer)
+    schedule = args.schedule or "phased"
     observed = observe(system, workload, args.method,
-                       compression_ratio=args.ratio,
-                       schedule=args.schedule)
+                       compression_ratio=args.ratio, schedule=schedule)
     breakdown = observed.breakdown
     base = simulate_iteration(system, workload, "baseline")
     print(f"model {args.model}, {args.csds} device(s), {args.gpu}, "
           f"method {args.method}"
-          + ("" if args.schedule == "phased"
-             else f", {args.schedule} schedule"))
+          + ("" if schedule == "phased" else f", {schedule} schedule"))
     print(f"  FW              {breakdown.forward:8.3f} s")
     print(f"  BW + grad       {breakdown.backward_grad:8.3f} s")
     print(f"  update + opt    {breakdown.update:8.3f} s")

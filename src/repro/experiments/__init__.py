@@ -42,11 +42,6 @@ ALL_EXPERIMENTS = {
 REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
 
 
-def result_text(experiment_id: str) -> str:
-    """Run one experiment; the text of its result file."""
-    return REGISTRY[experiment_id].run().render() + "\n"
-
-
 def write_results(directory: str,
                   experiment_ids: Optional[Iterable[str]] = None
                   ) -> Dict[str, str]:
@@ -55,15 +50,15 @@ def write_results(directory: str,
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for experiment_id in experiment_ids or REGISTRY:
-        path = os.path.join(
-            directory, REGISTRY[experiment_id].RESULT_STEM + ".txt")
+        module = REGISTRY[experiment_id]
+        path = os.path.join(directory, module.RESULT_STEM + ".txt")
         with open(path, "w") as handle:
-            handle.write(result_text(experiment_id))
+            handle.write(module.run().render() + "\n")
         paths[experiment_id] = path
     return paths
 
 
 __all__ = (["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "REGISTRY",
             "WALLCLOCK", "fmt_bytes", "pinned", "render_table",
-            "result_text", "write_results"]
+            "write_results"]
            + sorted(REGISTRY))
