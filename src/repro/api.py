@@ -16,9 +16,8 @@ config file.
     engine = create_engine("smart", model, loss_fn, "/data/run0",
                            config=TrainingConfig(num_csds=4))
 
-The old per-engine ctor kwargs completed their deprecation cycle and now
-raise :class:`~repro.errors.TrainingError` with the exact
-``create_engine`` migration in the message.
+The old per-engine ctor kwargs completed their deprecation cycle and are
+gone from the signatures: passing one raises :class:`TypeError`.
 
 Beyond the factory, this module re-exports the rest of the supported
 surface so one import site covers configuration (:class:`TrainingConfig`),
@@ -79,20 +78,19 @@ def create_engine(mode: str, model: Module, loss_fn: LossFn,
     (``train_step``, ``close``, checkpointing) and train bit-identically,
     so callers can switch modes without touching anything else.
 
-    Shard-parallel engines additionally honour
-    ``config.parallel_backend`` (``"thread"``, ``"process"`` or
-    ``"auto"``): the process backend runs one worker process per CSD
+    The smart engine additionally honours ``config.parallel_backend``
+    (``"thread"``, ``"process"`` or ``"auto"``; validated on every
+    engine): the process backend runs one worker process per CSD
     with optimizer shards in shared memory, scaling past the GIL while
     keeping the training output bit-identical to the thread pool.
 
     Two further knobs shape the step without changing a trained bit:
     ``config.schedule`` (``"phased"`` | ``"interleaved"`` — the latter
-    overlaps per-block gradient offload + update with the rest of
-    backprop via a bounded ready queue) and
-    ``config.activation_offload`` (``"recompute"`` | ``"spill"`` |
-    ``"auto"`` — spill boundary activations to storage with async
-    prefetch instead of recomputing; ``auto`` spills exactly when the
-    engine owns a ``storage_dir``).
+    drops the barrier between a shard's or block's gradient offload and
+    its update; both start after backprop has finished) and
+    ``config.activation_offload`` (``"recompute"`` | ``"spill"`` —
+    spill boundary activations to storage with async prefetch instead
+    of recomputing; needs an engine that owns a ``storage_dir``).
     """
     if mode not in ENGINE_MODES:
         raise TrainingError(

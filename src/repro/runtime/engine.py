@@ -9,9 +9,12 @@ The baseline engine reproduces the ZeRO-Infinity dataflow of Fig. 1:
   the host optimizer, offload the states back, refresh the FP16 copy.
 
 Every byte crossing the host<->storage path is metered so the Table I
-accounting can be asserted, and the engines share one mixed-precision
-forward/backward implementation so baseline-vs-Smart-Infinity accuracy
-comparisons differ *only* in where the update runs.
+accounting can be asserted, and the engines share one training step
+(:meth:`MixedPrecisionTrainer._step_impl`: mixed-precision
+forward/backward, loss-scale verdict, phase order under either
+schedule), supplying only its offload and update hooks — so
+baseline-vs-Smart-Infinity accuracy comparisons differ *only* in where
+the update runs.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ from ..telemetry.flight import FlightRecorder, IncidentDumper
 from ..telemetry.health import (Alert, DEFAULT_SLO_RULES, RulesEngine,
                                 StepHealthMonitor, parse_rules)
 from ..nn.modules import Module
+from ..nn.offload import ActivationSpillStore, activation_spill_scope
 from ..nn.precision import LossScaler, clip_gradients
 from ..optim import make_optimizer
 from ..optim.base import scratch_buffers
 from ..storage.blockdev import FileBlockDevice
 from ..storage.raid0 import RAID0Volume
 from ..storage.tensor_store import TensorStore
+from .parallel import resolve_backend, resolve_workers
 from .partition import FlatParameterSpace
 from .stats import IterationTraffic, TrafficMeter
 
@@ -101,11 +106,10 @@ class TrainingConfig:
     #: unchecked).
     host_memory_bytes: Optional[int] = None
     #: Step schedule: ``phased`` (forward -> backward -> offload barrier
-    #: -> update barrier) or ``interleaved`` (each block/device's
-    #: offload+update chain is enqueued the moment its gradients exist,
-    #: riding inside the backward/offload span — see
-    #: :mod:`repro.runtime.interleave`).  Bit-identical results either
-    #: way (tested, including under chaos).
+    #: -> update barrier) or ``interleaved`` (no barrier between one
+    #: block/device's gradient offload and its update; the chains start
+    #: once backprop has finished, not during it).  Bit-identical
+    #: results either way (tested, including under chaos).
     schedule: str = "phased"
     #: Boundary-activation handling for checkpointed training:
     #: ``recompute`` keeps boundaries in host memory (classic activation
@@ -117,21 +121,12 @@ class TrainingConfig:
     #: See :mod:`repro.faults` for the failure model.
     fault_plan: Optional[FaultPlan] = None
     #: Always-on flight recorder (:mod:`repro.telemetry.flight`): a ring
-    #: of the last ``flight_capacity`` events per worker thread.
+    #: of the last events per worker thread.
     flight_recorder: bool = True
-    flight_capacity: int = 512
     #: Directory for automatic incident dumps (flightrec/v1 JSONL).
     #: None disables *file* dumps — alerts still fire and land in the
     #: ring — so library/test use never writes files unasked.
     flight_dump_dir: Optional[str] = None
-    #: Most incident dump files this engine will write (distinct
-    #: incident keys beyond the cap are dropped, not rotated — the
-    #: *first* occurrences are the interesting ones).
-    flight_dump_limit: int = 16
-    #: When set, prune the dump directory down to the newest N
-    #: ``flightrec-*.jsonl`` files after every write — bounding a
-    #: long-lived directory across runs.  None keeps everything.
-    flight_dump_retention: Optional[int] = None
     #: Declarative SLO/anomaly rules as raw dicts (the shape of
     #: ``examples/slo.json``); None applies
     #: :data:`repro.telemetry.health.DEFAULT_SLO_RULES`.
@@ -221,6 +216,53 @@ def fault_bypass(faults: Optional[FaultInjector]):
     return faults.maintenance()
 
 
+#: Execution schedules for the optimizer pipeline.
+SCHEDULES = ("phased", "interleaved")
+
+#: Boundary-activation handling during checkpointed training.
+ACTIVATION_MODES = ("recompute", "spill")
+
+
+def resolve_schedule(config) -> str:
+    """Validate ``config.schedule`` and return the concrete schedule."""
+    schedule = getattr(config, "schedule", "phased")
+    if schedule not in SCHEDULES:
+        raise TrainingError(
+            f"unknown schedule {schedule!r}; expected one of "
+            f"{', '.join(SCHEDULES)}")
+    return schedule
+
+
+def resolve_activation_offload(config, has_spill_device: bool = True) -> str:
+    """Validate ``config.activation_offload`` (``recompute`` | ``spill``).
+
+    ``spill`` on an engine without a storage directory is a
+    configuration error, not a silent fallback.
+    """
+    mode = getattr(config, "activation_offload", "recompute")
+    if mode not in ACTIVATION_MODES:
+        raise TrainingError(
+            f"unknown activation_offload mode {mode!r}; expected one of "
+            f"{', '.join(ACTIVATION_MODES)}")
+    if mode == "spill" and not has_spill_device:
+        raise TrainingError(
+            "activation_offload='spill' needs a storage-backed engine "
+            "(baseline or smart); the host-offload engine has no spill "
+            "device")
+    return mode
+
+
+def activation_scope(spill_store: Optional[ActivationSpillStore]):
+    """Context activating a spill store for checkpointed forwards.
+
+    ``None`` yields a no-op context, so the trainer can wrap every
+    forward/backward unconditionally.
+    """
+    if spill_store is None:
+        return contextlib.nullcontext()
+    return activation_spill_scope(spill_store)
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one training iteration."""
@@ -233,10 +275,32 @@ class StepResult:
 
 
 class MixedPrecisionTrainer:
-    """Shared forward/backward with FP16 working params and loss scaling."""
+    """The training step, written once: mixed-precision forward/backward
+    with loss scaling, then the engine's gradient-offload and update
+    hooks in the order the schedule asks for.
+
+    An engine supplies :meth:`_offload`, :meth:`_update` and — when its
+    shards or blocks are independent — :meth:`_offload_update`; it never
+    opens a phase span, touches the scaler or builds a
+    :class:`StepResult` itself.
+    """
+
+    #: ``engine`` attribute of the ``iteration`` span.
+    engine_name = "trainer"
 
     def __init__(self, model: Module, loss_fn: LossFn,
-                 config: TrainingConfig) -> None:
+                 config: TrainingConfig, storage_dir: Optional[str] = None,
+                 devices: int = 1) -> None:
+        # Every mode knob is resolved here, before anything is acquired,
+        # so a typo fails the same way on every engine — including the
+        # ones whose update loop is sequential whatever the knob says.
+        self.schedule = resolve_schedule(config)
+        self.activation_offload = resolve_activation_offload(
+            config, storage_dir is not None)
+        self.workers = resolve_workers(config.parallel_csds, devices)
+        self.backend = resolve_backend(config.parallel_backend,
+                                       self.workers)
+
         self.model = model
         self.loss_fn = loss_fn
         self.config = config
@@ -244,18 +308,10 @@ class MixedPrecisionTrainer:
         self.scaler = LossScaler(scale=config.initial_loss_scale)
         self.optimizer = make_optimizer(config.optimizer,
                                         **config.optimizer_kwargs)
+        self.meter = TrafficMeter()
         self.step_count = 0
         self.loss_history: List[float] = []
         self._lr_schedule: Optional[Callable[[int], float]] = None
-
-        # Execution schedule + activation handling (validated here so a
-        # typo fails loudly on every engine).  The spill store is
-        # installed by engines that own a storage directory, via
-        # _init_activation_offload.
-        from .interleave import resolve_schedule
-        self.schedule = resolve_schedule(config)
-        self.activation_offload = "recompute"
-        self._spill = None
 
         # Step-health monitoring + SLO rules (repro.telemetry.health):
         # fed once per step by _run_step, evaluated immediately after.
@@ -265,23 +321,31 @@ class MixedPrecisionTrainer:
         self.rules = RulesEngine(parse_rules(raw_rules))
         self.alerts: List[Alert] = []
 
+        # SSD-backed boundary activations (repro.nn.offload), opened
+        # before the flight recorder so a failure here leaves nothing
+        # installed.
+        self._spill: Optional[ActivationSpillStore] = None
+        if self.activation_offload == "spill":
+            self._spill = ActivationSpillStore(storage_dir)
+
         # The always-on flight recorder: this engine installs its own
         # and restores whatever was active before on close().
         self.flight: Optional[FlightRecorder] = None
         self._flight_previous: Optional[FlightRecorder] = None
         self._incidents: Optional[IncidentDumper] = None
         if config.flight_recorder:
-            self.flight = FlightRecorder(
-                capacity_per_worker=config.flight_capacity)
+            self.flight = FlightRecorder()
             self._flight_previous = flight.install(self.flight)
             if config.flight_dump_dir is not None:
-                self._incidents = IncidentDumper(
-                    self.flight, config.flight_dump_dir,
-                    limit=config.flight_dump_limit,
-                    retention=config.flight_dump_retention)
+                self._incidents = IncidentDumper(self.flight,
+                                                 config.flight_dump_dir)
         self._fault_snapshot = self.fault_stats()
         self._arena_snapshot = aggregate_arena_stats()
-        self._span_cursor = 0
+        # _utilization_signals: how many of the session tracer's spans
+        # are already attributed, and the last of them (which ties the
+        # count to that tracer's list as it was).
+        self._span_cursor: Tuple[int, object] = (0, None)
+        self._closed = False
 
     @property
     def num_params(self) -> int:
@@ -293,32 +357,28 @@ class MixedPrecisionTrainer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # activation spill (SSD-backed boundary activations, repro.nn.offload)
-    # ------------------------------------------------------------------
-    def _init_activation_offload(self,
-                                 storage_dir: Optional[str]) -> None:
-        """Resolve the activation mode and build the spill store.
+    def close(self) -> None:
+        """Release every device, thread and recorder.  Idempotent."""
+        self._shutdown(abandon=False)
 
-        Engines call this once they know whether they own a storage
-        directory; ``spill`` without one is a configuration error.
-        """
-        from .interleave import resolve_activation_offload
-        self.activation_offload = resolve_activation_offload(
-            self.config, storage_dir is not None)
-        if self.activation_offload == "spill":
-            from ..nn.offload import ActivationSpillStore
-            self._spill = ActivationSpillStore(storage_dir)
-
-    def _activation_scope(self):
-        """Context activating the spill store for checkpointed forwards."""
-        from .interleave import activation_scope
-        return activation_scope(self._spill)
-
-    def _close_spill(self) -> None:
+    def _shutdown(self, abandon: bool) -> None:
+        """:meth:`close`; with ``abandon``, the unwinding of a failed
+        constructor, whose caller never gets a handle to close."""
+        if self._closed:
+            return
+        self._closed = True
+        if self.flight is not None:
+            # Only the recorder this engine installed is torn down, so
+            # overlapping engine lifetimes never clobber each other.
+            flight.replace(self.flight, self._flight_previous)
+            self._flight_previous = None
         if self._spill is not None:
             self._spill.close()
-            self._spill = None
+        self._release(abandon)
+
+    def _release(self, abandon: bool) -> None:
+        """Engine hook: release storage and workers (on partial state
+        too, when ``abandon``)."""
 
     def fault_stats(self) -> Dict[str, object]:
         """Cumulative fault/resilience accounting for this engine.
@@ -361,8 +421,7 @@ class MixedPrecisionTrainer:
 
     def _run_step(self, batches: Sequence[Sequence[np.ndarray]]
                   ) -> "StepResult":
-        """Run one step via the engine's ``_step_impl`` under the
-        health/flight envelope.
+        """Run :meth:`_step_impl` under the health/flight envelope.
 
         Crashes (any exception escaping the step) are captured as an
         incident — alert event in the ring, then an automatic dump —
@@ -464,11 +523,15 @@ class MixedPrecisionTrainer:
         if session is None:
             return {}
         spans = session.tracer.spans
-        cursor = self._span_cursor
+        cursor, last = self._span_cursor
+        if cursor > len(spans) or (cursor and spans[cursor - 1] is not last):
+            # Another session's tracer, or this one was cleared: the
+            # count belongs to a span list that no longer exists.
+            cursor = 0
         fresh = spans[cursor:]
-        self._span_cursor = cursor + len(fresh)
         if not fresh:
             return {}
+        self._span_cursor = (cursor + len(fresh), fresh[-1])
         try:
             attribution = telemetry.attribute_spans(fresh)
         except Exception:
@@ -493,12 +556,6 @@ class MixedPrecisionTrainer:
         return self._incidents.paths if self._incidents is not None \
             else []
 
-    def _teardown_flight(self) -> None:
-        """Uninstall this engine's recorder (idempotent, close paths)."""
-        if self.flight is not None:
-            flight.replace(self.flight, self._flight_previous)
-            self._flight_previous = None
-
     # ------------------------------------------------------------------
     # learning-rate scheduling
     # ------------------------------------------------------------------
@@ -513,6 +570,77 @@ class MixedPrecisionTrainer:
     def _apply_lr_schedule(self) -> None:
         if self._lr_schedule is not None:
             self.optimizer.lr = float(self._lr_schedule(self.step_count))
+
+    # ------------------------------------------------------------------
+    # the training step (Fig. 4b / 6b)
+    # ------------------------------------------------------------------
+    def _step_impl(self, batches: Sequence[Sequence[np.ndarray]]
+                   ) -> StepResult:
+        """Forward+backward -> gradient offload -> loss-scale verdict ->
+        update, for every engine and both schedules.
+
+        ``phased`` puts a barrier between the two hooks: every gradient
+        is offloaded before any update starts.  ``interleaved`` hands
+        the verdict to :meth:`_offload_update`, which runs each shard's
+        or block's offload straight into its update — after backprop
+        has finished, so the only thing removed is that barrier.  Per
+        device the operation order is the same either way, which keeps
+        results and fault streams bit-identical.
+        """
+        fused = self.schedule == "interleaved"
+        with telemetry.trace_span("iteration", engine=self.engine_name,
+                                  schedule=self.schedule,
+                                  backend=self.backend,
+                                  workers=self.workers) as span:
+            self.meter.begin_iteration()
+            with telemetry.trace_span("forward_backward"):
+                loss, flat_grads, norm, overflow = \
+                    self.forward_backward_many(batches)
+            if not fused:
+                # Gradients go out before the overflow verdict is acted
+                # on (the real engine streams them out during backward).
+                with telemetry.trace_span("grad_offload"):
+                    self._offload(flat_grads, overflow)
+            proceed = self.scaler.update(overflow)
+            if proceed:
+                self.step_count += 1
+                self._apply_lr_schedule()
+            if fused:
+                with telemetry.trace_span("interleaved_update",
+                                          workers=self.workers,
+                                          proceed=proceed):
+                    self._offload_update(flat_grads, proceed)
+            elif proceed:
+                with telemetry.trace_span("update", workers=self.workers):
+                    self._update(flat_grads)
+            traffic = self.meter.end_iteration()
+            self.loss_history.append(loss)
+            span.set(step=self.step_count, loss=loss, overflow=overflow,
+                     host_reads=traffic.host_reads,
+                     host_writes=traffic.host_writes,
+                     internal_reads=traffic.internal_reads,
+                     internal_writes=traffic.internal_writes)
+        return StepResult(step=self.step_count, loss=loss, grad_norm=norm,
+                          overflow=overflow, traffic=traffic)
+
+    def _offload(self, flat_grads: np.ndarray, overflow: bool) -> None:
+        """Engine hook: move this step's gradients to where the update
+        reads them (``overflow``: the update will be skipped)."""
+
+    def _update(self, flat_grads: np.ndarray) -> None:
+        """Engine hook: run the optimizer over every shard or block and
+        refresh the FP16 working copy; ``step_count`` and the learning
+        rate are already this step's."""
+        raise NotImplementedError
+
+    def _offload_update(self, flat_grads: np.ndarray,
+                        proceed: bool) -> None:
+        """Engine hook: offload, then (if ``proceed``) update, with no
+        barrier in between.  An engine whose shards or blocks are
+        independent overrides this to chain them one by one."""
+        self._offload(flat_grads, overflow=not proceed)
+        if proceed:
+            self._update(flat_grads)
 
     def forward_backward(self, batch: Sequence[np.ndarray]
                          ) -> Tuple[float, np.ndarray, float, bool]:
@@ -537,7 +665,7 @@ class MixedPrecisionTrainer:
         combined: Optional[np.ndarray] = None
         for batch in batches:
             self.model.zero_grad()
-            with self._activation_scope():
+            with activation_scope(self._spill):
                 loss = self.loss_fn(self.model, *batch)
                 # Overflow in the scaled backward pass is the signal the
                 # loss scaler exists to catch; silence numpy's warning.
@@ -558,45 +686,33 @@ class MixedPrecisionTrainer:
 class BaselineOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Infinity-style baseline: RAID0 storage + CPU update."""
 
+    engine_name = "baseline"
+
     def __init__(self, model: Module, loss_fn: LossFn, storage_dir: str,
                  config: Optional[TrainingConfig] = None) -> None:
         config = config or TrainingConfig()
-        super().__init__(model, loss_fn, config)
         num_ssds = config.raid_members
         if num_ssds < 1:
             raise TrainingError("need at least one SSD")
-        # The baseline's update loop is inherently sequential, but the
-        # knob is still validated here so a typo'd backend fails loudly
-        # on every engine, not just the parallel ones.
-        from .parallel import resolve_backend
-        resolve_backend(config.parallel_backend, 1)
-        os.makedirs(storage_dir, exist_ok=True)
+        super().__init__(model, loss_fn, config, storage_dir)
         self.faults = make_fault_injector(config)
-        self._closed = False
-        self.volume: Optional[RAID0Volume] = None
+        # Members are opened one by one, so a failure mid-construction
+        # releases every device already opened (no leaked descriptors).
+        self._members: List[FileBlockDevice] = []
         try:
-            self._init_activation_offload(storage_dir)
-        except BaseException:
-            self._teardown_flight()
-            raise
-
-        # Open members one by one so a failure mid-construction can
-        # release every device already opened (no leaked descriptors).
-        members: List[FileBlockDevice] = []
-        try:
+            os.makedirs(storage_dir, exist_ok=True)
             total = self.space.total_elements
             words = 2 + self.optimizer.states_per_param  # grads + states
             per_member = (4 * total * words // num_ssds) + (1 << 20)
             for i in range(num_ssds):
                 site = (self.faults.site(i)
                         if self.faults is not None else None)
-                members.append(FileBlockDevice(
+                self._members.append(FileBlockDevice(
                     os.path.join(storage_dir, f"ssd{i}.img"), per_member,
                     name=f"ssd{i}", fault_site=site))
-            self.volume = RAID0Volume(members,
+            self.volume = RAID0Volume(self._members,
                                       chunk_bytes=config.raid_chunk_bytes)
             self.store = TensorStore(self.volume)
-            self.meter = TrafficMeter()
 
             self._state_names = self.optimizer.state_names
             self.store.allocate("master_params", total)
@@ -615,93 +731,38 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
                     self.store.write_array(name, zero)
             self.space.install_fp16_params(masters)
         except BaseException:
-            for member in members:
-                member.close()
-            self._closed = True
-            self._teardown_flight()
-            self._close_spill()
+            self._shutdown(abandon=True)
             raise
 
+    def _release(self, abandon: bool) -> None:
+        for member in self._members:
+            member.close()
+
     # ------------------------------------------------------------------
-    def _step_impl(self, batches: Sequence[Sequence[np.ndarray]]
-                   ) -> StepResult:
-        with telemetry.trace_span("iteration", engine="baseline",
-                                  schedule=self.schedule) as span:
-            self.meter.begin_iteration()
-            with telemetry.trace_span("forward_backward"):
-                loss, flat_grads, norm, overflow = \
-                    self.forward_backward_many(batches)
+    # step hooks: block-wise upload -> AVX update -> offload (Fig. 4a)
+    # ------------------------------------------------------------------
+    def _offload(self, flat_grads: np.ndarray, overflow: bool) -> None:
+        with telemetry.trace_span("grad_offload.write",
+                                  resource="host-link-down",
+                                  nbytes=4 * flat_grads.size):
+            self.store.write_array("grads", flat_grads)
+        self.meter.add_host_write(4 * flat_grads.size)
 
-            if self.schedule == "interleaved":
-                return self._finish_interleaved(span, loss, flat_grads,
-                                                norm, overflow)
+    def _update(self, flat_grads: np.ndarray) -> None:
+        self._block_loop(None, update=True)
 
-            # Gradient offload happens during backward, before the overflow
-            # verdict is known (the real engine streams them out eagerly).
-            with telemetry.trace_span("grad_offload"):
-                with telemetry.trace_span("grad_offload.write",
-                                          resource="host-link-down",
-                                          nbytes=4 * flat_grads.size):
-                    self.store.write_array("grads", flat_grads)
-                self.meter.add_host_write(4 * flat_grads.size)
+    def _offload_update(self, flat_grads: np.ndarray,
+                        proceed: bool) -> None:
+        self._block_loop(flat_grads, update=proceed)
 
-            proceed = self.scaler.update(overflow)
-            if proceed:
-                self.step_count += 1
-                self._apply_lr_schedule()
-                with telemetry.trace_span("update"):
-                    self._cpu_update()
-            traffic = self.meter.end_iteration()
-            self.loss_history.append(loss)
-            span.set(step=self.step_count, loss=loss, overflow=overflow,
-                     host_reads=traffic.host_reads,
-                     host_writes=traffic.host_writes)
-        return StepResult(step=self.step_count, loss=loss, grad_norm=norm,
-                          overflow=overflow, traffic=traffic)
+    def _block_loop(self, unwritten: Optional[np.ndarray],
+                    update: bool) -> None:
+        """The per-block loop of both schedules.
 
-    def _finish_interleaved(self, span, loss: float,
-                            flat_grads: np.ndarray, norm: float,
-                            overflow: bool) -> StepResult:
-        """Interleaved tail of a step: per-block offload+update chains.
-
-        The overflow verdict is known before any offload I/O starts (the
-        scaler only reads the backward's NaN scan), so each block's
-        gradient write can be chained immediately with that block's CPU
-        update instead of waiting for the whole-array offload barrier.
-        Per-block I/O ops hit the same offsets with the same bytes in
-        the same relative order as the phased path, so results (and
-        fault op-counting per device) are bit-identical.
-        """
-        proceed = self.scaler.update(overflow)
-        if proceed:
-            self.step_count += 1
-            self._apply_lr_schedule()
-        total = self.space.total_elements
-        size = self.config.subgroup_elements
-        names = self._state_names
-        with telemetry.trace_span("interleaved_update", proceed=proceed):
-            with scratch_buffers(min(size, total), 2 + len(names)) \
-                    as blocks:
-                for start in range(0, total, size):
-                    count = min(size, total - start)
-                    with telemetry.trace_span(
-                            "grad_offload.block", start=start,
-                            resource="host-link-down", nbytes=4 * count):
-                        self.store.write_slice(
-                            "grads", start, flat_grads[start:start + count])
-                    self.meter.add_host_write(4 * count)
-                    if proceed:
-                        self._update_block(start, count, blocks)
-        traffic = self.meter.end_iteration()
-        self.loss_history.append(loss)
-        span.set(step=self.step_count, loss=loss, overflow=overflow,
-                 host_reads=traffic.host_reads,
-                 host_writes=traffic.host_writes)
-        return StepResult(step=self.step_count, loss=loss, grad_norm=norm,
-                          overflow=overflow, traffic=traffic)
-
-    def _cpu_update(self) -> None:
-        """Block-wise upload -> AVX update -> offload (Fig. 4a).
+        ``unwritten`` is the gradient vector when it has not been
+        offloaded as a whole (interleaved): each block's slice is then
+        written right before that block's update, hitting the same
+        offsets with the same bytes as the whole-array write.
 
         Every block reuses one set of arena scratch buffers: the store
         reads land directly in them (:meth:`TensorStore.read_slice_into`),
@@ -710,15 +771,23 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
         """
         total = self.space.total_elements
         size = self.config.subgroup_elements
-        names = self._state_names
-        with scratch_buffers(min(size, total), 2 + len(names)) as blocks:
+        with scratch_buffers(min(size, total),
+                             2 + len(self._state_names)) as blocks:
             for start in range(0, total, size):
                 count = min(size, total - start)
-                self._update_block(start, count, blocks)
+                if unwritten is not None:
+                    with telemetry.trace_span(
+                            "grad_offload.block", start=start,
+                            resource="host-link-down", nbytes=4 * count):
+                        self.store.write_slice(
+                            "grads", start, unwritten[start:start + count])
+                    self.meter.add_host_write(4 * count)
+                if update:
+                    self._update_block(start, count, blocks)
 
     def _update_block(self, start: int, count: int, blocks) -> None:
         """One block's upload -> update -> offload against the scratch
-        buffers (shared by the phased and interleaved schedules)."""
+        buffers."""
         names = self._state_names
         with telemetry.trace_span("cpu_update.block", start=start,
                                   elements=count,
@@ -756,12 +825,3 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
         """Write flat masters + moments back into storage."""
         for name in ("master_params", *self._state_names):
             self.store.write_array(name, arrays[name])
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown_flight()
-        self._close_spill()
-        if self.volume is not None:
-            self.volume.close()

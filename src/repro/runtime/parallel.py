@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 import numpy as np
@@ -143,26 +143,6 @@ class CSDWorkerPool:
     @property
     def is_parallel(self) -> bool:
         return self._pool is not None
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        """Submit one task; returns a Future.
-
-        The ready-queue scheduler (:mod:`repro.runtime.interleave`) uses
-        this to enqueue per-block chains as gradients become available.
-        With one worker the task runs inline on the calling thread and
-        the returned Future is already completed — the interleaved
-        schedule degenerates to the sequential loop exactly.
-        """
-        if self._closed:
-            raise TrainingError("worker pool is closed")
-        if self._pool is None:
-            future: Future = Future()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # noqa: BLE001 - via Future
-                future.set_exception(exc)
-            return future
-        return self._pool.submit(fn, *args)
 
     def map_ordered(self, fn: Callable[[T], R],
                     items: Iterable[T]) -> List[R]:

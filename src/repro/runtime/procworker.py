@@ -45,7 +45,7 @@ from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
 from ..telemetry import flight
-from ..telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
+from ..telemetry.flight import FlightRecorder
 from .engine import make_fault_injector
 from .parallel import ProcessCSDWorkerPool
 from .partition import Shard
@@ -101,7 +101,6 @@ _STATE: Dict[str, object] = {
     "workers": {},        # index -> _ChildShard
     "segments": {},       # segment name -> attached SharedSegment
     "flight_cursor": 0,
-    "flight_capacity": DEFAULT_CAPACITY,
     "reset": False,
 }
 
@@ -136,8 +135,7 @@ def _sync_telemetry(task: Dict[str, object]) -> None:
     flight_on = bool(task.get("flight"))
     recorder = flight.active_recorder()
     if flight_on and recorder is None:
-        flight.install(FlightRecorder(
-            capacity_per_worker=int(_STATE["flight_capacity"])))
+        flight.install(FlightRecorder())
         _STATE["flight_cursor"] = 0
     elif not flight_on and recorder is not None:
         flight.install(None)
@@ -247,8 +245,6 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     op = str(task["op"])
     index = int(task["index"])
     if op == "init":
-        _STATE["flight_capacity"] = int(
-            task.get("flight_capacity", DEFAULT_CAPACITY))
         child = _STATE["workers"][index] = _ChildShard(task)
         resp: Dict[str, object] = {"index": index}
     else:
@@ -262,71 +258,6 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     resp["faults"] = child.fault_snapshot()
     _drain_telemetry(resp)
     return resp
-
-
-# ----------------------------------------------------------------------
-# host-offload blocks (the ZeRO-Offload engine's process backend)
-# ----------------------------------------------------------------------
-
-def _host_context(layout: Dict[str, object]) -> Dict[str, object]:
-    """This process's cached views + optimizer for one host layout.
-
-    The layout dict is constant for an engine's lifetime, so the child
-    resolves it once (attach segment, build views, construct the
-    optimizer) and every later block task is just a slice-and-update.
-    """
-    contexts: Dict[str, Dict[str, object]] = _STATE.setdefault(
-        "host_contexts", {})
-    key = str(layout["segment"]["name"])
-    context = contexts.get(key)
-    if context is None:
-        segment = _attach_segment(layout["segment"])
-        views = {name: segment.view(int(offset), int(count), dtype)
-                 for name, (offset, count, dtype)
-                 in layout["regions"].items()}
-        context = {
-            "views": views,
-            "optimizer": make_optimizer(str(layout["optimizer"]),
-                                        **layout["optimizer_kwargs"]),
-        }
-        contexts[key] = context
-    return context
-
-
-def _host_update_task(task: Dict[str, object]) -> Dict[str, object]:
-    """Update one flat block of host-resident state, in place in shm."""
-    _sync_telemetry(task)
-    context = _host_context(task["layout"])
-    views: Dict[str, np.ndarray] = context["views"]
-    optimizer = context["optimizer"]
-    optimizer.lr = float(task["lr"])
-    start, stop = int(task["start"]), int(task["stop"])
-    state = {name[len("state:"):]: view[start:stop]
-             for name, view in views.items()
-             if name.startswith("state:")}
-    optimizer.step(views["masters"][start:stop],
-                   views["grads"][start:stop], state, int(task["step"]))
-    resp: Dict[str, object] = {"start": start,
-                               "worker": threading.current_thread().name}
-    _drain_telemetry(resp)
-    return resp
-
-
-def ingest_response(resp: Dict[str, object]) -> None:
-    """Fold a child response's forwarded telemetry into this process.
-
-    Shared by the shard coordinator and the host-offload engine: events
-    land in the installed flight recorder under the child's worker
-    label, spans in the active tracer (rebased to its epoch).
-    """
-    events = resp.pop("events", None)
-    recorder = flight.active_recorder()
-    if recorder is not None and events:
-        recorder.ingest(str(resp.get("worker", "csd-proc")), events)
-    spans = resp.pop("spans", None)
-    session = telemetry.active()
-    if session is not None and spans:
-        session.tracer.ingest(spans)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +312,6 @@ class ProcessShardCoordinator:
                 "regions": {name: (arena.offset_of(view), int(view.size),
                                    view.dtype.str)
                             for name, view in channel.items()},
-                "flight_capacity": int(config.flight_capacity),
             } for index, (shard, channel) in enumerate(
                 zip(self.shards, self.channels))]
             for resp in self.pool.map_ordered(_shard_task, inits):
@@ -408,8 +338,17 @@ class ProcessShardCoordinator:
         return responses
 
     def _ingest(self, resp: Dict[str, object]) -> None:
-        """Fold one child response's telemetry into the parent's."""
-        ingest_response(resp)
+        """Fold one child response's telemetry into the parent's: events
+        land in the installed flight recorder under the child's worker
+        label, spans in the active tracer (rebased to its epoch)."""
+        events = resp.pop("events", None)
+        recorder = flight.active_recorder()
+        if recorder is not None and events:
+            recorder.ingest(str(resp.get("worker", "csd-proc")), events)
+        spans = resp.pop("spans", None)
+        session = telemetry.active()
+        if session is not None and spans:
+            session.tracer.ingest(spans)
         faults = resp.pop("faults", None)
         if faults:
             self._fault_snapshots[int(resp["index"])] = faults
@@ -550,7 +489,4 @@ class ProcessShardCoordinator:
         self.arena.close()
 
 
-__all__ = [
-    "ProcessShardCoordinator",
-    "ingest_response",
-]
+__all__ = ["ProcessShardCoordinator"]

@@ -8,10 +8,9 @@ backends differ only in *where a worker runs and how bytes reach it*:
 
 * ``thread`` — :class:`InProcessShardCoordinator` holds the N workers in
   this process and runs them on the persistent
-  :class:`~repro.runtime.parallel.CSDWorkerPool` (phased) or the
-  :class:`~repro.runtime.interleave.InterleavedScheduler` (interleaved).
-  Gradients are views of the flat gradient vector; each subgroup's
-  masters are installed into the flat parameter space from the worker
+  :class:`~repro.runtime.parallel.CSDWorkerPool`, one task per shard
+  per call.  Gradients are views of the flat gradient vector; each
+  subgroup's masters are installed into the flat parameter space from the worker
   thread, through the engine's sink.
 * ``process`` — :class:`~repro.runtime.procworker.ProcessShardCoordinator`
   ships the same method calls to a worker living in a child process;
@@ -49,7 +48,6 @@ from ..modelcomp.quantization import (QuantizedTensor, QuantizerKernel,
                                       dequantize_int8)
 from ..optim.base import scratch_buffers
 from .engine import TrainingConfig, fault_bypass
-from .interleave import InterleavedScheduler
 from .parallel import CSDWorkerPool
 from .partition import Shard
 
@@ -582,7 +580,6 @@ class InProcessShardCoordinator:
         self._on_demotion = on_demotion
         self._workers: List[ShardWorker] = []
         self.pool = CSDWorkerPool(workers)
-        self._interleave = InterleavedScheduler(self.pool)
         try:
             for index, shard in enumerate(shards):
                 self._workers.append(ShardWorker(
@@ -616,9 +613,9 @@ class InProcessShardCoordinator:
     def step(self, flat_grads: np.ndarray, step_count: int, lr: float,
              do_update: bool) -> List[Dict[str, object]]:
         """Interleaved schedule: each shard's offload+update chain is
-        enqueued immediately, so an early shard's update overlaps a late
-        shard's offload."""
-        return self._interleave.run(
+        one task, so an early shard's update overlaps a late shard's
+        offload."""
+        return self.pool.map_ordered(
             lambda worker: self._report(worker.step(
                 flat_grads[worker.shard.start:worker.shard.end],
                 step_count, lr, do_update)),

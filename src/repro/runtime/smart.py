@@ -19,10 +19,11 @@ compression disabled the trained model is bit-identical to the baseline's
 
 Steps 2-4 are one :class:`~repro.runtime.shardworker.ShardWorker` per
 CSD — the concurrency structure behind the paper's near-linear Fig. 11
-scaling.  This engine is written against a shard *coordinator* and owns
-only what is host-side by nature: the step's phase order and scaler
-verdict, the traffic meter, and the host-CPU path a demoted shard falls
-back to.  The coordinator runs the workers on threads in this process or
+scaling.  This engine is the trainer's offload/update hooks written
+against a shard *coordinator*, plus the one thing that is host-side by
+nature: the host-CPU path a demoted shard falls back to (the step's
+phase order, scaler verdict and traffic meter are the shared trainer's).
+The coordinator runs the workers on threads in this process or
 in per-CSD worker processes; because shards are disjoint and every
 worker owns private storage and buffers, either placement is
 bit-identical to the sequential loop.
@@ -45,13 +46,11 @@ from ..memory import thread_arena
 from ..modelcomp.pruning import PruningMask, magnitude_mask
 from ..modelcomp.quantization import QuantizerKernel, dequantize_int8
 from ..nn.modules import Module
-from .engine import (LossFn, MixedPrecisionTrainer, StepResult,
-                     TrainingConfig, make_fault_injector)
-from .parallel import resolve_backend, resolve_workers
+from .engine import (LossFn, MixedPrecisionTrainer, TrainingConfig,
+                     make_fault_injector)
 from .partition import Shard, distribute_shards
 from .shardworker import (MASTERS, InProcessShardCoordinator,
                           dense_shard_grads)
-from .stats import TrafficMeter
 
 
 class _InstallSink:
@@ -73,15 +72,21 @@ class _InstallSink:
 class SmartInfinityEngine(MixedPrecisionTrainer):
     """Near-storage training engine over multiple functional SmartSSDs."""
 
+    engine_name = "smart"
+
     def __init__(self, model: Module, loss_fn: LossFn, storage_dir: str,
                  config: Optional[TrainingConfig] = None) -> None:
         config = config or TrainingConfig()
-        super().__init__(model, loss_fn, config)
         if config.num_csds < 1:
             raise TrainingError("need at least one CSD")
-        os.makedirs(storage_dir, exist_ok=True)
+        # Per-device work is independent (disjoint shards, private
+        # files, private handlers), so the base resolves one worker per
+        # CSD (workers=1 is exactly the sequential loop) and where they
+        # run: on threads in this process (GIL-bound but cheap) or in
+        # per-CSD worker processes behind shared-memory shard channels.
+        super().__init__(model, loss_fn, config, storage_dir,
+                         devices=config.num_csds)
         self.faults = make_fault_injector(config)
-        self._closed = False
 
         # Graceful-degradation bookkeeping: a demoted device's shard
         # lives host-side in _host_shards (masters + optimizer states)
@@ -94,21 +99,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
             self.space.total_elements, config.num_csds)
         self._coord = None
         try:
-            self.meter = TrafficMeter()
+            os.makedirs(storage_dir, exist_ok=True)
             self._state_names = self.optimizer.state_names
-            # Per-device work is independent (disjoint shards, private
-            # files, private handlers), so offload and update fan out
-            # over persistent workers; workers=1 is exactly the old
-            # sequential loop.  The backend knob picks where the shard
-            # workers run: on threads in this process (GIL-bound but
-            # cheap) or in per-CSD worker processes behind
-            # shared-memory shard channels.
-            self.workers = resolve_workers(config.parallel_csds,
-                                           config.num_csds)
-            self.backend = resolve_backend(config.parallel_backend,
-                                           self.workers)
-            self._init_activation_offload(storage_dir)
-
             masters = self.space.gather_params()
             # §VIII-B extensions: pruning mask over the flat space, and
             # the quantizer the host-side demotion path replays the
@@ -139,9 +131,7 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                 self.pruning_mask.apply(working)
             self.space.install_fp16_params(working)
         except BaseException:
-            # A failed __init__ must release every device and thread
-            # already acquired — the caller never gets a handle to close.
-            self._release(abandon=True)
+            self._shutdown(abandon=True)
             raise
 
     @property
@@ -149,68 +139,26 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         return len(self.shards)
 
     # ------------------------------------------------------------------
-    # training
+    # step hooks, written against the shard coordinator: per-device work
+    # runs wherever the backend put the shard workers and the responses
+    # carry only scalars.  Demotions are absorbed by _absorb_demotion as
+    # the coordinator reports them, so the host-CPU degradation path
+    # (and the resulting trajectory) is the same on both backends.
     # ------------------------------------------------------------------
-    def _step_impl(self, batches) -> StepResult:
-        """One iteration, written against the shard coordinator.
+    def _offload(self, flat_grads: np.ndarray, overflow: bool) -> None:
+        self._finish(self._coord.offload(flat_grads, overflow),
+                     flat_grads, updated=False)
 
-        Per-device work runs wherever the backend put the shard workers;
-        the responses carry only scalars.  Demotions are absorbed by
-        :meth:`_absorb_demotion` as the coordinator reports them, so the
-        host-CPU degradation path (and the resulting trajectory) is the
-        same on both backends.
-        """
-        coord = self._coord
-        with telemetry.trace_span("iteration", engine="smart",
-                                  num_csds=self.num_csds,
-                                  backend=self.backend) as span:
-            self.meter.begin_iteration()
-            with telemetry.trace_span("forward_backward"):
-                loss, flat_grads, norm, overflow = \
-                    self.forward_backward_many(batches)
+    def _update(self, flat_grads: np.ndarray) -> None:
+        self._finish(self._coord.update(self.step_count,
+                                        self.optimizer.lr),
+                     flat_grads, updated=True)
 
-            if self.schedule == "interleaved":
-                # The overflow verdict only needs the backward's NaN
-                # scan, so it is computed *before* any offload I/O; each
-                # shard's fused offload+update chain is then enqueued
-                # immediately — the update rides inside the offload span
-                # instead of serializing after a barrier.  Per-device op
-                # order is unchanged, so results and fault streams are
-                # bit-identical to phased.
-                proceed = self._scaler_verdict(overflow)
-                with telemetry.trace_span("interleaved_update",
-                                          workers=self.workers,
-                                          proceed=proceed):
-                    responses = coord.step(flat_grads, self.step_count,
-                                           self.optimizer.lr, proceed)
-                    self._finish(responses, flat_grads, updated=proceed)
-            else:
-                with telemetry.trace_span("grad_offload"):
-                    responses = coord.offload(flat_grads, overflow)
-                    self._finish(responses, flat_grads, updated=False)
-                if self._scaler_verdict(overflow):
-                    with telemetry.trace_span("update",
-                                              workers=self.workers):
-                        responses = coord.update(self.step_count,
-                                                 self.optimizer.lr)
-                        self._finish(responses, flat_grads, updated=True)
-
-            traffic = self.meter.end_iteration()
-            self.loss_history.append(loss)
-            span.set(step=self.step_count, loss=loss, overflow=overflow,
-                     host_reads=traffic.host_reads,
-                     host_writes=traffic.host_writes,
-                     internal_reads=traffic.internal_reads,
-                     internal_writes=traffic.internal_writes)
-        return StepResult(step=self.step_count, loss=loss, grad_norm=norm,
-                          overflow=overflow, traffic=traffic)
-
-    def _scaler_verdict(self, overflow: bool) -> bool:
-        proceed = self.scaler.update(overflow)
-        if proceed:
-            self.step_count += 1
-            self._apply_lr_schedule()
-        return proceed
+    def _offload_update(self, flat_grads: np.ndarray,
+                        proceed: bool) -> None:
+        self._finish(self._coord.step(flat_grads, self.step_count,
+                                      self.optimizer.lr, proceed),
+                     flat_grads, updated=proceed)
 
     def _finish(self, responses, flat_grads: np.ndarray,
                 updated: bool) -> None:
@@ -358,17 +306,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                       else values.copy())
 
     # ------------------------------------------------------------------
-    def _release(self, abandon: bool = False) -> None:
-        """Release workers, handlers and devices (safe on partial state)."""
-        self._teardown_flight()
-        self._close_spill()
+    def _release(self, abandon: bool) -> None:
+        """Release workers, handlers and devices; demoted devices (and
+        their abandoned handlers) are already closed and are skipped."""
         if self._coord is not None:
             self._coord.close(abandon=abandon)
-
-    def close(self) -> None:
-        """Release every device/thread. Idempotent; demoted devices (and
-        their abandoned handlers) are already closed and are skipped."""
-        if self._closed:
-            return
-        self._closed = True
-        self._release()

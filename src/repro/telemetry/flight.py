@@ -277,26 +277,17 @@ class IncidentDumper:
     A dropped-out device degrades every later step; without dedup the
     interesting snapshot (the seconds *around* the dropout) would be
     rewritten hundreds of times.  ``limit`` bounds the files one dumper
-    writes per run; ``retention``, when set, additionally prunes the
-    oldest ``flightrec-*.jsonl`` files in the directory (including ones
-    left by earlier runs) down to the newest ``retention`` after every
-    write, so a long-lived dump directory does not grow without bound.
-    Both knobs are surfaced as ``TrainingConfig.flight_dump_limit`` /
-    ``flight_dump_retention``.
+    writes per run: distinct incident keys beyond it are dropped, not
+    rotated — the *first* occurrences are the interesting ones.
     """
 
     def __init__(self, recorder: FlightRecorder, directory: str,
-                 limit: int = 16,
-                 retention: Optional[int] = None) -> None:
+                 limit: int = 16) -> None:
         if limit < 1:
             raise ValueError(f"dump limit must be positive, got {limit}")
-        if retention is not None and retention < 1:
-            raise ValueError(
-                f"dump retention must be positive, got {retention}")
         self.recorder = recorder
         self.directory = directory
         self.limit = limit
-        self.retention = retention
         self._lock = threading.Lock()
         self._paths: Dict[str, str] = {}
 
@@ -318,43 +309,8 @@ class IncidentDumper:
             # with the same key sees it as already handled.
             self._paths[key] = path
         os.makedirs(self.directory, exist_ok=True)
-        written = self.recorder.dump_jsonl(path, reason=reason,
-                                           incident=key, **meta)
-        if self.retention is not None:
-            self._prune(keep=os.path.basename(path))
-        return written
-
-    def _prune(self, keep: str) -> None:
-        """Drop the oldest ``flightrec-*.jsonl`` files beyond retention.
-
-        Age is the file's mtime (dumps from previous runs count too);
-        the just-written file is never pruned even against clock skew.
-        """
-        try:
-            names = [name for name in os.listdir(self.directory)
-                     if name.startswith("flightrec-")
-                     and name.endswith(".jsonl")]
-        except OSError:
-            return
-        entries = []
-        for name in names:
-            full = os.path.join(self.directory, name)
-            try:
-                entries.append((os.path.getmtime(full), name, full))
-            except OSError:
-                continue
-        entries.sort()
-        excess = len(entries) - self.retention
-        for _mtime, name, full in entries:
-            if excess <= 0:
-                break
-            if name == keep:
-                continue
-            try:
-                os.remove(full)
-            except OSError:
-                continue
-            excess -= 1
+        return self.recorder.dump_jsonl(path, reason=reason,
+                                        incident=key, **meta)
 
 
 # ----------------------------------------------------------------------

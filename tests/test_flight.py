@@ -205,42 +205,10 @@ def test_incident_dumper_fires_once_per_key(tmp_path):
     assert len(list((tmp_path / "fr").iterdir())) == 2
 
 
-def test_incident_dumper_retention_prunes_oldest(tmp_path):
-    import os
-    import time
-
-    recorder = FlightRecorder(capacity_per_worker=8)
-    dumper = IncidentDumper(recorder, str(tmp_path / "fr"), limit=16,
-                            retention=2)
-    paths = []
-    for index in range(4):
-        path = dumper.dump_once(f"incident{index}", reason="slo-breach")
-        assert path is not None
-        paths.append(path)
-        # mtime granularity: make the prune order unambiguous.
-        stamp = time.time() + index
-        os.utime(path, (stamp, stamp))
-    survivors = sorted(str(p) for p in (tmp_path / "fr").iterdir())
-    assert survivors == sorted(paths[-2:])
-    # The dedup ledger still remembers pruned incidents.
-    assert dumper.dump_once("incident0", reason="slo-breach") is None
-
-
 def test_incident_dumper_validates_knobs(tmp_path):
     recorder = FlightRecorder(capacity_per_worker=8)
     with pytest.raises(ValueError, match="limit"):
         IncidentDumper(recorder, str(tmp_path), limit=0)
-    with pytest.raises(ValueError, match="retention"):
-        IncidentDumper(recorder, str(tmp_path), retention=0)
-
-
-def test_flight_dump_knobs_round_trip_through_config(tmp_path):
-    config = TrainingConfig(flight_dump_limit=3,
-                            flight_dump_retention=2,
-                            flight_dump_dir=str(tmp_path / "fr"))
-    restored = TrainingConfig.from_dict(config.to_dict())
-    assert restored.flight_dump_limit == 3
-    assert restored.flight_dump_retention == 2
 
 
 def test_dropout_dumps_exactly_once_per_incident(tmp_path):

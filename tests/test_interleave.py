@@ -1,8 +1,8 @@
 """The interleaved execution pipeline: bit-identity, spill, scheduling.
 
 The tentpole claim: ``TrainingConfig.schedule="interleaved"`` changes
-*when* each block's offload+update runs (enqueued as backprop produces
-gradients instead of behind the offload barrier) but never *what* gets
+*when* each block's offload+update runs (chained per shard, without the
+barrier between all offloads and all updates) but never *what* gets
 computed — parameters, metered traffic, fault accounting, and
 checkpoints are bit-identical to the phased schedule across every
 engine, both execution backends, and under chaos.  The activation
@@ -13,12 +13,13 @@ the schedule buys: a strictly shorter su_o_c step at >=2 CSDs, with the
 critical-path ``interleave()`` projection validating under the 5% gate.
 """
 
+import contextlib
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.api import create_engine
 from repro.errors import TrainingError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
@@ -26,12 +27,14 @@ from repro.nn import (ActivationSpillStore, SequenceClassifier,
                       activation_spill_scope, active_spill_store,
                       bert_config, spill_beats_recompute)
 from repro.nn.checkpoint import checkpointed_classifier_loss
-from repro.runtime import CSDWorkerPool, TrainingConfig
+from repro.optim import make_optimizer
+from repro.runtime import TrainingConfig, distribute_shards
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
-from repro.runtime.interleave import (ACTIVATION_MODES,
-                                      InterleavedScheduler, SCHEDULES,
-                                      resolve_activation_offload,
-                                      resolve_schedule)
+from repro.runtime.engine import (ACTIVATION_MODES, SCHEDULES,
+                                  resolve_activation_offload,
+                                  resolve_schedule)
+from repro.runtime.shardworker import InProcessShardCoordinator
+from repro.telemetry.attrib import PHASE_SPAN_NAMES
 
 
 def loss_fn(model, tokens, labels):
@@ -111,68 +114,112 @@ class TestConfig:
 
 
 # ----------------------------------------------------------------------
-# the ready-queue scheduler
+# the one step body: phase spans, and chains that are never abandoned
 # ----------------------------------------------------------------------
-class TestInterleavedScheduler:
-    def test_drain_returns_results_in_submission_order(self):
-        with CSDWorkerPool(2) as pool:
-            sched = InterleavedScheduler(pool)
-            results = sched.run(lambda n: n * n, range(8))
-        assert results == [n * n for n in range(8)]
+STEP_ENGINES = {
+    "baseline": ("baseline", dict(raid_members=2)),
+    "smart-thread": ("smart", dict(num_csds=2, parallel_csds=2,
+                                   parallel_backend="thread")),
+    "smart-process": ("smart", dict(num_csds=2, parallel_csds=2,
+                                    parallel_backend="process")),
+    "host": ("host_offload", {}),
+}
 
-    def test_inline_pool_executes_immediately(self):
-        order = []
-        with CSDWorkerPool(1) as pool:
-            sched = InterleavedScheduler(pool)
-            sched.submit(order.append, 1)
-            # workers=1 has no backing pool: the work already ran.
-            assert order == [1]
-            sched.drain()
 
-    def test_window_bounds_in_flight_work(self):
-        gate = threading.Event()
-        peak = [0]
-        live = [0]
-        lock = threading.Lock()
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("engine_id", sorted(STEP_ENGINES))
+def test_step_emits_the_phase_span_sequence(tmp_path, engine_id, schedule):
+    """What attribution and ``critpath.from_spans`` read off a step:
+    ``iteration`` contains ``forward_backward``, then ``grad_offload``
+    and ``update`` (phased) or one ``interleaved_update``, back to back;
+    an overflow step has no ``update``."""
+    mode, kwargs = STEP_ENGINES[engine_id]
+    config = TrainingConfig(optimizer="adam", subgroup_elements=4096,
+                            schedule=schedule, **kwargs)
+    tokens, labels = make_batch()
+    with telemetry.session() as session, create_engine(
+            mode, make_model(), loss_fn,
+            None if mode == "host_offload" else str(tmp_path / "e"),
+            config=config) as engine:
+        assert not engine.train_step(tokens, labels).overflow
+        gather = engine.space.gather_grads
 
-        def task(_n):
-            with lock:
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-            gate.wait(5.0)
-            with lock:
-                live[0] -= 1
+        def poisoned(*args):
+            flat = gather(*args)
+            flat[3] = np.inf
+            return flat
 
-        with CSDWorkerPool(2) as pool:
-            sched = InterleavedScheduler(pool, window=2)
-            threads = [threading.Thread(target=sched.submit,
-                                        args=(task, n))
-                       for n in range(4)]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.05)
-            # The window admits 2 tasks; the rest block on backpressure.
-            assert peak[0] <= 2
-            gate.set()
-            for thread in threads:
-                thread.join()
-            sched.drain()
-        assert peak[0] <= 2
+        engine.space.gather_grads = poisoned
+        assert engine.train_step(tokens, labels).overflow
+        spans = list(session.tracer.spans)
 
-    def test_first_error_reraised_after_all_complete(self):
-        done = []
+    iterations = sorted((s for s in spans if s.name == "iteration"),
+                        key=lambda s: s.start)
+    phases = sorted((s for s in spans if s.name in PHASE_SPAN_NAMES),
+                    key=lambda s: s.start)
+    inside = [[p for p in phases if it.start <= p.start and p.end <= it.end]
+              for it in iterations]
+    assert sum(map(len, inside)) == len(phases)  # none outside a step
+    for group in inside:
+        assert all(a.end <= b.start for a, b in zip(group, group[1:]))
+    tail = (["interleaved_update"] if schedule == "interleaved"
+            else ["grad_offload", "update"])
+    good, skipped = ([p.name for p in group] for group in inside)
+    assert good == ["forward_backward"] + tail
+    assert skipped == ["forward_backward"] + tail[:1]
+    if schedule == "interleaved":
+        assert [g[-1].attrs["proceed"] for g in inside] == [True, False]
+    for it, (step, overflow) in zip(iterations, [(1, False), (1, True)]):
+        assert it.attrs["schedule"] == schedule
+        assert it.attrs["engine"] == mode.split("_")[0]
+        assert (it.attrs["step"], it.attrs["overflow"]) == (step, overflow)
+    assert telemetry.attribute_spans(spans).phases == \
+        ["forward_backward"] + tail
 
-        def task(n):
-            if n == 1:
-                raise ValueError("block 1 failed")
-            done.append(n)
 
-        with CSDWorkerPool(2) as pool:
-            sched = InterleavedScheduler(pool)
-            with pytest.raises(ValueError, match="block 1 failed"):
-                sched.run(task, range(4))
-        # Later blocks were not abandoned mid-flight.
-        assert sorted(done) == [0, 2, 3]
+def test_failed_interleaved_chain_surfaces_after_the_others(tmp_path):
+    """One shard's offload+update chain raising must not abandon the
+    others mid-write: every other chain has finished (update included)
+    by the time the coordinator re-raises."""
+    config = TrainingConfig(optimizer="adam", subgroup_elements=512,
+                            num_csds=3, schedule="interleaved")
+    shards = distribute_shards(3 * 2048, 3)
+    masters = np.zeros(3 * 2048, dtype=np.float32)
+    finished = []
+    release = threading.Event()
+
+    class DiscardingSink:
+        def __init__(self, shard):
+            pass
+
+        def destination(self, subgroup):
+            return contextlib.nullcontext(
+                np.empty(subgroup.count, dtype=np.float32))
+
+    coord = InProcessShardCoordinator(
+        str(tmp_path), shards, config, make_optimizer("adam"), None,
+        masters, 2, DiscardingSink, lambda resp: None)
+    try:
+        for index, worker in enumerate(coord._workers):
+            real = worker.step
+
+            def step(*args, _real=real, _index=index):
+                if _index == 0:
+                    # Fail only once the other chains are under way.
+                    release.wait(5.0)
+                    raise ValueError("shard 0 failed")
+                resp = _real(*args)
+                finished.append(_index)
+                release.set()
+                return resp
+
+            worker.step = step
+        grads = np.ones_like(masters)
+        with pytest.raises(ValueError, match="shard 0 failed"):
+            coord.step(grads, 1, 1e-3, True)
+        assert sorted(finished) == [1, 2]
+    finally:
+        coord.close()
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +291,7 @@ def test_baseline_interleaved_matches_phased(tmp_path):
               **kwargs))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_host_interleaved_matches_phased(tmp_path, backend):
     kwargs = dict(parallel_csds=2, parallel_backend=backend, steps=3)
     assert_same_run(

@@ -26,6 +26,42 @@ def test_public_api_importable():
                 SmartInfinityEngine, TrainingConfig))
 
 
+def test_tracked_surface_numbers():
+    """The numbers every CHANGES.md entry quotes, pinned: a PR that
+    moves one edits it here, in the same diff."""
+    import re
+    from dataclasses import fields
+    from pathlib import Path
+
+    import repro.api
+    from repro.cli import _build_parser
+
+    root = Path(__file__).resolve().parents[1]
+    subcommands = next(
+        action.choices for action in _build_parser()._actions
+        if getattr(action, "choices", None)
+        and "simulate" in action.choices)
+    step_bodies = [
+        str(path.relative_to(root))
+        for path in sorted((root / "src/repro/runtime").glob("*.py"))
+        for _ in re.finditer(r"^\s*def _step_impl\b", path.read_text(),
+                             re.MULTILINE)]
+    ci = (root / ".github/workflows/ci.yml").read_text()
+    assert {
+        "TrainingConfig fields": len(fields(repro.api.TrainingConfig)),
+        "repro.api names": len(repro.api.__all__),
+        "CLI subcommands": len(subcommands),
+        "CI run steps": len(re.findall(r"^\s+run:", ci, re.MULTILINE)),
+        "step bodies": step_bodies,
+    } == {
+        "TrainingConfig fields": 23,
+        "repro.api names": 9,
+        "CLI subcommands": 8,
+        "CI run steps": 10,
+        "step bodies": ["src/repro/runtime/engine.py"],
+    }
+
+
 # ----------------------------------------------------------------------
 # traffic meter / expected traffic
 # ----------------------------------------------------------------------

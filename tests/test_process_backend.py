@@ -320,26 +320,6 @@ def test_checkpoint_round_trip_across_backends(tmp_path):
     np.testing.assert_array_equal(resumed, straight)
 
 
-def test_host_offload_process_matches_thread():
-    tokens, labels = make_batch()
-
-    def run(backend):
-        config = TrainingConfig(
-            optimizer="adam", optimizer_kwargs={"lr": 1e-3},
-            subgroup_elements=2048, parallel_csds=2,
-            parallel_backend=backend)
-        engine = create_engine("host_offload", make_model(), loss_fn,
-                               config=config)
-        try:
-            for _ in range(3):
-                engine.train_step(tokens, labels)
-            return engine.space.gather_params().copy()
-        finally:
-            engine.close()
-
-    np.testing.assert_array_equal(run("thread"), run("process"))
-
-
 def test_child_telemetry_forwarded_to_parent_session(tmp_path):
     """Worker-process spans and flight events land in the parent.
 

@@ -25,9 +25,8 @@ from repro import telemetry
 from repro.compression.topk import keep_count
 from repro.errors import TrainingError
 from repro.nn import SequenceClassifier, bert_config
-from repro.runtime import (CSDWorkerPool, HostOffloadEngine,
-                           SmartInfinityEngine, TrafficMeter,
-                           TrainingConfig, resolve_workers)
+from repro.runtime import (CSDWorkerPool, SmartInfinityEngine,
+                           TrafficMeter, TrainingConfig, resolve_workers)
 
 
 def loss_fn(model, tokens, labels):
@@ -216,22 +215,6 @@ def test_parallel_matches_sequential(tmp_path, num_csds, ratio):
                                      workers=num_csds, ratio=ratio)
     np.testing.assert_array_equal(seq_params, par_params)
     assert seq_traffic == par_traffic
-
-
-def test_parallel_host_offload_matches_sequential():
-    config_seq = TrainingConfig(optimizer="adam", subgroup_elements=512,
-                                parallel_csds=1)
-    config_par = TrainingConfig(optimizer="adam", subgroup_elements=512,
-                                parallel_csds=4)
-    tokens, labels = make_batch()
-    results = {}
-    for tag, config in [("seq", config_seq), ("par", config_par)]:
-        engine = HostOffloadEngine(make_model(), loss_fn, config=config)
-        for _ in range(2):
-            engine.train_step(tokens, labels)
-        results[tag] = engine.space.gather_params()
-        engine.close()
-    np.testing.assert_array_equal(results["seq"], results["par"])
 
 
 def test_config_default_is_auto():

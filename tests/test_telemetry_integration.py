@@ -80,6 +80,38 @@ def test_engine_output_bit_identical_with_telemetry(tmp_path_factory,
     assert not telemetry.enabled()
 
 
+def test_utilization_signals_in_consecutive_sessions(tmp_path):
+    """``util:*`` health signals are cut from the spans recorded since
+    the previous step; the count of spans already seen belongs to one
+    tracer, so a second session on the same engine (or a cleared
+    tracer) must start from zero instead of waiting to outgrow the
+    first session's count."""
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                            num_csds=2)
+
+    def util_samples(engine):
+        return {name: window.samples
+                for name, window in engine.health.signals.items()
+                if name.startswith("util:")}
+
+    with SmartInfinityEngine(make_model(), loss_fn, str(tmp_path),
+                             config=config) as engine:
+        with telemetry.session():
+            engine.train_step(tokens, labels)
+            engine.train_step(tokens, labels)
+        first = util_samples(engine)
+        assert first and set(first.values()) == {2}
+        with telemetry.session() as session:
+            engine.train_step(tokens, labels)
+            assert set(util_samples(engine).values()) == {3}
+            session.tracer.clear()
+            engine.train_step(tokens, labels)
+        assert util_samples(engine) == dict.fromkeys(first, 4)
+
+
 def test_functional_engine_populates_metrics(tmp_path):
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 16, size=(4, 8))
