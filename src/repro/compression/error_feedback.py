@@ -61,6 +61,11 @@ class ErrorFeedback:
         np.subtract(self._kept, compressed.values, out=self._kept)
         self.residual[compressed.indices] = self._kept
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the residual and the kept-value staging."""
+        return self.residual.nbytes + self._kept.nbytes
+
     def residual_norm(self) -> float:
         return float(np.linalg.norm(self.residual))
 

@@ -73,42 +73,60 @@ def keep_count(num_elements: int, volume_ratio: float) -> int:
 _SAMPLE_ELEMENTS = 8192
 _MIN_SAMPLE_RANK = 32
 
+#: Elements whose ``|g|`` is staged per pass of the candidate search —
+#: all the scratch :func:`compress_topk` needs, whatever the shard's size.
+TOPK_BLOCK = 1 << 16
 
-def _candidates(bits: np.ndarray, kept: int) -> np.ndarray:
-    """Ascending indices of a superset of the ``kept`` largest patterns.
 
-    A strided sample places a threshold expected to pass ``2 x kept``
-    elements.  A zero threshold (a mostly-zero vector) passes the
-    non-zeros, topped up with the lowest-index zeros when fewer than
-    ``kept`` exist; otherwise too few passing means the sample misjudged,
-    and every index is a candidate.
+def _candidates(flat: np.ndarray, kept: int,
+                scratch: np.ndarray) -> np.ndarray:
+    """Ascending indices of a superset of the ``kept`` largest ``|flat|``.
+
+    Magnitudes are compared as float32 bit patterns, which order like
+    the non-negative values with infinity and then NaN on top, so a
+    non-finite element always is a candidate.  A strided sample places
+    a threshold expected to pass ``2 x kept`` elements, and the vector
+    is then searched ``scratch.size`` elements at a time.  A zero
+    threshold (a mostly-zero vector) passes the non-zeros, topped up
+    with the lowest-index zeros when fewer than ``kept`` exist;
+    otherwise too few passing means the sample misjudged, and every
+    index is a candidate.
     """
-    sample = bits[::max(1, bits.size // _SAMPLE_ELEMENTS)]
+    sample = np.abs(flat[::max(1, flat.size // _SAMPLE_ELEMENTS)])
+    sample = sample.view(np.int32)
     rank = min(sample.size, max(_MIN_SAMPLE_RANK,
-                                -(-2 * kept * sample.size // bits.size)))
+                                -(-2 * kept * sample.size // flat.size)))
     threshold = np.partition(sample, sample.size - rank)[sample.size - rank]
-    chosen = np.flatnonzero(bits >= max(threshold, 1))
+    floor = max(threshold, 1)
+    found = []
+    for start in range(0, flat.size, scratch.size):
+        block = flat[start:start + scratch.size]
+        bits = np.abs(block, out=scratch[:block.size]).view(np.int32)
+        passing = np.flatnonzero(bits >= floor)
+        passing += start
+        found.append(passing)
+    chosen = np.concatenate(found)
     if chosen.size >= kept:
         return chosen
     if threshold > 0:
-        return np.arange(bits.size)
-    zeros = np.flatnonzero(bits[:kept] == 0)[:kept - chosen.size]
+        return np.arange(flat.size)
+    zeros = np.flatnonzero(flat[:kept] == 0)[:kept - chosen.size]
     return np.sort(np.concatenate((chosen, zeros)))
 
 
-def _select_topk(magnitudes: np.ndarray, kept: int) -> np.ndarray:
+def _select_topk(flat: np.ndarray, kept: int,
+                 scratch: np.ndarray) -> np.ndarray:
     """Ascending indices of exactly the ``kept`` largest magnitudes,
     ranked by (magnitude descending, index ascending).
 
-    Candidates are found on the float32 bit patterns, which order like
-    the non-negative magnitudes with infinity and then NaN on top, so a
-    non-finite element always is one; such input then keeps
-    ``argpartition``'s order (NaN first) and its arbitrary ties.
+    Non-finite input keeps ``argpartition``'s order (NaN first) and its
+    arbitrary ties, over a whole-vector ``|flat|`` that only this rare
+    path materialises.
     """
-    pool_indices = _candidates(magnitudes.view(np.int32), kept)
-    pool = magnitudes[pool_indices]
+    pool_indices = _candidates(flat, kept, scratch)
+    pool = np.abs(flat[pool_indices])
     if not np.isfinite(pool.max()):
-        top = np.argpartition(magnitudes, magnitudes.size - kept)[-kept:]
+        top = np.argpartition(np.abs(flat), flat.size - kept)[-kept:]
         top.sort()
         return top
     cut = np.partition(pool, pool.size - kept)[pool.size - kept]
@@ -131,9 +149,11 @@ def compress_topk(gradient: np.ndarray,
     are used as-is — the input is only ever read, and the fancy-indexed
     gather of kept values already produces a fresh array (no aliasing, so
     no defensive copy) — so no normalisation pass runs per shard per
-    iteration.  ``abs_scratch``, when given, receives the magnitude pass
-    (``|g|``) instead of a fresh temporary; it must be a flat float32
-    buffer of at least ``gradient.size`` elements (e.g. an arena block).
+    iteration.  ``abs_scratch``, when given, stages the magnitude pass
+    (``|g|``, :data:`TOPK_BLOCK` elements at a time) instead of a fresh
+    temporary; it must be a flat float32 buffer of at least
+    ``min(gradient.size, TOPK_BLOCK)`` elements (e.g. an arena block),
+    and no more of it than that is touched.
     """
     if (isinstance(gradient, np.ndarray) and gradient.ndim == 1
             and gradient.dtype == np.float32
@@ -145,11 +165,11 @@ def compress_topk(gradient: np.ndarray,
     if kept >= flat.size:
         indices = np.arange(flat.size, dtype=np.int32)
     else:
-        if abs_scratch is not None:
-            magnitudes = np.abs(flat, out=abs_scratch[:flat.size])
-        else:
-            magnitudes = np.abs(flat)
-        indices = _select_topk(magnitudes, kept).astype(np.int32)
+        block = min(flat.size, TOPK_BLOCK)
+        if abs_scratch is None:
+            abs_scratch = np.empty(block, dtype=np.float32)
+        indices = _select_topk(flat, kept,
+                               abs_scratch[:block]).astype(np.int32)
     return CompressedGradient(indices=indices,
                               values=flat[indices],
                               original_size=flat.size)

@@ -100,24 +100,43 @@ def has_overflow(arrays: Iterable[np.ndarray]) -> bool:
     return False
 
 
+#: Elements squared into float64 per pass of :func:`global_grad_norm`
+#: (512 KiB of staging, whatever the model's size).
+NORM_BLOCK = 1 << 16
+
+
+def _sum_of_squares(flat: np.ndarray, staging: np.ndarray) -> float:
+    """``np.square(flat, dtype=float64).sum()``, bit for bit, staging at
+    most ``staging.size`` squares at a time: above that size the range
+    is halved exactly where numpy's pairwise summation halves it, so
+    the blocks are subtrees of the sum numpy would have computed."""
+    if flat.size <= staging.size:
+        squares = staging[:flat.size]
+        np.square(flat, dtype=np.float64, out=squares)
+        return float(squares.sum())
+    half = flat.size // 2
+    half -= half % 8
+    return (_sum_of_squares(flat[:half], staging)
+            + _sum_of_squares(flat[half:], staging))
+
+
 def global_grad_norm(arrays: Iterable[np.ndarray]) -> float:
     """L2 norm over the concatenation of all gradient arrays.
 
     Doubles as the NaN/Inf scan: float32 squares cannot overflow float64
     nor cancel, so the norm is non-finite exactly when some element is.
-    The float64 squares are staged in the calling thread's arena.
+    The float64 squares are staged :data:`NORM_BLOCK` elements at a time
+    in the calling thread's arena.
     """
     arena = thread_arena()
+    staging = arena.acquire(NORM_BLOCK, np.float64)
     total = 0.0
-    for array in arrays:
-        if array.size == 0:
-            continue
-        squares = arena.acquire(array.size, np.float64)
-        try:
-            np.square(array.reshape(-1), dtype=np.float64, out=squares)
-            total += float(squares.sum())
-        finally:
-            arena.release(squares)
+    try:
+        for array in arrays:
+            if array.size:
+                total += _sum_of_squares(array.reshape(-1), staging)
+    finally:
+        arena.release(staging)
     return float(np.sqrt(total))
 
 

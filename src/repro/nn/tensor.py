@@ -73,7 +73,7 @@ class Tensor:
     """A numpy-backed tensor with reverse-mode autograd."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name")
+                 "name", "_grad_buffer")
 
     def __init__(self, data: TensorLike, requires_grad: bool = False,
                  dtype: Optional[np.dtype] = None, name: str = "") -> None:
@@ -92,6 +92,10 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
+        #: Where the first gradient of a backward pass lands instead of
+        #: a fresh copy (a view of a flat gradient buffer, bound by
+        #: ``FlatParameterSpace``); None for every other tensor.
+        self._grad_buffer: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -153,10 +157,13 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float32)
         if grad.shape != self.data.shape:
             grad = _unbroadcast(grad, self.data.shape)
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += grad
+        elif self._grad_buffer is None:
             self.grad = grad.copy()
         else:
-            self.grad += grad
+            np.copyto(self._grad_buffer, grad)
+            self.grad = self._grad_buffer
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -9,7 +9,8 @@ from .parallel import (CSDWorkerPool, ProcessCSDWorkerPool,
 from .partition import (FlatParameterSpace, ParamSlot, Shard,
                         distribute_shards)
 from .smart import SmartInfinityEngine
-from .stats import IterationTraffic, TrafficMeter, expected_traffic
+from .stats import (IterationTraffic, TrafficMeter, expected_host_resident,
+                    expected_traffic)
 
 __all__ = [
     "BaselineOffloadEngine",
@@ -30,6 +31,7 @@ __all__ = [
     "TrafficMeter",
     "TrainingConfig",
     "distribute_shards",
+    "expected_host_resident",
     "expected_traffic",
     "resolve_backend",
     "resolve_workers",

@@ -312,6 +312,9 @@ class MixedPrecisionTrainer:
         self.step_count = 0
         self.loss_history: List[float] = []
         self._lr_schedule: Optional[Callable[[int], float]] = None
+        #: Sum of the micro-batches' gradients; allocated by the first
+        #: step that has more than one.
+        self._accumulated: Optional[np.ndarray] = None
 
         # Step-health monitoring + SLO rules (repro.telemetry.health):
         # fed once per step by _run_step, evaluated immediately after.
@@ -406,6 +409,30 @@ class MixedPrecisionTrainer:
         zero-steady-state-allocation invariant.
         """
         return aggregate_arena_stats()
+
+    def host_resident(self) -> Dict[str, int]:
+        """Host-resident bytes this engine holds right now, by owner:
+        the measured side of :func:`~repro.runtime.stats.
+        expected_host_resident`, which it equals between the steps of a
+        warmed-up, fault-free engine (tested).  ``arenas`` is every live
+        arena's pooled and checked-out bytes, so other engines in the
+        process count."""
+        accumulated = self._accumulated
+        arenas = aggregate_arena_stats()
+        return {
+            **self.space.resident(),
+            "grad_accumulator": (0 if accumulated is None
+                                 else accumulated.nbytes),
+            **self._resident(),
+            "arenas": arenas.pooled_bytes + arenas.bytes_in_use,
+        }
+
+    def _resident(self) -> Dict[str, int]:
+        """Engine hook: ``ef_residual`` / ``compressed_stream`` /
+        ``handler_dram`` of :meth:`host_resident`."""
+        raise TrainingError(
+            f"the {self.engine_name} engine has no host-memory closed "
+            "form yet (ROADMAP item 5)")
 
     # ------------------------------------------------------------------
     # step driver: wall-clock timing, health signals, incident capture
@@ -644,7 +671,8 @@ class MixedPrecisionTrainer:
 
     def forward_backward(self, batch: Sequence[np.ndarray]
                          ) -> Tuple[float, np.ndarray, float, bool]:
-        """One scaled forward/backward pass (a single micro-batch)."""
+        """One scaled forward/backward pass (a single micro-batch); the
+        gradients are valid until the next call."""
         return self.forward_backward_many([batch])
 
     def forward_backward_many(self, batches: Sequence[Sequence[np.ndarray]]
@@ -658,6 +686,10 @@ class MixedPrecisionTrainer:
         gradient is, and a NaN/Inf in any micro-batch survives the mean.
         On overflow the gradients are left as they are, the reported norm
         is 0.0 and the step must be skipped.
+
+        The gradients are a buffer this trainer owns (the space's flat
+        gradient buffer, or the micro-batch accumulator): valid until
+        the next call, so copy them to keep them.
         """
         if not batches:
             raise TrainingError("need at least one micro-batch")
@@ -674,7 +706,15 @@ class MixedPrecisionTrainer:
                     scaled.backward()
                     flat = self.space.gather_grads(1.0 / self.scaler.scale)
             total_loss += float(loss.item())
-            combined = flat if combined is None else combined + flat
+            if len(batches) == 1:
+                combined = flat
+            elif combined is None:
+                if self._accumulated is None:
+                    self._accumulated = np.empty_like(flat)
+                combined = self._accumulated
+                np.copyto(combined, flat)
+            else:
+                combined += flat
         if len(batches) > 1:
             combined *= np.float32(1.0 / len(batches))
         norm = clip_gradients([combined], self.config.grad_clip)
@@ -737,6 +777,9 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
     def _release(self, abandon: bool) -> None:
         for member in self._members:
             member.close()
+
+    def _resident(self) -> Dict[str, int]:
+        return {"ef_residual": 0, "compressed_stream": 0, "handler_dram": 0}
 
     # ------------------------------------------------------------------
     # step hooks: block-wise upload -> AVX update -> offload (Fig. 4a)

@@ -55,6 +55,14 @@ class FlatParameterSpace:
     before its installs — :meth:`gather_params` and
     :meth:`scatter_params` re-adopt such a parameter (copy in, bind
     back), so updates never land in storage the model no longer reads.
+
+    The space **owns the gradient** the same way: one flat float32
+    buffer, each parameter's slot of it bound as the place the first
+    gradient of a backward pass is written to (``Tensor._accumulate``;
+    later ones add in place), so the model's gradients exist exactly
+    once and :meth:`gather_grads` has nothing to copy.  A ``.grad``
+    assigned from outside, or a parameter a second space has bound to
+    its own buffer, is re-adopted there like a re-bound ``.data``.
     """
 
     def __init__(self, module: Module) -> None:
@@ -74,12 +82,16 @@ class FlatParameterSpace:
         self._by_name: Dict[str, ParamSlot] = {
             slot.name: slot for slot in self.slots}
         self._flat = np.empty(offset, dtype=np.float32)
-        #: (parameter, slot, the view of ``_flat`` its data is bound to).
+        self._flat_grads = np.empty(offset, dtype=np.float32)
+        #: (parameter, slot, the views of ``_flat`` and ``_flat_grads``
+        #: its data and its gradient are bound to).
         self._bound = [
             (param, slot,
-             self._flat[slot.offset:slot.end].reshape(slot.shape))
+             self._flat[slot.offset:slot.end].reshape(slot.shape),
+             self._flat_grads[slot.offset:slot.end].reshape(slot.shape))
             for param, slot in zip(params, self.slots)]
         self._adopt_detached()
+        self._adopt_grads()
 
     def slot(self, name: str) -> ParamSlot:
         try:
@@ -89,10 +101,22 @@ class FlatParameterSpace:
 
     def _adopt_detached(self) -> None:
         """Re-bind parameters bound elsewhere, keeping their values."""
-        for param, _slot, view in self._bound:
+        for param, _slot, view, _grad_view in self._bound:
             if param.data is not view:
                 np.copyto(view, param.data)
                 param.data = view
+
+    def _adopt_grads(self) -> None:
+        """Make every slot of the flat gradient buffer hold its
+        parameter's gradient (zeros where it has none) and be where the
+        next backward pass writes it."""
+        for param, _slot, _view, grad_view in self._bound:
+            param._grad_buffer = grad_view
+            if param.grad is None:
+                grad_view.fill(0.0)
+            elif param.grad is not grad_view:
+                np.copyto(grad_view.reshape(-1), param.grad.reshape(-1))
+                param.grad = grad_view
 
     # ------------------------------------------------------------------
     # gather / scatter
@@ -135,19 +159,24 @@ class FlatParameterSpace:
                   casting="same_kind")
 
     def gather_grads(self, scale: float = 1.0) -> np.ndarray:
-        """Accumulated gradients times ``scale`` as one flat float32
-        vector (zeros where a parameter received no gradient); the
-        unscaling multiply rides the copy instead of a second pass."""
+        """The accumulated gradients times ``scale``: the flat gradient
+        buffer itself, unscaled in place (zeros where a parameter
+        received no gradient).
+
+        The result is valid until the next backward pass writes into it;
+        each ``param.grad`` is a view of it, so it reads the scaled
+        values afterwards, and a second call scales them again.
+        """
         self._adopt_detached()
-        scale = np.float32(scale)
-        flat = np.empty(self.total_elements, dtype=np.float32)
-        for param, slot, _view in self._bound:
-            target = flat[slot.offset:slot.end]
-            if param.grad is None:
-                target.fill(0.0)
-            else:
-                np.multiply(param.grad.reshape(-1), scale, out=target)
-        return flat
+        self._adopt_grads()
+        self._flat_grads *= np.float32(scale)
+        return self._flat_grads
+
+    def resident(self) -> Dict[str, int]:
+        """Bytes of the two flat buffers (see
+        :func:`~repro.runtime.stats.expected_host_resident`)."""
+        return {"flat_params": self._flat.nbytes,
+                "flat_grads": self._flat_grads.nbytes}
 
     def install_fp16_params(self, masters: np.ndarray) -> None:
         """Install the FP16 working copy derived from FP32 masters.

@@ -37,7 +37,8 @@ import numpy as np
 
 from .. import telemetry
 from ..compression.error_feedback import ErrorFeedback, compress_with_feedback
-from ..compression.topk import CompressedGradient, keep_count
+from ..compression.topk import (TOPK_BLOCK, CompressedGradient,
+                                keep_count)
 from ..csd.device import SmartSSDDevice
 from ..csd.handler import (Subgroup, TransferHandler, naive_update_pass,
                            plan_subgroups)
@@ -161,8 +162,7 @@ class ShardWorker:
         self.salvaged: Optional[Tuple[np.ndarray,
                                       Dict[str, np.ndarray]]] = None
         # The step's dense gradients, held only while an update may
-        # still need them for in-flight recovery — an in-process worker
-        # must not pin last step's flat gradient vector.
+        # still need them for in-flight recovery.
         self._grads: Optional[np.ndarray] = None
         max_sub = min(config.subgroup_elements, shard.count)
         self.subgroups = plan_subgroups(shard.count, max_sub)
@@ -225,6 +225,17 @@ class ShardWorker:
                 dtype=np.float32)
         return device
 
+    def resident(self) -> Dict[str, int]:
+        """Host-resident bytes this shard holds between steps."""
+        compressed = self.compressed
+        return {
+            "ef_residual": (0 if self.feedback is None
+                            else self.feedback.nbytes),
+            "compressed_stream": (0 if compressed is None
+                                  else compressed.nbytes),
+            "handler_dram": (0 if self.demoted
+                             else self.device.dram_allocated)}
+
     # ------------------------------------------------------------------
     def _response(self) -> Dict[str, object]:
         return {"index": self.index, "demoted_now": False,
@@ -257,9 +268,10 @@ class ShardWorker:
                 worker=threading.current_thread().name):
             compressed = None
             if ratio is not None:
-                # The |g| magnitude pass stages in this worker thread's
-                # arena instead of a fresh shard-sized temporary.
-                with thread_arena().checkout(self.shard.count) as scratch:
+                # The |g| magnitude pass stages block by block in this
+                # worker thread's arena.
+                with thread_arena().checkout(
+                        min(self.shard.count, TOPK_BLOCK)) as scratch:
                     compressed = compress_with_feedback(
                         grads, None if overflow else self.feedback, ratio,
                         abs_scratch=scratch)
@@ -635,6 +647,12 @@ class InProcessShardCoordinator:
 
     def merge_fault_stats(self, stats: Dict[str, object]) -> None:
         """Nothing to add: the workers share the engine's own injector."""
+
+    def resident(self) -> Dict[str, int]:
+        """The workers' host-resident bytes, summed per owner."""
+        shards = [worker.resident() for worker in self._workers]
+        return {key: sum(shard[key] for shard in shards)
+                for key in shards[0]}
 
     # ------------------------------------------------------------------
     # checkpointing

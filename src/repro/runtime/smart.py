@@ -189,6 +189,13 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
             self._coord.merge_fault_stats(stats)
         return stats
 
+    def _resident(self) -> Dict[str, int]:
+        if self.backend == "process" or self._host_shards:
+            raise TrainingError(
+                "host_resident covers the thread backend without "
+                "demoted shards (ROADMAP item 5)")
+        return self._coord.resident()
+
     # ------------------------------------------------------------------
     # checkpoint hooks
     # ------------------------------------------------------------------

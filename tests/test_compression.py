@@ -188,13 +188,14 @@ def test_topk_matches_stable_argsort_reference(case, ratio):
 
 
 def test_topk_misjudged_sample_falls_back_to_every_index():
-    bits = np.abs(_TOPK_CASES["sample sees only large"]).view(np.int32)
-    kept = keep_count(bits.size, 0.5)
-    assert topk._candidates(bits, kept).size == bits.size
+    flat = _TOPK_CASES["sample sees only large"]
+    scratch = np.empty(min(flat.size, topk.TOPK_BLOCK), dtype=np.float32)
+    kept = keep_count(flat.size, 0.5)
+    assert topk._candidates(flat, kept, scratch).size == flat.size
     # ... while a well-placed threshold passes about 2 x kept.
-    bits = np.abs(_TOPK_CASES["dense"]).view(np.int32)
-    kept = keep_count(bits.size, 0.02)
-    assert kept <= topk._candidates(bits, kept).size < 4 * kept
+    flat = _TOPK_CASES["dense"]
+    kept = keep_count(flat.size, 0.02)
+    assert kept <= topk._candidates(flat, kept, scratch).size < 4 * kept
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +222,142 @@ def test_topk_non_finite_input_keeps_argpartition_behaviour(poison):
         old = np.sort(np.argpartition(np.abs(gradient), size - kept)[-kept:])
         np.testing.assert_array_equal(compressed.indices, old)
         assert {1, size // 2} <= set(compressed.indices.tolist())
+
+
+# ----------------------------------------------------------------------
+# block-by-block candidate search == the whole-vector |g| pass it replaced
+# ----------------------------------------------------------------------
+def _whole_vector_candidates(bits, kept):
+    """The parent commit's ``_candidates``, verbatim: one comparison
+    over the bit patterns of a shard-sized ``|g|``."""
+    sample = bits[::max(1, bits.size // topk._SAMPLE_ELEMENTS)]
+    rank = min(sample.size, max(topk._MIN_SAMPLE_RANK,
+                                -(-2 * kept * sample.size // bits.size)))
+    threshold = np.partition(sample, sample.size - rank)[sample.size - rank]
+    chosen = np.flatnonzero(bits >= max(threshold, 1))
+    if chosen.size >= kept:
+        return chosen
+    if threshold > 0:
+        return np.arange(bits.size)
+    zeros = np.flatnonzero(bits[:kept] == 0)[:kept - chosen.size]
+    return np.sort(np.concatenate((chosen, zeros)))
+
+
+def _whole_vector_select_topk(magnitudes, kept):
+    """The parent commit's ``_select_topk``, verbatim."""
+    pool_indices = _whole_vector_candidates(magnitudes.view(np.int32), kept)
+    pool = magnitudes[pool_indices]
+    if not np.isfinite(pool.max()):
+        top = np.argpartition(magnitudes, magnitudes.size - kept)[-kept:]
+        top.sort()
+        return top
+    cut = np.partition(pool, pool.size - kept)[pool.size - kept]
+    keep = pool > cut
+    ties = np.flatnonzero(pool == cut)[:kept - np.count_nonzero(keep)]
+    keep[ties] = True
+    return np.compress(keep, pool_indices)
+
+
+def _whole_vector_compress_topk(flat, volume_ratio):
+    """The parent commit's ``compress_topk`` on a flat float32 vector."""
+    kept = keep_count(flat.size, volume_ratio)
+    if kept >= flat.size:
+        indices = np.arange(flat.size, dtype=np.int32)
+    else:
+        indices = _whole_vector_select_topk(np.abs(flat),
+                                            kept).astype(np.int32)
+    return indices, flat[indices]
+
+
+def _assert_matches_whole_vector_pass(gradient, ratio):
+    """Indices and value bits, with a one-block scratch, a whole-shard
+    one (what ``bench/micro.py`` passes) and none."""
+    want_indices, want_values = _whole_vector_compress_topk(gradient, ratio)
+    one_block = np.empty(min(gradient.size, topk.TOPK_BLOCK),
+                         dtype=np.float32)
+    for scratch in (one_block, np.empty(gradient.size + 5, np.float32),
+                    None):
+        got = compress_topk(gradient, ratio, abs_scratch=scratch)
+        assert got.indices.dtype == np.int32
+        np.testing.assert_array_equal(got.indices, want_indices)
+        np.testing.assert_array_equal(got.values.view(np.uint32),
+                                      want_values.view(np.uint32))
+
+
+def _blocked_topk_case(kind, size, rng):
+    dense = rng.standard_normal(size).astype(np.float32)
+    if kind == "dense":
+        return dense
+    if kind == "90% zero":
+        return dense * (rng.random(size) < 0.1).astype(np.float32)
+    if kind == "all zero":
+        return np.zeros(size, dtype=np.float32)
+    if kind == "near empty":             # fewer non-zeros than kept
+        return dense * (rng.random(size) < 1e-4).astype(np.float32)
+    if kind == "tie heavy":
+        return np.round(dense * 2.0) / np.float32(2.0)
+    if kind == "non-finite":
+        dense[rng.integers(size, size=3)] = np.inf
+        dense[rng.integers(size, size=2)] = np.nan
+        return dense
+    assert kind == "sample misjudges"    # threshold > 0, too few pass
+    dense *= np.float32(1e-3)
+    stride = max(1, size // topk._SAMPLE_ELEMENTS)
+    dense[::stride] = 10.0 + rng.random(dense[::stride].size)
+    return dense
+
+
+_BLOCKED_KINDS = ("dense", "90% zero", "all zero", "near empty",
+                  "tie heavy", "non-finite", "sample misjudges")
+#: Smaller than a block, a block, one element over, 2.6 and 4.5 blocks.
+_BLOCKED_SIZES = (1000, topk.TOPK_BLOCK, topk.TOPK_BLOCK + 1,
+                  170_001, 4 * topk.TOPK_BLOCK + topk.TOPK_BLOCK // 2)
+
+
+@pytest.mark.parametrize("size", _BLOCKED_SIZES)
+@pytest.mark.parametrize("kind", _BLOCKED_KINDS)
+def test_blocked_topk_matches_whole_vector_pass(kind, size):
+    gradient = _blocked_topk_case(kind, size, np.random.default_rng(size))
+    for ratio in (0.0004, 0.02, 0.5, 2.0):    # 2.0: kept >= size
+        _assert_matches_whole_vector_pass(gradient, ratio)
+
+
+def test_blocked_topk_takes_the_fallback_it_claims_to():
+    """The "sample misjudges" case really is ``threshold > 0`` with too
+    few passing, and "near empty" really tops up with zeros."""
+    rng = np.random.default_rng(0)
+    size = _BLOCKED_SIZES[-1]
+    scratch = np.empty(topk.TOPK_BLOCK, dtype=np.float32)
+    misjudged = _blocked_topk_case("sample misjudges", size, rng)
+    kept = keep_count(size, 0.5)
+    assert topk._candidates(misjudged, kept, scratch).size == size
+    sparse = _blocked_topk_case("near empty", size, rng)
+    kept = keep_count(size, 0.02)
+    assert np.count_nonzero(sparse) < kept
+    assert topk._candidates(sparse, kept, scratch).size == kept
+
+
+def test_topk_scratch_is_one_block_and_only_that_much_is_touched():
+    gradient = np.random.default_rng(2).standard_normal(
+        3 * topk.TOPK_BLOCK).astype(np.float32)
+    scratch = np.full(gradient.size, -1.0, dtype=np.float32)
+    compress_topk(gradient, 0.02, abs_scratch=scratch)
+    assert (scratch[topk.TOPK_BLOCK:] == -1.0).all()
+    assert (scratch[:topk.TOPK_BLOCK] >= 0.0).all()
+
+
+@pytest.mark.exhaustive
+def test_blocked_topk_matches_whole_vector_pass_sweep():
+    """300 drawn inputs over every kind, sizes straddling one to six
+    blocks, drawn ratios (under ten seconds)."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        kind = _BLOCKED_KINDS[trial % len(_BLOCKED_KINDS)]
+        size = int(rng.integers(1, 7)) * topk.TOPK_BLOCK \
+            + int(rng.integers(-40, 41))
+        gradient = _blocked_topk_case(kind, size, rng)
+        _assert_matches_whole_vector_pass(
+            gradient, float(10.0 ** rng.uniform(-4, 0.3)))
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,89 @@ def test_one_pass_verdict_and_norm_match_two_pass(seed, sizes, poison,
     assert overflow == (poison is not None)
 
 
+# ----------------------------------------------------------------------
+# the norm stages its squares one block at a time
+# ----------------------------------------------------------------------
+_BLOCK = precision.NORM_BLOCK
+
+#: Sizes around every place the blocked sum can go wrong: one element,
+#: the block boundary, the first split (``half -= half % 8`` moves with
+#: ``n % 16``) and the second.
+_norm_sizes = st.one_of(
+    st.integers(1, 3 * _BLOCK + 7),
+    st.builds(lambda blocks, delta: max(1, blocks * _BLOCK + delta),
+              st.integers(0, 3), st.integers(-17, 17)))
+
+
+def _norm_values(rng, size, kind):
+    if kind == "huge":       # squares fit float64 only
+        values = rng.choice(np.float32([3.4e38, -3.4e38, 1e30]), size)
+    elif kind == "subnormal":
+        values = (rng.standard_normal(size) * 1e-41).astype(np.float32)
+    elif kind == "signed zeros":
+        values = rng.choice(np.float32([-0.0, 0.0, 1.0]), size)
+    else:
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9)
+    return values.astype(np.float32)
+
+
+def _assert_norm_matches_whole_array_staging(arrays):
+    overflow, norm = _two_pass_reference(arrays)
+    got = global_grad_norm(arrays)
+    if overflow:             # the verdict; a NaN's payload is not pinned
+        assert not np.isfinite(got) and np.isnan(got) == np.isnan(norm)
+    else:
+        assert _same_bits(got, norm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sizes=st.lists(_norm_sizes, min_size=1, max_size=3),
+       kind=st.sampled_from(["normal", "huge", "subnormal",
+                             "signed zeros"]),
+       poison=st.sampled_from([None, None, np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 10_000))
+def test_blocked_norm_is_bit_equal_to_whole_array_staging(sizes, kind,
+                                                          poison, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [_norm_values(rng, size, kind) for size in sizes]
+    if poison is not None:
+        victim = arrays[rng.integers(len(arrays))]
+        victim[rng.integers(victim.size)] = poison
+    _assert_norm_matches_whole_array_staging(arrays)
+
+
+def test_blocked_norm_stages_one_block_whatever_the_size():
+    from repro.memory import thread_arena
+    arena = thread_arena()
+    big = np.ones(5 * _BLOCK + 3, dtype=np.float32)
+    global_grad_norm([big])                     # warm: the block exists
+    before = arena.stats()
+    assert global_grad_norm([big, big[:7]]) == np.sqrt(big.size + 7.0)
+    after = arena.stats()
+    assert after.allocations == before.allocations
+    assert after.checkouts == before.checkouts + 1
+    assert after.high_water_bytes == before.high_water_bytes
+
+
+@pytest.mark.exhaustive
+def test_blocked_norm_is_bit_equal_on_every_size():
+    """Every size up to two blocks and a bit, then every size within 17
+    of each block multiple up to 4 M elements (about a minute)."""
+    rng = np.random.default_rng(5)
+    longest = 64 * _BLOCK + 17 + 4
+    values = (rng.standard_normal(longest)
+              * 10.0 ** rng.integers(-6, 7, size=longest)
+              ).astype(np.float32)
+    sizes = list(range(1, 2 * _BLOCK + 65))
+    for blocks in range(3, 65):
+        sizes.extend(range(blocks * _BLOCK - 17, blocks * _BLOCK + 18))
+    for size in sizes:
+        offset = size % 5                       # any alignment
+        chunk = values[offset:offset + size]
+        assert chunk.size == size
+        _assert_norm_matches_whole_array_staging([chunk])
+
+
 def test_clip_with_norm_exactly_at_max_norm_leaves_gradients():
     grads = [np.array([3.0, 4.0], dtype=np.float32)]
     assert clip_gradients(grads, max_norm=5.0) == 5.0

@@ -137,6 +137,46 @@ def test_accumulated_step_matches_large_batch(dataset):
     np.testing.assert_allclose(micro_params, whole_params, atol=2e-5)
 
 
+#: Three accumulated steps of 12 samples in 1, 2 and 3 micro-batches,
+#: recorded from the commit before the flat gradient buffer (a fresh
+#: ``combined + flat`` per micro-batch): SHA-1 of the final parameters,
+#: then every step's (loss, grad_norm) as ``float.hex``.
+_PARENT_ACCUMULATED = {
+    1: ("a9d2a2108963dcb1453ab05fd9dd1d021984bd3c",
+        [("0x1.37f6c20000000p+0", "0x1.89a47e5817232p+3"),
+         ("0x1.64678e0000000p+1", "0x1.c5a1b89792912p+3"),
+         ("0x1.3559de0000000p+1", "0x1.42be54516e327p+3")]),
+    2: ("7c2a20b699602cc87eb7749e9feb21fce71fc856",
+        [("0x1.37f6c00000000p+0", "0x1.89a47dd5958e1p+3"),
+         ("0x1.64678c0000000p+1", "0x1.c5a1b86c10519p+3"),
+         ("0x1.3559af0000000p+1", "0x1.42be836ccfd67p+3")]),
+    3: ("5f9e5cdd9f32a8e821d8dd5c3646e45e744d1d13",
+        [("0x1.37f6c0aaaaaabp+0", "0x1.89a47dca297f8p+3"),
+         ("0x1.6467bf5555555p+1", "0x1.c5a14f51b5969p+3"),
+         ("0x1.35599aaaaaaabp+1", "0x1.42be6824f93e2p+3")]),
+}
+
+
+@pytest.mark.parametrize("micro", [1, 2, 3])
+def test_accumulated_steps_bit_identical_to_recorded_parent(dataset, micro):
+    import hashlib
+    engine = HostOffloadEngine(_model(), _loss_fn, config=_config())
+    trail = []
+    for step in range(3):
+        tokens = dataset.train_tokens[step * 8:step * 8 + 12]
+        labels = dataset.train_labels[step * 8:step * 8 + 12]
+        size = 12 // micro
+        result = engine.train_step_accumulated([
+            (tokens[i:i + size], labels[i:i + size])
+            for i in range(0, 12, size)])
+        trail.append((result.loss.hex(), result.grad_norm.hex()))
+    checksum = hashlib.sha1(
+        engine.space.gather_params().tobytes()).hexdigest()
+    assert (checksum, trail) == _PARENT_ACCUMULATED[micro]
+    # One accumulator, and only when there is something to accumulate.
+    assert (engine._accumulated is None) == (micro == 1)
+
+
 def test_accumulated_step_counts_once(tmp_path, dataset):
     engine = SmartInfinityEngine(_model(), _loss_fn, str(tmp_path / "a"),
                                  config=_config(num_csds=2))

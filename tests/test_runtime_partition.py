@@ -87,8 +87,8 @@ def test_gather_grads_places_by_slot():
     assert grads[slot.end:].sum() == 0
 
 
-def test_gather_grads_scales_while_it_copies():
-    """One pass, bit-equal to gathering and then multiplying the flat
+def test_gather_grads_unscales_in_place():
+    """Bit-equal to gathering and then multiplying a copy of the flat
     vector — the separate unscale pass the engines used to run."""
     model = tiny_model()
     space = FlatParameterSpace(model)
@@ -99,11 +99,115 @@ def test_gather_grads_scales_while_it_copies():
                       * 1e4).astype(np.float32)
     params[-1].grad.flat[0] = np.inf
     scale = 1.0 / 2.0 ** 16 * 3.0       # not a power of two: it rounds
-    want = space.gather_grads()
+    want = space.gather_grads().copy()  # scale 1.0 changes no bit
     want *= np.float32(scale)
     got = space.gather_grads(scale)
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
     assert not got[:space.slots[0].size].any()
+    # The result is the space's own buffer, and every .grad a view of it.
+    assert got is space.gather_grads()
+    assert all(np.shares_memory(param.grad, got) for param in params[1:])
+
+
+# ----------------------------------------------------------------------
+# the gradient lives once: backward writes into the flat buffer
+# ----------------------------------------------------------------------
+def _backward_once(model, seed=0):
+    """One backward pass; returns what a copy-then-gather would have
+    produced (each parameter's gradient, copied out in flat order)."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, 16, size=(3, 8))
+    labels = rng.integers(0, 2, size=3)
+    model.loss(tokens, labels).backward()
+    return np.concatenate([
+        np.zeros(param.size, dtype=np.float32) if param.grad is None
+        else param.grad.reshape(-1).copy()
+        for _name, param in model.named_parameters()])
+
+
+def test_backward_writes_into_the_flat_gradient_buffer():
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    want = _backward_once(model)
+    for _name, param in model.named_parameters():
+        assert param.grad is None or np.shares_memory(param.grad,
+                                                      space._flat_grads)
+    got = space.gather_grads()
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    # A second backward without zero_grad accumulates in place.
+    again = _backward_once(model)
+    np.testing.assert_array_equal(again, want + want)
+    np.testing.assert_array_equal(space.gather_grads(), again)
+
+
+def test_zero_grad_then_partial_backward_gathers_zeros_for_the_rest():
+    """A parameter that received no gradient this step reads zeros,
+    whatever last step left in its slot."""
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    _backward_once(model)
+    assert space.gather_grads().any()
+    model.zero_grad()
+    name, param = next(iter(model.named_parameters()))
+    param._accumulate(np.full(param.shape, 2.0, dtype=np.float32))
+    grads = space.gather_grads(0.5)
+    slot = space.slot(name)
+    np.testing.assert_array_equal(grads[slot.offset:slot.end], 1.0)
+    assert not grads[slot.end:].any()
+    model.zero_grad()
+    assert not space.gather_grads().any()
+
+
+def test_hand_assigned_grad_is_readopted():
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    _backward_once(model)               # every slot holds something else
+    model.zero_grad()
+    name, param = list(model.named_parameters())[2]
+    mine = np.arange(param.size, dtype=np.float32).reshape(param.shape)
+    param.grad = mine
+    grads = space.gather_grads(2.0)
+    slot = space.slot(name)
+    np.testing.assert_array_equal(grads[slot.offset:slot.end],
+                                  2.0 * np.arange(param.size))
+    assert not grads[:slot.offset].any() and not grads[slot.end:].any()
+    np.testing.assert_array_equal(mine.reshape(-1),
+                                  np.arange(param.size))  # only read
+    assert np.shares_memory(param.grad, grads)
+    # ... so the next backward accumulates into the buffer again.
+    model.zero_grad()
+    want = _backward_once(model, seed=1)
+    np.testing.assert_array_equal(space.gather_grads(), want)
+
+
+def test_load_state_dict_leaves_gather_grads_correct():
+    model = tiny_model()
+    space = FlatParameterSpace(model)
+    model.load_state_dict({name: value + np.float32(0.5)
+                           for name, value in model.state_dict().items()})
+    want = _backward_once(model)
+    np.testing.assert_array_equal(space.gather_grads(), want)
+    # Same gradients as a model that was built with those weights.
+    twin = tiny_model()
+    twin.load_state_dict(model.state_dict())
+    np.testing.assert_array_equal(_backward_once(twin), want)
+
+
+def test_second_space_over_one_model_takes_the_gradients_over():
+    """Each space re-adopts what the other bound, so whichever gathers
+    gets this step's gradients."""
+    model = tiny_model()
+    first = FlatParameterSpace(model)
+    second = FlatParameterSpace(model)
+    want = _backward_once(model)        # lands in ``second``'s buffer
+    np.testing.assert_array_equal(first.gather_grads(), want)
+    model.zero_grad()
+    want = _backward_once(model, seed=1)    # now in ``first``'s
+    np.testing.assert_array_equal(second.gather_grads(0.25),
+                                  want * np.float32(0.25))
+    model.zero_grad()
+    assert not first.gather_grads().any()
+    assert not second.gather_grads().any()
 
 
 def test_slot_lookup_unknown():
