@@ -22,8 +22,7 @@ package provides:
 
 from .api import ENGINE_MODES, create_engine
 from .errors import (ArenaError, CapacityError, DeviceFailedError,
-                     FaultError, FaultInjectionError,
-                     GradientOverflowError, HardwareConfigError,
+                     FaultError, FaultInjectionError, HardwareConfigError,
                      KernelError, PartitionError, ReproError,
                      RetryExhaustedError, ScenarioError, SimulationError,
                      StorageError, TrainingError)
@@ -50,7 +49,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "GradientOverflowError",
     "HostOffloadEngine",
     "HardwareConfigError",
     "KernelError",

@@ -88,7 +88,8 @@ from .experiments import REGISTRY, write_results
 from .faults import FaultPlan
 from .hw.gpu import GPUS
 from .nn.models import ZOO
-from .perf.analysis import observe, resolve
+from .perf.analysis import (Observation, observe, resolve,
+                            validate_interleave, validate_scale)
 from .perf.scenarios import (EXTENSION_METHODS, METHODS, SCHEDULES,
                              simulate_iteration)
 from .version import __version__
@@ -400,13 +401,21 @@ def _cmd_top(args) -> int:
     slo_rules = (telemetry.load_slo_rules(args.slo)
                  if args.slo is not None else None)
 
-    def build():
+    def build() -> Observation:
         if args.trace is not None:
-            return telemetry.load_chrome_trace(args.trace)
-        return telemetry.profile_scenario(
-            model=args.model, csds=args.csds, method=args.method,
-            gpu=args.gpu, ratio=args.ratio,
-            schedule=args.schedule or "phased")
+            return Observation.from_chrome_trace(args.trace)
+        schedule = args.schedule or "phased"
+        observed = observe(*resolve(args.model, args.csds, args.gpu),
+                           args.method, compression_ratio=args.ratio,
+                           schedule=schedule)
+        observed.label = (
+            f"{args.model}/{args.method} ({args.csds} CSDs, {args.gpu})"
+            + ("" if schedule == "phased" else f", {schedule}"))
+        observed.meta = {
+            "model": args.model, "method": args.method, "csds": args.csds,
+            "gpu": args.gpu, "ratio": args.ratio, "schedule": schedule,
+            "iteration_seconds": observed.breakdown.total}
+        return observed
 
     def build_frame():
         """(report-or-None, rendered text) — never raises on bad input.
@@ -515,20 +524,15 @@ def _cmd_whatif(args) -> int:
     validations = []
     exit_code = 0
     if args.validate:
-        named = dict(model=args.model, csds=args.csds, method=args.method,
-                     gpu=args.gpu, ratio=args.ratio,
-                     base=(observed.trace, graph))
         if args.interleave:
-            validations.append(telemetry.validate_interleave(**named))
+            validations.append(validate_interleave(observed))
         # Without explicit --scale flags (and not in interleave mode),
         # probe the busiest resource — the one whose projection a
         # reader is most likely to act on.
         targets = scales if (scales or args.interleave) \
             else [(graph.resources()[0], 1.5)]
-        validations += [
-            telemetry.validate_scale(channel, factor, schedule=schedule,
-                                     **named)
-            for channel, factor in targets]
+        validations += [validate_scale(observed, channel, factor)
+                        for channel, factor in targets]
         for validation in validations:
             ok = validation.error <= args.max_error
             print(("PASS " if ok else "FAIL ") + validation.render())
@@ -619,9 +623,10 @@ def _cmd_trace(args) -> int:
     with telemetry.session() as session:
         with telemetry.trace_span("des.simulate", model=args.model,
                                   method=args.method, csds=args.csds):
-            trace = observe(system, workload, args.method,
-                            compression_ratio=args.ratio,
-                            schedule=args.schedule or "phased").trace
+            observed = observe(system, workload, args.method,
+                               compression_ratio=args.ratio,
+                               schedule=args.schedule or "phased")
+            trace = observed.trace
         if not args.skip_functional:
             with telemetry.trace_span("functional.proxy",
                                       method=args.method,
@@ -637,18 +642,16 @@ def _cmd_trace(args) -> int:
                     activation_offload=args.activation_offload
                     or "recompute")
         telemetry.record_channel_metrics(
-            session.registry, trace.fabric.all_channels(),
+            session.registry, observed.channels,
             horizon=trace.breakdown.total, method=args.method)
+    spans = session.tracer.spans
     telemetry.write_chrome_trace(
-        out,
-        spans=session.tracer.spans,
-        channels=trace.fabric.all_channels(),
-        phases=trace.phase_windows,
+        out, spans=spans, sim=observed.timeline,
         metadata={"model": args.model, "method": args.method,
                   "csds": args.csds,
                   "iteration_seconds": trace.breakdown.total})
-    print(f"wrote {out}: {len(session.tracer.spans)} wall-clock spans, "
-          f"{sum(len(c.records) for c in trace.fabric.all_channels())} "
+    print(f"wrote {out}: {len(spans)} wall-clock spans, "
+          f"{sum(len(c.records) for c in observed.channels)} "
           f"sim-time transfers, {len(trace.phase_windows)} phase "
           f"window(s)")
     if proxy is not None and fault_plan is not None:

@@ -5,15 +5,13 @@ from .handler import (HandlerStats, Subgroup, TransferHandler,
                       naive_update_pass, plan_subgroups)
 from .hls import (KernelDesign, get_design, register_design,
                   registered_designs, sanity_check_updater, updater_design)
-from .kernels import (DecompressorKernel, KernelCounters, KernelTimings,
-                      UpdaterKernel)
+from .kernels import DecompressorKernel, KernelCounters, UpdaterKernel
 
 __all__ = [
     "DecompressorKernel",
     "HandlerStats",
     "KernelCounters",
     "KernelDesign",
-    "KernelTimings",
     "SmartSSDDevice",
     "Subgroup",
     "TransferHandler",

@@ -107,15 +107,6 @@ class SmartSSDDevice:
         self.store.write_slice(region, start, array)
         self.host_traffic.add_write(array.size * array.itemsize)
 
-    def host_read(self, region: str, start: int = 0,
-                  count: Optional[int] = None) -> np.ndarray:
-        """SSD -> host read (e.g. updated parameters going upstream)."""
-        if count is None:
-            count = self.store.region(region).num_elements - start
-        array = self.store.read_slice(region, start, count)
-        self.host_traffic.add_read(array.size * array.itemsize)
-        return array
-
     def host_read_into(self, region: str, out: np.ndarray, start: int = 0,
                        count: Optional[int] = None) -> np.ndarray:
         """SSD -> host read straight into a caller-owned (arena) buffer."""
@@ -145,30 +136,10 @@ class SmartSSDDevice:
         self.internal_traffic.add_read(view.size * view.itemsize)
         return view
 
-    def p2p_read(self, region: str, start: int,
-                 count: Optional[int] = None) -> np.ndarray:
-        """SSD -> FPGA DRAM read returning a fresh array (any dtype).
-
-        Used for variable-format streams like compressed gradients, where
-        the FPGA consumes the data directly rather than staging it in a
-        float32 working buffer.
-        """
-        if count is None:
-            count = self.store.region(region).num_elements - start
-        array = self.store.read_slice(region, start, count)
-        self.internal_traffic.add_read(array.size * array.itemsize)
-        return array
-
-    def p2p_write_from(self, region: str, start: int,
-                       buffer: np.ndarray, count: int) -> None:
-        """FPGA DRAM -> SSD write from a buffer slice."""
-        self.store.write_slice(region, start, buffer[:count])
-        self.internal_traffic.add_write(4 * count)
-
     def p2p_write(self, region: str, start: int,
                   array: np.ndarray) -> None:
-        """FPGA DRAM -> SSD write of an arbitrary-dtype array (e.g. the
-        quantized int8 masters of the §VIII-B extension)."""
+        """FPGA DRAM -> SSD write of ``array`` (a DRAM buffer slice, or
+        e.g. the quantized int8 masters of the §VIII-B extension)."""
         self.store.write_slice(region, start, array)
         self.internal_traffic.add_write(array.size * array.itemsize)
 

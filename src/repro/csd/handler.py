@@ -141,8 +141,8 @@ class TransferHandler:
             begin = time.perf_counter() if token is not None else 0.0
             try:
                 if self._writer_error is None:
-                    self.device.p2p_write_from(name, start,
-                                               self.buffers[name], count)
+                    self.device.p2p_write(
+                        name, start, self.buffers[name][:count])
                     self.stats.lazy_writebacks += 1
                     self.state_commits.add((name, start))
             except BaseException as exc:
@@ -226,9 +226,9 @@ class TransferHandler:
                 # Urgent write-back: parameters first, synchronously.
                 timed = telemetry.enabled()
                 begin = time.perf_counter() if timed else 0.0
-                self.device.p2p_write_from(self.URGENT, subgroup.start,
-                                           self.buffers[self.URGENT],
-                                           subgroup.count)
+                self.device.p2p_write(
+                    self.URGENT, subgroup.start,
+                    self.buffers[self.URGENT][:subgroup.count])
                 self.stats.urgent_writebacks += 1
                 if timed:
                     telemetry.histogram(
@@ -333,13 +333,13 @@ def naive_update_pass(
                     "naive.kernel",
                     resource=f"csd{device.device_id}-updater"):
                 kernel.run(params, grads, state, step_num)
-            device.p2p_write_from("master_params", subgroup.start,
-                                  buffers["master_params"], subgroup.count)
+            device.p2p_write("master_params", subgroup.start,
+                             buffers["master_params"][:subgroup.count])
             if on_params_written is not None:
                 on_params_written(subgroup)
             for name in state_names:
-                device.p2p_write_from(name, subgroup.start, buffers[name],
-                                      subgroup.count)
+                device.p2p_write(name, subgroup.start,
+                                 buffers[name][:subgroup.count])
                 if on_state_written is not None:
                     on_state_written(name, subgroup)
         finally:

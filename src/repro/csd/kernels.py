@@ -115,26 +115,3 @@ class DecompressorKernel:
         self.counters.bytes_streamed += (compressed.nbytes
                                          + 4 * compressed.original_size)
         return view
-
-
-@dataclass
-class KernelTimings:
-    """Modelled execution times of the kernels on a given FPGA.
-
-    Functional kernels compute results; timing comes from the calibrated
-    FPGA spec (Fig. 14 reports updater > 7 GB/s and decompressor slightly
-    above SSD read bandwidth).
-    """
-
-    updater_bandwidth: float
-    decompressor_bandwidth: float
-    launch_latency: float = 30e-6
-
-    def updater_time(self, subgroup_bytes: float) -> float:
-        """Seconds for the updater to stream ``subgroup_bytes`` of state."""
-        return self.launch_latency + subgroup_bytes / self.updater_bandwidth
-
-    def decompressor_time(self, decompressed_bytes: float) -> float:
-        """Seconds to produce ``decompressed_bytes`` of dense gradients."""
-        return (self.launch_latency
-                + decompressed_bytes / self.decompressor_bandwidth)

@@ -111,9 +111,5 @@ class TrainingError(ReproError):
     """A failure inside the training runtime (engine misuse, divergence)."""
 
 
-class GradientOverflowError(TrainingError):
-    """Gradients contained NaN/Inf after unscaling; the step must be skipped."""
-
-
 class ScenarioError(ReproError):
     """A malformed or failed chaos/workload campaign (see :mod:`repro.scenarios`)."""

@@ -54,26 +54,6 @@ def export_result(result: Any, path: str) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
 
-def export_scenario_trace(path: str, system, workload, method: str,
-                          compression_ratio: float = 0.02) -> str:
-    """Run one DES scenario and export its Chrome trace-event JSON.
-
-    The written file opens in Perfetto / chrome://tracing: one ``sim-time``
-    process with a lane per fabric channel plus a phase-window lane.
-    Returns ``path``.
-    """
-    from ..perf.scenarios import trace_scenario
-    from ..telemetry import write_chrome_trace
-    trace = trace_scenario(system, workload, method,
-                           compression_ratio=compression_ratio)
-    return write_chrome_trace(
-        path,
-        channels=trace.fabric.all_channels(),
-        phases=trace.phase_windows,
-        metadata={"method": method,
-                  "iteration_seconds": trace.breakdown.total})
-
-
 def export_all(output_dir: str,
                experiment_ids: Optional[Iterable[str]] = None,
                ) -> Dict[str, str]:

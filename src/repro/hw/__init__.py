@@ -5,7 +5,6 @@ from .fpga import FPGAResources, FPGASpec, ku15p
 from .gpu import GPUSpec, a100_40g, a4000, a5000
 from .host import (CPUSpec, HostMemorySpec, host_dram_1tb, xeon_gold_6342)
 from .pcie import PCIeGen, PCIeLink, gen3_x4, gen3_x16
-from .raid import RAID0Spec, saturation_point
 from .ssd import SSDSpec, smartssd_nand
 from .topology import SystemSpec, congested_system, default_system
 
@@ -18,7 +17,6 @@ __all__ = [
     "HostMemorySpec",
     "PCIeGen",
     "PCIeLink",
-    "RAID0Spec",
     "SSDSpec",
     "SystemSpec",
     "a100_40g",
@@ -30,7 +28,6 @@ __all__ = [
     "gen3_x16",
     "host_dram_1tb",
     "ku15p",
-    "saturation_point",
     "smartssd",
     "smartssd_nand",
     "xeon_gold_6342",

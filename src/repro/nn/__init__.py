@@ -9,11 +9,9 @@ from .models import ModelSpec, ZOO, get_model, models_by_family
 from .modules import (Dropout, Embedding, LayerNorm, Linear, Module,
                       Parameter, Sequential)
 from .offload import (ActivationSpillStore, activation_spill_scope,
-                      active_spill_store, spill_beats_recompute)
-from .parallel import (CommMeter, TensorParallelAttention,
-                       TensorParallelMLP, expected_allreduce_bytes)
+                      active_spill_store)
 from .precision import (LossScaler, clip_gradients, from_fp16,
-                        global_grad_norm, has_overflow, to_fp16)
+                        global_grad_norm, to_fp16)
 from .tensor import (Tensor, concatenate, is_grad_enabled, no_grad,
                      ones, tensor, zeros)
 from .transformer import (LanguageModel, MultiHeadAttention, SequenceClassifier,
@@ -24,10 +22,8 @@ from .transformer import (LanguageModel, MultiHeadAttention, SequenceClassifier,
 __all__ = [
     "ActivationSpillStore",
     "ClassificationDataset",
-    "CommMeter",
     "activation_spill_scope",
     "active_spill_store",
-    "spill_beats_recompute",
     "Dropout",
     "Embedding",
     "GLUE_TASKS",
@@ -42,8 +38,6 @@ __all__ = [
     "SequenceClassifier",
     "Sequential",
     "Tensor",
-    "TensorParallelAttention",
-    "TensorParallelMLP",
     "TransformerBackbone",
     "TransformerBlock",
     "TransformerConfig",
@@ -55,13 +49,11 @@ __all__ = [
     "bloom_config",
     "clip_gradients",
     "concatenate",
-    "expected_allreduce_bytes",
     "from_fp16",
     "functional",
     "get_model",
     "global_grad_norm",
     "gpt2_config",
-    "has_overflow",
     "is_grad_enabled",
     "make_classification_dataset",
     "make_glue_suite",

@@ -52,27 +52,6 @@ DEFAULT_CAPACITY_BYTES = 512 << 20
 SPILL_RESOURCE = "act-spill"
 
 
-def spill_beats_recompute(boundary_nbytes: int, recompute_seconds: float,
-                          write_bandwidth: float = 2.0e9,
-                          read_bandwidth: float = 2.5e9) -> bool:
-    """The planner's cost model: is spilling one boundary cheaper?
-
-    Spill costs one write during forward plus one (mostly overlapped)
-    read before backward; recompute costs re-running the block's
-    forward.  With the prefetch overlap the exposed read is ~0, so the
-    comparison is write time vs recompute time.  Used by tests and the
-    docs' worked example; the engine-level ``auto`` mode short-circuits
-    to "spill when a storage device exists" because the functional
-    engines' recompute is real CPU work while the spill file is an
-    emulated device.
-    """
-    if boundary_nbytes <= 0:
-        return False
-    spill_seconds = (boundary_nbytes / write_bandwidth
-                     + 0.1 * boundary_nbytes / read_bandwidth)
-    return spill_seconds < recompute_seconds
-
-
 class ActivationSpillStore:
     """Spill device for block-boundary activations, with async prefetch.
 
@@ -272,5 +251,4 @@ __all__ = [
     "DEFAULT_CAPACITY_BYTES",
     "activation_spill_scope",
     "active_spill_store",
-    "spill_beats_recompute",
 ]

@@ -87,19 +87,6 @@ def round_fp16(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def has_overflow(arrays: Iterable[np.ndarray]) -> bool:
-    """True when any gradient array contains NaN or +-Inf.
-
-    This is the pre-update scan mixed-precision training requires; in the
-    paper it is one of the constraints that forces gradients to be fully
-    materialized before the update step starts.
-    """
-    for array in arrays:
-        if not np.all(np.isfinite(array)):
-            return True
-    return False
-
-
 #: Elements squared into float64 per pass of :func:`global_grad_norm`
 #: (512 KiB of staging, whatever the model's size).
 NORM_BLOCK = 1 << 16
@@ -161,16 +148,6 @@ class LossScaler:
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise TrainingError("loss scale must be positive")
-
-    def scale_loss(self, loss_value: float) -> float:
-        return loss_value * self.scale
-
-    def unscale(self, gradients: List[np.ndarray]) -> List[np.ndarray]:
-        """Divide gradients by the current scale (in place, returned)."""
-        inv = 1.0 / self.scale
-        for grad in gradients:
-            grad *= inv
-        return gradients
 
     def update(self, overflow: bool) -> bool:
         """Advance scaler state; returns True when the step may proceed."""

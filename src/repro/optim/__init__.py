@@ -2,7 +2,7 @@
 
 from .adagrad import AdaGrad
 from .adam import Adam, AdamW
-from .base import FlatOptimizer, ModuleOptimizer, StateDict
+from .base import FlatOptimizer, StateDict
 from .schedule import (Schedule, constant_schedule, cosine_warmup_decay,
                        linear_warmup_decay, make_schedule)
 from .sgd import SGDMomentum
@@ -31,7 +31,6 @@ __all__ = [
     "Adam",
     "AdamW",
     "FlatOptimizer",
-    "ModuleOptimizer",
     "OPTIMIZERS",
     "SGDMomentum",
     "Schedule",

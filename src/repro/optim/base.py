@@ -95,38 +95,3 @@ class FlatOptimizer(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(lr={self.lr})"
-
-
-class ModuleOptimizer:
-    """Adapter applying a :class:`FlatOptimizer` to a module's parameters.
-
-    Used for plain (non-offloaded) training in tests and examples; each
-    parameter keeps its own flat state slice.
-    """
-
-    def __init__(self, module, optimizer: FlatOptimizer) -> None:
-        self.module = module
-        self.optimizer = optimizer
-        self._step = 0
-        self._state = {
-            name: optimizer.init_state(param.size)
-            for name, param in module.named_parameters()
-        }
-
-    @property
-    def step_count(self) -> int:
-        return self._step
-
-    def step(self) -> None:
-        """Update every parameter from its accumulated gradient."""
-        self._step += 1
-        for name, param in self.module.named_parameters():
-            if param.grad is None:
-                continue
-            flat = param.data.reshape(-1).astype(np.float32)
-            grad = param.grad.reshape(-1).astype(np.float32)
-            self.optimizer.step(flat, grad, self._state[name], self._step)
-            param.data = flat.reshape(param.data.shape)
-
-    def zero_grad(self) -> None:
-        self.module.zero_grad()

@@ -4,7 +4,7 @@ from .cost import CostEfficiency, cost_efficiency
 from .fabric import (CSD_BASE_OVERHEAD, DeviceChannels, Fabric,
                      NAIVE_SUBGROUP_OVERHEAD, RAID_EFFICIENCY)
 from .scenarios import (METHODS, PhaseBreakdown, simulate_iteration,
-                        simulate_methods, subgroup_count)
+                        subgroup_count)
 from .workload import Workload, make_workload
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "cost_efficiency",
     "make_workload",
     "simulate_iteration",
-    "simulate_methods",
     "subgroup_count",
 ]

@@ -161,32 +161,15 @@ def trace_scenario(system: SystemSpec, workload: Workload, method: str,
                          phase_windows=list(clock.windows))
 
 
-def run_scenario(system: SystemSpec, workload: Workload, method: str,
-                 compression_ratio: float = 0.02,
-                 num_blocks: int = DEFAULT_NUM_BLOCKS,
-                 schedule: str = "phased",
-                 ):
-    """Simulate one iteration; returns ``(breakdown, fabric)``.
-
-    The fabric's channels retain their transfer records, so callers can
-    run bottleneck/timeline analysis (`repro.perf.analysis`) on top.
-    """
-    trace = trace_scenario(system, workload, method,
-                           compression_ratio=compression_ratio,
-                           num_blocks=num_blocks, schedule=schedule)
-    return trace.breakdown, trace.fabric
-
-
 def simulate_iteration(system: SystemSpec, workload: Workload, method: str,
                        compression_ratio: float = 0.02,
                        num_blocks: int = DEFAULT_NUM_BLOCKS,
                        schedule: str = "phased",
                        ) -> PhaseBreakdown:
     """Simulate one iteration and return its phase breakdown."""
-    breakdown, _fabric = run_scenario(
+    return trace_scenario(
         system, workload, method, compression_ratio=compression_ratio,
-        num_blocks=num_blocks, schedule=schedule)
-    return breakdown
+        num_blocks=num_blocks, schedule=schedule).breakdown
 
 
 class _Scenario:
@@ -474,14 +457,3 @@ class _Scenario:
 
     def _upstream(self, index: int, nbytes: float):
         yield self.fabric.device_to_host(index, nbytes, tag="masters-up")
-
-
-def simulate_methods(system: SystemSpec, workload: Workload,
-                     compression_ratio: float = 0.02,
-                     methods=METHODS) -> Dict[str, PhaseBreakdown]:
-    """Run every requested method on the same system/workload."""
-    return {
-        method: simulate_iteration(system, workload, method,
-                                   compression_ratio=compression_ratio)
-        for method in methods
-    }

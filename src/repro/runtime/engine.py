@@ -344,10 +344,8 @@ class MixedPrecisionTrainer:
                                                  config.flight_dump_dir)
         self._fault_snapshot = self.fault_stats()
         self._arena_snapshot = aggregate_arena_stats()
-        # _utilization_signals: how many of the session tracer's spans
-        # are already attributed, and the last of them (which ties the
-        # count to that tracer's list as it was).
-        self._span_cursor: Tuple[int, object] = (0, None)
+        #: _utilization_signals: the ``seq`` of the last span attributed.
+        self._span_cursor = 0
         self._closed = False
 
     @property
@@ -549,18 +547,12 @@ class MixedPrecisionTrainer:
         session = telemetry.active()
         if session is None:
             return {}
-        spans = session.tracer.spans
-        cursor, last = self._span_cursor
-        if cursor > len(spans) or (cursor and spans[cursor - 1] is not last):
-            # Another session's tracer, or this one was cleared: the
-            # count belongs to a span list that no longer exists.
-            cursor = 0
-        fresh = spans[cursor:]
+        fresh = session.tracer.since(self._span_cursor)
         if not fresh:
             return {}
-        self._span_cursor = (cursor + len(fresh), fresh[-1])
+        self._span_cursor = fresh[-1].seq
         try:
-            attribution = telemetry.attribute_spans(fresh)
+            attribution = telemetry.Timeline.from_spans(fresh).attribution()
         except Exception:
             # Health sampling must never kill training; a window that
             # does not attribute (no phase spans, odd nesting) is

@@ -23,10 +23,11 @@ calls over the task pipe.
   the same plan — fault streams are seeded per device id, so the
   injected sequence is identical to thread mode and chaos runs stay
   bit-exact;
-* telemetry hops the boundary by forwarding: each task response drains
-  the child's span tracer and flight recorder (absolute timestamps,
-  rebased on ingest), so parent dumps interleave child fault events with
-  host-side alerts in one ordered timeline.
+* telemetry hops the boundary by forwarding: each task response carries
+  what the child's flight ring gained since the last one — fault events
+  and finished spans alike, absolute timestamps, rebased on ingest — so
+  parent dumps interleave child fault events with host-side alerts in
+  one ordered timeline and the session sees every child span once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ..errors import TrainingError
 from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
-from ..telemetry import flight
+from ..telemetry import SpanTracer, TelemetrySession, flight
 from ..telemetry.flight import FlightRecorder
 from .engine import make_fault_injector
 from .parallel import ProcessCSDWorkerPool
@@ -94,13 +95,17 @@ def _channel_capacity(shards: Sequence[Shard], config,
 # child-process side
 # ----------------------------------------------------------------------
 
+#: Ring capacity of a child's forwarding recorder: one task's events per
+#: thread must fit, or the oldest never reach the parent.
+_FORWARD_CAPACITY = 1 << 12
+
 # Per-process worker registry. Sticky routing in ProcessCSDWorkerPool
 # guarantees shard index j always lands on worker j % workers, so each
 # child process only ever sees its own indexes.
 _STATE: Dict[str, object] = {
     "workers": {},        # index -> _ChildShard
     "segments": {},       # segment name -> attached SharedSegment
-    "flight_cursor": 0,
+    "flight_cursors": {},  # FlightRecorder.export_since's position
     "reset": False,
 }
 
@@ -115,46 +120,44 @@ def _attach_segment(descriptor: Dict[str, object]) -> SharedSegment:
     return segment
 
 
-def _sync_telemetry(task: Dict[str, object]) -> None:
+def _sync_telemetry(spans_on: bool, flight_on: bool) -> None:
     """Match this child's telemetry globals to the parent's, per task.
 
     Forked children inherit the parent's installed recorder/session
     *objects*; the first task sheds them (their contents belong to the
-    parent) and from then on the child runs its own, created and torn
-    down as the parent's flags flip.
+    parent).  From then on the child runs a session while the parent
+    traces spans and a recorder while the parent has either: the ring is
+    the one buffer everything recorded here leaves through, both on
+    epoch 0 so the parent can rebase what it is sent.
     """
     if not _STATE["reset"]:
         telemetry.disable()
         flight.install(None)
         _STATE["reset"] = True
-    spans_on = bool(task.get("spans"))
     if spans_on and not telemetry.enabled():
-        telemetry.enable()
-    elif not spans_on and telemetry.enabled():
+        telemetry.enable(TelemetrySession(SpanTracer(epoch=0.0)))
+    elif not spans_on:
         telemetry.disable()
-    flight_on = bool(task.get("flight"))
-    recorder = flight.active_recorder()
-    if flight_on and recorder is None:
-        flight.install(FlightRecorder())
-        _STATE["flight_cursor"] = 0
-    elif not flight_on and recorder is not None:
-        flight.install(None)
+    forwarding = spans_on or flight_on
+    if forwarding != (flight.active_recorder() is not None):
+        flight.install(FlightRecorder(_FORWARD_CAPACITY, epoch=0.0)
+                       if forwarding else None)
+        _STATE["flight_cursors"] = {}
 
 
 def _drain_telemetry(resp: Dict[str, object]) -> None:
-    """Attach this child's new events and spans to a task response."""
+    """Attach what this child recorded since its last response."""
     recorder = flight.active_recorder()
-    if recorder is not None:
-        cursor, events = recorder.export_since(
-            int(_STATE["flight_cursor"]))
-        _STATE["flight_cursor"] = cursor
-        if events:
-            resp["events"] = events
+    if recorder is None:
+        return
+    _STATE["flight_cursors"], events = recorder.export_since(
+        _STATE["flight_cursors"])
+    if events:
+        resp["telemetry"] = events
     session = telemetry.active()
     if session is not None:
-        spans = session.tracer.export_drain()
-        if spans:
-            resp["spans"] = spans
+        # Its spans left with the ring's events; the tracer only makes them.
+        session.tracer.clear()
 
 
 class _ChannelSink:
@@ -241,7 +244,7 @@ class _ChildShard:
 
 def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     """The single task entry point the pool ships to child processes."""
-    _sync_telemetry(task)
+    _sync_telemetry(*task.get("telemetry", (False, False)))
     op = str(task["op"])
     index = int(task["index"])
     if op == "init":
@@ -324,8 +327,8 @@ class ProcessShardCoordinator:
     def _run(self, op: str, **extra: object) -> List[Dict[str, object]]:
         tasks = [{
             "op": op, "index": index,
-            "spans": telemetry.enabled(),
-            "flight": flight.active_recorder() is not None,
+            "telemetry": (telemetry.enabled(),
+                          flight.active_recorder() is not None),
             **extra,
         } for index in range(len(self.shards))]
         responses = self.pool.map_ordered(_shard_task, tasks)
@@ -338,17 +341,19 @@ class ProcessShardCoordinator:
         return responses
 
     def _ingest(self, resp: Dict[str, object]) -> None:
-        """Fold one child response's telemetry into the parent's: events
-        land in the installed flight recorder under the child's worker
-        label, spans in the active tracer (rebased to its epoch)."""
-        events = resp.pop("events", None)
+        """Fold one child response's telemetry into the parent's: every
+        event lands in the installed flight recorder under the child's
+        worker label, and a span event's span in the active tracer too
+        (rebased to its epoch) — the same object in both."""
+        events = resp.pop("telemetry", ())
         recorder = flight.active_recorder()
-        if recorder is not None and events:
+        if recorder is not None:
             recorder.ingest(str(resp.get("worker", "csd-proc")), events)
-        spans = resp.pop("spans", None)
         session = telemetry.active()
-        if session is not None and spans:
-            session.tracer.ingest(spans)
+        if session is not None:
+            for _ts, kind, _name, span, _thread in events:
+                if kind == "span":
+                    session.tracer.adopt(span)
         faults = resp.pop("faults", None)
         if faults:
             self._fault_snapshots[int(resp["index"])] = faults

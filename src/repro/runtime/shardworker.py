@@ -479,14 +479,17 @@ class ShardWorker:
             device.p2p_write("masters_scales", scale_offset,
                              quantized.scales)
             # Host reads the compressed form only.
-            q_values = device.host_read("masters_q", start, count)
-            scales = device.host_read("masters_scales", scale_offset,
-                                      quantized.scales.size)
-            resp["host_read"] += count + 4 * scales.size
-            np.copyto(buffer, dequantize_int8(QuantizedTensor(
-                values=q_values.astype(np.int8), scales=scales,
-                group_size=self.config.quantization_group,
-                original_size=count)))
+            arena = thread_arena()
+            with arena.checkout(count, np.int8) as q_values, \
+                    arena.checkout(quantized.scales.size) as scales:
+                device.host_read_into("masters_q", q_values, start, count)
+                device.host_read_into("masters_scales", scales,
+                                      scale_offset, scales.size)
+                resp["host_read"] += count + 4 * scales.size
+                np.copyto(buffer, dequantize_int8(QuantizedTensor(
+                    values=q_values, scales=scales,
+                    group_size=self.config.quantization_group,
+                    original_size=count)))
 
     # ------------------------------------------------------------------
     # graceful degradation (demotion to the host-CPU update path)

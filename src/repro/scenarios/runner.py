@@ -36,6 +36,7 @@ import numpy as np
 
 from ..errors import ReproError, ScenarioError
 from ..faults import FaultPlan
+from ..perf.analysis import observe, resolve, validate_scale
 from ..runtime.checkpoint import load_checkpoint, save_checkpoint
 from ..runtime.engine import TrainingConfig
 from ..telemetry.health import DEFAULT_SLO_RULES
@@ -609,15 +610,14 @@ class ScenarioRunner:
             # The check is pure simulation (seed-independent and free of
             # wall-clock state), so the event log stays byte-identical
             # across replays; the error is rounded for log stability.
-            from ..telemetry.critpath import validate_scale
             spec = expect.whatif_error
             max_error = float(spec.get("max_error", 0.05))
             validation = validate_scale(
-                str(spec["channel"]), float(spec["factor"]),
-                model=str(spec.get("model", "gpt2-1.16b")),
-                csds=int(spec.get("csds", 4)),
-                method=str(spec.get("method", "su_o_c")),
-                gpu=str(spec.get("gpu", "a5000")),
-                ratio=float(spec.get("ratio", 0.02)))
+                observe(*resolve(str(spec.get("model", "gpt2-1.16b")),
+                                 int(spec.get("csds", 4)),
+                                 str(spec.get("gpu", "a5000"))),
+                        str(spec.get("method", "su_o_c")),
+                        compression_ratio=float(spec.get("ratio", 0.02))),
+                str(spec["channel"]), float(spec["factor"]))
             error = round(validation.error, 6)
             add("whatif_error", max_error, error, error <= max_error)

@@ -105,32 +105,11 @@ class FileBlockDevice:
                 f"I/O beyond device end: offset={offset} length={length} "
                 f"capacity={self.capacity_bytes}")
 
-    def pread(self, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes at ``offset``."""
-        self._check_range(offset, length)
-        if self.fault_site is not None:
-            self.fault_site.guard("read")
-        timed = telemetry.enabled()
-        begin = time.perf_counter() if timed else 0.0
-        data = os.pread(self._fd, length, offset)
-        if len(data) < length:
-            # Sparse tail: fill with zeros up to the requested length.
-            data = data + b"\x00" * (length - len(data))
-        self.counters.add_read(length)
-        if timed:
-            telemetry.histogram(
-                "storage_pread_latency_us",
-                (time.perf_counter() - begin) * 1e6, device=self.name)
-            telemetry.counter("storage_read_bytes_total", length,
-                              device=self.name)
-        return data
-
     def pread_into(self, offset: int, out) -> int:
         """Read directly into a writable buffer (ndarray/memoryview).
 
-        The zero-copy twin of :meth:`pread`: ``os.preadv`` scatters the
-        file bytes straight into ``out``, so no intermediate ``bytes``
-        object is ever materialized.  ``out`` must be C-contiguous and
+        ``os.preadv`` scatters the file bytes straight into ``out``, so
+        no intermediate ``bytes`` object is ever materialized.  ``out`` must be C-contiguous and
         writable; its whole byte extent is filled (sparse tails read as
         zeros).  Returns the number of bytes filled, always
         ``out.nbytes``.
@@ -160,16 +139,11 @@ class FileBlockDevice:
     def pwrite(self, offset: int, data) -> int:
         """Write ``data`` at ``offset``; returns bytes written.
 
-        ``data`` may be ``bytes`` or any C-contiguous buffer (ndarray,
-        memoryview): buffers are written through the buffer protocol
-        without an intermediate ``tobytes()`` serialization.
+        ``data`` is any C-contiguous buffer (ndarray, memoryview,
+        ``bytes``), written through the buffer protocol without an
+        intermediate ``tobytes()`` serialization.
         """
-        if isinstance(data, (bytes, bytearray)):
-            buf = data
-            elided = False
-        else:
-            buf = self._byte_view(data, writable=False)
-            elided = True
+        buf = self._byte_view(data, writable=False)
         length = len(buf)
         self._check_range(offset, length)
         if self.fault_site is not None:
@@ -187,9 +161,8 @@ class FileBlockDevice:
                 (time.perf_counter() - begin) * 1e6, device=self.name)
             telemetry.counter("storage_write_bytes_total", written,
                               device=self.name)
-            if elided:
-                telemetry.counter("copies_elided_total", device=self.name,
-                                  site="pwrite")
+            telemetry.counter("copies_elided_total", device=self.name,
+                              site="pwrite")
         return written
 
     @staticmethod

@@ -90,26 +90,6 @@ class RAID0Volume:
         if offset + length > self.capacity_bytes:
             raise StorageError("I/O beyond RAID0 volume end")
 
-    def pread(self, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes, gathering across stripe chunks."""
-        self._check(offset, length)
-        self._check_degraded()
-        parts: List[bytes] = []
-        position = offset
-        remaining = length
-        while remaining > 0:
-            member_index, member_offset, in_chunk = self._map(position)
-            take = min(remaining, in_chunk)
-            try:
-                parts.append(self.members[member_index].pread(
-                    member_offset, take))
-            except (DeviceFailedError, RetryExhaustedError) as exc:
-                self._member_failed(member_index, exc)
-                self._check_degraded()
-            position += take
-            remaining -= take
-        return b"".join(parts)
-
     def pread_into(self, offset: int, out) -> int:
         """Zero-copy gather across stripe chunks into ``out``.
 
@@ -140,11 +120,10 @@ class RAID0Volume:
     def pwrite(self, offset: int, data) -> int:
         """Write ``data``, scattering across stripe chunks.
 
-        ``data`` may be ``bytes`` or any C-contiguous buffer; buffers are
+        ``data`` is any C-contiguous buffer (``bytes`` included),
         scattered through zero-copy memoryview slices.
         """
-        if not isinstance(data, (bytes, bytearray)):
-            data = FileBlockDevice._byte_view(data, writable=False)
+        data = FileBlockDevice._byte_view(data, writable=False)
         length = len(data)
         self._check(offset, length)
         self._check_degraded()

@@ -112,10 +112,16 @@ class TensorStore:
         """Write ``array`` into the region starting at element ``start``.
 
         Contiguous arrays (the hot path hands in flat buffer views) are
-        written without any intermediate ``bytes`` copy.
+        written without any intermediate ``bytes`` copy; like
+        :meth:`write_array` and :meth:`read_slice_into`, a dtype other
+        than the region's is an error, never a silent conversion.
         """
         region = self.region(name)
-        array = np.ascontiguousarray(array, dtype=region.dtype)
+        array = np.ascontiguousarray(array)
+        if array.dtype != region.dtype:
+            raise StorageError(
+                f"region {name!r} holds {region.dtype}, got a slice of "
+                f"{array.dtype}")
         if start < 0 or start + array.size > region.num_elements:
             raise StorageError(
                 f"slice [{start}, {start + array.size}) outside region "
@@ -126,20 +132,6 @@ class TensorStore:
             telemetry.counter("tensor_store_write_bytes_total",
                               array.size * region.dtype.itemsize,
                               region=name)
-
-    def read_slice(self, name: str, start: int, count: int) -> np.ndarray:
-        """Read ``count`` elements starting at element ``start``.
-
-        Returns a fresh writable array filled by a single device read
-        (legacy double-copy path removed; prefer :meth:`read_slice_into`
-        with a pooled buffer on hot paths).
-        """
-        if count < 0:
-            raise StorageError(
-                f"slice [{start}, {start + count}) outside region {name!r}")
-        out = np.empty(count, dtype=self.region(name).dtype)
-        self.read_slice_into(name, start, count, out)
-        return out
 
     def read_slice_into(self, name: str, start: int, count: int,
                         out: np.ndarray) -> np.ndarray:

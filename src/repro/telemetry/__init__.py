@@ -8,18 +8,20 @@ repository (the question the paper's whole evaluation answers):
   threads, and anything else that runs in real time;
 * :mod:`~repro.telemetry.metrics` — counters / gauges / fixed-bucket
   histograms with a ``snapshot()`` dict and Prometheus text exposition;
+* :mod:`~repro.telemetry.attrib` — the :class:`Timeline` every
+  observer reads (built from DES channels, recorded spans or a Chrome
+  trace document) and phase x resource attribution over it: per-link
+  busy windows decomposed into buckets that tile the step exactly, plus
+  the bottleneck verdict;
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON rendering of
-  both wall-clock spans *and* sim-time DES transfer records / phase
-  windows, loadable in Perfetto as two processes in one file;
-* :mod:`~repro.telemetry.attrib` — phase x resource attribution:
-  per-link busy windows decomposed into buckets that tile the step
-  exactly, plus the bottleneck verdict;
+  both wall-clock spans *and* a sim-time timeline, loadable in Perfetto
+  as two processes in one file;
 * :mod:`~repro.telemetry.profiler` — the bottleneck observatory built
-  on attrib: ``repro top`` rendering, Chrome-trace re-import, JSONL
-  event log, and attribution metrics recording;
+  on attrib: ``repro top`` rendering, JSONL event log, and attribution
+  metrics recording;
 * :mod:`~repro.telemetry.critpath` — the critical-path observatory:
-  per-step dependency DAGs over DES records or wall-clock spans, CPM
-  slack, and the what-if projection engine behind ``repro whatif``;
+  per-step dependency DAGs over a timeline, CPM slack, and the what-if
+  projection engine behind ``repro whatif``;
 * :mod:`~repro.telemetry.flight` — the always-on flight recorder:
   per-worker ring buffers of recent span/metric/fault/arena events,
   merged on demand into one ordered ``smart-infinity/flightrec/v1``
@@ -60,32 +62,27 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .attrib import (Attribution, BottleneckVerdict, COMPUTE,
-                     ResourceUsage, attribute, attribute_channels,
-                     attribute_spans, merge_intervals)
+                     ResourceUsage, Timeline, attribute,
+                     attribute_channels, merge_intervals)
 from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagNode,
-                       DepGraph, InterleaveValidation, Intervention,
+                       DepGraph, Intervention,
                        PathStep, Projection,
                        ProjectionValidation, add_csds, compression_ratio,
                        default_interventions, interleave, project,
                        rank_interventions,
-                       render_projections, scale, validate_interleave,
-                       validate_scale,
-                       write_critpath_jsonl)
-from .export import (channels_to_records, chrome_trace, phase_events,
-                     record_channel_metrics, record_events, span_events,
+                       render_projections, scale, write_critpath_jsonl)
+from .export import (chrome_trace, record_channel_metrics,
                      write_chrome_trace)
 from .flight import (FLIGHT_SCHEMA, FlightRecorder, IncidentDumper,
                      record_event as record_flight_event)
 from .health import (Alert, DEFAULT_SLO_RULES, Ewma, Rule, RulesEngine,
                      SignalWindow, StepHealthMonitor,
-                     evaluate_attribution, load_slo_rules, parse_rules,
-                     render_alerts)
+                     evaluate_attribution, load_slo_rules, parse_rules)
 from .metrics import (Counter, Gauge, Histogram, LATENCY_BUCKETS_US,
                       MetricsRegistry, SIZE_BUCKETS_BYTES)
-from .profiler import (EVENTS_SCHEMA, ProfileReport, load_chrome_trace,
-                       profile_scenario, record_attribution_metrics,
+from .profiler import (EVENTS_SCHEMA, record_attribution_metrics,
                        render_top, write_events_jsonl)
-from .spans import NULL_SPAN, Span, SpanToken, SpanTracer
+from .spans import NULL_SPAN, Span, SpanTracer
 
 __all__ = [
     "Alert",
@@ -103,10 +100,8 @@ __all__ = [
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "IncidentDumper",
-    "InterleaveValidation",
     "Intervention",
     "PathStep",
-    "ProfileReport",
     "Projection",
     "ProjectionValidation",
     "ResourceUsage",
@@ -117,26 +112,20 @@ __all__ = [
     "add_csds",
     "attribute",
     "attribute_channels",
-    "attribute_spans",
     "compression_ratio",
     "default_interventions",
     "evaluate_attribution",
     "interleave",
-    "load_chrome_trace",
     "load_slo_rules",
     "merge_intervals",
     "parse_rules",
-    "profile_scenario",
     "project",
     "rank_interventions",
     "record_attribution_metrics",
     "record_flight_event",
-    "render_alerts",
     "render_projections",
     "render_top",
     "scale",
-    "validate_interleave",
-    "validate_scale",
     "write_critpath_jsonl",
     "write_events_jsonl",
     "Gauge",
@@ -146,11 +135,10 @@ __all__ = [
     "NULL_SPAN",
     "SIZE_BUCKETS_BYTES",
     "Span",
-    "SpanToken",
     "SpanTracer",
     "TelemetrySession",
+    "Timeline",
     "active",
-    "channels_to_records",
     "chrome_trace",
     "counter",
     "disable",
@@ -158,13 +146,10 @@ __all__ = [
     "enabled",
     "gauge",
     "histogram",
-    "phase_events",
     "record_channel_metrics",
-    "record_events",
     "session",
     "span_begin",
     "span_end",
-    "span_events",
     "trace_span",
     "write_chrome_trace",
 ]
@@ -227,14 +212,14 @@ def trace_span(name: str, **attrs: object):
     return _active.tracer.span(name, **attrs)
 
 
-def span_begin(name: str, **attrs: object) -> Optional[SpanToken]:
+def span_begin(name: str, **attrs: object) -> Optional[Span]:
     """Open an explicit span; returns None when telemetry is off."""
     if _active is None:
         return None
     return _active.tracer.begin(name, **attrs)
 
 
-def span_end(token: Optional[SpanToken], **attrs: object) -> None:
+def span_end(token: Optional[Span], **attrs: object) -> None:
     """Close a token from :func:`span_begin` (None tokens are ignored)."""
     if token is not None and _active is not None:
         _active.tracer.end(token, **attrs)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TelemetryError
+from ..sim.resources import TransferRecord
 
 #: Bucket owning the slices where no tracked resource is busy (GPU
 #: compute, host software overhead, pure pipeline bubbles).
@@ -263,30 +264,6 @@ def attribute(phase_windows: Sequence[PhaseWindow],
                        usage=usage, phases=phases)
 
 
-def attribute_channels(phase_windows: Sequence[PhaseWindow], channels,
-                       horizon: Optional[float] = None) -> Attribution:
-    """Attribution from DES channels (``.name``/``.records`` duck type).
-
-    Channels serialize transfers (FIFO), so their record lists are
-    already non-overlapping per channel; channels with no traffic are
-    omitted rather than reported at 0%.
-    """
-    busy: Dict[str, List[Interval]] = {}
-    nbytes: Dict[str, float] = {}
-    caps: Dict[str, float] = {}
-    for channel in channels:
-        records = getattr(channel, "records", ())
-        if not records:
-            continue
-        busy[channel.name] = [(r.start, r.end) for r in records]
-        nbytes[channel.name] = getattr(channel, "bytes_total", 0.0)
-        bandwidth = getattr(channel, "bandwidth", None)
-        if bandwidth is not None:
-            caps[channel.name] = bandwidth
-    return attribute(phase_windows, busy, bytes_by_resource=nbytes,
-                     capacities=caps, horizon=horizon)
-
-
 #: Engine span names that mark iteration phases in wall-clock traces.
 #: ``interleaved_update`` is the fused offload+update span the
 #: interleaved schedule emits in place of the separate ``grad_offload``
@@ -295,30 +272,168 @@ def attribute_channels(phase_windows: Sequence[PhaseWindow], channels,
 PHASE_SPAN_NAMES = ("forward_backward", "grad_offload", "update",
                     "interleaved_update")
 
+#: Chrome trace-event categories of the two time domains, and the
+#: timestamp unit (microseconds per second) — shared with the writer in
+#: :mod:`~repro.telemetry.export`.
+CAT_WALL, CAT_SIM, CAT_SIM_PHASE = "wall", "sim", "sim-phase"
+TRACE_TIME_SCALE = 1e6
+#: Instants of a re-imported trace closer than this (relative) are one
+#: instant again: far above microsecond-rounding noise, far below any
+#: modelled latency.
+TRACE_SNAP = 1e-12
 
-def attribute_spans(spans, phase_names: Sequence[str] = PHASE_SPAN_NAMES,
-                    horizon: Optional[float] = None) -> Attribution:
-    """Attribution from wall-clock spans.
 
-    Spans named in ``phase_names`` become phase windows (their repeats
-    across iterations accumulate into the same phase label); spans
-    carrying a ``resource`` attribute become that resource's busy
-    windows.  Worker-thread spans overlap freely — they are merged per
-    resource before the sweep.
+@dataclass
+class Timeline:
+    """One step (or run) as every observer reads it.
+
+    ``phases`` are the ``(name, start, end)`` windows; ``ops`` maps each
+    resource to its operations in FIFO order, each a
+    :class:`~repro.sim.resources.TransferRecord` (``.start``, ``.end``,
+    ``.tag``, ``.nbytes``) whatever the source.  A resource may be
+    listed with no operations (an idle DES channel still gets a trace
+    lane).  ``bytes_total`` is each resource's byte count (a DES
+    channel's own running total, so nothing re-sums its records),
+    ``latency`` the fixed command overhead per operation on it and
+    ``capacity`` its bandwidth, where the source knows them.  There is
+    one constructor per evidence source; attribution, the dependency
+    graph, the Chrome export and the ``util:*`` health signals read
+    nothing else.
     """
-    phase_windows: List[PhaseWindow] = []
-    busy: Dict[str, List[Interval]] = {}
-    nbytes: Dict[str, float] = {}
-    for span in spans:
-        resource = span.attrs.get("resource") if span.attrs else None
-        if resource is not None:
-            busy.setdefault(str(resource), []).append(
-                (span.start, span.end))
-            amount = span.attrs.get("nbytes")
-            if amount is not None:
-                nbytes[str(resource)] = (nbytes.get(str(resource), 0.0)
-                                         + float(amount))
-        elif span.name in phase_names:
-            phase_windows.append((span.name, span.start, span.end))
-    return attribute(phase_windows, busy, bytes_by_resource=nbytes,
-                     horizon=horizon)
+
+    phases: List[PhaseWindow]
+    ops: Dict[str, Sequence[TransferRecord]]
+    bytes_total: Dict[str, float] = field(default_factory=dict)
+    latency: Dict[str, float] = field(default_factory=dict)
+    capacity: Dict[str, float] = field(default_factory=dict)
+    #: The instant the step's first operation may start; ``None`` means
+    #: the earliest instant the timeline mentions.
+    origin: Optional[float] = None
+
+    @classmethod
+    def from_channels(cls, channels, phase_windows) -> "Timeline":
+        """DES channels (``.name``/``.records``/``.latency``/
+        ``.bandwidth``/``.bytes_total``) and the
+        :class:`~repro.sim.resources.PhaseClock` windows.  Holds the
+        channels' own record lists (FIFO by construction)."""
+        channels = list(channels)
+        return cls(
+            phases=[(str(p), float(s), float(e))
+                    for p, s, e in phase_windows],
+            ops={channel.name: channel.records for channel in channels},
+            bytes_total={channel.name: getattr(channel, "bytes_total", 0.0)
+                         for channel in channels},
+            latency={channel.name: float(getattr(channel, "latency", 0.0))
+                     for channel in channels},
+            capacity={channel.name: channel.bandwidth
+                      for channel in channels
+                      if getattr(channel, "bandwidth", None) is not None},
+            origin=0.0)
+
+    @classmethod
+    def from_spans(cls, spans,
+                   phase_names: Sequence[str] = PHASE_SPAN_NAMES
+                   ) -> "Timeline":
+        """Recorded wall-clock spans: one carrying a ``resource``
+        attribute is an operation on that resource (tag: the span's
+        name), one named in ``phase_names`` a phase window.  Spans
+        forwarded from worker processes are on the session's clock
+        already, so they chain like local ones."""
+        timeline = cls(phases=[], ops={})
+        for span in spans:
+            attrs = span.attrs or {}
+            resource = attrs.get("resource")
+            if resource is not None:
+                timeline._add(TransferRecord(
+                    str(resource), span.name,
+                    float(attrs.get("nbytes", 0.0)), span.start, span.end))
+            elif span.name in phase_names:
+                timeline.phases.append((span.name, span.start, span.end))
+        return timeline
+
+    @classmethod
+    def from_chrome(cls, document: Mapping) -> "Timeline":
+        """A Chrome trace-event document as :func:`~repro.telemetry.
+        export.chrome_trace` writes it: the sim-time domain when it has
+        phase windows, else the wall-clock one.  The file stores
+        microseconds, so instants that were equal come back a few ulps
+        apart; they are merged again (:data:`TRACE_SNAP`), which keeps
+        FIFO hand-offs and barriers recognisable as such."""
+        events = [event for event in document.get("traceEvents", [])
+                  if event.get("ph") == "X"]
+        sim = any(event.get("cat") == CAT_SIM_PHASE for event in events)
+        timeline = cls(phases=[], ops={})
+        for event in events:
+            start = float(event.get("ts", 0.0)) / TRACE_TIME_SCALE
+            end = start + float(event.get("dur", 0.0)) / TRACE_TIME_SCALE
+            args = event.get("args") or {}
+            cat, name = event.get("cat"), str(event.get("name", ""))
+            nbytes = float(args.get("nbytes") or 0.0)
+            if sim and cat == CAT_SIM:
+                # The writer names an untagged transfer after its lane.
+                channel = str(args.get("channel", name))
+                timeline._add(TransferRecord(
+                    channel, "" if name == channel else name, nbytes,
+                    start, end))
+            elif sim and cat == CAT_SIM_PHASE:
+                timeline.phases.append((name, start, end))
+            elif sim or cat != CAT_WALL:
+                continue
+            elif args.get("resource") is not None:
+                timeline._add(TransferRecord(str(args["resource"]), name,
+                                             nbytes, start, end))
+            elif name in PHASE_SPAN_NAMES:
+                timeline.phases.append((name, start, end))
+        if not timeline.phases:
+            raise TelemetryError(
+                "trace has neither sim-phase windows nor wall-clock phase "
+                "spans — nothing to attribute")
+        return timeline._snap()
+
+    def _add(self, op: TransferRecord) -> None:
+        self.ops.setdefault(op.channel, []).append(op)
+        self.bytes_total[op.channel] = (
+            self.bytes_total.get(op.channel, 0.0) + op.nbytes)
+
+    def _snap(self) -> "Timeline":
+        """Replace instants closer than :data:`TRACE_SNAP` (relative) by
+        the earliest of them; returns ``self``."""
+        snap: Dict[float, float] = {}
+        anchor = None
+        for instant in sorted(
+                {t for _p, s, e in self.phases for t in (s, e)}
+                | {t for ops in self.ops.values() for op in ops
+                   for t in (op.start, op.end)}):
+            if anchor is None or (instant - anchor
+                                  > TRACE_SNAP * max(1.0, abs(instant))):
+                anchor = instant
+            snap[instant] = anchor
+        self.phases = [(p, snap[s], snap[e]) for p, s, e in self.phases]
+        self.ops = {name: [op._replace(start=snap[op.start],
+                                       end=snap[op.end]) for op in ops]
+                    for name, ops in self.ops.items()}
+        return self
+
+    @property
+    def step_seconds(self) -> float:
+        return sum(end - start for _phase, start, end in self.phases
+                   if end > start)
+
+    def attribution(self, horizon: Optional[float] = None) -> Attribution:
+        """Phase x resource decomposition of this timeline.  Idle
+        resources are omitted rather than reported at 0%; wall-clock
+        operations on one resource may overlap (worker threads) and are
+        merged before the sweep."""
+        busy = {name: [(op.start, op.end) for op in ops]
+                for name, ops in self.ops.items() if ops}
+        return attribute(self.phases, busy,
+                         bytes_by_resource=self.bytes_total,
+                         capacities=self.capacity, horizon=horizon)
+
+
+def attribute_channels(phase_windows: Sequence[PhaseWindow], channels,
+                       horizon: Optional[float] = None) -> Attribution:
+    """Attribution of one DES iteration: :meth:`Timeline.from_channels`
+    then :meth:`Timeline.attribution`."""
+    return Timeline.from_channels(channels, phase_windows).attribution(
+        horizon)

@@ -3,10 +3,10 @@
 The attribution layer (:mod:`repro.telemetry.attrib`) names the busiest
 resource; this module proves which transfers actually *gate* the step
 and predicts what an intervention buys.  It reconstructs a per-step
-dependency DAG from the two evidence sources the repo already emits —
-DES channel records (:class:`repro.sim.resources.TransferRecord`) and
-resource-tagged wall-clock spans (:mod:`repro.telemetry.spans`,
-including child spans forwarded by the process backend) — then:
+dependency DAG from a :class:`~repro.telemetry.attrib.Timeline` —
+whichever evidence source that was built from: DES channel records,
+resource-tagged wall-clock spans (child spans forwarded by the process
+backend included) or a re-imported Chrome trace — then:
 
 * extracts the **critical path** with per-node slack (classic CPM:
   earliest times are the measured schedule, latest times anchor at the
@@ -35,12 +35,9 @@ Edge inference, in the order the replay semantics force it:
 Because every edge stores its measured lag, replaying the DAG with
 *unchanged* durations reproduces the measured schedule — so a factor-1.0
 intervention projects exactly the measured step time, and projection
-error under a real intervention comes only from edge inference (the
-self-validation in :func:`validate_scale` re-runs the DES with the
+error under a real intervention comes only from edge inference
+(:func:`repro.perf.analysis.validate_scale` re-runs the DES with the
 intervention actually applied and reports that error).
-
-All heavy dependencies (hw/nn/perf) are imported lazily so
-``repro.telemetry`` stays importable on its own.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from ..errors import TelemetryError
+from .attrib import Timeline
 
 #: Schema marker of the critical-path JSONL export.
 CRITPATH_SCHEMA = "smart-infinity/critpath/v1"
@@ -174,122 +172,40 @@ class DepGraph:
     the lag — however many lock-step devices finished together.
     """
 
-    def __init__(self, nodes: Sequence[DagNode], step_seconds: float,
-                 origin: float = 0.0) -> None:
-        self.nodes = list(nodes)
-        self.step_seconds = float(step_seconds)
+    def __init__(self, timeline: Timeline) -> None:
+        raw = [(op.start, op.end, resource, op.tag, op.nbytes,
+                timeline.latency.get(resource, 0.0))
+               for resource, ops in timeline.ops.items() for op in ops]
+        # Stable: ties keep each resource's own FIFO order, which makes
+        # the sorted order a topological order of the measured schedule.
+        raw.sort(key=lambda item: (item[0], item[1]))
+        self.nodes = [DagNode(i, res, tag, nbytes, start, end, latency)
+                      for i, (start, end, res, tag, nbytes, latency)
+                      in enumerate(raw)]
+        #: What the projections are measured against.
+        self.step_seconds = timeline.step_seconds
+        #: The step's (phase, start, end) windows — schedule-level
+        #: interventions (:func:`interleave`) need phase boundaries, not
+        #: just node timings.
+        self.phase_windows = list(timeline.phases)
+        origin = timeline.origin
+        if origin is None:
+            origin = min([start for _p, start, _e in timeline.phases]
+                         + [item[0] for item in raw[:1]], default=0.0)
         self.origin = float(origin)
-        #: The step's (phase, start, end) windows, when the builder had
-        #: them — schedule-level interventions (:func:`interleave`) need
-        #: phase boundaries, not just node timings.
-        self.phase_windows: List[Tuple[str, float, float]] = []
         self.measured_starts = [node.start for node in self.nodes]
         self.measured_ends = [node.end for node in self.nodes]
         self.makespan = (max(self.measured_ends) - self.origin
                          if self.nodes else 0.0)
         self._infer_edges()
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_channels(cls, channels: Iterable,
                       phase_windows: Sequence[Tuple[str, float, float]]
                       ) -> "DepGraph":
-        """Build from DES channels (``.name``/``.records``/``.latency``).
-
-        ``phase_windows`` (the :class:`~repro.sim.resources.PhaseClock`
-        output) define the step duration the projections are measured
-        against.
-        """
-        raw = []
-        for channel in channels:
-            latency = float(getattr(channel, "latency", 0.0))
-            raw.extend((record.start, record.end, record.channel,
-                        record.tag, record.nbytes, latency)
-                       for record in channel.records)
-        step_seconds = sum(end - start
-                           for _phase, start, end in phase_windows
-                           if end > start)
-        graph = cls._build(raw, step_seconds, origin=0.0)
-        graph.phase_windows = [(str(p), float(s), float(e))
-                               for p, s, e in phase_windows]
-        return graph
-
-    @classmethod
-    def from_spans(cls, spans: Iterable,
-                   phase_names: Optional[Sequence[str]] = None
-                   ) -> "DepGraph":
-        """Build from wall-clock spans.
-
-        Spans carrying a ``resource`` attribute become nodes (the same
-        convention :func:`~repro.telemetry.attrib.attribute_spans`
-        uses); spans named in ``phase_names`` define the step windows.
-        Child-process spans forwarded through
-        :meth:`~repro.telemetry.spans.SpanTracer.ingest` are already
-        rebased onto the parent clock, so they chain like local ones.
-        """
-        from .attrib import PHASE_SPAN_NAMES
-        names = tuple(phase_names or PHASE_SPAN_NAMES)
-        raw: List[Tuple[float, float, str, str, float, float]] = []
-        windows: List[Tuple[str, float, float]] = []
-        step_seconds = 0.0
-        origin: Optional[float] = None
-        for span in spans:
-            attrs = span.attrs or {}
-            resource = attrs.get("resource")
-            if resource is not None:
-                raw.append((span.start, span.end, str(resource),
-                            span.name, float(attrs.get("nbytes", 0.0)),
-                            0.0))
-            elif span.name in names:
-                step_seconds += max(0.0, span.end - span.start)
-                windows.append((span.name, span.start, span.end))
-                origin = (span.start if origin is None
-                          else min(origin, span.start))
-        if raw:
-            origin = (min(item[0] for item in raw) if origin is None
-                      else min(origin, min(item[0] for item in raw)))
-        graph = cls._build(raw, step_seconds, origin=origin or 0.0)
-        graph.phase_windows = windows
-        return graph
-
-    @classmethod
-    def from_intervals(cls, busy_by_resource: Mapping[str, Sequence[
-            Tuple[float, float]]],
-            phase_windows: Sequence[Tuple[str, float, float]]
-            ) -> "DepGraph":
-        """Build from bare per-resource busy intervals (re-imported
-        Chrome traces, where per-record bytes and channel latency are
-        gone).  Interval order within one resource must be FIFO."""
-        raw: List[Tuple[float, float, str, str, float, float]] = []
-        for resource, intervals in busy_by_resource.items():
-            for start, end in intervals:
-                raw.append((float(start), float(end), str(resource), "",
-                            0.0, 0.0))
-        step_seconds = sum(end - start
-                           for _phase, start, end in phase_windows
-                           if end > start)
-        origin = min((start for _p, start, _e in phase_windows),
-                     default=0.0)
-        if raw:
-            origin = min(origin, min(item[0] for item in raw))
-        graph = cls._build(raw, step_seconds, origin=origin)
-        graph.phase_windows = [(str(p), float(s), float(e))
-                               for p, s, e in phase_windows]
-        return graph
-
-    @classmethod
-    def _build(cls, raw: Sequence[Tuple[float, float, str, str, float,
-                                        float]],
-               step_seconds: float, origin: float) -> "DepGraph":
-        # Stable: ties keep each resource's own FIFO order, which makes
-        # the sorted order a topological order of the measured schedule.
-        ordered = sorted(raw, key=lambda item: (item[0], item[1]))
-        nodes = [DagNode(i, res, tag, nbytes, start, end, latency)
-                 for i, (start, end, res, tag, nbytes, latency)
-                 in enumerate(ordered)]
-        return cls(nodes, step_seconds, origin=origin)
+        """The graph of one DES iteration
+        (:meth:`~repro.telemetry.attrib.Timeline.from_channels`)."""
+        return cls(Timeline.from_channels(channels, phase_windows))
 
     def _infer_edges(self) -> None:
         n = len(self.nodes)
@@ -738,12 +654,18 @@ def render_projections(projections: Sequence[Projection]) -> str:
 
 
 # ----------------------------------------------------------------------
-# self-validation: re-run the DES with the intervention applied
+# self-validation records (the validators, which re-run the DES with the
+# intervention applied, live in :mod:`repro.perf.analysis`)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ProjectionValidation:
-    """Projected vs DES-measured step time for one scale intervention."""
+    """Projected vs DES-measured step time for one intervention
+    (``label``: its :attr:`Intervention.label`).  ``channel`` and
+    ``factor`` name a scaling; a schedule change carries the marker
+    ``schedule:interleaved`` and factor 1.0 there, so the JSONL export
+    and the CLI gate treat both uniformly."""
 
+    label: str
     channel: str
     factor: float
     baseline_step_seconds: float
@@ -760,106 +682,10 @@ class ProjectionValidation:
                 / self.actual_step_seconds)
 
     def render(self) -> str:
-        return (f"validate scale({self.channel}, {self.factor:g}): "
+        return (f"validate {self.label}: "
                 f"projected {self.projected_step_seconds:.3f} s, "
                 f"DES re-run {self.actual_step_seconds:.3f} s "
                 f"(error {self.error:.2%})")
-
-
-class InterleaveValidation(ProjectionValidation):
-    """Projected vs DES-measured step time for the schedule change.
-
-    Field-compatible with :class:`ProjectionValidation` (``channel``
-    carries the schedule marker) so the JSONL export and the CLI gate
-    treat both uniformly.
-    """
-
-    def render(self) -> str:
-        return (f"validate interleave(): "
-                f"projected {self.projected_step_seconds:.3f} s, "
-                f"DES re-run {self.actual_step_seconds:.3f} s "
-                f"(error {self.error:.2%})")
-
-
-def observe_named(model: str, csds: int, method: str, gpu: str, ratio: float,
-             **counterfactual):
-    """One observed DES iteration of the named configuration (a
-    :class:`repro.perf.analysis.Observation`)."""
-    # Lazy import: telemetry stays importable without perf/hw/nn.
-    from ..perf.analysis import observe, resolve
-
-    return observe(*resolve(model, csds, gpu), method,
-                   compression_ratio=ratio, **counterfactual)
-
-
-def _measure(model: str, csds: int, method: str, gpu: str, ratio: float,
-             schedule: str = "phased") -> Tuple[object, DepGraph]:
-    """The unmodified iteration and its graph: the ``base`` the
-    validators project from when the caller does not hand one in."""
-    observed = observe_named(model, csds, method, gpu, ratio,
-                             schedule=schedule)
-    return observed.trace, observed.graph
-
-
-def validate_interleave(model: str = "gpt2-1.16b", csds: int = 4,
-                        method: str = "su_o_c", gpu: str = "a5000",
-                        ratio: float = 0.02,
-                        base: Optional[Tuple[object, DepGraph]] = None
-                        ) -> InterleaveValidation:
-    """Project the interleaved schedule from a phased trace, then run
-    the DES with ``schedule="interleaved"`` genuinely applied.
-
-    ``base`` is the phased ``(ScenarioTrace, DepGraph)`` of this
-    configuration when the caller already holds it; only the
-    counterfactual is simulated then.  Any disagreement is pure
-    projection error (the two-regime bound in
-    :func:`_project_interleave` vs the gated pipeline's real contention).
-    """
-    trace, graph = base or _measure(model, csds, method, gpu, ratio)
-    projection = project(graph, interleave())
-    rerun = observe_named(model, csds, method, gpu, ratio,
-                     schedule="interleaved")
-    return InterleaveValidation(
-        channel="schedule:interleaved", factor=1.0,
-        baseline_step_seconds=trace.breakdown.total,
-        projected_step_seconds=projection.projected_step_seconds,
-        actual_step_seconds=rerun.breakdown.total)
-
-
-def validate_scale(channel: str, factor: float,
-                   model: str = "gpt2-1.16b", csds: int = 4,
-                   method: str = "su_o_c", gpu: str = "a5000",
-                   ratio: float = 0.02, schedule: str = "phased",
-                   base: Optional[Tuple[object, DepGraph]] = None
-                   ) -> ProjectionValidation:
-    """Project a channel scaling, then actually apply it in the DES.
-
-    The re-run multiplies the channel's bandwidth by ``1 / factor``
-    (a factor-0.5 projection — transfers twice as fast — doubles the
-    bandwidth), so per-record durations match the projection exactly
-    and any disagreement is pure edge-inference error.  ``base`` is the
-    unscaled ``(ScenarioTrace, DepGraph)`` of this configuration and
-    ``schedule`` when the caller already holds it; only the
-    counterfactual is simulated then.
-    """
-    if factor <= 0:
-        raise TelemetryError(
-            f"scale factor must be positive, got {factor}")
-    trace, graph = base or _measure(model, csds, method, gpu, ratio,
-                                    schedule)
-    known = {c.name for c in trace.fabric.all_channels()}
-    if channel not in known:
-        raise TelemetryError(
-            f"unknown channel {channel!r}; this run has "
-            f"{sorted(known)}")
-    projection = project(graph, scale(channel, factor))
-    rerun = observe_named(model, csds, method, gpu, ratio, schedule=schedule,
-                     channel_scales={channel: 1.0 / factor})
-    return ProjectionValidation(
-        channel=channel, factor=float(factor),
-        baseline_step_seconds=trace.breakdown.total,
-        projected_step_seconds=projection.projected_step_seconds,
-        actual_step_seconds=rerun.breakdown.total)
 
 
 # ----------------------------------------------------------------------
@@ -925,7 +751,6 @@ __all__ = [
     "CritPathReport",
     "DagNode",
     "DepGraph",
-    "InterleaveValidation",
     "Intervention",
     "PathStep",
     "Projection",
@@ -938,7 +763,5 @@ __all__ = [
     "rank_interventions",
     "render_projections",
     "scale",
-    "validate_interleave",
-    "validate_scale",
     "write_critpath_jsonl",
 ]

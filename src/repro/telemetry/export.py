@@ -7,33 +7,31 @@ list) is what Perfetto and chrome://tracing load.  This module renders
 * **wall-clock** — :class:`~repro.telemetry.spans.Span` records from the
   functional engines, handler worker threads, and storage layer, grouped
   as process ``wall-clock`` with one lane per real thread;
-* **sim-time** — DES :class:`~repro.sim.resources.TransferRecord` channel
-  activity and phase windows, grouped as process ``sim-time`` with one
-  lane per channel (sim seconds are mapped 1:1 onto trace microseconds
-  via :data:`SIM_TIME_SCALE`).
+* **sim-time** — a DES :class:`~repro.telemetry.attrib.Timeline`
+  (channel activity and phase windows), grouped as process ``sim-time``
+  with one lane per channel (sim seconds are mapped 1:1 onto trace
+  microseconds).
 
 Both use complete (``"ph": "X"``) events, so nesting falls out of
 interval containment per lane, exactly how the viewers draw it.
+:meth:`~repro.telemetry.attrib.Timeline.from_chrome` reads the document
+back.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..sim.resources import TransferRecord
 from ..sim.trace import summarize_channels
+from .attrib import (CAT_SIM, CAT_SIM_PHASE, CAT_WALL, TRACE_TIME_SCALE,
+                     Timeline)
 from .metrics import MetricsRegistry
 from .spans import Span
 
 #: Process ids of the two time domains in the exported trace.
 WALL_PID = 1
 SIM_PID = 2
-
-#: Trace timestamps are microseconds; wall spans are float seconds.
-WALL_TIME_SCALE = 1e6
-#: Sim-time seconds also map to trace microseconds (1 sim second = 1 s).
-SIM_TIME_SCALE = 1e6
 
 #: Lane reserved for DES phase windows inside the sim-time process.
 PHASE_TID = 0
@@ -44,87 +42,53 @@ def _metadata(pid: int, tid: int, kind: str, name: str) -> Dict:
             "args": {"name": name}}
 
 
-def span_events(spans: Sequence[Span], pid: int = WALL_PID) -> List[Dict]:
-    """Wall-clock spans as complete events, one lane per thread."""
-    events: List[Dict] = []
-    tids: Dict[int, int] = {}
-    for span in spans:
-        tid = tids.get(span.thread_id)
-        if tid is None:
-            tid = tids[span.thread_id] = len(tids) + 1
-            events.append(_metadata(pid, tid, "thread_name",
-                                    span.thread_name))
-        args = {"depth": span.depth}
-        args.update(span.attrs)
-        events.append({
-            "name": span.name, "ph": "X", "cat": "wall",
-            "ts": span.start * WALL_TIME_SCALE,
-            "dur": span.duration * WALL_TIME_SCALE,
-            "pid": pid, "tid": tid, "args": args,
-        })
-    return events
-
-
-def record_events(records_by_channel: Dict[str, Sequence[TransferRecord]],
-                  pid: int = SIM_PID) -> List[Dict]:
-    """DES transfer records as complete events, one lane per channel."""
-    events: List[Dict] = []
-    for index, (channel, records) in enumerate(
-            sorted(records_by_channel.items()), start=PHASE_TID + 1):
-        events.append(_metadata(pid, index, "thread_name", channel))
-        for record in records:
-            events.append({
-                "name": record.tag or channel, "ph": "X", "cat": "sim",
-                "ts": record.start * SIM_TIME_SCALE,
-                "dur": record.duration * SIM_TIME_SCALE,
-                "pid": pid, "tid": index,
-                "args": {"nbytes": record.nbytes, "channel": channel},
-            })
-    return events
-
-
-def phase_events(windows: Iterable[Tuple[str, float, float]],
-                 pid: int = SIM_PID) -> List[Dict]:
-    """DES phase windows (name, start, end) as a dedicated lane."""
-    events: List[Dict] = [_metadata(pid, PHASE_TID, "thread_name",
-                                    "phases")]
-    for name, start, end in windows:
-        events.append({
-            "name": name, "ph": "X", "cat": "sim-phase",
-            "ts": start * SIM_TIME_SCALE,
-            "dur": (end - start) * SIM_TIME_SCALE,
-            "pid": pid, "tid": PHASE_TID, "args": {},
-        })
-    return events
-
-
-def channels_to_records(channels) -> Dict[str, List[TransferRecord]]:
-    """Group every channel's retained records under its name."""
-    return {channel.name: list(channel.records) for channel in channels}
+def _complete(name: str, cat: str, start: float, end: float, pid: int,
+              tid: int, args: Dict) -> Dict:
+    return {"name": name, "ph": "X", "cat": cat,
+            "ts": start * TRACE_TIME_SCALE,
+            "dur": (end - start) * TRACE_TIME_SCALE,
+            "pid": pid, "tid": tid, "args": args}
 
 
 def chrome_trace(spans: Sequence[Span] = (),
-                 channels=(),
-                 phases: Iterable[Tuple[str, float, float]] = (),
+                 sim: Optional[Timeline] = None,
                  metadata: Optional[Dict] = None) -> Dict:
     """Assemble one loadable Chrome trace-event document.
 
-    ``spans`` populate the wall-clock process; ``channels`` (objects with
-    ``.name``/``.records``, i.e. :class:`~repro.sim.resources.Channel`)
-    and ``phases`` populate the sim-time process.  Either side may be
-    empty; pass both to get the unified two-domain view.
+    ``spans`` populate the wall-clock process, one lane per thread;
+    ``sim`` (a DES timeline, :meth:`Timeline.from_channels`) the
+    sim-time process: a phase lane, then one lane per channel in name
+    order.  Either side may be empty; pass both to get the unified
+    two-domain view.
     """
     events: List[Dict] = []
     spans = list(spans)
-    records = channels_to_records(channels)
-    phases = list(phases)
     if spans:
         events.append(_metadata(WALL_PID, 0, "process_name", "wall-clock"))
-        events.extend(span_events(spans))
-    if records or phases:
+        tids: Dict[int, int] = {}
+        for span in spans:
+            tid = tids.get(span.thread_id)
+            if tid is None:
+                tid = tids[span.thread_id] = len(tids) + 1
+                events.append(_metadata(WALL_PID, tid, "thread_name",
+                                        span.thread_name))
+            events.append(_complete(span.name, CAT_WALL, span.start,
+                                    span.end, WALL_PID, tid,
+                                    {"depth": span.depth, **span.attrs}))
+    if sim is not None and (sim.ops or sim.phases):
         events.append(_metadata(SIM_PID, 0, "process_name", "sim-time"))
-        events.extend(phase_events(phases))
-        events.extend(record_events(records))
+        events.append(_metadata(SIM_PID, PHASE_TID, "thread_name",
+                                "phases"))
+        for name, start, end in sim.phases:
+            events.append(_complete(name, CAT_SIM_PHASE, start, end,
+                                    SIM_PID, PHASE_TID, {}))
+        for tid, (channel, ops) in enumerate(sorted(sim.ops.items()),
+                                             start=PHASE_TID + 1):
+            events.append(_metadata(SIM_PID, tid, "thread_name", channel))
+            for op in ops:
+                events.append(_complete(
+                    op.tag or channel, CAT_SIM, op.start, op.end, SIM_PID,
+                    tid, {"nbytes": op.nbytes, "channel": channel}))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

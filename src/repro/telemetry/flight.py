@@ -59,18 +59,22 @@ DEFAULT_CAPACITY = 512
 EVENT_KINDS = ("span", "metric", "fault", "arena", "step", "alert")
 
 # One event is a tuple — cheaper than a dataclass on the hot path:
-#   (seq, ts, kind, name, attrs-or-None)
-_Event = Tuple[int, float, str, str, Optional[Dict[str, object]]]
+#   (seq, ts, kind, name, payload)
+# ``payload`` is the attrs dict (or None); for a span end it is the
+# finished :class:`~repro.telemetry.spans.Span` itself, rendered through
+# its ``event_attrs()`` only when somebody dumps.
+_Event = Tuple[int, float, str, str, object]
 
 
 class _RingSegment:
     """One worker thread's fixed-size event ring.
 
     Single-writer by construction (only the owning thread appends), so
-    :meth:`append` takes no lock.  :meth:`snapshot` may run on another
-    thread; it copies the slot list first and tolerates the benign race
-    of an append landing mid-copy (at worst one event is seen twice or
-    not yet — never a torn event, since slot stores are atomic).
+    :meth:`append` takes no lock.  :meth:`tail` may run on another
+    thread; it tolerates the benign race of an append landing mid-read
+    (at worst one event is seen twice or not yet — never a torn event,
+    since slot stores are atomic).  Slots are allocated as they are
+    first written, so a roomy capacity costs nothing until it is used.
     """
 
     __slots__ = ("capacity", "thread_id", "thread_name", "_slots",
@@ -81,44 +85,43 @@ class _RingSegment:
         self.capacity = capacity
         self.thread_id = thread_id
         self.thread_name = thread_name
-        self._slots: List[Optional[_Event]] = [None] * capacity
+        self._slots: List[_Event] = []
         self.written = 0
 
     def append(self, event: _Event) -> None:
-        self._slots[self.written % self.capacity] = event
+        if self.written < self.capacity:
+            self._slots.append(event)
+        else:
+            self._slots[self.written % self.capacity] = event
         self.written += 1
 
-    @property
-    def dropped(self) -> int:
-        return max(0, self.written - self.capacity)
-
-    def snapshot(self) -> List[_Event]:
-        """The retained events, oldest first."""
-        written = self.written
-        slots = list(self._slots)
-        if written <= self.capacity:
-            return [e for e in slots[:written] if e is not None]
-        head = written % self.capacity
-        ordered = slots[head:] + slots[:head]
-        return [e for e in ordered if e is not None]
+    def tail(self, count: int) -> List[_Event]:
+        """The newest ``count`` retained events, oldest first."""
+        written, slots, capacity = self.written, self._slots, self.capacity
+        count = min(count, written, capacity)
+        return [slots[index % capacity]
+                for index in range(written - count, written)]
 
 
 class FlightRecorder:
     """Fixed-footprint recorder of recent events, per worker thread.
 
     ``clock`` is injectable for deterministic tests (monotonic float
-    seconds); timestamps are relative to the recorder's creation.
+    seconds); timestamps are relative to ``epoch`` (default: the
+    recorder's creation; a worker process's forwarding recorder uses
+    0.0 and so ships absolute clock values).
     """
 
     def __init__(self, capacity_per_worker: int = DEFAULT_CAPACITY,
-                 clock=time.perf_counter) -> None:
+                 clock=time.perf_counter,
+                 epoch: Optional[float] = None) -> None:
         if capacity_per_worker < 1:
             raise ValueError(
                 f"flight recorder capacity must be >= 1, got "
                 f"{capacity_per_worker}")
         self.capacity_per_worker = capacity_per_worker
         self._clock = clock
-        self._epoch = clock()
+        self._epoch = clock() if epoch is None else epoch
         self._seq = itertools.count()  # next() is atomic in CPython
         self._local = threading.local()
         self._segments: List[_RingSegment] = []
@@ -142,48 +145,42 @@ class FlightRecorder:
             self._local.segment = segment
         return segment
 
-    def record(self, kind: str, name: str,
-               attrs: Optional[Dict[str, object]] = None,
-               **extra: object) -> None:
+    def record(self, kind: str, name: str, payload: object = None) -> None:
         """Append one event to the calling thread's ring segment.
 
-        ``attrs`` takes a pre-built dict (e.g. a span's attributes,
-        whose keys must not collide with this signature); ``extra``
-        kwargs are merged over it.
+        ``payload`` is the event's attrs dict (whose keys therefore
+        cannot collide with this signature), or the finished span of a
+        ``"span"`` event — stored by reference, not copied.
         """
-        if extra:
-            merged = dict(attrs) if attrs else {}
-            merged.update(extra)
-            attrs = merged
         self._segment().append(
             (next(self._seq), self._clock() - self._epoch, kind, name,
-             attrs or None))
+             payload or None))
 
     # ------------------------------------------------------------------
     # cross-process forwarding
     # ------------------------------------------------------------------
-    def export_since(self, cursor: int):
-        """Events newer than ``cursor`` as picklable tuples.
+    def export_since(self, cursors: Dict[int, int]):
+        """Events appended since ``cursors``, as picklable tuples.
 
-        The child-process half of event forwarding: a worker drains its
+        The child-process half of event forwarding: a worker reads its
         own recorder with this after every task and ships the tuples
-        (``(abs_ts, kind, name, attrs, thread)``) over the pipe.
-        Timestamps are absolute clock values so the parent can rebase
-        them onto its own epoch — on Linux ``perf_counter`` is
-        CLOCK_MONOTONIC, one clock domain across processes.  Returns
-        ``(new_cursor, tuples)``.
+        (``(abs_ts, kind, name, payload, thread)``, in recording order)
+        over the pipe.  ``cursors`` maps a segment's position to how many
+        of its events were already shipped, so the work is proportional
+        to the new events, not to the ring.  Returns ``(new_cursors,
+        tuples)``; start from ``{}``.
         """
-        out = []
-        last = cursor
-        for event in self.events():
-            seq = int(event["seq"])
-            if seq <= cursor:
-                continue
-            out.append((float(event["ts"]) + self._epoch,
-                        str(event["kind"]), str(event["name"]),
-                        event["attrs"] or None, str(event["thread"])))
-            last = max(last, seq)
-        return last, out
+        with self._segments_lock:
+            segments = list(self._segments)
+        fresh: List[Tuple[_Event, str]] = []
+        after: Dict[int, int] = {}
+        for index, segment in enumerate(segments):
+            after[index] = written = segment.written
+            fresh.extend((event, segment.thread_name) for event in
+                         segment.tail(written - cursors.get(index, 0)))
+        fresh.sort(key=lambda pair: pair[0][0])
+        return after, [(ts + self._epoch, kind, name, payload, thread)
+                       for (_seq, ts, kind, name, payload), thread in fresh]
 
     def ingest(self, worker: str, events) -> None:
         """Merge events forwarded from another process's recorder.
@@ -195,7 +192,7 @@ class FlightRecorder:
         events.  Timestamps are rebased from absolute clock values to
         this recorder's epoch.
         """
-        for ts_abs, kind, name, attrs, thread in events:
+        for ts_abs, kind, name, payload, thread in events:
             key = f"{worker}/{thread}" if thread else worker
             segment = self._foreign.get(key)
             if segment is None:
@@ -207,7 +204,7 @@ class FlightRecorder:
                         self._foreign[key] = segment
                         self._segments.append(segment)
             segment.append((next(self._seq), float(ts_abs) - self._epoch,
-                            kind, name, attrs))
+                            kind, name, payload))
 
     # ------------------------------------------------------------------
     # merge-on-dump
@@ -223,15 +220,16 @@ class FlightRecorder:
             segments = list(self._segments)
         merged: List[Tuple[_Event, _RingSegment]] = []
         for segment in segments:
-            for event in segment.snapshot():
+            for event in segment.tail(segment.capacity):
                 merged.append((event, segment))
         merged.sort(key=lambda pair: pair[0][0])
         return [{
             "type": "event",
             "seq": seq, "ts": ts, "kind": kind, "name": name,
             "thread": segment.thread_name,
-            "attrs": attrs or {},
-        } for (seq, ts, kind, name, attrs), segment in merged]
+            "attrs": (payload.event_attrs()
+                      if hasattr(payload, "event_attrs") else payload or {}),
+        } for (seq, ts, kind, name, payload), segment in merged]
 
     def stats(self) -> Dict[str, object]:
         with self._segments_lock:
@@ -242,25 +240,20 @@ class FlightRecorder:
             "events_recorded": sum(s.written for s in segments),
             "events_retained": sum(min(s.written, s.capacity)
                                    for s in segments),
-            "events_dropped": sum(s.dropped for s in segments),
+            "events_dropped": sum(max(0, s.written - s.capacity)
+                                  for s in segments),
         }
 
-    def dump(self, reason: str = "manual",
-             **meta: object) -> List[Dict[str, object]]:
-        """The full snapshot document as a list of JSONL records."""
-        events = self.events()
+    def dump_jsonl(self, path: str, reason: str = "manual",
+                   **meta: object) -> str:
+        """Write the ``smart-infinity/flightrec/v1`` snapshot — a meta
+        record, then the merged events; returns path."""
         head: Dict[str, object] = {
             "type": "meta", "schema": FLIGHT_SCHEMA, "reason": reason,
             **self.stats(), **meta,
         }
-        return [head] + events
-
-    def dump_jsonl(self, path: str, reason: str = "manual",
-                   **meta: object) -> str:
-        """Write the ``smart-infinity/flightrec/v1`` snapshot; returns path."""
-        records = self.dump(reason=reason, **meta)
         with open(path, "w") as handle:
-            for record in records:
+            for record in [head, *self.events()]:
                 handle.write(json.dumps(record, sort_keys=True,
                                         default=str) + "\n")
         return path

@@ -417,14 +417,6 @@ def evaluate_attribution(attribution, rules: Optional[Sequence[Rule]]
                              alerts=RulesEngine(ruleset).evaluate(monitor))
 
 
-def render_alerts(alerts: Sequence[Alert]) -> str:
-    if not alerts:
-        return "alerts: none"
-    lines = [f"alerts ({len(alerts)}):"]
-    lines.extend(f"  {alert.render()}" for alert in alerts)
-    return "\n".join(lines)
-
-
 __all__ = [
     "Alert",
     "AttributionHealth",
@@ -438,5 +430,4 @@ __all__ = [
     "evaluate_attribution",
     "load_slo_rules",
     "parse_rules",
-    "render_alerts",
 ]

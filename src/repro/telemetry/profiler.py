@@ -1,14 +1,11 @@
-"""Bottleneck observatory: build, render, and export attributions.
+"""Bottleneck observatory: render and export attributions.
 
-Wraps :mod:`repro.telemetry.attrib` with the three surfaces the tooling
-exposes:
+The surfaces the tooling exposes over one *observation* — anything with
+``source`` ("sim" | "trace"), ``label``, ``attribution``, ``critpath``
+(``None`` when the source had no per-operation records to chain) and
+``meta``; :class:`repro.perf.analysis.Observation` is the one class
+that builds them, from a fresh simulation or a finished Chrome trace:
 
-* :func:`profile_scenario` — run one DES iteration and attribute it
-  (what ``python -m repro top`` shows in sim mode);
-* :func:`load_chrome_trace` — re-import a finished Chrome trace-event
-  JSON (as written by ``python -m repro trace``) and attribute it,
-  preferring the sim-time domain and falling back to wall-clock spans
-  tagged with ``resource`` attributes;
 * :func:`render_top` — the terminal dashboard: per-link utilization
   bars, the phase x resource ownership table, the verdict line, and
   the critical-path pane (:mod:`repro.telemetry.critpath`);
@@ -19,116 +16,14 @@ exposes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..errors import TelemetryError
-from .attrib import Attribution, COMPUTE, PHASE_SPAN_NAMES, attribute
-from .critpath import CritPathReport, DepGraph, observe_named
+from .attrib import Attribution
+from .health import evaluate_attribution
 from .metrics import MetricsRegistry
 
 #: Schema marker of the JSONL attribution event log.
 EVENTS_SCHEMA = "smart-infinity/attrib/v1"
-
-
-@dataclass
-class ProfileReport:
-    """One attributed run plus where it came from."""
-
-    source: str  # "sim" | "trace" | "spans"
-    label: str
-    attribution: Attribution
-    meta: Dict[str, object] = field(default_factory=dict)
-    #: Critical path over the same records the attribution covered;
-    #: ``None`` when the source had no per-operation records to chain
-    #: (attribution can still tile the step from aggregate windows).
-    critpath: Optional[CritPathReport] = None
-
-
-def profile_scenario(model: str = "gpt2-4.0b", csds: int = 10,
-                     method: str = "su_o_c", gpu: str = "a5000",
-                     ratio: float = 0.02,
-                     schedule: str = "phased") -> ProfileReport:
-    """Simulate one iteration and attribute its time to channels."""
-    observed = observe_named(model, csds, method, gpu, ratio,
-                             schedule=schedule)
-    return ProfileReport(
-        source="sim",
-        label=f"{model}/{method} ({csds} CSDs, {gpu})"
-              + ("" if schedule == "phased" else f", {schedule}"),
-        attribution=observed.attribution,
-        meta={"model": model, "method": method, "csds": csds,
-              "gpu": gpu, "ratio": ratio, "schedule": schedule,
-              "iteration_seconds": observed.breakdown.total},
-        critpath=observed.critpath)
-
-
-def load_chrome_trace(path: str) -> ProfileReport:
-    """Attribute a finished Chrome trace-event JSON file.
-
-    Uses the sim-time domain (``cat: "sim"`` transfer records bucketed
-    into ``cat: "sim-phase"`` windows) when present; otherwise the
-    wall-clock domain (phase spans named in :data:`PHASE_SPAN_NAMES`,
-    busy windows from spans carrying a ``resource`` attribute).
-    """
-    with open(path) as handle:
-        document = json.load(handle)
-    events = document.get("traceEvents", [])
-
-    scale = 1e6  # trace timestamps are microseconds
-    sim_phases: List[Tuple[str, float, float]] = []
-    sim_busy: Dict[str, List[Tuple[float, float]]] = {}
-    sim_bytes: Dict[str, float] = {}
-    wall_phases: List[Tuple[str, float, float]] = []
-    wall_busy: Dict[str, List[Tuple[float, float]]] = {}
-    wall_bytes: Dict[str, float] = {}
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        start = float(event.get("ts", 0.0)) / scale
-        end = start + float(event.get("dur", 0.0)) / scale
-        args = event.get("args") or {}
-        cat = event.get("cat")
-        if cat == "sim-phase":
-            sim_phases.append((event.get("name", "phase"), start, end))
-        elif cat == "sim":
-            channel = str(args.get("channel", event.get("name", "?")))
-            sim_busy.setdefault(channel, []).append((start, end))
-            sim_bytes[channel] = (sim_bytes.get(channel, 0.0)
-                                  + float(args.get("nbytes", 0.0)))
-        elif cat == "wall":
-            resource = args.get("resource")
-            if resource is not None:
-                wall_busy.setdefault(str(resource), []).append(
-                    (start, end))
-                if args.get("nbytes") is not None:
-                    wall_bytes[str(resource)] = (
-                        wall_bytes.get(str(resource), 0.0)
-                        + float(args["nbytes"]))
-            elif event.get("name") in PHASE_SPAN_NAMES:
-                wall_phases.append((event["name"], start, end))
-
-    meta = dict(document.get("otherData") or {})
-    meta["path"] = path
-    if sim_phases:
-        attribution = attribute(sim_phases, sim_busy,
-                                bytes_by_resource=sim_bytes)
-        graph = DepGraph.from_intervals(sim_busy, sim_phases)
-        return ProfileReport(
-            source="trace", label=path, attribution=attribution,
-            meta=meta,
-            critpath=graph.critical_path() if graph.nodes else None)
-    if wall_phases:
-        attribution = attribute(wall_phases, wall_busy,
-                                bytes_by_resource=wall_bytes)
-        graph = DepGraph.from_intervals(wall_busy, wall_phases)
-        return ProfileReport(
-            source="trace", label=path, attribution=attribution,
-            meta=meta,
-            critpath=graph.critical_path() if graph.nodes else None)
-    raise TelemetryError(
-        f"trace {path!r} has neither sim-phase windows nor wall-clock "
-        f"phase spans — nothing to attribute")
 
 
 def _bar(fraction: float, width: int = 20) -> str:
@@ -136,8 +31,7 @@ def _bar(fraction: float, width: int = 20) -> str:
     return "#" * filled + "-" * (width - filled)
 
 
-def render_top(report: ProfileReport, top: int = 12,
-               slo_rules=None) -> str:
+def render_top(report, top: int = 12, slo_rules=None) -> str:
     """The ``repro top`` dashboard: bars, ownership, verdict, health.
 
     ``slo_rules`` (a sequence of :class:`~repro.telemetry.health.Rule`)
@@ -182,7 +76,6 @@ def render_top(report: ProfileReport, top: int = 12,
         lines.append("critical path: no dependency data (source has no "
                      "per-operation records to chain)")
 
-    from .health import evaluate_attribution
     checked = evaluate_attribution(attribution, rules=slo_rules)
     lines.append("health/alerts (SLO rules over this attribution):")
     if checked.alerts:
@@ -193,7 +86,7 @@ def render_top(report: ProfileReport, top: int = 12,
     return "\n".join(lines)
 
 
-def write_events_jsonl(path: str, report: ProfileReport) -> str:
+def write_events_jsonl(path: str, report) -> str:
     """Structured JSONL event log of one attribution; returns ``path``."""
     attribution = report.attribution
     verdict = attribution.verdict()

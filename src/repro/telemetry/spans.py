@@ -12,13 +12,22 @@ The tracer records spans two ways:
 
 Each finished span keeps the thread id and name it ran on, a nesting
 depth (per thread), and free-form attributes, so the Chrome-trace
-exporter can reconstruct per-thread lanes with correct nesting.  All
-methods are thread-safe; spans from concurrent worker threads interleave
-into one list ordered by completion.
+exporter can reconstruct per-thread lanes with correct nesting.
+
+A :class:`Span` is *the* interval record: built once, by
+:meth:`SpanTracer.begin`, finished by :meth:`SpanTracer.end` on the
+thread that ran it, appended to that thread's own lane (single writer,
+no lock) and handed as-is to the flight ring — both refer to the one
+object.  ``seq`` is its completion
+order across every tracer in the process, which is also what "the
+intervals since cursor N" means to a reader (:meth:`SpanTracer.since`).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,40 +39,38 @@ from . import flight
 
 @dataclass
 class Span:
-    """One finished wall-clock interval."""
+    """One wall-clock interval: open from :meth:`SpanTracer.begin` (which
+    returns it as the token; ``end`` is ``None`` and callers may attach
+    attributes with :meth:`set`) until :meth:`SpanTracer.end` finishes
+    and records it."""
 
     name: str
     start: float
-    end: float
+    end: Optional[float]
     thread_id: int
     thread_name: str
     depth: int
     attrs: Dict[str, object] = field(default_factory=dict)
+    #: Completion order, process-wide (0: not recorded by a tracer).
+    seq: int = 0
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
-
-@dataclass
-class SpanToken:
-    """An open span returned by :meth:`SpanTracer.begin`.
-
-    Callers may attach attributes while the span is open via :meth:`set`;
-    they are merged into the finished :class:`Span`.
-    """
-
-    name: str
-    start: float
-    thread_id: int
-    thread_name: str
-    depth: int
-    attrs: Dict[str, object] = field(default_factory=dict)
-    closed: bool = False
-
-    def set(self, **attrs: object) -> "SpanToken":
+    def set(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
         return self
+
+    def event_attrs(self) -> Dict[str, object]:
+        """What a flight-recorder dump shows for this span's event."""
+        return {**self.attrs, "duration": self.duration}
+
+
+#: next() is atomic in CPython; shared by every tracer so one cursor
+#: stays meaningful across sessions.
+_SEQ = itertools.count(1)
+_seq_of = operator.attrgetter("seq")
 
 
 class _NullSpan:
@@ -90,11 +97,11 @@ class _SpanContext:
 
     __slots__ = ("_tracer", "_token")
 
-    def __init__(self, tracer: "SpanTracer", token: SpanToken) -> None:
+    def __init__(self, tracer: "SpanTracer", token: Span) -> None:
         self._tracer = tracer
         self._token = token
 
-    def __enter__(self) -> SpanToken:
+    def __enter__(self) -> Span:
         return self._token
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
@@ -109,67 +116,77 @@ class _SpanContext:
 
 
 class SpanTracer:
-    """Thread-safe recorder of nested wall-clock spans.
+    """Recorder of nested wall-clock spans, one lane per thread.
 
     ``clock`` is injectable for deterministic tests; it must be a
     monotonic float-seconds callable (default :func:`time.perf_counter`).
-    Timestamps are stored relative to the tracer's creation instant so
-    exported traces start near t=0.
+    Timestamps are stored relative to ``epoch`` (default: the tracer's
+    creation instant, so exported traces start near t=0).  A worker
+    process passes ``epoch=0.0`` and so records absolute clock values,
+    which the parent's tracer rebases in :meth:`adopt` — on Linux
+    ``perf_counter`` is CLOCK_MONOTONIC, one domain across processes.
     """
 
-    def __init__(self, clock=time.perf_counter) -> None:
+    def __init__(self, clock=time.perf_counter,
+                 epoch: Optional[float] = None) -> None:
         self._clock = clock
-        self._epoch = clock()
-        self._lock = threading.Lock()
+        self.epoch = clock() if epoch is None else epoch
         self._local = threading.local()
-        self.spans: List[Span] = []
+        #: One list of finished spans per recording thread, each written
+        #: by its thread alone (list appends are atomic in CPython).
+        self._lanes: List[List[Span]] = []
 
     def _now(self) -> float:
-        return self._clock() - self._epoch
+        return self._clock() - self.epoch
 
-    def _stack(self) -> List[SpanToken]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def _thread(self):
+        """The calling thread's open-span stack and finished-span lane."""
+        local = self._local
+        if not hasattr(local, "stack"):
+            local.stack, local.lane = [], []
+            self._lanes.append(local.lane)
+        return local
 
     # ------------------------------------------------------------------
     # explicit begin/end (for split call sites, e.g. worker loops)
     # ------------------------------------------------------------------
-    def begin(self, name: str, **attrs: object) -> SpanToken:
-        """Open a span on the calling thread and return its token."""
+    def begin(self, name: str, **attrs: object) -> Span:
+        """Open a span on the calling thread and return it as its token."""
         thread = threading.current_thread()
-        stack = self._stack()
-        token = SpanToken(name=name, start=self._now(),
-                          thread_id=thread.ident or 0,
-                          thread_name=thread.name, depth=len(stack),
-                          attrs=dict(attrs))
+        stack = self._thread().stack
+        token = Span(name=name, start=self._now(), end=None,
+                     thread_id=thread.ident or 0, thread_name=thread.name,
+                     depth=len(stack), attrs=attrs)
         stack.append(token)
         return token
 
-    def end(self, token: SpanToken, **attrs: object) -> Span:
-        """Close ``token`` (on the thread that opened it) and record it."""
-        if token.closed:
+    def end(self, token: Span, **attrs: object) -> Span:
+        """Finish ``token`` (on the thread that opened it) and record it."""
+        if token.end is not None:
             raise TelemetryError(f"span {token.name!r} already ended")
-        token.closed = True
-        stack = self._stack()
-        if token in stack:
+        local = self._thread()
+        stack = local.stack
+        if any(open_span is token for open_span in stack):
             # Pop through the token: abandoned inner tokens (e.g. after an
             # exception skipped their end()) must not corrupt the depth of
             # later spans.
-            while stack and stack.pop() is not token:
+            while stack.pop() is not token:
                 pass
         token.attrs.update(attrs)
-        span = Span(name=token.name, start=token.start, end=self._now(),
-                    thread_id=token.thread_id,
-                    thread_name=token.thread_name, depth=token.depth,
-                    attrs=token.attrs)
-        with self._lock:
-            self.spans.append(span)
+        token.end = self._now()
+        token.seq = next(_SEQ)
+        local.lane.append(token)
         if flight._recorder is not None:
-            flight._recorder.record("span", span.name, span.attrs,
-                                    duration=span.duration)
-        return span
+            flight._recorder.record("span", token.name, token)
+        return token
+
+    def adopt(self, span: Span) -> None:
+        """Take over a span a worker process recorded against epoch 0:
+        rebased onto this tracer's epoch, and new to every cursor."""
+        span.start -= self.epoch
+        span.end -= self.epoch
+        span.seq = next(_SEQ)
+        self._thread().lane.append(span)
 
     # ------------------------------------------------------------------
     # structured form
@@ -179,71 +196,29 @@ class SpanTracer:
         return _SpanContext(self, self.begin(name, **attrs))
 
     # ------------------------------------------------------------------
-    # cross-process forwarding
-    # ------------------------------------------------------------------
-    def export_drain(self) -> List[Dict[str, object]]:
-        """Atomically take every finished span as picklable dicts.
-
-        The child-process half of span forwarding: times are shipped as
-        *absolute* clock seconds (``perf_counter`` is CLOCK_MONOTONIC on
-        Linux — one domain across processes) so the receiving tracer can
-        rebase them onto its own epoch.
-        """
-        with self._lock:
-            spans, self.spans = self.spans, []
-        return [{
-            "name": span.name,
-            "start": span.start + self._epoch,
-            "end": span.end + self._epoch,
-            "thread_id": span.thread_id,
-            "thread_name": span.thread_name,
-            "depth": span.depth,
-            "attrs": span.attrs,
-        } for span in spans]
-
-    def ingest(self, spans: List[Dict[str, object]]) -> None:
-        """Merge spans forwarded by :meth:`export_drain` in a worker.
-
-        Times are rebased from absolute clock values to this tracer's
-        epoch.  Deliberately does *not* re-record span ends to the
-        flight recorder — the originating process already captured them,
-        and those events arrive via the recorder's own forwarding.
-        """
-        converted = [Span(
-            name=str(data["name"]),
-            start=float(data["start"]) - self._epoch,
-            end=float(data["end"]) - self._epoch,
-            thread_id=int(data.get("thread_id", 0)),
-            thread_name=str(data.get("thread_name", "foreign")),
-            depth=int(data.get("depth", 0)),
-            attrs=dict(data.get("attrs") or {}),
-        ) for data in spans]
-        with self._lock:
-            self.spans.extend(converted)
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def since(self, cursor: int) -> List[Span]:
+        """Finished spans with ``seq > cursor``, in completion order.
+
+        Every lane is in ``seq`` order, so the work is one bisection per
+        thread plus the spans returned.
+        """
+        fresh: List[Span] = []
+        for lane in list(self._lanes):
+            fresh.extend(lane[bisect.bisect_right(lane, cursor,
+                                                  key=_seq_of):])
+        fresh.sort(key=_seq_of)
+        return fresh
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every finished span, in completion order (a fresh list)."""
+        return self.since(0)
+
     def by_name(self, name: str) -> List[Span]:
-        with self._lock:
-            return [span for span in self.spans if span.name == name]
-
-    def total_time(self, name: str) -> float:
-        """Summed duration of every finished span called ``name``."""
-        return sum(span.duration for span in self.by_name(name))
-
-    def open_depth(self) -> int:
-        """Open spans on the *calling* thread (diagnostic)."""
-        return len(self._stack())
+        return [span for span in self.spans if span.name == name]
 
     def clear(self) -> None:
-        with self._lock:
-            self.spans.clear()
-
-    def thread_names(self) -> Dict[int, str]:
-        """Thread-id -> name for every thread that recorded a span."""
-        names: Dict[int, str] = {}
-        with self._lock:
-            for span in self.spans:
-                names.setdefault(span.thread_id, span.thread_name)
-        return names
+        for lane in list(self._lanes):
+            del lane[:]

@@ -16,12 +16,12 @@ import pytest
 from repro.errors import TelemetryError
 from repro.hw.topology import default_system
 from repro.nn.models import get_model
-from repro.perf.scenarios import trace_scenario
+from repro.perf.analysis import Observation, observe, resolve
+from repro.perf.scenarios import METHODS, SCHEDULES, trace_scenario
 from repro.perf.workload import make_workload
-from repro.telemetry import (COMPUTE, SpanTracer, attribute,
-                             attribute_channels, attribute_spans,
-                             load_chrome_trace, merge_intervals,
-                             profile_scenario, render_top,
+from repro.telemetry import (COMPUTE, DepGraph, SpanTracer, Timeline,
+                             attribute, attribute_channels, chrome_trace,
+                             merge_intervals, render_top,
                              write_chrome_trace, write_events_jsonl)
 from repro.telemetry.profiler import EVENTS_SCHEMA
 
@@ -189,7 +189,7 @@ def test_attribute_spans_from_fake_clock_tracer():
             clock.advance(1.5)
         clock.advance(0.5)
 
-    attribution = attribute_spans(tracer.spans)
+    attribution = Timeline.from_spans(tracer.spans).attribution()
     assert attribution.step_seconds == pytest.approx(4.0)
     assert attribution.buckets[("forward_backward", COMPUTE)] == \
         pytest.approx(1.0)
@@ -211,7 +211,7 @@ def test_attribute_spans_from_fake_clock_tracer():
 # ----------------------------------------------------------------------
 
 def test_profile_scenario_conserves_and_renders():
-    report = profile_scenario(model="gpt2-1.16b", csds=2, method="su")
+    report = observe(*resolve("gpt2-1.16b", 2), "su")
     attribution = report.attribution
     assert report.source == "sim"
     assert attribution.conservation_error() <= \
@@ -234,10 +234,10 @@ def test_chrome_trace_round_trip_preserves_attribution(tmp_path):
         horizon=trace.breakdown.total)
 
     path = str(tmp_path / "trace.json")
-    write_chrome_trace(path, channels=trace.fabric.all_channels(),
-                       phases=trace.phase_windows,
-                       metadata={"method": "su_o_c"})
-    report = load_chrome_trace(path)
+    write_chrome_trace(path, sim=Timeline.from_channels(
+        trace.fabric.all_channels(), trace.phase_windows),
+        metadata={"method": "su_o_c"})
+    report = Observation.from_chrome_trace(path)
 
     assert report.source == "trace"
     assert report.meta["method"] == "su_o_c"
@@ -261,7 +261,7 @@ def test_load_chrome_trace_falls_back_to_wall_spans(tmp_path):
         clock.advance(1.0)
     path = str(tmp_path / "wall.json")
     write_chrome_trace(path, spans=tracer.spans)
-    report = load_chrome_trace(path)
+    report = Observation.from_chrome_trace(path)
     assert report.attribution.buckets[("update", "host-cpu")] == \
         pytest.approx(2.0)
     assert report.attribution.verdict().resource == "host-cpu"
@@ -271,12 +271,11 @@ def test_load_chrome_trace_rejects_empty_trace(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"traceEvents": []}))
     with pytest.raises(TelemetryError, match="nothing to attribute"):
-        load_chrome_trace(str(path))
+        Observation.from_chrome_trace(str(path))
 
 
 def test_events_jsonl_schema_and_conservation(tmp_path):
-    report = profile_scenario(model="gpt2-1.16b", csds=2,
-                              method="baseline")
+    report = observe(*resolve("gpt2-1.16b", 2), "baseline")
     path = str(tmp_path / "events.jsonl")
     write_events_jsonl(path, report)
     with open(path) as handle:
@@ -342,9 +341,64 @@ def test_conservation_under_process_backend(tmp_path):
     finally:
         engine.close()
 
-    attribution = attribute_spans(session.tracer.spans)
+    attribution = Timeline.from_spans(session.tracer.spans).attribution()
     assert attribution.step_seconds > 0.0
     assert sum(attribution.buckets.values()) == pytest.approx(
         attribution.step_seconds, rel=1e-9)
     assert attribution.conservation_error() <= \
         1e-9 * attribution.step_seconds
+
+
+# ----------------------------------------------------------------------
+# one Timeline, three sources: the Chrome document round-trips
+# ----------------------------------------------------------------------
+
+def _same_reading(direct, loaded):
+    """Same buckets (the file stores microseconds: 1e-9 of the step),
+    same verdict, same critical-path hop sequence."""
+    a, b = direct.attribution(), loaded.attribution()
+    tolerance = 1e-9 * a.step_seconds
+    assert b.step_seconds == pytest.approx(a.step_seconds, rel=1e-9)
+    for key in a.buckets.keys() | b.buckets.keys():
+        assert abs(a.buckets.get(key, 0.0)
+                   - b.buckets.get(key, 0.0)) <= tolerance, key
+    assert b.verdict().resource == a.verdict().resource
+    assert b.verdict().utilization == pytest.approx(
+        a.verdict().utilization, rel=1e-9)
+    hops = [[(step.resource, step.tag)
+             for step in DepGraph(timeline).critical_path().path]
+            for timeline in (direct, loaded)]
+    assert hops[0] and hops[0] == hops[1]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("method", METHODS)
+def test_chrome_document_round_trips_a_des_timeline(method, schedule):
+    trace = trace_scenario(default_system(num_csds=4),
+                           make_workload(get_model("gpt2-1.16b")), method,
+                           schedule=schedule)
+    direct = Timeline.from_channels(trace.fabric.all_channels(),
+                                    trace.phase_windows)
+    document = json.loads(json.dumps(chrome_trace(sim=direct)))
+    _same_reading(direct, Timeline.from_chrome(document))
+
+
+def test_chrome_document_round_trips_recorded_spans():
+    clock = FakeClock()
+    tracer = SpanTracer(clock=clock)
+    with tracer.span("forward_backward"):
+        clock.advance(0.7)
+    with tracer.span("grad_offload"):
+        for device in range(2):
+            with tracer.span("write", resource=f"ssd{device}-write",
+                             nbytes=64.0):
+                clock.advance(0.3)
+    with tracer.span("update"):
+        with tracer.span("p2p", resource="ssd0-read", nbytes=32.0):
+            clock.advance(0.2)
+        with tracer.span("kernel", resource="csd0-updater"):
+            clock.advance(0.4)
+        clock.advance(0.1)
+    document = json.loads(json.dumps(chrome_trace(spans=tracer.spans)))
+    _same_reading(Timeline.from_spans(tracer.spans),
+                  Timeline.from_chrome(document))

@@ -1,4 +1,4 @@
-"""Tests for gradient compression: Top-K, alternatives, error feedback."""
+"""Tests for gradient compression: Top-K and error feedback."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from repro.compression import topk
 from repro.compression import (CompressedGradient, ErrorFeedback,
-                               compress_lowrank, compress_randomk,
                                compress_topk, compress_with_feedback,
-                               compression_error, decompress_lowrank,
-                               decompress_topk, keep_count)
+                               compression_error, decompress_topk,
+                               keep_count)
 from repro.errors import TrainingError
 
 
@@ -115,8 +114,10 @@ def test_topk_beats_any_other_selection_property(size, ratio, seed):
     compressed = compress_topk(gradient, volume_ratio=ratio)
     topk_error = np.linalg.norm(
         compression_error(gradient, compressed))
-    random = compress_randomk(gradient, ratio,
-                              np.random.default_rng(seed + 1))
+    chosen = np.sort(np.random.default_rng(seed + 1).choice(
+        size, size=keep_count(size, ratio), replace=False)).astype(np.int32)
+    random = CompressedGradient(indices=chosen, values=gradient[chosen],
+                                original_size=size)
     random_error = np.linalg.norm(compression_error(gradient, random))
     assert topk_error <= random_error + 1e-5
 
@@ -358,44 +359,6 @@ def test_blocked_topk_matches_whole_vector_pass_sweep():
         gradient = _blocked_topk_case(kind, size, rng)
         _assert_matches_whole_vector_pass(
             gradient, float(10.0 ** rng.uniform(-4, 0.3)))
-
-
-# ----------------------------------------------------------------------
-# alternatives
-# ----------------------------------------------------------------------
-def test_randomk_same_wire_format():
-    rng = np.random.default_rng(0)
-    gradient = rng.standard_normal(100).astype(np.float32)
-    compressed = compress_randomk(gradient, 0.1, rng)
-    assert compressed.num_kept == keep_count(100, 0.1)
-    dense = decompress_topk(compressed)
-    np.testing.assert_array_equal(dense[compressed.indices],
-                                  gradient[compressed.indices])
-
-
-def test_lowrank_reconstructs_rank1_exactly():
-    u = np.arange(1, 9, dtype=np.float32)
-    v = np.arange(1, 9, dtype=np.float32)[::-1].copy()
-    gradient = np.outer(u, v).reshape(-1)
-    compressed = compress_lowrank(gradient, rank=1)
-    reconstructed = decompress_lowrank(compressed)
-    np.testing.assert_allclose(reconstructed, gradient, rtol=1e-3,
-                               atol=1e-3)
-
-
-def test_lowrank_volume_smaller_than_dense():
-    rng = np.random.default_rng(0)
-    gradient = rng.standard_normal(1024).astype(np.float32)
-    compressed = compress_lowrank(gradient, rank=2)
-    assert compressed.volume_ratio < 0.5
-
-
-def test_lowrank_rejects_bad_rank():
-    with pytest.raises(TrainingError):
-        compress_lowrank(np.ones(16, dtype=np.float32), rank=0)
-    with pytest.raises(TrainingError):
-        compress_lowrank(np.ones(16, dtype=np.float32), rank=1,
-                         num_power_iterations=0)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ The tentpole claims, checked here:
   EXACTLY the measured step time (by construction, not float luck);
 * **accuracy** — single-channel scalings on the paper modes project a
   step time within 5% of a full DES re-run with the channel's
-  bandwidth actually changed (:func:`validate_scale`);
+  bandwidth actually changed (:func:`repro.perf.analysis.validate_scale`);
 * the intervention algebra (scale / add_csds / compression_ratio),
   ranking, and the ``smart-infinity/critpath/v1`` JSONL export behave
   as documented.
@@ -26,15 +26,16 @@ from hypothesis import strategies as st
 from repro.errors import TelemetryError
 from repro.hw.topology import default_system
 from repro.nn.models import get_model
+from repro.perf.analysis import observe, resolve, validate_scale
 from repro.perf.scenarios import trace_scenario
 from repro.perf.workload import make_workload
-from repro.telemetry import SpanTracer, attribute_channels
+from repro.sim.resources import TransferRecord
+from repro.telemetry import SpanTracer, Timeline, attribute_channels
 from repro.telemetry.critpath import (CRITPATH_SCHEMA, DepGraph,
                                       add_csds, compression_ratio,
                                       default_interventions,
                                       project, rank_interventions,
                                       render_projections, scale,
-                                      validate_scale,
                                       write_critpath_jsonl)
 
 
@@ -49,12 +50,20 @@ def _graph(trace):
                                   trace.phase_windows)
 
 
+def _from_intervals(busy, phase_windows):
+    """The graph of bare per-resource busy intervals (FIFO order)."""
+    return DepGraph(Timeline(
+        phases=list(phase_windows),
+        ops={name: [TransferRecord(name, "", 0.0, start, end)
+                   for start, end in intervals]
+             for name, intervals in busy.items()}))
+
+
 @functools.lru_cache(maxsize=None)
 def _base(method):
-    """One simulated base per method for every validation below: each
+    """One observed base per method for every validation below: each
     call then only runs its own counterfactual re-simulation."""
-    trace = _trace(method)
-    return trace, _graph(trace)
+    return observe(*resolve("gpt2-1.16b", 4), method)
 
 
 # ----------------------------------------------------------------------
@@ -158,14 +167,12 @@ def test_replay_rejects_wrong_duration_count():
     ("csd0-updater", 0.5),
 ])
 def test_projection_within_5pct_of_des_rerun(method, channel, factor):
-    validation = validate_scale(channel, factor, method=method,
-                                base=_base(method))
+    validation = validate_scale(_base(method), channel, factor)
     assert validation.error <= 0.05, validation.render()
 
 
 def test_validate_scale_identity_is_zero_error():
-    validation = validate_scale("host-link-down", 1.0, method="su_o_c",
-                                base=_base("su_o_c"))
+    validation = validate_scale(_base("su_o_c"), "host-link-down", 1.0)
     assert validation.error == pytest.approx(0.0, abs=1e-12)
     assert validation.projected_step_seconds == pytest.approx(
         validation.baseline_step_seconds)
@@ -173,7 +180,7 @@ def test_validate_scale_identity_is_zero_error():
 
 def test_validate_scale_rejects_unknown_channel():
     with pytest.raises(TelemetryError, match="unknown channel"):
-        validate_scale("warp-core", 1.5, base=_base("su_o_c"))
+        validate_scale(_base("su_o_c"), "warp-core", 1.5)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +273,7 @@ def test_from_spans_builds_chainable_graph():
         with tracer.span("poll", resource="csd0-updater"):
             clock.advance(1.0)
 
-    graph = DepGraph.from_spans(tracer.spans)
+    graph = DepGraph(Timeline.from_spans(tracer.spans))
     assert len(graph.nodes) == 3
     assert graph.step_seconds == pytest.approx(3.0)
     report = graph.critical_path()
@@ -280,7 +287,7 @@ def test_from_spans_builds_chainable_graph():
 
 
 def test_from_intervals_round_trip_invariants():
-    graph = DepGraph.from_intervals(
+    graph = _from_intervals(
         {"a": [(0.0, 1.0), (2.0, 3.0)], "b": [(1.0, 2.0)]},
         phase_windows=[("update", 0.0, 3.5)])
     assert graph.step_seconds == pytest.approx(3.5)
@@ -294,7 +301,7 @@ def test_from_intervals_round_trip_invariants():
 
 
 def test_empty_graph_degrades_gracefully():
-    graph = DepGraph.from_spans([])
+    graph = DepGraph(Timeline.from_spans([]))
     assert not graph.nodes
     report = graph.critical_path()
     assert "no dependency data" in report.render()
@@ -314,7 +321,7 @@ def test_synthetic_fifo_chain_invariants(durations, gap):
     for duration in durations:
         intervals.append((cursor, cursor + duration))
         cursor += duration
-    graph = DepGraph.from_intervals(
+    graph = _from_intervals(
         {"link": intervals}, phase_windows=[("p", 0.0, cursor)])
     report = graph.critical_path()
     assert len(report.path) == len(durations)
@@ -331,8 +338,7 @@ def test_critpath_jsonl_schema(tmp_path):
     graph = _graph(_trace("su_o_c"))
     report = graph.critical_path()
     ranked = rank_interventions(graph, default_interventions(graph))
-    validation = validate_scale("host-link-down", 1.0,
-                                base=_base("su_o_c"))
+    validation = validate_scale(_base("su_o_c"), "host-link-down", 1.0)
     path = str(tmp_path / "critpath.jsonl")
     write_critpath_jsonl(path, report, projections=ranked,
                          validations=[validation],

@@ -76,7 +76,8 @@ def test_host_and_internal_ledgers_are_separate(device):
     seed_device(device, total)
     buffer = device.allocate_dram("stage", total)
 
-    device.host_read("master_params", 0, total)
+    device.host_read_into("master_params",
+                          np.empty(total, dtype=np.float32), 0, total)
     assert device.host_traffic.bytes_read == 4 * total
     assert device.internal_traffic.bytes_read == 0
 
@@ -84,7 +85,7 @@ def test_host_and_internal_ledgers_are_separate(device):
     assert device.internal_traffic.bytes_read == 4 * total
     assert device.host_traffic.bytes_read == 4 * total  # unchanged
 
-    device.p2p_write_from("momentum", 0, buffer, total)
+    device.p2p_write("momentum", 0, buffer[:total])
     assert device.internal_traffic.bytes_written == 4 * total
     assert device.host_traffic.bytes_written == 0
 
@@ -93,16 +94,30 @@ def test_host_write_roundtrip(device):
     seed_device(device, 32)
     payload = np.arange(32, dtype=np.float32)
     device.host_write("grads", payload)
-    np.testing.assert_array_equal(device.host_read("grads"), payload)
+    np.testing.assert_array_equal(
+        device.host_read_into("grads", np.empty(32, dtype=np.float32)),
+        payload)
 
 
 def test_p2p_read_generic_dtype(tmp_path):
     with SmartSSDDevice(str(tmp_path / "i.img"), 1 << 16) as device:
         device.store.allocate("idx", 8, dtype=np.int32)
         device.store.write_array("idx", np.arange(8, dtype=np.int32))
-        out = device.p2p_read("idx", 0)
-        assert out.dtype == np.int32
+        out = device.p2p_read_into("idx", 0, np.empty(8, dtype=np.int32), 8)
+        np.testing.assert_array_equal(out, np.arange(8, dtype=np.int32))
         assert device.internal_traffic.bytes_read == 32
+
+
+def test_p2p_write_meters_the_bytes_it_moves(tmp_path):
+    """One P2P write method, metering ``size * itemsize``: the
+    buffer-slice twin it absorbed charged 4 bytes per element whatever
+    the dtype."""
+    with SmartSSDDevice(str(tmp_path / "q.img"), 1 << 16) as device:
+        device.store.allocate("q", 16, dtype=np.int8)
+        staged = np.arange(32, dtype=np.int8)
+        device.p2p_write("q", 0, staged[:16])
+        assert device.internal_traffic.bytes_written == 16
+        assert not hasattr(device, "p2p_write_from")
 
 
 def test_p2p_read_into_checks_buffer(device):

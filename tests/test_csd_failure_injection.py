@@ -32,11 +32,11 @@ class FlakyDevice(SmartSSDDevice):
         self._fail_on_write = fail_on_write
         self._writes_seen = 0
 
-    def p2p_write_from(self, region, start, buffer, count):
+    def p2p_write(self, region, start, array):
         self._writes_seen += 1
         if self._writes_seen == self._fail_on_write:
             raise StorageError("injected flash write failure")
-        super().p2p_write_from(region, start, buffer, count)
+        super().p2p_write(region, start, array)
 
 
 def run_handler(device, total, subgroup=64):
@@ -102,12 +102,12 @@ def test_handler_stress_commit_log_complete_and_no_deadlock(tmp_path):
         fail_on = failing_pass * len(subgroups) + 7
         seen = 0
 
-        def p2p_write_from(self, region, start, buffer, count):
+        def p2p_write(self, region, start, array):
             if region == "variance":
                 self.seen += 1
                 if self.seen == self.fail_on:
                     raise StorageError("injected flash write failure")
-            super().p2p_write_from(region, start, buffer, count)
+            super().p2p_write(region, start, array)
 
     device = FlakyVariance(str(tmp_path / "s.img"), 1 << 20)
     seed(device, total)

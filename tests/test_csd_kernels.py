@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression import compress_topk
 from repro.compression.topk import CompressedGradient
-from repro.csd import DecompressorKernel, KernelTimings, UpdaterKernel
+from repro.csd import DecompressorKernel, UpdaterKernel
 from repro.errors import KernelError
 from repro.optim import AdaGrad, Adam, SGDMomentum, make_optimizer
 
@@ -172,15 +172,3 @@ def test_decompressor_chunking_invariance(size, chunk, ratio, seed):
     DecompressorKernel(chunk_elements=chunk).run(compressed, a)
     DecompressorKernel(chunk_elements=size).run(compressed, b)
     np.testing.assert_array_equal(a, b)
-
-
-# ----------------------------------------------------------------------
-# timing model
-# ----------------------------------------------------------------------
-def test_kernel_timings_linear_in_bytes():
-    timings = KernelTimings(updater_bandwidth=7e9,
-                            decompressor_bandwidth=3.5e9,
-                            launch_latency=1e-4)
-    assert timings.updater_time(7e9) == pytest.approx(1.0001)
-    assert timings.decompressor_time(3.5e9) == pytest.approx(1.0001)
-    assert timings.updater_time(0) == pytest.approx(1e-4)

@@ -225,7 +225,7 @@ def test_raid0_goes_fail_stop_degraded_on_member_failure(tmp_path):
     assert volume.failed_members == (1,)
     # Fail-stop: every later op names the failure and the recovery story.
     with pytest.raises(DeviceFailedError, match="checkpoint"):
-        volume.pread(0, 16)
+        volume.pread_into(0, bytearray(16))
     with pytest.raises(DeviceFailedError):
         volume.pwrite(0, b"y" * 8)
     volume.close()

@@ -137,12 +137,23 @@ def test_merged_events_are_totally_ordered_across_workers():
                                              for n in range(3)}
 
 
-def test_record_merges_extra_kwargs_over_attr_dict():
+def test_span_event_refers_to_the_span_it_renders():
+    """A span end puts the finished ``Span`` itself in the ring — one
+    record, no copy; its attrs (which may hold keys like "kind") and
+    duration are rendered only when somebody reads the events."""
+    from repro.telemetry import SpanTracer, flight
+
     recorder = FlightRecorder(capacity_per_worker=8)
-    # A span attr dict may contain keys like "kind" — the positional
-    # dict keeps them from colliding with record()'s own parameters.
-    recorder.record("span", "s", {"kind": "payload", "device": 1},
-                    duration=0.5)
+    previous = flight.install(recorder)
+    try:
+        tracer = SpanTracer(clock=iter([0.0, 1.0, 1.5]).__next__)
+        with tracer.span("s", kind="payload", device=1):
+            pass
+    finally:
+        flight.replace(recorder, previous)
+    (span,) = tracer.spans
+    (slot,) = recorder._segment().tail(8)
+    assert slot[4] is span
     (event,) = recorder.events()
     assert event["kind"] == "span"
     assert event["attrs"] == {"kind": "payload", "device": 1,

@@ -12,12 +12,12 @@ import math
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import attribute_spans
+from repro.telemetry import Timeline
 from repro.telemetry.health import (DEFAULT_SLO_RULES, Alert, Ewma, Rule,
                                     RulesEngine, SignalWindow,
                                     StepHealthMonitor,
                                     evaluate_attribution, load_slo_rules,
-                                    parse_rules, render_alerts)
+                                    parse_rules)
 from repro.telemetry.spans import SpanTracer
 
 
@@ -237,8 +237,6 @@ def test_alert_render_and_dict():
                   severity="critical", message="too hot", step=7)
     assert alert.render() == "[critical] hot @step 7: too hot"
     assert alert.to_dict()["kind"] == "slo"
-    assert "too hot" in render_alerts([alert])
-    assert render_alerts([]) == "alerts: none"
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +253,8 @@ def _toy_attribution(busy=0.95):
     inner = next(s for s in spans if s.name == "io")
     inner.start, inner.end = phase.start, \
         phase.start + busy * (phase.end - phase.start)
-    return attribute_spans(spans, phase_names=("forward_backward",))
+    return Timeline.from_spans(
+        spans, phase_names=("forward_backward",)).attribution()
 
 
 def test_evaluate_attribution_flags_saturated_resources():

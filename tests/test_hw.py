@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import HardwareConfigError
 from repro.hw import (CSDSpec, FPGAResources, GPUSpec, PCIeGen, PCIeLink,
-                      RAID0Spec, SSDSpec, a100_40g, a4000, a5000,
-                      congested_system, default_system, gen3_x4, gen3_x16,
-                      ku15p, saturation_point, smartssd, smartssd_nand)
+                      SSDSpec, a100_40g, a4000, a5000, congested_system,
+                      default_system, gen3_x4, gen3_x16, ku15p, smartssd,
+                      smartssd_nand)
 
 
 # ----------------------------------------------------------------------
@@ -121,40 +121,6 @@ def test_fpga_utilization_percentages():
     util = usage.utilization_of(FPGAResources(100, 10, 10, 10))
     assert util["LUT"] == pytest.approx(50.0)
     assert util["DSP"] == 0.0
-
-
-# ----------------------------------------------------------------------
-# RAID0
-# ----------------------------------------------------------------------
-def test_raid0_bandwidth_aggregates_until_host_link():
-    member = smartssd_nand()
-    link_bw = gen3_x16().bandwidth
-    small = RAID0Spec(member=member, num_members=2,
-                      host_link_bandwidth=link_bw)
-    big = RAID0Spec(member=member, num_members=10,
-                    host_link_bandwidth=link_bw)
-    assert small.read_bandwidth < link_bw
-    assert big.read_bandwidth == pytest.approx(link_bw)
-    assert not small.saturated
-    assert big.saturated
-
-
-def test_raid0_saturation_point_near_four_ssds():
-    point = saturation_point(smartssd_nand(), gen3_x16().bandwidth)
-    assert point in (4, 5)
-
-
-def test_raid0_capacity_scales_with_members():
-    spec = RAID0Spec(member=smartssd_nand(), num_members=3,
-                     host_link_bandwidth=1e10)
-    assert spec.capacity_bytes == pytest.approx(
-        3 * smartssd_nand().capacity_bytes)
-
-
-def test_raid0_rejects_invalid():
-    with pytest.raises(HardwareConfigError):
-        RAID0Spec(member=smartssd_nand(), num_members=0,
-                  host_link_bandwidth=1e9)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.errors import TrainingError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.nn import (ActivationSpillStore, SequenceClassifier,
                       activation_spill_scope, active_spill_store,
-                      bert_config, spill_beats_recompute)
+                      bert_config)
 from repro.nn.checkpoint import checkpointed_classifier_loss
 from repro.optim import make_optimizer
 from repro.runtime import TrainingConfig, distribute_shards
@@ -129,7 +129,7 @@ STEP_ENGINES = {
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("engine_id", sorted(STEP_ENGINES))
 def test_step_emits_the_phase_span_sequence(tmp_path, engine_id, schedule):
-    """What attribution and ``critpath.from_spans`` read off a step:
+    """What ``Timeline.from_spans`` reads off a step:
     ``iteration`` contains ``forward_backward``, then ``grad_offload``
     and ``update`` (phased) or one ``interleaved_update``, back to back;
     an overflow step has no ``update``."""
@@ -173,7 +173,7 @@ def test_step_emits_the_phase_span_sequence(tmp_path, engine_id, schedule):
         assert it.attrs["schedule"] == schedule
         assert it.attrs["engine"] == mode.split("_")[0]
         assert (it.attrs["step"], it.attrs["overflow"]) == (step, overflow)
-    assert telemetry.attribute_spans(spans).phases == \
+    assert telemetry.Timeline.from_spans(spans).attribution().phases == \
         ["forward_backward"] + tail
 
 
@@ -397,12 +397,6 @@ class TestActivationSpill:
             train("baseline", tmp_path, "bsp",
                   activation_offload="spill", **kwargs))
 
-    def test_cost_model_prefers_spill_for_slow_recompute(self):
-        # 1 MB boundary, 10 ms recompute: spill wins easily.
-        assert spill_beats_recompute(1 << 20, 10e-3)
-        # 1 GB boundary, 1 us recompute: transfer dwarfs the redo.
-        assert not spill_beats_recompute(1 << 30, 1e-6)
-
 
 # ----------------------------------------------------------------------
 # DES + critical path
@@ -459,8 +453,9 @@ class TestSimulatedInterleave:
             assert usage.utilization <= 1 + 1e-9
 
     def test_interleave_projection_validates_under_gate(self):
-        from repro.telemetry import validate_interleave
+        from repro.perf.analysis import (observe, resolve,
+                                         validate_interleave)
 
-        validation = validate_interleave(model="gpt2-1.16b", csds=4,
-                                         method="su_o_c")
+        validation = validate_interleave(
+            observe(*resolve("gpt2-1.16b", 4), "su_o_c"))
         assert validation.error < 0.05

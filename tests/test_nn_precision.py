@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import TrainingError
 from repro.nn import precision
 from repro.nn.precision import (LossScaler, clip_gradients, from_fp16,
-                                global_grad_norm, has_overflow, round_fp16,
-                                to_fp16)
+                                global_grad_norm, round_fp16, to_fp16)
 
 
 def test_fp16_roundtrip_quantizes():
@@ -20,14 +19,6 @@ def test_fp16_roundtrip_quantizes():
     assert roundtrip[1] == 0.0  # below fp16 subnormal resolution
     assert roundtrip[2] != values[2]  # precision was lost
     assert roundtrip[2] == pytest.approx(values[2], rel=1e-3)
-
-
-def test_has_overflow_detects_nan_and_inf():
-    clean = [np.ones(4, dtype=np.float32)]
-    assert not has_overflow(clean)
-    assert has_overflow([np.array([1.0, np.nan], dtype=np.float32)])
-    assert has_overflow([np.ones(2), np.array([np.inf])])
-    assert has_overflow([np.array([-np.inf])])
 
 
 def test_global_grad_norm_matches_concatenation():
@@ -66,13 +57,6 @@ def test_scaler_respects_bounds():
                      max_scale=2.0 ** 24)
     top.update(False)
     assert top.scale == 2.0 ** 24
-
-
-def test_scaler_unscale_divides_in_place():
-    scaler = LossScaler(scale=8.0)
-    grads = [np.full(3, 16.0, dtype=np.float32)]
-    scaler.unscale(grads)
-    np.testing.assert_allclose(grads[0], 2.0)
 
 
 def test_scaler_rejects_nonpositive_scale():
@@ -130,7 +114,8 @@ def _two_pass_reference(arrays):
     total = 0.0
     for array in arrays:
         total += float(np.square(array, dtype=np.float64).sum())
-    return has_overflow(arrays), float(np.sqrt(total))
+    overflow = any(not np.all(np.isfinite(array)) for array in arrays)
+    return overflow, float(np.sqrt(total))
 
 
 def _same_bits(a: float, b: float) -> bool:

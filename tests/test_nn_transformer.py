@@ -120,18 +120,27 @@ def test_classifier_loss_near_uniform_at_init():
 
 def test_lm_trains_on_structured_data():
     from repro.nn import make_lm_dataset
-    from repro.optim import Adam, ModuleOptimizer
+    from repro.optim import Adam
 
     model = LanguageModel(tiny(vocab_size=32, max_seq_len=16), seed=0)
     data = make_lm_dataset(num_sequences=8, seq_len=17, vocab_size=32,
                            seed=1)
-    optimizer = ModuleOptimizer(model, Adam(lr=1e-2))
+    adam = Adam(lr=1e-2)
+    params = dict(model.named_parameters())
+    states = {name: adam.init_state(param.size)
+              for name, param in params.items()}
     first = None
-    for _step in range(25):
-        optimizer.zero_grad()
+    for step in range(1, 26):
+        model.zero_grad()
         loss = model.loss(data[:4])
         loss.backward()
-        optimizer.step()
+        for name, param in params.items():
+            if param.grad is not None:
+                flat = np.ascontiguousarray(param.data.reshape(-1),
+                                            dtype=np.float32)
+                adam.step(flat, param.grad.reshape(-1).astype(np.float32),
+                          states[name], step)
+                param.data = flat.reshape(param.data.shape)
         first = first if first is not None else loss.item()
     assert loss.item() < 0.6 * first
 

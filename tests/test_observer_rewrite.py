@@ -30,12 +30,23 @@ from hypothesis import strategies as st
 
 from repro.hw.topology import default_system
 from repro.nn.models import get_model
+from repro.perf.analysis import observe, validate_scale
 from repro.perf.scenarios import METHODS, SCHEDULES, trace_scenario
 from repro.perf.workload import make_workload
+from repro.sim.resources import TransferRecord
 from repro.telemetry.attrib import (COMPUTE, Attribution, ResourceUsage,
-                                    attribute, attribute_channels)
-from repro.telemetry.critpath import (CritPathReport, DepGraph, PathStep,
-                                      validate_scale)
+                                    Timeline, attribute,
+                                    attribute_channels)
+from repro.telemetry.critpath import CritPathReport, DepGraph, PathStep
+
+
+def graph_from_intervals(busy, phase_windows):
+    """The graph of bare per-resource busy intervals (FIFO order)."""
+    return DepGraph(Timeline(
+        phases=list(phase_windows),
+        ops={name: [TransferRecord(name, "", 0.0, start, end)
+                   for start, end in intervals]
+             for name, intervals in busy.items()}))
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +454,7 @@ def fifo_schedules(draw):
 def test_graph_from_intervals_matches_the_per_edge_graph(busy, factors):
     horizon = max((end for spans in busy.values() for _, end in spans),
                   default=0.0)
-    graph = DepGraph.from_intervals(busy, [("step", 0.0, horizon + 0.5)])
+    graph = graph_from_intervals(busy, [("step", 0.0, horizon + 0.5)])
     assert_same_graph(graph, factors)
 
 
@@ -461,7 +472,7 @@ def test_graph_from_spans_matches_the_per_edge_graph(draws, factors):
         spans.append(SimpleNamespace(
             name="io", start=cursor, end=cursor + duration,
             attrs={"resource": f"res{resource}", "nbytes": nbytes}))
-    assert_same_graph(DepGraph.from_spans(spans), factors)
+    assert_same_graph(DepGraph(Timeline.from_spans(spans)), factors)
 
 
 def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
@@ -469,7 +480,7 @@ def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
     # waits on all three first-round finishes (one is its own serial
     # predecessor at lag 0 and is not counted twice).
     busy = {f"dev{k}": [(0.0, 1.0), (1.0, 2.0)] for k in range(3)}
-    graph = DepGraph.from_intervals(busy, [("step", 0.0, 2.0)])
+    graph = graph_from_intervals(busy, [("step", 0.0, 2.0)])
     report = graph.critical_path()
     assert report.num_edges == 3 + 3 * 3 == len(ReferenceGraph(graph).edges)
     # The walk starts at the lowest-index terminal node and, among the
@@ -534,19 +545,13 @@ def test_projection_sweep_worst_error_is_the_documented_one():
     method, 48 counterfactual re-simulations."""
     worst = 0.0
     for method in ("su", "su_o", "su_o_c"):
-        trace = trace_scenario(default_system(num_csds=4),
-                               make_workload(get_model("gpt2-1.16b")),
-                               method)
-        base = (trace, DepGraph.from_channels(trace.fabric.all_channels(),
-                                              trace.phase_windows))
-        # Handing the base in changes nothing but the work done.
-        assert (validate_scale("ssd0-write", 1.5, method=method, base=base)
-                == validate_scale("ssd0-write", 1.5, method=method))
+        base = observe(default_system(num_csds=4),
+                       make_workload(get_model("gpt2-1.16b")), method)
         for channel in ("host-link-down", "ssd0-write", "ssd0-read",
                         "csd0-updater"):
             for factor in (0.5, 0.75, 1.5, 2.0):
                 worst = max(worst, validate_scale(
-                    channel, factor, method=method, base=base).error)
+                    base, channel, factor).error)
     assert round(worst, 4) == 0.0305
 
 
@@ -580,7 +585,7 @@ def test_graph_work_does_not_grow_with_the_fan_in():
         busy = {f"dev{k:02d}": [(float(i), float(i + 1))
                                 for i in range(rounds)]
                 for k in range(ways)}
-        graph = DepGraph.from_intervals(
+        graph = graph_from_intervals(
             busy, [("step", 0.0, float(rounds))])
         return graph.critical_path()
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import TrainingError
 from repro.optim import (AdaGrad, Adam, AdamW, OPTIMIZERS, SGDMomentum,
                          make_optimizer)
-from repro.optim.base import ModuleOptimizer
 
 
 def flat(*values):
@@ -148,27 +147,6 @@ def test_step_validates_shapes_and_dtypes():
 def test_init_state_rejects_nonpositive():
     with pytest.raises(TrainingError):
         Adam().init_state(0)
-
-
-def test_module_optimizer_trains_linear_regression():
-    from repro.nn.modules import Linear
-    from repro.nn.tensor import Tensor
-
-    rng = np.random.default_rng(0)
-    target_w = rng.standard_normal((3, 1)).astype(np.float32)
-    x = rng.standard_normal((64, 3)).astype(np.float32)
-    y = x @ target_w
-
-    model = Linear(3, 1, rng)
-    optimizer = ModuleOptimizer(model, Adam(lr=5e-2))
-    for _step in range(200):
-        optimizer.zero_grad()
-        prediction = model(Tensor(x))
-        loss = ((prediction - Tensor(y)) ** 2).mean()
-        loss.backward()
-        optimizer.step()
-    np.testing.assert_allclose(model.weight.data, target_w, atol=0.05)
-    assert optimizer.step_count == 200
 
 
 @settings(max_examples=30, deadline=None)

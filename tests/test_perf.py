@@ -5,10 +5,15 @@ import pytest
 from repro.errors import HardwareConfigError
 from repro.hw import (a100_40g, a5000, congested_system, default_system)
 from repro.nn.models import get_model
-from repro.perf import (Fabric, PhaseBreakdown, cost_efficiency,
-                        make_workload, simulate_iteration,
-                        simulate_methods, subgroup_count)
+from repro.perf import (METHODS, Fabric, PhaseBreakdown, cost_efficiency,
+                        make_workload, simulate_iteration, subgroup_count)
 from repro.sim import Simulator
+
+
+def simulate_methods(system, workload):
+    """Every paper method on the same system/workload."""
+    return {method: simulate_iteration(system, workload, method)
+            for method in METHODS}
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,14 @@ import pytest
 
 from repro.hw import default_system
 from repro.nn.models import get_model
-from repro.perf.scenarios import run_scenario
+from repro.perf.scenarios import trace_scenario
 from repro.perf.workload import make_workload
+
+
+def run_scenario(*args, **kwargs):
+    """``(breakdown, fabric)`` of one simulated iteration."""
+    trace = trace_scenario(*args, **kwargs)
+    return trace.breakdown, trace.fabric
 
 NUM_DEVICES = 5
 

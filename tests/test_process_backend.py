@@ -347,3 +347,50 @@ def test_child_telemetry_forwarded_to_parent_session(tmp_path):
     assert all(span.start >= 0 for span in session.tracer.spans)
     assert flight_stats is not None
     assert flight_stats["workers"] >= 2  # the two children's segments
+
+
+def test_child_span_is_one_record_forwarded_once(tmp_path, monkeypatch):
+    """Under a session with the flight recorder on, a worker process's
+    span crosses the pipe once (one ``telemetry`` key per response) and
+    is one object in the parent: once in the session's spans, once in
+    the parent ring — whose span appends equal the span ends."""
+    from repro import telemetry
+    from repro.runtime.procworker import ProcessShardCoordinator
+
+    carried = []
+    ingest = ProcessShardCoordinator._ingest
+
+    def spy(self, resp):
+        carried.append(set(resp) & {"telemetry", "events", "spans"})
+        ingest(self, resp)
+
+    monkeypatch.setattr(ProcessShardCoordinator, "_ingest", spy)
+    tokens, labels = make_batch()
+    config = TrainingConfig(
+        optimizer="adam", optimizer_kwargs={"lr": 1e-3},
+        subgroup_elements=4096, parallel_csds=2, num_csds=2,
+        parallel_backend="process", flight_recorder=True)
+    with telemetry.session() as session:
+        with create_engine("smart", make_model(), loss_fn,
+                           str(tmp_path / "t"), config=config) as engine:
+            engine.train_step(tokens, labels)
+            recorder = engine.flight
+            ring = [(segment.thread_name, event)
+                    for segment in recorder._segments
+                    for event in segment.tail(segment.capacity)]
+            spans = session.tracer.spans
+            assert recorder.stats()["events_dropped"] == 0
+    assert len({id(span) for span in spans}) == len(spans)
+    assert {"telemetry"} in carried
+    assert all(keys <= {"telemetry"} for keys in carried)
+
+    ring_spans = [(thread, event[4]) for thread, event in ring
+                  if event[2] == "span"]
+    # Every span end — here or in a child — is one ring append, and the
+    # ring slot holds the session's own record, not a copy.
+    assert sorted(id(span) for _thread, span in ring_spans) == \
+        sorted(id(span) for span in spans)
+    forwarded = [span for thread, span in ring_spans if "/" in thread]
+    assert {"offload_device", "device_update"} <= {
+        span.name for span in forwarded}
+    assert all(span.end >= span.start >= 0.0 for span in forwarded)

@@ -9,6 +9,18 @@ from repro.errors import StorageError
 from repro.storage import FileBlockDevice, RAID0Volume, TensorStore
 
 
+def read(device, offset, length):
+    """``length`` bytes at ``offset``, through the one read path."""
+    out = bytearray(length)
+    assert device.pread_into(offset, out) == length
+    return bytes(out)
+
+
+def read_slice(store, name, start, count):
+    out = np.empty(max(count, 0), dtype=store.region(name).dtype)
+    return store.read_slice_into(name, start, count, out)
+
+
 @pytest.fixture
 def device(tmp_path):
     with FileBlockDevice(str(tmp_path / "dev.img"), 1 << 20) as dev:
@@ -20,26 +32,26 @@ def device(tmp_path):
 # ----------------------------------------------------------------------
 def test_blockdev_write_read_roundtrip(device):
     device.pwrite(100, b"hello world")
-    assert device.pread(100, 11) == b"hello world"
+    assert read(device, 100, 11) == b"hello world"
 
 
 def test_blockdev_unwritten_reads_zero(device):
-    assert device.pread(5000, 8) == b"\x00" * 8
+    assert read(device, 5000, 8) == b"\x00" * 8
 
 
 def test_blockdev_bounds_checked(device):
     with pytest.raises(StorageError):
-        device.pread(device.capacity_bytes - 4, 8)
+        read(device, device.capacity_bytes - 4, 8)
     with pytest.raises(StorageError):
         device.pwrite(-1, b"x")
     with pytest.raises(StorageError):
-        device.pread(0, -1)
+        read(device, -1, 2)
 
 
 def test_blockdev_counters_track_bytes_and_ops(device):
     device.pwrite(0, b"abcd")
-    device.pread(0, 2)
-    device.pread(0, 2)
+    read(device, 0, 2)
+    read(device, 0, 2)
     assert device.counters.bytes_written == 4
     assert device.counters.bytes_read == 4
     assert device.counters.write_ops == 1
@@ -59,7 +71,7 @@ def test_blockdev_closed_rejects_io(tmp_path):
     device = FileBlockDevice(str(tmp_path / "d.img"), 1024)
     device.close()
     with pytest.raises(StorageError):
-        device.pread(0, 4)
+        read(device, 0, 4)
     device.close()  # idempotent
 
 
@@ -69,7 +81,7 @@ def test_blockdev_persists_across_reopen(tmp_path):
         dev.pwrite(10, b"durable")
         dev.flush()
     with FileBlockDevice(path, 4096) as dev:
-        assert dev.pread(10, 7) == b"durable"
+        assert read(dev, 10, 7) == b"durable"
 
 
 def test_blockdev_rejects_zero_capacity(tmp_path):
@@ -90,7 +102,7 @@ def test_raid0_roundtrip_across_stripe_boundaries(tmp_path):
     raid = make_raid(tmp_path, chunk=16)
     payload = bytes(range(256)) * 3
     raid.pwrite(5, payload)
-    assert raid.pread(5, len(payload)) == payload
+    assert read(raid, 5, len(payload)) == payload
     raid.close()
 
 
@@ -127,7 +139,7 @@ def test_raid0_requires_equal_members(tmp_path):
 def test_raid0_aggregate_counters(tmp_path):
     raid = make_raid(tmp_path, chunk=32)
     raid.pwrite(0, b"y" * 100)
-    raid.pread(0, 100)
+    read(raid, 0, 100)
     totals = raid.counters()
     assert totals.bytes_written == 100
     assert totals.bytes_read == 100
@@ -155,7 +167,7 @@ def test_raid0_behaves_like_flat_device_property(tmp_path_factory, seed,
             raid.pwrite(offset, payload)
             reference[offset:offset + length] = payload
         else:
-            assert raid.pread(offset, length) == bytes(
+            assert read(raid, offset, length) == bytes(
                 reference[offset:offset + length])
     raid.close()
 
@@ -177,8 +189,8 @@ def test_tensor_store_slices(device, rng):
     store.write_array("x", np.zeros(50, dtype=np.float32))
     patch = rng.standard_normal(10).astype(np.float32)
     store.write_slice("x", 20, patch)
-    np.testing.assert_array_equal(store.read_slice("x", 20, 10), patch)
-    np.testing.assert_array_equal(store.read_slice("x", 0, 20),
+    np.testing.assert_array_equal(read_slice(store, "x", 20, 10), patch)
+    np.testing.assert_array_equal(read_slice(store, "x", 0, 20),
                                   np.zeros(20, dtype=np.float32))
 
 
@@ -212,13 +224,25 @@ def test_tensor_store_rejects_shape_mismatch(device):
         store.write_array("a", np.zeros(4, dtype=np.float64))
 
 
+def test_tensor_store_write_slice_rejects_a_dtype_mismatch(device):
+    """``write_slice`` used to convert silently (an allocation and a
+    pass on the copy-free path); it now refuses like ``write_array``."""
+    store = TensorStore(device)
+    store.allocate("a", 8)
+    store.write_array("a", np.zeros(8, dtype=np.float32))
+    with pytest.raises(StorageError, match="float64"):
+        store.write_slice("a", 2, np.ones(4, dtype=np.float64))
+    np.testing.assert_array_equal(store.read_array("a"),
+                                  np.zeros(8, dtype=np.float32))
+
+
 def test_tensor_store_slice_bounds(device):
     store = TensorStore(device)
     store.allocate("a", 10)
     with pytest.raises(StorageError):
         store.write_slice("a", 8, np.zeros(4, dtype=np.float32))
     with pytest.raises(StorageError):
-        store.read_slice("a", -1, 2)
+        read_slice(store, "a", -1, 2)
 
 
 def test_tensor_store_capacity_enforced(tmp_path):

@@ -9,8 +9,8 @@ from repro import telemetry
 from repro.errors import TelemetryError
 from repro.sim import Channel, Simulator
 from repro.telemetry import (Histogram, MetricsRegistry, SpanTracer,
-                             chrome_trace, record_channel_metrics,
-                             write_chrome_trace)
+                             Timeline, chrome_trace,
+                             record_channel_metrics, write_chrome_trace)
 from repro.telemetry.export import SIM_PID, WALL_PID
 
 
@@ -45,7 +45,6 @@ def test_span_nesting_and_depth():
     assert inner.end <= outer.end
     assert inner.duration == pytest.approx(0.5)
     assert outer.duration == pytest.approx(1.75)
-    assert tracer.open_depth() == 0
 
 
 def test_span_attrs_settable_while_open():
@@ -84,7 +83,6 @@ def test_spans_record_thread_identity():
     main = tracer.by_name("main")[0]
     assert threaded.thread_name == "worker-7"
     assert threaded.thread_id != main.thread_id
-    assert tracer.thread_names()[threaded.thread_id] == "worker-7"
 
 
 def test_abandoned_inner_span_does_not_corrupt_depth():
@@ -111,7 +109,7 @@ def test_span_exiting_via_exception_is_marked():
     assert doomed.attrs["device"] == 3
     fine = session.tracer.by_name("fine")[0]
     assert "status" not in fine.attrs and "error" not in fine.attrs
-    assert session.tracer.open_depth() == 0
+    assert fine.depth == 0          # the failed span left the stack
 
 
 def test_span_exception_flows_to_flight_recorder():
@@ -129,15 +127,6 @@ def test_span_exception_flows_to_flight_recorder():
     assert event["kind"] == "span"
     assert event["attrs"]["status"] == "error"
     assert event["attrs"]["error"] == "RuntimeError: dead"
-
-
-def test_total_time_sums_all_instances():
-    clock = FakeClock()
-    tracer = SpanTracer(clock=clock)
-    for _ in range(3):
-        with tracer.span("repeat"):
-            clock.advance(1.0)
-    assert tracer.total_time("repeat") == pytest.approx(3.0)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +298,9 @@ def test_chrome_trace_has_both_time_domains():
         with tracer.span("inner"):
             clock.advance(0.5)
     channel = make_des_activity()
-    doc = chrome_trace(spans=tracer.spans, channels=[channel],
-                       phases=[("update", 0.0, 1.5)],
+    doc = chrome_trace(spans=tracer.spans,
+                       sim=Timeline.from_channels(
+                           [channel], [("update", 0.0, 1.5)]),
                        metadata={"note": "test"})
     events = doc["traceEvents"]
     assert {e["pid"] for e in events} == {WALL_PID, SIM_PID}
@@ -340,7 +330,8 @@ def test_chrome_trace_has_both_time_domains():
 def test_write_chrome_trace_round_trips(tmp_path):
     channel = make_des_activity()
     path = str(tmp_path / "out.trace.json")
-    assert write_chrome_trace(path, channels=[channel]) == path
+    assert write_chrome_trace(
+        path, sim=Timeline.from_channels([channel], [])) == path
     with open(path) as handle:
         doc = json.load(handle)
     assert isinstance(doc["traceEvents"], list)

@@ -246,24 +246,6 @@ def test_cli_simulate_metrics_flag(capsys):
     assert 'method="su_o_c"' in out
 
 
-def test_export_scenario_trace_helper(tmp_path):
-    from repro.experiments.export import export_scenario_trace
-    from repro.hw.topology import default_system
-    from repro.nn.models import get_model
-    from repro.perf.workload import make_workload
-
-    path = str(tmp_path / "scenario.trace.json")
-    result = export_scenario_trace(
-        path, default_system(num_csds=2), make_workload(
-            get_model("gpt2-1.16b")), "su_o")
-    assert result == path
-    with open(path) as handle:
-        document = json.load(handle)
-    assert document["otherData"]["method"] == "su_o"
-    assert document["otherData"]["iteration_seconds"] > 0
-    assert _events_by_pid(document["traceEvents"], SIM_PID)
-
-
 def test_fault_counters_land_in_telemetry_exposition():
     """Chaos accounting shares the exposition with everything else:
     a deterministic transient fault shows up as described counter
@@ -317,3 +299,51 @@ def test_fault_counters_noop_without_session():
     assert not telemetry.enabled()
     injector.guard(0, "read")  # must not raise with telemetry off
     assert injector.stats.snapshot()["injected"] == {"io_error": 1}
+
+
+def test_utilization_signals_cover_only_new_intervals(tmp_path,
+                                                      monkeypatch):
+    """Two engines under two (nested) sessions: what an engine attributes
+    for ``util:*`` is exactly the intervals recorded in the active
+    session since that engine's own last observation — returning to the
+    outer session does not re-read what it had already attributed
+    there."""
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                            num_csds=2)
+    attributed = []
+    from_spans = telemetry.Timeline.from_spans.__func__
+
+    def spy(cls, spans, *args, **kwargs):
+        attributed.append(list(spans))
+        return from_spans(cls, spans, *args, **kwargs)
+
+    monkeypatch.setattr(telemetry.Timeline, "from_spans", classmethod(spy))
+
+    def step(engine):
+        """The spans ``engine`` attributed for this step's ``util:*``."""
+        before = len(attributed)
+        engine.train_step(tokens, labels)
+        (spans,) = attributed[before:]
+        return spans
+
+    with SmartInfinityEngine(make_model(), loss_fn, str(tmp_path / "a"),
+                             config=config) as one, \
+            SmartInfinityEngine(make_model(), loss_fn, str(tmp_path / "b"),
+                                config=config) as two:
+        with telemetry.session() as outer:
+            first = step(one)
+            assert first == outer.tracer.spans
+            second = step(two)       # never observed: everything so far
+            assert second == outer.tracer.spans
+            with telemetry.session() as inner:
+                nested = step(one)
+                assert nested == inner.tracer.spans
+            seen = len(outer.tracer.spans)
+            again = step(one)
+            # Only this step: not the outer spans it attributed before
+            # the inner session, nor engine two's step in between.
+            assert again == outer.tracer.spans[seen:]
+            assert step(two) == outer.tracer.spans[len(second):]

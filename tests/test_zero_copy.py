@@ -66,11 +66,9 @@ def test_pread_into_matches_bytes_path(device):
     rng = np.random.default_rng(1)
     data = rng.standard_normal(513).astype(np.float32)
     device.pwrite(100, data.tobytes())
-    legacy = np.frombuffer(device.pread(100, data.nbytes),
-                           dtype=np.float32)
     out = np.empty(513, dtype=np.float32)
     device.pread_into(100, out)
-    assert np.array_equal(out, legacy)
+    assert np.array_equal(out, data)
 
 
 def test_pread_into_sparse_tail_reads_zero(device):
@@ -131,13 +129,10 @@ def test_raid0_pread_into_cross_stripe(tmp_path):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(1000).astype(np.float32)  # ~8 chunks
         volume.pwrite(300, data)
-        legacy = np.frombuffer(volume.pread(300, data.nbytes),
-                               dtype=np.float32)
         out = np.empty(1000, dtype=np.float32)
         filled = volume.pread_into(300, out)
         assert filled == data.nbytes
         assert np.array_equal(out, data)
-        assert np.array_equal(out, legacy)
 
 
 def test_raid0_ndarray_write_matches_bytes_write(tmp_path):
@@ -152,7 +147,10 @@ def test_raid0_ndarray_write_matches_bytes_write(tmp_path):
     with build(0) as via_bytes, build(1) as via_buffer:
         via_bytes.pwrite(128, data.tobytes())
         via_buffer.pwrite(128, data)
-        assert via_bytes.pread(0, 4096) == via_buffer.pread(0, 4096)
+        images = [bytearray(4096), bytearray(4096)]
+        via_bytes.pread_into(0, images[0])
+        via_buffer.pread_into(0, images[1])
+        assert images[0] == images[1] and any(images[0])
 
 
 def test_tensor_store_read_array_is_writable(tmp_path):
@@ -178,7 +176,8 @@ def test_tensor_store_read_slice_into_validates(tmp_path):
             store.read_slice_into("x", 95, 10,
                                   np.empty(10, dtype=np.float32))
         with pytest.raises(StorageError):
-            store.read_slice("x", 0, -1)
+            store.read_slice_into("x", 0, -1,
+                                  np.empty(0, dtype=np.float32))
 
 
 # ----------------------------------------------------------------------
