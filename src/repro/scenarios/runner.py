@@ -36,7 +36,6 @@ import numpy as np
 
 from ..errors import ReproError, ScenarioError
 from ..faults import FaultPlan
-from ..perf.analysis import observe, resolve, validate_scale
 from ..runtime.checkpoint import load_checkpoint, save_checkpoint
 from ..runtime.engine import TrainingConfig
 from ..telemetry.health import DEFAULT_SLO_RULES
@@ -610,6 +609,9 @@ class ScenarioRunner:
             # The check is pure simulation (seed-independent and free of
             # wall-clock state), so the event log stays byte-identical
             # across replays; the error is rounded for log stability.
+            # Imported here: only this check needs the DES, and engines
+            # that never run it should not pay for loading it.
+            from ..perf.analysis import observe, resolve, validate_scale
             spec = expect.whatif_error
             max_error = float(spec.get("max_error", 0.05))
             validation = validate_scale(

@@ -25,7 +25,6 @@ intervals since cursor N" means to a reader (:meth:`SpanTracer.since`).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 import threading
@@ -201,13 +200,13 @@ class SpanTracer:
     def since(self, cursor: int) -> List[Span]:
         """Finished spans with ``seq > cursor``, in completion order.
 
-        Every lane is in ``seq`` order, so the work is one bisection per
-        thread plus the spans returned.
+        Every lane is in ``seq`` order, so only the new tail of each is
+        walked: the work is proportional to the spans returned.
         """
         fresh: List[Span] = []
         for lane in list(self._lanes):
-            fresh.extend(lane[bisect.bisect_right(lane, cursor,
-                                                  key=_seq_of):])
+            fresh.extend(itertools.takewhile(
+                lambda span: span.seq > cursor, reversed(lane)))
         fresh.sort(key=_seq_of)
         return fresh
 
