@@ -7,12 +7,10 @@ stopped being the critical resource.  This module produces that account
 mechanically from any run:
 
 * **busy windows** — per-resource ``(start, end)`` occupancy intervals,
-  harvested from DES :class:`~repro.sim.resources.TransferRecord` lists
-  (:func:`attribute_channels`) or wall-clock spans tagged with a
-  ``resource`` attribute (:func:`attribute_spans`);
-* **phase windows** — the iteration's ``(phase, start, end)`` intervals
-  (fwd / bwd+grad-offload / update for the DES, the engines' top-level
-  phase spans for wall-clock);
+  and **phase windows** — the iteration's ``(phase, start, end)``
+  intervals, both read off one :class:`Timeline`, whose constructors
+  harvest them from DES channels, from wall-clock spans tagged with a
+  ``resource`` attribute, or from a Chrome trace document;
 * **buckets** — a decomposition of every phase into per-resource owned
   time with the invariant that **buckets tile the phases exactly**:
   ``sum(buckets.values()) == step_seconds`` to float precision.
