@@ -157,7 +157,8 @@ class Fabric:
         return len(self.devices)
 
     # ------------------------------------------------------------------
-    # composite transfers
+    # composite transfers: every leg reserves its channel's FIFO slot and
+    # the caller waits on one event at the latest leg's instant
     # ------------------------------------------------------------------
     def raid_read(self, nbytes: float, tag: str = "raid-read") -> Event:
         """Striped read to the host: all members + the shared up-link.
@@ -167,37 +168,37 @@ class Fabric:
         is approximated by running the legs concurrently).
         """
         per_member = nbytes / self.num_devices / self.raid_efficiency
-        legs = [device.nand_read.transfer(per_member, tag=tag)
+        legs = [device.nand_read._reserve(per_member, tag)
                 for device in self.devices]
-        legs.append(self.link_up.transfer(nbytes, tag=tag))
-        return self.sim.all_of(legs)
+        legs.append(self.link_up._reserve(nbytes, tag))
+        return self.sim._timeout_at(max(legs))
 
     def raid_write(self, nbytes: float, tag: str = "raid-write") -> Event:
         """Striped write from the host: shared down-link + all members."""
         per_member = nbytes / self.num_devices / self.raid_efficiency
-        legs = [device.nand_write.transfer(per_member, tag=tag)
+        legs = [device.nand_write._reserve(per_member, tag)
                 for device in self.devices]
-        legs.append(self.link_down.transfer(nbytes, tag=tag))
-        return self.sim.all_of(legs)
+        legs.append(self.link_down._reserve(nbytes, tag))
+        return self.sim._timeout_at(max(legs))
 
     def host_to_device(self, index: int, nbytes: float,
                        tag: str = "h2d") -> Event:
         """Host -> one device's SSD (e.g. gradient offload to the owner
         CSD): shared down-link + that device's write channel."""
-        device = self.devices[index]
-        return self.sim.all_of([
-            self.link_down.transfer(nbytes, tag=tag),
-            device.nand_write.transfer(nbytes, tag=tag),
-        ])
+        return self.sim._timeout_at(
+            self._host_to_device(index, nbytes, tag))
+
+    def _host_to_device(self, index: int, nbytes: float, tag: str) -> float:
+        """Reserve :meth:`host_to_device`'s legs; returns its finish."""
+        link = self.link_down._reserve(nbytes, tag)
+        return max(link, self.devices[index].nand_write._reserve(nbytes, tag))
 
     def device_to_host(self, index: int, nbytes: float,
                        tag: str = "d2h") -> Event:
         """One device's SSD -> host (e.g. updated masters upstream)."""
-        device = self.devices[index]
-        return self.sim.all_of([
-            device.nand_read.transfer(nbytes, tag=tag),
-            self.link_up.transfer(nbytes, tag=tag),
-        ])
+        flash = self.devices[index].nand_read._reserve(nbytes, tag)
+        return self.sim._timeout_at(
+            max(flash, self.link_up._reserve(nbytes, tag)))
 
     def all_channels(self) -> List[Channel]:
         """Every channel of the machine (for export and attribution)."""

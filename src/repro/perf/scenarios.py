@@ -203,14 +203,13 @@ class _Scenario:
         """Extra shared-link traffic per block in the congested topology:
         FP16 parameter streaming to the expansion-resident GPUs plus
         tensor-parallel activation exchange (§VIII-A)."""
-        events = [self.fabric.link_down.transfer(param_bytes, tag="gpu-par")]
+        done = self.fabric.link_down._reserve(param_bytes, tag="gpu-par")
         if self.num_gpus > 1:
             tp_bytes = act_bytes * 2 * (self.num_gpus - 1) / self.num_gpus
-            events.append(self.fabric.link_down.transfer(tp_bytes / 2,
-                                                         tag="tp"))
-            events.append(self.fabric.link_up.transfer(tp_bytes / 2,
-                                                       tag="tp"))
-        return self.sim.all_of(events)
+            done = max(done,
+                       self.fabric.link_down._reserve(tp_bytes / 2, tag="tp"),
+                       self.fabric.link_up._reserve(tp_bytes / 2, tag="tp"))
+        return self.sim._timeout_at(done)
 
     # ------------------------------------------------------------------
     # phases
@@ -298,13 +297,12 @@ class _Scenario:
     def _offload_transfer(self, nbytes: float):
         if self.method == "baseline":
             return self.fabric.raid_write(nbytes, tag="grad-offload")
-        # Each CSD owns an equal slice of the flattened parameters.
+        # Each CSD owns an equal slice of the flattened parameters; the
+        # block has landed when the slowest device's copy has.
         per_device = nbytes / self.fabric.num_devices
-        return self.sim.all_of([
-            self.fabric.host_to_device(index, per_device,
-                                       tag="grad-offload")
-            for index in range(self.fabric.num_devices)
-        ])
+        return self.sim._timeout_at(max(
+            self.fabric._host_to_device(index, per_device, "grad-offload")
+            for index in range(self.fabric.num_devices)))
 
     def _offload_block(self, nbytes: float, gate=None):
         yield self._offload_transfer(nbytes)

@@ -17,6 +17,16 @@ Only the features the Smart-Infinity performance model needs are implemented:
 
 Determinism matters: two events scheduled for the same instant fire in the
 order they were scheduled, so simulated breakdowns are exactly reproducible.
+
+A *composite* transfer — a striped RAID read, a host -> device copy over
+the shared link and the device's flash — is one completion event, not one
+event per leg plus a barrier: every leg reserves its channel's FIFO slot
+inside one call (:meth:`repro.sim.resources.Channel._reserve`), and one
+heap entry fires at the latest leg's instant
+(:meth:`Simulator._timeout_at`).  No other event can take a sequence
+number between the legs, so the waiter resumes in exactly the order the
+per-leg barrier resumed it.  A process likewise starts from one heap
+entry, with no bootstrap event.
 """
 
 from __future__ import annotations
@@ -68,6 +78,9 @@ class Event:
         self.failed = True
         return self.succeed(exception)
 
+    #: What the dispatch loop calls for this event's heap entry.
+    _fire = succeed
+
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when triggered (immediately if already)."""
         if self.triggered:
@@ -106,7 +119,9 @@ class AllOf(Event):
     """Barrier event: triggers once every child event has triggered.
 
     The value is the list of child values in the order the children were
-    given.  An empty iterable triggers immediately.
+    given.  An empty iterable triggers immediately.  If any child failed,
+    the barrier fails with the first failed child's exception (in child
+    order), so a waiter catches it like any other failed event.
     """
 
     __slots__ = ("_children", "_remaining")
@@ -125,7 +140,22 @@ class AllOf(Event):
     def _child_done(self, _event: Event) -> None:
         self._remaining -= 1
         if self._remaining == 0 and not self.triggered:
+            for child in self._children:
+                if child.failed:
+                    self.fail(child.value)
+                    return
             self.succeed([child.value for child in self._children])
+
+
+class _Started:
+    """What a fresh process resumes from: a succeeded event, no value."""
+
+    __slots__ = ()
+    failed = False
+    value = None
+
+
+_STARTED = _Started()
 
 
 class Process(Event):
@@ -146,10 +176,13 @@ class Process(Event):
         self._generator = generator
         # Start on the next simulator dispatch at the current time so that
         # process creation order, not generator body order, stays the only
-        # source of interleaving.
-        bootstrap = Event(sim, name=f"{name}/start")
-        bootstrap.add_callback(self._resume)
-        sim._schedule(sim.now, bootstrap, None)
+        # source of interleaving.  The heap entry is the process itself:
+        # the dispatch loop calls :meth:`_fire`, which runs the generator
+        # to its first yield.
+        sim._schedule(sim._now, self, None)
+
+    def _fire(self, _value: Any) -> None:
+        self._resume(_STARTED)
 
     def _resume(self, event: Event) -> None:
         if event.failed:
@@ -220,6 +253,14 @@ class Simulator:
                 f"cannot schedule event at {when} before now={self._now}")
         heapq.heappush(self._heap, (when, next(self._sequence), event, value))
 
+    def _timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute instant ``when``, which
+        the caller guarantees is not before now: the one completion of
+        a transfer whose legs were reserved with ``Channel._reserve``."""
+        event = Event(self, "timeout")
+        heapq.heappush(self._heap, (when, next(self._sequence), event, value))
+        return event
+
     # ------------------------------------------------------------------
     # factories
     # ------------------------------------------------------------------
@@ -265,7 +306,7 @@ class Simulator:
                     f"exceeded max_events={max_events}; likely a runaway "
                     "simulation loop")
             if not event.triggered:
-                event.succeed(value)
+                event._fire(value)
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
-from .core import Event, Simulator, Timeout
+from .core import Event, Simulator
 
 
 class TransferRecord(NamedTuple):
@@ -74,20 +74,30 @@ class Channel:
         Zero-byte transfers still pay the channel latency, which models
         command overhead (e.g. an NVMe doorbell) without moving data.
         """
+        return self.sim._timeout_at(self._reserve(nbytes, tag), nbytes)
+
+    def _reserve(self, nbytes: float, tag: str = "") -> float:
+        """Take the next FIFO slot for ``nbytes`` and record it; returns
+        the instant the transfer completes.
+
+        A composite transfer reserves every leg this way and waits on one
+        event at the latest instant, instead of one event per leg.
+        """
         if nbytes < 0:
             raise SimulationError(
                 f"negative transfer size {nbytes} on channel {self.name!r}")
-        now = self.sim.now
+        now = self.sim._now
         start = max(now, self._free_at)
-        duration = self.latency + nbytes / self.bandwidth
-        end = start + duration
+        end = start + (self.latency + nbytes / self.bandwidth)
         self._free_at = end
         self.bytes_total += nbytes
         self.ops_total += 1
         if self._record:
             self.records.append(
                 TransferRecord(self.name, tag, nbytes, start, end))
-        return Timeout(self.sim, end - now, nbytes)
+        # Where a timeout of ``end - now`` fires, which can differ from
+        # ``end`` in the last bit.
+        return now + (end - now)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``horizon`` (default: now) the channel was busy."""
@@ -114,6 +124,7 @@ class Semaphore:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
         self.max_in_use = 0
+        self._event_name = f"{name}/acquire"
 
     @property
     def in_use(self) -> int:
@@ -121,7 +132,7 @@ class Semaphore:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event triggers when granted."""
-        event = self.sim.event(name=f"{self.name}/acquire")
+        event = Event(self.sim, self._event_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             self.max_in_use = max(self.max_in_use, self._in_use)
@@ -150,6 +161,7 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        self._event_name = f"{name}/get"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -164,7 +176,7 @@ class Store:
 
     def get(self) -> Event:
         """Request the next item; the returned event carries it."""
-        event = self.sim.event(name=f"{self.name}/get")
+        event = Event(self.sim, self._event_name)
         if self._items:
             self.sim._schedule(self.sim.now, event, self._items.popleft())
         else:

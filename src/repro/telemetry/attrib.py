@@ -58,6 +58,32 @@ def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
     return merged
 
 
+def _merge_ops(ops: Sequence[TransferRecord]) -> List[Interval]:
+    """:func:`merge_intervals` of a resource's operations, in one pass
+    with no sort when they come in start order — a DES channel's records
+    are FIFO and disjoint by construction.  Wall-clock operations out of
+    order (worker threads) take the sorting path."""
+    merged: List[Interval] = []
+    low = high = None
+    for op in ops:
+        start, end = op.start, op.end
+        if end <= start:
+            continue
+        if high is None:
+            low, high = start, end
+        elif start < low:
+            return merge_intervals([(op.start, op.end) for op in ops])
+        elif start <= high:
+            if end > high:
+                high = end
+        else:
+            merged.append((low, high))
+            low, high = start, end
+    if high is not None:
+        merged.append((low, high))
+    return merged
+
+
 def _clip(intervals: Sequence[Interval], ends: Sequence[float],
           start: float, end: float) -> List[Interval]:
     """Intersect disjoint sorted ``intervals`` with [start, end).
@@ -213,6 +239,18 @@ def attribute(phase_windows: Sequence[PhaseWindow],
     resources.  ``horizon`` (default: total phase time) is the
     denominator for utilization.
     """
+    return _attribute(phase_windows, {
+        str(name): merge_intervals(intervals)
+        for name, intervals in busy_windows.items()},
+        bytes_by_resource, capacities, horizon)
+
+
+def _attribute(phase_windows: Sequence[PhaseWindow],
+               merged: Mapping[str, List[Interval]],
+               bytes_by_resource: Optional[Mapping[str, float]],
+               capacities: Optional[Mapping[str, float]],
+               horizon: Optional[float]) -> Attribution:
+    """:func:`attribute` over busy windows already merged."""
     windows = [(str(p), float(s), float(e))
                for p, s, e in phase_windows if e > s]
     ordered = sorted(windows, key=lambda w: w[1])
@@ -221,8 +259,6 @@ def attribute(phase_windows: Sequence[PhaseWindow],
             raise TelemetryError(
                 f"phase windows overlap at {start:.6f}s (phase {name!r}); "
                 f"attribution needs sequential phases")
-    merged = {str(name): merge_intervals(intervals)
-              for name, intervals in busy_windows.items()}
     ends = {name: [e for _, e in intervals]
             for name, intervals in merged.items()}
 
@@ -422,11 +458,10 @@ class Timeline:
         resources are omitted rather than reported at 0%; wall-clock
         operations on one resource may overlap (worker threads) and are
         merged before the sweep."""
-        busy = {name: [(op.start, op.end) for op in ops]
+        busy = {str(name): _merge_ops(ops)
                 for name, ops in self.ops.items() if ops}
-        return attribute(self.phases, busy,
-                         bytes_by_resource=self.bytes_total,
-                         capacities=self.capacity, horizon=horizon)
+        return _attribute(self.phases, busy, self.bytes_total,
+                          self.capacity, horizon)
 
 
 def attribute_channels(phase_windows: Sequence[PhaseWindow], channels,

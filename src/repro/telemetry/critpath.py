@@ -42,10 +42,12 @@ intervention actually applied and reports that error).
 
 from __future__ import annotations
 
-import bisect
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import repeat
+from operator import itemgetter
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -173,15 +175,26 @@ class DepGraph:
     """
 
     def __init__(self, timeline: Timeline) -> None:
-        raw = [(op.start, op.end, resource, op.tag, op.nbytes,
-                timeline.latency.get(resource, 0.0))
-               for resource, ops in timeline.ops.items() for op in ops]
-        # Stable: ties keep each resource's own FIFO order, which makes
-        # the sorted order a topological order of the measured schedule.
-        raw.sort(key=lambda item: (item[0], item[1]))
-        self.nodes = [DagNode(i, res, tag, nbytes, start, end, latency)
-                      for i, (start, end, res, tag, nbytes, latency)
-                      in enumerate(raw)]
+        rows: List[tuple] = []
+        for resource, ops in timeline.ops.items():
+            latency = timeline.latency.get(resource, 0.0)
+            rows += [(op.start, op.end, resource, op.tag, op.nbytes, latency)
+                     for op in ops]
+        # Stable by (start, end), as two stable sorts on one float each
+        # (no key tuple per row): ties keep each resource's own FIFO
+        # order, which makes the sorted order a topological order of the
+        # measured schedule.
+        rows.sort(key=itemgetter(1))
+        rows.sort(key=itemgetter(0))
+        #: Measured start/end/duration columns, graph order.
+        starts = self.measured_starts = [row[0] for row in rows]
+        ends = self.measured_ends = [row[1] for row in rows]
+        self._durations = [end - start for start, end in zip(starts, ends)]
+        # ``tuple.__new__`` builds each node without a Python-level call.
+        self.nodes = list(map(tuple.__new__, repeat(DagNode), (
+            (i, res, tag, nbytes, start, end, latency)
+            for i, (start, end, res, tag, nbytes, latency)
+            in enumerate(rows))))
         #: What the projections are measured against.
         self.step_seconds = timeline.step_seconds
         #: The step's (phase, start, end) windows — schedule-level
@@ -191,12 +204,9 @@ class DepGraph:
         origin = timeline.origin
         if origin is None:
             origin = min([start for _p, start, _e in timeline.phases]
-                         + [item[0] for item in raw[:1]], default=0.0)
+                         + starts[:1], default=0.0)
         self.origin = float(origin)
-        self.measured_starts = [node.start for node in self.nodes]
-        self.measured_ends = [node.end for node in self.nodes]
-        self.makespan = (max(self.measured_ends) - self.origin
-                         if self.nodes else 0.0)
+        self.makespan = max(ends) - self.origin if ends else 0.0
         self._infer_edges()
 
     @classmethod
@@ -227,19 +237,24 @@ class DepGraph:
         groups = self._group = [0] * n
         members: List[List[int]] = []
         group_at: Dict[float, int] = {}
-        instants: List[float] = []   # distinct finish instants, sorted
+        #: Distinct finish instants after the current node's start, a
+        #: min-heap.  Starts never decrease in graph order, so an instant
+        #: popped once is not after any later start either.
+        pending: List[float] = []
+        latest, latest_group = float("-inf"), -1
         last_on: Dict[str, int] = {}
+        serial_of, group_of = last_on.get, group_at.get
         edges = 0
         for index, (_, resource, _, _, start, end, _) in enumerate(
                 self.nodes):
-            serial = serials[index] = last_on.get(resource, -1)
-            if serial >= 0:
-                edges += 1
-            cut = bisect.bisect_right(instants, start)
-            if cut:
-                instant = instants[cut - 1]
-                group = triggers[index] = group_at[instant]
-                lag = lags[index] = max(0.0, start - instant)
+            serial = serials[index] = serial_of(resource, -1)
+            while pending and pending[0] <= start:
+                instant = heappop(pending)
+                if instant > latest:
+                    latest, latest_group = instant, group_at[instant]
+            if latest_group >= 0:
+                group = triggers[index] = latest_group
+                lag = lags[index] = start - latest
                 prefix = prefixes[index] = len(members[group])
                 edges += prefix
                 if serial >= 0 and lag == 0.0 and groups[serial] == group:
@@ -251,23 +266,24 @@ class DepGraph:
                 lags[index] = max(0.0, start - self.origin)
                 edges += 1
             last_on[resource] = index
-            group = group_at.get(end)
+            group = group_of(end)
             if group is None:
                 group = group_at[end] = len(members)
                 members.append([])
-                bisect.insort(instants, end)
+                heappush(pending, end)
             groups[index] = group
             members[group].append(index)
         self._members = members
-        #: Serial + causal + source edges the per-edge list would hold.
-        self.num_edges = edges
+        #: Serial + causal + source edges the per-edge list would hold;
+        #: every node but each resource's first has a serial edge.
+        self.num_edges = edges + n - len(last_on)
 
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
     def durations(self) -> List[float]:
         """The measured node durations (the replay baseline)."""
-        return [node.duration for node in self.nodes]
+        return list(self._durations)
 
     def replay(self, durations: Optional[Sequence[float]] = None
                ) -> Tuple[List[float], List[float], float]:
@@ -284,7 +300,7 @@ class DepGraph:
             raise TelemetryError(
                 f"replay needs {len(self.nodes)} durations, got "
                 f"{len(durations)}")
-        if durations == self.durations():
+        if durations == self._durations:
             return (list(self.measured_starts), list(self.measured_ends),
                     self.makespan)
         starts = [0.0] * len(self.nodes)
@@ -327,7 +343,7 @@ class DepGraph:
         """CPM over the measured schedule."""
         n = len(self.nodes)
         starts, ends = self.measured_starts, self.measured_ends
-        durations = self.durations()
+        durations = self._durations
         horizon = self.origin + self.makespan
         tol = 1e-9 * max(1.0, abs(horizon))
         latest_end = [horizon] * n
@@ -336,26 +352,33 @@ class DepGraph:
         # collected by the time a member is reached came from nodes that
         # started after that member existed, so it binds the member.
         bound = [horizon] * len(self._members)
-        groups, serials, triggers, lags = (self._group, self._serial,
-                                           self._trigger, self._lag)
-        for index in range(n - 1, -1, -1):
-            limit = bound[groups[index]]
-            if limit < latest_end[index]:
-                latest_end[index] = limit
-            latest_start = latest_end[index] - durations[index]
-            serial, trigger = serials[index], triggers[index]
+        # Every edge points to a higher index, so a node's latest end is
+        # final when the backward walk reaches it and its slack is known.
+        slack: List[float] = []
+        for index, group, duration, start, serial, trigger, lag in zip(
+                range(n - 1, -1, -1), reversed(self._group),
+                reversed(durations), reversed(starts),
+                reversed(self._serial), reversed(self._trigger),
+                reversed(self._lag)):
+            limit = bound[group]
+            latest = latest_end[index]
+            if limit < latest:
+                latest = limit
+            latest_start = latest - duration
+            late = latest_start - start
+            slack.append(late if late > 0.0 else 0.0)
             if serial >= 0 and latest_start < latest_end[serial]:
                 latest_end[serial] = latest_start
             if trigger >= 0:
-                limit = latest_start - lags[index]
+                limit = latest_start - lag
                 if limit < bound[trigger]:
                     bound[trigger] = limit
-        slack = [max(0.0, (latest_end[i] - durations[i]) - starts[i])
-                 for i in range(n)]
+        slack.reverse()
 
         path_nodes: List[DagNode] = []
         if self.nodes:
-            current = max(range(n), key=lambda i: (ends[i], -i))
+            # The latest finisher, lowest index on ties.
+            current = ends.index(max(ends))
             while True:
                 path_nodes.append(self.nodes[current])
                 # The predecessor that released this node: among those

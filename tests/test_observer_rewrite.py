@@ -493,11 +493,14 @@ def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
 # (c) the 48-scenario des_sweep grid
 # ----------------------------------------------------------------------
 #: sha256 over every TransferRecord (channel, tag, nbytes, start, end)
-#: and the event count of all 48 scenarios, computed with the kernel
-#: this PR replaced.
-GRID_RECORDS_SHA256 = ("5338e1c9327d523b92d8c270d0140dea"
-                       "5c86f34a49d4f259d85ed42cb433d8d8")
-GRID_EVENTS, GRID_RECORDS = 29652, 19176
+#: of all 48 scenarios, computed with the per-leg kernel (one event per
+#: transfer leg plus an all_of barrier per composite transfer).
+GRID_RECORDS_SHA256 = ("74fe4a3b42b7907ccdff753c413138ae"
+                       "e86e854f47cd90c2d8a6ba18c5066c02")
+GRID_RECORDS = 19176
+#: Upper bound on the events the grid dispatches: one completion per
+#: composite transfer.  The per-leg kernel dispatched 29 652.
+GRID_EVENTS = 20088
 
 
 def _grid():
@@ -518,7 +521,6 @@ def test_grid_records_attribution_and_critical_path_are_unchanged():
         scenarios += 1
         channels = trace.fabric.all_channels()
         events += trace.fabric.sim.events_processed
-        digest.update(struct.pack("<q", trace.fabric.sim.events_processed))
         for channel in channels:
             records += len(channel.records)
             for record in channel.records:
@@ -535,7 +537,8 @@ def test_grid_records_attribution_and_critical_path_are_unchanged():
         assert_same_graph(
             DepGraph.from_channels(channels, trace.phase_windows),
             [0.5, 1.7, 1.0])
-    assert (scenarios, events, records) == (48, GRID_EVENTS, GRID_RECORDS)
+    assert (scenarios, records) == (48, GRID_RECORDS)
+    assert events <= GRID_EVENTS
     assert digest.hexdigest() == GRID_RECORDS_SHA256
 
 

@@ -90,3 +90,34 @@ def test_event_fail_marks_failed_flag():
     assert isinstance(event.value, RuntimeError)
     with pytest.raises(SimulationError):
         event.fail(RuntimeError("again"))
+
+
+def test_all_of_fails_with_its_first_failed_child():
+    sim = Simulator()
+    caught = []
+
+    def bad(sim, delay, message):
+        yield sim.timeout(delay)
+        raise ValueError(message)
+
+    def waiter(sim):
+        try:
+            yield sim.all_of([sim.timeout(3.0),
+                              sim.process(bad(sim, 2.0, "second to fail")),
+                              sim.process(bad(sim, 1.0, "first to fail")),
+                              sim.timeout(2.0)])
+        except ValueError as exc:
+            caught.append(str(exc))
+            return "recovered"
+
+    proc = sim.process(waiter(sim))
+    # Each failed child surfaces from run(); a caller that keeps running
+    # sees the barrier fail too, not "succeed" with the errors as values.
+    for message in ("first to fail", "second to fail"):
+        with pytest.raises(ValueError, match=message):
+            sim.run()
+    sim.run()
+    # The first failed child in child order, not in time order.
+    assert caught == ["second to fail"]
+    assert proc.value == "recovered"
+    assert sim.now == 3.0
