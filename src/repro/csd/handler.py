@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -131,20 +130,21 @@ class TransferHandler:
             item = self._lazy_queue.get()
             if item is None:
                 return
-            name, start, count = item
+            name, subgroup = item
+            buffer = self.buffers[name][:subgroup.count]
             # Explicit begin/end: this span opens and closes inside the
             # worker loop, the case the context-manager form cannot cover.
             token = telemetry.span_begin(
                 "handler.lazy_writeback", device=self.device.device_id,
-                region=name, elements=count,
+                region=name, subgroup=subgroup.index,
+                elements=subgroup.count, nbytes=buffer.nbytes,
+                queue_depth=self._lazy_queue.qsize(),
                 resource=f"ssd{self.device.device_id}-write")
-            begin = time.perf_counter() if token is not None else 0.0
             try:
                 if self._writer_error is None:
-                    self.device.p2p_write(
-                        name, start, self.buffers[name][:count])
+                    self.device.p2p_write(name, subgroup.start, buffer)
                     self.stats.lazy_writebacks += 1
-                    self.state_commits.add((name, start))
+                    self.state_commits.add((name, subgroup.start))
             except BaseException as exc:
                 # Record the first failure and keep draining: the buffer
                 # latches must keep firing or producers would deadlock.
@@ -153,14 +153,6 @@ class TransferHandler:
             finally:
                 self._buffer_free[name].set()
                 telemetry.span_end(token)
-                if token is not None:
-                    telemetry.histogram(
-                        "handler_lazy_writeback_latency_us",
-                        (time.perf_counter() - begin) * 1e6,
-                        device=self.device.device_id)
-                    telemetry.gauge("handler_lazy_queue_depth",
-                                    self._lazy_queue.qsize(),
-                                    device=self.device.device_id)
 
     def _check_writer(self) -> None:
         if self._writer_error is not None:
@@ -224,29 +216,21 @@ class TransferHandler:
                     kernel.run(params, grads, state, step_num)
 
                 # Urgent write-back: parameters first, synchronously.
-                timed = telemetry.enabled()
-                begin = time.perf_counter() if timed else 0.0
-                self.device.p2p_write(
-                    self.URGENT, subgroup.start,
-                    self.buffers[self.URGENT][:subgroup.count])
+                with telemetry.trace_span(
+                        "handler.urgent_writeback",
+                        device=self.device.device_id,
+                        subgroup=subgroup.index, nbytes=params.nbytes,
+                        resource=f"ssd{self.device.device_id}-write"):
+                    self.device.p2p_write(self.URGENT, subgroup.start,
+                                          params)
                 self.stats.urgent_writebacks += 1
-                if timed:
-                    telemetry.histogram(
-                        "handler_urgent_writeback_latency_us",
-                        (time.perf_counter() - begin) * 1e6,
-                        device=self.device.device_id)
                 if on_params_written is not None:
                     on_params_written(subgroup)
 
                 # Lazy write-back: defer momentum/variance to the worker.
                 for name in self.state_names:
                     self._buffer_free[name].clear()
-                    self._lazy_queue.put(
-                        (name, subgroup.start, subgroup.count))
-                if timed:
-                    telemetry.gauge("handler_lazy_queue_depth",
-                                    self._lazy_queue.qsize(),
-                                    device=self.device.device_id)
+                    self._lazy_queue.put((name, subgroup))
                 self.stats.subgroups_processed += 1
 
             # Wait for this subgroup's lazy writes before reusing the state

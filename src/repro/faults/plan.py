@@ -205,6 +205,15 @@ _FAULT_METRIC_HELP = {
 }
 
 
+def count_fault(registry, name: str, event: Dict[str, object]) -> None:
+    """Add one fault event (labels + ``amount``, as a flight recorder
+    holds it) to ``registry``, wherever the event was recorded."""
+    labels = dict(event)
+    amount = labels.pop("amount")
+    registry.describe(name, _FAULT_METRIC_HELP[name])
+    registry.counter(name, **labels).inc(amount)
+
+
 def _fault_counter(name: str, amount: float = 1.0,
                    **labels: object) -> None:
     """Increment a fault counter in the active telemetry session.
@@ -216,14 +225,12 @@ def _fault_counter(name: str, amount: float = 1.0,
     with or without a telemetry session (the black box must capture the
     seconds before a dropout even when nobody asked for a trace).
     """
+    event = dict(labels, amount=amount)
     if flight._recorder is not None:
-        flight._recorder.record("fault", name,
-                                dict(labels, amount=amount))
+        flight._recorder.record("fault", name, event)
     session = telemetry.active()
-    if session is None:
-        return
-    session.registry.describe(name, _FAULT_METRIC_HELP[name])
-    session.registry.counter(name, **labels).inc(amount)
+    if session is not None:
+        count_fault(session.registry, name, event)
 
 
 @dataclass

@@ -26,9 +26,11 @@ Design:
   :func:`aggregate_arena_stats` view that survives arena death, which the
   steady-state tests and the benchmark harness read.
 
-Telemetry (when a session is active): the ``arena_bytes_in_use`` /
-``arena_high_water_bytes`` gauges and ``arena_checkouts_total`` /
-``arena_alloc_total`` counters, labelled by arena name.
+:class:`ArenaStats` is the arena's only ledger: checkout and release
+touch no telemetry.  The training engines sample every live arena at
+step end into the ``arena_bytes_in_use`` / ``arena_high_water_bytes``
+gauges and ``arena_checkouts_total`` / ``arena_alloc_total`` counters,
+labelled by arena name.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from . import telemetry
 from .errors import ArenaError
 from .telemetry import flight
 
@@ -152,8 +153,6 @@ class BufferArena:
             self._checkouts += 1
             self._bytes_in_use += base.nbytes
             self._high_water = max(self._high_water, self._bytes_in_use)
-            in_use = self._bytes_in_use
-            high = self._high_water
         global _total_allocations, _total_checkouts
         with _totals_lock:
             _total_checkouts += 1
@@ -166,12 +165,6 @@ class BufferArena:
             flight.record_event("arena", "alloc", arena=self.name,
                                 nbytes=int(base.nbytes),
                                 size_class=cls, dtype=dt.str)
-        if telemetry.enabled():
-            telemetry.gauge("arena_bytes_in_use", in_use, arena=self.name)
-            telemetry.gauge("arena_high_water_bytes", high, arena=self.name)
-            telemetry.counter("arena_checkouts_total", arena=self.name)
-            if allocated:
-                telemetry.counter("arena_alloc_total", arena=self.name)
         return base[:num_elements]
 
     def release(self, view: np.ndarray) -> None:
@@ -191,12 +184,9 @@ class BufferArena:
             self._releases += 1
             self._bytes_in_use -= block.nbytes
             self._pooled_bytes += block.nbytes
-            in_use = self._bytes_in_use
         global _total_releases
         with _totals_lock:
             _total_releases += 1
-        if telemetry.enabled():
-            telemetry.gauge("arena_bytes_in_use", in_use, arena=self.name)
 
     @contextlib.contextmanager
     def checkout(self, num_elements: int,
@@ -417,6 +407,12 @@ def thread_arena() -> BufferArena:
     return arena
 
 
+def live_arenas() -> List[BufferArena]:
+    """Every arena of this process that is still alive."""
+    with _totals_lock:
+        return list(_arenas)
+
+
 def aggregate_arena_stats() -> ArenaStats:
     """Process-wide arena view: live arenas plus cumulative counters.
 
@@ -424,23 +420,16 @@ def aggregate_arena_stats() -> ArenaStats:
     whole process (they survive arena death), so a flat ``allocations``
     delta across training steps proves zero steady-state allocation.
     """
-    bytes_in_use = 0
-    high_water = 0
-    pooled = 0
     with _totals_lock:
         allocations = _total_allocations
         checkouts = _total_checkouts
         releases = _total_releases
-        arenas = list(_arenas)
-    for arena in arenas:
-        stats = arena.stats()
-        bytes_in_use += stats.bytes_in_use
-        high_water += stats.high_water_bytes
-        pooled += stats.pooled_bytes
+    stats = [arena.stats() for arena in live_arenas()]
     return ArenaStats(
         allocations=allocations, checkouts=checkouts, releases=releases,
-        bytes_in_use=bytes_in_use, high_water_bytes=high_water,
-        pooled_bytes=pooled)
+        bytes_in_use=sum(stat.bytes_in_use for stat in stats),
+        high_water_bytes=sum(stat.high_water_bytes for stat in stats),
+        pooled_bytes=sum(stat.pooled_bytes for stat in stats))
 
 
 __all__ = [
@@ -451,6 +440,7 @@ __all__ = [
     "SharedMemoryArena",
     "SharedSegment",
     "aggregate_arena_stats",
+    "live_arenas",
     "size_class",
     "thread_arena",
 ]

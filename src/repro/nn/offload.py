@@ -75,9 +75,9 @@ class ActivationSpillStore:
                  name: str = "actspill") -> None:
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, f"{name}.img")
-        self._device = FileBlockDevice(self.path, capacity_bytes,
-                                       name=name)
-        self._store = TensorStore(self._device)
+        self.device = FileBlockDevice(self.path, capacity_bytes,
+                                      name=name)
+        self._store = TensorStore(self.device)
         # (index, nelems) -> region name; a boundary whose shape changes
         # across steps simply gets a fresh region.
         self._regions: Dict[Tuple[int, int], str] = {}
@@ -207,7 +207,7 @@ class ActivationSpillStore:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        self._device.close()
+        self.device.close()
 
     def __enter__(self) -> "ActivationSpillStore":
         return self

@@ -33,7 +33,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import TrainingError
 from ..faults import FaultInjector, FaultPlan
-from ..memory import ArenaStats, aggregate_arena_stats
+from ..memory import ArenaStats, aggregate_arena_stats, live_arenas
 from ..telemetry import flight
 from ..telemetry.flight import FlightRecorder, IncidentDumper
 from ..telemetry.health import (Alert, DEFAULT_SLO_RULES, RulesEngine,
@@ -43,7 +43,7 @@ from ..nn.offload import ActivationSpillStore, activation_spill_scope
 from ..nn.precision import LossScaler, clip_gradients
 from ..optim import make_optimizer
 from ..optim.base import scratch_buffers
-from ..storage.blockdev import FileBlockDevice
+from ..storage.blockdev import FileBlockDevice, IOCounters
 from ..storage.raid0 import RAID0Volume
 from ..storage.tensor_store import TensorStore
 from .parallel import resolve_backend, resolve_workers
@@ -328,8 +328,13 @@ class MixedPrecisionTrainer:
         # before the flight recorder so a failure here leaves nothing
         # installed.
         self._spill: Optional[ActivationSpillStore] = None
+        #: The I/O ledger of every block device the engine drives, by
+        #: device name (engines add theirs).
+        self._block_io: Dict[str, IOCounters] = {}
         if self.activation_offload == "spill":
             self._spill = ActivationSpillStore(storage_dir)
+            self._block_io[self._spill.device.name] = \
+                self._spill.device.counters
 
         # The always-on flight recorder: this engine installs its own
         # and restores whatever was active before on close().
@@ -344,7 +349,9 @@ class MixedPrecisionTrainer:
                                                  config.flight_dump_dir)
         self._fault_snapshot = self.fault_stats()
         self._arena_snapshot = aggregate_arena_stats()
-        #: _utilization_signals: the ``seq`` of the last span attributed.
+        #: ``_block_io`` byte totals as of the previous observed step.
+        self._io_snapshot: Dict[str, Tuple[int, int]] = {}
+        #: _observe_step: the ``seq`` of the last span observed.
         self._span_cursor = 0
         self._closed = False
 
@@ -432,6 +439,10 @@ class MixedPrecisionTrainer:
             f"the {self.engine_name} engine has no host-memory closed "
             "form yet (ROADMAP item 5)")
 
+    def _io_totals(self) -> Dict[str, Tuple[int, int]]:
+        return {name: (counters.bytes_read, counters.bytes_written)
+                for name, counters in self._block_io.items()}
+
     # ------------------------------------------------------------------
     # step driver: wall-clock timing, health signals, incident capture
     # ------------------------------------------------------------------
@@ -492,7 +503,16 @@ class MixedPrecisionTrainer:
         return alert
 
     def _observe_step(self, result: "StepResult", wall: float) -> None:
-        """Feed one finished step into the health monitor + SLO rules."""
+        """Feed one finished step into the health monitor + SLO rules
+        and, under a telemetry session, into its metrics registry: the
+        one place the step's spans and ledgers become metrics."""
+        session = telemetry.active()
+        spans = ([] if session is None
+                 else session.tracer.since(self._span_cursor))
+        if spans:
+            self._span_cursor = spans[-1].seq
+        io, io_prev = self._io_totals(), self._io_snapshot
+        self._io_snapshot = io
         faults = self.fault_stats()
         prev = self._fault_snapshot
         self._fault_snapshot = faults
@@ -517,7 +537,9 @@ class MixedPrecisionTrainer:
             "degraded_steps": float(faults["degraded_steps"]),
             "arena_hit_rate": hit_rate,
         }
-        signals.update(self._utilization_signals())
+        signals.update(self._utilization_signals(spans))
+        if session is not None:
+            _record_step_metrics(session.registry, spans, io, io_prev)
         self.health.observe(**signals)
         flight.record_event(
             "step", "train_step", step=result.step, loss=result.loss,
@@ -537,22 +559,14 @@ class MixedPrecisionTrainer:
                                           rule=alert.rule,
                                           step=result.step)
 
-    def _utilization_signals(self) -> Dict[str, float]:
-        """Per-resource ``util:*`` signals from this step's spans.
-
-        Only meaningful when a telemetry session is active: the spans
-        recorded since the previous observation are one step's worth,
-        and attributing them yields host-link / per-CSD utilization.
-        """
-        session = telemetry.active()
-        if session is None:
+    def _utilization_signals(self, spans: List[telemetry.Span]
+                             ) -> Dict[str, float]:
+        """Per-resource ``util:*`` signals from this step's spans (the
+        ones recorded since the previous observation)."""
+        if not spans:
             return {}
-        fresh = session.tracer.since(self._span_cursor)
-        if not fresh:
-            return {}
-        self._span_cursor = fresh[-1].seq
         try:
-            attribution = telemetry.Timeline.from_spans(fresh).attribution()
+            attribution = telemetry.Timeline.from_spans(spans).attribution()
         except Exception:
             # Health sampling must never kill training; a window that
             # does not attribute (no phase spans, odd nesting) is
@@ -715,6 +729,63 @@ class MixedPrecisionTrainer:
                 0.0 if overflow else norm, overflow)
 
 
+#: Write-back span -> the histogram its durations (in µs) fill.
+_WRITEBACK_LATENCY = {
+    "handler.urgent_writeback": "handler_urgent_writeback_latency_us",
+    "handler.lazy_writeback": "handler_lazy_writeback_latency_us",
+}
+_QUEUE_DEPTH = "handler_lazy_queue_depth"
+
+
+def _record_step_metrics(registry, spans: Sequence[telemetry.Span],
+                         io: Dict[str, Tuple[int, int]],
+                         io_prev: Dict[str, Tuple[int, int]]) -> None:
+    """One step's metrics, one registry lookup per series: the handler's
+    latency histograms and queue depth from its write-back spans, the
+    ``storage_*_bytes_total`` counters from the block devices' byte
+    totals (``io``, against the previous step's), and the ``arena_*``
+    families from every live arena — gauges as at step end, counters
+    raised to the lifetime totals, so engines sharing a session never
+    count an arena twice."""
+    series: Dict[Tuple[str, object], List[float]] = {}
+    for span in spans:
+        family = _WRITEBACK_LATENCY.get(span.name)
+        if family is not None:
+            device = span.attrs["device"]
+            series.setdefault((family, device), []).append(
+                span.duration * 1e6)
+            if "queue_depth" in span.attrs:
+                series.setdefault((_QUEUE_DEPTH, device), []).append(
+                    span.attrs["queue_depth"])
+    for (family, device), values in series.items():
+        record = (registry.gauge(family, device=device).set
+                  if family == _QUEUE_DEPTH
+                  else registry.histogram(family, device=device).observe)
+        for value in values:
+            record(value)
+    for device, totals in io.items():
+        for family, total, before in zip(
+                ("storage_read_bytes_total", "storage_write_bytes_total"),
+                totals, io_prev.get(device, (0, 0))):
+            if total > before:
+                registry.counter(family, device=device).inc(total - before)
+    arenas: Dict[str, List[int]] = {}
+    for arena in live_arenas():
+        stats = arena.stats()
+        sums = arenas.setdefault(arena.name, [0, 0, 0, 0])
+        for index, value in enumerate((
+                stats.bytes_in_use, stats.high_water_bytes,
+                stats.checkouts, stats.allocations)):
+            sums[index] += value
+    for name, (in_use, high, checkouts, allocations) in arenas.items():
+        registry.gauge("arena_bytes_in_use", arena=name).set(in_use)
+        registry.gauge("arena_high_water_bytes", arena=name).set(high)
+        for family, total in (("arena_checkouts_total", checkouts),
+                              ("arena_alloc_total", allocations)):
+            counter = registry.counter(family, arena=name)
+            counter.inc(max(0.0, total - counter.value))
+
+
 class BaselineOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Infinity-style baseline: RAID0 storage + CPU update."""
 
@@ -762,6 +833,10 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
                 for name in self._state_names:
                     self.store.write_array(name, zero)
             self.space.install_fp16_params(masters)
+            # The step metrics count steps, not the placement.
+            self._block_io.update(
+                (member.name, member.counters) for member in self._members)
+            self._io_snapshot = self._io_totals()
         except BaseException:
             self._shutdown(abandon=True)
             raise

@@ -42,6 +42,7 @@ from .. import telemetry
 from ..compression.topk import CompressedGradient, keep_count
 from ..csd.handler import Subgroup
 from ..errors import TrainingError
+from ..faults.plan import count_fault
 from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
@@ -343,17 +344,20 @@ class ProcessShardCoordinator:
     def _ingest(self, resp: Dict[str, object]) -> None:
         """Fold one child response's telemetry into the parent's: every
         event lands in the installed flight recorder under the child's
-        worker label, and a span event's span in the active tracer too
-        (rebased to its epoch) — the same object in both."""
+        worker label, a span event's span in the active tracer too
+        (rebased to its epoch) — the same object in both — and a fault
+        event in the active registry, as the thread backend counts it."""
         events = resp.pop("telemetry", ())
         recorder = flight.active_recorder()
         if recorder is not None:
             recorder.ingest(str(resp.get("worker", "csd-proc")), events)
         session = telemetry.active()
         if session is not None:
-            for _ts, kind, _name, span, _thread in events:
+            for _ts, kind, name, payload, _thread in events:
                 if kind == "span":
-                    session.tracer.adopt(span)
+                    session.tracer.adopt(payload)
+                elif kind == "fault":
+                    count_fault(session.registry, name, payload)
         faults = resp.pop("faults", None)
         if faults:
             self._fault_snapshots[int(resp["index"])] = faults

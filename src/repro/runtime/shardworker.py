@@ -28,10 +28,11 @@ sequential loop.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
-from typing import (Callable, ContextManager, Dict, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from typing import (Callable, ContextManager, Dict, Iterator, List, Optional,
+                    Protocol, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -48,13 +49,17 @@ from ..memory import thread_arena
 from ..modelcomp.quantization import (QuantizedTensor, QuantizerKernel,
                                       dequantize_int8)
 from ..optim.base import scratch_buffers
+from ..storage.blockdev import IOCounters
 from .engine import TrainingConfig, fault_bypass
 from .parallel import CSDWorkerPool
 from .partition import Shard
 
-#: Byte counters every per-step response carries; the engine adds them to
-#: its :class:`~repro.runtime.stats.TrafficMeter` on the main thread.
-BYTE_KEYS = ("host_write", "host_read", "internal_read", "internal_write")
+#: Byte counters every per-step response carries, each what one call
+#: moved.  On the main thread the engine adds the link bytes to its
+#: :class:`~repro.runtime.stats.TrafficMeter` and the block device's
+#: own reads and writes (``device_*``) to that device's byte totals.
+BYTE_KEYS = ("host_write", "host_read", "internal_read", "internal_write",
+             "device_read", "device_write")
 
 #: Checkpointed arrays of one shard besides its optimizer states.
 MASTERS, RESIDUAL = "master_params", "ef_residual"
@@ -241,6 +246,19 @@ class ShardWorker:
         return {"index": self.index, "demoted_now": False,
                 **dict.fromkeys(BYTE_KEYS, 0)}
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _bytes_moved(counters: IOCounters, resp: Dict[str, object],
+                     link: str) -> Iterator[None]:
+        """Add what ``counters`` record inside the block to ``resp``'s
+        ``{link}_read`` / ``{link}_write``."""
+        reads, writes = counters.bytes_read, counters.bytes_written
+        try:
+            yield
+        finally:
+            resp[f"{link}_read"] += counters.bytes_read - reads
+            resp[f"{link}_write"] += counters.bytes_written - writes
+
     # ------------------------------------------------------------------
     # the per-step chain
     # ------------------------------------------------------------------
@@ -262,10 +280,10 @@ class ShardWorker:
         """
         resp = self._response()
         ratio = self.config.compression_ratio
-        with telemetry.trace_span(
-                "offload_device", device=self.index,
-                resource="host-link-down",
-                worker=threading.current_thread().name):
+        with self._bytes_moved(self.device.ssd.counters, resp, "device"), \
+                telemetry.trace_span("offload_device", device=self.index,
+                                     resource="host-link-down",
+                                     worker=threading.current_thread().name):
             compressed = None
             if ratio is not None:
                 # The |g| magnitude pass stages block by block in this
@@ -308,24 +326,24 @@ class ShardWorker:
         if self.demoted:
             return resp
         self.optimizer.lr = lr
-        traffic = self.device.internal_traffic
-        reads, writes = traffic.bytes_read, traffic.bytes_written
         # Which subgroup slices durably reached the SSD, so a mid-pass
         # failure can be recovered exactly (see recover_in_flight).
         committed_params: Set[int] = set()
         committed_states: Set[Tuple[str, int]] = set()
-        try:
-            self._update_pass(step_count, resp, committed_params,
-                              committed_states)
-        except (DeviceFailedError, RetryExhaustedError) as exc:
-            self._demote(exc, resp, step_count,
-                         in_flight=(committed_params, committed_states))
-        finally:
-            self._grads = None
         # The salvage reads of a demotion are maintenance traffic, not
-        # P2P, so the delta is the pass's own whether or not it finished.
-        resp["internal_read"] = traffic.bytes_read - reads
-        resp["internal_write"] = traffic.bytes_written - writes
+        # P2P: the internal delta is the pass's own whether or not it
+        # finished, while the device's own count takes every byte.
+        with self._bytes_moved(self.device.internal_traffic, resp,
+                               "internal"), \
+                self._bytes_moved(self.device.ssd.counters, resp, "device"):
+            try:
+                self._update_pass(step_count, resp, committed_params,
+                                  committed_states)
+            except (DeviceFailedError, RetryExhaustedError) as exc:
+                self._demote(exc, resp, step_count,
+                             in_flight=(committed_params, committed_states))
+            finally:
+                self._grads = None
         return resp
 
     def step(self, grads: np.ndarray, step_count: int, lr: float,

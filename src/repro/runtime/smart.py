@@ -46,6 +46,7 @@ from ..memory import thread_arena
 from ..modelcomp.pruning import PruningMask, magnitude_mask
 from ..modelcomp.quantization import QuantizerKernel, dequantize_int8
 from ..nn.modules import Module
+from ..storage.blockdev import IOCounters
 from .engine import (LossFn, MixedPrecisionTrainer, TrainingConfig,
                      make_fault_injector)
 from .partition import Shard, distribute_shards
@@ -97,6 +98,10 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
 
         self.shards: List[Shard] = distribute_shards(
             self.space.total_elements, config.num_csds)
+        # Each CSD's block-device ledger here is the sum of its shard
+        # responses, so both backends fill it the same way.
+        self._block_io.update((f"csd{shard.device_id}", IOCounters())
+                              for shard in self.shards)
         self._coord = None
         try:
             os.makedirs(storage_dir, exist_ok=True)
@@ -171,6 +176,9 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
             meter.add_host_read(resp["host_read"])
             meter.add_internal_read(resp["internal_read"])
             meter.add_internal_write(resp["internal_write"])
+            io = self._block_io[f"csd{self.shards[resp['index']].device_id}"]
+            io.add_read(resp["device_read"], ops=0)
+            io.add_write(resp["device_write"], ops=0)
             if resp["demoted_now"] and resp["recovered"]:
                 # The worker replayed the in-flight pass exactly and
                 # absorbing it installed the recovered FP16 too.

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .. import telemetry
 from ..errors import StorageError
 
 
@@ -119,21 +117,11 @@ class FileBlockDevice:
         self._check_range(offset, length)
         if self.fault_site is not None:
             self.fault_site.guard("read")
-        timed = telemetry.enabled()
-        begin = time.perf_counter() if timed else 0.0
         got = os.preadv(self._fd, [view], offset)
         if got < length:
             # Sparse tail: the missing range reads as zeros.
             view[got:] = bytes(length - got)
         self.counters.add_read(length)
-        if timed:
-            telemetry.histogram(
-                "storage_pread_latency_us",
-                (time.perf_counter() - begin) * 1e6, device=self.name)
-            telemetry.counter("storage_read_bytes_total", length,
-                              device=self.name)
-            telemetry.counter("copies_elided_total", device=self.name,
-                              site="pread_into")
         return length
 
     def pwrite(self, offset: int, data) -> int:
@@ -148,21 +136,11 @@ class FileBlockDevice:
         self._check_range(offset, length)
         if self.fault_site is not None:
             self.fault_site.guard("write")
-        timed = telemetry.enabled()
-        begin = time.perf_counter() if timed else 0.0
         written = os.pwrite(self._fd, buf, offset)
         if written != length:
             raise StorageError(
                 f"short write on {self.name}: {written}/{length}")
         self.counters.add_write(written)
-        if timed:
-            telemetry.histogram(
-                "storage_pwrite_latency_us",
-                (time.perf_counter() - begin) * 1e6, device=self.name)
-            telemetry.counter("storage_write_bytes_total", written,
-                              device=self.name)
-            telemetry.counter("copies_elided_total", device=self.name,
-                              site="pwrite")
         return written
 
     @staticmethod

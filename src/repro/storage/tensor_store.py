@@ -13,7 +13,6 @@ from typing import Dict, Union
 
 import numpy as np
 
-from .. import telemetry
 from ..errors import StorageError
 from .blockdev import FileBlockDevice
 from .raid0 import RAID0Volume
@@ -128,10 +127,6 @@ class TensorStore:
                 f"{name!r} of {region.num_elements} elements")
         byte_offset = region.offset + start * region.dtype.itemsize
         self.device.pwrite(byte_offset, array)
-        if telemetry.enabled():
-            telemetry.counter("tensor_store_write_bytes_total",
-                              array.size * region.dtype.itemsize,
-                              region=name)
 
     def read_slice_into(self, name: str, start: int, count: int,
                         out: np.ndarray) -> np.ndarray:
@@ -160,7 +155,4 @@ class TensorStore:
         view = out[:count]
         byte_offset = region.offset + start * region.dtype.itemsize
         self.device.pread_into(byte_offset, view)
-        if telemetry.enabled():
-            telemetry.counter("tensor_store_read_bytes_total",
-                              count * region.dtype.itemsize, region=name)
         return view

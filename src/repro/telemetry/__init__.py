@@ -7,7 +7,8 @@ repository (the question the paper's whole evaluation answers):
   thread ids, for the functional engines, the transfer handler's worker
   threads, and anything else that runs in real time;
 * :mod:`~repro.telemetry.metrics` — counters / gauges / fixed-bucket
-  histograms with a ``snapshot()`` dict and Prometheus text exposition;
+  histograms with a ``snapshot()`` dict and Prometheus text exposition,
+  filled once per training step from spans and ledgers;
 * :mod:`~repro.telemetry.attrib` — the :class:`Timeline` every
   observer reads (built from DES channels, recorded spans or a Chrome
   trace document) and phase x resource attribution over it: per-link
@@ -23,7 +24,7 @@ repository (the question the paper's whole evaluation answers):
   per-step dependency DAGs over a timeline, CPM slack, and the what-if
   projection engine behind ``repro whatif``;
 * :mod:`~repro.telemetry.flight` — the always-on flight recorder:
-  per-worker ring buffers of recent span/metric/fault/arena events,
+  per-worker ring buffers of recent span/fault/arena/step/alert events,
   merged on demand into one ordered ``smart-infinity/flightrec/v1``
   JSONL snapshot, with once-per-incident automatic dumps;
 * :mod:`~repro.telemetry.health` — per-step health signals as rolling
@@ -144,8 +145,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "gauge",
-    "histogram",
     "record_channel_metrics",
     "session",
     "span_begin",
@@ -226,17 +225,6 @@ def span_end(token: Optional[Span], **attrs: object) -> None:
 
 
 def counter(name: str, amount: float = 1.0, **labels: object) -> None:
+    """Count a rare event (a fault, an alert, a demotion)."""
     if _active is not None:
         _active.registry.counter(name, **labels).inc(amount)
-
-
-def gauge(name: str, value: float, **labels: object) -> None:
-    if _active is not None:
-        _active.registry.gauge(name, **labels).set(value)
-
-
-def histogram(name: str, value: float, buckets=None,
-              **labels: object) -> None:
-    if _active is not None:
-        _active.registry.histogram(name, buckets=buckets,
-                                   **labels).observe(value)

@@ -56,7 +56,7 @@ FLIGHT_SCHEMA = "smart-infinity/flightrec/v1"
 DEFAULT_CAPACITY = 512
 
 #: Event kinds the recorder understands (free-form names within a kind).
-EVENT_KINDS = ("span", "metric", "fault", "arena", "step", "alert")
+EVENT_KINDS = ("span", "fault", "arena", "step", "alert")
 
 # One event is a tuple — cheaper than a dataclass on the hot path:
 #   (seq, ts, kind, name, payload)

@@ -3,9 +3,13 @@
 The registry is the numeric half of the telemetry layer: trace spans say
 *when* things happened, instruments say *how often* and *how large*.
 Every instrument is identified by a metric name plus a label set (e.g.
-``storage_pread_latency_us{device="ssd0"}``), mirroring the Prometheus
+``storage_read_bytes_total{device="csd0"}``), mirroring the Prometheus
 data model, and the registry renders both a plain ``snapshot()`` dict
 for tests and a Prometheus-style text exposition for scraping.
+
+No hot path writes here: a training engine folds each step's spans and
+ledgers in on its own thread; only rare events (faults, alerts,
+demotions) are counted as they happen.
 
 Instruments are thread-safe (one coarse registry lock) and intentionally
 dependency-free: fixed bucket bounds instead of dynamic quantile sketches
@@ -87,9 +91,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
         self.peak = max(self.peak, value)
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
 
 
 class Histogram:

@@ -57,7 +57,7 @@ def test_tracked_surface_numbers():
     } == {
         "TrainingConfig fields": 23,
         "repro.api names": 9,
-        "repro.telemetry names": 67,
+        "repro.telemetry names": 65,
         "CLI subcommands": 8,
         "CI run steps": 10,
         "step bodies": ["src/repro/runtime/engine.py"],

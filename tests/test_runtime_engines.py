@@ -187,6 +187,42 @@ def test_traffic_metered_per_iteration(tmp_path, dataset):
     engine.close()
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("baseline", dict(raid_members=2)),
+    ("su", dict(num_csds=2, use_transfer_handler=False)),
+    ("su_o_c", dict(num_csds=2, compression_ratio=0.05)),
+])
+def test_traffic_meter_equals_the_device_ledgers(tmp_path, dataset, mode,
+                                                 extra):
+    """Each step's metered traffic is the per-step delta of the devices'
+    own ledgers, to the byte: the baseline's RAID members' I/O counters
+    are its host traffic; a CSD's ``host_traffic`` / ``internal_traffic``
+    are the smart engine's two links."""
+    cls = BaselineOffloadEngine if mode == "baseline" \
+        else SmartInfinityEngine
+    with cls(make_model(), loss_fn, str(tmp_path),
+             config=config(**extra)) as engine:
+        def ledgers():
+            if mode == "baseline":
+                ios = [member.counters for member in engine._members]
+                return (sum(io.bytes_read for io in ios),
+                        sum(io.bytes_written for io in ios), 0, 0)
+            devices = [worker.device for worker in engine._coord._workers]
+            return tuple(
+                sum(getattr(getattr(device, link), field)
+                    for device in devices)
+                for link in ("host_traffic", "internal_traffic")
+                for field in ("bytes_read", "bytes_written"))
+
+        for _ in range(2):
+            before = ledgers()
+            traffic = engine.train_step(dataset.train_tokens[:4],
+                                        dataset.train_labels[:4]).traffic
+            assert (traffic.host_reads, traffic.host_writes,
+                    traffic.internal_reads, traffic.internal_writes) == \
+                tuple(a - b for a, b in zip(ledgers(), before))
+
+
 # ----------------------------------------------------------------------
 # learning and mixed-precision behaviour
 # ----------------------------------------------------------------------

@@ -4,13 +4,17 @@ The acceptance invariants of the telemetry layer:
 
 * enabling telemetry never changes what the engines compute — training
   outputs are bit-identical with tracing on vs. off (property-tested);
-* one functional training step populates the handler queue-depth gauge
-  and the storage latency histograms;
+* one functional training step populates the same metric families on
+  both parallel backends, written once per step on the main thread from
+  the step's spans and ledgers;
+* the urgent write-back is a span, and on the ``Timeline`` it ends
+  before its subgroup's lazy write-backs begin (the SU+O policy);
 * ``python -m repro trace`` writes a valid Chrome trace-event JSON with
   correctly nested wall-clock spans and both time domains present.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.cli import main
 from repro.nn import SequenceClassifier, bert_config
 from repro.runtime import SmartInfinityEngine, TrainingConfig
 from repro.telemetry.export import SIM_PID, WALL_PID
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def loss_fn(model, tokens, labels):
@@ -112,39 +117,80 @@ def test_utilization_signals_in_consecutive_sessions(tmp_path):
         assert util_samples(engine) == dict.fromkeys(first, 4)
 
 
-def test_functional_engine_populates_metrics(tmp_path):
+#: Every family a functional step exposes, with its label keys: the
+#: same on both backends.
+STEP_FAMILIES = {
+    "arena_alloc_total": {("arena",)},
+    "arena_bytes_in_use": {("arena",)},
+    "arena_checkouts_total": {("arena",)},
+    "arena_high_water_bytes": {("arena",)},
+    "handler_lazy_queue_depth": {("device",)},
+    "handler_lazy_writeback_latency_us": {("device",)},
+    "handler_urgent_writeback_latency_us": {("device",)},
+    "storage_read_bytes_total": {("device",)},
+    "storage_write_bytes_total": {("device",)},
+}
+
+
+def _families(snapshot):
+    """``snapshot`` keys as ``family -> {label keys}``."""
+    families = {}
+    for key in snapshot:
+        name, _, labels = key.partition("{")
+        keys = tuple(sorted(part.split("=", 1)[0]
+                            for part in labels.rstrip("}").split(",")
+                            if part))
+        families.setdefault(name, set()).add(keys)
+    return families
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_functional_engine_populates_metrics(tmp_path, backend):
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 16, size=(4, 8))
     labels = rng.integers(0, 2, size=4)
     config = TrainingConfig(optimizer="adam",
                             optimizer_kwargs={"lr": 1e-2},
-                            subgroup_elements=1024, num_csds=2)
+                            subgroup_elements=1024, num_csds=2,
+                            parallel_backend=backend)
     with telemetry.session() as session:
         with SmartInfinityEngine(make_model(), loss_fn,
                                  str(tmp_path / "csd"),
                                  config=config) as engine:
-            engine.train_step(tokens, labels)
+            traffic = engine.train_step(tokens, labels).traffic
     snapshot = session.registry.snapshot()
+    assert _families(snapshot) == STEP_FAMILIES
 
-    # Handler queue depth gauge, per device.
+    # Handler queue depth gauge, per device, from the lazy spans.
     depth_keys = [key for key in snapshot
                   if key.startswith("handler_lazy_queue_depth")]
-    assert depth_keys, snapshot.keys()
+    assert len(depth_keys) == 2
     assert any(snapshot[key]["peak"] >= 1 for key in depth_keys)
 
-    # Storage latency histograms saw real pread/pwrite calls.
-    for metric in ("storage_pread_latency_us",
-                   "storage_pwrite_latency_us"):
-        keys = [key for key in snapshot if key.startswith(metric)]
-        assert keys, f"no {metric} series recorded"
-        assert sum(snapshot[key]["count"] for key in keys) > 0
+    # The write-back histograms hold exactly the write-back spans'
+    # durations (urgent on the update worker, lazy on the writer).
+    for name, family in (
+            ("handler.urgent_writeback",
+             "handler_urgent_writeback_latency_us"),
+            ("handler.lazy_writeback", "handler_lazy_writeback_latency_us")):
+        spans = session.tracer.by_name(name)
+        for device in (0, 1):
+            mine = [span for span in spans if span.attrs["device"] == device]
+            series = snapshot[f'{family}{{device="{device}"}}']
+            assert mine and series["count"] == len(mine)
+            assert series["sum"] == pytest.approx(
+                sum(span.duration for span in mine) * 1e6)
 
-    # Handler write-back latency histograms from both paths (urgent on
-    # the caller thread, lazy on the worker thread).
-    assert any(key.startswith("handler_urgent_writeback_latency_us")
-               for key in snapshot)
-    assert any(key.startswith("handler_lazy_writeback_latency_us")
-               for key in snapshot)
+    # The device byte counters hold the step's pread/pwrite traffic:
+    # what crossed the host link plus what crossed the devices' own.
+    def device_bytes(family):
+        return sum(snapshot[f'{family}{{device="csd{device}"}}']["value"]
+                   for device in (0, 1))
+
+    assert device_bytes("storage_read_bytes_total") \
+        == traffic.host_reads + traffic.internal_reads
+    assert device_bytes("storage_write_bytes_total") \
+        == traffic.host_writes + traffic.internal_writes
 
     # Spans from the worker thread carry a different thread id than the
     # engine's iteration span.
@@ -152,6 +198,139 @@ def test_functional_engine_populates_metrics(tmp_path):
     lazy = session.tracer.by_name("handler.lazy_writeback")
     assert lazy
     assert any(span.thread_id != iteration.thread_id for span in lazy)
+
+
+def test_registry_is_written_on_the_main_thread_only(tmp_path,
+                                                     monkeypatch):
+    """Hot paths keep spans and ledgers; the engine writes the registry
+    once per step, from the thread that observes the step."""
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                            num_csds=2, parallel_csds=2,
+                            compression_ratio=0.1)
+    callers = []
+    for kind in ("counter", "gauge", "histogram"):
+        original = getattr(MetricsRegistry, kind)
+
+        def record(self, name, *args, _original=original, **kwargs):
+            callers.append((name, threading.current_thread()))
+            return _original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, kind, record)
+    with telemetry.session(), \
+            SmartInfinityEngine(make_model(), loss_fn, str(tmp_path),
+                                config=config) as engine:
+        engine.train_step(tokens, labels)
+        del callers[:]
+        engine.train_step(tokens, labels)
+    assert callers and len(callers) <= 60
+    assert {thread for _name, thread in callers} \
+        == {threading.main_thread()}
+
+
+def _write_back_spans(spans):
+    return [span for span in spans
+            if span.name in ("handler.urgent_writeback",
+                             "handler.lazy_writeback")]
+
+
+@pytest.mark.parametrize("compression", [None, 0.1],
+                         ids=["su_o", "su_o_c"])
+def test_write_back_span_bytes_equal_the_internal_ledger(tmp_path,
+                                                         compression):
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                            num_csds=2, compression_ratio=compression)
+    with telemetry.session() as session, \
+            SmartInfinityEngine(make_model(), loss_fn, str(tmp_path),
+                                config=config) as engine:
+        devices = [worker.device for worker in engine._coord._workers]
+        for _ in range(2):
+            before = sum(device.internal_traffic.bytes_written
+                         for device in devices)
+            cursor = len(session.tracer.spans)
+            engine.train_step(tokens, labels)
+            written = sum(device.internal_traffic.bytes_written
+                          for device in devices) - before
+            spans = _write_back_spans(session.tracer.spans[cursor:])
+            assert written > 0
+            assert sum(span.attrs["nbytes"] for span in spans) == written
+
+
+def test_urgent_write_back_ends_before_its_lazy_write_backs(tmp_path):
+    """The SU+O policy (§IV-B, Fig. 5b), read off the ``Timeline``: on
+    each device's write link the ops run urgent, then the subgroup's
+    lazy state writes, and the urgent one has ended before they begin."""
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=512,
+                            num_csds=2, parallel_csds=2)
+    with telemetry.session() as session, \
+            SmartInfinityEngine(make_model(), loss_fn, str(tmp_path),
+                                config=config) as engine:
+        engine.train_step(tokens, labels)
+        states = len(engine.optimizer.state_names)
+        subgroups = [len(worker.subgroups)
+                     for worker in engine._coord._workers]
+    timeline = telemetry.Timeline.from_spans(session.tracer.spans)
+    for device, count in enumerate(subgroups):
+        ops = sorted(timeline.ops[f"ssd{device}-write"],
+                     key=lambda op: op.start)
+        assert len(ops) == count * (1 + states)
+        for first in range(0, len(ops), 1 + states):
+            urgent, *lazy = ops[first:first + 1 + states]
+            assert urgent.tag == "handler.urgent_writeback"
+            assert [op.tag for op in lazy] \
+                == ["handler.lazy_writeback"] * states
+            assert all(urgent.end <= op.start for op in lazy)
+
+
+def _chaos_fault_lines(tmp_path, backend):
+    from repro.faults import FaultPlan, FaultRule, RetryPolicy
+
+    # Reads and kernel passes only: a device's lazy writer interleaves
+    # its writes with the update worker's ops as the threads happen to
+    # run, so which op a draw lands on would vary from run to run.
+    plan = FaultPlan(seed=3, rules=(
+        FaultRule(kind="io_error", op="read", probability=0.05),
+        FaultRule(kind="kernel_stall", op="kernel", probability=0.05),
+        FaultRule(kind="latency", op="read", probability=0.05,
+                  latency_s=1e-5),
+        FaultRule(kind="device_dropout", device=1, op="read",
+                  probability=0.02),
+    ), retry=RetryPolicy(base_delay_s=1e-4, max_delay_s=1e-3))
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                            num_csds=2, parallel_csds=2,
+                            parallel_backend=backend, fault_plan=plan)
+    with telemetry.session() as session, \
+            SmartInfinityEngine(make_model(), loss_fn,
+                                str(tmp_path / backend),
+                                config=config) as engine:
+        for _ in range(3):
+            engine.train_step(tokens, labels)
+        stats = engine.fault_stats()
+    return stats, [line for line in
+                   session.registry.render_prometheus().splitlines()
+                   if "faults_" in line]
+
+
+def test_fault_counters_match_across_backends(tmp_path):
+    """A worker process's fault events reach the parent's registry, so a
+    seeded chaos run exposes the same ``faults_*`` lines on both
+    backends."""
+    stats, thread_lines = _chaos_fault_lines(tmp_path, "thread")
+    assert sum(stats["injected"].values()) > 0 and stats["demotions"] == 1
+    assert any(line.startswith("faults_injected_total{")
+               for line in thread_lines)
+    assert _chaos_fault_lines(tmp_path, "process")[1] == thread_lines
 
 
 def _events_by_pid(events, pid):
@@ -235,7 +414,7 @@ def test_cli_trace_metrics_flag_prints_exposition(tmp_path, capsys):
                  "--metrics", "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "# TYPE des_channel_bytes_total counter" in printed
-    assert "storage_pread_latency_us" in printed
+    assert "handler_lazy_writeback_latency_us_count" in printed
 
 
 def test_cli_simulate_metrics_flag(capsys):

@@ -115,11 +115,10 @@ def test_zero_copy_counters_and_telemetry(device):
         device.pread_into(0, out)
     assert device.counters.bytes_written == data.nbytes
     assert device.counters.bytes_read == data.nbytes
-    registry = sess.registry
-    assert registry.counter("copies_elided_total", device=device.name,
-                            site="pwrite").value == 1
-    assert registry.counter("copies_elided_total", device=device.name,
-                            site="pread_into").value == 1
+    # One op per call on the only I/O path, counted by the ledger alone:
+    # the device writes nothing to the metrics registry.
+    assert (device.counters.read_ops, device.counters.write_ops) == (1, 1)
+    assert sess.registry.snapshot() == {}
 
 
 def test_raid0_pread_into_cross_stripe(tmp_path):
