@@ -61,18 +61,6 @@ def plan_subgroups(total_elements: int,
     return groups
 
 
-@dataclass
-class HandlerStats:
-    """Observability for tests and experiments."""
-
-    subgroups_processed: int = 0
-    urgent_writebacks: int = 0
-    lazy_writebacks: int = 0
-    buffer_bytes: int = 0
-    #: Peak number of DRAM buffer bytes ever in use (fixed by design).
-    peak_buffer_bytes: int = 0
-
-
 class TransferHandler:
     """The optimized internal data-transfer handler for one CSD."""
 
@@ -89,14 +77,12 @@ class TransferHandler:
         self._variables = (self.URGENT, "grads") + self.state_names
 
         # Buffer pre-allocation (the core of the optimization): one buffer
-        # per variable, sized for the largest subgroup, allocated once.
+        # per variable, sized for the largest subgroup, allocated once —
+        # the device's ``dram_allocated`` is this footprint, fixed.
         self.buffers: Dict[str, np.ndarray] = {}
         for name in self._variables:
             self.buffers[name] = device.allocate_dram(
                 f"handler/{name}", max_subgroup_elements)
-        self.stats = HandlerStats(
-            buffer_bytes=4 * max_subgroup_elements * len(self._variables))
-        self.stats.peak_buffer_bytes = self.stats.buffer_bytes
 
         # Per-variable "buffer free" latches for lazy write-back reuse.
         self._buffer_free: Dict[str, threading.Event] = {}
@@ -143,7 +129,6 @@ class TransferHandler:
             try:
                 if self._writer_error is None:
                     self.device.p2p_write(name, subgroup.start, buffer)
-                    self.stats.lazy_writebacks += 1
                     self.state_commits.add((name, subgroup.start))
             except BaseException as exc:
                 # Record the first failure and keep draining: the buffer
@@ -223,7 +208,6 @@ class TransferHandler:
                         resource=f"ssd{self.device.device_id}-write"):
                     self.device.p2p_write(self.URGENT, subgroup.start,
                                           params)
-                self.stats.urgent_writebacks += 1
                 if on_params_written is not None:
                     on_params_written(subgroup)
 
@@ -231,7 +215,6 @@ class TransferHandler:
                 for name in self.state_names:
                     self._buffer_free[name].clear()
                     self._lazy_queue.put((name, subgroup))
-                self.stats.subgroups_processed += 1
 
             # Wait for this subgroup's lazy writes before reusing the state
             # buffers in the next loop iteration (enforced by the events).

@@ -4,7 +4,8 @@ Two reproductions in one:
 
 * **analytic** — the closed forms (6M/2M etc.) for a paper-scale model;
 * **measured** — a tiny transformer trained for one step through each
-  *functional* engine, with every byte crossing the host path metered.
+  *functional* engine, every byte crossing the host path read off the
+  devices' own I/O ledgers.
   The measured numbers must equal the closed forms exactly.
 """
 

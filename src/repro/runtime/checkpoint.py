@@ -28,8 +28,9 @@ def save_checkpoint(engine, path: str) -> None:
 
     The archive is written to a temp file beside ``path``, flushed to
     the device and renamed over it, so a crash mid-save leaves the
-    previous checkpoint intact.  ``path`` is used verbatim (no ``.npz``
-    suffix is appended).
+    previous checkpoint intact; the directory is flushed after the
+    rename, so a crash after the return cannot bring the previous one
+    back.  ``path`` is used verbatim (no ``.npz`` suffix is appended).
     """
     arrays = engine.gather_state_arrays()
     temp = f"{path}.tmp.{os.getpid()}"
@@ -53,6 +54,11 @@ def save_checkpoint(engine, path: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
         raise
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_checkpoint(engine, path: str) -> None:

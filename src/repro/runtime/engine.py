@@ -8,8 +8,9 @@ The baseline engine reproduces the ZeRO-Infinity dataflow of Fig. 1:
 * block-wise CPU update: upload gradients + optimizer states, update with
   the host optimizer, offload the states back, refresh the FP16 copy.
 
-Every byte crossing the host<->storage path is metered so the Table I
-accounting can be asserted, and the engines share one training step
+Every byte crossing the host<->storage path lands in a device's own I/O
+ledger, so the Table I accounting can be asserted against what the
+devices did, and the engines share one training step
 (:meth:`MixedPrecisionTrainer._step_impl`: mixed-precision
 forward/backward, loss-scale verdict, phase order under either
 schedule), supplying only its offload and update hooks — so
@@ -329,7 +330,8 @@ class MixedPrecisionTrainer:
         # installed.
         self._spill: Optional[ActivationSpillStore] = None
         #: The I/O ledger of every block device the engine drives, by
-        #: device name (engines add theirs).
+        #: device name (the baseline adds its RAID members; the smart
+        #: engine's CSDs come from its coordinator, in ``_io_totals``).
         self._block_io: Dict[str, IOCounters] = {}
         if self.activation_offload == "spill":
             self._spill = ActivationSpillStore(storage_dir)
@@ -442,6 +444,11 @@ class MixedPrecisionTrainer:
     def _io_totals(self) -> Dict[str, Tuple[int, int]]:
         return {name: (counters.bytes_read, counters.bytes_written)
                 for name, counters in self._block_io.items()}
+
+    def _traffic_totals(self) -> IterationTraffic:
+        """Engine hook: the cumulative host / internal link bytes of the
+        engine's device ledgers (none without storage)."""
+        return IterationTraffic()
 
     # ------------------------------------------------------------------
     # step driver: wall-clock timing, health signals, incident capture
@@ -625,7 +632,7 @@ class MixedPrecisionTrainer:
                                   schedule=self.schedule,
                                   backend=self.backend,
                                   workers=self.workers) as span:
-            self.meter.begin_iteration()
+            self.meter.begin_iteration(self._traffic_totals())
             with telemetry.trace_span("forward_backward"):
                 loss, flat_grads, norm, overflow = \
                     self.forward_backward_many(batches)
@@ -646,7 +653,7 @@ class MixedPrecisionTrainer:
             elif proceed:
                 with telemetry.trace_span("update", workers=self.workers):
                     self._update(flat_grads)
-            traffic = self.meter.end_iteration()
+            traffic = self.meter.end_iteration(self._traffic_totals())
             self.loss_history.append(loss)
             span.set(step=self.step_count, loss=loss, overflow=overflow,
                      host_reads=traffic.host_reads,
@@ -848,6 +855,12 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
     def _resident(self) -> Dict[str, int]:
         return {"ef_residual": 0, "compressed_stream": 0, "handler_dram": 0}
 
+    def _traffic_totals(self) -> IterationTraffic:
+        """Every byte a RAID member moves crosses the host link."""
+        counters = self.volume.counters()
+        return IterationTraffic(host_reads=counters.bytes_read,
+                                host_writes=counters.bytes_written)
+
     # ------------------------------------------------------------------
     # step hooks: block-wise upload -> AVX update -> offload (Fig. 4a)
     # ------------------------------------------------------------------
@@ -856,7 +869,6 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
                                   resource="host-link-down",
                                   nbytes=4 * flat_grads.size):
             self.store.write_array("grads", flat_grads)
-        self.meter.add_host_write(4 * flat_grads.size)
 
     def _update(self, flat_grads: np.ndarray) -> None:
         self._block_loop(None, update=True)
@@ -891,7 +903,6 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
                             resource="host-link-down", nbytes=4 * count):
                         self.store.write_slice(
                             "grads", start, unwritten[start:start + count])
-                    self.meter.add_host_write(4 * count)
                 if update:
                     self._update_block(start, count, blocks)
 
@@ -911,14 +922,12 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
                     name, start, count, block)
                 for name, block in zip(names, blocks[2:])
             }
-            self.meter.add_host_read(4 * count * (2 + len(names)))
 
             self.optimizer.step(masters, grads, state, self.step_count)
 
             self.store.write_slice("master_params", start, masters)
             for name in names:
                 self.store.write_slice(name, start, state[name])
-            self.meter.add_host_write(4 * count * (1 + len(names)))
 
             # Refresh the FP16 working copy from the updated masters.
             self.space.install_fp16_slice(start, masters)

@@ -9,9 +9,10 @@ but the host-side glue.  The functional engines have the same property:
   residual — no two devices ever touch the same bytes;
 * the only cross-device state is the :class:`~repro.runtime.partition.
   FlatParameterSpace` (upstream installs copy into disjoint ranges of
-  its flat working buffer, so they need no lock), the
-  :class:`~repro.runtime.stats.TrafficMeter` (lock-protected counters),
-  and telemetry (thread-safe by construction).
+  its flat working buffer, so they need no lock) and telemetry
+  (thread-safe by construction).  Traffic is not shared: each device
+  counts its bytes in its own locked ``IOCounters`` ledgers, and the
+  engine reads their delta on the main thread at step boundaries.
 
 Because the update arithmetic is element-wise over disjoint ranges, the
 execution order across devices is irrelevant: fanning the per-device

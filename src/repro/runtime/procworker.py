@@ -15,8 +15,9 @@ calls over the task pipe.
   :class:`~repro.memory.SharedMemoryArena`, so both sides address the
   same physical pages through ndarray views;
 * the task pipe carries **descriptors and scalars only** — region
-  offsets at init, ``(step_count, lr)`` per update, byte counts and
-  fault snapshots back.  :func:`repro.runtime.parallel._check_payload`
+  offsets at init, ``(step_count, lr)`` per update, and back the
+  device's cumulative ledger totals and fault snapshot after every
+  task.  :func:`repro.runtime.parallel._check_payload`
   enforces that no ndarray ever crosses the pipe;
 * the child builds what the thread backend shares with its engine: its
   own optimizer and its *own* :class:`~repro.faults.FaultInjector` from
@@ -46,6 +47,7 @@ from ..faults.plan import count_fault
 from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
+from ..storage.blockdev import IOCounters
 from ..telemetry import SpanTracer, TelemetrySession, flight
 from ..telemetry.flight import FlightRecorder
 from .engine import make_fault_injector
@@ -260,6 +262,9 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
         resp = child.run(op, task)
     resp["worker"] = threading.current_thread().name
     resp["faults"] = child.fault_snapshot()
+    resp["ledgers"] = [
+        (io.bytes_read, io.bytes_written, io.read_ops, io.write_ops)
+        for io in child.worker.ledgers()]
     _drain_telemetry(resp)
     return resp
 
@@ -274,9 +279,9 @@ class ProcessShardCoordinator:
     Owns the shared arena, one channel (``name -> view``) per shard, and
     the :class:`~repro.runtime.parallel.ProcessCSDWorkerPool`.  Every
     method that runs tasks ingests the children's forwarded telemetry
-    (events, spans, fault snapshots) and only then reports demotions
-    through ``on_demotion``, so the incident it records finds the
-    triggering child events already in the parent's flight ring.
+    (events, spans, fault snapshots, ledger totals) and only then reports
+    demotions through ``on_demotion``, so the incident it records finds
+    the triggering child events already in the parent's flight ring.
     ``install(start, masters)`` is the parent half of the upstream path.
     """
 
@@ -293,6 +298,8 @@ class ProcessShardCoordinator:
         self._on_demotion = on_demotion
         self._demoted: Set[int] = set()
         self._fault_snapshots: Dict[int, Dict[str, object]] = {}
+        #: Each shard's ledgers as of its child's last response.
+        self._ledgers: Dict[int, Tuple[IOCounters, ...]] = {}
         self._closed = False
         self.pool: Optional[ProcessCSDWorkerPool] = None
         arena = self.arena = SharedMemoryArena(
@@ -346,7 +353,8 @@ class ProcessShardCoordinator:
         event lands in the installed flight recorder under the child's
         worker label, a span event's span in the active tracer too
         (rebased to its epoch) — the same object in both — and a fault
-        event in the active registry, as the thread backend counts it."""
+        event in the active registry, as the thread backend counts it;
+        the shard's fault snapshot and ledger totals replace the last."""
         events = resp.pop("telemetry", ())
         recorder = flight.active_recorder()
         if recorder is not None:
@@ -361,6 +369,8 @@ class ProcessShardCoordinator:
         faults = resp.pop("faults", None)
         if faults:
             self._fault_snapshots[int(resp["index"])] = faults
+        self._ledgers[int(resp["index"])] = tuple(
+            IOCounters(*totals) for totals in resp.pop("ledgers"))
 
     def _send_grads(self, flat_grads: np.ndarray) -> None:
         for shard, channel in zip(self.shards, self.channels):
@@ -430,6 +440,11 @@ class ProcessShardCoordinator:
         channel = self.channels[index]
         return channel[MASTERS].copy(), {
             name: channel[name].copy() for name in self.state_names}
+
+    def ledgers(self) -> List[Tuple[IOCounters, ...]]:
+        """Every shard's ``(host, internal, device)`` ledgers, as its
+        child last reported them."""
+        return [self._ledgers[index] for index in range(len(self.shards))]
 
     def merge_fault_stats(self, stats: Dict[str, object]) -> None:
         """Add the children's cumulative fault accounting into ``stats``."""

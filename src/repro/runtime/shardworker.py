@@ -18,9 +18,12 @@ backends differ only in *where a worker runs and how bytes reach it*:
   and the parent installs a shard once its task returns.
 
 Both coordinators speak one protocol (``offload`` / ``update`` / ``step``
-/ ``compressed_view`` / ``salvage_arrays`` / ``gather_state`` /
-``scatter_state`` / ``merge_fault_stats`` / ``close``), which is what
-:class:`~repro.runtime.smart.SmartInfinityEngine` is written against.
+/ ``compressed_view`` / ``salvage_arrays`` / ``ledgers`` /
+``gather_state`` / ``scatter_state`` / ``merge_fault_stats`` /
+``close``), which is what :class:`~repro.runtime.smart.
+SmartInfinityEngine` is written against.  Responses carry no bytes:
+``ledgers`` exposes each device's own I/O counters, live here and as
+the child's last-reported totals across the process boundary.
 Because shards are disjoint and every worker owns private storage and
 buffers, any placement of the workers is bit-identical to the
 sequential loop.
@@ -28,11 +31,10 @@ sequential loop.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from typing import (Callable, ContextManager, Dict, Iterator, List, Optional,
-                    Protocol, Sequence, Set, Tuple)
+from typing import (Callable, ContextManager, Dict, List, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -53,13 +55,6 @@ from ..storage.blockdev import IOCounters
 from .engine import TrainingConfig, fault_bypass
 from .parallel import CSDWorkerPool
 from .partition import Shard
-
-#: Byte counters every per-step response carries, each what one call
-#: moved.  On the main thread the engine adds the link bytes to its
-#: :class:`~repro.runtime.stats.TrafficMeter` and the block device's
-#: own reads and writes (``device_*``) to that device's byte totals.
-BYTE_KEYS = ("host_write", "host_read", "internal_read", "internal_write",
-             "device_read", "device_write")
 
 #: Checkpointed arrays of one shard besides its optimizer states.
 MASTERS, RESIDUAL = "master_params", "ef_residual"
@@ -141,11 +136,12 @@ class ShardWorker:
     per device id, so a shared injector and a per-process one inject the
     same sequence), the shard's initial masters and the upstream sink.
 
-    Every per-step method returns a small dict of scalars — the
-    :data:`BYTE_KEYS` counters plus, on the step a device is lost,
-    ``demoted_now`` / ``recovered`` / ``cause`` / ``cause_type`` /
-    ``retry_exhausted``.  Arrays never enter a response: a demoted
-    shard's state is left in :attr:`salvaged` for the transport to move.
+    Every per-step method returns a small dict of scalars — ``index`` and
+    ``demoted_now``, plus ``recovered`` / ``cause`` / ``cause_type`` /
+    ``retry_exhausted`` on the step a device is lost.  Bytes are not
+    reported: the device's own ledgers (:meth:`ledgers`) hold them.
+    Arrays never enter a response: a demoted shard's state is left in
+    :attr:`salvaged` for the transport to move.
     """
 
     def __init__(self, index: int, shard: Shard, config: TrainingConfig,
@@ -177,8 +173,8 @@ class ShardWorker:
         self.handler: Optional[TransferHandler] = None
         self.device = self._open_device(storage_dir)
         try:
-            # Initial state placement (setup traffic, not metered and
-            # outside the fault domain).
+            # Initial state placement (setup traffic, on neither link's
+            # ledger and outside the fault domain).
             with fault_bypass(faults):
                 self.device.store.write_array(MASTERS, masters)
                 zero = np.zeros(shard.count, dtype=np.float32)
@@ -241,23 +237,18 @@ class ShardWorker:
             "handler_dram": (0 if self.demoted
                              else self.device.dram_allocated)}
 
+    def ledgers(self) -> Tuple[IOCounters, IOCounters, IOCounters]:
+        """The device's cumulative ``(host, internal, device)`` ledgers:
+        the host link and the private P2P path of Table I, and every
+        read and write of the SSD itself (setup, salvage and checkpoint
+        I/O included)."""
+        device = self.device
+        return device.host_traffic, device.internal_traffic, \
+            device.ssd.counters
+
     # ------------------------------------------------------------------
     def _response(self) -> Dict[str, object]:
-        return {"index": self.index, "demoted_now": False,
-                **dict.fromkeys(BYTE_KEYS, 0)}
-
-    @staticmethod
-    @contextlib.contextmanager
-    def _bytes_moved(counters: IOCounters, resp: Dict[str, object],
-                     link: str) -> Iterator[None]:
-        """Add what ``counters`` record inside the block to ``resp``'s
-        ``{link}_read`` / ``{link}_write``."""
-        reads, writes = counters.bytes_read, counters.bytes_written
-        try:
-            yield
-        finally:
-            resp[f"{link}_read"] += counters.bytes_read - reads
-            resp[f"{link}_write"] += counters.bytes_written - writes
+        return {"index": self.index, "demoted_now": False}
 
     # ------------------------------------------------------------------
     # the per-step chain
@@ -280,10 +271,9 @@ class ShardWorker:
         """
         resp = self._response()
         ratio = self.config.compression_ratio
-        with self._bytes_moved(self.device.ssd.counters, resp, "device"), \
-                telemetry.trace_span("offload_device", device=self.index,
-                                     resource="host-link-down",
-                                     worker=threading.current_thread().name):
+        with telemetry.trace_span("offload_device", device=self.index,
+                                  resource="host-link-down",
+                                  worker=threading.current_thread().name):
             compressed = None
             if ratio is not None:
                 # The |g| magnitude pass stages block by block in this
@@ -300,13 +290,11 @@ class ShardWorker:
             try:
                 if compressed is None:
                     self.device.host_write("grads", grads)
-                    resp["host_write"] = 4 * self.shard.count
                 else:
                     self.device.host_write("comp_indices",
                                            compressed.indices)
                     self.device.host_write("comp_values",
                                            compressed.values)
-                    resp["host_write"] = compressed.nbytes
             except (DeviceFailedError, RetryExhaustedError) as exc:
                 # No update was in flight, so the device holds a
                 # consistent post-previous-step shard: demote now and
@@ -330,20 +318,14 @@ class ShardWorker:
         # failure can be recovered exactly (see recover_in_flight).
         committed_params: Set[int] = set()
         committed_states: Set[Tuple[str, int]] = set()
-        # The salvage reads of a demotion are maintenance traffic, not
-        # P2P: the internal delta is the pass's own whether or not it
-        # finished, while the device's own count takes every byte.
-        with self._bytes_moved(self.device.internal_traffic, resp,
-                               "internal"), \
-                self._bytes_moved(self.device.ssd.counters, resp, "device"):
-            try:
-                self._update_pass(step_count, resp, committed_params,
-                                  committed_states)
-            except (DeviceFailedError, RetryExhaustedError) as exc:
-                self._demote(exc, resp, step_count,
-                             in_flight=(committed_params, committed_states))
-            finally:
-                self._grads = None
+        try:
+            self._update_pass(step_count, committed_params,
+                              committed_states)
+        except (DeviceFailedError, RetryExhaustedError) as exc:
+            self._demote(exc, resp, step_count,
+                         in_flight=(committed_params, committed_states))
+        finally:
+            self._grads = None
         return resp
 
     def step(self, grads: np.ndarray, step_count: int, lr: float,
@@ -358,13 +340,9 @@ class ShardWorker:
         resp = self.offload(grads, overflow=not do_update)
         if not do_update or self.demoted:
             return resp
-        updated = self.update(step_count, lr)
-        for key in BYTE_KEYS:
-            updated[key] += resp[key]
-        return updated
+        return self.update(step_count, lr)
 
-    def _update_pass(self, step_count: int, resp: Dict[str, object],
-                     committed_params: Set[int],
+    def _update_pass(self, step_count: int, committed_params: Set[int],
                      committed_states: Set[Tuple[str, int]]) -> None:
         load_grads, release_grads = self._grad_loader()
 
@@ -376,7 +354,7 @@ class ShardWorker:
                                       device=self.index,
                                       subgroup=subgroup.index,
                                       resource="host-link-up"):
-                self._upstream_subgroup(subgroup, resp)
+                self._upstream_subgroup(subgroup)
 
         def on_state_written(name: str, subgroup: Subgroup) -> None:
             committed_states.add((name, subgroup.start))
@@ -465,8 +443,7 @@ class ShardWorker:
 
         return load_compressed, release
 
-    def _upstream_subgroup(self, subgroup: Subgroup,
-                           resp: Dict[str, object]) -> None:
+    def _upstream_subgroup(self, subgroup: Subgroup) -> None:
         """Upstream one subgroup's updated parameters to the host.
 
         Plain flow (Fig. 4b step 4): the host reads the FP32 masters (2M
@@ -484,7 +461,6 @@ class ShardWorker:
         with self.sink.destination(subgroup) as buffer:
             if self.quantizer is None:
                 device.host_read_into(MASTERS, buffer, start, count)
-                resp["host_read"] += 4 * count
                 return
             # The masters are already in FPGA DRAM after the urgent
             # write-back, so no extra P2P read is needed; we fetch them
@@ -503,7 +479,6 @@ class ShardWorker:
                 device.host_read_into("masters_q", q_values, start, count)
                 device.host_read_into("masters_scales", scales,
                                       scale_offset, scales.size)
-                resp["host_read"] += count + 4 * scales.size
                 np.copyto(buffer, dequantize_int8(QuantizedTensor(
                     values=q_values, scales=scales,
                     group_size=self.config.quantization_group,
@@ -665,6 +640,10 @@ class InProcessShardCoordinator:
         worker = self._workers[index]
         salvaged, worker.salvaged = worker.salvaged, None
         return salvaged
+
+    def ledgers(self) -> List[Tuple[IOCounters, IOCounters, IOCounters]]:
+        """Every shard's live ``(host, internal, device)`` ledgers."""
+        return [worker.ledgers() for worker in self._workers]
 
     def merge_fault_stats(self, stats: Dict[str, object]) -> None:
         """Nothing to add: the workers share the engine's own injector."""

@@ -22,7 +22,9 @@ CSD — the concurrency structure behind the paper's near-linear Fig. 11
 scaling.  This engine is the trainer's offload/update hooks written
 against a shard *coordinator*, plus the one thing that is host-side by
 nature: the host-CPU path a demoted shard falls back to (the step's
-phase order, scaler verdict and traffic meter are the shared trainer's).
+phase order, scaler verdict and traffic meter are the shared trainer's;
+a step's traffic is the delta of the CSDs' own ``host_traffic`` /
+``internal_traffic`` ledgers, which the coordinator exposes).
 The coordinator runs the workers on threads in this process or
 in per-CSD worker processes; because shards are disjoint and every
 worker owns private storage and buffers, either placement is
@@ -34,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +48,12 @@ from ..memory import thread_arena
 from ..modelcomp.pruning import PruningMask, magnitude_mask
 from ..modelcomp.quantization import QuantizerKernel, dequantize_int8
 from ..nn.modules import Module
-from ..storage.blockdev import IOCounters
 from .engine import (LossFn, MixedPrecisionTrainer, TrainingConfig,
                      make_fault_injector)
 from .partition import Shard, distribute_shards
 from .shardworker import (MASTERS, InProcessShardCoordinator,
                           dense_shard_grads)
+from .stats import IterationTraffic
 
 
 class _InstallSink:
@@ -98,10 +100,6 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
 
         self.shards: List[Shard] = distribute_shards(
             self.space.total_elements, config.num_csds)
-        # Each CSD's block-device ledger here is the sum of its shard
-        # responses, so both backends fill it the same way.
-        self._block_io.update((f"csd{shard.device_id}", IOCounters())
-                              for shard in self.shards)
         self._coord = None
         try:
             os.makedirs(storage_dir, exist_ok=True)
@@ -130,6 +128,8 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                     self.faults, masters, self.workers,
                     lambda shard: _InstallSink(self._install, shard),
                     self._absorb_demotion)
+            # The step metrics count steps, not the placement.
+            self._io_snapshot = self._io_totals()
 
             working = masters.copy()
             if self.pruning_mask is not None:
@@ -167,28 +167,35 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
 
     def _finish(self, responses, flat_grads: np.ndarray,
                 updated: bool) -> None:
-        """Meter one round of shard responses; if it ran the update,
-        run it host-side for every demoted shard it could not cover."""
-        meter = self.meter
-        recovered: Set[int] = set()
-        for resp in responses:
-            meter.add_host_write(resp["host_write"])
-            meter.add_host_read(resp["host_read"])
-            meter.add_internal_read(resp["internal_read"])
-            meter.add_internal_write(resp["internal_write"])
-            io = self._block_io[f"csd{self.shards[resp['index']].device_id}"]
-            io.add_read(resp["device_read"], ops=0)
-            io.add_write(resp["device_write"], ops=0)
-            if resp["demoted_now"] and resp["recovered"]:
-                # The worker replayed the in-flight pass exactly and
-                # absorbing it installed the recovered FP16 too.
-                recovered.add(resp["index"])
-        if updated:
-            for index in sorted(self._host_shards):
-                if index not in recovered:
-                    self._host_update_shard(
-                        index, self._coord.compressed_view(index),
-                        flat_grads)
+        """If this round of shard responses ran the update, run it
+        host-side for every demoted shard it could not cover."""
+        if not updated:
+            return
+        # A worker that demoted mid-pass replayed it exactly, and
+        # absorbing that installed the recovered FP16 too.
+        recovered = {resp["index"] for resp in responses
+                     if resp["demoted_now"] and resp["recovered"]}
+        for index in sorted(self._host_shards):
+            if index not in recovered:
+                self._host_update_shard(
+                    index, self._coord.compressed_view(index), flat_grads)
+
+    def _traffic_totals(self) -> IterationTraffic:
+        """The CSDs' host and internal link ledgers, summed."""
+        totals = IterationTraffic()
+        for host, internal, _ in self._coord.ledgers():
+            totals.host_reads += host.bytes_read
+            totals.host_writes += host.bytes_written
+            totals.internal_reads += internal.bytes_read
+            totals.internal_writes += internal.bytes_written
+        return totals
+
+    def _io_totals(self) -> Dict[str, Tuple[int, int]]:
+        totals = super()._io_totals()
+        for shard, (_, _, device) in zip(self.shards, self._coord.ledgers()):
+            totals[f"csd{shard.device_id}"] = (device.bytes_read,
+                                               device.bytes_written)
+        return totals
 
     def fault_stats(self) -> Dict[str, object]:
         """Cumulative fault accounting, merged across worker processes."""

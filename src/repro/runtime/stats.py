@@ -11,8 +11,9 @@ SmartUpdate     2M (params up)     2M (gradients)
 SmartComp(c%)   2M (params up)     c% x 2M (gradients)
 ==============  =================  ==================
 
-The functional engines meter every byte they move across the host path, and
-the tests check those meters against these closed forms exactly.
+A step's traffic is what the engine's device ledgers (each device's
+:class:`~repro.storage.blockdev.IOCounters`) gained during the step, and
+the tests check it against these closed forms exactly.
 
 :func:`expected_host_resident` is the same kind of statement about host
 memory: which buffers a warmed-up engine may hold, itemised by owner and
@@ -21,8 +22,7 @@ checked byte for byte against ``engine.host_resident()``.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,50 +50,28 @@ class IterationTraffic:
 
 @dataclass
 class TrafficMeter:
-    """Accumulates traffic per iteration across all devices.
+    """Per-iteration traffic, read off the devices' own ledgers.
 
-    Thread-safe: the engines fan per-CSD offload/update work across a
-    worker pool, so ``add_*`` may fire concurrently from several threads.
-    A lock serializes the read-modify-write of each counter; because
-    byte-count addition is commutative, parallel execution meters exactly
-    the same totals as the sequential loop (asserted in tests).
-    ``begin_iteration``/``end_iteration`` stay main-thread calls that
-    delimit the fan-out, never overlapping it.
+    ``begin_iteration`` / ``end_iteration`` take the engine's cumulative
+    link totals (its devices' ``IOCounters``, summed) at the two ends of
+    a step, and an iteration's traffic is their difference.  Both are
+    main-thread calls at step boundaries; the ledgers' locks are what
+    keep the bytes exact while a device's update worker and lazy writer
+    overlap.
     """
 
     iterations: List[IterationTraffic] = field(default_factory=list)
-    _current: IterationTraffic = field(default_factory=IterationTraffic)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    _start: IterationTraffic = field(default_factory=IterationTraffic)
 
-    def begin_iteration(self) -> None:
-        with self._lock:
-            self._current = IterationTraffic()
+    def begin_iteration(self, totals: IterationTraffic) -> None:
+        self._start = totals
 
-    def end_iteration(self) -> IterationTraffic:
-        with self._lock:
-            self.iterations.append(self._current)
-            return self._current
-
-    @property
-    def current(self) -> IterationTraffic:
-        return self._current
-
-    def add_host_read(self, nbytes: int) -> None:
-        with self._lock:
-            self._current.host_reads += nbytes
-
-    def add_host_write(self, nbytes: int) -> None:
-        with self._lock:
-            self._current.host_writes += nbytes
-
-    def add_internal_read(self, nbytes: int) -> None:
-        with self._lock:
-            self._current.internal_reads += nbytes
-
-    def add_internal_write(self, nbytes: int) -> None:
-        with self._lock:
-            self._current.internal_writes += nbytes
+    def end_iteration(self, totals: IterationTraffic) -> IterationTraffic:
+        traffic = IterationTraffic(*(
+            now - start for now, start in zip(astuple(totals),
+                                              astuple(self._start))))
+        self.iterations.append(traffic)
+        return traffic
 
 
 def expected_traffic(num_params: int, method: str,

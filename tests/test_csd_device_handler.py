@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.csd import (SmartSSDDevice, Subgroup, TransferHandler,
                        UpdaterKernel, naive_update_pass, plan_subgroups)
 from repro.errors import CapacityError, KernelError
@@ -162,13 +163,11 @@ def run_pass(device, total, use_handler, steps=3, subgroup=40):
         handler = TransferHandler(device, state_names, subgroup)
         for step in range(1, steps + 1):
             handler.run_update_pass(subgroups, kernel, step, load_grads)
-        stats = handler.stats
         handler.close()
-        return stats
+        return
     for step in range(1, steps + 1):
         naive_update_pass(device, subgroups, kernel, step, state_names,
                           load_grads)
-    return None
 
 
 def test_handler_and_naive_produce_identical_state(tmp_path):
@@ -207,10 +206,13 @@ def test_handler_buffer_footprint_is_fixed(tmp_path):
     with SmartSSDDevice(str(tmp_path / "f.img"), 1 << 22) as device:
         seed_device(device, 200)
         handler = TransferHandler(device, ("momentum", "variance"), 64)
-        # 4 buffers (params, grads, momentum, variance) x 64 elements.
-        assert handler.stats.buffer_bytes == 4 * 64 * 4
-        assert device.dram_allocated == handler.stats.buffer_bytes
-        assert handler.stats.peak_buffer_bytes == handler.stats.buffer_bytes
+        # 4 buffers (params, grads, momentum, variance) x 64 elements,
+        # and a pass allocates nothing more.
+        assert device.dram_allocated == 4 * 64 * 4
+        handler.run_update_pass(
+            plan_subgroups(200, 64), UpdaterKernel(Adam()), 1,
+            lambda s, b: device.p2p_read_into("grads", s.start, b, s.count))
+        assert device.dram_allocated == 4 * 64 * 4
         handler.close()
         assert device.dram_allocated == 0
 
@@ -244,15 +246,21 @@ def test_handler_urgent_callback_fires_per_subgroup(tmp_path):
 
 
 def test_handler_lazy_writebacks_all_drain(tmp_path):
-    with SmartSSDDevice(str(tmp_path / "l.img"), 1 << 22) as device:
+    with SmartSSDDevice(str(tmp_path / "l.img"), 1 << 22) as device, \
+            telemetry.session() as session:
         seed_device(device, 120)
         handler = TransferHandler(device, ("momentum", "variance"), 40)
         kernel = UpdaterKernel(Adam(), chunk_elements=16)
         handler.run_update_pass(
             plan_subgroups(120, 40), kernel, 1,
             lambda s, b: device.p2p_read_into("grads", s.start, b, s.count))
-        assert handler.stats.lazy_writebacks == 2 * 3  # two vars x 3 subs
-        assert handler.stats.urgent_writebacks == 3
+        # Two variables x three subgroups, all committed by the return.
+        assert handler.state_commits == {
+            (name, start) for name in ("momentum", "variance")
+            for start in (0, 40, 80)}
+        tracer = session.tracer
+        assert len(tracer.by_name("handler.lazy_writeback")) == 2 * 3
+        assert len(tracer.by_name("handler.urgent_writeback")) == 3
         handler.close()
 
 

@@ -7,8 +7,7 @@ import pytest
 import repro
 from repro.errors import TrainingError
 from repro.experiments.report import fmt_bytes, render_table
-from repro.runtime.stats import (IterationTraffic, TrafficMeter,
-                                 expected_traffic)
+from repro.runtime.stats import IterationTraffic, expected_traffic
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_tracked_surface_numbers():
     }
     source_lines = sum(len(path.read_text().splitlines())
                        for path in (root / "src/repro").rglob("*.py"))
-    assert source_lines <= 18_500   # ROADMAP item 6's ceiling
+    assert source_lines <= 18_409   # lowered as the source shrinks
 
 
 #: Public top-level names under ``src/repro`` that nothing in ``src/``,
@@ -125,27 +124,13 @@ def test_no_public_name_without_a_reader():
 
 
 # ----------------------------------------------------------------------
-# traffic meter / expected traffic
+# iteration traffic / expected traffic
 # ----------------------------------------------------------------------
 def test_iteration_traffic_totals():
     traffic = IterationTraffic(host_reads=3, host_writes=4,
                                internal_reads=5, internal_writes=6)
     assert traffic.host_total == 7
     assert traffic.internal_total == 11
-
-
-def test_traffic_meter_accumulates_per_iteration():
-    meter = TrafficMeter()
-    meter.begin_iteration()
-    meter.add_host_read(10)
-    meter.add_internal_write(20)
-    first = meter.end_iteration()
-    meter.begin_iteration()
-    second = meter.end_iteration()
-    assert first.host_reads == 10
-    assert first.internal_writes == 20
-    assert second.host_total == 0
-    assert len(meter.iterations) == 2
 
 
 def test_expected_traffic_rejects_unknown_method():

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro.api import create_engine
+from repro.compression.topk import keep_count
 from repro.errors import FaultError, TrainingError, WorkerCrashError
 from repro.faults import FaultPlan, FaultRule
 from repro.memory import SharedMemoryArena, SharedSegment
 from repro.nn import SequenceClassifier, bert_config
 from repro.runtime import (CSDWorkerPool, ProcessCSDWorkerPool,
-                           TrainingConfig)
+                           TrainingConfig, distribute_shards)
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.parallel import resolve_backend
 
@@ -283,6 +284,27 @@ def test_process_backend_chaos_dropout_parity(tmp_path, schedule, rules,
         # strictly between a one-device step's and a two-device step's.
         reads = [step.internal_reads for step in thread_traffic]
         assert reads[3] < reads[1] < reads[0]
+
+
+def test_dropout_between_compressed_writes_counts_the_bytes_that_landed(
+        tmp_path):
+    """Device 0 drops out at the second write of its first compressed
+    offload: the indices reached it, the values did not.  A step's
+    traffic is its devices' ledger delta, so that step counts the index
+    bytes — on both backends alike — and from then on only device 1."""
+    plan = FaultPlan(rules=(
+        FaultRule(kind="device_dropout", device=0, at_op=2),))
+    runs = {backend: train_smart(tmp_path, backend, backend, steps=2,
+                                 fault_plan=plan, compression_ratio=0.05)
+            for backend in ("thread", "process")}
+    params, faults, traffic = runs["thread"]
+    assert faults["demotions"] == 1
+    assert runs["process"][2] == traffic
+    shards = distribute_shards(params.size, 2)
+    kept = [keep_count(shard.count, 0.05) for shard in shards]
+    assert [(step.host_writes, step.host_reads) for step in traffic] == [
+        (4 * kept[0] + 8 * kept[1], 4 * shards[1].count),
+        (8 * kept[1], 4 * shards[1].count)]
 
 
 def test_checkpoint_round_trip_across_backends(tmp_path):

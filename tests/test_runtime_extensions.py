@@ -2,6 +2,7 @@
 quantized upstream, pruning-masked fine-tuning."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -193,6 +194,31 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, dataset,
     fresh = HostOffloadEngine(make_model(seed=2), loss_fn, config=config())
     load_checkpoint(fresh, ckpt)
     assert fresh.step_count == 1
+
+
+def test_save_flushes_the_directory_after_the_rename(tmp_path, dataset,
+                                                     monkeypatch):
+    """The rename survives a crash only once its directory entry is on
+    the device: the file is flushed before ``os.replace``, the
+    checkpoint's directory after it."""
+    engine = HostOffloadEngine(make_model(), loss_fn, config=config())
+    steps(engine, dataset, count=1)
+    events = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append("replace")
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(info.st_ino if stat.S_ISDIR(info.st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    save_checkpoint(engine, str(tmp_path / "ckpt"))
+    assert events == ["file", "replace", os.stat(tmp_path).st_ino]
 
 
 def test_checkpoint_path_is_used_verbatim(tmp_path, dataset):

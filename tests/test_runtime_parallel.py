@@ -7,7 +7,8 @@ piece of that argument:
 
 * ``resolve_workers`` / ``CSDWorkerPool`` semantics (auto sizing,
   ordering, error propagation, inline degeneration at ``workers=1``);
-* the TrafficMeter survives a concurrent hammer without losing updates;
+* a device's ``IOCounters`` ledger survives a concurrent hammer without
+  losing updates;
 * parallel == sequential bit-identical parameters *and* byte-identical
   traffic for SmartUpdate and SmartComp (SU+O+C);
 * the SmartComp compressed-stream cache reads each device's stream over
@@ -16,6 +17,7 @@ piece of that argument:
   identities, which is what makes Chrome traces show per-device lanes.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -26,7 +28,8 @@ from repro.compression.topk import keep_count
 from repro.errors import TrainingError
 from repro.nn import SequenceClassifier, bert_config
 from repro.runtime import (CSDWorkerPool, SmartInfinityEngine,
-                           TrafficMeter, TrainingConfig, resolve_workers)
+                           TrainingConfig, resolve_workers)
+from repro.storage import IOCounters
 
 
 def loss_fn(model, tokens, labels):
@@ -149,37 +152,38 @@ class TestCSDWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# TrafficMeter thread safety
+# IOCounters thread safety
 # ----------------------------------------------------------------------
-def test_traffic_meter_concurrent_hammer():
+def test_io_counters_concurrent_hammer():
     """N threads x M adds per counter must lose no update.
 
-    Without the meter's lock, the ``+=`` read-modify-write races and the
-    totals come up short — this is exactly the lost-update bug the
-    parallel engines would hit on their shared meter.
+    A device's update worker and its lazy writer add to one ledger at
+    once, and a step's traffic is read off that ledger: without its
+    lock, the ``+=`` read-modify-write races and the totals come up
+    short.
     """
-    meter = TrafficMeter()
-    meter.begin_iteration()
+    ledger = IOCounters()
     threads_n, adds = 8, 2000
 
     def hammer():
         for _ in range(adds):
-            meter.add_host_read(1)
-            meter.add_host_write(2)
-            meter.add_internal_read(3)
-            meter.add_internal_write(4)
+            ledger.add_read(1)
+            ledger.add_write(2, ops=3)
 
     threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    traffic = meter.end_iteration()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     total = threads_n * adds
-    assert traffic.host_reads == 1 * total
-    assert traffic.host_writes == 2 * total
-    assert traffic.internal_reads == 3 * total
-    assert traffic.internal_writes == 4 * total
+    assert ledger == IOCounters(bytes_read=total, bytes_written=2 * total,
+                                read_ops=total, write_ops=3 * total)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.optim import make_optimizer
 from repro.runtime import Shard, TrainingConfig
-from repro.runtime.shardworker import BYTE_KEYS, ShardWorker
+from repro.runtime.shardworker import ShardWorker
 
 COUNT = 200          # four subgroups: 64 + 64 + 64 + 8
 LR = 1e-2
@@ -43,6 +43,12 @@ def make_worker(directory, faults=None, **config_kwargs):
     return worker, sink
 
 
+def host_bytes(worker):
+    """``(read, written)`` on the worker's host-link ledger so far."""
+    host = worker.device.host_traffic
+    return host.bytes_read, host.bytes_written
+
+
 def read_state(worker):
     out = {name: np.empty(COUNT, dtype=np.float32)
            for name in ("master_params", *worker.state_names)}
@@ -62,12 +68,13 @@ def test_mid_pass_dropout_salvage_equals_fault_free_state(
     clean, clean_sink = make_worker(
         tmp_path / "clean", use_transfer_handler=use_transfer_handler)
     for step in (1, 2):
+        assert host_bytes(clean) == (4 * COUNT * (step - 1),) * 2
         resp = clean.offload(grads[step - 1], overflow=False)
-        assert resp["host_write"] == 4 * COUNT
+        assert set(resp) == {"index", "demoted_now"}
+        assert host_bytes(clean)[1] == 4 * COUNT * step
         resp = clean.update(step, LR)
-        assert set(resp) == {"index", "demoted_now", *BYTE_KEYS}
-        assert not resp["demoted_now"]
-        assert resp["host_read"] == 4 * COUNT
+        assert resp == {"index": 0, "demoted_now": False}
+        assert host_bytes(clean)[0] == 4 * COUNT * step
     expected = read_state(clean)
     np.testing.assert_array_equal(clean_sink.upstream,
                                   expected["master_params"])
@@ -87,7 +94,10 @@ def test_mid_pass_dropout_salvage_equals_fault_free_state(
     assert resp["demoted_now"] and resp["recovered"]
     assert resp["cause_type"] == "DeviceFailedError"
     assert not resp["retry_exhausted"]
-    assert 0 < resp["host_read"] < 4 * COUNT       # the pass was cut short
+    # The pass was cut short: step 2 read back part of the shard only,
+    # and the salvage reads are on neither link's ledger.
+    reads, writes = host_bytes(chaos)
+    assert 4 * COUNT < reads < 8 * COUNT and writes == 8 * COUNT
 
     masters, states = chaos.salvaged
     np.testing.assert_array_equal(masters, expected["master_params"])
@@ -96,6 +106,9 @@ def test_mid_pass_dropout_salvage_equals_fault_free_state(
 
     # From here on the shard lives host-side: no device I/O, no update.
     assert chaos.demoted
-    assert chaos.offload(grads[0], overflow=False)["host_write"] == 0
-    assert chaos.update(3, LR)["host_read"] == 0
+    ssd = chaos.device.ssd.counters.snapshot()
+    chaos.offload(grads[0], overflow=False)
+    chaos.update(3, LR)
+    assert host_bytes(chaos) == (reads, writes)
+    assert chaos.device.ssd.counters == ssd
     chaos.close()
