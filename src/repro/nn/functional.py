@@ -1,10 +1,10 @@
 """Differentiable neural-network operations built on :class:`Tensor`.
 
-These are the ops a transformer needs: GELU/ReLU activations, stable
-softmax and log-softmax, layer normalization, embedding lookup, dropout,
-causal masking, and token-level cross-entropy.  Each op registers a custom
-backward closure rather than being composed from primitives where a fused
-implementation is clearer or numerically safer.
+These are the ops a transformer needs: the affine map, GELU/ReLU
+activations, stable softmax and log-softmax, layer normalization, embedding
+lookup, dropout, causal masking, and token-level cross-entropy.  Each op
+registers a custom backward closure rather than being composed from
+primitives where a fused implementation is clearer or numerically safer.
 """
 
 from __future__ import annotations
@@ -17,6 +17,40 @@ import numpy as np
 from .tensor import Tensor
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def linear(x: Tensor, weight: Tensor,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` as one graph node.
+
+    The forward and the input gradient are one 2-D GEMM over all leading
+    axes of ``x``.  The weight gradient is one GEMM per leading index,
+    summed in index order: numpy reduces an outer axis sequentially, so
+    these are the bits of a batched matmul followed by ``sum(axis=0)``
+    (bar a 1x1 weight, whose lone element numpy sums pairwise), without
+    its ``(batch, in, out)`` temporary.
+    """
+    out = x.data.reshape(-1, x.data.shape[-1]) @ weight.data
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        rows = grad.reshape(-1, grad.shape[-1])
+        if x.requires_grad:
+            x._accumulate((rows @ weight.data.T).reshape(x.data.shape))
+        if weight.requires_grad:
+            xs = x.data.reshape((-1,) + x.data.shape[-2:])
+            gs = grad.reshape((-1,) + grad.shape[-2:])
+            gw = xs[0].T @ gs[0]
+            for index in range(1, len(xs)):
+                gw += xs[index].T @ gs[index]
+            weight._accumulate(gw)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0))
+
+    return x._make(out.reshape(x.data.shape[:-1] + out.shape[-1:]),
+                   parents, backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -308,7 +308,9 @@ class Tensor:
         return self._make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
-        axes = axes or tuple(reversed(range(self.ndim)))
+        # Normalised first: argsort inverts (-1, 0, 1) to the identity.
+        axes = (tuple(axis % self.ndim for axis in axes)
+                or tuple(reversed(range(self.ndim))))
         inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
@@ -324,9 +326,21 @@ class Tensor:
                           backward)
 
     def __getitem__(self, index) -> "Tensor":
+        # Basic indices (ints, slices, None, Ellipsis; not bools) make a
+        # view that selects each element once, so ``+=`` replaces add.at;
+        # on zeros it keeps add.at's ``0.0 + -0.0`` sign.
+        parts = index if isinstance(index, tuple) else (index,)
+        basic = all(part is None or part is Ellipsis
+                    or isinstance(part, slice)
+                    or (isinstance(part, (int, np.integer))
+                        and not isinstance(part, bool)) for part in parts)
+
         def backward(grad: np.ndarray) -> None:
             full = np.zeros(self.data.shape, dtype=np.float32)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return self._make(self.data[index], (self,), backward)

@@ -105,6 +105,10 @@ def test_grad_reshape_transpose(rng):
                    rng.standard_normal((2, 3)))
     check_gradient(lambda t: (t.transpose(1, 0) ** 2).sum(),
                    rng.standard_normal((2, 3)))
+    # Negative axes: the inverse permutation is taken modulo ndim.
+    weights = Tensor(rng.standard_normal((4, 2, 3)).astype(np.float32))
+    check_gradient(lambda t: (t.transpose(-1, 0, 1) * weights).sum(),
+                   rng.standard_normal((2, 3, 4)))
 
 
 def test_grad_swapaxes(rng):
