@@ -8,7 +8,8 @@ Public surface:
 * :class:`FaultInjector` / :class:`FaultSite` — runtime evaluation,
   threaded through :class:`~repro.storage.blockdev.FileBlockDevice`,
   :class:`~repro.csd.device.SmartSSDDevice` and the transfer handler.
-* :class:`FaultStats` — cumulative accounting (mirrored to telemetry).
+* :class:`FaultLedger` — the fault domain's one record: an amount per
+  metric series, which the engine turns into ``faults_*`` counters.
 
 The associated error types (:class:`~repro.errors.FaultInjectionError`,
 :class:`~repro.errors.DeviceFailedError`,
@@ -16,7 +17,7 @@ The associated error types (:class:`~repro.errors.FaultInjectionError`,
 """
 
 from .plan import (KINDS, OPS, TRANSIENT_KINDS, FaultInjector, FaultPlan,
-                   FaultRule, FaultSite, FaultStats)
+                   FaultLedger, FaultRule, FaultSite)
 from .retry import RetryPolicy
 
 __all__ = [
@@ -24,9 +25,9 @@ __all__ = [
     "OPS",
     "TRANSIENT_KINDS",
     "FaultInjector",
+    "FaultLedger",
     "FaultPlan",
     "FaultRule",
     "FaultSite",
-    "FaultStats",
     "RetryPolicy",
 ]

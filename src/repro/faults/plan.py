@@ -24,9 +24,10 @@ retries with exponential backoff per the plan's :class:`RetryPolicy` and
 raises :class:`~repro.errors.RetryExhaustedError` when the budget runs
 out.  Permanent faults raise :class:`~repro.errors.DeviceFailedError`
 immediately (and forever after, for that device).  Every injected fault,
-retry, backoff sleep and dropout is counted in :class:`FaultStats` and
-mirrored into :mod:`repro.telemetry` counters/spans when a telemetry
-session is active.
+retry, backoff sleep and dropout is counted in a :class:`FaultLedger`
+and appended to the flight recorder; backoffs and stalls are also
+traced as spans.  The engine owning the ledger turns it into the
+``faults_*`` metric families once per step, on its own thread.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .. import telemetry
 from ..errors import (DeviceFailedError, FaultInjectionError,
@@ -191,8 +192,8 @@ class FaultPlan:
         ))
 
 
-#: HELP text for the fault metric families (Prometheus exposition).
-_FAULT_METRIC_HELP = {
+#: HELP text for the fault-domain metric families (Prometheus exposition).
+METRIC_HELP = {
     "faults_injected_total": "Faults injected by the chaos plan, by kind.",
     "faults_retries_total": "Guarded operations retried after a "
                             "transient fault.",
@@ -202,81 +203,69 @@ _FAULT_METRIC_HELP = {
     "faults_latency_seconds_total": "Seconds stalled by injected "
                                     "latency spikes.",
     "faults_dropouts_total": "Devices permanently dropped off the bus.",
+    "faults_demotions_total": "Shards demoted to the host-CPU update path.",
+    "faults_degraded_steps_total": "Updates a demoted shard ran on the "
+                                   "host CPU.",
+    "raid_degraded_total": "RAID0 members that failed permanently.",
+    "health_alerts_total": "Alerts fired: SLO rules and incidents.",
+}
+
+#: One ledger entry: a metric family and its sorted ``(label, value)``
+#: pairs.
+Series = Tuple[str, Tuple[Tuple[str, object], ...]]
+
+#: Family -> the ``fault_stats()`` key that totals its series.
+_TOTALS = {
+    "faults_retries_total": "retries",
+    "faults_retry_exhausted_total": "retries_exhausted",
+    "faults_backoff_seconds_total": "backoff_seconds",
+    "faults_latency_seconds_total": "latency_seconds",
+    "faults_dropouts_total": "dropouts",
+    "faults_demotions_total": "demotions",
+    "faults_degraded_steps_total": "degraded_steps",
 }
 
 
-def count_fault(registry, name: str, event: Dict[str, object]) -> None:
-    """Add one fault event (labels + ``amount``, as a flight recorder
-    holds it) to ``registry``, wherever the event was recorded."""
-    labels = dict(event)
-    amount = labels.pop("amount")
-    registry.describe(name, _FAULT_METRIC_HELP[name])
-    registry.counter(name, **labels).inc(amount)
+def series_key(family: str, **labels: object) -> Series:
+    """The ledger key of ``family{labels}``."""
+    return family, tuple(sorted(labels.items()))
 
 
-def _fault_counter(name: str, amount: float = 1.0,
-                   **labels: object) -> None:
-    """Increment a fault counter in the active telemetry session.
-
-    Chaos accounting lands in the same exposition as everything else —
-    one scrape shows channel traffic, attribution, and fault activity
-    side by side.  No-op when telemetry is off — except that every fault
-    event is also appended to the installed flight recorder, which works
-    with or without a telemetry session (the black box must capture the
-    seconds before a dropout even when nobody asked for a trace).
-    """
-    event = dict(labels, amount=amount)
-    if flight._recorder is not None:
-        flight._recorder.record("fault", name, event)
-    session = telemetry.active()
-    if session is not None:
-        count_fault(session.registry, name, event)
+def summarize(series: Dict[Series, float]) -> Dict[str, object]:
+    """The totals ``engine.fault_stats()`` reports, from ledger series:
+    injections by kind, then one sum per family in :data:`_TOTALS`.
+    Series are summed in sorted order, so equal ledgers give equal
+    totals however their entries were gathered."""
+    stats: Dict[str, object] = {"injected": {},
+                                **dict.fromkeys(_TOTALS.values(), 0)}
+    for (family, labels), amount in sorted(series.items()):
+        if family == "faults_injected_total":
+            kind = dict(labels)["kind"]
+            stats["injected"][kind] = stats["injected"].get(kind, 0) + amount
+        elif family in _TOTALS:
+            stats[_TOTALS[family]] += amount
+    return stats
 
 
-@dataclass
-class FaultStats:
-    """Cumulative, thread-safe accounting of everything the injector did."""
+class FaultLedger:
+    """The one record of the fault domain: a thread-safe amount per
+    ``(family, labels)`` series.  The injector counts what it did into
+    it (``faults_*``), the engine what it made of that (demotions,
+    degraded steps, alerts); the engine writes each step's delta into
+    the metrics registry, and :func:`summarize` gives the totals."""
 
-    injected: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    retries_exhausted: int = 0
-    backoff_seconds: float = 0.0
-    latency_seconds: float = 0.0
-    dropouts: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._series: Dict[Series, float] = {}
 
-    def count_injection(self, kind: str) -> None:
+    def add(self, family: str, amount: float = 1, **labels: object) -> None:
+        key = series_key(family, **labels)
         with self._lock:
-            self.injected[kind] = self.injected.get(kind, 0) + 1
+            self._series[key] = self._series.get(key, 0) + amount
 
-    def count_retry(self, backoff_s: float) -> None:
+    def series(self) -> Dict[Series, float]:
         with self._lock:
-            self.retries += 1
-            self.backoff_seconds += backoff_s
-
-    def count_exhausted(self) -> None:
-        with self._lock:
-            self.retries_exhausted += 1
-
-    def count_latency(self, seconds: float) -> None:
-        with self._lock:
-            self.latency_seconds += seconds
-
-    def count_dropout(self) -> None:
-        with self._lock:
-            self.dropouts += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "injected": dict(self.injected),
-                "retries": self.retries,
-                "retries_exhausted": self.retries_exhausted,
-                "backoff_seconds": self.backoff_seconds,
-                "latency_seconds": self.latency_seconds,
-                "dropouts": self.dropouts,
-            }
+            return dict(self._series)
 
 
 class _DeviceFaultState:
@@ -296,14 +285,16 @@ class FaultInjector:
 
     One injector serves a whole fleet; devices are identified by the
     integer ids the storage layer already uses (``csd0`` -> 0, RAID
-    member ``ssd2`` -> 2).  ``sleep`` is injectable so tests can use a
-    fake clock for backoff/latency timing.
+    member ``ssd2`` -> 2).  It counts into ``ledger`` (an engine passes
+    its own).  ``sleep`` is injectable so tests can use a fake clock for
+    backoff/latency timing.
     """
 
     def __init__(self, plan: FaultPlan,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 sleep: Callable[[float], None] = time.sleep,
+                 ledger: Optional[FaultLedger] = None) -> None:
         self.plan = plan
-        self.stats = FaultStats()
+        self.ledger = ledger if ledger is not None else FaultLedger()
         self._sleep = sleep
         self._devices: Dict[int, _DeviceFaultState] = {}
         self._devices_lock = threading.Lock()
@@ -315,6 +306,17 @@ class FaultInjector:
     def site(self, device_id: int) -> "FaultSite":
         """A device-bound view, attachable to one block device / CSD."""
         return FaultSite(self, device_id)
+
+    def _count(self, family: str, amount: float = 1,
+               **labels: object) -> None:
+        """Count one fault event in the ledger, and in the installed
+        flight recorder, which holds it with or without a telemetry
+        session (the black box must capture the seconds before a
+        dropout even when nobody asked for a trace)."""
+        self.ledger.add(family, amount, **labels)
+        recorder = flight.active_recorder()
+        if recorder is not None:  # labels hold a "kind": no record_event
+            recorder.record("fault", family, dict(labels, amount=amount))
 
     def _state(self, device_id: int) -> _DeviceFaultState:
         with self._devices_lock:
@@ -350,8 +352,7 @@ class FaultInjector:
             if not state.dead:
                 state.dead = True
                 state.dead_reason = reason
-                self.stats.count_dropout()
-                _fault_counter("faults_dropouts_total", device=device_id)
+                self._count("faults_dropouts_total", device=device_id)
 
     # ------------------------------------------------------------------
     # the hot path
@@ -387,16 +388,13 @@ class FaultInjector:
                     if state.rng.random() >= rule.probability:
                         continue
                 state.fires[index] = state.fires.get(index, 0) + 1
-                self.stats.count_injection(rule.kind)
-                _fault_counter("faults_injected_total", kind=rule.kind,
-                               device=device_id, op=op)
+                self._count("faults_injected_total", kind=rule.kind,
+                            device=device_id, op=op)
                 if rule.kind == "device_dropout":
                     state.dead = True
                     state.dead_reason = (
                         f"injected dropout at op {state.op_index}")
-                    self.stats.count_dropout()
-                    _fault_counter("faults_dropouts_total",
-                                   device=device_id)
+                    self._count("faults_dropouts_total", device=device_id)
                     raise DeviceFailedError(
                         f"device {device_id} dropped out "
                         f"(injected at op {state.op_index})",
@@ -407,9 +405,8 @@ class FaultInjector:
                 transient = (rule, state.op_index)
                 break
         if stall > 0.0:
-            self.stats.count_latency(stall)
-            _fault_counter("faults_latency_seconds_total", stall,
-                           device=device_id, op=op)
+            self._count("faults_latency_seconds_total", stall,
+                        device=device_id, op=op)
             with telemetry.trace_span("fault.latency_spike",
                                       device=device_id, op=op,
                                       seconds=stall):
@@ -440,18 +437,15 @@ class FaultInjector:
             except FaultInjectionError as fault:
                 delay = next(delays, None)
                 if delay is None:
-                    self.stats.count_exhausted()
-                    _fault_counter("faults_retry_exhausted_total",
-                                   device=device_id, op=op)
+                    self._count("faults_retry_exhausted_total",
+                                device=device_id, op=op)
                     raise RetryExhaustedError(
                         f"device {device_id} op {op}: {attempts} attempts "
                         f"exhausted; last fault: {fault}",
                         attempts=attempts, last_fault=fault) from fault
-                self.stats.count_retry(delay)
-                _fault_counter("faults_retries_total",
-                               device=device_id, op=op)
-                _fault_counter("faults_backoff_seconds_total", delay,
-                               device=device_id, op=op)
+                self._count("faults_retries_total", device=device_id, op=op)
+                self._count("faults_backoff_seconds_total", delay,
+                            device=device_id, op=op)
                 with telemetry.trace_span("fault.backoff",
                                           device=device_id, op=op,
                                           attempt=attempts,

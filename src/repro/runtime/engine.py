@@ -33,7 +33,8 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import TrainingError
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultInjector, FaultLedger, FaultPlan
+from ..faults.plan import METRIC_HELP, Series, series_key, summarize
 from ..memory import ArenaStats, aggregate_arena_stats, live_arenas
 from ..telemetry import flight
 from ..telemetry.flight import FlightRecorder, IncidentDumper
@@ -198,11 +199,13 @@ class TrainingConfig:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
 
 
-def make_fault_injector(config: TrainingConfig) -> Optional["FaultInjector"]:
-    """The engine-side fault injector, or None when no plan is set."""
+def make_fault_injector(config: TrainingConfig,
+                        ledger: Optional[FaultLedger] = None
+                        ) -> Optional["FaultInjector"]:
+    """The injector counting into ``ledger`` (None without a plan)."""
     if config.fault_plan is None:
         return None
-    return FaultInjector(config.fault_plan)
+    return FaultInjector(config.fault_plan, ledger=ledger)
 
 
 def fault_bypass(faults: Optional[FaultInjector]):
@@ -324,6 +327,9 @@ class MixedPrecisionTrainer:
                      else list(DEFAULT_SLO_RULES))
         self.rules = RulesEngine(parse_rules(raw_rules))
         self.alerts: List[Alert] = []
+        #: Faults, demotions, degraded steps and alerts, as they happen
+        #: (the engine's injector counts into it too).
+        self.fault_ledger = FaultLedger()
 
         # SSD-backed boundary activations (repro.nn.offload), opened
         # before the flight recorder so a failure here leaves nothing
@@ -349,11 +355,12 @@ class MixedPrecisionTrainer:
             if config.flight_dump_dir is not None:
                 self._incidents = IncidentDumper(self.flight,
                                                  config.flight_dump_dir)
-        self._fault_snapshot = self.fault_stats()
         self._arena_snapshot = aggregate_arena_stats()
-        #: ``_block_io`` byte totals as of the previous observed step.
+        #: ``_block_io`` byte totals and ``fault_series()`` as of the
+        #: previous step's end.
         self._io_snapshot: Dict[str, Tuple[int, int]] = {}
-        #: _observe_step: the ``seq`` of the last span observed.
+        self._fault_snapshot: Dict[Series, float] = {}
+        #: _cut_spans: the ``seq`` of the last span observed.
         self._span_cursor = 0
         self._closed = False
 
@@ -396,16 +403,13 @@ class MixedPrecisionTrainer:
         Always returns the full shape (zeros without a fault plan) so
         reports and tests can read it unconditionally.
         """
-        stats: Dict[str, object] = {
-            "injected": {}, "retries": 0, "retries_exhausted": 0,
-            "backoff_seconds": 0.0, "latency_seconds": 0.0, "dropouts": 0,
-        }
-        faults = getattr(self, "faults", None)
-        if faults is not None:
-            stats.update(faults.stats.snapshot())
-        stats["demotions"] = len(getattr(self, "demotions", ()))
-        stats["degraded_steps"] = int(getattr(self, "degraded_steps", 0))
-        return stats
+        return summarize(self.fault_series())
+
+    def fault_series(self) -> Dict[Series, float]:
+        """Every fault-domain series of this engine: its fault ledger's,
+        plus those kept where the fault happened (worker processes, a
+        RAID volume)."""
+        return self.fault_ledger.series()
 
     def arena_stats(self) -> ArenaStats:
         """Process-wide scratch-arena accounting (see :mod:`repro.memory`).
@@ -469,8 +473,9 @@ class MixedPrecisionTrainer:
         Crashes (any exception escaping the step) are captured as an
         incident — alert event in the ring, then an automatic dump —
         *before* re-raising, so the flight recorder's last entries show
-        what was in flight.  Successful steps feed the health monitor
-        and evaluate the SLO rules.
+        what was in flight; the failed step's books are closed too, so
+        the fault that killed it reaches the registry.  Successful
+        steps feed the health monitor and evaluate the SLO rules.
         """
         begin = time.perf_counter()
         try:
@@ -482,6 +487,7 @@ class MixedPrecisionTrainer:
                 message=(f"unhandled {type(exc).__name__} escaped the "
                          f"train step: {exc}"),
                 error=f"{type(exc).__name__}: {exc}")
+            self._close_books(self._cut_spans())
             raise
         self._observe_step(result, time.perf_counter() - begin)
         return result
@@ -502,27 +508,41 @@ class MixedPrecisionTrainer:
         flight.record_event("alert", kind, severity=severity,
                             message=message, step=self.step_count,
                             incident=key, **attrs)
-        telemetry.counter("health_alerts_total", rule=kind,
-                          severity=severity)
+        self.fault_ledger.add("health_alerts_total", rule=kind,
+                              severity=severity)
         if self._incidents is not None:
             self._incidents.dump_once(key, reason=kind,
                                       step=self.step_count)
         return alert
 
-    def _observe_step(self, result: "StepResult", wall: float) -> None:
-        """Feed one finished step into the health monitor + SLO rules
-        and, under a telemetry session, into its metrics registry: the
-        one place the step's spans and ledgers become metrics."""
+    def _cut_spans(self) -> List[telemetry.Span]:
+        """The active session's spans recorded since the last cut."""
         session = telemetry.active()
         spans = ([] if session is None
                  else session.tracer.since(self._span_cursor))
         if spans:
             self._span_cursor = spans[-1].seq
+        return spans
+
+    def _close_books(self, spans: Sequence[telemetry.Span]) -> None:
+        """End a step's accounting: advance the ledger snapshots and,
+        under a telemetry session, write the step into its registry —
+        the one place spans and ledgers become metrics, on the thread
+        that runs the step."""
         io, io_prev = self._io_totals(), self._io_snapshot
-        self._io_snapshot = io
+        faults, faults_prev = self.fault_series(), self._fault_snapshot
+        self._io_snapshot, self._fault_snapshot = io, faults
+        session = telemetry.active()
+        if session is not None:
+            _record_step_metrics(session.registry, spans, io, io_prev,
+                                 faults, faults_prev)
+
+    def _observe_step(self, result: "StepResult", wall: float) -> None:
+        """Feed one finished step into the health monitor + SLO rules,
+        then close its books."""
+        spans = self._cut_spans()
         faults = self.fault_stats()
-        prev = self._fault_snapshot
-        self._fault_snapshot = faults
+        prev = summarize(self._fault_snapshot)
         arena = aggregate_arena_stats()
         arena_prev = self._arena_snapshot
         self._arena_snapshot = arena
@@ -545,8 +565,6 @@ class MixedPrecisionTrainer:
             "arena_hit_rate": hit_rate,
         }
         signals.update(self._utilization_signals(spans))
-        if session is not None:
-            _record_step_metrics(session.registry, spans, io, io_prev)
         self.health.observe(**signals)
         flight.record_event(
             "step", "train_step", step=result.step, loss=result.loss,
@@ -558,13 +576,14 @@ class MixedPrecisionTrainer:
                                 severity=alert.severity,
                                 signal=alert.signal, value=alert.value,
                                 message=alert.message, step=alert.step)
-            telemetry.counter("health_alerts_total", rule=alert.rule,
-                              severity=alert.severity)
+            self.fault_ledger.add("health_alerts_total", rule=alert.rule,
+                                  severity=alert.severity)
             if self._incidents is not None:
                 self._incidents.dump_once(f"rule:{alert.rule}",
                                           reason="slo-breach",
                                           rule=alert.rule,
                                           step=result.step)
+        self._close_books(spans)
 
     def _utilization_signals(self, spans: List[telemetry.Span]
                              ) -> Dict[str, float]:
@@ -746,11 +765,14 @@ _QUEUE_DEPTH = "handler_lazy_queue_depth"
 
 def _record_step_metrics(registry, spans: Sequence[telemetry.Span],
                          io: Dict[str, Tuple[int, int]],
-                         io_prev: Dict[str, Tuple[int, int]]) -> None:
+                         io_prev: Dict[str, Tuple[int, int]],
+                         faults: Dict[Series, float],
+                         faults_prev: Dict[Series, float]) -> None:
     """One step's metrics, one registry lookup per series: the handler's
     latency histograms and queue depth from its write-back spans, the
     ``storage_*_bytes_total`` counters from the block devices' byte
-    totals (``io``, against the previous step's), and the ``arena_*``
+    totals (``io``, against the previous step's), the fault-domain
+    counters from the fault series (likewise), and the ``arena_*``
     families from every live arena — gauges as at step end, counters
     raised to the lifetime totals, so engines sharing a session never
     count an arena twice."""
@@ -776,6 +798,11 @@ def _record_step_metrics(registry, spans: Sequence[telemetry.Span],
                 totals, io_prev.get(device, (0, 0))):
             if total > before:
                 registry.counter(family, device=device).inc(total - before)
+    for (family, labels), total in faults.items():
+        before = faults_prev.get((family, labels), 0)
+        if total > before:
+            registry.describe(family, METRIC_HELP[family])
+            registry.counter(family, **dict(labels)).inc(total - before)
     arenas: Dict[str, List[int]] = {}
     for arena in live_arenas():
         stats = arena.stats()
@@ -805,7 +832,7 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
         if num_ssds < 1:
             raise TrainingError("need at least one SSD")
         super().__init__(model, loss_fn, config, storage_dir)
-        self.faults = make_fault_injector(config)
+        self.faults = make_fault_injector(config, self.fault_ledger)
         # Members are opened one by one, so a failure mid-construction
         # releases every device already opened (no leaked descriptors).
         self._members: List[FileBlockDevice] = []
@@ -854,6 +881,14 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
 
     def _resident(self) -> Dict[str, int]:
         return {"ef_residual": 0, "compressed_stream": 0, "handler_dram": 0}
+
+    def fault_series(self) -> Dict[Series, float]:
+        """The ledger's series, and one per failed RAID0 member."""
+        series = super().fault_series()
+        for index in self.volume.failed_members:
+            series[series_key("raid_degraded_total", volume=self.volume.name,
+                              member=self._members[index].name)] = 1
+        return series
 
     def _traffic_totals(self) -> IterationTraffic:
         """Every byte a RAID member moves crosses the host link."""

@@ -16,7 +16,7 @@ calls over the task pipe.
   same physical pages through ndarray views;
 * the task pipe carries **descriptors and scalars only** — region
   offsets at init, ``(step_count, lr)`` per update, and back the
-  device's cumulative ledger totals and fault snapshot after every
+  device's cumulative ledger totals and fault-ledger series after every
   task.  :func:`repro.runtime.parallel._check_payload`
   enforces that no ndarray ever crosses the pipe;
 * the child builds what the thread backend shares with its engine: its
@@ -43,7 +43,7 @@ from .. import telemetry
 from ..compression.topk import CompressedGradient, keep_count
 from ..csd.handler import Subgroup
 from ..errors import TrainingError
-from ..faults.plan import count_fault
+from ..faults.plan import Series
 from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
@@ -240,10 +240,6 @@ class _ChildShard:
                 np.copyto(self.rows[name], values)
         return resp
 
-    def fault_snapshot(self) -> Optional[Dict[str, object]]:
-        faults = self.worker.faults
-        return None if faults is None else faults.stats.snapshot()
-
 
 def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     """The single task entry point the pool ships to child processes."""
@@ -261,7 +257,8 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
                 f"(init task missing or routed elsewhere)")
         resp = child.run(op, task)
     resp["worker"] = threading.current_thread().name
-    resp["faults"] = child.fault_snapshot()
+    faults = child.worker.faults
+    resp["faults"] = {} if faults is None else faults.ledger.series()
     resp["ledgers"] = [
         (io.bytes_read, io.bytes_written, io.read_ops, io.write_ops)
         for io in child.worker.ledgers()]
@@ -279,7 +276,7 @@ class ProcessShardCoordinator:
     Owns the shared arena, one channel (``name -> view``) per shard, and
     the :class:`~repro.runtime.parallel.ProcessCSDWorkerPool`.  Every
     method that runs tasks ingests the children's forwarded telemetry
-    (events, spans, fault snapshots, ledger totals) and only then reports
+    (events, spans, fault and I/O ledgers) and only then reports
     demotions through ``on_demotion``, so the incident it records finds
     the triggering child events already in the parent's flight ring.
     ``install(start, masters)`` is the parent half of the upstream path.
@@ -297,7 +294,8 @@ class ProcessShardCoordinator:
         self._install = install
         self._on_demotion = on_demotion
         self._demoted: Set[int] = set()
-        self._fault_snapshots: Dict[int, Dict[str, object]] = {}
+        #: Each child's fault ledger as of its last response.
+        self._fault_series: Dict[int, Dict[Series, float]] = {}
         #: Each shard's ledgers as of its child's last response.
         self._ledgers: Dict[int, Tuple[IOCounters, ...]] = {}
         self._closed = False
@@ -351,24 +349,19 @@ class ProcessShardCoordinator:
     def _ingest(self, resp: Dict[str, object]) -> None:
         """Fold one child response's telemetry into the parent's: every
         event lands in the installed flight recorder under the child's
-        worker label, a span event's span in the active tracer too
-        (rebased to its epoch) — the same object in both — and a fault
-        event in the active registry, as the thread backend counts it;
-        the shard's fault snapshot and ledger totals replace the last."""
+        worker label, and a span event's span in the active tracer too
+        (rebased to its epoch) — the same object in both; the shard's
+        fault ledger and I/O ledger totals replace the last."""
         events = resp.pop("telemetry", ())
         recorder = flight.active_recorder()
         if recorder is not None:
             recorder.ingest(str(resp.get("worker", "csd-proc")), events)
         session = telemetry.active()
         if session is not None:
-            for _ts, kind, name, payload, _thread in events:
+            for _ts, kind, _name, payload, _thread in events:
                 if kind == "span":
                     session.tracer.adopt(payload)
-                elif kind == "fault":
-                    count_fault(session.registry, name, payload)
-        faults = resp.pop("faults", None)
-        if faults:
-            self._fault_snapshots[int(resp["index"])] = faults
+        self._fault_series[int(resp["index"])] = resp.pop("faults")
         self._ledgers[int(resp["index"])] = tuple(
             IOCounters(*totals) for totals in resp.pop("ledgers"))
 
@@ -446,15 +439,13 @@ class ProcessShardCoordinator:
         child last reported them."""
         return [self._ledgers[index] for index in range(len(self.shards))]
 
-    def merge_fault_stats(self, stats: Dict[str, object]) -> None:
-        """Add the children's cumulative fault accounting into ``stats``."""
-        injected = stats["injected"] = dict(stats["injected"])
-        for snap in self._fault_snapshots.values():
-            for kind, count in snap["injected"].items():
-                injected[kind] = injected.get(kind, 0) + count
-            for key in ("retries", "retries_exhausted", "backoff_seconds",
-                        "latency_seconds", "dropouts"):
-                stats[key] += snap[key]
+    def fault_series(self) -> Dict[Series, float]:
+        """The children's fault ledgers, merged (each counts only its
+        own devices, so no series appears twice)."""
+        merged: Dict[Series, float] = {}
+        for series in self._fault_series.values():
+            merged.update(series)
+        return merged
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -19,11 +19,13 @@ backends differ only in *where a worker runs and how bytes reach it*:
 
 Both coordinators speak one protocol (``offload`` / ``update`` / ``step``
 / ``compressed_view`` / ``salvage_arrays`` / ``ledgers`` /
-``gather_state`` / ``scatter_state`` / ``merge_fault_stats`` /
+``gather_state`` / ``scatter_state`` / ``fault_series`` /
 ``close``), which is what :class:`~repro.runtime.smart.
 SmartInfinityEngine` is written against.  Responses carry no bytes:
 ``ledgers`` exposes each device's own I/O counters, live here and as
-the child's last-reported totals across the process boundary.
+the child's last-reported totals across the process boundary, and
+``fault_series`` the children's fault ledgers (here the workers count
+into the engine's own).
 Because shards are disjoint and every worker owns private storage and
 buffers, any placement of the workers is bit-identical to the
 sequential loop.
@@ -47,6 +49,7 @@ from ..csd.handler import (Subgroup, TransferHandler, naive_update_pass,
                            plan_subgroups)
 from ..csd.kernels import DecompressorKernel, UpdaterKernel
 from ..errors import DeviceFailedError, RetryExhaustedError
+from ..faults.plan import Series
 from ..memory import thread_arena
 from ..modelcomp.quantization import (QuantizedTensor, QuantizerKernel,
                                       dequantize_int8)
@@ -645,8 +648,9 @@ class InProcessShardCoordinator:
         """Every shard's live ``(host, internal, device)`` ledgers."""
         return [worker.ledgers() for worker in self._workers]
 
-    def merge_fault_stats(self, stats: Dict[str, object]) -> None:
-        """Nothing to add: the workers share the engine's own injector."""
+    def fault_series(self) -> Dict[Series, float]:
+        """None of its own: the workers share the engine's injector."""
+        return {}
 
     def resident(self) -> Dict[str, int]:
         """The workers' host-resident bytes, summed per owner."""

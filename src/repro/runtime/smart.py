@@ -44,6 +44,7 @@ from .. import telemetry
 from ..compression.topk import CompressedGradient
 from ..csd.handler import Subgroup, plan_subgroups
 from ..errors import TrainingError
+from ..faults.plan import Series
 from ..memory import thread_arena
 from ..modelcomp.pruning import PruningMask, magnitude_mask
 from ..modelcomp.quantization import QuantizerKernel, dequantize_int8
@@ -89,13 +90,12 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         # per-CSD worker processes behind shared-memory shard channels.
         super().__init__(model, loss_fn, config, storage_dir,
                          devices=config.num_csds)
-        self.faults = make_fault_injector(config)
+        self.faults = make_fault_injector(config, self.fault_ledger)
 
         # Graceful-degradation bookkeeping: a demoted device's shard
         # lives host-side in _host_shards (masters + optimizer states)
         # and is updated by the CPU path from then on.
         self.demotions: List[Tuple[int, str]] = []
-        self.degraded_steps = 0
         self._host_shards: Dict[int, Dict[str, np.ndarray]] = {}
 
         self.shards: List[Shard] = distribute_shards(
@@ -197,12 +197,12 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                                                device.bytes_written)
         return totals
 
-    def fault_stats(self) -> Dict[str, object]:
-        """Cumulative fault accounting, merged across worker processes."""
-        stats = super().fault_stats()
-        if getattr(self, "_coord", None) is not None:
-            self._coord.merge_fault_stats(stats)
-        return stats
+    def fault_series(self) -> Dict[Series, float]:
+        """The ledger's series plus the worker processes' faults (none
+        on the thread backend, whose workers count into the ledger)."""
+        series = super().fault_series()
+        series.update(self._coord.fault_series())  # disjoint families
+        return series
 
     def _resident(self) -> Dict[str, int]:
         if self.backend == "process" or self._host_shards:
@@ -255,7 +255,7 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                     index, subgroup,
                     masters[subgroup.start:subgroup.start + subgroup.count])
         self.demotions.append((index, cause))
-        telemetry.counter("faults_demotions_total", device=index)
+        self.fault_ledger.add("faults_demotions_total", device=index)
         kind = ("retry_exhausted" if resp["retry_exhausted"]
                 else "device_dropout")
         self._record_incident(
@@ -297,8 +297,7 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                 self.optimizer.step(masters[sl], grads[sl], state,
                                     self.step_count)
                 self._install_host_subgroup(index, subgroup, masters[sl])
-        self.degraded_steps += 1
-        telemetry.counter("faults_degraded_steps_total", device=index)
+        self.fault_ledger.add("faults_degraded_steps_total", device=index)
 
     def _install_host_subgroup(self, index: int, subgroup: Subgroup,
                                masters_slice: np.ndarray) -> None:

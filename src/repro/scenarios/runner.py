@@ -36,6 +36,7 @@ import numpy as np
 
 from ..errors import ReproError, ScenarioError
 from ..faults import FaultPlan
+from ..faults.plan import Series, summarize
 from ..runtime.checkpoint import load_checkpoint, save_checkpoint
 from ..runtime.engine import TrainingConfig
 from ..telemetry.health import DEFAULT_SLO_RULES
@@ -66,57 +67,38 @@ def _loss_fn(model, tokens, labels):
     return model.loss(tokens, labels)
 
 
+#: The ``fault_stats()`` totals a campaign reports.
+_COUNTERS = ("injected", "retries", "retries_exhausted", "dropouts",
+             "demotions", "degraded_steps")
+
+
 @dataclass
 class _Ledger:
     """Campaign-cumulative accounting across engine rebuilds.
 
-    Fault-plan splices tear engines down, so per-engine counters reset;
-    the ledger absorbs each closed engine's totals and exposes a merged
-    view over (closed engines + the live one).
+    Fault-plan splices tear engines down, so per-engine ledgers reset;
+    this one absorbs each closed engine's fault series, alerts and dumps
+    and exposes a merged view over (closed engines + the live one).
     """
 
-    injected: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    retries_exhausted: int = 0
-    dropouts: int = 0
-    demotions: int = 0
-    degraded_steps: int = 0
+    series: Dict[Series, float] = field(default_factory=dict)
     alerts: List[str] = field(default_factory=list)
     dumps: int = 0
 
     def absorb(self, engine) -> None:
-        stats = engine.fault_stats()
-        for kind, count in stats["injected"].items():
-            self.injected[kind] = self.injected.get(kind, 0) + int(count)
-        self.retries += int(stats["retries"])
-        self.retries_exhausted += int(stats["retries_exhausted"])
-        self.dropouts += int(stats["dropouts"])
-        self.demotions += int(stats["demotions"])
-        self.degraded_steps += int(stats["degraded_steps"])
+        for key, amount in engine.fault_series().items():
+            self.series[key] = self.series.get(key, 0) + amount
         self.alerts.extend(alert.rule for alert in engine.alerts)
         self.dumps += len(engine.flight_dumps())
 
     def view(self, engine=None) -> Dict[str, object]:
         """Merged totals including the live engine (if any)."""
-        merged = _Ledger(injected=dict(self.injected),
-                         retries=self.retries,
-                         retries_exhausted=self.retries_exhausted,
-                         dropouts=self.dropouts,
-                         demotions=self.demotions,
-                         degraded_steps=self.degraded_steps,
-                         alerts=list(self.alerts), dumps=self.dumps)
+        merged = _Ledger(dict(self.series), list(self.alerts), self.dumps)
         if engine is not None:
             merged.absorb(engine)
-        return {
-            "injected": merged.injected,
-            "retries": merged.retries,
-            "retries_exhausted": merged.retries_exhausted,
-            "dropouts": merged.dropouts,
-            "demotions": merged.demotions,
-            "degraded_steps": merged.degraded_steps,
-            "alerts": merged.alerts,
-            "dumps": merged.dumps,
-        }
+        stats = summarize(merged.series)
+        return {**{key: stats[key] for key in _COUNTERS},
+                "alerts": merged.alerts, "dumps": merged.dumps}
 
 
 def _delta(before: Dict[str, object],

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .. import telemetry
 from ..errors import DeviceFailedError, RetryExhaustedError, StorageError
 from .blockdev import FileBlockDevice, IOCounters
 
@@ -71,8 +70,6 @@ class RAID0Volume:
         if self._failed_member is None:
             self._failed_member = index
             self._failed_cause = cause
-            telemetry.counter("raid_degraded_total", volume=self.name,
-                              member=self.members[index].name)
 
     def _map(self, offset: int) -> Tuple[int, int, int]:
         """Map a volume offset to (member index, member offset, bytes left

@@ -141,7 +141,6 @@ __all__ = [
     "Timeline",
     "active",
     "chrome_trace",
-    "counter",
     "disable",
     "enable",
     "enabled",
@@ -223,8 +222,3 @@ def span_end(token: Optional[Span], **attrs: object) -> None:
     if token is not None and _active is not None:
         _active.tracer.end(token, **attrs)
 
-
-def counter(name: str, amount: float = 1.0, **labels: object) -> None:
-    """Count a rare event (a fault, an alert, a demotion)."""
-    if _active is not None:
-        _active.registry.counter(name, **labels).inc(amount)

@@ -8,8 +8,8 @@ data model, and the registry renders both a plain ``snapshot()`` dict
 for tests and a Prometheus-style text exposition for scraping.
 
 No hot path writes here: a training engine folds each step's spans and
-ledgers in on its own thread; only rare events (faults, alerts,
-demotions) are counted as they happen.
+ledgers in on its own thread at the step's end — faults, alerts and
+demotions included, from its fault ledger.
 
 Instruments are thread-safe (one coarse registry lock) and intentionally
 dependency-free: fixed bucket bounds instead of dynamic quantile sketches

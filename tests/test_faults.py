@@ -15,13 +15,18 @@ The resilience claims these pin down:
   per-class constructors do.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api import ENGINE_MODES, create_engine
 from repro.errors import (DeviceFailedError, FaultInjectionError,
                           RetryExhaustedError, TrainingError)
-from repro.faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy
+from repro.faults import (FaultInjector, FaultLedger, FaultPlan, FaultRule,
+                          RetryPolicy)
+from repro.faults.plan import summarize
 from repro.nn import SequenceClassifier, bert_config, \
     make_classification_dataset
 from repro.runtime import (BaselineOffloadEngine, HostOffloadEngine,
@@ -134,7 +139,7 @@ def test_backoff_delays_follow_the_policy():
     injector = FaultInjector(plan, sleep=slept.append)
     injector.guard(0, "write")           # 3 faults, then success
     assert slept == [0.01, 0.02, 0.03]   # exponential, capped at max
-    stats = injector.stats.snapshot()
+    stats = summarize(injector.ledger.series())
     assert stats["retries"] == 3
     assert stats["injected"] == {"io_error": 3}
     assert stats["backoff_seconds"] == pytest.approx(0.06)
@@ -149,7 +154,7 @@ def test_retry_exhaustion_raises_with_attempt_count():
         injector.guard(0, "write")
     assert excinfo.value.attempts == 3
     assert isinstance(excinfo.value.last_fault, FaultInjectionError)
-    assert injector.stats.snapshot()["retries_exhausted"] == 1
+    assert summarize(injector.ledger.series())["retries_exhausted"] == 1
 
 
 def test_device_dropout_is_permanent_and_never_retried():
@@ -171,7 +176,7 @@ def test_maintenance_bypass_suspends_injection():
     injector = FaultInjector(plan, sleep=lambda s: None)
     with injector.maintenance():
         injector.guard(0, "write")         # would otherwise exhaust
-    assert injector.stats.snapshot()["injected"] == {}
+    assert summarize(injector.ledger.series())["injected"] == {}
 
 
 def test_latency_spike_sleeps_and_continues():
@@ -183,9 +188,39 @@ def test_latency_spike_sleeps_and_continues():
     injector.guard(0, "read")
     injector.guard(0, "read")
     assert slept == [0.004, 0.004]
-    stats = injector.stats.snapshot()
+    stats = summarize(injector.ledger.series())
     assert stats["latency_seconds"] == pytest.approx(0.008)
     assert stats["retries"] == 0           # spikes are not errors
+
+
+def test_fault_ledger_concurrent_hammer():
+    """Every worker thread counts into its engine's one ledger (faults on
+    its device, a demotion and its alert): the ledger's lock must lose no
+    update, or ``fault_stats()`` and the registry come up short."""
+    ledger = FaultLedger()
+    threads_n, adds = 8, 2000
+
+    def hammer(device):
+        for _ in range(adds):
+            ledger.add("faults_retries_total", device=device % 2, op="read")
+            ledger.add("faults_backoff_seconds_total", 0.5,
+                       device=device % 2, op="read")
+
+    threads = [threading.Thread(target=hammer, args=(device,))
+               for device in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = summarize(ledger.series())
+    assert stats["retries"] == threads_n * adds
+    assert stats["backoff_seconds"] == 0.5 * threads_n * adds
 
 
 def test_fault_streams_are_deterministic_per_device():

@@ -139,7 +139,6 @@ def test_telemetry_disabled_by_default():
         span.set(ignored=True)
     assert telemetry.span_begin("nothing") is None
     telemetry.span_end(None)
-    telemetry.counter("nothing")
 
 
 def test_session_scoping_restores_previous_state():
@@ -156,14 +155,15 @@ def test_session_scoping_restores_previous_state():
 
 
 def test_module_helpers_feed_active_session():
+    """The helpers record spans only: nothing but an engine closing a
+    step writes the registry."""
     with telemetry.session() as session:
-        telemetry.counter("events_total", 2, kind="x")
         with telemetry.trace_span("op"):
             pass
-    snap = session.registry.snapshot()
-    assert snap == {'events_total{kind="x"}': {"type": "counter",
-                                               "value": 2}}
+        telemetry.span_end(telemetry.span_begin("explicit"), done=True)
+    assert session.registry.snapshot() == {}
     assert session.tracer.by_name("op")
+    assert session.tracer.by_name("explicit")[0].attrs["done"] is True
 
 
 # ----------------------------------------------------------------------

@@ -200,6 +200,21 @@ def test_functional_engine_populates_metrics(tmp_path, backend):
     assert any(span.thread_id != iteration.thread_id for span in lazy)
 
 
+def _registry_callers(monkeypatch):
+    """``(family, thread)`` of every registry instrument lookup, from
+    now on."""
+    callers = []
+    for kind in ("counter", "gauge", "histogram"):
+        original = getattr(MetricsRegistry, kind)
+
+        def record(self, name, *args, _original=original, **kwargs):
+            callers.append((name, threading.current_thread()))
+            return _original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, kind, record)
+    return callers
+
+
 def test_registry_is_written_on_the_main_thread_only(tmp_path,
                                                      monkeypatch):
     """Hot paths keep spans and ledgers; the engine writes the registry
@@ -210,15 +225,7 @@ def test_registry_is_written_on_the_main_thread_only(tmp_path,
     config = TrainingConfig(optimizer="adam", subgroup_elements=1024,
                             num_csds=2, parallel_csds=2,
                             compression_ratio=0.1)
-    callers = []
-    for kind in ("counter", "gauge", "histogram"):
-        original = getattr(MetricsRegistry, kind)
-
-        def record(self, name, *args, _original=original, **kwargs):
-            callers.append((name, threading.current_thread()))
-            return _original(self, name, *args, **kwargs)
-
-        monkeypatch.setattr(MetricsRegistry, kind, record)
+    callers = _registry_callers(monkeypatch)
     with telemetry.session(), \
             SmartInfinityEngine(make_model(), loss_fn, str(tmp_path),
                                 config=config) as engine:
@@ -317,20 +324,50 @@ def _chaos_fault_lines(tmp_path, backend):
         for _ in range(3):
             engine.train_step(tokens, labels)
         stats = engine.fault_stats()
-    return stats, [line for line in
-                   session.registry.render_prometheus().splitlines()
-                   if "faults_" in line]
+    return stats, session.registry
+
+
+def _fault_lines(registry):
+    return [line for line in registry.render_prometheus().splitlines()
+            if "faults_" in line]
 
 
 def test_fault_counters_match_across_backends(tmp_path):
-    """A worker process's fault events reach the parent's registry, so a
-    seeded chaos run exposes the same ``faults_*`` lines on both
+    """A worker process's fault ledger reaches the parent's registry, so
+    a seeded chaos run exposes the same ``faults_*`` lines on both
     backends."""
-    stats, thread_lines = _chaos_fault_lines(tmp_path, "thread")
+    stats, registry = _chaos_fault_lines(tmp_path, "thread")
+    thread_lines = _fault_lines(registry)
     assert sum(stats["injected"].values()) > 0 and stats["demotions"] == 1
     assert any(line.startswith("faults_injected_total{")
                for line in thread_lines)
-    assert _chaos_fault_lines(tmp_path, "process")[1] == thread_lines
+    assert _fault_lines(_chaos_fault_lines(tmp_path, "process")[1]) \
+        == thread_lines
+
+
+def test_fault_metrics_are_the_ledger_written_on_the_main_thread(
+        tmp_path, monkeypatch):
+    """Faults fire on worker threads, where the demotion is absorbed and
+    its incident raised; all of it reaches the registry from the main
+    thread at step end, and each family's total is the ledger's."""
+    callers = _registry_callers(monkeypatch)
+    stats, registry = _chaos_fault_lines(tmp_path, "thread")
+    assert {thread for _name, thread in callers} \
+        == {threading.main_thread()}
+    snapshot = registry.snapshot()
+
+    def total(family):
+        return sum(series["value"] for key, series in snapshot.items()
+                   if key.split("{", 1)[0] == family)
+
+    assert total("faults_injected_total") == sum(stats["injected"].values())
+    for key, family in (("retries", "faults_retries_total"),
+                        ("dropouts", "faults_dropouts_total"),
+                        ("demotions", "faults_demotions_total"),
+                        ("degraded_steps", "faults_degraded_steps_total")):
+        assert total(family) == stats[key] > 0, family
+    assert snapshot['health_alerts_total{rule="device_dropout",'
+                    'severity="critical"}']["value"] == 1
 
 
 def _events_by_pid(events, pid):
@@ -425,21 +462,35 @@ def test_cli_simulate_metrics_flag(capsys):
     assert 'method="su_o_c"' in out
 
 
-def test_fault_counters_land_in_telemetry_exposition():
-    """Chaos accounting shares the exposition with everything else:
-    a deterministic transient fault shows up as described counter
-    families (injections, retries, backoff seconds)."""
-    from repro.faults import FaultInjector, FaultPlan, FaultRule
+def _baseline_under_plan(tmp_path, *rules):
+    """A one-member baseline engine whose injector never really sleeps."""
+    from repro.faults import FaultPlan
+    from repro.runtime import BaselineOffloadEngine
 
-    plan = FaultPlan(rules=(
-        FaultRule(kind="io_error", op="read", at_op=1, count=2),
-        FaultRule(kind="latency", op="write", at_op=1, count=1,
-                  latency_s=0.001),
-    ))
-    injector = FaultInjector(plan, sleep=lambda _s: None)
-    with telemetry.session() as session:
-        injector.guard(0, "read")   # fires twice, retried twice
-        injector.guard(0, "write")  # latency spike, no retry
+    engine = BaselineOffloadEngine(
+        make_model(), loss_fn, str(tmp_path),
+        config=TrainingConfig(optimizer="adam", subgroup_elements=1024,
+                              fault_plan=FaultPlan(rules=rules)))
+    engine.faults._sleep = lambda _s: None
+    return engine
+
+
+def test_fault_counters_land_in_telemetry_exposition(tmp_path):
+    """Chaos accounting shares the exposition with everything else:
+    deterministic transient faults show up, at the step's end, as
+    described counter families (injections, retries, backoff seconds)."""
+    from repro.faults import FaultRule
+
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    with telemetry.session() as session, _baseline_under_plan(
+            tmp_path,
+            FaultRule(kind="io_error", op="read", at_op=1, count=2),
+            FaultRule(kind="latency", op="write", at_op=1, count=1,
+                      latency_s=0.001)) as engine:
+        engine.train_step(tokens, labels)
+        stats = engine.fault_stats()
     snapshot = session.registry.snapshot()
 
     def total(name):
@@ -447,8 +498,9 @@ def test_fault_counters_land_in_telemetry_exposition():
                    if key.split("{", 1)[0] == name)
 
     assert total("faults_injected_total") == 3
-    assert total("faults_retries_total") == 2
-    assert total("faults_backoff_seconds_total") > 0.0
+    assert total("faults_retries_total") == stats["retries"] == 2
+    assert total("faults_backoff_seconds_total") \
+        == stats["backoff_seconds"] > 0.0
     assert total("faults_latency_seconds_total") == pytest.approx(0.001)
 
     text = session.registry.render_prometheus()
@@ -459,25 +511,39 @@ def test_fault_counters_land_in_telemetry_exposition():
     assert "# HELP faults_retries_total" in text
 
 
-def test_fault_dropout_counter_increments():
-    from repro.faults import FaultInjector, FaultPlan
+def test_fault_dropout_counter_increments(tmp_path):
+    """A step that dies of a dropout still closes its books: the dropout,
+    the degraded RAID0 volume and the crash alert reach the registry
+    although no step ever finishes."""
+    from repro.errors import DeviceFailedError
 
-    injector = FaultInjector(FaultPlan(), sleep=lambda _s: None)
-    with telemetry.session() as session:
-        injector.fail_device(1, reason="test")
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 16, size=(4, 8))
+    labels = rng.integers(0, 2, size=4)
+    with telemetry.session() as session, \
+            _baseline_under_plan(tmp_path) as engine:
+        engine.faults.fail_device(0, reason="test")
+        for _ in range(2):
+            with pytest.raises(DeviceFailedError):
+                engine.train_step(tokens, labels)
     snapshot = session.registry.snapshot()
-    assert snapshot['faults_dropouts_total{device="1"}']["value"] == 1
+    assert snapshot['faults_dropouts_total{device="0"}']["value"] == 1
+    assert snapshot['raid_degraded_total{member="ssd0",volume="raid0[1]"}'
+                    ]["value"] == 1
+    assert snapshot['health_alerts_total{rule="engine_exception",'
+                    'severity="critical"}']["value"] == 2
 
 
 def test_fault_counters_noop_without_session():
     from repro.faults import FaultInjector, FaultPlan, FaultRule
+    from repro.faults.plan import summarize
 
     plan = FaultPlan(rules=(
         FaultRule(kind="io_error", op="read", at_op=1, count=1),))
     injector = FaultInjector(plan, sleep=lambda _s: None)
     assert not telemetry.enabled()
     injector.guard(0, "read")  # must not raise with telemetry off
-    assert injector.stats.snapshot()["injected"] == {"io_error": 1}
+    assert summarize(injector.ledger.series())["injected"] == {"io_error": 1}
 
 
 def test_utilization_signals_cover_only_new_intervals(tmp_path,
