@@ -23,8 +23,9 @@ Eight subcommands:
 * ``health`` — the step-health monitor: run a functional-engine probe
   and report per-step signals (steps/s, loss finiteness, retry/arena
   rates, link utilization) as rolling EWMA windows, the SLO alerts that
-  fired, and the flight-recorder / incident-dump state; one-shot by
-  default, ``--watch`` refreshes live.
+  fired, and the flight recorder's state (events and steps retained)
+  with the incident dumps written; one-shot by default, ``--watch``
+  refreshes live.
 * ``experiment`` — regenerate a paper table or figure by id and print
   it; with ``--write DIR`` write its result file instead, and with no id
   every experiment's (this is how ``results/`` is produced).
@@ -69,7 +70,8 @@ simulation-only and take just ``--schedule`` (and ``top`` ``--slo``).
 ``python -m repro --version`` prints the package version.  ``--slo``
 takes a JSON rules file (see ``examples/slo.json``); chaos runs of
 ``trace`` and ``health`` write automatic ``smart-infinity/flightrec/v1``
-dumps on incidents (``--dump-dir``, default ``flightrec/``).
+dumps on incidents (``--dump-dir``, default ``flightrec/``), at the end
+of the step that raised the incident, each ending at its alert.
 """
 
 from __future__ import annotations
@@ -697,10 +699,12 @@ def _render_health_report(result: dict) -> str:
         lines.append(
             f"flight recorder: {flight_stats['events_retained']} events "
             f"retained of {flight_stats['events_recorded']} recorded "
-            f"({flight_stats['events_dropped']} dropped, "
-            f"{flight_stats['workers']} worker segment(s))")
+            f"({flight_stats['events_dropped']} dropped) over the "
+            f"last {flight_stats['steps_retained']} step(s)")
     for path in health.get("dumps", []):
         lines.append(f"  [flight dump: {path}]")
+    for error in health.get("dump_errors", []):
+        lines.append(f"  [flight dump failed: {error}]")
     lines.append("")
     lines.append(_render_fault_stats(result["fault_stats"]))
     return "\n".join(lines)

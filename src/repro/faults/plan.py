@@ -24,10 +24,10 @@ retries with exponential backoff per the plan's :class:`RetryPolicy` and
 raises :class:`~repro.errors.RetryExhaustedError` when the budget runs
 out.  Permanent faults raise :class:`~repro.errors.DeviceFailedError`
 immediately (and forever after, for that device).  Every injected fault,
-retry, backoff sleep and dropout is counted in a :class:`FaultLedger`
-and appended to the flight recorder; backoffs and stalls are also
-traced as spans.  The engine owning the ledger turns it into the
-``faults_*`` metric families once per step, on its own thread.
+retry, backoff sleep and dropout is counted in a :class:`FaultLedger`;
+backoffs and stalls are also traced as spans.  The engine owning the
+ledger turns each step's delta into the ``faults_*`` metric families
+and its flight record, once per step, on its own thread.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from .. import telemetry
 from ..errors import (DeviceFailedError, FaultInjectionError,
                       RetryExhaustedError, TrainingError)
-from ..telemetry import flight
 from .retry import RetryPolicy
 
 #: Fault kinds a rule may inject.
@@ -307,17 +306,6 @@ class FaultInjector:
         """A device-bound view, attachable to one block device / CSD."""
         return FaultSite(self, device_id)
 
-    def _count(self, family: str, amount: float = 1,
-               **labels: object) -> None:
-        """Count one fault event in the ledger, and in the installed
-        flight recorder, which holds it with or without a telemetry
-        session (the black box must capture the seconds before a
-        dropout even when nobody asked for a trace)."""
-        self.ledger.add(family, amount, **labels)
-        recorder = flight.active_recorder()
-        if recorder is not None:  # labels hold a "kind": no record_event
-            recorder.record("fault", family, dict(labels, amount=amount))
-
     def _state(self, device_id: int) -> _DeviceFaultState:
         with self._devices_lock:
             state = self._devices.get(device_id)
@@ -352,7 +340,7 @@ class FaultInjector:
             if not state.dead:
                 state.dead = True
                 state.dead_reason = reason
-                self._count("faults_dropouts_total", device=device_id)
+                self.ledger.add("faults_dropouts_total", device=device_id)
 
     # ------------------------------------------------------------------
     # the hot path
@@ -388,13 +376,13 @@ class FaultInjector:
                     if state.rng.random() >= rule.probability:
                         continue
                 state.fires[index] = state.fires.get(index, 0) + 1
-                self._count("faults_injected_total", kind=rule.kind,
-                            device=device_id, op=op)
+                self.ledger.add("faults_injected_total", kind=rule.kind,
+                                device=device_id, op=op)
                 if rule.kind == "device_dropout":
                     state.dead = True
                     state.dead_reason = (
                         f"injected dropout at op {state.op_index}")
-                    self._count("faults_dropouts_total", device=device_id)
+                    self.ledger.add("faults_dropouts_total", device=device_id)
                     raise DeviceFailedError(
                         f"device {device_id} dropped out "
                         f"(injected at op {state.op_index})",
@@ -405,8 +393,8 @@ class FaultInjector:
                 transient = (rule, state.op_index)
                 break
         if stall > 0.0:
-            self._count("faults_latency_seconds_total", stall,
-                        device=device_id, op=op)
+            self.ledger.add("faults_latency_seconds_total", stall,
+                            device=device_id, op=op)
             with telemetry.trace_span("fault.latency_spike",
                                       device=device_id, op=op,
                                       seconds=stall):
@@ -437,15 +425,16 @@ class FaultInjector:
             except FaultInjectionError as fault:
                 delay = next(delays, None)
                 if delay is None:
-                    self._count("faults_retry_exhausted_total",
-                                device=device_id, op=op)
+                    self.ledger.add("faults_retry_exhausted_total",
+                                    device=device_id, op=op)
                     raise RetryExhaustedError(
                         f"device {device_id} op {op}: {attempts} attempts "
                         f"exhausted; last fault: {fault}",
                         attempts=attempts, last_fault=fault) from fault
-                self._count("faults_retries_total", device=device_id, op=op)
-                self._count("faults_backoff_seconds_total", delay,
-                            device=device_id, op=op)
+                self.ledger.add("faults_retries_total", device=device_id,
+                                op=op)
+                self.ledger.add("faults_backoff_seconds_total", delay,
+                                device=device_id, op=op)
                 with telemetry.trace_span("fault.backoff",
                                           device=device_id, op=op,
                                           attempt=attempts,

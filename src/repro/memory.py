@@ -44,7 +44,6 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from .errors import ArenaError
-from .telemetry import flight
 
 #: Smallest size class, in elements: sub-256-element checkouts share one
 #: class so tiny requests do not fragment the pool.
@@ -158,13 +157,6 @@ class BufferArena:
             _total_checkouts += 1
             if allocated:
                 _total_allocations += 1
-        if allocated:
-            # Cold-path allocations only: the flight recorder captures
-            # the moments the zero-steady-state-allocation invariant is
-            # at risk, without touching the warm path at all.
-            flight.record_event("arena", "alloc", arena=self.name,
-                                nbytes=int(base.nbytes),
-                                size_class=cls, dtype=dt.str)
         return base[:num_elements]
 
     def release(self, view: np.ndarray) -> None:

@@ -36,8 +36,7 @@ from ..errors import TrainingError
 from ..faults import FaultInjector, FaultLedger, FaultPlan
 from ..faults.plan import METRIC_HELP, Series, series_key, summarize
 from ..memory import ArenaStats, aggregate_arena_stats, live_arenas
-from ..telemetry import flight
-from ..telemetry.flight import FlightRecorder, IncidentDumper
+from ..telemetry.flight import FlightRecorder, IncidentDumper, StepRecord
 from ..telemetry.health import (Alert, DEFAULT_SLO_RULES, RulesEngine,
                                 StepHealthMonitor, parse_rules)
 from ..nn.modules import Module
@@ -122,12 +121,12 @@ class TrainingConfig:
     #: Fault-injection plan for the storage/CSD fleet (None = no faults).
     #: See :mod:`repro.faults` for the failure model.
     fault_plan: Optional[FaultPlan] = None
-    #: Always-on flight recorder (:mod:`repro.telemetry.flight`): a ring
-    #: of the last events per worker thread.
+    #: Always-on flight recorder (:mod:`repro.telemetry.flight`): the
+    #: engine's record of its last steps.
     flight_recorder: bool = True
     #: Directory for automatic incident dumps (flightrec/v1 JSONL).
     #: None disables *file* dumps — alerts still fire and land in the
-    #: ring — so library/test use never writes files unasked.
+    #: record — so library/test use never writes files unasked.
     flight_dump_dir: Optional[str] = None
     #: Declarative SLO/anomaly rules as raw dicts (the shape of
     #: ``examples/slo.json``); None applies
@@ -321,19 +320,21 @@ class MixedPrecisionTrainer:
         self._accumulated: Optional[np.ndarray] = None
 
         # Step-health monitoring + SLO rules (repro.telemetry.health):
-        # fed once per step by _run_step, evaluated immediately after.
+        # fed and evaluated once per step, by _close_books.
         self.health = StepHealthMonitor()
         raw_rules = (config.slo_rules if config.slo_rules is not None
                      else list(DEFAULT_SLO_RULES))
         self.rules = RulesEngine(parse_rules(raw_rules))
         self.alerts: List[Alert] = []
+        #: Incident alerts raised during the step, ``(alert, key,
+        #: attrs)``: a demotion may report from a worker thread, so they
+        #: wait for the step's end.
+        self._incidents: List[Tuple[Alert, str, Dict[str, object]]] = []
         #: Faults, demotions, degraded steps and alerts, as they happen
         #: (the engine's injector counts into it too).
         self.fault_ledger = FaultLedger()
 
-        # SSD-backed boundary activations (repro.nn.offload), opened
-        # before the flight recorder so a failure here leaves nothing
-        # installed.
+        # SSD-backed boundary activations (repro.nn.offload).
         self._spill: Optional[ActivationSpillStore] = None
         #: The I/O ledger of every block device the engine drives, by
         #: device name (the baseline adds its RAID members; the smart
@@ -344,17 +345,14 @@ class MixedPrecisionTrainer:
             self._block_io[self._spill.device.name] = \
                 self._spill.device.counters
 
-        # The always-on flight recorder: this engine installs its own
-        # and restores whatever was active before on close().
+        #: The flight recorder: this engine's last step records.
         self.flight: Optional[FlightRecorder] = None
-        self._flight_previous: Optional[FlightRecorder] = None
-        self._incidents: Optional[IncidentDumper] = None
+        self._dumper: Optional[IncidentDumper] = None
         if config.flight_recorder:
             self.flight = FlightRecorder()
-            self._flight_previous = flight.install(self.flight)
             if config.flight_dump_dir is not None:
-                self._incidents = IncidentDumper(self.flight,
-                                                 config.flight_dump_dir)
+                self._dumper = IncidentDumper(self.flight,
+                                              config.flight_dump_dir)
         self._arena_snapshot = aggregate_arena_stats()
         #: ``_block_io`` byte totals and ``fault_series()`` as of the
         #: previous step's end.
@@ -375,7 +373,7 @@ class MixedPrecisionTrainer:
         self.close()
 
     def close(self) -> None:
-        """Release every device, thread and recorder.  Idempotent."""
+        """Release every device and thread.  Idempotent."""
         self._shutdown(abandon=False)
 
     def _shutdown(self, abandon: bool) -> None:
@@ -384,11 +382,6 @@ class MixedPrecisionTrainer:
         if self._closed:
             return
         self._closed = True
-        if self.flight is not None:
-            # Only the recorder this engine installed is torn down, so
-            # overlapping engine lifetimes never clobber each other.
-            flight.replace(self.flight, self._flight_previous)
-            self._flight_previous = None
         if self._spill is not None:
             self._spill.close()
         self._release(abandon)
@@ -468,52 +461,39 @@ class MixedPrecisionTrainer:
 
     def _run_step(self, batches: Sequence[Sequence[np.ndarray]]
                   ) -> "StepResult":
-        """Run :meth:`_step_impl` under the health/flight envelope.
+        """Run :meth:`_step_impl`, then close its books.
 
-        Crashes (any exception escaping the step) are captured as an
-        incident — alert event in the ring, then an automatic dump —
-        *before* re-raising, so the flight recorder's last entries show
-        what was in flight; the failed step's books are closed too, so
-        the fault that killed it reaches the registry.  Successful
-        steps feed the health monitor and evaluate the SLO rules.
+        A crash (any exception escaping the step) is an incident: its
+        alert joins the step's record and dump before the exception is
+        re-raised, so the black box shows what was in flight, and the
+        fault that killed the step reaches the registry.
         """
         begin = time.perf_counter()
         try:
             result = self._step_impl(batches)
         except BaseException as exc:
-            self._record_incident(
+            error = f"{type(exc).__name__}: {exc}"
+            self._raise_incident(
                 "engine_exception",
                 key=f"engine_exception:{type(exc).__name__}",
                 message=(f"unhandled {type(exc).__name__} escaped the "
                          f"train step: {exc}"),
-                error=f"{type(exc).__name__}: {exc}")
-            self._close_books(self._cut_spans())
+                error=error)
+            self._close_books(None, 0.0, error)
             raise
-        self._observe_step(result, time.perf_counter() - begin)
+        self._close_books(result, time.perf_counter() - begin)
         return result
 
-    def _record_incident(self, kind: str, key: str, message: str,
-                         severity: str = "critical",
-                         **attrs: object) -> Alert:
+    def _raise_incident(self, kind: str, key: str, message: str,
+                        severity: str = "critical",
+                        **attrs: object) -> None:
         """A synthetic (non-rule) alert: dropout, crash, retry budget.
-
-        Records the alert into the flight ring first, then dumps — so
-        the dump's tail contains both the triggering fault event and
-        the alert itself.
-        """
-        alert = Alert(rule=kind, signal=kind, value=1.0,
-                      severity=severity, message=message,
-                      step=self.step_count, kind="incident")
-        self.alerts.append(alert)
-        flight.record_event("alert", kind, severity=severity,
-                            message=message, step=self.step_count,
-                            incident=key, **attrs)
-        self.fault_ledger.add("health_alerts_total", rule=kind,
-                              severity=severity)
-        if self._incidents is not None:
-            self._incidents.dump_once(key, reason=kind,
-                                      step=self.step_count)
-        return alert
+        Any thread may raise one; it is recorded, counted and dumped at
+        the step's end, on the thread that runs the step."""
+        self._incidents.append((
+            Alert(rule=kind, signal=kind, value=1.0, severity=severity,
+                  message=message, step=self.step_count, kind="incident"),
+            key, attrs))
 
     def _cut_spans(self) -> List[telemetry.Span]:
         """The active session's spans recorded since the last cut."""
@@ -524,32 +504,72 @@ class MixedPrecisionTrainer:
             self._span_cursor = spans[-1].seq
         return spans
 
-    def _close_books(self, spans: Sequence[telemetry.Span]) -> None:
-        """End a step's accounting: advance the ledger snapshots and,
-        under a telemetry session, write the step into its registry —
-        the one place spans and ledgers become metrics, on the thread
-        that runs the step."""
+    def _close_books(self, result: Optional["StepResult"], wall: float,
+                     error: Optional[str] = None) -> None:
+        """End a step — one that raised too — on the thread that ran it.
+
+        Takes the step's fault-ledger and arena deltas into its
+        :class:`StepRecord`; for a finished step, feeds the health
+        monitor from that record and evaluates the SLO rules; appends
+        the record to the flight recorder, then raises the step's alerts
+        into it one by one (each incident dump ends at its alert); and
+        under a telemetry session writes the step into the registry —
+        the one place spans and ledgers become metrics.
+        """
+        session = telemetry.active()
+        spans = self._cut_spans()
         io, io_prev = self._io_totals(), self._io_snapshot
         faults, faults_prev = self.fault_series(), self._fault_snapshot
-        self._io_snapshot, self._fault_snapshot = io, faults
-        session = telemetry.active()
+        arena, arena_prev = aggregate_arena_stats(), self._arena_snapshot
+        self._arena_snapshot = arena
+        record = StepRecord(
+            step=self.step_count,
+            loss=None if result is None else result.loss,
+            overflow=result is not None and result.overflow, error=error,
+            faults=_fault_delta(faults, faults_prev),
+            arena_allocs=arena.allocations - arena_prev.allocations,
+            spans=spans, span_epoch=(0.0 if session is None
+                                     else session.tracer.epoch),
+            ts=time.perf_counter())
+        alerts, self._incidents = self._incidents, []
+        if result is not None:
+            self._observe_step(record, result, wall, faults,
+                               arena.checkouts - arena_prev.checkouts)
+            alerts += [(alert, f"rule:{alert.rule}", {}) for alert in
+                       self.rules.evaluate(self.health, step=result.step)]
+        if self.flight is not None:
+            self.flight.append(record)
+        for alert, key, attrs in alerts:
+            self._raise_alert(record, alert, key, attrs)
+        self._io_snapshot, self._fault_snapshot = io, self.fault_series()
         if session is not None:
             _record_step_metrics(session.registry, spans, io, io_prev,
-                                 faults, faults_prev)
+                                 self._fault_snapshot, faults_prev)
 
-    def _observe_step(self, result: "StepResult", wall: float) -> None:
-        """Feed one finished step into the health monitor + SLO rules,
-        then close its books."""
-        spans = self._cut_spans()
-        faults = self.fault_stats()
-        prev = summarize(self._fault_snapshot)
-        arena = aggregate_arena_stats()
-        arena_prev = self._arena_snapshot
-        self._arena_snapshot = arena
-        checkouts_delta = arena.checkouts - arena_prev.checkouts
-        alloc_delta = arena.allocations - arena_prev.allocations
-        hit_rate = (1.0 - alloc_delta / checkouts_delta
-                    if checkouts_delta else 1.0)
+    def _raise_alert(self, record: StepRecord, alert: Alert, key: str,
+                     attrs: Dict[str, object]) -> None:
+        """Count ``alert``, add it to the step's record, and dump the
+        record once per incident ``key``."""
+        self.alerts.append(alert)
+        self.fault_ledger.add("health_alerts_total", rule=alert.rule,
+                              severity=alert.severity)
+        incident = alert.kind == "incident"
+        record.alerts.append((alert.rule, {
+            "severity": alert.severity, "message": alert.message,
+            "step": alert.step,
+            **({"incident": key, **attrs} if incident
+               else {"signal": alert.signal, "value": alert.value})}))
+        if self._dumper is not None:
+            self._dumper.dump_once(
+                key, reason=alert.rule if incident else "slo-breach",
+                step=self.step_count,
+                **({} if incident else {"rule": alert.rule}))
+
+    def _observe_step(self, record: StepRecord, result: "StepResult",
+                      wall: float, faults: Dict[Series, float],
+                      checkouts: int) -> None:
+        """Feed one finished step's record into the health monitor."""
+        step = summarize(dict(record.faults))
         signals: Dict[str, float] = {
             "steps_per_s": 1.0 / wall if wall > 0.0 else 0.0,
             "step_seconds": wall,
@@ -557,33 +577,15 @@ class MixedPrecisionTrainer:
             "loss_finite": 1.0 if math.isfinite(result.loss) else 0.0,
             "grad_norm": result.grad_norm,
             "overflow_step": 1.0 if result.overflow else 0.0,
-            "retries_step": float(faults["retries"] - prev["retries"]),
-            "backoff_s_step": float(faults["backoff_seconds"]
-                                    - prev["backoff_seconds"]),
-            "dropouts_step": float(faults["dropouts"] - prev["dropouts"]),
-            "degraded_steps": float(faults["degraded_steps"]),
-            "arena_hit_rate": hit_rate,
+            "retries_step": float(step["retries"]),
+            "backoff_s_step": float(step["backoff_seconds"]),
+            "dropouts_step": float(step["dropouts"]),
+            "degraded_steps": float(summarize(faults)["degraded_steps"]),
+            "arena_hit_rate": (1.0 - record.arena_allocs / checkouts
+                               if checkouts else 1.0),
         }
-        signals.update(self._utilization_signals(spans))
+        signals.update(self._utilization_signals(record.spans))
         self.health.observe(**signals)
-        flight.record_event(
-            "step", "train_step", step=result.step, loss=result.loss,
-            steps_per_s=signals["steps_per_s"],
-            overflow=result.overflow)
-        for alert in self.rules.evaluate(self.health, step=result.step):
-            self.alerts.append(alert)
-            flight.record_event("alert", alert.rule,
-                                severity=alert.severity,
-                                signal=alert.signal, value=alert.value,
-                                message=alert.message, step=alert.step)
-            self.fault_ledger.add("health_alerts_total", rule=alert.rule,
-                                  severity=alert.severity)
-            if self._incidents is not None:
-                self._incidents.dump_once(f"rule:{alert.rule}",
-                                          reason="slo-breach",
-                                          rule=alert.rule,
-                                          step=result.step)
-        self._close_books(spans)
 
     def _utilization_signals(self, spans: List[telemetry.Span]
                              ) -> Dict[str, float]:
@@ -608,12 +610,13 @@ class MixedPrecisionTrainer:
             "alerts": [alert.to_dict() for alert in self.alerts],
             "flight": self.flight.stats() if self.flight else None,
             "dumps": self.flight_dumps(),
+            "dump_errors": ([] if self._dumper is None
+                            else list(self._dumper.errors)),
         }
 
     def flight_dumps(self) -> List[str]:
         """Paths of the automatic incident dumps written so far."""
-        return self._incidents.paths if self._incidents is not None \
-            else []
+        return [] if self._dumper is None else list(self._dumper.paths)
 
     # ------------------------------------------------------------------
     # learning-rate scheduling
@@ -761,6 +764,19 @@ _WRITEBACK_LATENCY = {
     "handler.lazy_writeback": "handler_lazy_writeback_latency_us",
 }
 _QUEUE_DEPTH = "handler_lazy_queue_depth"
+
+
+def _fault_delta(faults: Dict[Series, float],
+                 before: Dict[Series, float]) -> List[Tuple[Series, float]]:
+    """A step's fault-ledger delta, in ledger order (:data:`METRIC_HELP`
+    order, then labels) so every backend lists a step's faults alike.
+    Alerts are left out: the flight record holds them as alerts."""
+    order = list(METRIC_HELP)
+    return [(key, total - before.get(key, 0)) for key, total in sorted(
+                faults.items(), key=lambda item: (order.index(item[0][0]),
+                                                  item[0][1]))
+            if key[0] != "health_alerts_total"
+            and total > before.get(key, 0)]
 
 
 def _record_step_metrics(registry, spans: Sequence[telemetry.Span],

@@ -24,11 +24,12 @@ calls over the task pipe.
   the same plan — fault streams are seeded per device id, so the
   injected sequence is identical to thread mode and chaos runs stay
   bit-exact;
-* telemetry hops the boundary by forwarding: each task response carries
-  what the child's flight ring gained since the last one — fault events
-  and finished spans alike, absolute timestamps, rebased on ingest — so
-  parent dumps interleave child fault events with host-side alerts in
-  one ordered timeline and the session sees every child span once.
+* spans hop the boundary as a plain list: while the parent traces, the
+  child runs a session on epoch 0 and each task response carries the
+  spans its tracer finished since the last one, which the parent's
+  tracer adopts (rebased) — one object in the parent session, which the
+  engine's flight record then refers to.  Faults travel only as the
+  child's ledger series.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
                       size_class)
 from ..optim import make_optimizer
 from ..storage.blockdev import IOCounters
-from ..telemetry import SpanTracer, TelemetrySession, flight
-from ..telemetry.flight import FlightRecorder
+from ..telemetry import SpanTracer, TelemetrySession
 from .engine import make_fault_injector
 from .parallel import ProcessCSDWorkerPool
 from .partition import Shard
@@ -98,17 +98,12 @@ def _channel_capacity(shards: Sequence[Shard], config,
 # child-process side
 # ----------------------------------------------------------------------
 
-#: Ring capacity of a child's forwarding recorder: one task's events per
-#: thread must fit, or the oldest never reach the parent.
-_FORWARD_CAPACITY = 1 << 12
-
 # Per-process worker registry. Sticky routing in ProcessCSDWorkerPool
 # guarantees shard index j always lands on worker j % workers, so each
 # child process only ever sees its own indexes.
 _STATE: Dict[str, object] = {
     "workers": {},        # index -> _ChildShard
     "segments": {},       # segment name -> attached SharedSegment
-    "flight_cursors": {},  # FlightRecorder.export_since's position
     "reset": False,
 }
 
@@ -123,44 +118,19 @@ def _attach_segment(descriptor: Dict[str, object]) -> SharedSegment:
     return segment
 
 
-def _sync_telemetry(spans_on: bool, flight_on: bool) -> None:
-    """Match this child's telemetry globals to the parent's, per task.
+def _sync_telemetry(spans_on: bool) -> None:
+    """Match this child's telemetry session to the parent's, per task.
 
-    Forked children inherit the parent's installed recorder/session
-    *objects*; the first task sheds them (their contents belong to the
-    parent).  From then on the child runs a session while the parent
-    traces spans and a recorder while the parent has either: the ring is
-    the one buffer everything recorded here leaves through, both on
-    epoch 0 so the parent can rebase what it is sent.
+    A forked child inherits the parent's session *object*; the first
+    task sheds it (its contents belong to the parent).  From then on the
+    child runs a session on epoch 0 while the parent traces spans, so
+    the parent can rebase what it is sent.
     """
-    if not _STATE["reset"]:
+    if not spans_on or not _STATE["reset"]:
         telemetry.disable()
-        flight.install(None)
         _STATE["reset"] = True
     if spans_on and not telemetry.enabled():
         telemetry.enable(TelemetrySession(SpanTracer(epoch=0.0)))
-    elif not spans_on:
-        telemetry.disable()
-    forwarding = spans_on or flight_on
-    if forwarding != (flight.active_recorder() is not None):
-        flight.install(FlightRecorder(_FORWARD_CAPACITY, epoch=0.0)
-                       if forwarding else None)
-        _STATE["flight_cursors"] = {}
-
-
-def _drain_telemetry(resp: Dict[str, object]) -> None:
-    """Attach what this child recorded since its last response."""
-    recorder = flight.active_recorder()
-    if recorder is None:
-        return
-    _STATE["flight_cursors"], events = recorder.export_since(
-        _STATE["flight_cursors"])
-    if events:
-        resp["telemetry"] = events
-    session = telemetry.active()
-    if session is not None:
-        # Its spans left with the ring's events; the tracer only makes them.
-        session.tracer.clear()
 
 
 class _ChannelSink:
@@ -243,7 +213,7 @@ class _ChildShard:
 
 def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     """The single task entry point the pool ships to child processes."""
-    _sync_telemetry(*task.get("telemetry", (False, False)))
+    _sync_telemetry(bool(task.get("trace")))
     op = str(task["op"])
     index = int(task["index"])
     if op == "init":
@@ -262,7 +232,10 @@ def _shard_task(task: Dict[str, object]) -> Dict[str, object]:
     resp["ledgers"] = [
         (io.bytes_read, io.bytes_written, io.read_ops, io.write_ops)
         for io in child.worker.ledgers()]
-    _drain_telemetry(resp)
+    session = telemetry.active()
+    if session is not None:
+        resp["spans"] = session.tracer.spans
+        session.tracer.clear()
     return resp
 
 
@@ -275,10 +248,8 @@ class ProcessShardCoordinator:
 
     Owns the shared arena, one channel (``name -> view``) per shard, and
     the :class:`~repro.runtime.parallel.ProcessCSDWorkerPool`.  Every
-    method that runs tasks ingests the children's forwarded telemetry
-    (events, spans, fault and I/O ledgers) and only then reports
-    demotions through ``on_demotion``, so the incident it records finds
-    the triggering child events already in the parent's flight ring.
+    method that runs tasks ingests the children's spans, fault and I/O
+    ledgers, and only then reports demotions through ``on_demotion``.
     ``install(start, masters)`` is the parent half of the upstream path.
     """
 
@@ -333,8 +304,7 @@ class ProcessShardCoordinator:
     def _run(self, op: str, **extra: object) -> List[Dict[str, object]]:
         tasks = [{
             "op": op, "index": index,
-            "telemetry": (telemetry.enabled(),
-                          flight.active_recorder() is not None),
+            "trace": telemetry.enabled(),
             **extra,
         } for index in range(len(self.shards))]
         responses = self.pool.map_ordered(_shard_task, tasks)
@@ -347,20 +317,14 @@ class ProcessShardCoordinator:
         return responses
 
     def _ingest(self, resp: Dict[str, object]) -> None:
-        """Fold one child response's telemetry into the parent's: every
-        event lands in the installed flight recorder under the child's
-        worker label, and a span event's span in the active tracer too
-        (rebased to its epoch) — the same object in both; the shard's
-        fault ledger and I/O ledger totals replace the last."""
-        events = resp.pop("telemetry", ())
-        recorder = flight.active_recorder()
-        if recorder is not None:
-            recorder.ingest(str(resp.get("worker", "csd-proc")), events)
+        """Fold one child response into the parent: its spans into the
+        active tracer (rebased to its epoch), and its fault ledger and
+        I/O ledger totals in place of the last."""
+        spans = resp.pop("spans", ())
         session = telemetry.active()
         if session is not None:
-            for _ts, kind, _name, payload, _thread in events:
-                if kind == "span":
-                    session.tracer.adopt(payload)
+            for span in spans:
+                session.tracer.adopt(span)
         self._fault_series[int(resp["index"])] = resp.pop("faults")
         self._ledgers[int(resp["index"])] = tuple(
             IOCounters(*totals) for totals in resp.pop("ledgers"))

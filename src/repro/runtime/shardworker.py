@@ -575,8 +575,8 @@ class InProcessShardCoordinator:
     ``workers=1`` degenerates to an inline loop on the calling thread,
     so the sequential engine is exactly the per-device loop.  A demotion
     is reported through ``on_demotion`` inline, on the worker's thread,
-    right after its ``engine.demote`` span closes — a flight dump's tail
-    then reads fault event -> demotion span -> alert.
+    right after its ``engine.demote`` span closes; the engine records
+    the incident at the step's end.
     """
 
     def __init__(self, storage_dir: str, shards: Sequence[Shard],

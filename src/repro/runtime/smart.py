@@ -238,8 +238,9 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         masters + states (exactly replaying any in-flight subgroup
         work); this side takes them into ``_host_shards``, refreshes the
         FP16 working copy when an update was recovered, and raises the
-        incident.  Runs on the worker's thread in-process, on the main
-        thread once the response is back from a worker process.
+        incident, which the engine records at the step's end.  Runs on
+        the worker's thread in-process, on the main thread once the
+        response is back from a worker process.
         """
         index = int(resp["index"])
         cause, cause_type = str(resp["cause"]), str(resp["cause_type"])
@@ -258,7 +259,7 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         self.fault_ledger.add("faults_demotions_total", device=index)
         kind = ("retry_exhausted" if resp["retry_exhausted"]
                 else "device_dropout")
-        self._record_incident(
+        self._raise_incident(
             kind, key=f"{kind}:device{index}",
             message=(f"device {index} demoted to host-CPU path "
                      f"({cause_type}: {cause})"),

@@ -23,10 +23,11 @@ repository (the question the paper's whole evaluation answers):
 * :mod:`~repro.telemetry.critpath` — the critical-path observatory:
   per-step dependency DAGs over a timeline, CPM slack, and the what-if
   projection engine behind ``repro whatif``;
-* :mod:`~repro.telemetry.flight` — the always-on flight recorder:
-  per-worker ring buffers of recent span/fault/arena/step/alert events,
-  merged on demand into one ordered ``smart-infinity/flightrec/v1``
-  JSONL snapshot, with once-per-incident automatic dumps;
+* :mod:`~repro.telemetry.flight` — the flight recorder: each engine's
+  bounded deque of per-step records (spans, fault-ledger delta,
+  alerts), appended at step end and rendered as one ordered
+  ``smart-infinity/flightrec/v1`` JSONL snapshot, with
+  once-per-incident automatic dumps;
 * :mod:`~repro.telemetry.health` — per-step health signals as rolling
   EWMA windows plus the declarative SLO/anomaly rules engine
   (threshold, rate-of-change, EWMA z-score) behind ``repro health``.
@@ -74,8 +75,7 @@ from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagNode,
                        render_projections, scale, write_critpath_jsonl)
 from .export import (chrome_trace, record_channel_metrics,
                      write_chrome_trace)
-from .flight import (FLIGHT_SCHEMA, FlightRecorder, IncidentDumper,
-                     record_event as record_flight_event)
+from .flight import FLIGHT_SCHEMA, FlightRecorder, IncidentDumper
 from .health import (Alert, DEFAULT_SLO_RULES, Ewma, Rule, RulesEngine,
                      SignalWindow, StepHealthMonitor,
                      evaluate_attribution, load_slo_rules, parse_rules)
@@ -123,7 +123,6 @@ __all__ = [
     "project",
     "rank_interventions",
     "record_attribution_metrics",
-    "record_flight_event",
     "render_projections",
     "render_top",
     "scale",

@@ -1,7 +1,8 @@
 """Step-health monitoring and a declarative SLO/anomaly rules engine.
 
 The flight recorder (:mod:`~repro.telemetry.flight`) remembers *what
-happened*; this module decides *whether it was healthy*.  Three pieces:
+happened* in each step; this module decides *whether it was healthy*.
+Three pieces:
 
 * :class:`Ewma` / :class:`SignalWindow` — rolling exponentially-weighted
   mean + variance per signal, O(1) state, no sample retention;
@@ -15,9 +16,11 @@ happened*; this module decides *whether it was healthy*.  Three pieces:
   the signal recovers, so a sustained breach yields one alert (and at
   most one flight-recorder dump), not one per step.
 
-The engines own the wiring: they feed the monitor after every step,
-evaluate the rules, and hand alerts to the flight recorder / incident
-dumper (:meth:`repro.runtime.engine.MixedPrecisionTrainer`).
+The engines own the wiring: at every step's end they feed the monitor
+from the step's record (its fault-ledger and arena deltas, its spans,
+its wall time), evaluate the rules, and add the alerts to that record,
+dumping it once per incident
+(:meth:`repro.runtime.engine.MixedPrecisionTrainer._close_books`).
 """
 
 from __future__ import annotations

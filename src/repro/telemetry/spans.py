@@ -16,9 +16,9 @@ exporter can reconstruct per-thread lanes with correct nesting.
 
 A :class:`Span` is *the* interval record: built once, by
 :meth:`SpanTracer.begin`, finished by :meth:`SpanTracer.end` on the
-thread that ran it, appended to that thread's own lane (single writer,
-no lock) and handed as-is to the flight ring — both refer to the one
-object.  ``seq`` is its completion
+thread that ran it, and appended to that thread's own lane (single
+writer, no lock); the engine's flight record refers to the same object.
+``seq`` is its completion
 order across every tracer in the process, which is also what "the
 intervals since cursor N" means to a reader (:meth:`SpanTracer.since`).
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import TelemetryError
-from . import flight
 
 
 @dataclass
@@ -175,8 +174,6 @@ class SpanTracer:
         token.end = self._now()
         token.seq = next(_SEQ)
         local.lane.append(token)
-        if flight._recorder is not None:
-            flight._recorder.record("span", token.name, token)
         return token
 
     def adopt(self, span: Span) -> None:

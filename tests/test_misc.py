@@ -56,14 +56,14 @@ def test_tracked_surface_numbers():
     } == {
         "TrainingConfig fields": 23,
         "repro.api names": 9,
-        "repro.telemetry names": 64,
+        "repro.telemetry names": 63,
         "CLI subcommands": 8,
         "CI run steps": 10,
         "step bodies": ["src/repro/runtime/engine.py"],
     }
     source_lines = sum(len(path.read_text().splitlines())
                        for path in (root / "src/repro").rglob("*.py"))
-    assert source_lines <= 18_451   # lowered as the source shrinks
+    assert source_lines <= 18_235   # lowered as the source shrinks
 
 
 #: Public top-level names under ``src/repro`` that nothing in ``src/``,

@@ -343,12 +343,12 @@ def test_checkpoint_round_trip_across_backends(tmp_path):
 
 
 def test_child_telemetry_forwarded_to_parent_session(tmp_path):
-    """Worker-process spans and flight events land in the parent.
+    """Worker-process spans land in the parent.
 
     The per-device work happens in other processes, but the observability
     contract is unchanged: the parent session's tracer carries the
-    children's device-update spans and the flight recorder shows their
-    ring segments.
+    children's device-update spans, and the engine's flight record holds
+    the step.
     """
     from repro import telemetry
 
@@ -368,14 +368,14 @@ def test_child_telemetry_forwarded_to_parent_session(tmp_path):
     # sit inside this session, not at a fork-inherited origin.
     assert all(span.start >= 0 for span in session.tracer.spans)
     assert flight_stats is not None
-    assert flight_stats["workers"] >= 2  # the two children's segments
+    assert flight_stats["steps_retained"] == 1
 
 
 def test_child_span_is_one_record_forwarded_once(tmp_path, monkeypatch):
-    """Under a session with the flight recorder on, a worker process's
-    span crosses the pipe once (one ``telemetry`` key per response) and
-    is one object in the parent: once in the session's spans, once in
-    the parent ring — whose span appends equal the span ends."""
+    """A child span crosses the pipe once and is one object in the
+    parent session: every response carries at most a ``spans`` list (no
+    other telemetry), and the step's flight record refers to the very
+    span objects the session holds."""
     from repro import telemetry
     from repro.runtime.procworker import ProcessShardCoordinator
 
@@ -383,7 +383,8 @@ def test_child_span_is_one_record_forwarded_once(tmp_path, monkeypatch):
     ingest = ProcessShardCoordinator._ingest
 
     def spy(self, resp):
-        carried.append(set(resp) & {"telemetry", "events", "spans"})
+        carried.append((set(resp) & {"telemetry", "events", "spans"},
+                        [id(span) for span in resp.get("spans", ())]))
         ingest(self, resp)
 
     monkeypatch.setattr(ProcessShardCoordinator, "_ingest", spy)
@@ -396,23 +397,20 @@ def test_child_span_is_one_record_forwarded_once(tmp_path, monkeypatch):
         with create_engine("smart", make_model(), loss_fn,
                            str(tmp_path / "t"), config=config) as engine:
             engine.train_step(tokens, labels)
-            recorder = engine.flight
-            ring = [(segment.thread_name, event)
-                    for segment in recorder._segments
-                    for event in segment.tail(segment.capacity)]
+            (record,) = engine.flight.records
             spans = session.tracer.spans
-            assert recorder.stats()["events_dropped"] == 0
+    assert any(keys == {"spans"} for keys, _ in carried)
+    assert all(keys <= {"spans"} for keys, _ in carried)
+    shipped = [span_id for _, ids in carried for span_id in ids]
+    assert len(shipped) == len(set(shipped))
+    shipped = set(shipped)
+    # Each shipped span is adopted once: it is in the session exactly
+    # once, and the record refers to the session's objects, not copies.
     assert len({id(span) for span in spans}) == len(spans)
-    assert {"telemetry"} in carried
-    assert all(keys <= {"telemetry"} for keys in carried)
-
-    ring_spans = [(thread, event[4]) for thread, event in ring
-                  if event[2] == "span"]
-    # Every span end — here or in a child — is one ring append, and the
-    # ring slot holds the session's own record, not a copy.
-    assert sorted(id(span) for _thread, span in ring_spans) == \
-        sorted(id(span) for span in spans)
-    forwarded = [span for thread, span in ring_spans if "/" in thread]
+    assert shipped <= {id(span) for span in spans}
+    assert [id(span) for span in record.spans] == [
+        id(span) for span in spans]
+    forwarded = [span for span in record.spans if id(span) in shipped]
     assert {"offload_device", "device_update"} <= {
         span.name for span in forwarded}
     assert all(span.end >= span.start >= 0.0 for span in forwarded)

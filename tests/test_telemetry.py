@@ -112,21 +112,39 @@ def test_span_exiting_via_exception_is_marked():
     assert fine.depth == 0          # the failed span left the stack
 
 
-def test_span_exception_flows_to_flight_recorder():
-    from repro.telemetry import flight
-    recorder = flight.FlightRecorder(capacity_per_worker=16)
-    previous = flight.install(recorder)
-    try:
-        with telemetry.session():
-            with pytest.raises(RuntimeError):
-                with telemetry.trace_span("crashing"):
-                    raise RuntimeError("dead")
-    finally:
-        flight.replace(recorder, previous)
-    (event,) = [e for e in recorder.events() if e["name"] == "crashing"]
-    assert event["kind"] == "span"
-    assert event["attrs"]["status"] == "error"
-    assert event["attrs"]["error"] == "RuntimeError: dead"
+def test_span_exception_flows_to_flight_recorder(tmp_path):
+    """A step that dies inside a span still leaves its record: the
+    errored span, the step event with the error, then the incident
+    alert — in that order, the dump's tail."""
+    import numpy as np
+
+    from repro.nn import SequenceClassifier, bert_config
+    from repro.runtime import SmartInfinityEngine, TrainingConfig
+
+    def crashing(model, tokens, labels):
+        with telemetry.trace_span("crashing"):
+            raise RuntimeError("dead")
+
+    model = SequenceClassifier(
+        bert_config(vocab_size=32, dim=32, num_layers=1, num_heads=2,
+                    max_seq_len=8), num_classes=2, seed=0)
+    tokens = np.zeros((2, 8), dtype=np.int64)
+    labels = np.zeros(2, dtype=np.int64)
+    with telemetry.session():
+        with SmartInfinityEngine(model, crashing, str(tmp_path),
+                                 config=TrainingConfig()) as engine:
+            with pytest.raises(RuntimeError, match="dead"):
+                engine.train_step(tokens, labels)
+            events = [e for e in engine.flight.events()
+                      if e["kind"] != "span" or e["name"] == "crashing"]
+    assert [(e["kind"], e["name"]) for e in events] == [
+        ("span", "crashing"), ("step", "train_step"),
+        ("alert", "engine_exception")]
+    span, step, alert = events
+    assert span["attrs"]["status"] == "error"
+    assert span["attrs"]["error"] == "RuntimeError: dead"
+    assert step["attrs"]["error"] == "RuntimeError: dead"
+    assert alert["attrs"]["incident"] == "engine_exception:RuntimeError"
 
 
 # ----------------------------------------------------------------------
