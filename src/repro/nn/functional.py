@@ -1,11 +1,6 @@
-"""Differentiable neural-network operations built on :class:`Tensor`.
-
-These are the ops a transformer needs: the affine map, GELU/ReLU
-activations, stable softmax and log-softmax, layer normalization, embedding
-lookup, dropout, causal masking, and token-level cross-entropy.  Each op
-registers a custom backward closure rather than being composed from
-primitives where a fused implementation is clearer or numerically safer.
-"""
+"""Differentiable neural-network operations built on :class:`Tensor`: the
+ops a transformer needs, each one graph node with a custom backward closure
+where a fused implementation is clearer, faster or numerically safer."""
 
 from __future__ import annotations
 
@@ -59,16 +54,29 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
+    """Gaussian error linear unit (tanh approximation, as in GPT-2), in
+    place but in the plain formula's order and operands, so bit-equal."""
     u = x.data
-    inner = _SQRT_2_OVER_PI * (u + 0.044715 * (u * u * u))
-    t = np.tanh(inner)
-    result = 0.5 * u * (1.0 + t)
+    t = u * u
+    t *= u
+    t *= 0.044715
+    t += u
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    result = np.add(1.0, t)
+    np.multiply(0.5 * u, result, out=result)
 
     def backward(grad: np.ndarray) -> None:
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * u ** 2)
-        dt = (1.0 - t ** 2) * dinner
-        x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * u * dt))
+        dinner = np.square(u)
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _SQRT_2_OVER_PI
+        dt = np.subtract(1.0, np.square(t))
+        dt *= dinner
+        np.multiply(0.5 * u, dt, out=dt)
+        np.multiply(0.5, np.add(1.0, t, out=dinner), out=dinner)
+        dinner += dt
+        x._accumulate(np.multiply(grad, dinner, out=dinner))
 
     return x._make(result, (x,), backward)
 
@@ -79,19 +87,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * result * (1.0 - result))
-
-    return x._make(result, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    result = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        dot = (grad * result).sum(axis=axis, keepdims=True)
-        x._accumulate(result * (grad - dot))
 
     return x._make(result, (x,), backward)
 
@@ -111,24 +106,32 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last dimension with affine transform."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = (x.data - mean) * inv_std
-    result = normalized * weight.data + bias.data
+    """Layer normalization over the last dimension with affine transform.
+    ``x - mean`` is formed once, for numpy's ``_var`` steps and the
+    normalisation; the rest runs in place, bit-equal to the plain form."""
+    normalized = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(normalized).sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
+    var += eps
+    inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    normalized *= inv_std
+    result = normalized * weight.data
+    result += bias.data
 
     def backward(grad: np.ndarray) -> None:
+        lead = tuple(range(grad.ndim - 1))
+        scratch = np.multiply(grad, normalized)
         if weight.requires_grad:
-            weight._accumulate(
-                (grad * normalized).sum(axis=tuple(range(grad.ndim - 1))))
+            weight._accumulate(scratch.sum(axis=lead))
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=tuple(range(grad.ndim - 1))))
+            bias._accumulate(grad.sum(axis=lead))
         if x.requires_grad:
             gx = grad * weight.data
-            mean_gx = gx.mean(axis=-1, keepdims=True)
-            mean_gx_n = (gx * normalized).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * (gx - mean_gx - normalized * mean_gx_n))
+            mean_gx_n = np.multiply(gx, normalized, out=scratch).mean(
+                axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(normalized, mean_gx_n, out=scratch)
+            x._accumulate(np.multiply(inv_std, gx, out=gx))
 
     return x._make(result, (x, weight, bias), backward)
 
@@ -147,15 +150,19 @@ def embedding(indices: np.ndarray, table: Tensor) -> Tensor:
     return table._make(result, (table,), backward)
 
 
+def _keep_mask(shape, rate: float,
+               rng: np.random.Generator) -> np.ndarray:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) < 1.0 - rate).astype(np.float32) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout; identity when ``training`` is false or rate is 0."""
     if not training or rate <= 0.0:
         return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) < keep).astype(np.float32) / keep
+    mask = _keep_mask(x.data.shape, rate, rng)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
@@ -164,47 +171,72 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
 
 
 def causal_mask(seq_len: int) -> np.ndarray:
-    """Additive attention mask: 0 on/below the diagonal, -inf above."""
+    """Additive attention mask: 0 on/below the diagonal, -1e9 above.  Not
+    ``-inf``: ``exp`` underflows to 0 all the same, but a fully masked row
+    stays finite (uniform, not ``-inf - -inf = NaN``), as do its sums."""
     mask = np.zeros((seq_len, seq_len), dtype=np.float32)
     mask[np.triu_indices(seq_len, k=1)] = -1e9
     return mask
 
 
-def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Add a (broadcastable) additive mask to ``x`` (for attention)."""
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
+def attention(qkv: Tensor, heads: int, bias: np.ndarray, dropout: float = 0.0,
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+    """``softmax(q @ k^T / sqrt(head_dim) + bias) @ v`` over a fused
+    ``(batch, seq, 3 * dim)`` projection as one graph node, the softmax
+    in place.  The q/k/v gradients are added into one zeroed ``(batch,
+    seq, 3, heads, head_dim)`` buffer, so ``-0.0`` lands as ``0.0``."""
+    batch, seq, width = qkv.shape
+    split = qkv.data.reshape(batch, seq, 3, heads, width // (3 * heads))
+    q, k, v = split.transpose(2, 0, 3, 1, 4)
+    scale = np.float32(1.0 / math.sqrt(split.shape[-1]))
+    weights = np.matmul(q, np.swapaxes(k, -1, -2))
+    weights *= scale
+    weights += bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    mask = _keep_mask(weights.shape, dropout, rng) if dropout > 0 else None
+    kept = weights if mask is None else weights * mask
+    context = np.matmul(kept, v).transpose(0, 2, 1, 3)
 
-    return x._make(x.data + mask, (x,), backward)
+    def backward(grad: np.ndarray) -> None:
+        grad = grad.reshape(context.shape).transpose(0, 2, 1, 3).copy()
+        full = np.zeros(split.shape, dtype=np.float32)
+        dq, dk, dv = full.transpose(2, 0, 3, 1, 4)
+        dv += np.matmul(np.swapaxes(kept, -1, -2), grad)
+        dweights = np.matmul(grad, np.swapaxes(v, -1, -2))
+        if mask is not None:
+            dweights *= mask
+        dweights -= (dweights * weights).sum(axis=-1, keepdims=True)
+        np.multiply(weights, dweights, out=dweights)
+        dweights *= scale
+        dq += np.matmul(dweights, k)
+        dk += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), dweights), -1, -2)
+        qkv._accumulate(full.reshape(qkv.shape))
+
+    return qkv._make(context.reshape(batch, seq, -1), (qkv,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
                   ignore_index: Optional[int] = None) -> Tensor:
-    """Mean token-level cross entropy.
-
-    ``logits`` has shape ``(..., vocab)``; ``targets`` the matching integer
-    shape.  Rows whose target equals ``ignore_index`` contribute nothing.
-    """
+    """Mean token-level cross entropy of ``(..., vocab)`` logits against
+    integer ``targets``; rows whose target is ``ignore_index`` count 0."""
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
     flat_logits = logits.data.reshape(-1, vocab)
     flat_targets = targets.reshape(-1)
-    if ignore_index is not None:
-        valid = flat_targets != ignore_index
-    else:
-        valid = np.ones_like(flat_targets, dtype=bool)
+    valid = (np.ones_like(flat_targets, dtype=bool) if ignore_index is None
+             else flat_targets != ignore_index)
     count = max(int(valid.sum()), 1)
 
     shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    picked = log_probs[np.arange(flat_targets.size),
-                       np.where(valid, flat_targets, 0)]
-    loss_value = -(picked * valid).sum() / count
+    picked = (np.arange(flat_targets.size), np.where(valid, flat_targets, 0))
+    loss_value = -(log_probs[picked] * valid).sum() / count
 
     def backward(grad: np.ndarray) -> None:
         soft = np.exp(log_probs)
-        soft[np.arange(flat_targets.size),
-             np.where(valid, flat_targets, 0)] -= 1.0
+        soft[picked] -= 1.0
         soft *= (valid[:, None] / count)
         logits._accumulate(
             (soft * grad).reshape(logits.data.shape).astype(np.float32))

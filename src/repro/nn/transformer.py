@@ -4,10 +4,8 @@ The evaluation uses GPT-2 (decoder-only), BERT (encoder-only), BLOOM
 (decoder-only with ALiBi attention biases), and ViT (encoder over image
 patches).  All four share the same block structure — attention + MLP with
 pre- or post-layernorm — so one parametrized implementation covers them.
-
-Instances here are *functional*: small enough to train with numpy autograd.
-The large paper-scale configurations (1.16B-33B parameters) are described
-analytically in `repro.nn.models` without instantiating weights.
+Instances here are small enough to train with numpy autograd; the
+paper-scale configurations live analytically in `repro.nn.models`.
 """
 
 from __future__ import annotations
@@ -48,10 +46,6 @@ class TransformerConfig:
         if self.attention not in ("causal", "bidirectional"):
             raise ValueError(f"unknown attention kind {self.attention!r}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.num_heads
-
 
 def alibi_slopes(num_heads: int) -> np.ndarray:
     """Per-head ALiBi slopes as in the BLOOM paper (powers of 2^(-8/n))."""
@@ -71,42 +65,32 @@ def alibi_bias(num_heads: int, seq_len: int) -> np.ndarray:
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention with optional causal mask and ALiBi."""
+    """Scaled dot-product attention with optional causal mask and ALiBi;
+    the score bias is built once, read-only, at ``max_seq_len``."""
 
     def __init__(self, config: TransformerConfig,
                  rng: np.random.Generator) -> None:
         super().__init__()
         self.config = config
-        dim = config.dim
-        self.qkv = Linear(dim, 3 * dim, rng)
-        self.proj = Linear(dim, dim, rng,
+        self.qkv = Linear(config.dim, 3 * config.dim, rng)
+        self.proj = Linear(config.dim, config.dim, rng,
                            init_scale=1.0 / math.sqrt(2 * config.num_layers))
         self.drop = Dropout(config.dropout, rng=np.random.default_rng(
             rng.integers(0, 2 ** 31)))
+        seq = config.max_seq_len
+        bias = np.zeros((1, 1, seq, seq), dtype=np.float32)
+        if config.attention == "causal":
+            bias = bias + F.causal_mask(seq)[None, None]
+        if config.alibi:
+            bias = bias + alibi_bias(config.num_heads, seq)[None]
+        bias.flags.writeable = False
+        self.score_bias = bias
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq, dim = x.shape
-        heads = self.config.num_heads
-        head_dim = self.config.head_dim
-
-        qkv = self.qkv(x)  # (batch, seq, 3*dim)
-        qkv = qkv.reshape(batch, seq, 3, heads, head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, batch, heads, seq, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim))
-        bias = np.zeros((1, 1, seq, seq), dtype=np.float32)
-        if self.config.attention == "causal":
-            bias = bias + F.causal_mask(seq)[None, None]
-        if self.config.alibi:
-            bias = bias + alibi_bias(heads, seq)[None]
-        scores = F.masked_fill(scores, bias)
-        weights = F.softmax(scores, axis=-1)
-        weights = self.drop(weights)
-
-        context = weights @ v  # (batch, heads, seq, head_dim)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, dim)
-        return self.proj(context)
+        rate = self.drop.rate if self.drop.training else 0.0
+        bias = self.score_bias[..., :x.shape[1], :x.shape[1]]
+        return self.proj(F.attention(self.qkv(x), self.config.num_heads,
+                                     bias, rate, self.drop.rng))
 
 
 class MLP(Module):
@@ -154,17 +138,13 @@ class TransformerBackbone(Module):
         rng = np.random.default_rng(seed)
         self.config = config
         self.token_embed = Embedding(config.vocab_size, config.dim, rng)
-        if not config.alibi:
-            self.pos_embed = Embedding(config.max_seq_len, config.dim, rng)
-        else:
-            self.pos_embed = None
+        self.pos_embed = (None if config.alibi else
+                          Embedding(config.max_seq_len, config.dim, rng))
         self.drop = Dropout(config.dropout, rng=np.random.default_rng(
             rng.integers(0, 2 ** 31)))
-        blocks = [TransformerBlock(config, rng)
-                  for _ in range(config.num_layers)]
-        for index, block in enumerate(blocks):
-            setattr(self, f"block{index}", block)
-        self._num_blocks = len(blocks)
+        for index in range(config.num_layers):
+            setattr(self, f"block{index}", TransformerBlock(config, rng))
+        self._num_blocks = config.num_layers
         self.ln_final = LayerNorm(config.dim)
 
     def forward(self, tokens: np.ndarray) -> Tensor:
@@ -200,8 +180,7 @@ class LanguageModel(Module):
 
     def loss(self, tokens: np.ndarray) -> Tensor:
         """Next-token prediction loss over a batch of token sequences."""
-        logits = self.forward(tokens[:, :-1])
-        return F.cross_entropy(logits, tokens[:, 1:])
+        return F.cross_entropy(self.forward(tokens[:, :-1]), tokens[:, 1:])
 
 
 class SequenceClassifier(Module):
@@ -216,9 +195,7 @@ class SequenceClassifier(Module):
         self.head = Linear(config.dim, num_classes, rng)
 
     def forward(self, tokens: np.ndarray) -> Tensor:
-        features = self.backbone(tokens)
-        pooled = features.mean(axis=1)
-        return self.head(pooled)
+        return self.head(self.backbone(tokens).mean(axis=1))
 
     def loss(self, tokens: np.ndarray, labels: np.ndarray) -> Tensor:
         return F.cross_entropy(self.forward(tokens), labels)
@@ -228,39 +205,29 @@ def gpt2_config(vocab_size: int = 256, max_seq_len: int = 64, dim: int = 64,
                 num_layers: int = 2, num_heads: int = 4,
                 dropout: float = 0.0) -> TransformerConfig:
     """A tiny GPT-2-shaped config for functional training tests."""
-    return TransformerConfig(
-        vocab_size=vocab_size, max_seq_len=max_seq_len, dim=dim,
-        num_layers=num_layers, num_heads=num_heads, dropout=dropout,
-        attention="causal", pre_norm=True)
+    return TransformerConfig(vocab_size, max_seq_len, dim, num_layers,
+                             num_heads, dropout=dropout)
 
 
 def bert_config(vocab_size: int = 256, max_seq_len: int = 64, dim: int = 64,
                 num_layers: int = 2, num_heads: int = 4,
                 dropout: float = 0.0) -> TransformerConfig:
     """A tiny BERT-shaped config (bidirectional, post-norm)."""
-    return TransformerConfig(
-        vocab_size=vocab_size, max_seq_len=max_seq_len, dim=dim,
-        num_layers=num_layers, num_heads=num_heads, dropout=dropout,
-        attention="bidirectional", pre_norm=False)
+    return TransformerConfig(vocab_size, max_seq_len, dim, num_layers,
+                             num_heads, dropout=dropout,
+                             attention="bidirectional", pre_norm=False)
 
 
 def bloom_config(vocab_size: int = 256, max_seq_len: int = 64, dim: int = 64,
                  num_layers: int = 2, num_heads: int = 4) -> TransformerConfig:
     """A tiny BLOOM-shaped config (causal with ALiBi biases)."""
-    return TransformerConfig(
-        vocab_size=vocab_size, max_seq_len=max_seq_len, dim=dim,
-        num_layers=num_layers, num_heads=num_heads, attention="causal",
-        alibi=True, pre_norm=True)
+    return TransformerConfig(vocab_size, max_seq_len, dim, num_layers,
+                             num_heads, alibi=True)
 
 
 def vit_config(num_patches: int = 16, num_patch_ids: int = 64, dim: int = 64,
                num_layers: int = 2, num_heads: int = 4) -> TransformerConfig:
-    """A tiny ViT-shaped config: bidirectional encoder over patch tokens.
-
-    Synthetic "images" are sequences of quantized patch ids, which keeps the
-    pipeline identical to text models while exercising the vision family.
-    """
-    return TransformerConfig(
-        vocab_size=num_patch_ids, max_seq_len=num_patches, dim=dim,
-        num_layers=num_layers, num_heads=num_heads,
-        attention="bidirectional", pre_norm=True)
+    """A tiny ViT-shaped config: a bidirectional encoder over sequences
+    of quantized patch ids, so images take the text models' pipeline."""
+    return TransformerConfig(num_patch_ids, num_patches, dim, num_layers,
+                             num_heads, attention="bidirectional")

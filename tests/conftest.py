@@ -43,6 +43,24 @@ def check_gradient(build_output, array, rtol=1e-2, atol=1e-3):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+#: Where the bit pins (model digests, accumulated-step trails) were
+#: recorded.  GEMM bits depend on the shape and the BLAS kernel, so a pin
+#: can fail on another numpy or BLAS build without any code change.
+PINNED_PLATFORM = "numpy 2.4.6 with OpenBLAS 0.3.31"
+
+
+def pin_note():
+    """Failure message for a bit pin: its recording platform and this
+    run's numpy version and BLAS vendor/version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy without show_config(mode=...)
+        blas = "an unreported BLAS"
+    return (f"pinned under {PINNED_PLATFORM}; this run has numpy "
+            f"{np.__version__} with {blas}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -21,6 +21,8 @@ from repro.nn import (LanguageModel, checkpointed_lm_loss, gpt2_config,
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
+from .conftest import pin_note
+
 
 # ----------------------------------------------------------------------
 # the replaced forms, verbatim
@@ -86,7 +88,7 @@ def test_bench_model_gradients_bit_identical_to_parent(name):
     digest = hashlib.sha1(np.asarray(loss.data).tobytes())
     for _name, param in model.named_parameters():
         digest.update(param.grad.tobytes())
-    assert digest.hexdigest() == _PARENT_DIGESTS[name]
+    assert digest.hexdigest() == _PARENT_DIGESTS[name], pin_note()
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ from repro.optim import (constant_schedule, cosine_warmup_decay,
 from repro.runtime import (HostOffloadEngine, SmartInfinityEngine,
                            TrainingConfig)
 
+from .conftest import pin_note
+
 
 # ----------------------------------------------------------------------
 # schedules
@@ -175,7 +177,7 @@ def test_accumulated_steps_bit_identical_to_recorded_parent(dataset, micro):
         trail.append((result.loss.hex(), result.grad_norm.hex()))
     checksum = hashlib.sha1(
         engine.space.gather_params().tobytes()).hexdigest()
-    assert (checksum, trail) == _PARENT_ACCUMULATED[micro]
+    assert (checksum, trail) == _PARENT_ACCUMULATED[micro], pin_note()
     # One accumulator, and only when there is something to accumulate.
     assert (engine._accumulated is None) == (micro == 1)
 
