@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Eight subcommands:
+Five subcommands, plus ``--list-models`` (the analytic model zoo) and
+``--version``:
 
-* ``list-models`` — print the analytic model zoo (names, sizes, shapes).
-* ``simulate`` — run one DES training-iteration configuration and print
-  its phase breakdown and speedup over the baseline.
-* ``top`` — the bottleneck observatory dashboard: per-link utilization
-  bars, the phase x resource ownership table, a bottleneck verdict, and
-  a health/alerts pane (SLO rules over the attribution), over a fresh
-  simulation or a finished trace file (``--trace``); ``--once`` renders
-  a single frame, otherwise it refreshes live.  With nothing to
-  attribute it degrades to a "no data yet" notice instead of an error.
+* ``top`` — the bottleneck observatory dashboard over one simulated
+  iteration, or a finished trace file (``--trace``): step time (and, in
+  sim mode, the speedup over the baseline), per-link utilization bars,
+  the phase x resource ownership table, a bottleneck verdict, the
+  critical path and a health/alerts pane (SLO rules over the
+  attribution).  ``--once`` renders a single frame, otherwise it
+  refreshes live; with nothing to attribute it degrades to a "no data
+  yet" notice instead of an error.
 * ``whatif`` — the critical-path observatory's counterfactual engine:
   reconstruct the per-step dependency DAG of one simulated iteration,
   print the critical path with slack accounting, and rank what-if
@@ -20,18 +20,15 @@ Eight subcommands:
   applied and fails (exit 1) if the projection error exceeds
   ``--max-error``; ``--jsonl`` writes the
   ``smart-infinity/critpath/v1`` event log.
-* ``health`` — the step-health monitor: run a functional-engine probe
-  and report per-step signals (steps/s, loss finiteness, retry/arena
-  rates, link utilization) as rolling EWMA windows, the SLO alerts that
-  fired, and the flight recorder's state (events and steps retained)
-  with the incident dumps written; one-shot by default, ``--watch``
-  refreshes live.
+* ``trace`` — export a Chrome trace-event JSON (open in Perfetto)
+  unifying the sim-time DES timeline with wall-clock telemetry spans
+  from a functional-engine proxy run of the same ``--method``, then
+  print the proxy's step-health report: per-step signals as EWMA
+  windows, the SLO alerts that fired, the flight recorder's state with
+  the incident dumps written, and the fault counts.
 * ``experiment`` — regenerate a paper table or figure by id and print
   it; with ``--write DIR`` write its result file instead, and with no id
   every experiment's (this is how ``results/`` is produced).
-* ``trace`` — export a Chrome trace-event JSON (open in Perfetto)
-  unifying the sim-time DES timeline with wall-clock telemetry spans
-  from a functional-engine proxy run.
 * ``scenario`` — declarative chaos + workload campaigns
   (``repro.scenarios``): ``list`` the bundled (or given) scenario
   files, ``run`` them with per-phase pass/fail against any engine mode
@@ -41,37 +38,36 @@ Eight subcommands:
 
 Examples::
 
-    python -m repro list-models
-    python -m repro simulate --model gpt2-8.4b --csds 10 --method su_o_c
-    python -m repro top --once --model gpt2-4.0b --csds 10
+    python -m repro --list-models
+    python -m repro top --once --model gpt2-8.4b --csds 10 --method su_o_c
     python -m repro top --once --trace gpt2-4.0b-su_o_c.trace.json
     python -m repro whatif --model gpt2-4.0b --csds 10
     python -m repro whatif --scale host-link-down=0.5 --validate
-    python -m repro health --once --steps 5
-    python -m repro health --fault-plan examples/chaos.json --chaos-seed 7
+    python -m repro trace --model gpt2-4.0b --csds 6 --method su_o_c
+    python -m repro trace --fault-plan examples/chaos.json --chaos-seed 7
     python -m repro experiment fig9
     python -m repro experiment --write results
-    python -m repro trace --model gpt2-4.0b --csds 6 --method su_o_c
     python -m repro scenario list
     python -m repro scenario run examples/scenarios/dropout_recovery.json
     python -m repro scenario run --backend process --chaos-seed 7
     python -m repro scenario replay examples/scenarios/dropout_recovery.json \\
         --log events.jsonl
 
-``simulate`` and ``trace`` accept ``--metrics`` to print a
-Prometheus-style exposition of per-channel counters and gauges; ``top``
-extends it with the attribution series and can also write a structured
-JSONL event log (``--jsonl``).  The subcommands that drive the
-functional engine (``health``, ``trace``, ``scenario``) share one flag
-vocabulary — ``--backend``, ``--workers``, ``--fault-plan``,
-``--chaos-seed``, ``--slo``, ``--schedule``, ``--activation-offload`` —
-with identical semantics everywhere; ``top`` and ``whatif`` are
-simulation-only and take just ``--schedule`` (and ``top`` ``--slo``).
-``python -m repro --version`` prints the package version.  ``--slo``
-takes a JSON rules file (see ``examples/slo.json``); chaos runs of
-``trace`` and ``health`` write automatic ``smart-infinity/flightrec/v1``
-dumps on incidents (``--dump-dir``, default ``flightrec/``), at the end
-of the step that raised the incident, each ending at its alert.
+``top``, ``whatif`` and ``trace`` name one DES scenario with the same
+flags (``--model``, ``--csds``, ``--method``, ``--gpu``, ``--ratio``,
+``--batch-size``, ``--optimizer``); ``--method`` is the paper's SU /
+SU+O / SU+O+C choice, and ``trace``'s proxy runs that method's engine.
+The subcommands that drive the functional engine (``trace``,
+``scenario``) share one engine vocabulary — ``--backend``,
+``--workers``, ``--fault-plan``, ``--chaos-seed``, ``--slo``,
+``--schedule``, ``--activation-offload`` — with identical semantics;
+``top`` and ``whatif`` are simulation-only and take just ``--schedule``
+(and ``top`` ``--slo``).  ``top`` and ``trace`` accept ``--metrics`` to
+print a Prometheus-style exposition.  ``--slo`` takes a JSON rules file
+(see ``examples/slo.json``); ``trace`` writes automatic
+``smart-infinity/flightrec/v1`` dumps on incidents (``--dump-dir``,
+default ``flightrec/``), at the end of the step that raised the
+incident, each ending at its alert.
 """
 
 from __future__ import annotations
@@ -92,13 +88,43 @@ from .hw.gpu import GPUS
 from .nn.models import ZOO
 from .perf.analysis import (Observation, observe, resolve,
                             validate_interleave, validate_scale)
-from .perf.scenarios import (EXTENSION_METHODS, METHODS, SCHEDULES,
-                             simulate_iteration)
+from .perf.scenarios import EXTENSION_METHODS, METHODS, simulate_iteration
+from .runtime.engine import ACTIVATION_MODES, SCHEDULES
+from .runtime.parallel import BACKENDS
 from .version import __version__
 
 #: Where ``scenario`` looks for campaigns when none are given (relative
 #: to the working directory, i.e. a repo checkout).
 _BUNDLED_SCENARIO_DIR = os.path.join("examples", "scenarios")
+
+#: What ``trace``'s functional proxy runs for each ``--method``: the
+#: engine mode, whether Top-K compresses at ``--ratio``, and the other
+#: :class:`~repro.runtime.TrainingConfig` fields that differ from the
+#: defaults (SU+O: the transfer handler on).
+_PROXY_METHODS = {
+    "baseline": ("baseline", False, {}),
+    "su": ("smart", False, {"use_transfer_handler": False}),
+    "su_o": ("smart", False, {}),
+    "su_o_c": ("smart", True, {}),
+    "su_o_c_q": ("smart", True, {"quantized_upstream": True}),
+}
+
+
+class _ListModels(argparse.Action):
+    """``--list-models``: print the analytic model zoo and exit."""
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{'name':<14} {'family':<8} {'params':>10} {'dim':>6} "
+              f"{'layers':>7}")
+        for name in sorted(ZOO):
+            spec = ZOO[name]
+            print(f"{name:<14} {spec.family:<8} {spec.billions:>9.2f}B "
+                  f"{spec.hidden_dim:>6} {spec.num_layers:>7}")
+        parser.exit()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,24 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Smart-Infinity (HPCA 2024) reproduction toolkit")
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
+    parser.add_argument("--list-models", action=_ListModels,
+                        help="print the analytic model zoo and exit")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list-models",
-                        help="list the analytic model zoo")
-
-    simulate = commands.add_parser(
-        "simulate", help="simulate one training iteration")
-    _add_scenario_options(simulate)
-    simulate.add_argument("--batch-size", type=int, default=4)
-    simulate.add_argument("--optimizer", default="adam")
-    _add_schedule_option(simulate)
-    simulate.add_argument("--metrics", action="store_true",
-                          help="print a Prometheus-style exposition of "
-                               "the simulated channel metrics")
-
     top = commands.add_parser(
-        "top", help="bottleneck observatory: per-link utilization, "
-                    "phase x resource ownership, verdict")
+        "top", help="bottleneck observatory: step time and speedup, "
+                    "per-link utilization, phase x resource ownership, "
+                    "verdict")
     top.add_argument("--trace", default=None, metavar="TRACE_JSON",
                      help="attribute a finished Chrome trace-event file "
                           "instead of running a fresh simulation")
@@ -139,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "JSONL event log")
     top.add_argument("--metrics", action="store_true",
                      help="also print the Prometheus-style exposition "
-                          "of the attribution series")
+                          "of the attribution series (and, in sim mode, "
+                          "of the simulated channel metrics)")
     _add_schedule_option(top)
     _add_slo_option(top)
 
@@ -185,42 +202,23 @@ def _build_parser() -> argparse.ArgumentParser:
              "a smart-infinity/critpath/v1 JSONL event log")
     _add_schedule_option(whatif)
 
-    health = commands.add_parser(
-        "health", help="step-health monitor: per-step signals, SLO "
-                       "alerts, and flight-recorder state from a "
-                       "functional engine probe run")
-    health.add_argument("--csds", type=int, default=2)
-    health.add_argument("--method", default="su_o_c",
-                        choices=METHODS + EXTENSION_METHODS)
-    health.add_argument("--ratio", type=float, default=0.02,
-                        help="SmartComp volume ratio")
-    health.add_argument("--steps", type=int, default=5,
-                        help="probe training steps per report "
-                             "(default 5)")
-    health.add_argument("--dump-dir", default="flightrec",
-                        help="directory for automatic flight-recorder "
-                             "incident dumps (default flightrec/)")
-    health.add_argument("--once", action="store_true",
-                        help="render one report and exit (the default; "
-                             "kept explicit for scripting symmetry with "
-                             "top --once)")
-    health.add_argument("--watch", action="store_true",
-                        help="re-run the probe and redraw every "
-                             "--interval seconds until Ctrl-C")
-    health.add_argument("--interval", type=float, default=2.0,
-                        help="refresh period for --watch (default 2)")
-    _add_engine_options(health)
-
     trace = commands.add_parser(
-        "trace", help="export a Chrome trace-event JSON for Perfetto")
+        "trace", help="export a Chrome trace-event JSON for Perfetto and "
+                      "report the functional proxy's step health")
     _add_scenario_options(trace, csds=6)
     trace.add_argument("--out", default=None,
                        help="output path (default "
                             "<model>-<method>.trace.json)")
+    trace.add_argument("--steps", type=int, default=None, metavar="N",
+                       help="proxy training steps (default 1, or 3 "
+                            "with a fault plan)")
+    trace.add_argument("--dump-dir", default="flightrec",
+                       help="directory for automatic flight-recorder "
+                            "incident dumps (default flightrec/)")
     trace.add_argument("--skip-functional", action="store_true",
                        help="omit the tiny functional-engine proxy run "
-                            "(trace will contain only the sim-time "
-                            "domain)")
+                            "and its health report (trace will contain "
+                            "only the sim-time domain)")
     trace.add_argument("--metrics", action="store_true",
                        help="also print the Prometheus-style metrics "
                             "collected during the trace")
@@ -266,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_scenario_options(subparser, csds: int = 10) -> None:
     """The flags that name one DES scenario (``perf.analysis.resolve``
-    and ``observe`` take exactly these)."""
+    and ``observe`` take exactly these; see :func:`_observe`)."""
     subparser.add_argument("--model", default="gpt2-4.0b")
     subparser.add_argument("--csds", type=int, default=csds)
     subparser.add_argument("--method", default="su_o_c",
@@ -274,6 +272,8 @@ def _add_scenario_options(subparser, csds: int = 10) -> None:
     subparser.add_argument("--gpu", default="a5000", choices=sorted(GPUS))
     subparser.add_argument("--ratio", type=float, default=0.02,
                            help="SmartComp volume ratio")
+    subparser.add_argument("--batch-size", type=int, default=4)
+    subparser.add_argument("--optimizer", default="adam")
 
 
 def _add_schedule_option(subparser) -> None:
@@ -294,17 +294,16 @@ def _add_slo_option(subparser) -> None:
 
 def _add_engine_options(subparser) -> None:
     """The flag vocabulary of the subcommands that drive the functional
-    engine (``health``, ``trace``, ``scenario``).
+    engine (``trace``, ``scenario``).
 
     One definition keeps the flags byte-identical (names, defaults,
-    help) across them.  Defaults are None so ``scenario`` can tell
-    "explicitly thread" from "unset" and leave a campaign's own choice
-    alone; ``health`` and ``trace`` fall back to thread / phased /
-    recompute.
+    help) across them, and the choices are the engine's own.  Defaults
+    are None so ``scenario`` can tell "explicitly thread" from "unset"
+    and leave a campaign's own choice alone; ``trace`` falls back to
+    thread / phased / recompute.
     """
     subparser.add_argument(
-        "--backend", default=None,
-        choices=("thread", "process", "auto"),
+        "--backend", default=None, choices=BACKENDS,
         help="execution backend for the per-CSD fan-out: thread "
              "(shared-address-space pool), process (per-CSD worker "
              "processes with shared-memory shards — scales past the "
@@ -326,12 +325,21 @@ def _add_engine_options(subparser) -> None:
     _add_slo_option(subparser)
     _add_schedule_option(subparser)
     subparser.add_argument(
-        "--activation-offload", default=None,
-        choices=("recompute", "spill"),
+        "--activation-offload", default=None, choices=ACTIVATION_MODES,
         help="boundary-activation policy for checkpointed losses: "
              "recompute (keep in host memory) or spill (write to the "
              "SSD-backed spill store, async-prefetch before "
              "backward); bit-identical either way (default recompute)")
+
+
+def _observe(args) -> Observation:
+    """Simulate the scenario :func:`_add_scenario_options` named."""
+    system, workload = resolve(args.model, args.csds, args.gpu,
+                               batch_size=args.batch_size,
+                               optimizer=args.optimizer)
+    return observe(system, workload, args.method,
+                   compression_ratio=args.ratio,
+                   schedule=args.schedule or "phased")
 
 
 def _resolve_fault_plan(args) -> Optional[FaultPlan]:
@@ -352,53 +360,6 @@ def _resolve_slo_rules(args) -> Optional[list]:
     return [rule.to_dict() for rule in telemetry.load_slo_rules(args.slo)]
 
 
-def _render_fault_stats(stats) -> str:
-    injected = sum(stats["injected"].values())
-    return (f"faults: {injected} injected "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(stats['injected'].items())) or 'none'}), "
-            f"{stats['retries']} retries, "
-            f"{stats['demotions']} demotion(s), "
-            f"{stats['degraded_steps']} degraded step(s)")
-
-
-def _cmd_list_models(_args) -> int:
-    print(f"{'name':<14} {'family':<8} {'params':>10} {'dim':>6} "
-          f"{'layers':>7}")
-    for name in sorted(ZOO):
-        spec = ZOO[name]
-        print(f"{name:<14} {spec.family:<8} {spec.billions:>9.2f}B "
-              f"{spec.hidden_dim:>6} {spec.num_layers:>7}")
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    system, workload = resolve(args.model, args.csds, args.gpu,
-                               batch_size=args.batch_size,
-                               optimizer=args.optimizer)
-    schedule = args.schedule or "phased"
-    observed = observe(system, workload, args.method,
-                       compression_ratio=args.ratio, schedule=schedule)
-    breakdown = observed.breakdown
-    base = simulate_iteration(system, workload, "baseline")
-    print(f"model {args.model}, {args.csds} device(s), {args.gpu}, "
-          f"method {args.method}"
-          + ("" if schedule == "phased" else f", {schedule} schedule"))
-    print(f"  FW              {breakdown.forward:8.3f} s")
-    print(f"  BW + grad       {breakdown.backward_grad:8.3f} s")
-    print(f"  update + opt    {breakdown.update:8.3f} s")
-    print(f"  iteration       {breakdown.total:8.3f} s")
-    if args.method != "baseline":
-        print(f"  speedup vs BASE {breakdown.speedup_over(base):8.2f} x")
-    if args.metrics:
-        registry = telemetry.MetricsRegistry()
-        telemetry.record_channel_metrics(
-            registry, observed.channels,
-            horizon=breakdown.total, method=args.method)
-        print()
-        print(registry.render_prometheus(), end="")
-    return 0
-
-
 def _cmd_top(args) -> int:
     slo_rules = (telemetry.load_slo_rules(args.slo)
                  if args.slo is not None else None)
@@ -406,10 +367,8 @@ def _cmd_top(args) -> int:
     def build() -> Observation:
         if args.trace is not None:
             return Observation.from_chrome_trace(args.trace)
-        schedule = args.schedule or "phased"
-        observed = observe(*resolve(args.model, args.csds, args.gpu),
-                           args.method, compression_ratio=args.ratio,
-                           schedule=schedule)
+        observed = _observe(args)
+        schedule = observed.scenario["schedule"]
         observed.label = (
             f"{args.model}/{args.method} ({args.csds} CSDs, {args.gpu})"
             + ("" if schedule == "phased" else f", {schedule}"))
@@ -434,7 +393,14 @@ def _cmd_top(args) -> int:
                           "  produce a trace with `python -m repro "
                           "trace`, point --trace at a finished file, or "
                           "drop --trace for sim mode")
-        return report, telemetry.render_top(report, slo_rules=slo_rules)
+        speedup = None
+        if report.source == "sim" and report.method != "baseline":
+            base = simulate_iteration(report.scenario["system"],
+                                      report.scenario["workload"],
+                                      "baseline")
+            speedup = report.breakdown.speedup_over(base)
+        return report, telemetry.render_top(report, slo_rules=slo_rules,
+                                            speedup=speedup)
 
     report, frame = build_frame()
     if args.once:
@@ -459,6 +425,10 @@ def _cmd_top(args) -> int:
         print(f"[attribution events: {args.jsonl}]")
     if args.metrics:
         registry = telemetry.MetricsRegistry()
+        if report.source == "sim":
+            telemetry.record_channel_metrics(
+                registry, report.channels,
+                horizon=report.breakdown.total, method=args.method)
         telemetry.record_attribution_metrics(
             registry, report.attribution, source=report.source)
         print()
@@ -487,9 +457,7 @@ def _cmd_whatif(args) -> int:
             return 2
         scales.append((channel, factor))
 
-    observed = observe(*resolve(args.model, args.csds, args.gpu),
-                       args.method, compression_ratio=args.ratio,
-                       schedule=schedule)
+    observed = _observe(args)
     graph, report = observed.graph, observed.critpath
     if report is None:
         print("critical path: no dependency data (the simulated "
@@ -555,124 +523,72 @@ def _cmd_whatif(args) -> int:
     return exit_code
 
 
-def _run_functional_proxy(num_csds: int, method: str, ratio: float,
-                          workers: Optional[int] = None,
-                          fault_plan: Optional[FaultPlan] = None,
-                          steps: int = 1,
-                          dump_dir: Optional[str] = None,
-                          slo_rules: Optional[list] = None,
-                          backend: str = "thread",
-                          schedule: str = "phased",
-                          activation_offload: str = "recompute") -> dict:
-    """Train steps of a tiny model through the functional engine.
+def _run_functional_proxy(args, fault_plan: Optional[FaultPlan]) -> dict:
+    """Train ``trace``'s steps of a tiny model on ``--method``'s engine.
 
     The proxy exists so the exported trace's wall-clock process contains
     real engine / handler / storage spans (worker threads included); the
     model is deliberately tiny because the span *structure*, not the
-    duration, is what the timeline view is for.  Per-CSD work defaults
-    to one worker per proxy device — regardless of the host's core
+    duration, is what the timeline view is for.  It runs on at most two
+    devices (CSDs, or RAID0 members for the baseline); per-CSD work
+    defaults to one worker per device — regardless of the host's core
     count — so the exported timeline shows the device updates on
     distinct ``csd-worker`` thread lanes.
 
     With a fault plan, the same run doubles as the chaos smoke: retries,
-    backoffs and demotions land in the trace, and the returned dict
-    summarizes them (``fault_stats``) alongside the engine's step-health
-    view (``health``).  ``dump_dir`` enables automatic flight-recorder
-    dumps on incidents; ``slo_rules`` replaces the default SLO rule set.
+    backoffs and demotions land in the trace.  The returned dict holds
+    the engine's fault counts (``fault_stats``), its step-health view
+    (``health``, incident dumps under ``--dump-dir`` included) and each
+    step's device traffic (``traffic``).
     """
     import numpy as np
 
     from .api import create_engine
+    from .nn import SequenceClassifier, bert_config
     from .runtime import TrainingConfig
 
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 32, size=(4, 16))
     labels = rng.integers(0, 2, size=4)
-    from .nn import SequenceClassifier, bert_config
     model = SequenceClassifier(
         bert_config(vocab_size=32, dim=32, num_layers=2, num_heads=2,
                     max_seq_len=16), num_classes=2, seed=0)
-    proxy_csds = min(num_csds, 2)
+    mode, compressed, overrides = _PROXY_METHODS[args.method]
+    devices = min(args.csds, 2)
+    fleet = ({"raid_members": devices} if mode == "baseline"
+             else {"num_csds": devices})
     config = TrainingConfig(
         optimizer="adam", optimizer_kwargs={"lr": 1e-3},
         subgroup_elements=4096,
-        compression_ratio=ratio if method in ("su_o_c", "su_o_c_q")
-        else None,
-        use_transfer_handler=method != "su",
-        parallel_csds=workers if workers else proxy_csds,
-        num_csds=proxy_csds,
-        parallel_backend=backend,
-        schedule=schedule,
-        activation_offload=activation_offload,
+        compression_ratio=args.ratio if compressed else None,
+        parallel_csds=args.workers or devices,
+        parallel_backend=args.backend or "thread",
+        schedule=args.schedule or "phased",
+        activation_offload=args.activation_offload or "recompute",
         fault_plan=fault_plan,
-        flight_dump_dir=dump_dir,
-        slo_rules=slo_rules)
+        flight_dump_dir=args.dump_dir,
+        slo_rules=_resolve_slo_rules(args),
+        **fleet, **overrides)
+    steps = args.steps
+    if steps is None:
+        steps = 3 if fault_plan is not None else 1
     with tempfile.TemporaryDirectory() as workdir:
-        with create_engine("smart", model, lambda m, t, l: m.loss(t, l),
+        with create_engine(mode, model, lambda m, t, l: m.loss(t, l),
                            workdir, config=config) as engine:
             for _ in range(steps):
                 engine.train_step(tokens, labels)
             return {"fault_stats": engine.fault_stats(),
                     "health": engine.health_summary(),
-                    "num_csds": proxy_csds}
-
-
-def _cmd_trace(args) -> int:
-    out = args.out or f"{args.model}-{args.method}.trace.json"
-    system, workload = resolve(args.model, args.csds, args.gpu)
-    fault_plan = _resolve_fault_plan(args)
-    proxy = None
-    with telemetry.session() as session:
-        with telemetry.trace_span("des.simulate", model=args.model,
-                                  method=args.method, csds=args.csds):
-            observed = observe(system, workload, args.method,
-                               compression_ratio=args.ratio,
-                               schedule=args.schedule or "phased")
-            trace = observed.trace
-        if not args.skip_functional:
-            with telemetry.trace_span("functional.proxy",
-                                      method=args.method,
-                                      chaos=fault_plan is not None):
-                proxy = _run_functional_proxy(
-                    args.csds, args.method, args.ratio,
-                    workers=args.workers, fault_plan=fault_plan,
-                    steps=3 if fault_plan is not None else 1,
-                    dump_dir="flightrec" if fault_plan is not None
-                    else None, slo_rules=_resolve_slo_rules(args),
-                    backend=args.backend or "thread",
-                    schedule=args.schedule or "phased",
-                    activation_offload=args.activation_offload
-                    or "recompute")
-        telemetry.record_channel_metrics(
-            session.registry, observed.channels,
-            horizon=trace.breakdown.total, method=args.method)
-    spans = session.tracer.spans
-    telemetry.write_chrome_trace(
-        out, spans=spans, sim=observed.timeline,
-        metadata={"model": args.model, "method": args.method,
-                  "csds": args.csds,
-                  "iteration_seconds": trace.breakdown.total})
-    print(f"wrote {out}: {len(spans)} wall-clock spans, "
-          f"{sum(len(c.records) for c in observed.channels)} "
-          f"sim-time transfers, {len(trace.phase_windows)} phase "
-          f"window(s)")
-    if proxy is not None and fault_plan is not None:
-        print(_render_fault_stats(proxy["fault_stats"]))
-        for path in proxy["health"].get("dumps", []):
-            print(f"[flight dump: {path}]")
-    print("open it at https://ui.perfetto.dev or chrome://tracing")
-    if args.metrics:
-        print()
-        print(session.registry.render_prometheus(), end="")
-    return 0
+                    "traffic": list(engine.meter.iterations),
+                    "devices": devices}
 
 
 def _render_health_report(result: dict) -> str:
     """Render a proxy run's health summary dict for the terminal."""
     health = result["health"]
     signals = health["signals"]
-    lines = [f"step-health signals (EWMA over {result['num_csds']}-CSD "
-             "proxy run):"]
+    lines = [f"step-health signals (EWMA over the {result['devices']}-"
+             "device proxy run):"]
     if not signals:
         lines.append("  no steps observed")
     else:
@@ -706,35 +622,50 @@ def _render_health_report(result: dict) -> str:
     for error in health.get("dump_errors", []):
         lines.append(f"  [flight dump failed: {error}]")
     lines.append("")
-    lines.append(_render_fault_stats(result["fault_stats"]))
+    stats = result["fault_stats"]
+    injected = ", ".join(f"{kind}={count}" for kind, count
+                         in sorted(stats["injected"].items()))
+    lines.append(f"faults: {sum(stats['injected'].values())} injected "
+                 f"({injected or 'none'}), {stats['retries']} retries, "
+                 f"{stats['demotions']} demotion(s), "
+                 f"{stats['degraded_steps']} degraded step(s)")
     return "\n".join(lines)
 
 
-def _cmd_health(args) -> int:
-    slo_rules = _resolve_slo_rules(args)
+def _cmd_trace(args) -> int:
+    out = args.out or f"{args.model}-{args.method}.trace.json"
     fault_plan = _resolve_fault_plan(args)
-
-    def probe() -> dict:
-        with telemetry.session():
-            return _run_functional_proxy(
-                args.csds, args.method, args.ratio, workers=args.workers,
-                fault_plan=fault_plan, steps=args.steps,
-                dump_dir=args.dump_dir, slo_rules=slo_rules,
-                backend=args.backend or "thread",
-                schedule=args.schedule or "phased",
-                activation_offload=args.activation_offload
-                or "recompute")
-
-    if args.watch and not args.once:
-        try:
-            while True:
-                print("\x1b[2J\x1b[H" + _render_health_report(probe()),
-                      flush=True)
-                time.sleep(args.interval)
-        except KeyboardInterrupt:
-            print()
-        return 0
-    print(_render_health_report(probe()))
+    proxy = None
+    with telemetry.session() as session:
+        with telemetry.trace_span("des.simulate", model=args.model,
+                                  method=args.method, csds=args.csds):
+            observed = _observe(args)
+            trace = observed.trace
+        if not args.skip_functional:
+            with telemetry.trace_span("functional.proxy",
+                                      method=args.method,
+                                      chaos=fault_plan is not None):
+                proxy = _run_functional_proxy(args, fault_plan)
+        telemetry.record_channel_metrics(
+            session.registry, observed.channels,
+            horizon=trace.breakdown.total, method=args.method)
+    spans = session.tracer.spans
+    telemetry.write_chrome_trace(
+        out, spans=spans, sim=observed.timeline,
+        metadata={"model": args.model, "method": args.method,
+                  "csds": args.csds,
+                  "iteration_seconds": trace.breakdown.total})
+    print(f"wrote {out}: {len(spans)} wall-clock spans, "
+          f"{sum(len(c.records) for c in observed.channels)} "
+          f"sim-time transfers, {len(trace.phase_windows)} phase "
+          f"window(s)")
+    print("open it at https://ui.perfetto.dev or chrome://tracing")
+    if proxy is not None:
+        print()
+        print(_render_health_report(proxy))
+    if args.metrics:
+        print()
+        print(session.registry.render_prometheus(), end="")
     return 0
 
 
@@ -881,13 +812,10 @@ def _cmd_scenario(args) -> int:
 
 
 _HANDLERS = {
-    "list-models": _cmd_list_models,
-    "simulate": _cmd_simulate,
     "top": _cmd_top,
     "whatif": _cmd_whatif,
-    "health": _cmd_health,
-    "experiment": _cmd_experiment,
     "trace": _cmd_trace,
+    "experiment": _cmd_experiment,
     "scenario": _cmd_scenario,
 }
 

@@ -7,6 +7,9 @@ programming errors (``TypeError`` etc.) propagate.
 
 from __future__ import annotations
 
+import difflib
+from typing import Iterable, Type
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -113,3 +116,28 @@ class TrainingError(ReproError):
 
 class ScenarioError(ReproError):
     """A malformed or failed chaos/workload campaign (see :mod:`repro.scenarios`)."""
+
+
+def reject_unknown_keys(what: str, data: object, known: Iterable[str],
+                        error: Type[ReproError]) -> None:
+    """Raise ``error`` unless ``data`` is a dict whose keys are all in
+    ``known``.
+
+    The one validator of every JSON surface (configs, SLO rules, fault
+    plans, scenarios): a typo such as ``compression_ration`` fails as
+    ``unknown config keys: 'compression_ration' (did you mean
+    'compression_ratio'?); known keys: [...]`` instead of running with
+    a default.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{what} must be an object, got {type(data).__name__}")
+    known = sorted(known)
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        hints = []
+        for key in unknown:
+            close = difflib.get_close_matches(key, known, n=1)
+            hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)"
+                                       if close else ""))
+        raise error(f"unknown {what} keys: {', '.join(hints)}; known "
+                    f"keys: {known}")

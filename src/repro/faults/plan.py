@@ -42,7 +42,8 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .. import telemetry
 from ..errors import (DeviceFailedError, FaultInjectionError,
-                      RetryExhaustedError, TrainingError)
+                      RetryExhaustedError, TrainingError,
+                      reject_unknown_keys)
 from .retry import RetryPolicy
 
 #: Fault kinds a rule may inject.
@@ -110,12 +111,9 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultRule":
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise TrainingError(
-                f"unknown fault-rule keys: {sorted(unknown)}; known: "
-                f"{sorted(known)}")
+        reject_unknown_keys("fault-rule", data,
+                            (field.name for field in fields(cls)),
+                            TrainingError)
         return cls(**data)
 
 
@@ -148,12 +146,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        known = {"seed", "retry", "rules"}
-        unknown = set(data) - known
-        if unknown:
-            raise TrainingError(
-                f"unknown fault-plan keys: {sorted(unknown)}; known: "
-                f"{sorted(known)}")
+        reject_unknown_keys("fault-plan", data, ("seed", "retry", "rules"),
+                            TrainingError)
         retry = data.get("retry", {})
         if isinstance(retry, dict):
             retry = RetryPolicy.from_dict(retry)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator
 
-from ..errors import TrainingError
+from ..errors import TrainingError, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RetryPolicy":
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise TrainingError(
-                f"unknown retry-policy keys: {sorted(unknown)}; known: "
-                f"{sorted(known)}")
+        reject_unknown_keys("retry-policy", data,
+                            (field.name for field in fields(cls)),
+                            TrainingError)
         return cls(**data)

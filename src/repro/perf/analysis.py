@@ -5,7 +5,7 @@ count, GPU) into the DES's inputs; :func:`observe` runs one scenario and
 returns an :class:`Observation` — the step's
 :class:`~repro.telemetry.attrib.Timeline` plus, on first use, the
 channel summaries, the phase x resource attribution and the critical
-path.  ``simulate``, ``top``, ``whatif``, ``trace`` and the
+path.  ``top``, ``whatif``, ``trace`` and the
 ``ext_bottlenecks`` experiment all go through these two, so the "where
 does the time go" answers behind the paper's narrative are computed one
 way:
@@ -53,8 +53,8 @@ def resolve(model: str, csds: int, gpu: str = "a5000",
 class Observation:
     """One step's timeline and its derived views.
 
-    The views are computed when first read and then kept: ``simulate``
-    and ``trace`` only need the timeline, ``top`` the attribution and
+    The views are computed when first read and then kept: ``trace``
+    only needs the timeline, ``top`` the attribution and
     the path, ``whatif`` the graph.  ``source`` says where the timeline
     came from ("sim": :func:`observe`, which also keeps the
     :class:`ScenarioTrace` and the scenario's inputs; "trace": a Chrome

@@ -21,7 +21,6 @@ the update runs.
 from __future__ import annotations
 
 import contextlib
-import difflib
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..errors import TrainingError
+from ..errors import TrainingError, reject_unknown_keys
 from ..faults import FaultInjector, FaultLedger, FaultPlan
 from ..faults.plan import METRIC_HELP, Series, series_key, summarize
 from ..memory import ArenaStats, aggregate_arena_stats, live_arenas
@@ -170,18 +169,9 @@ class TrainingConfig:
                 f"build's {CONFIG_SCHEMA_VERSION}; loading best-effort "
                 "— unknown fields will be rejected, changed semantics "
                 "will not be detected", FutureWarning, stacklevel=2)
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            hints = []
-            for key in sorted(unknown):
-                close = difflib.get_close_matches(key, known, n=1)
-                hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)"
-                                           if close else ""))
-            raise TrainingError(
-                f"unknown config keys: {', '.join(hints)}; known keys: "
-                f"{sorted(known)}")
-        data = dict(data)
+        reject_unknown_keys("config", data,
+                            (field.name for field in fields(cls)),
+                            TrainingError)
         plan = data.get("fault_plan")
         if isinstance(plan, dict):
             data["fault_plan"] = FaultPlan.from_dict(plan)

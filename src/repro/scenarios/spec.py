@@ -31,15 +31,14 @@ not silently pass a chaos campaign.
 
 from __future__ import annotations
 
-import difflib
 import json
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ScenarioError
+from ..errors import ScenarioError, reject_unknown_keys
 from ..faults import FaultPlan
 from ..runtime.engine import TrainingConfig
 
@@ -56,23 +55,6 @@ PHASE_KINDS = ("setup", "workload", "anomaly", "detection", "recovery")
 #: Sentinel for "this phase does not change the active fault plan" —
 #: distinct from an explicit ``"fault_plan": null`` splice-out.
 UNCHANGED = object()
-
-
-def _check_keys(what: str, data: Dict, known: Sequence[str]) -> None:
-    """Reject unknown keys with close-match suggestions."""
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(known)
-    if unknown:
-        hints = []
-        for key in sorted(unknown):
-            close = difflib.get_close_matches(key, known, n=1)
-            hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)"
-                                       if close else ""))
-        raise ScenarioError(
-            f"{what} has unknown key(s): {', '.join(hints)}; known keys: "
-            f"{sorted(known)}")
 
 
 def check_schema_version(what: str, data: Dict,
@@ -145,8 +127,8 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "WorkloadSpec":
-        known = [f.name for f in fields(cls)]
-        _check_keys("workload", data, known)
+        reject_unknown_keys("workload", data,
+                            [f.name for f in fields(cls)], ScenarioError)
         return cls(**{key: int(value) for key, value in data.items()})
 
 
@@ -223,7 +205,8 @@ class Expectations:
 
     @classmethod
     def from_dict(cls, data: Dict, where: str) -> "Expectations":
-        _check_keys(f"{where}.expect", data, _EXPECT_KEYS)
+        reject_unknown_keys(f"{where}.expect", data, _EXPECT_KEYS,
+                            ScenarioError)
         kwargs = dict(data)
         for key in ("injected_include", "alerts_include"):
             if key in kwargs:
@@ -236,12 +219,8 @@ class Expectations:
                 kwargs[key] = tuple(value)
         if kwargs.get("whatif_error") is not None:
             value = kwargs["whatif_error"]
-            if not isinstance(value, dict):
-                raise ScenarioError(
-                    f"{where}.expect.whatif_error must be an object, "
-                    f"got {value!r}")
-            _check_keys(f"{where}.expect.whatif_error", value,
-                        _WHATIF_KEYS)
+            reject_unknown_keys(f"{where}.expect.whatif_error", value,
+                                _WHATIF_KEYS, ScenarioError)
             for required in ("channel", "factor"):
                 if required not in value:
                     raise ScenarioError(
@@ -309,7 +288,7 @@ class PhaseSpec:
     @classmethod
     def from_dict(cls, data: Dict, index: int) -> "PhaseSpec":
         where = f"phase[{index}]"
-        _check_keys(where, data, _PHASE_KEYS)
+        reject_unknown_keys(where, data, _PHASE_KEYS, ScenarioError)
         if "name" not in data:
             raise ScenarioError(f"{where} is missing required key 'name'")
         name = str(data["name"])
@@ -368,15 +347,10 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: sweep must cover exactly one "
                 f"config axis, got {sorted(self.sweep)}")
-        config_fields = {f.name for f in fields(TrainingConfig)}
+        reject_unknown_keys(f"scenario {self.name!r} sweep", self.sweep,
+                            [f.name for f in fields(TrainingConfig)],
+                            ScenarioError)
         for axis, values in self.sweep.items():
-            if axis not in config_fields:
-                close = difflib.get_close_matches(axis, config_fields,
-                                                  n=1)
-                raise ScenarioError(
-                    f"scenario {self.name!r}: sweep axis {axis!r} is "
-                    f"not a TrainingConfig field"
-                    + (f" (did you mean {close[0]!r}?)" if close else ""))
             if not values:
                 raise ScenarioError(
                     f"scenario {self.name!r}: sweep over {axis!r} "
@@ -430,7 +404,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Scenario":
-        _check_keys("scenario", data, _SCENARIO_KEYS)
+        reject_unknown_keys("scenario", data, _SCENARIO_KEYS, ScenarioError)
         schema = data.get("schema", SCENARIO_SCHEMA)
         if schema != SCENARIO_SCHEMA:
             raise ScenarioError(

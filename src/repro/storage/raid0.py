@@ -39,6 +39,13 @@ class RAID0Volume:
         self.members: List[FileBlockDevice] = list(members)
         self.chunk_bytes = chunk_bytes
         self.capacity_bytes = members[0].capacity_bytes * len(members)
+        # A member capacity that is not a chunk multiple leaves each
+        # member a partial last chunk; those form one short final stripe
+        # starting at ``_tail_start``, so no offset maps past a member.
+        full_chunks, self._tail_chunk = divmod(members[0].capacity_bytes,
+                                               chunk_bytes)
+        self._tail_member_offset = full_chunks * chunk_bytes
+        self._tail_start = self._tail_member_offset * len(members)
         self.name = f"raid0[{len(members)}]"
         self._failed_member: Optional[int] = None
         self._failed_cause: Optional[BaseException] = None
@@ -74,6 +81,11 @@ class RAID0Volume:
     def _map(self, offset: int) -> Tuple[int, int, int]:
         """Map a volume offset to (member index, member offset, bytes left
         in this stripe chunk)."""
+        if offset >= self._tail_start:
+            member_index, within = divmod(offset - self._tail_start,
+                                          self._tail_chunk)
+            return (member_index, self._tail_member_offset + within,
+                    self._tail_chunk - within)
         chunk_index, within = divmod(offset, self.chunk_bytes)
         member_index = chunk_index % len(self.members)
         member_chunk = chunk_index // len(self.members)

@@ -30,7 +30,8 @@ repository (the question the paper's whole evaluation answers):
   once-per-incident automatic dumps;
 * :mod:`~repro.telemetry.health` — per-step health signals as rolling
   EWMA windows plus the declarative SLO/anomaly rules engine
-  (threshold, rate-of-change, EWMA z-score) behind ``repro health``.
+  (threshold, rate-of-change, EWMA z-score) behind ``repro trace``'s
+  step-health report.
 
 Telemetry is **off by default** and guaranteed non-perturbing: every
 instrumented call site goes through the module-level helpers below,

@@ -25,13 +25,12 @@ dumping it once per incident
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import TelemetryError
+from ..errors import TelemetryError, reject_unknown_keys
 
 #: Default EWMA smoothing factor: ~last 8 steps dominate the window.
 DEFAULT_ALPHA = 0.25
@@ -213,19 +212,7 @@ class Rule:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "Rule":
-        if not isinstance(raw, dict):
-            raise TelemetryError(f"SLO rule must be an object, "
-                                 f"got {type(raw).__name__}")
-        unknown = set(raw) - set(_RULE_KEYS)
-        if unknown:
-            hints = []
-            for key in sorted(unknown):
-                match = difflib.get_close_matches(key, _RULE_KEYS, n=1)
-                hints.append(f"{key!r}"
-                             + (f" (did you mean {match[0]!r}?)"
-                                if match else ""))
-            raise TelemetryError(
-                f"SLO rule has unknown key(s): {', '.join(hints)}")
+        reject_unknown_keys("SLO rule", raw, _RULE_KEYS, TelemetryError)
         for required in ("name", "kind", "signal", "value"):
             if required not in raw:
                 raise TelemetryError(

@@ -16,7 +16,7 @@ that builds them, from a fresh simulation or a finished Chrome trace:
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .attrib import Attribution
 from .health import evaluate_attribution
@@ -31,17 +31,22 @@ def _bar(fraction: float, width: int = 20) -> str:
     return "#" * filled + "-" * (width - filled)
 
 
-def render_top(report, top: int = 12, slo_rules=None) -> str:
+def render_top(report, top: int = 12, slo_rules=None,
+               speedup: Optional[float] = None) -> str:
     """The ``repro top`` dashboard: bars, ownership, verdict, health.
 
     ``slo_rules`` (a sequence of :class:`~repro.telemetry.health.Rule`)
     replaces the built-in saturation checks in the health/alerts pane;
     the pane itself always renders so the reader knows it was evaluated.
+    ``speedup`` (the step's speedup over the baseline method) adds a
+    line under the step time.
     """
     attribution = report.attribution
     verdict = attribution.verdict()
     lines = [f"bottleneck observatory — {report.source}:{report.label}",
              f"step time {attribution.step_seconds:.3f} s"]
+    if speedup is not None:
+        lines.append(f"speedup vs BASE {speedup:.2f} x")
 
     usage = sorted(attribution.usage.values(),
                    key=lambda u: u.utilization, reverse=True)

@@ -2,38 +2,49 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+
+def _subcommands():
+    """The parser's subcommand name -> subparser map."""
+    return next(action.choices for action in _build_parser()._actions
+                if isinstance(action.choices, dict))
 
 
 def test_list_models(capsys):
-    assert main(["list-models"]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--list-models"])
+    assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "gpt2-8.4b" in out
     assert "bloom-7.1b" in out
 
 
+# ``top --once`` in sim mode is what the retired ``simulate`` printed:
+# step time, speedup over the baseline, and the per-phase split.
 def test_simulate_reports_speedup(capsys):
-    assert main(["simulate", "--model", "gpt2-4.0b", "--csds", "6",
+    assert main(["top", "--once", "--model", "gpt2-4.0b", "--csds", "6",
                  "--method", "su_o_c"]) == 0
     out = capsys.readouterr().out
-    assert "speedup vs BASE" in out
-    assert "update + opt" in out
+    assert "speedup vs BASE 1.45 x" in out
+    assert "\n  update " in out   # the update phase's ownership rows
 
 
 def test_simulate_baseline_has_no_speedup_row(capsys):
-    assert main(["simulate", "--method", "baseline", "--csds", "2"]) == 0
+    assert main(["top", "--once", "--method", "baseline",
+                 "--csds", "2"]) == 0
     out = capsys.readouterr().out
     assert "speedup" not in out
 
 
 def test_simulate_extension_method(capsys):
-    assert main(["simulate", "--method", "su_o_c_q", "--csds", "4",
+    assert main(["top", "--once", "--method", "su_o_c_q", "--csds", "4",
                  "--model", "gpt2-1.16b"]) == 0
     assert "su_o_c_q" in capsys.readouterr().out
 
 
 def test_simulate_other_optimizer_and_gpu(capsys):
-    assert main(["simulate", "--optimizer", "sgd", "--gpu", "a100",
+    assert main(["top", "--once", "--optimizer", "sgd", "--gpu", "a100",
                  "--csds", "4", "--model", "gpt2-1.16b"]) == 0
     assert "a100" in capsys.readouterr().out
 
@@ -56,6 +67,9 @@ def test_unknown_command_rejected():
 @pytest.mark.parametrize("argv", [
     ["sweep", "devices"],      # experiment fig9 | fig10 | fig11 | fig16
     ["analyze", "--csds", "2"],     # experiment ext_bottlenecks, top
+    ["list-models"],                # --list-models
+    ["simulate", "--csds", "2"],    # top --once
+    ["health", "--once"],           # trace
 ])
 def test_removed_subcommands_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -64,28 +78,16 @@ def test_removed_subcommands_exit_2(argv, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_parser_has_exactly_the_eight_subcommands():
-    from repro.cli import _build_parser
-
-    subparsers = next(
-        action for action in _build_parser()._actions
-        if getattr(action, "choices", None)
-        and "simulate" in action.choices)
-    assert sorted(subparsers.choices) == sorted([
-        "list-models", "simulate", "top", "whatif", "health", "trace",
-        "experiment", "scenario"])
+def test_parser_has_exactly_the_five_subcommands():
+    assert sorted(_subcommands()) == sorted([
+        "top", "whatif", "trace", "experiment", "scenario"])
 
 
 def test_docstring_lists_every_subcommand():
     import repro.cli
-    from repro.cli import _build_parser
 
-    subparsers = next(
-        action for action in _build_parser()._actions
-        if getattr(action, "choices", None)
-        and "simulate" in action.choices)
-    for command in subparsers.choices:
-        assert command in repro.cli.__doc__, (
+    for command in _subcommands():
+        assert f"* ``{command}``" in repro.cli.__doc__, (
             f"cli docstring does not mention subcommand {command!r}")
 
 
@@ -95,6 +97,7 @@ def test_trace_writes_chrome_trace_json(tmp_path, capsys):
                  "--skip-functional", "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "perfetto" in printed
+    assert "step-health" not in printed   # no proxy, no health report
     import json
     with open(out) as handle:
         document = json.load(handle)
@@ -124,7 +127,7 @@ def test_trace_workers_flag_runs_functional_proxy(tmp_path, capsys):
 
 
 def test_simulate_metrics_prints_exposition(capsys):
-    assert main(["simulate", "--model", "gpt2-1.16b", "--csds", "2",
+    assert main(["top", "--once", "--model", "gpt2-1.16b", "--csds", "2",
                  "--metrics"]) == 0
     out = capsys.readouterr().out
     assert "# TYPE des_channel_bytes_total counter" in out
@@ -197,10 +200,16 @@ def test_top_renders_health_pane_and_accepts_slo_file(capsys):
     assert "health/alerts" in out
 
 
+#: A small DES scenario, written to the test's working directory.
+SMALL_TRACE = ["--model", "gpt2-1.16b", "--csds", "2",
+               "--out", "proxy.trace.json"]
+
+
+# ``trace`` prints the step-health report the retired ``health`` did.
 def test_health_once_reports_signals_and_recorder(tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["health", "--once", "--steps", "2"]) == 0
+    assert main(["trace", "--steps", "2"] + SMALL_TRACE) == 0
     out = capsys.readouterr().out
     assert "step-health signals" in out
     assert "steps_per_s" in out
@@ -217,8 +226,8 @@ def test_health_chaos_dropout_fires_alert_and_dump(tmp_path, capsys,
         {"kind": "device_dropout", "device": 1, "at_op": 40}]}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
-    assert main(["health", "--once", "--steps", "3",
-                 "--fault-plan", str(plan_path)]) == 0
+    assert main(["trace", "--steps", "3", "--fault-plan", str(plan_path)]
+                + SMALL_TRACE) == 0
     out = capsys.readouterr().out
     assert "[critical] device_dropout" in out
     assert "[flight dump:" in out
@@ -251,32 +260,147 @@ def test_health_accepts_custom_slo_rules(tmp_path, capsys, monkeypatch):
          "message": "fires every healthy run"}]}
     slo_path = tmp_path / "slo.json"
     slo_path.write_text(json.dumps(rules))
-    assert main(["health", "--once", "--steps", "2",
-                 "--slo", str(slo_path)]) == 0
+    assert main(["trace", "--steps", "2", "--slo", str(slo_path)]
+                + SMALL_TRACE) == 0
     out = capsys.readouterr().out
     assert "[info] always" in out
+
+
+def test_trace_baseline_proxy_runs_the_baseline_engine(tmp_path, capsys,
+                                                      monkeypatch):
+    import json
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--method", "baseline"] + SMALL_TRACE) == 0
+    with open("proxy.trace.json") as handle:
+        events = json.load(handle)["traceEvents"]
+    engines = [event["args"]["engine"] for event in events
+               if event.get("name") == "iteration"]
+    assert engines == ["baseline"]
+
+
+def test_proxy_runs_the_method_it_names(tmp_path, monkeypatch):
+    """Every ``--method`` has a proxy engine, and SU+O+C+Q's int8
+    upstream reads fewer host bytes per step than SU+O+C's."""
+    from repro.cli import _PROXY_METHODS, _run_functional_proxy
+    from repro.perf.scenarios import EXTENSION_METHODS, METHODS
+
+    assert sorted(_PROXY_METHODS) == sorted(METHODS + EXTENSION_METHODS)
+    monkeypatch.chdir(tmp_path)
+
+    def host_reads(method):
+        args = _build_parser().parse_args(
+            ["trace", "--method", method, "--steps", "2"])
+        return [step.host_reads for step
+                in _run_functional_proxy(args, None)["traffic"]]
+
+    quantized, dense = host_reads("su_o_c_q"), host_reads("su_o_c")
+    assert len(quantized) == len(dense) == 2
+    assert all(q < d for q, d in zip(quantized, dense))
+
+
+# ----------------------------------------------------------------------
+# every documented command parses
+# ----------------------------------------------------------------------
+#: The documents whose ``python -m repro …`` commands must parse
+#: (docs/PERFORMANCE.md is a log of past runs and is left out).
+DOCUMENTED = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/API.md",
+              "docs/OBSERVABILITY.md", ".claude/skills/verify/SKILL.md")
+
+
+def _ci_run_blocks(text):
+    """The ``run:`` blocks of a workflow file, one string each."""
+    blocks, indent = [], None
+    for line in text.splitlines():
+        depth = len(line) - len(line.lstrip())
+        if indent is not None and (depth > indent or not line.strip()):
+            blocks[-1] += "\n" + line
+            continue
+        indent = None
+        if line.lstrip().startswith("run:"):
+            indent = depth
+            blocks.append(line.split("run:", 1)[1])
+    return blocks
+
+
+def _documented_commands():
+    """(source, command) for each ``python -m repro`` command in the
+    documents' fenced blocks and backtick spans and in CI's ``run:``
+    blocks, ``\\`` continuations joined; the command is what follows
+    ``python -m repro``."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    fence = re.compile(r"^[ \t]*```[^\n]*\n(.*?)^[ \t]*```", re.S | re.M)
+    snippets = []
+    for name in DOCUMENTED:
+        text = (root / name).read_text()
+        snippets += [(name, block) for block in fence.findall(text)]
+        snippets += [(name, " ".join(span.split())) for span
+                     in re.findall(r"`([^`]+)`", fence.sub("", text))]
+    ci = root / ".github/workflows/ci.yml"
+    snippets += [(ci.name, block)
+                 for block in _ci_run_blocks(ci.read_text())]
+    for source, snippet in snippets:
+        snippet = re.sub(r"\\\n\s*", " ", snippet)
+        for line in snippet.splitlines():
+            for command in re.findall(r"python -m repro\b([^`]*)", line):
+                yield source, command
+
+
+def test_every_documented_command_parses(capsys):
+    """Each documented command, up to a shell pipe or redirect, parses
+    (``...`` elisions, ``{…}`` lists and a bare ``python -m repro``
+    naming the CLI are skipped)."""
+    import itertools
+    import shlex
+
+    checked, failures = 0, []
+    for source, command in _documented_commands():
+        if "..." in command or command.strip()[:1] in ("", "{"):
+            continue
+        lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+        argv = list(itertools.takewhile(
+            lambda token: token[0] not in "|&;<>()", lexer))
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code != 0:
+                failures.append(f"{source}: python -m repro {command}\n"
+                                f"  {capsys.readouterr().err.strip()}")
+        checked += 1
+    assert checked >= 40, checked
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", ["README.md", "DESIGN.md"])
+def test_documented_subcommand_list_is_the_parsers(name):
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / name).read_text()
+    listed = re.findall(r"python -m repro \{([^}]*)\}", text)
+    assert listed, f"{name} has no python -m repro {{...}} list"
+    for names in listed:
+        assert sorted(n.strip() for n in names.split(",")) == \
+            sorted(_subcommands())
 
 
 # ----------------------------------------------------------------------
 # shared flag vocabulary + the scenario subcommand
 # ----------------------------------------------------------------------
-ENGINE_SUBCOMMANDS = ("health", "trace", "scenario")
+ENGINE_SUBCOMMANDS = ("trace", "scenario")
 SHARED_FLAGS = ("--backend", "--workers", "--fault-plan",
                 "--chaos-seed", "--slo", "--schedule",
                 "--activation-offload")
 
 
 def test_engine_subcommands_share_identical_flags():
-    from repro.cli import _build_parser
-
-    subparsers = next(
-        action for action in _build_parser()._actions
-        if getattr(action, "choices", None)
-        and "simulate" in action.choices)
+    subparsers = _subcommands()
     reference = {}
     for command in ENGINE_SUBCOMMANDS:
         options = {}
-        for action in subparsers.choices[command]._actions:
+        for action in subparsers[command]._actions:
             for flag in action.option_strings:
                 options[flag] = (action.help, action.default)
         for flag in SHARED_FLAGS:

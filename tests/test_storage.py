@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -149,6 +149,7 @@ def test_raid0_aggregate_counters(tmp_path):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), chunk=st.sampled_from([7, 16, 64]),
        members=st.integers(1, 5))
+@example(seed=5891, chunk=7, members=5)   # wrote past a member's end
 def test_raid0_behaves_like_flat_device_property(tmp_path_factory, seed,
                                                  chunk, members):
     """Random writes/reads through RAID0 match a plain byte-array model."""
@@ -169,6 +170,23 @@ def test_raid0_behaves_like_flat_device_property(tmp_path_factory, seed,
         else:
             assert read(raid, offset, length) == bytes(
                 reference[offset:offset + length])
+    raid.close()
+
+
+def test_raid0_whole_volume_roundtrip_with_partial_last_chunk(tmp_path):
+    """Member capacity 100 with 16-byte chunks: each member's last 4
+    bytes form one short final stripe, and every volume byte lands
+    inside a member exactly once."""
+    raid = make_raid(tmp_path, members=3, capacity=100, chunk=16)
+    payload = np.random.default_rng(0).integers(
+        0, 256, size=raid.capacity_bytes).astype(np.uint8).tobytes()
+    raid.pwrite(0, payload)
+    assert read(raid, 0, raid.capacity_bytes) == payload
+    for index, member in enumerate(raid.members):
+        full = b"".join(payload[start:start + 16]
+                        for start in range(index * 16, 288, 48))
+        tail = payload[288 + index * 4:288 + (index + 1) * 4]
+        assert read(member, 0, 100) == full + tail
     raid.close()
 
 

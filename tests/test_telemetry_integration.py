@@ -455,7 +455,9 @@ def test_cli_trace_metrics_flag_prints_exposition(tmp_path, capsys):
 
 
 def test_cli_simulate_metrics_flag(capsys):
-    assert main(["simulate", "--model", "gpt2-1.16b", "--csds", "2",
+    """``top --once --metrics`` in sim mode prints the DES channel
+    series the retired ``simulate --metrics`` did."""
+    assert main(["top", "--once", "--model", "gpt2-1.16b", "--csds", "2",
                  "--metrics"]) == 0
     out = capsys.readouterr().out
     assert 'des_channel_utilization{channel="host-link-up"' in out
