@@ -15,9 +15,9 @@ optimized handler (Fig. 5b):
    writes with the next subgroup's work.
 
 This functional implementation uses a real worker thread, so file I/O for
-lazy write-backs genuinely overlaps the caller's next-subgroup work, while
-per-variable events enforce the buffer-reuse dependency: a buffer is not
-reloaded until its lazy write-back has drained.
+lazy write-backs (queued before the upstream hook) genuinely overlaps the
+caller's work, while one "state buffers free" event, set after a
+subgroup's last state write-back, holds the next subgroup's state loads.
 """
 
 from __future__ import annotations
@@ -84,12 +84,10 @@ class TransferHandler:
             self.buffers[name] = device.allocate_dram(
                 f"handler/{name}", max_subgroup_elements)
 
-        # Per-variable "buffer free" latches for lazy write-back reuse.
-        self._buffer_free: Dict[str, threading.Event] = {}
-        for name in self.state_names:
-            event = threading.Event()
-            event.set()
-            self._buffer_free[name] = event
+        # The "state buffers free" latch: cleared when a subgroup's
+        # state write-backs are queued, set after the last one drains.
+        self._states_free = threading.Event()
+        self._states_free.set()
 
         # C-level queue: a put is the whole hand-off (no task accounting).
         self._lazy_queue: "queue.SimpleQueue[Optional[tuple]]" = \
@@ -116,7 +114,7 @@ class TransferHandler:
             item = self._lazy_queue.get()
             if item is None:
                 return
-            name, subgroup = item
+            name, subgroup, last = item
             buffer = self.buffers[name][:subgroup.count]
             # Explicit begin/end: this span opens and closes inside the
             # worker loop, the case the context-manager form cannot cover.
@@ -132,11 +130,12 @@ class TransferHandler:
                     self.state_commits.add((name, subgroup.start))
             except BaseException as exc:
                 # Record the first failure and keep draining: the buffer
-                # latches must keep firing or producers would deadlock.
+                # latch must keep firing or producers would deadlock.
                 # The error surfaces at the next _check_writer() sync.
                 self._writer_error = exc
             finally:
-                self._buffer_free[name].set()
+                if last:
+                    self._states_free.set()
                 telemetry.span_end(token)
 
     def _check_writer(self) -> None:
@@ -158,8 +157,8 @@ class TransferHandler:
         ``load_grads`` fills the gradient buffer for a subgroup (plain P2P
         read for SmartUpdate; decompress-on-FPGA for SmartComp).
         ``on_params_written`` fires right after the urgent parameter
-        write-back — the hook the runtime uses to start the upstream
-        host transfer early.
+        write-back, with the lazy ones queued — the hook the runtime uses
+        to start the upstream host transfer early, under those writes.
         """
         if self._closed:
             raise KernelError("handler is closed")
@@ -175,8 +174,8 @@ class TransferHandler:
                     "handler.subgroup", device=self.device.device_id,
                     subgroup=subgroup.index, elements=subgroup.count):
                 # Load phase.  Parameters/gradients can load immediately
-                # (their buffers were freed by the urgent write-back); each
-                # state buffer must wait for its lazy write-back to drain.
+                # (their buffers were freed by the urgent write-back); the
+                # state buffers wait for their lazy write-backs to drain.
                 with telemetry.trace_span(
                         "handler.load",
                         resource=f"ssd{self.device.device_id}-read"):
@@ -184,12 +183,12 @@ class TransferHandler:
                         self.URGENT, subgroup.start,
                         self.buffers[self.URGENT], subgroup.count)
                     grads = load_grads(subgroup, self.buffers["grads"])
-                    state = {}
-                    for name in self.state_names:
-                        self._buffer_free[name].wait()
-                        state[name] = self.device.p2p_read_into(
+                    self._states_free.wait()
+                    state = {
+                        name: self.device.p2p_read_into(
                             name, subgroup.start, self.buffers[name],
                             subgroup.count)
+                        for name in self.state_names}
 
                 # Update phase on the FPGA.  The fault guard fires before
                 # the kernel touches DRAM, so a retried (stalled) pass
@@ -208,16 +207,14 @@ class TransferHandler:
                         resource=f"ssd{self.device.device_id}-write"):
                     self.device.p2p_write(self.URGENT, subgroup.start,
                                           params)
+                # Lazy write-back: defer momentum/variance to the worker.
+                if self.state_names:
+                    self._states_free.clear()
+                    for name in self.state_names:
+                        self._lazy_queue.put(
+                            (name, subgroup, name == self.state_names[-1]))
                 if on_params_written is not None:
                     on_params_written(subgroup)
-
-                # Lazy write-back: defer momentum/variance to the worker.
-                for name in self.state_names:
-                    self._buffer_free[name].clear()
-                    self._lazy_queue.put((name, subgroup))
-
-            # Wait for this subgroup's lazy writes before reusing the state
-            # buffers in the next loop iteration (enforced by the events).
 
         with telemetry.trace_span("handler.synchronize",
                                   device=self.device.device_id):
@@ -225,8 +222,7 @@ class TransferHandler:
 
     def synchronize(self) -> None:
         """Block until every deferred write-back has reached the SSD."""
-        for name in self.state_names:
-            self._buffer_free[name].wait()
+        self._states_free.wait()
         self._check_writer()
 
     def close(self) -> None:

@@ -87,9 +87,10 @@ class DecompressorKernel:
         self.chunk_elements = chunk_elements
         self.counters = KernelCounters()
 
-    def run(self, compressed: CompressedGradient,
-            output: np.ndarray) -> np.ndarray:
-        """Decompress into ``output`` (a flat float32 DRAM buffer)."""
+    def run(self, compressed: CompressedGradient, output: np.ndarray,
+            check: bool = True) -> np.ndarray:
+        """Decompress into ``output`` (a flat float32 DRAM buffer);
+        ``check=False`` skips the index check of a validated stream."""
         if output.dtype != np.float32 or output.ndim != 1:
             raise KernelError("output buffer must be flat float32")
         if output.size < compressed.original_size:
@@ -103,7 +104,7 @@ class DecompressorKernel:
         # One vectorized bounds check over the whole stream (the hardware
         # validates the index range once at stream setup); the per-chunk
         # loop below is then pure scatter with no reduction passes.
-        if indices.size and (int(indices.min()) < 0
+        if check and indices.size and (int(indices.min()) < 0
                              or int(indices.max())
                              >= compressed.original_size):
             raise KernelError("compressed index out of range")

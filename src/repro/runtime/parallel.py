@@ -8,8 +8,8 @@ but the host-side glue.  The functional engines have the same property:
   FPGA-DRAM buffers, a private transfer handler and error-feedback
   residual — no two devices ever touch the same bytes;
 * the only cross-device state is the :class:`~repro.runtime.partition.
-  FlatParameterSpace` (upstream installs copy into disjoint ranges of
-  its flat working buffer, so they need no lock) and telemetry
+  FlatParameterSpace` (upstream reads land in disjoint ranges of its
+  flat working buffer, so they need no lock) and telemetry
   (thread-safe by construction).  Traffic is not shared: each device
   counts its bytes in its own locked ``IOCounters`` ledgers, and the
   engine reads their delta on the main thread at step boundaries.
@@ -22,16 +22,18 @@ can overlap work — numpy ufuncs and ``os.pread``/``os.pwrite`` all
 release the GIL, so per-device file I/O and SIMD update math from
 different devices genuinely run concurrently on multi-core hosts.
 
-``workers=1`` degenerates to an inline loop on the calling thread — no
-pool, no thread hop — so the sequential engine is still exactly the old
-code path.
+The calling thread is one of the workers: ``CSDWorkerPool(n)`` starts
+``n - 1`` threads and runs its own share of every round inline, so the
+stepping thread works instead of sleeping through the round.
+``workers=1`` starts no thread at all — an inline loop, so the
+sequential engine is still exactly the per-device loop.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 import numpy as np
@@ -125,9 +127,10 @@ class CSDWorkerPool:
     """Persistent thread pool executing one task per device, in order.
 
     The pool is created once per engine and reused every iteration (the
-    paper's per-CSD workers are likewise persistent).  Worker threads are
-    named ``csd-worker_N`` so telemetry spans recorded inside a task carry
-    a recognisable thread identity in Chrome traces.
+    paper's per-CSD workers are likewise persistent).  ``workers``
+    counts the calling thread: ``workers - 1`` threads are started, named
+    ``csd-worker_N`` so telemetry spans recorded inside a task carry a
+    recognisable thread identity in Chrome traces.
     """
 
     def __init__(self, workers: int,
@@ -137,7 +140,7 @@ class CSDWorkerPool:
         self.workers = workers
         self._pool: Optional[ThreadPoolExecutor] = None
         if workers > 1:
-            self._pool = ThreadPoolExecutor(max_workers=workers,
+            self._pool = ThreadPoolExecutor(max_workers=workers - 1,
                                             thread_name_prefix=name_prefix)
         self._closed = False
 
@@ -149,17 +152,25 @@ class CSDWorkerPool:
                     items: Iterable[T]) -> List[R]:
         """Run ``fn`` over ``items``; results in submission order.
 
-        With one worker (or one item) this is an inline loop on the
-        calling thread.  On error, every submitted task is still awaited
-        — per-device work must never be abandoned mid-write — and the
-        first exception is re-raised.
+        The calling thread runs the last ``len(items) // workers`` items
+        (at least one) while the pool threads run the rest; with one
+        worker (or one item) that is an inline loop.  On error, every
+        submitted task is still awaited — per-device work must never be
+        abandoned mid-write — and the first exception is re-raised.
         """
         if self._closed:
             raise TrainingError("worker pool is closed")
         work = list(items)
         if self._pool is None or len(work) <= 1:
             return [fn(item) for item in work]
-        futures = [self._pool.submit(fn, item) for item in work]
+        split = len(work) - max(1, len(work) // self.workers)
+        futures = [self._pool.submit(fn, item) for item in work[:split]]
+        for item in work[split:]:
+            futures.append(Future())
+            try:
+                futures[-1].set_result(fn(item))
+            except BaseException as exc:
+                futures[-1].set_exception(exc)
         results: List[R] = []
         first_error: Optional[BaseException] = None
         for future in futures:

@@ -135,8 +135,9 @@ class FlatParameterSpace:
         self._adopt_detached()
         return self._flat
 
-    def _range(self, start: int, count: int) -> np.ndarray:
-        """Live storage of flat range [start, start+count)."""
+    def live_range(self, start: int, count: int) -> np.ndarray:
+        """Live storage of flat range [start, start+count): what the
+        parameters read, and where an upstream read may land."""
         end = start + count
         if start < 0 or end > self.total_elements:
             raise PartitionError(
@@ -155,7 +156,7 @@ class FlatParameterSpace:
         subgroup as their urgent write-backs complete, without waiting for
         the whole model.
         """
-        np.copyto(self._range(start, values.size), values,
+        np.copyto(self.live_range(start, values.size), values,
                   casting="same_kind")
 
     def gather_grads(self, scale: float = 1.0) -> np.ndarray:
@@ -189,8 +190,9 @@ class FlatParameterSpace:
 
     def install_fp16_slice(self, start: int, masters: np.ndarray) -> None:
         """FP16-quantize one flat slice of master parameters straight
-        into the live flat buffer (no half-precision temporary)."""
-        round_fp16(masters, self._range(start, masters.size))
+        into the live flat buffer (no half-precision temporary);
+        ``masters`` may be that very range, rounded in place."""
+        round_fp16(masters, self.live_range(start, masters.size))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ calls over the task pipe.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -42,7 +41,6 @@ import numpy as np
 
 from .. import telemetry
 from ..compression.topk import CompressedGradient, keep_count
-from ..csd.handler import Subgroup
 from ..errors import TrainingError
 from ..faults.plan import Series
 from ..memory import (SEGMENT_ALIGN, SharedMemoryArena, SharedSegment,
@@ -53,7 +51,7 @@ from ..telemetry import SpanTracer, TelemetrySession
 from .engine import make_fault_injector
 from .parallel import ProcessCSDWorkerPool
 from .partition import Shard
-from .shardworker import MASTERS, RESIDUAL, ShardWorker
+from .shardworker import MASTERS, RESIDUAL, ShardWorker, UpstreamSink
 
 
 # ----------------------------------------------------------------------
@@ -133,22 +131,6 @@ def _sync_telemetry(spans_on: bool) -> None:
         telemetry.enable(TelemetrySession(SpanTracer(epoch=0.0)))
 
 
-class _ChannelSink:
-    """Upstream sink of a child-resident worker: the channel itself.
-
-    Masters land subgroup by subgroup in the shared ``upstream`` region;
-    the parent applies pruning and the FP16 install once the task is
-    back, so there is nothing to deliver on this side.
-    """
-
-    def __init__(self, upstream: np.ndarray) -> None:
-        self.upstream = upstream
-
-    def destination(self, subgroup: Subgroup):
-        return contextlib.nullcontext(
-            self.upstream[subgroup.start:subgroup.start + subgroup.count])
-
-
 class _ChildShard:
     """A :class:`ShardWorker` resident in this child process, plus the
     channel views that carry its bytes to and from the parent."""
@@ -172,7 +154,7 @@ class _ChildShard:
             str(task["storage_dir"]),
             make_optimizer(config.optimizer, **config.optimizer_kwargs),
             make_fault_injector(config), views[MASTERS],
-            _ChannelSink(views[MASTERS]))
+            UpstreamSink(views[MASTERS]))
 
     def run(self, op: str, task: Dict[str, object]) -> Dict[str, object]:
         worker = self.worker
@@ -337,9 +319,9 @@ class ProcessShardCoordinator:
         """Install every healthy shard's updated masters from its channel.
 
         The child wrote final (already dequantized, for §VIII-B runs)
-        FP32 masters into the masters row subgroup by subgroup; by end
-        of step only the final values matter, so one whole-shard install
-        is bit-identical to the thread backend's per-subgroup installs.
+        FP32 masters into the masters row subgroup by subgroup, as the
+        thread backend's workers write them into the live buffer; the
+        install is the same whole-shard pass on the calling thread.
         """
         for index, (shard, channel) in enumerate(
                 zip(self.shards, self.channels)):

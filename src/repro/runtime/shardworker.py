@@ -10,12 +10,15 @@ backends differ only in *where a worker runs and how bytes reach it*:
   this process and runs them on the persistent
   :class:`~repro.runtime.parallel.CSDWorkerPool`, one task per shard
   per call.  Gradients are views of the flat gradient vector; each
-  subgroup's masters are installed into the flat parameter space from the worker
-  thread, through the engine's sink.
+  subgroup's masters are host-read straight into its range of the
+  flat parameter space's live buffer.
 * ``process`` — :class:`~repro.runtime.procworker.ProcessShardCoordinator`
   ships the same method calls to a worker living in a child process;
-  gradients, masters and optimizer state cross in shared-memory regions
-  and the parent installs a shard once its task returns.
+  gradients, masters and optimizer state cross in shared-memory regions.
+
+Either way the worker threads do only the chain; the FP16 install (the
+pruning mask and one ``round_fp16`` pass per shard) runs once the round
+returns, on the calling thread, for every shard still on its device.
 
 Both coordinators speak one protocol (``offload`` / ``update`` / ``step``
 / ``compressed_view`` / ``salvage_arrays`` / ``ledgers`` /
@@ -33,10 +36,11 @@ sequential loop.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
-from typing import (Callable, ContextManager, Dict, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from ..csd.device import SmartSSDDevice
 from ..csd.handler import (Subgroup, TransferHandler, naive_update_pass,
                            plan_subgroups)
 from ..csd.kernels import DecompressorKernel, UpdaterKernel
-from ..errors import DeviceFailedError, RetryExhaustedError
+from ..errors import DeviceFailedError, KernelError, RetryExhaustedError
 from ..faults.plan import Series
 from ..memory import thread_arena
 from ..modelcomp.quantization import (QuantizedTensor, QuantizerKernel,
@@ -63,13 +67,19 @@ from .partition import Shard
 MASTERS, RESIDUAL = "master_params", "ef_residual"
 
 
-class UpstreamSink(Protocol):
-    """Where one shard's updated FP32 masters go — the only per-transport
-    code on the device chain (and the seam a test can fake)."""
+class UpstreamSink:
+    """Where one shard's updated FP32 masters land, subgroup by subgroup
+    in its own range of ``buffer``: the live range of the flat parameter
+    space in-process, the shared channel row in a worker process (and
+    the seam a test can fake).  Landing is all: the FP16 install
+    happens after the round."""
+
+    def __init__(self, buffer: np.ndarray) -> None:
+        self.buffer = buffer
 
     def destination(self, subgroup: Subgroup) -> ContextManager[np.ndarray]:
-        """Yield the ``subgroup.count``-element buffer the subgroup's
-        masters must land in; leaving the block cleanly delivers them."""
+        return contextlib.nullcontext(
+            self.buffer[subgroup.start:subgroup.start + subgroup.count])
 
 
 def dense_shard_grads(compressed: Optional[CompressedGradient],
@@ -389,11 +399,13 @@ class ShardWorker:
 
         The compressed stream is read over the internal path *once per
         update pass* directly into arena-staged blocks cached in "FPGA
-        DRAM" for the pass — it is read-only while the pass runs — with
-        one precomputed ``searchsorted`` over the subgroup boundaries.
-        The per-subgroup closure then just slices and rebases indices in
-        place, instead of re-reading the whole O(kept) stream for every
-        subgroup (which made internal-read traffic O(subgroups x kept)).
+        DRAM" for the pass — it is read-only while the pass runs — and
+        checked once: indices strictly ascending within ``[0,
+        shard.count)``, which the one ``searchsorted`` over the subgroup
+        boundaries relies on.  The per-subgroup closure then just
+        slices, rebases indices in place and scatters unchecked, instead
+        of re-reading the whole O(kept) stream for every subgroup (which
+        made internal-read traffic O(subgroups x kept)).
 
         Returns ``(loader, release)``; ``release`` must run on the same
         thread once the pass ends to return the staged blocks.
@@ -421,6 +433,11 @@ class ShardWorker:
             indices = device.p2p_read_into("comp_indices", 0, idx_stage,
                                            kept)
             values = device.p2p_read_into("comp_values", 0, val_stage, kept)
+            if kept and (indices[0] < 0 or indices[-1] >= self.shard.count
+                         or not (indices[1:] > indices[:-1]).all()):
+                raise KernelError(
+                    "compressed stream indices must be strictly ascending "
+                    f"within [0, {self.shard.count})")
         except BaseException:
             release()
             raise
@@ -442,7 +459,7 @@ class ShardWorker:
             local = CompressedGradient(
                 indices=local_view, values=values[lo:hi],
                 original_size=subgroup.count)
-            return decompressor.run(local, buffer)
+            return decompressor.run(local, buffer, check=False)
 
         return load_compressed, release
 
@@ -450,8 +467,8 @@ class ShardWorker:
         """Upstream one subgroup's updated parameters to the host.
 
         Plain flow (Fig. 4b step 4): the host reads the FP32 masters (2M
-        total) straight into the sink's buffer, so the FP16 working copy
-        can be refreshed immediately and the next forward start early.
+        total) straight into the sink's buffer, where the FP16 install
+        finds them once the round returns.
 
         Quantized flow (§VIII-B): the CSD quantizes the masters (still
         resident in FPGA DRAM after the update) to int8 + per-group
@@ -573,21 +590,25 @@ class InProcessShardCoordinator:
     """The thread backend: N shard workers in this process.
 
     ``workers=1`` degenerates to an inline loop on the calling thread,
-    so the sequential engine is exactly the per-device loop.  A demotion
-    is reported through ``on_demotion`` inline, on the worker's thread,
-    right after its ``engine.demote`` span closes; the engine records
-    the incident at the step's end.
+    so the sequential engine is exactly the per-device loop.  Masters
+    land in ``upstream`` (the engine's live flat buffer); after an
+    update round, ``install(start, masters)`` runs on the calling thread
+    for every shard still on its device, as on the process backend.  A
+    demotion is reported through ``on_demotion`` inline, on the worker's
+    thread, right after its ``engine.demote`` span closes; the engine
+    records the incident at the step's end.
     """
 
     def __init__(self, storage_dir: str, shards: Sequence[Shard],
                  config: TrainingConfig, optimizer, faults,
-                 masters: np.ndarray, workers: int,
-                 make_sink: Callable[[Shard], UpstreamSink],
+                 masters: np.ndarray, workers: int, upstream: np.ndarray,
+                 install: Callable[[int, np.ndarray], None],
                  on_demotion: Callable[[Dict[str, object]], None]) -> None:
         self._names = (MASTERS, *optimizer.state_names)
         self._total = masters.size
         self._has_residual = (config.compression_ratio is not None
                               and config.error_feedback)
+        self._install = install
         self._on_demotion = on_demotion
         self._workers: List[ShardWorker] = []
         self.pool = CSDWorkerPool(workers)
@@ -595,7 +616,8 @@ class InProcessShardCoordinator:
             for index, shard in enumerate(shards):
                 self._workers.append(ShardWorker(
                     index, shard, config, storage_dir, optimizer, faults,
-                    masters[shard.start:shard.end], make_sink(shard)))
+                    masters[shard.start:shard.end],
+                    UpstreamSink(upstream[shard.start:shard.end])))
         except BaseException:
             self.close(abandon=True)
             raise
@@ -604,6 +626,13 @@ class InProcessShardCoordinator:
         if resp["demoted_now"]:
             self._on_demotion(resp)
         return resp
+
+    def _install_healthy(self) -> None:
+        """Install every shard still on its device (a demoted one has
+        installed its recovery)."""
+        for worker in self._workers:
+            if not worker.demoted:
+                self._install(worker.shard.start, worker.sink.buffer)
 
     # ------------------------------------------------------------------
     # per-step protocol
@@ -617,20 +646,25 @@ class InProcessShardCoordinator:
 
     def update(self, step_count: int, lr: float
                ) -> List[Dict[str, object]]:
-        return self.pool.map_ordered(
+        responses = self.pool.map_ordered(
             lambda worker: self._report(worker.update(step_count, lr)),
             self._workers)
+        self._install_healthy()
+        return responses
 
     def step(self, flat_grads: np.ndarray, step_count: int, lr: float,
              do_update: bool) -> List[Dict[str, object]]:
         """Interleaved schedule: each shard's offload+update chain is
         one task, so an early shard's update overlaps a late shard's
         offload."""
-        return self.pool.map_ordered(
+        responses = self.pool.map_ordered(
             lambda worker: self._report(worker.step(
                 flat_grads[worker.shard.start:worker.shard.end],
                 step_count, lr, do_update)),
             self._workers)
+        if do_update:
+            self._install_healthy()
+        return responses
 
     # ------------------------------------------------------------------
     def compressed_view(self, index: int) -> Optional[CompressedGradient]:
@@ -693,15 +727,14 @@ class InProcessShardCoordinator:
     def close(self, abandon: bool = False) -> None:
         """Release the pool, then every handler and device. Idempotent.
 
-        The sinks and the demotion callback are bound methods of the
+        The install and demotion callbacks are bound methods of the
         engine that owns this coordinator; dropping them here is what
         lets refcounting alone free a closed engine.
         """
         self.pool.close()
         for worker in self._workers:
             worker.close(abandon=abandon)
-            worker.sink = None
-        self._on_demotion = None
+        self._install = self._on_demotion = None
 
 
 __all__ = ["InProcessShardCoordinator", "ShardWorker", "UpstreamSink"]

@@ -10,8 +10,10 @@ Dataflow per iteration (Figs. 4b and 6):
    the device-internal P2P path, the FPGA kernel applies the update, and
    the transfer handler overlaps lazy state write-backs;
 4. as each subgroup's urgent parameter write-back lands, the host reads the
-   updated FP32 masters upstream (2M total) and refreshes the FP16 working
-   copy — the only upstream host traffic.
+   updated FP32 masters upstream (2M total) straight into the live
+   working-copy buffer — the only upstream host traffic — and once the
+   round returns the stepping thread rounds each shard to FP16 in place
+   (and applies the pruning mask), one pass per shard.
 
 SmartUpdate runs the *same* optimizer arithmetic as the baseline, so with
 compression disabled the trained model is bit-identical to the baseline's
@@ -33,7 +35,6 @@ bit-identical to the sequential loop.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -45,7 +46,6 @@ from ..compression.topk import CompressedGradient
 from ..csd.handler import Subgroup, plan_subgroups
 from ..errors import TrainingError
 from ..faults.plan import Series
-from ..memory import thread_arena
 from ..modelcomp.pruning import PruningMask, magnitude_mask
 from ..modelcomp.quantization import QuantizerKernel, dequantize_int8
 from ..nn.modules import Module
@@ -55,22 +55,6 @@ from .partition import Shard, distribute_shards
 from .shardworker import (MASTERS, InProcessShardCoordinator,
                           dense_shard_grads)
 from .stats import IterationTraffic
-
-
-class _InstallSink:
-    """In-process upstream sink of one shard: each subgroup's masters
-    are read into a block of the worker thread's arena and installed
-    (pruning mask, FP16 cast) from that thread as soon as they land."""
-
-    def __init__(self, install, shard: Shard) -> None:
-        self._install = install
-        self._start = shard.start
-
-    @contextlib.contextmanager
-    def destination(self, subgroup: Subgroup):
-        with thread_arena().checkout(subgroup.count) as block:
-            yield block
-            self._install(self._start + subgroup.start, block)
 
 
 class SmartInfinityEngine(MixedPrecisionTrainer):
@@ -120,21 +104,17 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
                 from .procworker import ProcessShardCoordinator
                 self._coord = ProcessShardCoordinator(
                     storage_dir, self.shards, config, self._state_names,
-                    masters, self.workers, self._install_copy,
+                    masters, self.workers, self._install,
                     self._absorb_demotion)
             else:
                 self._coord = InProcessShardCoordinator(
                     storage_dir, self.shards, config, self.optimizer,
                     self.faults, masters, self.workers,
-                    lambda shard: _InstallSink(self._install, shard),
+                    self.space.live_range(0, masters.size), self._install,
                     self._absorb_demotion)
             # The step metrics count steps, not the placement.
             self._io_snapshot = self._io_totals()
-
-            working = masters.copy()
-            if self.pruning_mask is not None:
-                self.pruning_mask.apply(working)
-            self.space.install_fp16_params(working)
+            self._install(0, masters)
         except BaseException:
             self._shutdown(abandon=True)
             raise
@@ -308,24 +288,22 @@ class SmartInfinityEngine(MixedPrecisionTrainer):
         the device path stores int8 values and float32 scales verbatim)
         and the pruning mask, then refreshes the FP16 working copy.
         """
-        start = self.shards[index].start + subgroup.start
-        if self._quantizer is None:
-            self._install_copy(start, masters_slice)
-        else:
-            self._install(start, dequantize_int8(
-                self._quantizer.run(masters_slice)))
+        if self._quantizer is not None:
+            masters_slice = dequantize_int8(
+                self._quantizer.run(masters_slice))
+        self._install(self.shards[index].start + subgroup.start,
+                      masters_slice)
 
     def _install(self, start: int, values: np.ndarray) -> None:
-        """Install updated FP32 masters at flat offset ``start``;
-        ``values`` is scratch the pruning mask may zero in place."""
-        if self.pruning_mask is not None:
-            self.pruning_mask.slice(start, values.size).apply(values)
+        """The one install rule: FP32 masters ``values`` at flat offset
+        ``start`` become the FP16 working copy, pruned coordinates zero.
+        ``values`` is left as it is, unless it is that very range of the
+        live buffer (an in-process upstream), which is rounded in place.
+        """
         self.space.install_fp16_slice(start, values)
-
-    def _install_copy(self, start: int, values: np.ndarray) -> None:
-        """:meth:`_install` for ``values`` that must survive the mask."""
-        self._install(start, values if self.pruning_mask is None
-                      else values.copy())
+        if self.pruning_mask is not None:
+            self.pruning_mask.slice(start, values.size).apply(
+                self.space.live_range(start, values.size))
 
     # ------------------------------------------------------------------
     def _release(self, abandon: bool) -> None:

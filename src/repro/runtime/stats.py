@@ -160,18 +160,18 @@ def expected_host_resident(num_params: int, mode: str,
         gradients, masters and every moment, one subgroup each (the
         naive SU loop allocates and frees per subgroup: 0).
     ``arenas``
-        what the scratch arenas of the main thread and of ``workers``
-        pool threads pool, each block at its size class
+        what the scratch arenas of the main thread and of the
+        ``workers - 1`` pool threads pool, each block at its size class
         (:func:`repro.memory.size_class`).  Main thread: the
-        ``round_fp16`` pair of the initial install and the norm's
-        float64 block.  Per update worker: the Top-K block; then, with
+        ``round_fp16`` pair of each install (initial, then per shard)
+        and the norm's float64 block.  Per shard chain, on every thread
+        (the main one runs a shard too): the Top-K block; then, with
         the three compressed-stream stages held, per subgroup
         ``optimizer_scratch`` temporaries (2 for Adam and AdaGrad, 1
-        for SGD-momentum, 3 for AdamW) followed by the upstream block
-        with the ``round_fp16`` pair of its install.  The baseline's
-        block loop holds ``1 + states_per_param`` blocks around the
-        same two.  With one worker all of it is one arena.  Exact once
-        every pool thread has run a largest shard.
+        for SGD-momentum, 3 for AdamW).  The baseline's block loop
+        holds ``1 + states_per_param`` blocks around the temporaries,
+        then the block's ``round_fp16`` pair.  Exact once every thread
+        has run a largest shard.
 
     ``mode`` is ``baseline`` or ``smart`` (thread backend; dense
     SmartUpdate when ``compression_ratio`` is None); ``shard_sizes``
@@ -180,19 +180,16 @@ def expected_host_resident(num_params: int, mode: str,
     from ..compression.topk import TOPK_BLOCK, keep_count
     from ..nn.precision import _ROUND_CHUNK, NORM_BLOCK
 
-    def update_phases(count: int, held: List[_Checkout],
-                      install: List[_Checkout]) -> List[List[_Checkout]]:
-        """One subgroup or block of ``count`` elements: the optimizer's
-        temporaries, then — with ``install`` out too — the FP16 pair."""
-        return [held + [(optimizer_scratch, "f4", count)],
-                held + install + [(2, "f4", min(count, _ROUND_CHUNK))]]
+    def round_pair(count: int) -> List[_Checkout]:
+        """The two ``round_fp16`` staging blocks of a ``count`` install."""
+        return [(2, "f4", min(count, _ROUND_CHUNK))]
 
     def block_sizes(total: int, size: int) -> List[int]:
         size = min(size, total)
         return sorted({size, total % size or size})
 
     main: List[List[_Checkout]] = [
-        [(2, "f4", min(num_params, _ROUND_CHUNK))],   # initial install
+        round_pair(num_params),                       # initial install
         [(1, "f8", NORM_BLOCK)]]                      # global_grad_norm
     resident = dict(flat_params=4 * num_params, flat_grads=4 * num_params,
                     grad_accumulator=0, ef_residual=0, compressed_stream=0,
@@ -201,7 +198,8 @@ def expected_host_resident(num_params: int, mode: str,
         blocks = [(1 + states_per_param, "f4",
                    min(subgroup_elements, num_params))]
         for count in block_sizes(num_params, subgroup_elements):
-            main += update_phases(count, blocks, [])
+            main += [blocks + [(optimizer_scratch, "f4", count)],
+                     blocks + round_pair(count)]
         resident["arenas"] = _pooled_bytes(main)
         return resident
     if mode != "smart":
@@ -221,10 +219,8 @@ def expected_host_resident(num_params: int, mode: str,
             resident["handler_dram"] += 4 * (1 + states_per_param) * min(
                 subgroup_elements, shard)
         for count in block_sizes(shard, subgroup_elements):
-            worker += update_phases(count, stages, [(1, "f4", count)])
-    if workers == 1:
-        resident["arenas"] = _pooled_bytes(main + worker)
-    else:
-        resident["arenas"] = (_pooled_bytes(main)
-                              + workers * _pooled_bytes(worker))
+            worker.append(stages + [(optimizer_scratch, "f4", count)])
+        main.append(round_pair(shard))
+    resident["arenas"] = (_pooled_bytes(main + worker)
+                          + (workers - 1) * _pooled_bytes(worker))
     return resident

@@ -1,5 +1,7 @@
 """Tests for the functional SmartSSD device and the transfer handler."""
 
+import queue
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,82 @@ def test_handler_lazy_writebacks_all_drain(tmp_path):
         assert len(tracer.by_name("handler.lazy_writeback")) == 2 * 3
         assert len(tracer.by_name("handler.urgent_writeback")) == 3
         handler.close()
+
+
+def test_handler_queues_lazy_writebacks_before_the_upstream(
+        tmp_path, monkeypatch):
+    """Per subgroup the handler writes the parameters, queues the state
+    write-backs and only then runs the upstream hook, so those writes
+    run under the upstream read; the SSD and the commit log end as the
+    naive loop leaves them."""
+    total, subgroup = 150, 40
+    subgroups = plan_subgroups(total, subgroup)
+    calls = []
+
+    class LoggingQueue(queue.SimpleQueue):
+        def put(self, item, block=True, timeout=None):
+            if item is not None:
+                calls.append(("put", item[0], item[1].start))
+            super().put(item, block, timeout)
+
+    class LoggingDevice(SmartSSDDevice):
+        def p2p_write(self, region, start, array):
+            if region == "master_params":   # the lazy writer logs none
+                calls.append(("p2p_write", region, start))
+            super().p2p_write(region, start, array)
+
+        def host_read_into(self, region, out, start=0, count=None):
+            calls.append(("host_read_into", region, start))
+            return super().host_read_into(region, out, start, count)
+
+    monkeypatch.setattr(queue, "SimpleQueue", LoggingQueue)
+    results = {}
+    for mode in ("handler", "naive"):
+        with LoggingDevice(str(tmp_path / f"{mode}.img"),
+                           1 << 22) as device:
+            seed_device(device, total, seed=3)
+            optimizer = Adam(lr=1e-2)
+            kernel = UpdaterKernel(optimizer)
+            upstream = np.empty(total, dtype=np.float32)
+            commits = set()
+
+            def load_grads(sub, buffer):
+                return device.p2p_read_into("grads", sub.start, buffer,
+                                            sub.count)
+
+            def on_params_written(sub):
+                device.host_read_into("master_params",
+                                      upstream[sub.start:], sub.start,
+                                      sub.count)
+
+            del calls[:]
+            if mode == "handler":
+                with TransferHandler(device, optimizer.state_names,
+                                     subgroup) as handler:
+                    handler.run_update_pass(subgroups, kernel, 1,
+                                            load_grads, on_params_written)
+                    commits = set(handler.state_commits)
+                assert calls == [
+                    call for sub in subgroups for call in (
+                        ("p2p_write", "master_params", sub.start),
+                        ("put", "momentum", sub.start),
+                        ("put", "variance", sub.start),
+                        ("host_read_into", "master_params", sub.start))]
+            else:
+                naive_update_pass(
+                    device, subgroups, kernel, 1, optimizer.state_names,
+                    load_grads, on_params_written,
+                    lambda name, sub: commits.add((name, sub.start)))
+            results[mode] = (commits, upstream, {
+                name: device.store.read_array(name)
+                for name in ("master_params", "momentum", "variance")})
+    commits, upstream, arrays = results["handler"]
+    assert commits == results["naive"][0] == {
+        (name, sub.start) for name in ("momentum", "variance")
+        for sub in subgroups}
+    np.testing.assert_array_equal(upstream, results["naive"][1])
+    for name, values in arrays.items():
+        np.testing.assert_array_equal(values, results["naive"][2][name])
 
 
 def test_handler_close_is_idempotent_and_rejects_reuse(tmp_path):

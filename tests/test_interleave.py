@@ -13,7 +13,6 @@ the schedule buys: a strictly shorter su_o_c step at >=2 CSDs, with the
 critical-path ``interleave()`` projection validating under the 5% gate.
 """
 
-import contextlib
 import threading
 
 import numpy as np
@@ -188,17 +187,10 @@ def test_failed_interleaved_chain_surfaces_after_the_others(tmp_path):
     finished = []
     release = threading.Event()
 
-    class DiscardingSink:
-        def __init__(self, shard):
-            pass
-
-        def destination(self, subgroup):
-            return contextlib.nullcontext(
-                np.empty(subgroup.count, dtype=np.float32))
-
     coord = InProcessShardCoordinator(
         str(tmp_path), shards, config, make_optimizer("adam"), None,
-        masters, 2, DiscardingSink, lambda resp: None)
+        masters, 2, np.empty_like(masters), lambda start, values: None,
+        lambda resp: None)
     try:
         for index, worker in enumerate(coord._workers):
             real = worker.step

@@ -116,8 +116,10 @@ class TestCSDWorkerPool:
 
         with CSDWorkerPool(3) as pool:
             pool.map_ordered(rendezvous, range(3))
-        assert len(seen) == 3
-        assert all(name.startswith("csd-worker") for name in seen)
+        # Two pool threads and the caller, which runs the last task.
+        caller = threading.current_thread().name
+        assert len(seen) == 3 and caller in seen
+        assert all(name.startswith("csd-worker") for name in seen - {caller})
 
     def test_error_propagates_after_all_tasks_finish(self):
         finished = []
@@ -308,3 +310,93 @@ def test_sequential_update_spans_stay_on_main_thread(tmp_path):
     spans = active.tracer.by_name("device_update")
     assert {span.thread_name for span in spans} == \
         {threading.current_thread().name}
+
+
+# ----------------------------------------------------------------------
+# placement: short numpy passes stay off the CSD worker threads
+# ----------------------------------------------------------------------
+def test_fp16_install_runs_on_the_stepping_thread_between_rounds(
+        tmp_path, monkeypatch):
+    """At the benchmark's SU+O+C geometry (1.72 M parameters, two CSDs
+    on two threads, handler on, 2 % Top-K): every ``round_fp16`` pass
+    runs on the stepping thread while no shard task runs, and the
+    upstream checks no arena block out on any thread — the masters land
+    in the working copy itself."""
+    from repro.api import create_engine
+    from repro.memory import BufferArena
+    from repro.nn import LanguageModel, gpt2_config, make_lm_dataset
+    from repro.runtime import partition
+    from repro.runtime.shardworker import ShardWorker
+
+    shape = dict(vocab_size=256, dim=256, num_layers=2, num_heads=4,
+                 max_seq_len=16)
+    tokens = make_lm_dataset(num_sequences=10, seq_len=17, vocab_size=256,
+                             seed=0).reshape(5, 2, -1)
+    config = TrainingConfig(
+        optimizer="adam", optimizer_kwargs={"lr": 1e-3}, num_csds=2,
+        parallel_csds=2, parallel_backend="thread",
+        use_transfer_handler=True, compression_ratio=0.02,
+        error_feedback=True)
+    stepping = threading.current_thread()
+    lock = threading.Lock()
+    running = [0]
+    rounds, upstream_checkouts = [], []
+    in_upstream = threading.local()
+
+    def shard_task(name):
+        real = getattr(ShardWorker, name)
+
+        def task(self, *args, **kwargs):
+            with lock:
+                running[0] += 1
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+        return task
+
+    def upstream(real):
+        def wrapped(self, subgroup):
+            in_upstream.active = True
+            try:
+                return real(self, subgroup)
+            finally:
+                in_upstream.active = False
+        return wrapped
+
+    def acquire(real):
+        def wrapped(self, num_elements, dtype=np.float32):
+            if getattr(in_upstream, "active", False):
+                upstream_checkouts.append(
+                    (threading.current_thread().name, num_elements))
+            return real(self, num_elements, dtype)
+        return wrapped
+
+    def round_fp16(real):
+        def wrapped(src, out):
+            with lock:
+                rounds.append((threading.current_thread(), running[0],
+                               src.size))
+            return real(src, out)
+        return wrapped
+
+    model = LanguageModel(gpt2_config(**shape), seed=0)
+    with create_engine("smart", model, lambda m, t: m.loss(t),
+                       str(tmp_path), config=config) as engine:
+        for batch in tokens[:2]:
+            engine.train_step(batch)
+        for name in ("offload", "update", "step"):
+            monkeypatch.setattr(ShardWorker, name, shard_task(name))
+        monkeypatch.setattr(ShardWorker, "_upstream_subgroup",
+                            upstream(ShardWorker._upstream_subgroup))
+        monkeypatch.setattr(BufferArena, "acquire",
+                            acquire(BufferArena.acquire))
+        monkeypatch.setattr(partition, "round_fp16",
+                            round_fp16(partition.round_fp16))
+        for batch in tokens[2:]:
+            assert not engine.train_step(batch).overflow
+        shards = [shard.count for shard in engine.shards]
+    assert rounds == [(stepping, 0, count) for _ in range(3)
+                      for count in shards]
+    assert upstream_checkouts == []

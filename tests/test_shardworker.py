@@ -10,6 +10,8 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.errors import KernelError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.optim import make_optimizer
 from repro.runtime import Shard, TrainingConfig
@@ -112,3 +114,36 @@ def test_mid_pass_dropout_salvage_equals_fault_free_state(
     assert host_bytes(chaos) == (reads, writes)
     assert chaos.device.ssd.counters == ssd
     chaos.close()
+
+
+@pytest.mark.parametrize("use_transfer_handler", [True, False],
+                         ids=["handler", "naive"])
+@pytest.mark.parametrize("corrupt", ["past_end", "negative", "repeated"])
+def test_corrupt_compressed_stream_fails_before_any_update(
+        tmp_path, use_transfer_handler, corrupt):
+    """The staged stream is checked once per pass: an index outside the
+    shard, or out of strictly ascending order (a repeat would otherwise
+    scatter last-write-wins), fails the pass before its first kernel,
+    with the device's masters and states untouched."""
+    worker, _ = make_worker(tmp_path, compression_ratio=0.1,
+                            error_feedback=False,
+                            use_transfer_handler=use_transfer_handler)
+    grads = np.random.default_rng(2).standard_normal(COUNT).astype(
+        np.float32)
+    worker.offload(grads, overflow=False)
+    indices = worker.compressed.indices
+    position, value = {"past_end": (indices.size - 1, COUNT),
+                       "negative": (0, -1),
+                       "repeated": (3, indices[2])}[corrupt]
+    worker.device.store.write_slice(
+        "comp_indices", position, np.array([value], dtype=np.int32))
+    before = read_state(worker)
+    with telemetry.session() as session:
+        with pytest.raises(KernelError, match="strictly ascending"):
+            worker.update(1, LR)
+    assert not [span for span in session.tracer.spans
+                if span.name.endswith(".kernel")]
+    assert worker.kernel.counters.invocations == 0
+    for name, values in read_state(worker).items():
+        np.testing.assert_array_equal(values, before[name])
+    worker.close()
