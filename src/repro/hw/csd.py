@@ -35,11 +35,6 @@ class CSDSpec:
         """SSD -> FPGA effective bandwidth over the internal path."""
         return min(self.ssd.read_bandwidth, self.internal_link.bandwidth)
 
-    @property
-    def p2p_write_bandwidth(self) -> float:
-        """FPGA -> SSD effective bandwidth over the internal path."""
-        return min(self.ssd.write_bandwidth, self.internal_link.bandwidth)
-
 
 def smartssd() -> CSDSpec:
     """Samsung SmartSSD: 4TB NVMe + KU15P behind a Gen3 x4 switch.

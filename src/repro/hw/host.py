@@ -32,10 +32,6 @@ class CPUSpec:
         if self.cores <= 0 or self.update_bandwidth <= 0:
             raise HardwareConfigError(f"{self.name}: invalid CPU spec")
 
-    def update_time(self, nbytes: float) -> float:
-        """Seconds for the AVX kernel to stream ``nbytes`` of state."""
-        return nbytes / self.update_bandwidth
-
 
 @dataclass(frozen=True)
 class HostMemorySpec:

@@ -64,14 +64,6 @@ class SystemSpec:
         """
         return sum(csd.p2p_read_bandwidth for csd in self.csds)
 
-    @property
-    def aggregate_ssd_read_bandwidth(self) -> float:
-        return sum(csd.ssd.read_bandwidth for csd in self.csds)
-
-    @property
-    def aggregate_ssd_write_bandwidth(self) -> float:
-        return sum(csd.ssd.write_bandwidth for csd in self.csds)
-
     def total_cost_usd(self, as_plain_ssds: bool = False) -> float:
         """System cost; with ``as_plain_ssds`` CSDs are priced as plain SSDs
         of the same capacity (the baseline configuration of Fig. 15)."""

@@ -6,7 +6,10 @@ The baseline engine reproduces the ZeRO-Infinity dataflow of Fig. 1:
 * FP32 optimizer states (master params, moments) on storage,
 * gradients offloaded to storage during backward,
 * block-wise CPU update: upload gradients + optimizer states, update with
-  the host optimizer, offload the states back, refresh the FP16 copy.
+  the host optimizer, offload the states back, refresh the FP16 copy —
+  two blocks deep, as ZeRO-Infinity overlaps NVMe with the CPU step: a
+  ``raid0-io`` thread writes back block k-1 and loads block k+1 while
+  the stepping thread updates block k.
 
 Every byte crossing the host<->storage path lands in a device's own I/O
 ledger, so the Table I accounting can be asserted against what the
@@ -24,6 +27,8 @@ import contextlib
 import json
 import math
 import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -842,7 +847,15 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
         # Members are opened one by one, so a failure mid-construction
         # releases every device already opened (no leaked descriptors).
         self._members: List[FileBlockDevice] = []
+        #: The block loop's I/O thread: hand-offs in, one answer each out.
+        self._io_jobs: "queue.SimpleQueue[Optional[tuple]]" = \
+            queue.SimpleQueue()
+        self._io_done: "queue.SimpleQueue[Optional[BaseException]]" = \
+            queue.SimpleQueue()
+        self._io_thread = threading.Thread(target=self._io_loop,
+                                           name="raid0-io", daemon=True)
         try:
+            self._io_thread.start()
             os.makedirs(storage_dir, exist_ok=True)
             total = self.space.total_elements
             words = 2 + self.optimizer.states_per_param  # grads + states
@@ -858,9 +871,9 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
             self.store = TensorStore(self.volume)
 
             self._state_names = self.optimizer.state_names
-            self.store.allocate("master_params", total)
-            self.store.allocate("grads", total)
-            for name in self._state_names:
+            #: A block set's regions, in its buffers' order.
+            self._regions = ("grads", "master_params", *self._state_names)
+            for name in ("master_params", "grads", *self._state_names):
                 self.store.allocate(name, total)
 
             # Initial placement: masters = init weights, moments = zero;
@@ -882,6 +895,9 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
             raise
 
     def _release(self, abandon: bool) -> None:
+        if self._io_thread.is_alive():
+            self._io_jobs.put(None)
+            self._io_thread.join()
         for member in self._members:
             member.close()
 
@@ -920,58 +936,100 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
 
     def _block_loop(self, unwritten: Optional[np.ndarray],
                     update: bool) -> None:
-        """The per-block loop of both schedules.
+        """The per-block loop of both schedules, two blocks deep.
 
         ``unwritten`` is the gradient vector when it has not been
         offloaded as a whole (interleaved): each block's slice is then
-        written right before that block's update, hitting the same
+        written right before that block's reads, hitting the same
         offsets with the same bytes as the whole-array write.
 
-        Every block reuses one set of arena scratch buffers: the store
-        reads land directly in them (:meth:`TensorStore.read_slice_into`),
-        the fused optimizer updates them in place, and the same views are
-        written back — zero per-block ndarray allocation at steady state.
+        Hand-off ``j`` asks the ``raid0-io`` thread to write back block
+        ``j - 2`` (masters and states), then load block ``j``; while it
+        runs, this thread updates block ``j - 1`` and installs its FP16
+        slice.  So each member sees R0 R1 W0 R2 W1 ... W(n-1), the DES's
+        depth-2 order (``perf/scenarios.py``'s ``update-buffers``).  Two
+        arena block sets alternate: the store reads land directly in
+        them, the fused optimizer updates them in place, and the same
+        views are written back — zero per-block ndarray allocation at
+        steady state.  One hand-off is in flight at a time, and its
+        answer is collected before any error leaves (this thread's own
+        error wins), so no I/O lands in a block back in the arena.
         """
         total = self.space.total_elements
-        size = self.config.subgroup_elements
-        with scratch_buffers(min(size, total),
-                             2 + len(self._state_names)) as blocks:
+        size = min(self.config.subgroup_elements, total)
+        if not update:
             for start in range(0, total, size):
-                count = min(size, total - start)
-                if unwritten is not None:
+                self._offload_block(unwritten, start, min(size, total - start))
+            return
+        width = len(self._regions)
+        with scratch_buffers(size, 2 * width) as buffers:
+            sets = buffers[:width], buffers[width:]
+            # slots[j + 2] is block j; the padding is "no block".
+            slots = [None, None, *(
+                (start, min(size, total - start), sets[start // size % 2])
+                for start in range(0, total, size)), None, None]
+            for j in range(len(slots) - 2):
+                self._io_jobs.put((slots[j], slots[j + 2], unwritten))
+                try:
+                    if slots[j + 1] is not None:
+                        start, count, blocks = slots[j + 1]
+                        with telemetry.trace_span(
+                                "cpu_update.block", start=start,
+                                elements=count, resource="host-cpu"):
+                            masters = blocks[1][:count]
+                            self.optimizer.step(
+                                masters, blocks[0][:count],
+                                {name: block[:count] for name, block in
+                                 zip(self._state_names, blocks[2:])},
+                                self.step_count)
+                            self.space.install_fp16_slice(start, masters)
+                finally:
+                    error = self._io_done.get()
+                if error is not None:
+                    raise error
+
+    def _offload_block(self, unwritten: np.ndarray, start: int,
+                       count: int) -> None:
+        with telemetry.trace_span("grad_offload.block", start=start,
+                                  resource="host-link-down",
+                                  nbytes=4 * count):
+            self.store.write_slice("grads", start,
+                                   unwritten[start:start + count])
+
+    def _io_loop(self) -> None:
+        """The ``raid0-io`` thread: run the block loop's hand-offs in
+        FIFO order, answering each on ``_io_done`` (its error or None)."""
+        while True:
+            hand_off = self._io_jobs.get()
+            if hand_off is None:
+                return
+            written, loaded, unwritten = hand_off
+            error = None
+            try:
+                if written is not None:
+                    start, count, blocks = written
                     with telemetry.trace_span(
-                            "grad_offload.block", start=start,
-                            resource="host-link-down", nbytes=4 * count):
-                        self.store.write_slice(
-                            "grads", start, unwritten[start:start + count])
-                if update:
-                    self._update_block(start, count, blocks)
-
-    def _update_block(self, start: int, count: int, blocks) -> None:
-        """One block's upload -> update -> offload against the scratch
-        buffers."""
-        names = self._state_names
-        with telemetry.trace_span("cpu_update.block", start=start,
-                                  elements=count,
-                                  resource="host-cpu"):
-            grads = self.store.read_slice_into(
-                "grads", start, count, blocks[0])
-            masters = self.store.read_slice_into(
-                "master_params", start, count, blocks[1])
-            state = {
-                name: self.store.read_slice_into(
-                    name, start, count, block)
-                for name, block in zip(names, blocks[2:])
-            }
-
-            self.optimizer.step(masters, grads, state, self.step_count)
-
-            self.store.write_slice("master_params", start, masters)
-            for name in names:
-                self.store.write_slice(name, start, state[name])
-
-            # Refresh the FP16 working copy from the updated masters.
-            self.space.install_fp16_slice(start, masters)
+                            "raid0_io.writeback", start=start,
+                            resource="host-link-down",
+                            nbytes=4 * count * (len(blocks) - 1)):
+                        for name, block in zip(self._regions[1:],
+                                               blocks[1:]):
+                            self.store.write_slice(name, start,
+                                                   block[:count])
+                if loaded is not None:
+                    start, count, blocks = loaded
+                    if unwritten is not None:
+                        self._offload_block(unwritten, start, count)
+                    with telemetry.trace_span(
+                            "raid0_io.load", start=start,
+                            resource="host-link-up",
+                            nbytes=4 * count * len(blocks)):
+                        for name, block in zip(self._regions, blocks):
+                            self.store.read_slice_into(name, start, count,
+                                                       block)
+            except BaseException as exc:  # re-raised by the stepping thread
+                error = exc
+            self._io_done.put(error)
 
     # ------------------------------------------------------------------
     # checkpoint hooks

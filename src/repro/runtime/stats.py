@@ -169,9 +169,10 @@ def expected_host_resident(num_params: int, mode: str,
         the three compressed-stream stages held, per subgroup
         ``optimizer_scratch`` temporaries (2 for Adam and AdaGrad, 1
         for SGD-momentum, 3 for AdamW).  The baseline's block loop
-        holds ``1 + states_per_param`` blocks around the temporaries,
-        then the block's ``round_fp16`` pair.  Exact once every thread
-        has run a largest shard.
+        holds two block sets of ``1 + states_per_param`` blocks (the
+        block being updated and the one its I/O thread loads) around
+        the temporaries, then the block's ``round_fp16`` pair.  Exact
+        once every thread has run a largest shard.
 
     ``mode`` is ``baseline`` or ``smart`` (thread backend; dense
     SmartUpdate when ``compression_ratio`` is None); ``shard_sizes``
@@ -195,7 +196,7 @@ def expected_host_resident(num_params: int, mode: str,
                     grad_accumulator=0, ef_residual=0, compressed_stream=0,
                     handler_dram=0)
     if mode == "baseline":
-        blocks = [(1 + states_per_param, "f4",
+        blocks = [(2 * (1 + states_per_param), "f4",
                    min(subgroup_elements, num_params))]
         for count in block_sizes(num_params, subgroup_elements):
             main += [blocks + [(optimizer_scratch, "f4", count)],

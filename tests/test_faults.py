@@ -436,11 +436,15 @@ def test_baseline_partial_construction_releases_members(tmp_path,
 
     monkeypatch.setattr(engine_mod, "FileBlockDevice", Tracking)
     monkeypatch.setattr(engine_mod.TensorStore, "write_array", boom)
+    threads_before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="placement failed"):
         BaselineOffloadEngine(make_model(), loss_fn, str(tmp_path),
                               config=config(raid_members=3))
     assert len(opened) == 3
     assert all(member.closed for member in opened)
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "raid0-io"
+                and thread not in threads_before]
 
 
 def test_smart_partial_construction_releases_devices(tmp_path,
