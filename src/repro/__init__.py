@@ -17,7 +17,7 @@ package provides:
   (SmartUpdate + SmartComp), with exact interconnect-traffic metering;
 * :mod:`repro.sim` / :mod:`repro.hw` / :mod:`repro.perf` — a discrete-event
   performance model of the PCIe/SSD/FPGA system, calibrated to the paper;
-* :mod:`repro.experiments` — one module per paper table/figure.
+* :mod:`repro.experiments` — the paper's tables and figures (sweeps as data).
 """
 
 from .api import ENGINE_MODES, create_engine

@@ -1,45 +1,33 @@
-"""Per-experiment reproduction modules (one per paper table/figure).
-
-Every module has ``run()`` returning a result with ``render()``, and a
-``RESULT_STEM``: its committed output is ``results/<RESULT_STEM>.txt``,
-written by :func:`write_results` (``python -m repro experiment --write
-results``) and held byte for byte by ``tests/test_golden_results.py``.
+"""The paper's tables and figures by id.  The DES sweeps are rows of
+:data:`.paper.SWEEPS` (next to ``PAPER_TARGETS``, the printed numbers the
+tests read their bands from); the rest keep a module each.  Each entry's
+``run().render()`` is ``results/<RESULT_STEM>.txt``, written by
+:func:`write_results` (``python -m repro experiment --write results``)
+and held byte for byte by ``tests/test_golden_results.py``.
 """
 
 import os
 from typing import Dict, Iterable, Optional
 
-from . import (ext_bottlenecks, ext_csd_sensitivity, ext_modelcomp, fig3,
-               fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
-               fig17, table1, table3, table4)
+from . import (ext_bottlenecks, ext_modelcomp, fig14, paper, table1, table3,
+               table4)
+from .paper import PAPER_TARGETS, SWEEPS
 from .report import WALLCLOCK, fmt_bytes, pinned, render_table
 
 #: Extension studies beyond the paper's evaluation section.
 EXTENSION_EXPERIMENTS = {
-    "ext_bottlenecks": ext_bottlenecks,
-    "ext_csd_sensitivity": ext_csd_sensitivity,
-    "ext_modelcomp": ext_modelcomp,
-}
+    "ext_bottlenecks": ext_bottlenecks, "ext_modelcomp": ext_modelcomp,
+    "ext_csd_sensitivity": SWEEPS["ext_csd_sensitivity"]}
 
-#: The paper's tables and figures: id -> module.
-ALL_EXPERIMENTS = {
-    "fig3": fig3,
-    "table1": table1,
-    "table3": table3,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig14": fig14,
-    "fig15": fig15,
-    "fig16": fig16,
-    "fig17": fig17,
-    "table4": table4,
-}
+#: The paper's tables and figures: id -> module or sweep.
+ALL_EXPERIMENTS = {"table1": table1, "table3": table3, "fig14": fig14,
+                   "table4": table4, **{
+                       figure: sweep for figure, sweep in SWEEPS.items()
+                       if figure.startswith("fig")}}
 
 #: Everything ``python -m repro experiment`` can run.
-REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS,
+            "paper_targets": paper}
 
 
 def write_results(directory: str,
@@ -58,7 +46,7 @@ def write_results(directory: str,
     return paths
 
 
-__all__ = (["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "REGISTRY",
-            "WALLCLOCK", "fmt_bytes", "pinned", "render_table",
-            "write_results"]
-           + sorted(REGISTRY))
+__all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "PAPER_TARGETS",
+           "REGISTRY", "SWEEPS", "WALLCLOCK", "ext_bottlenecks",
+           "ext_modelcomp", "fig14", "fmt_bytes", "paper", "pinned",
+           "render_table", "table1", "table3", "table4", "write_results"]

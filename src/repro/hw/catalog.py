@@ -4,10 +4,10 @@ The paper targets SmartSSD but notes its approach "is not limited to
 certain products" and cites other commercial CSDs ([22] ScaleFlux
 CSD 3000, [86] Eideticom NoLoad, [85] NGD Newport).  Public specs for the
 compute engines of these parts are sparse; the entries below are
-*representative* configurations used by the sensitivity study
-(`repro.experiments.ext_csd_sensitivity`) to show how Smart-Infinity's
-speedup responds to internal bandwidth and engine throughput — the design
-dimensions a CSD vendor controls.
+*representative* configurations used by the sensitivity study (the
+`ext_csd_sensitivity` sweep in `repro.experiments.paper`) to show how
+Smart-Infinity's speedup responds to internal bandwidth and engine
+throughput — the design dimensions a CSD vendor controls.
 """
 
 from __future__ import annotations

@@ -1,17 +1,39 @@
-"""Shape checks for every paper experiment module.
+"""Shape checks for every paper experiment.
 
 Heavy experiments run here with reduced settings; the full configurations
 are what ``tests/test_golden_results.py`` holds ``results/`` to.  Each test
 asserts the *qualitative* result the paper reports — who wins, where things
-saturate, what stays equal.
+saturate, what stays equal — and reads every band from
+:data:`repro.experiments.PAPER_TARGETS`.
 """
+
+import functools
 
 import pytest
 
-from repro.experiments import (ALL_EXPERIMENTS, ext_bottlenecks,
-                               ext_csd_sensitivity, ext_modelcomp, fig3,
-                               fig9, fig10, fig11, fig12, fig13, fig14,
-                               fig15, fig16, fig17, table1, table3, table4)
+from repro.experiments import (ALL_EXPERIMENTS, PAPER_TARGETS, REGISTRY,
+                               ext_bottlenecks, ext_modelcomp, fig14, paper,
+                               table1, table3, table4)
+from repro.perf.cost import cost_efficiency
+
+
+@functools.lru_cache(maxsize=None)
+def _run(experiment_id):
+    return REGISTRY[experiment_id].run()
+
+
+def _holds(name, result, scope="all"):
+    """Every value of target ``name`` in ``scope`` sits in its band."""
+    low, high = PAPER_TARGETS[name].bands[scope]
+    values = PAPER_TARGETS[name].scoped(result, scope)
+    assert values and all(low <= value <= high
+                          for value in values.values()), (
+        name, scope, (low, high), values)
+
+
+def _nondecreasing(values, slack=1e-9):
+    return all(later >= earlier - slack
+               for earlier, later in zip(values, values[1:]))
 
 
 def test_registry_covers_all_evaluation_artifacts():
@@ -21,14 +43,13 @@ def test_registry_covers_all_evaluation_artifacts():
 
 
 def test_fig3_update_dominates_and_raid_saturates():
-    result = fig3.run()
-    for model_name in fig3.MOTIVATION_MODELS:
-        assert result.update_fraction(model_name) > 0.70
-    assert result.saturation_ssd_count() <= 6
-    # Speedup is monotone non-decreasing and capped.
-    speedups = result.raid_speedups
-    assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
-    assert speedups[-1] < 5.0
+    result = _run("fig3")
+    for name in ("fig3.update_share", "fig3.saturation", "fig3.plateau"):
+        _holds(name, result)
+    # Speedup is monotone non-decreasing and capped (the plateau band).
+    times = [result.cell(model="gpt2-4.0b", devices=n).total
+             for n in range(1, 11)]
+    assert _nondecreasing([times[0] / t for t in times])
     assert "Fig 3(a)" in result.render()
 
 
@@ -58,13 +79,13 @@ def test_table3_matches_paper_within_tolerance():
 
 
 def test_fig9_reduced_grid_orders_methods():
-    result = fig9.run(models=("gpt2-8.4b",), ssd_counts=(6, 10))
+    result = _run("fig9")
     for num_ssds in (6, 10):
-        su = result.speedup("gpt2-8.4b", num_ssds, "su")
-        su_o = result.speedup("gpt2-8.4b", num_ssds, "su_o")
-        su_o_c = result.speedup("gpt2-8.4b", num_ssds, "su_o_c")
+        su, su_o, su_o_c = (
+            result.speedup(model="gpt2-8.4b", devices=num_ssds, method=m)
+            for m in ("su", "su_o", "su_o_c"))
         assert 1.0 < su < su_o < su_o_c
-    assert result.speedup("gpt2-8.4b", 10, "su_o_c") > 1.8
+    _holds("fig9.su_o_c@10", result, "gpt2-8.4b")
     assert "Fig 9" in result.render()
 
 
@@ -72,61 +93,74 @@ def test_fig9_full_grid_stays_in_the_paper_bands():
     """Paper: SU 1.18-1.24 @6 and 1.54-1.60 @10; SU+O up to 1.60-1.66
     @10; SU+O+C 1.85-1.98 @10 — with modelling margin, on the grid
     ``results/fig09_ablation.txt`` records."""
-    result = fig9.run()
-    for num_ssds, method, low, high in ((6, "su", 1.00, 1.40),
-                                        (10, "su", 1.35, 1.75),
-                                        (10, "su_o", 1.50, 1.90),
-                                        (10, "su_o_c", 1.75, 2.25)):
-        lo, hi = result.speedup_range(num_ssds, method)
-        assert low <= lo and hi <= high, (num_ssds, method)
+    result = _run("fig9")
+    for name in ("fig9.su@6", "fig9.su@10", "fig9.su_o@10",
+                 "fig9.su_o_c@10", "fig9.update_share"):
+        _holds(name, result)
     # "Almost identical" across models: a tight spread, same ordering.
+    _holds("fig9.spread", result)
     for num_ssds in (6, 10):
-        lo, hi = result.speedup_range(num_ssds, "su_o_c")
-        assert hi - lo < 0.45
-        for model in result.models():
-            assert (result.speedup(model, num_ssds, "su")
-                    < result.speedup(model, num_ssds, "su_o")
-                    < result.speedup(model, num_ssds, "su_o_c"))
+        for model in paper.GRID_MODELS:
+            assert (result.speedup(model=model, devices=num_ssds,
+                                   method="su")
+                    < result.speedup(model=model, devices=num_ssds,
+                                     method="su_o")
+                    < result.speedup(model=model, devices=num_ssds,
+                                     method="su_o_c"))
 
 
 def test_fig10_stable_speedup_on_large_models():
-    result = fig10.run()
-    for num_ssds in (6, 10):
-        assert result.spread(num_ssds) < 0.3
-    for model in fig10.LARGE_MODELS:
-        assert result.speedups[(model, 10)] > result.speedups[(model, 6)]
-        assert result.speedups[(model, 6)] > 1.2
+    result = _run("fig10")
+    for name in ("fig10.spread", "fig10.su_o_c@6", "fig10.su_o_c@10"):
+        _holds(name, result)
+    for model in paper.LARGE_MODELS:
+        assert result.speedup(model=model, devices=10, method="su_o_c") > (
+            result.speedup(model=model, devices=6, method="su_o_c"))
     assert "Fig 10" in result.render()
 
 
 def test_fig11_baseline_saturates_smart_scales():
-    result = fig11.run()
-    for gpu_name in ("RTX-A5000", "A100-40GB"):
-        assert result.baseline_saturates(gpu_name)
-        curve = result.series[gpu_name]["smart"]
+    result = _run("fig11")
+    for gpu in ("a5000", "a100"):
+        # Throughput normalized to the 1-SSD baseline's.
+        reference = result.cell(gpu=gpu, devices=1, method="baseline").total
+        base, smart = ([reference / result.cell(gpu=gpu, devices=n,
+                                                method=method).total
+                        for n in range(1, 11)]
+                       for method in ("baseline", "su_o_c"))
+        # Baseline gains < 3% from 6 to 10 devices.
+        assert base[-1] <= base[5] * 1.03
         # Monotone growth, and 10 devices beat 5 by a wide margin.
-        assert all(b >= a - 1e-6 for a, b in zip(curve, curve[1:]))
-        assert curve[9] > 1.5 * curve[4]
-    assert result.speedup_at("A100-40GB", 10) > result.speedup_at(
-        "RTX-A5000", 10)
+        assert _nondecreasing(smart, slack=1e-6)
+        assert smart[9] > 1.5 * smart[4]
+    assert result.speedup(gpu="a100", devices=10, method="su_o_c") > (
+        result.speedup(gpu="a5000", devices=10, method="su_o_c"))
+    _holds("fig11.a100@10", result)
     assert "Fig 11" in result.render()
 
 
 def test_fig12_adam_gains_most():
-    result = fig12.run(verify_kernels=True)
-    assert result.adam_wins()
-    assert result.states_per_param == {"adam": 3, "sgd": 2, "adagrad": 2}
-    for optimizer in fig12.OPTIMIZERS:
-        assert result.speedups[optimizer][10] > 1.0
-        assert result.speedups[optimizer][6] > 1.0
-    assert result.speedups["sgd"][10] > result.speedups["sgd"][6]
+    result = _run("fig12")
+    speedups = {(optimizer, n): result.speedup(optimizer=optimizer,
+                                               devices=n, method="su_o_c")
+                for optimizer in paper.OPTIMIZERS for n in (6, 10)}
+    # Adam's extra state volume means the largest speedup (paper).
+    assert all(speedups["adam", n] >= speedups[other, n]
+               for other in ("sgd", "adagrad") for n in (6, 10))
+    assert {optimizer: paper.Point("gpt2-4.0b", 6, "su_o_c",
+                                   optimizer=optimizer).workload()
+            .states_per_param for optimizer in paper.OPTIMIZERS} == {
+                "adam": 3, "sgd": 2, "adagrad": 2}
+    assert all(value > 1.0 for value in speedups.values())
+    assert speedups["sgd", 10] > speedups["sgd", 6]
     assert "Fig 12" in result.render()
 
 
 def test_fig13_other_families_speed_up_and_train():
-    result = fig13.run(train_functional=True)
-    assert result.all_in_paper_band(low=1.1, high=2.4)
-    for losses in result.functional_loss.values():
+    result = _run("fig13")
+    _holds("fig13.su_o_c", result)
+    assert set(result.functional) == {"bloom-tiny", "vit-tiny"}
+    for losses in result.functional.values():
         assert losses["last"] < losses["first"]
     assert "BLOOM" in result.render()
 
@@ -139,35 +173,51 @@ def test_fig14_throughput_hierarchy():
 
 
 def test_fig15_smart_rises_and_wins_at_scale():
-    result = fig15.run()
-    smart = [p.gflops_per_dollar for p in result.series["smart"]]
-    base = [p.gflops_per_dollar for p in result.series["baseline"]]
+    result = _run("fig15")
+
+    def gflops_per_dollar(method):
+        return [cost_efficiency(point.system(), point.workload(), method,
+                                result.cell(devices=point.devices,
+                                            method=method)).gflops_per_dollar
+                for point in paper.grid(model=("gpt2-4.0b",),
+                                        devices=range(1, 11),
+                                        method=(method,))]
+
+    smart = gflops_per_dollar("su_o_c")
+    base = gflops_per_dollar("baseline")
     # Smart-Infinity's efficiency keeps growing with devices while the
     # baseline's plateaus; at >= 6 devices smart clearly wins.
     assert smart[9] > smart[5] > smart[2]
     assert base[9] <= base[5] * 1.05
-    for index in range(5, 10):
-        assert smart[index] > base[index]
+    _holds("fig15.smart_wins_from", result)
     assert "Fig 15" in result.render()
 
 
 def test_fig16_ratio_tradeoff():
-    result = fig16.run()
-    assert result.compression_always_helps()
-    assert result.monotone_nonincreasing()
+    result = _run("fig16")
+    base = result.cell(method="baseline", ratio=0.02).total
+    uncompressed = base / result.cell(method="su_o", ratio=0.02).total
+    speedups = [base / result.cell(method="su_o_c", ratio=ratio).total
+                for ratio in sorted(paper.RATIOS)]
+    # Compression always helps, and a smaller ratio never loses to a
+    # larger one (within the sweep).
+    assert all(value >= uncompressed for value in speedups)
+    assert _nondecreasing(speedups[::-1])
     assert "Fig 16" in result.render()
 
 
 def test_fig17_congested_topology_still_wins_but_less():
-    result = fig17.run()
-    from repro.experiments import fig11 as _fig11
-    default_speedup = 2.0  # the default-topology headline at 10 CSDs
+    result = _run("fig17")
+    _holds("fig17.su_o_c", result)
+    # gpus=0: the default topology's GPT-2 1.16B SU+O+C cell at 10 CSDs.
+    default_speedup = result.speedup(gpus=0, method="su_o_c")
     for num_gpus in (1, 2, 3):
-        assert result.speedup(num_gpus) > 1.0
-        assert result.speedup(num_gpus) < default_speedup
+        assert result.speedup(gpus=num_gpus, method="su_o_c") < (
+            default_speedup)
         # Congestion shows up in BW+Grad, not in the update phase.
-        cell = result.breakdowns[num_gpus]
-        assert cell["smart"].backward_grad < cell["baseline"].backward_grad
+        assert (result.cell(gpus=num_gpus, method="su_o_c").backward_grad
+                < result.cell(gpus=num_gpus,
+                              method="baseline").backward_grad)
     assert "Fig 17" in result.render()
 
 
@@ -211,10 +261,51 @@ def test_ext_bottlenecks_tells_the_papers_causal_story():
 def test_ext_csd_sensitivity_faster_internal_path_helps():
     """The baseline is pinned at the shared link no matter how fast the
     flash gets (§VIII-C), so a faster CSD buys more speedup."""
-    result = ext_csd_sensitivity.run()
-    assert result.faster_internal_path_helps()
-    assert result.speedups["gen5"] > result.speedups["smartssd"]
-    assert all(value > 1.5 for value in result.speedups.values())
+    from repro.hw.catalog import get_csd
+
+    result = _run("ext_csd_sensitivity")
+    speedups = {name: result.speedup(csd=name, method="su_o_c")
+                for name in paper.PRODUCTS}
+    by_bandwidth = sorted(speedups,
+                          key=lambda n: get_csd(n).p2p_read_bandwidth)
+    assert _nondecreasing([speedups[name] for name in by_bandwidth])
+    assert speedups["gen5"] > speedups["smartssd"]
+    _holds("ext_csd_sensitivity.su_o_c", result)
+
+
+def test_target_residual_is_zero_inside_the_printed_band():
+    target = PAPER_TARGETS["fig9.su@6"]
+    assert target.paper == (1.18, 1.24)
+    assert target.residual([1.20, 1.24]) == 0
+    assert target.residual([1.10, 1.20]) == pytest.approx(-0.08)
+    assert target.residual([1.20, 1.30, 1.15]) == pytest.approx(0.06)
+    assert PAPER_TARGETS["fig9.spread"].residual([0.1]) is None
+
+
+def test_design_experiment_index_names_modules_that_exist():
+    """Every module DESIGN.md §4's Modules column names imports as
+    ``repro.<name>``."""
+    import importlib
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "DESIGN.md").read_text()
+    section = text.split("## 4.", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| ID ")]
+    names = {name for row in rows for name in re.findall(r"`([^`]+)`",
+                                                          row[3])}
+    assert len(rows) >= 20 and "experiments.paper" in names
+    for name in sorted(names):
+        importlib.import_module(f"repro.{name}")
+
+
+def test_every_target_names_a_sweep_and_ordered_bands():
+    for name, target in PAPER_TARGETS.items():
+        assert target.figure in paper.SWEEPS, name
+        assert "all" in target.bands, name
+        for low, high in target.bands.values():
+            assert low < high, name
 
 
 @pytest.mark.exhaustive
