@@ -11,7 +11,7 @@ from typing import Dict, Iterable, Optional
 
 from . import (ext_bottlenecks, ext_modelcomp, fig14, paper, table1, table3,
                table4)
-from .paper import PAPER_TARGETS, SWEEPS
+from .paper import PAPER_TARGETS, SWEEPS, Memo, Sweep
 from .report import WALLCLOCK, fmt_bytes, pinned, render_table
 
 #: Extension studies beyond the paper's evaluation section.
@@ -34,14 +34,18 @@ def write_results(directory: str,
                   experiment_ids: Optional[Iterable[str]] = None
                   ) -> Dict[str, str]:
     """Run experiments (default: all) and write each one's result file
-    under ``directory``; returns id -> path."""
+    under ``directory``; returns id -> path.  The DES sweeps and
+    ``paper_targets`` share one :class:`~.paper.Memo`, so each distinct
+    point is simulated, and each sweep run, once per call."""
     os.makedirs(directory, exist_ok=True)
-    paths = {}
+    memo, paths = Memo(), {}
     for experiment_id in experiment_ids or REGISTRY:
         module = REGISTRY[experiment_id]
+        result = (module.run(memo) if isinstance(module, Sweep)
+                  or module is paper else module.run())
         path = os.path.join(directory, module.RESULT_STEM + ".txt")
         with open(path, "w") as handle:
-            handle.write(module.run().render() + "\n")
+            handle.write(result.render() + "\n")
         paths[experiment_id] = path
     return paths
 

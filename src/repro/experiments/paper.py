@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -144,12 +144,34 @@ class Sweep:
     #: Functional work besides the DES; returns the result's ``functional``.
     hook: Callable[[], Optional[Dict[str, Dict[str, float]]]] = dict
 
-    def run(self) -> SweepResult:
-        functional, cells, verdicts = self.hook() or {}, {}, {}
-        for point in dict.fromkeys(self.points):
-            key = tuple(getattr(point, axis) for axis in self.axes)
-            cells[key], verdicts[key] = point.simulate()
-        return SweepResult(self.figure, self.axes, cells, verdicts, functional)
+    def run(self, memo: Optional["Memo"] = None) -> SweepResult:
+        """This figure's result; within one ``memo`` it runs once (its
+        hook included) and shares every cell another sweep simulated."""
+        memo = memo or Memo()
+        if self.figure not in memo.sweeps:
+            functional, cells, verdicts = self.hook() or {}, {}, {}
+            for point in dict.fromkeys(self.points):
+                key = tuple(getattr(point, axis) for axis in self.axes)
+                cells[key], verdicts[key] = memo.simulate(point)
+            memo.sweeps[self.figure] = SweepResult(
+                self.figure, self.axes, cells, verdicts, functional)
+        return memo.sweeps[self.figure]
+
+
+@dataclass
+class Memo:
+    """What one registry run has computed: each distinct :class:`Point`'s
+    simulation and each sweep's result.  Scoped to the run that made it
+    (``write_results``, :func:`run`), so a changed model constant is
+    never read from an earlier run."""
+
+    cells: Dict[Point, tuple] = field(default_factory=dict)
+    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
+
+    def simulate(self, point: Point) -> tuple:
+        if point not in self.cells:
+            self.cells[point] = point.simulate()
+        return self.cells[point]
 
 
 def _raid0_speedups(r: SweepResult):
@@ -458,9 +480,10 @@ class TargetsResult:
             title="Paper targets (residual: 0 inside the printed band)")
 
 
-def run() -> TargetsResult:
-    """Run every sweep a target reads and score it."""
-    results = {figure: sweep.run() for figure, sweep in SWEEPS.items()}
+def run(memo: Optional[Memo] = None) -> TargetsResult:
+    """Run every sweep a target reads (once per ``memo``) and score it."""
+    memo = memo or Memo()
+    results = {figure: sweep.run(memo) for figure, sweep in SWEEPS.items()}
     return TargetsResult({
         (name, scope): target.scoped(results[target.figure], scope)
         for name, target in PAPER_TARGETS.items()

@@ -158,7 +158,8 @@ class Fabric:
 
     # ------------------------------------------------------------------
     # composite transfers: every leg reserves its channel's FIFO slot and
-    # the caller waits on one event at the latest leg's instant
+    # the caller waits on one event at the latest leg's instant (the
+    # ``_`` forms return that instant, for ``Simulator.deferred``)
     # ------------------------------------------------------------------
     def raid_read(self, nbytes: float, tag: str = "raid-read") -> Event:
         """Striped read to the host: all members + the shared up-link.
@@ -175,30 +176,28 @@ class Fabric:
 
     def raid_write(self, nbytes: float, tag: str = "raid-write") -> Event:
         """Striped write from the host: shared down-link + all members."""
+        return self.sim._timeout_at(self._raid_write(nbytes, tag))
+
+    def _raid_write(self, nbytes: float, tag: str) -> float:
+        """Reserve :meth:`raid_write`'s legs; returns its finish."""
         per_member = nbytes / self.num_devices / self.raid_efficiency
         legs = [device.nand_write._reserve(per_member, tag)
                 for device in self.devices]
         legs.append(self.link_down._reserve(nbytes, tag))
-        return self.sim._timeout_at(max(legs))
-
-    def host_to_device(self, index: int, nbytes: float,
-                       tag: str = "h2d") -> Event:
-        """Host -> one device's SSD (e.g. gradient offload to the owner
-        CSD): shared down-link + that device's write channel."""
-        return self.sim._timeout_at(
-            self._host_to_device(index, nbytes, tag))
+        return max(legs)
 
     def _host_to_device(self, index: int, nbytes: float, tag: str) -> float:
-        """Reserve :meth:`host_to_device`'s legs; returns its finish."""
+        """Reserve host -> one device's SSD (e.g. gradient offload to the
+        owner CSD): shared down-link + that device's write channel;
+        returns its finish."""
         link = self.link_down._reserve(nbytes, tag)
         return max(link, self.devices[index].nand_write._reserve(nbytes, tag))
 
-    def device_to_host(self, index: int, nbytes: float,
-                       tag: str = "d2h") -> Event:
-        """One device's SSD -> host (e.g. updated masters upstream)."""
+    def _device_to_host(self, index: int, nbytes: float, tag: str) -> float:
+        """Reserve one device's SSD -> host (e.g. updated masters
+        upstream); returns its finish."""
         flash = self.devices[index].nand_read._reserve(nbytes, tag)
-        return self.sim._timeout_at(
-            max(flash, self.link_up._reserve(nbytes, tag)))
+        return max(flash, self.link_up._reserve(nbytes, tag))
 
     def all_channels(self) -> List[Channel]:
         """Every channel of the machine (for export and attribution)."""

@@ -282,10 +282,13 @@ class _Scenario:
             # The GPU -> pinned-buffer bounce copy serializes with the
             # stream; the storage write itself drains asynchronously.
             yield self.fabric.bounce.transfer(grad_block, tag="bounce")
-            gate = gates[block] if gates is not None else None
-            offloads.append(self.sim.process(
-                self._offload_block(grad_block, gate=gate),
-                name="grad-offload"))
+            offload = self.sim.deferred(self._offload_legs, grad_block)
+            if gates is not None:
+                # The landing opens the block's gate (its value, the
+                # offload event, is never read) before the barrier below
+                # counts it.
+                offload.add_callback(gates[block].succeed)
+            offloads.append(offload)
         # In the phased schedule the update cannot start until every
         # gradient has landed (the loss-scale scan and global-norm
         # clipping need them all); the interleaved schedule resolves the
@@ -294,20 +297,16 @@ class _Scenario:
         yield self.sim.all_of(offloads)
         self.clock.end("backward_grad")
 
-    def _offload_transfer(self, nbytes: float):
+    def _offload_legs(self, nbytes: float) -> float:
+        """Reserve one gradient block's offload; returns its landing."""
         if self.method == "baseline":
-            return self.fabric.raid_write(nbytes, tag="grad-offload")
+            return self.fabric._raid_write(nbytes, "grad-offload")
         # Each CSD owns an equal slice of the flattened parameters; the
         # block has landed when the slowest device's copy has.
         per_device = nbytes / self.fabric.num_devices
-        return self.sim._timeout_at(max(
+        return max(
             self.fabric._host_to_device(index, per_device, "grad-offload")
-            for index in range(self.fabric.num_devices)))
-
-    def _offload_block(self, nbytes: float, gate=None):
-        yield self._offload_transfer(nbytes)
-        if gate is not None:
-            gate.succeed()
+            for index in range(self.fabric.num_devices))
 
     def update_phase(self):
         self.clock.begin("update")
@@ -420,16 +419,14 @@ class _Scenario:
                 # states are written back lazily, upstream is overlapped.
                 yield device.internal_write.transfer(param_write / p2p,
                                                      tag="urgent-params")
-                lazy_and_upstream.append(self.sim.process(
-                    self._lazy_writeback(index, state_write / p2p),
-                    name="lazy-writeback"))
-                lazy_and_upstream.append(self.sim.process(
-                    self._upstream(index, upstream), name="upstream"))
+                lazy_and_upstream.append(self.sim.deferred(
+                    device.internal_write._reserve, state_write / p2p,
+                    "lazy-states"))
             else:
                 yield device.internal_write.transfer(
                     (param_write + state_write) / p2p, tag="writeback")
-                lazy_and_upstream.append(self.sim.process(
-                    self._upstream(index, upstream), name="upstream"))
+            lazy_and_upstream.append(self.sim.deferred(
+                self.fabric._device_to_host, index, upstream, "masters-up"))
             slots.release()
 
         tasks = []
@@ -448,10 +445,3 @@ class _Scenario:
         # The iteration is done when deferred write-backs and the upstream
         # parameter transfers have drained.
         yield self.sim.all_of(lazy_and_upstream)
-
-    def _lazy_writeback(self, index: int, nbytes: float):
-        yield self.fabric.devices[index].internal_write.transfer(
-            nbytes, tag="lazy-states")
-
-    def _upstream(self, index: int, nbytes: float):
-        yield self.fabric.device_to_host(index, nbytes, tag="masters-up")

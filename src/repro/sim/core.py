@@ -12,6 +12,7 @@ Only the features the Smart-Infinity performance model needs are implemented:
 * :class:`Timeout` — an event scheduled ``delay`` seconds in the future.
 * :class:`Process` — wraps a generator; is itself an event that triggers when
   the generator returns (so processes can ``yield`` other processes to join).
+* :class:`Deferred` — a one-transfer process as one event.
 * :class:`AllOf` — barrier over several events.
 * :class:`Simulator` — the event loop with deterministic FIFO tie-breaking.
 
@@ -27,6 +28,17 @@ heap entry fires at the latest leg's instant
 number between the legs, so the waiter resumes in exactly the order the
 per-leg barrier resumed it.  A process likewise starts from one heap
 entry, with no bootstrap event.
+
+A *deferred* transfer (:meth:`Simulator.deferred`) is a process that
+would only wait on one transfer (the gradient offload, the lazy state
+write-back, the upstream master copy), without the process: one
+:class:`Deferred` event takes the heap entry the process took at spawn
+(same instant, same sequence number), reserves its legs when that entry
+is dispatched, as the process's first step did, and pushes itself back
+as the completion at the latest leg.  Reserving at spawn would take
+FIFO slots ahead of same-instant entries already queued.  Two heap
+entries either way, so the dispatch count and every resume order are
+the process's.
 """
 
 from __future__ import annotations
@@ -66,7 +78,8 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
+        # No fresh list: add_callback runs late callbacks at once.
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
         return self
@@ -113,6 +126,38 @@ class Timeout(Event):
         self._callbacks = []
         heapq.heappush(sim._heap, (sim._now + delay, next(sim._sequence),
                                    self, value))
+
+
+class Deferred(Event):
+    """A transfer that reserves its legs (``reserve(*args)``, returning
+    the latest leg's finish) when its heap entry is dispatched, and
+    triggers with value ``None`` at that finish."""
+
+    __slots__ = ("_reserve", "_args")
+
+    def __init__(self, sim: "Simulator", reserve: Callable[..., float],
+                 args: tuple) -> None:
+        # Event.__init__ and Simulator._schedule inlined, as in Timeout.
+        self.sim = sim
+        self.name = "deferred"
+        self.triggered = False
+        self.value = None
+        self.failed = False
+        self._callbacks = []
+        self._reserve = reserve
+        self._args = args
+        heapq.heappush(sim._heap, (sim._now, next(sim._sequence), self,
+                                   None))
+
+    def _fire(self, value: Any) -> None:
+        reserve = self._reserve
+        if reserve is None:
+            self.succeed(value)
+            return
+        self._reserve = None
+        sim = self.sim
+        heapq.heappush(sim._heap, (reserve(*self._args),
+                                   next(sim._sequence), self, None))
 
 
 class AllOf(Event):
@@ -209,7 +254,11 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield Event instances")
-        target.add_callback(self._resume)
+        # target.add_callback(self._resume), inlined.
+        if target.triggered:
+            self._resume(target)
+        else:
+            target._callbacks.append(self._resume)
 
 
 class Simulator:
@@ -257,7 +306,14 @@ class Simulator:
         """An event that fires at the absolute instant ``when``, which
         the caller guarantees is not before now: the one completion of
         a transfer whose legs were reserved with ``Channel._reserve``."""
-        event = Event(self, "timeout")
+        # Event.__init__ inlined: one of these per transfer.
+        event = object.__new__(Event)
+        event.sim = self
+        event.name = "timeout"
+        event.triggered = False
+        event.value = None
+        event.failed = False
+        event._callbacks = []
         heapq.heappush(self._heap, (when, next(self._sequence), event, value))
         return event
 
@@ -276,6 +332,12 @@ class Simulator:
                 name: str = "process") -> Process:
         """Start ``generator`` as a process and return its handle."""
         return Process(self, generator, name=name)
+
+    def deferred(self, reserve: Callable[..., float], *args: Any
+                 ) -> Deferred:
+        """A process whose only step is to ``yield`` the transfer
+        ``reserve(*args)`` reserves, as one :class:`Deferred` event."""
+        return Deferred(self, reserve, args)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Create a barrier that triggers once all ``events`` have."""

@@ -87,14 +87,18 @@ class Channel:
             raise SimulationError(
                 f"negative transfer size {nbytes} on channel {self.name!r}")
         now = self.sim._now
-        start = max(now, self._free_at)
+        start = self._free_at
+        if not start > now:          # max(now, free_at), ties to now
+            start = now
         end = start + (self.latency + nbytes / self.bandwidth)
         self._free_at = end
         self.bytes_total += nbytes
         self.ops_total += 1
         if self._record:
-            self.records.append(
-                TransferRecord(self.name, tag, nbytes, start, end))
+            # ``tuple.__new__`` skips the namedtuple's Python-level
+            # ``__new__``; one record per transfer leg.
+            self.records.append(tuple.__new__(
+                TransferRecord, (self.name, tag, nbytes, start, end)))
         # Where a timeout of ``end - now`` fires, which can differ from
         # ``end`` in the last bit.
         return now + (end - now)
@@ -136,7 +140,7 @@ class Semaphore:
         if self._in_use < self.capacity:
             self._in_use += 1
             self.max_in_use = max(self.max_in_use, self._in_use)
-            self.sim._schedule(self.sim.now, event, None)
+            self.sim._schedule(self.sim._now, event, None)
         else:
             self._waiters.append(event)
         return event
@@ -148,7 +152,7 @@ class Semaphore:
                 f"semaphore {self.name!r} released more than acquired")
         if self._waiters:
             event = self._waiters.popleft()
-            self.sim._schedule(self.sim.now, event, None)
+            self.sim._schedule(self.sim._now, event, None)
         else:
             self._in_use -= 1
 

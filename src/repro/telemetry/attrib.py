@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..errors import TelemetryError
 from ..sim.resources import TransferRecord
@@ -65,8 +66,7 @@ def _merge_ops(ops: Sequence[TransferRecord]) -> List[Interval]:
     order (worker threads) take the sorting path."""
     merged: List[Interval] = []
     low = high = None
-    for op in ops:
-        start, end = op.start, op.end
+    for _channel, _tag, _nbytes, start, end in ops:
         if end <= start:
             continue
         if high is None:
@@ -104,8 +104,7 @@ def _clip(intervals: Sequence[Interval], ends: Sequence[float],
     return clipped
 
 
-@dataclass(frozen=True)
-class ResourceUsage:
+class ResourceUsage(NamedTuple):
     """Whole-run occupancy of one link/engine."""
 
     name: str
@@ -197,24 +196,28 @@ def _sweep_window(start: float, end: float,
     One sweep over the sorted cut points: the active set changes only at
     interval boundaries, and the owner of a contested slice is the
     active resource busiest across the whole window (lexicographic
-    tie-break) — rank 0 of ``ranked``.
+    tie-break) — rank 0 of ``ranked``.  The active set is a bit mask
+    over the ranks (a resource's intervals are disjoint, so each bit
+    opens and closes in turn), and its lowest set bit is the owner.
     """
-    weight = {name: sum(e - s for s, e in ivs)
+    weight = {name: sum([e - s for s, e in ivs])
               for name, ivs in clipped.items() if ivs}
     ranked = sorted(weight, key=lambda name: (-weight[name], name))
-    opens: Dict[float, List[int]] = {}
-    closes: Dict[float, List[int]] = {}
+    opens: Dict[float, int] = {}
+    closes: Dict[float, int] = {}
+    open_at, close_at = opens.get, closes.get
     for rank, name in enumerate(ranked):
+        bit = 1 << rank
         for s, e in clipped[name]:
-            opens.setdefault(s, []).append(rank)
-            closes.setdefault(e, []).append(rank)
+            opens[s] = open_at(s, 0) | bit
+            closes[e] = close_at(e, 0) | bit
     owned: Dict[str, float] = {}
-    active = set()
+    active = 0
     lo = before = None
     for hi in sorted({start, end, *opens, *closes}):
-        active.difference_update(closes.get(hi, ()))
-        active.update(opens.get(hi, ()))
-        here = ranked[min(active)] if active else COMPUTE
+        active = active & ~close_at(hi, 0) | open_at(hi, 0)
+        here = (ranked[(active & -active).bit_length() - 1] if active
+                else COMPUTE)
         if lo is not None:
             # A slice is owned by whoever is busy at its midpoint.  One
             # ulp wide, it has no float strictly inside: the midpoint
@@ -286,14 +289,16 @@ def _attribute(phase_windows: Sequence[PhaseWindow],
             buckets[key] = buckets.get(key, 0.0) + seconds
 
     usage: Dict[str, ResourceUsage] = {}
+    byte_count = (bytes_by_resource or {}).get
+    capacity = (capacities or {}).get
     for name, intervals in merged.items():
-        busy = sum(e - s for s, e in intervals)
-        usage[name] = ResourceUsage(
-            name=name,
-            busy_seconds=busy,
-            utilization=min(1.0, busy / horizon) if horizon > 0 else 0.0,
-            bytes_total=float((bytes_by_resource or {}).get(name, 0.0)),
-            capacity=(capacities or {}).get(name))
+        busy = sum([e - s for s, e in intervals])
+        # ``tuple.__new__``: one record per resource, no Python-level
+        # constructor call.
+        usage[name] = tuple.__new__(ResourceUsage, (
+            name, busy,
+            min(1.0, busy / horizon) if horizon > 0 else 0.0,
+            float(byte_count(name, 0.0)), capacity(name)))
     return Attribution(step_seconds=step_seconds, buckets=buckets,
                        usage=usage, phases=phases)
 
@@ -324,7 +329,8 @@ class Timeline:
     ``phases`` are the ``(name, start, end)`` windows; ``ops`` maps each
     resource to its operations in FIFO order, each a
     :class:`~repro.sim.resources.TransferRecord` (``.start``, ``.end``,
-    ``.tag``, ``.nbytes``) whatever the source.  A resource may be
+    ``.tag``, ``.nbytes``, and ``.channel`` naming that resource)
+    whatever the source.  A resource may be
     listed with no operations (an idle DES channel still gets a trace
     lane).  ``bytes_total`` is each resource's byte count (a DES
     channel's own running total, so nothing re-sums its records),

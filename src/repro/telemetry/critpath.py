@@ -46,12 +46,13 @@ import json
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
-from operator import itemgetter
+from math import inf
+from operator import itemgetter, sub
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from ..errors import TelemetryError
+from ..sim.resources import TransferRecord
 from .attrib import Timeline
 
 #: Schema marker of the critical-path JSONL export.
@@ -63,6 +64,9 @@ _DEVICE_RESOURCE = re.compile(r"^(ssd|csd)(\d+)-")
 
 #: Transfer tags that carry the (possibly compressed) gradient volume.
 _GRADIENT_TAGS = ("grad-offload",)
+
+#: Fields of a :class:`~repro.sim.resources.TransferRecord` operation.
+_RESOURCE, _START, _END = itemgetter(0), itemgetter(3), itemgetter(4)
 
 
 class DagNode(NamedTuple):
@@ -84,8 +88,7 @@ class DagNode(NamedTuple):
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     """One hop of the critical path."""
 
     resource: str
@@ -157,6 +160,28 @@ class CritPathReport:
         return "\n".join(lines)
 
 
+class _Nodes(Sequence):
+    """:attr:`DepGraph.nodes`: the graph's operations as :class:`DagNode`
+    tuples, built on first indexing or iteration.  Only the
+    interventions walk every node; ``len`` / truthiness build nothing."""
+
+    def __init__(self, ops: List[TransferRecord],
+                 latency: Mapping[str, float]) -> None:
+        self._ops, self._latency = ops, latency
+        self._nodes: Optional[List[DagNode]] = None
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def __getitem__(self, index):
+        if self._nodes is None:
+            self._nodes = [
+                DagNode(i, res, tag, nbytes, start, end,
+                        self._latency.get(res, 0.0))
+                for i, (res, tag, nbytes, start, end) in enumerate(self._ops)]
+        return self._nodes[index]
+
+
 class DepGraph:
     """Per-step dependency DAG over measured operations.
 
@@ -170,31 +195,27 @@ class DepGraph:
     form one *barrier group* (members in index order), and every causal
     edge into a node comes from a prefix of one group with one lag, so a
     node stores four numbers — its serial predecessor, its trigger
-    group, how many of the group's members existed when it started, and
-    the lag — however many lock-step devices finished together.
+    group, the last member of the group that existed when it started,
+    and the lag — however many lock-step devices finished together.
     """
 
     def __init__(self, timeline: Timeline) -> None:
-        rows: List[tuple] = []
-        for resource, ops in timeline.ops.items():
-            latency = timeline.latency.get(resource, 0.0)
-            rows += [(op.start, op.end, resource, op.tag, op.nbytes, latency)
-                     for op in ops]
+        ops: List[TransferRecord] = []
+        for resource_ops in timeline.ops.values():
+            ops += resource_ops
         # Stable by (start, end), as two stable sorts on one float each
-        # (no key tuple per row): ties keep each resource's own FIFO
-        # order, which makes the sorted order a topological order of the
-        # measured schedule.
-        rows.sort(key=itemgetter(1))
-        rows.sort(key=itemgetter(0))
+        # (no key tuple per operation): ties keep each resource's own
+        # FIFO order, which makes the sorted order a topological order
+        # of the measured schedule.
+        ops.sort(key=_END)
+        ops.sort(key=_START)
+        self._ops = ops
         #: Measured start/end/duration columns, graph order.
-        starts = self.measured_starts = [row[0] for row in rows]
-        ends = self.measured_ends = [row[1] for row in rows]
-        self._durations = [end - start for start, end in zip(starts, ends)]
-        # ``tuple.__new__`` builds each node without a Python-level call.
-        self.nodes = list(map(tuple.__new__, repeat(DagNode), (
-            (i, res, tag, nbytes, start, end, latency)
-            for i, (start, end, res, tag, nbytes, latency)
-            in enumerate(rows))))
+        starts = self.measured_starts = list(map(_START, ops))
+        ends = self.measured_ends = list(map(_END, ops))
+        self._durations = list(map(sub, ends, starts))
+        #: The measured operations as :class:`DagNode` tuples (lazy).
+        self.nodes = _Nodes(ops, timeline.latency)
         #: What the projections are measured against.
         self.step_seconds = timeline.step_seconds
         #: The step's (phase, start, end) windows — schedule-level
@@ -207,7 +228,7 @@ class DepGraph:
                          + starts[:1], default=0.0)
         self.origin = float(origin)
         self.makespan = max(ends) - self.origin if ends else 0.0
-        self._infer_edges()
+        self._infer_edges(list(map(_RESOURCE, ops)))
 
     @classmethod
     def from_channels(cls, channels: Iterable,
@@ -217,19 +238,19 @@ class DepGraph:
         (:meth:`~repro.telemetry.attrib.Timeline.from_channels`)."""
         return cls(Timeline.from_channels(channels, phase_windows))
 
-    def _infer_edges(self) -> None:
-        n = len(self.nodes)
+    def _infer_edges(self, resources: List[str]) -> None:
+        n = len(resources)
         #: Same-resource predecessor (-1: none).  Pure FIFO, lag 0, not
         #: the measured gap — the measured request timing is the causal
         #: edges' job, and pinning it here would stop a faster channel
         #: from draining its queue earlier than it did.
         serials = self._serial = [-1] * n
         #: Barrier group of the latest finish not after the node's start
-        #: (-1: none).  Every member that existed then — the first
-        #: ``_prefix[i]`` of the group — is a plausible trigger (legs of
-        #: one all_of barrier) and carries the same ``_lag[i]``.
+        #: (-1: none).  Every member that existed then — up to
+        #: ``_last[i]`` — is a plausible trigger (legs of one all_of
+        #: barrier) and carries the same ``_lag[i]``.
         triggers = self._trigger = [-1] * n
-        prefixes = self._prefix = [0] * n
+        lasts = self._last = [-1] * n
         #: Causal lag; for a node with no predecessor at all, its lead-in
         #: from the step origin (the source edge).
         lags = self._lag = [0.0] * n
@@ -238,42 +259,52 @@ class DepGraph:
         members: List[List[int]] = []
         group_at: Dict[float, int] = {}
         #: Distinct finish instants after the current node's start, a
-        #: min-heap.  Starts never decrease in graph order, so an instant
-        #: popped once is not after any later start either.
+        #: min-heap, and its head.  Starts never decrease in graph
+        #: order, so an instant popped once is not after any later start
+        #: either.
         pending: List[float] = []
-        latest, latest_group = float("-inf"), -1
+        head = inf
+        latest, latest_group = -inf, -1
         last_on: Dict[str, int] = {}
         serial_of, group_of = last_on.get, group_at.get
+        origin = self.origin
         edges = 0
-        for index, (_, resource, _, _, start, end, _) in enumerate(
-                self.nodes):
+        for index, start, end, resource in zip(
+                range(n), self.measured_starts, self.measured_ends,
+                resources):
             serial = serials[index] = serial_of(resource, -1)
-            while pending and pending[0] <= start:
-                instant = heappop(pending)
-                if instant > latest:
-                    latest, latest_group = instant, group_at[instant]
+            last_on[resource] = index
+            if head <= start:
+                while pending and pending[0] <= start:
+                    instant = heappop(pending)
+                    if instant > latest:
+                        latest, latest_group = instant, group_at[instant]
+                head = pending[0] if pending else inf
             if latest_group >= 0:
-                group = triggers[index] = latest_group
+                triggers[index] = latest_group
                 lag = lags[index] = start - latest
-                prefix = prefixes[index] = len(members[group])
-                edges += prefix
-                if serial >= 0 and lag == 0.0 and groups[serial] == group:
+                existed = members[latest_group]
+                lasts[index] = existed[-1]
+                edges += len(existed)
+                if (serial >= 0 and lag == 0.0
+                        and groups[serial] == latest_group):
                     # That causal edge is the serial FIFO edge again; a
                     # positive lag still counts on its own, it anchors
                     # the measured request timing.
                     edges -= 1
             elif serial < 0:
-                lags[index] = max(0.0, start - self.origin)
+                lags[index] = max(0.0, start - origin)
                 edges += 1
-            last_on[resource] = index
             group = group_of(end)
             if group is None:
                 group = group_at[end] = len(members)
                 members.append([])
                 heappush(pending, end)
+                if end < head:
+                    head = end
             groups[index] = group
             members[group].append(index)
-        self._members = members
+        self._num_groups = len(members)
         #: Serial + causal + source edges the per-edge list would hold;
         #: every node but each resource's first has a serial edge.
         self.num_edges = edges + n - len(last_on)
@@ -310,7 +341,7 @@ class DepGraph:
         # running max covers exactly the prefix it waited on; adding the
         # lag after the max equals the max over per-member sums because
         # a rounded add is monotone.
-        finished = [float("-inf")] * len(self._members)
+        finished = [-inf] * self._num_groups
         for index, duration in enumerate(durations):
             ready = self.origin
             serial, trigger = self._serial[index], self._trigger[index]
@@ -346,52 +377,53 @@ class DepGraph:
         durations = self._durations
         horizon = self.origin + self.makespan
         tol = 1e-9 * max(1.0, abs(horizon))
-        latest_end = [horizon] * n
+        # One slot past the nodes: what a node with no serial
+        # predecessor (-1) pushes lands there, unread.
+        latest_end = [horizon] * (n + 1)
         # Tightest latest-start-minus-lag any later node has pushed onto
         # each barrier group.  Going backwards, whatever a group has
         # collected by the time a member is reached came from nodes that
         # started after that member existed, so it binds the member.
-        bound = [horizon] * len(self._members)
+        # The extra last slot takes the pushes of untriggered nodes.
+        bound = [horizon] * (self._num_groups + 1)
         # Every edge points to a higher index, so a node's latest end is
         # final when the backward walk reaches it and its slack is known.
-        slack: List[float] = []
+        slack = [0.0] * n
         for index, group, duration, start, serial, trigger, lag in zip(
                 range(n - 1, -1, -1), reversed(self._group),
                 reversed(durations), reversed(starts),
                 reversed(self._serial), reversed(self._trigger),
                 reversed(self._lag)):
-            limit = bound[group]
             latest = latest_end[index]
+            limit = bound[group]
             if limit < latest:
                 latest = limit
             latest_start = latest - duration
             late = latest_start - start
-            slack.append(late if late > 0.0 else 0.0)
-            if serial >= 0 and latest_start < latest_end[serial]:
+            if late > 0.0:
+                slack[index] = late
+            if latest_start < latest_end[serial]:
                 latest_end[serial] = latest_start
-            if trigger >= 0:
-                limit = latest_start - lag
-                if limit < bound[trigger]:
-                    bound[trigger] = limit
-        slack.reverse()
+            limit = latest_start - lag
+            if limit < bound[trigger]:
+                bound[trigger] = limit
 
-        path_nodes: List[DagNode] = []
-        if self.nodes:
+        hops: List[int] = []
+        if n:
             # The latest finisher, lowest index on ties.
             current = ends.index(max(ends))
             while True:
-                path_nodes.append(self.nodes[current])
+                hops.append(current)
                 # The predecessor that released this node: among those
                 # whose finish + lag meets its start, the latest
                 # finisher, highest index on ties — within the trigger
                 # group that is the last member of the prefix.
                 determining = -1
-                serial, trigger = self._serial[current], self._trigger[current]
+                serial, last = self._serial[current], self._last[current]
                 if serial >= 0 and abs(ends[serial]
                                        - starts[current]) <= tol:
                     determining = serial
-                if trigger >= 0:
-                    last = self._members[trigger][self._prefix[current] - 1]
+                if last >= 0:
                     if (abs(ends[last] + self._lag[current]
                             - starts[current]) <= tol
                             and (determining < 0 or (ends[last], last)
@@ -400,16 +432,18 @@ class DepGraph:
                 if determining < 0:
                     break
                 current = determining
-            path_nodes.reverse()
+            hops.reverse()
 
+        # Only the path's own rows become report entries.
         path: List[PathStep] = []
         previous_end = self.origin
-        for node in path_nodes:
-            path.append(PathStep(
-                resource=node.resource, tag=node.tag, nbytes=node.nbytes,
-                start=node.start, end=node.end, duration=node.duration,
-                wait=max(0.0, node.start - previous_end)))
-            previous_end = node.end
+        for index in hops:
+            resource, tag, nbytes, start, end = self._ops[index]
+            wait = start - previous_end
+            path.append(tuple.__new__(PathStep, (
+                resource, tag, nbytes, start, end, durations[index],
+                wait if wait > 0.0 else 0.0)))
+            previous_end = end
         return CritPathReport(step_seconds=self.step_seconds,
                               makespan=self.makespan, path=path,
                               slack=slack, num_nodes=n,

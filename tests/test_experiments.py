@@ -7,13 +7,14 @@ saturate, what stays equal — and reads every band from
 :data:`repro.experiments.PAPER_TARGETS`.
 """
 
+import collections
 import functools
 
 import pytest
 
 from repro.experiments import (ALL_EXPERIMENTS, PAPER_TARGETS, REGISTRY,
                                ext_bottlenecks, ext_modelcomp, fig14, paper,
-                               table1, table3, table4)
+                               table1, table3, table4, write_results)
 from repro.perf.cost import cost_efficiency
 
 
@@ -320,3 +321,32 @@ def test_ext_modelcomp_quantized_upstream_and_pruning():
     assert result.accuracies["pruned-50%"] > 0.5
     assert result.modelled_speedup["su_o_c_q"] >= result.modelled_speedup[
         "su_o_c"]
+
+
+def test_one_registry_run_simulates_each_point_once(monkeypatch, tmp_path):
+    """``write_results`` shares one memo across its experiments: the
+    cells fig11 and fig12 both read are simulated once, and a repeated
+    sweep (its kernel-check hook included) runs once.  The next call
+    starts from nothing, so no cell outlives the run that made it."""
+    simulated, checks = collections.Counter(), []
+    simulate, check = paper.Point.simulate, paper.sanity_check_updater
+
+    def counted_simulate(point):
+        simulated[point] += 1
+        return simulate(point)
+
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(paper.Point, "simulate", counted_simulate)
+    monkeypatch.setattr(paper, "sanity_check_updater", counted_check)
+    fig11, fig12 = paper.SWEEPS["fig11"], paper.SWEEPS["fig12"]
+    write_results(str(tmp_path), ["fig11", "fig12", "fig12"])
+    shared = set(fig11.points) & set(fig12.points)
+    assert shared and set(simulated.values()) == {1}
+    assert set(simulated) == set(fig11.points) | set(fig12.points)
+    assert len(checks) == len(paper.OPTIMIZERS)
+    write_results(str(tmp_path), ["fig12"])
+    assert all(simulated[point] == 2 for point in fig12.points)
+    assert len(checks) == 2 * len(paper.OPTIMIZERS)

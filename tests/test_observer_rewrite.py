@@ -498,8 +498,9 @@ def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
 GRID_RECORDS_SHA256 = ("74fe4a3b42b7907ccdff753c413138ae"
                        "e86e854f47cd90c2d8a6ba18c5066c02")
 GRID_RECORDS = 19176
-#: Upper bound on the events the grid dispatches: one completion per
-#: composite transfer.  The per-leg kernel dispatched 29 652.
+#: The events the grid dispatches, exactly: one completion per composite
+#: transfer, two entries per leaf transfer (deferred or not).  The per-leg
+#: kernel dispatched 29 652.
 GRID_EVENTS = 20088
 
 
@@ -538,7 +539,7 @@ def test_grid_records_attribution_and_critical_path_are_unchanged():
             DepGraph.from_channels(channels, trace.phase_windows),
             [0.5, 1.7, 1.0])
     assert (scenarios, records) == (48, GRID_RECORDS)
-    assert events <= GRID_EVENTS
+    assert events == GRID_EVENTS
     assert digest.hexdigest() == GRID_RECORDS_SHA256
 
 

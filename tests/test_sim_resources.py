@@ -311,11 +311,20 @@ class Composites:
         scenario = _Scenario(sim, fabric, PhaseClock(sim), fabric.system,
                              make_workload(get_model("gpt2-1.16b")), "su",
                              0.02, 16)
-        self.fabric = fabric
+        self.fabric, self.scenario = fabric, scenario
         self.raid_read, self.raid_write = fabric.raid_read, fabric.raid_write
-        self.host_to_device = fabric.host_to_device
-        self.device_to_host = fabric.device_to_host
-        self.offload = scenario._offload_transfer
+
+    def host_to_device(self, index, nbytes, tag="h2d"):
+        return self.fabric.sim._timeout_at(
+            self.fabric._host_to_device(index, nbytes, tag))
+
+    def device_to_host(self, index, nbytes, tag="d2h"):
+        return self.fabric.sim._timeout_at(
+            self.fabric._device_to_host(index, nbytes, tag))
+
+    def offload(self, nbytes):
+        return self.fabric.sim._timeout_at(
+            self.scenario._offload_legs(nbytes))
 
     def transfer(self, nbytes):
         return self.fabric.link_up.transfer(nbytes, tag="up")
@@ -412,3 +421,81 @@ def test_composite_and_timeout_at_one_instant_keep_their_order(
     assert order == run(ReferenceComposites)
     assert order[0][1] == order[1][1] == finish[0]
     assert order[0][0] == ("timeout" if timeout_first else "composite")
+
+
+# ----------------------------------------------------------------------
+# Deferred transfers: one event against the one-transfer process
+# ----------------------------------------------------------------------
+def reference_leaf(sim, reserve, *args):
+    """The process a ``Simulator.deferred`` event stands for: its only
+    step is to ``yield`` the transfer ``reserve(*args)`` reserves."""
+    def leaf():
+        yield sim._timeout_at(reserve(*args))
+    return sim.process(leaf(), name="leaf")
+
+
+def _drive_leaves(spawn, workers=3):
+    """Workers hand a one-slot semaphore on: each holder moves bytes on
+    the shared up-link, releases the slot and, at that same instant,
+    spawns leaf transfers (a link leg, a composite upstream copy, a
+    gradient offload), then waits on them.  Returns (log, fabric)."""
+    fabric = _fabric()
+    sim, log = fabric.sim, []
+    scenario = Composites(fabric).scenario
+    slot = Semaphore(sim, "slot", capacity=1)
+
+    def worker(name):
+        yield sim.timeout(0.001 * name)
+        yield slot.acquire()
+        log.append((name, "holds", sim.now))
+        yield fabric.link_up.transfer(1.1e9, tag=f"held{name}")
+        slot.release()
+        leaf = spawn(sim, fabric.link_up._reserve, 0.6e9, f"leaf{name}")
+        upstream = spawn(sim, fabric._device_to_host, name % 4, 0.4e9,
+                         f"up{name}")
+        grads = spawn(sim, scenario._offload_legs, 0.9e9)
+        leaf.add_callback(lambda _event: log.append(
+            (name, "leaf", sim.now)))
+        yield upstream
+        log.append((name, "upstream", sim.now))
+        yield sim.all_of([leaf, grads])
+        log.append((name, "joined", sim.now))
+
+    for name in range(workers):
+        sim.process(worker(name))
+    sim.run()
+    return log, fabric
+
+
+def test_deferred_transfer_matches_the_one_transfer_process():
+    log, fabric = _drive_leaves(Simulator.deferred)
+    reference, reference_fabric = _drive_leaves(reference_leaf)
+    assert log == reference          # instants bit for bit, same order
+    assert _records(fabric) == _records(reference_fabric)
+    # Two heap entries each way: the spawn and the completion.
+    assert (fabric.sim.events_processed
+            == reference_fabric.sim.events_processed)
+
+
+def test_leaf_spawned_beside_a_semaphore_wake_reserves_after_it():
+    # The release queues the next holder's wake first; the leaf spawned
+    # at the same instant takes its link slot only when its own entry is
+    # dispatched, behind the transfer the woken holder starts.
+    _log, fabric = _drive_leaves(Simulator.deferred, workers=2)
+    tags = [record.tag for record in fabric.link_up.records]
+    assert tags.index("held1") < tags.index("leaf0")
+    assert fabric.link_up.records == _drive_leaves(
+        reference_leaf, workers=2)[1].link_up.records
+
+
+def test_deferred_transfer_reserves_at_dispatch_and_carries_no_value():
+    sim = Simulator()
+    channel = Channel(sim, "link", bandwidth=10.0)
+    done = sim.deferred(channel._reserve, 20.0, "x")
+    bad = sim.deferred(channel._reserve, -1.0, "y")
+    assert channel.records == [] and not done.triggered
+    with pytest.raises(SimulationError):
+        sim.run()                    # the bad size fails when dispatched
+    sim.run()
+    assert (done.triggered, done.value, sim.now) == (True, None, 2.0)
+    assert not bad.triggered
