@@ -3,9 +3,10 @@
 Downstream users (plotting scripts, regression dashboards) want the
 regenerated figure data as JSON, not rendered text.  ``export_result``
 converts any experiment's dataclass result into plain JSON types
-(dataclasses -> dicts, numpy scalars/arrays -> Python numbers/lists,
-tuple keys -> joined strings) and ``export_all`` runs a set of
-experiments into one directory.
+(dataclasses -> dicts, a sweep's functional half included, numpy
+scalars/arrays -> Python numbers/lists, tuple keys -> joined strings)
+and ``export_all`` runs a set of registry entries, sharing one memo as
+:func:`~repro.experiments.write_results` does, into one directory.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
 
-from . import ALL_EXPERIMENTS
+from . import ALL_EXPERIMENTS, REGISTRY
+from .paper import Memo, SweepResult
 
 
 def to_jsonable(value: Any) -> Any:
     """Recursively convert experiment results to JSON-compatible types."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {field.name: to_jsonable(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
+        payload = {field.name: to_jsonable(getattr(value, field.name))
+                   for field in dataclasses.fields(value)}
+        if isinstance(value, SweepResult):  # read when asked, not a field
+            payload["functional"] = to_jsonable(value.functional)
+        return payload
     if isinstance(value, dict):
         return {_key(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set)):
@@ -65,11 +70,9 @@ def export_all(output_dir: str,
     os.makedirs(output_dir, exist_ok=True)
     ids = list(experiment_ids) if experiment_ids is not None else sorted(
         ALL_EXPERIMENTS)
-    paths = {}
+    memo, paths = Memo(), {}
     for experiment_id in ids:
-        module = ALL_EXPERIMENTS[experiment_id]
-        result = module.run()
         path = os.path.join(output_dir, f"{experiment_id}.json")
-        export_result(result, path)
+        export_result(REGISTRY[experiment_id].run(memo), path)
         paths[experiment_id] = path
     return paths

@@ -5,47 +5,38 @@ bound by the shared host interconnect (Fig. 3b); SmartUpdate moves the
 bottleneck onto the per-device NAND channels, which aggregate with device
 count (§IV-A); SmartComp then thins the remaining host traffic until the
 NAND/upstream path is all that is left (§VIII-B).
+
+Not a :class:`~.paper.Sweep` row: its text is each method's
+:meth:`Observation.render` (verdict, busiest channels, critical path),
+which needs the whole observation, not a point's cells, and is no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..perf.analysis import Observation, observe, resolve
 from ..perf.scenarios import METHODS
+from .paper import Memo
 
 RESULT_STEM = "ext_bottlenecks"
 
 
 @dataclass(frozen=True)
 class BottleneckResult:
-    """Per-method channel attribution for one machine."""
+    """Per-method channel attribution for GPT-2 8.4B on 10 CSDs."""
 
     analyses: Dict[str, Observation]
-
-    def baseline_bound_by_shared_link(self) -> bool:
-        return self.analyses["baseline"].bottleneck.name.startswith(
-            "host-link")
-
-    def smart_bound_by_nand(self) -> bool:
-        return all(
-            self.analyses[m].bottleneck.name.startswith("ssd")
-            for m in ("su", "su_o", "su_o_c"))
-
-    def smart_sheds_shared_link(self) -> float:
-        """Shared-link bytes of SU+O+C relative to the baseline's."""
-        return (self.analyses["su_o_c"].shared_link_bytes()
-                / self.analyses["baseline"].shared_link_bytes())
 
     def render(self) -> str:
         return "\n\n".join(analysis.render()
                            for analysis in self.analyses.values())
 
 
-def run(model_name: str = "gpt2-8.4b",
-        num_csds: int = 10) -> BottleneckResult:
-    """Attribute each method's time to fabric channels."""
-    system, workload = resolve(model_name, num_csds)
+def run(memo: Optional[Memo] = None) -> BottleneckResult:
+    """Attribute each method's time to fabric channels (``memo``: the
+    registry's, which holds no observation to share)."""
+    system, workload = resolve("gpt2-8.4b", 10)
     return BottleneckResult(analyses={
         method: observe(system, workload, method) for method in METHODS})

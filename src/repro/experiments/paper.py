@@ -1,37 +1,46 @@
-"""The paper's DES-regenerated evaluation as data: Figs. 3, 9-13, 15-17
-and the CSD-product extension are one :class:`Sweep` each (the points it
-simulates, each distinct one once, the axes naming its cells, its panels).
-:data:`PAPER_TARGETS` holds the paper's printed numbers they regenerate
-and the tests' band per scope; :func:`run` prints their residuals."""
+"""The paper's evaluation as data: Tables I, III, IV, Figs. 3, 9-17 and
+the §VIII-B and CSD-product extensions are one :class:`Sweep` each (the
+points it simulates, each distinct one once, the axes naming its cells,
+its panels, and a hook for its functional half).  :data:`PAPER_TARGETS`
+holds the paper's printed numbers they regenerate and the tests' band
+per scope; :func:`run` prints their residuals."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, NamedTuple, Optional, Sequence,
-                    Tuple)
+from functools import cached_property
+from typing import (Any, Callable, Dict, Iterable, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..api import create_engine
-from ..csd.hls import sanity_check_updater
+from ..compression.topk import compress_topk
+from ..csd.hls import sanity_check_updater, updater_design
+from ..csd.kernels import DecompressorKernel, UpdaterKernel
 from ..hw.catalog import get_csd
+from ..hw.fpga import ku15p
 from ..hw.gpu import GPUS
 from ..hw.topology import congested_system, default_system
-from ..nn.data import make_classification_dataset, make_lm_dataset
+from ..nn import functional as F
+from ..nn.data import (make_classification_dataset, make_glue_suite,
+                       make_lm_dataset)
 from ..nn.models import get_model
 from ..nn.transformer import (LanguageModel, SequenceClassifier,
-                              bloom_config, vit_config)
+                              bert_config, bloom_config, vit_config)
 from ..optim import make_optimizer
 from ..perf.analysis import observe
 from ..perf.cost import cost_efficiency
 from ..perf.scenarios import METHODS, PhaseBreakdown, simulate_iteration
 from ..perf.workload import make_workload
 from ..runtime.engine import TrainingConfig
-from ..telemetry.attrib import BottleneckVerdict
-from .report import render_table
+from ..runtime.stats import expected_traffic
+from ..telemetry.attrib import Attribution
+from .report import WALLCLOCK, render_table
 
 RESULT_STEM = "paper_targets"
 
@@ -48,6 +57,15 @@ FAMILY_MODELS = ("bloom-7.1b", "vit-1.9b")
 RATIOS = (0.01, 0.02, 0.05, 0.10)
 #: By internal read bandwidth, the order the CSD study prints them in.
 PRODUCTS = ("noload", "smartssd", "csd3000", "gen5")
+TABLE1_METHODS = {"baseline": "ZeRO-Inf", "smartupdate": "SmartUpdate",
+                  "smartcomp": "SmartComp (2%)"}
+RESOURCES = ("LUT", "BRAM", "URAM", "DSP")
+FINETUNE_MODELS = ("bert-0.34b", "gpt2-0.77b", "gpt2-1.6b")
+GLUE_TASKS = ("mnli", "qqp", "sst2", "qnli")
+#: Table IV's rows: SU+O, then Top-K from the mildest ratio down.
+COMPRESSED = {f"comp_{int(ratio * 100)}": ratio for ratio in RATIOS[::-1]}
+FINETUNE_METHODS = ("baseline", "su_o", *COMPRESSED)
+GB = 1e9
 
 
 @dataclass(frozen=True)
@@ -63,7 +81,8 @@ class Point:
     csd: str = "smartssd"
     optimizer: str = "adam"
     ratio: float = 0.02
-    #: Phases and verdict from the telemetry attribution (Fig. 9).
+    schedule: str = "phased"
+    #: Phases and attribution from the telemetry observers (Figs. 9, 14).
     attributed: bool = False
 
     def system(self):
@@ -75,16 +94,17 @@ class Point:
     def workload(self):
         return make_workload(get_model(self.model), optimizer=self.optimizer)
 
-    def simulate(self) -> Tuple[PhaseBreakdown, Optional[BottleneckVerdict]]:
+    def simulate(self) -> Tuple[PhaseBreakdown, Optional[Attribution]]:
         system, workload = self.system(), self.workload()
+        options = dict(compression_ratio=self.ratio, schedule=self.schedule)
         if not self.attributed:
             return simulate_iteration(system, workload, self.method,
-                                      compression_ratio=self.ratio), None
+                                      **options), None
         attribution = observe(system, workload, self.method,
-                              compression_ratio=self.ratio).attribution
+                              **options).attribution
         totals = attribution.phase_totals()
         return PhaseBreakdown(*(totals.get(phase, 0.0) for phase in (
-            "forward", "backward_grad", "update"))), attribution.verdict()
+            "forward", "backward_grad", "update"))), attribution
 
 
 def grid(**axes) -> Tuple[Point, ...]:
@@ -102,9 +122,14 @@ class SweepResult:
     figure: str
     axes: Tuple[str, ...]
     cells: Dict[tuple, PhaseBreakdown]
-    #: Attributed cells' bottleneck (None elsewhere).
-    verdicts: Dict[tuple, Optional[BottleneckVerdict]]
-    functional: Dict[str, Dict[str, float]]
+    #: Attributed cells' attribution (None elsewhere).
+    attributions: Dict[tuple, Optional[Attribution]]
+
+    @cached_property
+    def functional(self) -> Dict[str, Any]:
+        """The sweep's hook, run when first read: a target scored on the
+        DES cells starts no fine-tune."""
+        return SWEEPS[self.figure].hook() or {}
 
     def cell(self, **named) -> PhaseBreakdown:
         return self.cells[tuple(named[axis] for axis in self.axes)]
@@ -115,16 +140,18 @@ class SweepResult:
         return base.total / self.cell(**named).total
 
     def render(self) -> str:
+        self.functional  # a written result has run its hook (Fig. 12's)
         return "\n\n".join(
             render_table(panel.headers, [
                 tuple("" if value is None else fmt.format(value)
                       for fmt, value in zip(panel.formats, row))
-                for row in panel.rows(self)], title=panel.title)
+                for row in panel.rows(self)], title=panel.title.format(self))
             for panel in SWEEPS[self.figure].panels)
 
 
 class Panel(NamedTuple):
-    """One table: row values go through their column's format."""
+    """One table: row values go through their column's format, and the
+    title through ``str.format`` with the result as ``{0}``."""
 
     title: str
     headers: Tuple[str, ...]
@@ -134,27 +161,28 @@ class Panel(NamedTuple):
 
 @dataclass(frozen=True)
 class Sweep:
-    """One figure, with an experiment module's ``RESULT_STEM``/``run()``."""
+    """One table or figure: a registry entry (``RESULT_STEM``, ``run``)."""
 
     figure: str
     RESULT_STEM: str
     axes: Tuple[str, ...]
     points: Tuple[Point, ...]
     panels: Tuple[Panel, ...]
-    #: Functional work besides the DES; returns the result's ``functional``.
-    hook: Callable[[], Optional[Dict[str, Dict[str, float]]]] = dict
+    #: Functional work besides the DES: the result's ``functional``.
+    hook: Callable[[], Optional[Dict[str, Any]]] = dict
 
     def run(self, memo: Optional["Memo"] = None) -> SweepResult:
         """This figure's result; within one ``memo`` it runs once (its
-        hook included) and shares every cell another sweep simulated."""
+        hook, when read, too) and shares every cell another sweep
+        simulated."""
         memo = memo or Memo()
         if self.figure not in memo.sweeps:
-            functional, cells, verdicts = self.hook() or {}, {}, {}
+            cells, attributions = {}, {}
             for point in dict.fromkeys(self.points):
                 key = tuple(getattr(point, axis) for axis in self.axes)
-                cells[key], verdicts[key] = memo.simulate(point)
+                cells[key], attributions[key] = memo.simulate(point)
             memo.sweeps[self.figure] = SweepResult(
-                self.figure, self.axes, cells, verdicts, functional)
+                self.figure, self.axes, cells, attributions)
         return memo.sweeps[self.figure]
 
 
@@ -203,6 +231,167 @@ def _check_updaters() -> None:
                              num_steps=2)
 
 
+def _loss(model, *batch):
+    return model.loss(*batch)
+
+
+def _measure_traffic() -> Dict[str, Any]:
+    """Table I's measured half: one step of a tiny transformer through
+    each functional engine, its bytes read off the devices' own ledgers
+    (``P``: the engines' parameter count)."""
+    data = make_classification_dataset(num_train=8, seq_len=16,
+                                       vocab_size=32, seed=0)
+    measured: Dict[str, Any] = {}
+    for method, kind, options in (
+            ("baseline", "baseline", dict(raid_members=3)),
+            ("smartupdate", "smart", dict(num_csds=3)),
+            ("smartcomp", "smart", dict(num_csds=3, compression_ratio=0.02))):
+        model = SequenceClassifier(bert_config(
+            vocab_size=32, dim=32, num_layers=2, num_heads=2,
+            max_seq_len=16), num_classes=3, seed=1)
+        with tempfile.TemporaryDirectory() as workdir:
+            engine = create_engine(kind, model, _loss, workdir, config=(
+                TrainingConfig(optimizer="adam", optimizer_kwargs={"lr": 1e-3},
+                               subgroup_elements=4096, **options)))
+            traffic = engine.train_step(data.train_tokens[:4],
+                                        data.train_labels[:4]).traffic
+            measured["P"] = engine.num_params
+            measured[method] = {"host_reads": traffic.host_reads,
+                                "host_writes": traffic.host_writes}
+            engine.close()
+    return measured
+
+
+def _analytic_traffic(model: str = "gpt2-4.0b"):
+    """Table I's closed forms, in units of the fp16 model size M."""
+    params = get_model(model).num_parameters
+    for method, label in TABLE1_METHODS.items():
+        traffic = expected_traffic(params, method)
+        yield (label, traffic["host_reads"] / (2 * params),
+               traffic["host_writes"] / (2 * params))
+
+
+def _estimate_resources() -> Dict[str, Dict[str, float]]:
+    """Table III's functional half: the HLS estimator's utilization (%)."""
+    return {design: updater_design("adam", with_decompressor=topk)
+            .utilization(ku15p())
+            for design, topk in (("adam", False), ("adam+topk", True))}
+
+
+def _finetune(dataset, kind: str, seed: int, rng_seed: int, epochs: int,
+              **options) -> Tuple[float, int, float]:
+    """Fine-tune the Table IV / §VIII-B classifier (Adam 5e-3, batches of
+    8 drawn by a per-epoch RNG) through one engine: its dev accuracy,
+    the last step's upstream bytes and the trained params' zero share."""
+    model = SequenceClassifier(bert_config(
+        vocab_size=64, dim=48, num_layers=2, num_heads=4,
+        max_seq_len=dataset.train_tokens.shape[1]),
+        num_classes=dataset.num_classes, seed=seed)
+    with tempfile.TemporaryDirectory() as workdir:
+        engine = create_engine(kind, model, _loss, workdir, config=(
+            TrainingConfig(optimizer="adam", optimizer_kwargs={"lr": 5e-3},
+                           subgroup_elements=8192, **options)))
+        for epoch in range(epochs):
+            for batch in dataset.batches(
+                    8, np.random.default_rng(rng_seed + epoch)):
+                step = engine.train_step(*batch)
+        model.eval()
+        accuracy = F.accuracy(model(dataset.dev_tokens), dataset.dev_labels)
+        zeros = float((engine.space.gather_params() == 0).mean())
+        engine.close()
+    return accuracy, step.traffic.host_reads, zeros
+
+
+def finetune_glue(tasks: Sequence[str] = GLUE_TASKS, epochs: int = 3,
+                  methods: Sequence[str] = FINETUNE_METHODS,
+                  ) -> Dict[str, Dict[str, float]]:
+    """Table IV's functional half: method -> task -> dev accuracy, each
+    synthetic GLUE task fine-tuned through the matching engine."""
+    suite, accuracies = make_glue_suite(seed=0), {}
+    for task in tasks:
+        for method in methods:
+            kind, options = (("baseline", dict(raid_members=2))
+                             if method == "baseline" else ("smart", dict(
+                                 num_csds=3,
+                                 compression_ratio=COMPRESSED.get(method))))
+            accuracies.setdefault(method, {})[task] = _finetune(
+                suite[task], kind, seed=0, rng_seed=1000, epochs=epochs,
+                **options)[0]
+    return accuracies
+
+
+def _compress_upstream() -> Dict[str, Dict[str, float]]:
+    """§VIII-B's functional half: fine-tune with CSD-side int8 upstream
+    quantization and with a 50% pruning mask next to plain SU+O+C."""
+    dataset = make_classification_dataset(num_train=192, num_dev=96,
+                                          seq_len=32, vocab_size=64,
+                                          noise=0.03, seed=9)
+    return {variant: dict(zip(("accuracy", "upstream", "zeros"), _finetune(
+        dataset, "smart", seed=4, rng_seed=50, epochs=5, num_csds=2,
+        compression_ratio=0.05, **options)))
+        for variant, options in (
+            ("fp32", {}),
+            ("int8", dict(quantized_upstream=True, quantization_group=1024)),
+            ("pruned-50%", dict(pruning_sparsity=0.5)))}
+
+
+def _finetune_speedups(r: SweepResult) -> Dict[Tuple[str, str], float]:
+    """Table IV's speedup column: (checkpoint, method) over BASE @6."""
+    labels = {ratio: label for label, ratio in COMPRESSED.items()}
+    return {(model, labels[ratio] if method == "su_o_c" else method):
+            r.cells[model, "baseline", 0.02].total / cell.total
+            for (model, method, ratio), cell in r.cells.items()
+            if method != "baseline"}
+
+
+def _fpga_modules() -> Dict[str, float]:
+    """Fig. 14's hardware model: module and SSD bandwidths (bytes/s)."""
+    csd = get_csd("smartssd")
+    return {"updater": csd.fpga.updater_bandwidth,
+            "decompressor": csd.fpga.decompressor_bandwidth,
+            "ssd_read": csd.ssd.read_bandwidth,
+            "ssd_write": csd.ssd.write_bandwidth}
+
+
+def _occupancy(r: SweepResult):
+    """Fig. 14's consequence: device 0's busy fractions per schedule."""
+    phased, interleaved = (r.attributions[schedule,].usage
+                           for schedule in ("phased", "interleaved"))
+    return [(name, phased[name].utilization, interleaved[name].utilization)
+            for name in ("csd0-decompressor", "csd0-updater", "ssd0-read",
+                         "ssd0-write")]
+
+
+def _bytes_per_second(run: Callable[[int], object], nbytes: int,
+                      repeats: int = 3) -> float:
+    run(1)  # warm-up
+    start = time.perf_counter()
+    for step in range(2, repeats + 2):
+        run(step)
+    return nbytes * repeats / (time.perf_counter() - start)
+
+
+def _time_kernels(num_elements: int = 1 << 21) -> Dict[str, float]:
+    """Fig. 14's wall-clock half: the numpy updater's streamed optimizer
+    state and the Top-K scatter's dense output, in bytes/s."""
+    rng = np.random.default_rng(0)
+    updater = UpdaterKernel(make_optimizer("adam", lr=1e-3))
+    params = rng.standard_normal(num_elements).astype(np.float32)
+    grads = rng.standard_normal(num_elements).astype(np.float32)
+    state = updater.optimizer.init_state(num_elements)
+    compressed = compress_topk(np.random.default_rng(1).standard_normal(
+        num_elements).astype(np.float32), volume_ratio=0.02)
+    decompressor = DecompressorKernel()
+    output = np.zeros(num_elements, dtype=np.float32)
+    return {
+        "updater": _bytes_per_second(
+            lambda step: updater.run(params, grads, state, step),
+            4 * (1 + updater.optimizer.states_per_param) * num_elements),
+        "decompressor": _bytes_per_second(
+            lambda _step: decompressor.run(compressed, output),
+            4 * num_elements)}
+
+
 def _train_tiny_families() -> Dict[str, Dict[str, float]]:
     """Fig. 13's functional half: tiny BLOOM (ALiBi decoder) and ViT
     (patch-token encoder) train through the Smart-Infinity engine."""
@@ -223,7 +412,7 @@ def _train_tiny_families() -> Dict[str, Dict[str, float]]:
                                for batch in data.batches(8, rng)])):
         with tempfile.TemporaryDirectory() as workdir:
             engine = create_engine(
-                "smart", model, lambda m, *batch: m.loss(*batch), workdir,
+                "smart", model, _loss, workdir,
                 config=TrainingConfig(optimizer_kwargs={"lr": 1e-2},
                                       subgroup_elements=4096, num_csds=2))
             steps = [engine.train_step(*batch).loss for batch in batches]
@@ -233,6 +422,24 @@ def _train_tiny_families() -> Dict[str, Dict[str, float]]:
 
 
 SWEEPS: Dict[str, Sweep] = {sweep.figure: sweep for sweep in (
+    Sweep("table1", "table1_traffic", (), (),
+          (Panel("Table I (analytic, gpt2-4.0b, M = fp16 model size)",
+                 ("method", "SSD read", "SSD write"),
+                 ("{}", "{:.2f}M", "{:.2f}M"), lambda r: _analytic_traffic()),
+           Panel("Table I (measured, functional engines, P={0.functional[P]})",
+                 ("method", "bytes read", "bytes written"), ("{}",) * 3,
+                 lambda r: [(label, *r.functional[method].values())
+                            for method, label in TABLE1_METHODS.items()])),
+          hook=_measure_traffic),
+    Sweep("table3", "table3_resources", (), (),
+          (Panel("Table III: KU15P resource utilization",
+                 ("module", *RESOURCES),
+                 ("{}",) + ("{0[0]:.2f}% (paper {0[1]:.2f}%)",) * 4,
+                 lambda r: [(design, *((used[resource], PAPER_TARGETS[
+                     f"table3.{design}.{resource}"].paper[0])
+                     for resource in RESOURCES))
+                     for design, used in r.functional.items()]),),
+          hook=_estimate_resources),
     Sweep("fig3", "fig03_motivation", ("model", "devices"),
           grid(model=MOTIVATION_MODELS, devices=1, method="baseline")
           + grid(model="gpt2-4.0b", devices=range(1, 11), method="baseline"),
@@ -257,7 +464,7 @@ SWEEPS: Dict[str, Sweep] = {sweep.figure: sweep for sweep in (
                  lambda r: [(m, n, method.upper().replace("_", "+"),
                              *[r.cells[m, n, method]] * 4,
                              r.speedup(model=m, devices=n, method=method),
-                             r.verdicts[m, n, method])
+                             r.attributions[m, n, method].verdict())
                             for m, n, method in r.cells]),)),
     Sweep("fig10", "fig10_large_models", ("model", "devices", "method"),
           grid(model=LARGE_MODELS, devices=(6, 10), method=BASE_SMART),
@@ -309,6 +516,23 @@ SWEEPS: Dict[str, Sweep] = {sweep.figure: sweep for sweep in (
                  lambda r: [(name, losses, losses)
                             for name, losses in r.functional.items()])),
           hook=_train_tiny_families),
+    Sweep("fig14", "fig14_throughput", ("schedule",),
+          grid(model="gpt2-4.0b", devices=10, method="su_o_c",
+               schedule=("phased", "interleaved"), attributed=True),
+          (Panel("Fig 14 (hardware model)", ("module", "throughput"),
+                 ("{}", "{:.2f} GB/s"),
+                 lambda r: [(name, value / GB)
+                            for name, value in _fpga_modules().items()]),
+           Panel("Attributed SU+O+C pipeline occupancy (device 0, busy "
+                 "fraction of step)",
+                 ("device channel/engine", "phased", "interleaved"),
+                 ("{}", "{:.1%}", "{:.1%}"), _occupancy),
+           Panel(f"{WALLCLOCK}: functional emulator throughput (numpy)",
+                 ("functional kernel", "throughput on this host"),
+                 ("{}", "{:.2f} GB/s"),
+                 lambda r: [(name, value / GB)
+                            for name, value in r.functional.items()])),
+          hook=_time_kernels),
     Sweep("fig15", "fig15_cost", ("devices", "method"),
           grid(model="gpt2-4.0b", devices=range(1, 11), method=BASE_SMART),
           (Panel("Fig 15: cost efficiency (GPT-2 4.0B, A5000)",
@@ -321,6 +545,21 @@ SWEEPS: Dict[str, Sweep] = {sweep.figure: sweep for sweep in (
                              > base.gflops_per_dollar else "base")
                             for n in range(1, 11)
                             for base, smart in (_costs(r, n),)]),)),
+    Sweep("table4", "table4_finetune", ("model", "method", "ratio"),
+          grid(model=FINETUNE_MODELS, devices=6, method=("baseline", "su_o"))
+          + grid(model=FINETUNE_MODELS, devices=6, method="su_o_c",
+                 ratio=RATIOS),
+          (Panel("Table IV: dev accuracy (functional engines, synthetic "
+                 "GLUE)", ("method", *GLUE_TASKS),
+                 ("{}",) + ("{:.2%}",) * len(GLUE_TASKS),
+                 lambda r: [(method, *accuracies.values())
+                            for method, accuracies in r.functional.items()]),
+           Panel("Table IV: modelled speedup column",
+                 ("checkpoint", "method", "speedup @6 SSDs"),
+                 ("{}", "{}", "{:.2f}x"),
+                 lambda r: [(*key, speedup) for key, speedup in sorted(
+                     _finetune_speedups(r).items())])),
+          hook=finetune_glue),
     Sweep("fig16", "fig16_ratio", ("method", "ratio"),
           grid(model="gpt2-4.0b", devices=10, method=("baseline", "su_o"))
           + grid(model="gpt2-4.0b", devices=10, method="su_o_c",
@@ -347,6 +586,21 @@ SWEEPS: Dict[str, Sweep] = {sweep.figure: sweep for sweep in (
                              r.speedup(gpus=g, method=m)
                              if m == "su_o_c" else None)
                             for g, m in r.cells if g]),)),
+    Sweep("ext_modelcomp", "ext_modelcomp", ("method",),
+          grid(model="gpt2-8.4b", devices=10,
+               method=("baseline", "su_o_c", "su_o_c_q")),
+          (Panel("§VIII-B functional: fine-tuning with compressed upstream",
+                 ("variant", "dev accuracy", "upstream/iter"),
+                 ("{}", "{:.2%}", "{}"),
+                 lambda r: [(name, run["accuracy"], "(as fp32)"
+                             if name == "pruned-50%"
+                             else f"{run['upstream']:,} B")
+                            for name, run in r.functional.items()]),
+           Panel("§VIII-B modelled: quantized upstream",
+                 ("method", "speedup @10 CSDs"), ("{}", "{:.2f}x"),
+                 lambda r: [(method, r.speedup(method=method))
+                            for method in ("su_o_c", "su_o_c_q")])),
+          hook=_compress_upstream),
     Sweep("ext_csd_sensitivity", "ext_csd_sensitivity", ("csd", "method"),
           grid(model="gpt2-8.4b", devices=10, csd=PRODUCTS, method=BASE_SMART),
           (Panel("CSD product sensitivity (GPT-2 8.4B, 10 devices)",
@@ -410,6 +664,14 @@ PAPER_TARGETS: Dict[str, Target] = {target.name: target for target in (
     Target("fig3.plateau", "RAID0 plateau speedup", "-", None,
            lambda r: {"gpt2-4.0b": _raid0_speedups(r)[-1]},
            {"all": (1.0, 5.0)}),
+    *(Target(f"table3.{design}.{resource}", f"{design} {resource} utilization "
+             "(%)", f"{paper:.2f}%", (paper, paper),
+             lambda r, design=design, resource=resource: {
+                 design: r.functional[design][resource]},
+             {"all": (paper - 0.05, paper + 0.05)})
+      for design, printed in (("adam", (33.66, 27.13, 34.38, 11.03)),
+                              ("adam+topk", (34.12, 27.13, 35.94, 11.03)))
+      for resource, paper in zip(RESOURCES, printed)),
     *(Target(f"fig9.{method}@{n}",
              f"{method.upper().replace('_', '+')} speedup @{n}",
              f"{paper[0]:.2f}-{paper[1]:.2f}x", paper,
@@ -447,6 +709,11 @@ PAPER_TARGETS: Dict[str, Target] = {target.name: target for target in (
                n for n in range(1, 11) for base, smart in (_costs(r, n),)
                if smart.gflops_per_dollar <= base.gflops_per_dollar),
                default=0)}, {"all": (1, 6)}),
+    Target("table4.speedup", "SU+O / Top-K speedup @6, 0.34-1.6B",
+           "1.10-1.44x", (1.10, 1.44), lambda r: {
+               " ".join(key): speedup
+               for key, speedup in _finetune_speedups(r).items()},
+           {"all": (1.0, 1.6)}),
     Target("fig17.su_o_c", "SU+O+C speedup, 1-3 A4000s, 10 CSDs",
            "1.66-1.86x", (1.66, 1.86), _speedups("gpus", (1, 2, 3),
                                                  method="su_o_c"),
@@ -483,8 +750,7 @@ class TargetsResult:
 def run(memo: Optional[Memo] = None) -> TargetsResult:
     """Run every sweep a target reads (once per ``memo``) and score it."""
     memo = memo or Memo()
-    results = {figure: sweep.run(memo) for figure, sweep in SWEEPS.items()}
     return TargetsResult({
-        (name, scope): target.scoped(results[target.figure], scope)
+        (name, scope): target.scoped(SWEEPS[target.figure].run(memo), scope)
         for name, target in PAPER_TARGETS.items()
         for scope in target.bands})

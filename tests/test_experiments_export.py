@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import table3
+from repro.experiments import REGISTRY
 from repro.experiments.export import export_all, export_result, to_jsonable
 
 
@@ -30,13 +30,16 @@ def test_to_jsonable_flattens_tuple_keys():
 
 
 def test_export_result_roundtrips_through_json(tmp_path):
-    result = table3.run()
+    """A sweep's functional half (Table III's estimator) is exported
+    next to its fields."""
+    result = REGISTRY["table3"].run()
     path = str(tmp_path / "table3.json")
     export_result(result, path)
     with open(path) as handle:
         data = json.load(handle)
-    assert data["estimated"]["adam"]["LUT"] == pytest.approx(33.66,
-                                                             abs=0.05)
+    assert data["functional"]["adam"]["LUT"] == pytest.approx(33.66,
+                                                              abs=0.05)
+    assert data["figure"] == "table3"
 
 
 def test_export_all_selected(tmp_path):
