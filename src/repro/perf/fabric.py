@@ -23,7 +23,7 @@ from typing import List, Mapping, Optional
 
 from ..errors import HardwareConfigError
 from ..hw.topology import SystemSpec
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.resources import Channel
 
 #: Software RAID + filesystem overhead on the baseline's storage path.
@@ -69,15 +69,6 @@ class DeviceChannels:
     nand_write: Channel
     fpga_updater: Channel
     fpga_decompressor: Channel
-
-    # Aliases for readability at call sites.
-    @property
-    def internal_read(self) -> Channel:
-        return self.nand_read
-
-    @property
-    def internal_write(self) -> Channel:
-        return self.nand_write
 
 
 class Fabric:
@@ -158,11 +149,13 @@ class Fabric:
 
     # ------------------------------------------------------------------
     # composite transfers: every leg reserves its channel's FIFO slot and
-    # the caller waits on one event at the latest leg's instant (the
-    # ``_`` forms return that instant, for ``Simulator.deferred``)
+    # each form returns the latest leg's instant, which a caller waits on
+    # as one event (``Simulator._timeout_at``) or one ``Simulator.deferred``
+    # leg
     # ------------------------------------------------------------------
-    def raid_read(self, nbytes: float, tag: str = "raid-read") -> Event:
-        """Striped read to the host: all members + the shared up-link.
+    def _raid_read(self, nbytes: float, tag: str) -> float:
+        """Reserve a striped read to the host: all members + the shared
+        up-link; returns its finish.
 
         The md/fs layer costs :attr:`raid_efficiency` on the member side.
         Completion is when every leg finishes (store-and-forward pipelining
@@ -172,14 +165,11 @@ class Fabric:
         legs = [device.nand_read._reserve(per_member, tag)
                 for device in self.devices]
         legs.append(self.link_up._reserve(nbytes, tag))
-        return self.sim._timeout_at(max(legs))
-
-    def raid_write(self, nbytes: float, tag: str = "raid-write") -> Event:
-        """Striped write from the host: shared down-link + all members."""
-        return self.sim._timeout_at(self._raid_write(nbytes, tag))
+        return max(legs)
 
     def _raid_write(self, nbytes: float, tag: str) -> float:
-        """Reserve :meth:`raid_write`'s legs; returns its finish."""
+        """Reserve a striped write from the host: shared down-link + all
+        members; returns its finish."""
         per_member = nbytes / self.num_devices / self.raid_efficiency
         legs = [device.nand_write._reserve(per_member, tag)
                 for device in self.devices]

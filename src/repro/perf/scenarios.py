@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import HardwareConfigError
@@ -273,6 +274,7 @@ class _Scenario:
         else:
             grad_bytes = self.workload.gradient_bytes
         grad_block = grad_bytes / self.num_blocks
+        offload_legs = (partial(self._offload_legs, grad_block),)
 
         offloads = []
         for block in range(self.num_blocks):
@@ -282,7 +284,7 @@ class _Scenario:
             # The GPU -> pinned-buffer bounce copy serializes with the
             # stream; the storage write itself drains asynchronously.
             yield self.fabric.bounce.transfer(grad_block, tag="bounce")
-            offload = self.sim.deferred(self._offload_legs, grad_block)
+            offload = self.sim.deferred(offload_legs)
             if gates is not None:
                 # The landing opens the block's gate (its value, the
                 # offload event, is never read) before the barrier below
@@ -324,20 +326,19 @@ class _Scenario:
         write_block = self.workload.update_write_bytes / self.num_blocks
         touched_block = self.workload.update_touched_bytes / self.num_blocks
         slots = Semaphore(self.sim, "update-buffers", capacity=2)
-
-        def block_update():
-            yield self.fabric.raid_read(read_block, tag="opt-upload")
-            yield self.fabric.cpu.transfer(touched_block, tag="cpu-update")
-            yield self.fabric.raid_write(write_block, tag="opt-offload")
-            slots.release()
+        # One block: RAID read -> CPU update -> RAID write, then hand the
+        # buffer on.
+        block_update = (
+            partial(self.fabric._raid_read, read_block, "opt-upload"),
+            partial(self.fabric.cpu._reserve, touched_block, "cpu-update"),
+            partial(self.fabric._raid_write, write_block, "opt-offload"))
 
         blocks = []
         for block in range(self.num_blocks):
             if gates is not None:
                 yield gates[block]
             yield slots.acquire()
-            blocks.append(self.sim.process(block_update(),
-                                           name="baseline-block"))
+            blocks.append(self.sim.deferred(block_update, slots.release))
         yield self.sim.all_of(blocks)
 
     # ------------------------------------------------------------------
@@ -403,30 +404,38 @@ class _Scenario:
         lazy_and_upstream = []
 
         p2p = self.fabric.p2p_efficiency
+        # The device's flash, shared with its host path.
+        read, write = device.nand_read._reserve, device.nand_write._reserve
 
-        def subgroup_task():
-            if not optimized:
-                # Naive tasklets pay per-subgroup buffer alloc/free.
-                yield self.sim.timeout(NAIVE_SUBGROUP_OVERHEAD)
-            yield device.internal_read.transfer(
-                (state_read + grad_read) / p2p, tag="p2p-load")
-            if compressed:
-                yield device.fpga_decompressor.transfer(dense_grad,
-                                                        tag="decompress")
-            yield device.fpga_updater.transfer(touched, tag="update")
-            if optimized:
-                # Urgent: parameters first, then hand the buffer over;
-                # states are written back lazily, upstream is overlapped.
-                yield device.internal_write.transfer(param_write / p2p,
-                                                     tag="urgent-params")
-                lazy_and_upstream.append(self.sim.deferred(
-                    device.internal_write._reserve, state_write / p2p,
-                    "lazy-states"))
-            else:
-                yield device.internal_write.transfer(
-                    (param_write + state_write) / p2p, tag="writeback")
-            lazy_and_upstream.append(self.sim.deferred(
-                self.fabric._device_to_host, index, upstream, "masters-up"))
+        # One subgroup tasklet, as data: its legs in order, then the
+        # action that starts its tail transfers and hands the buffer on.
+        # Naive tasklets first pay per-subgroup buffer alloc/free.
+        subgroup_task = ([] if optimized else
+                         [partial(self.sim._after, NAIVE_SUBGROUP_OVERHEAD)])
+        subgroup_task.append(partial(read, (state_read + grad_read) / p2p,
+                                     "p2p-load"))
+        if compressed:
+            subgroup_task.append(partial(device.fpga_decompressor._reserve,
+                                         dense_grad, "decompress"))
+        subgroup_task.append(partial(device.fpga_updater._reserve, touched,
+                                     "update"))
+        tail = [(partial(self.fabric._device_to_host, index, upstream,
+                         "masters-up"),)]
+        if optimized:
+            # Urgent: parameters first, then hand the buffer over;
+            # states are written back lazily, upstream is overlapped.
+            subgroup_task.append(partial(write, param_write / p2p,
+                                         "urgent-params"))
+            tail.insert(0, (partial(write, state_write / p2p,
+                                    "lazy-states"),))
+        else:
+            subgroup_task.append(partial(write,
+                                         (param_write + state_write) / p2p,
+                                         "writeback"))
+
+        def subgroup_done():
+            for legs in tail:
+                lazy_and_upstream.append(self.sim.deferred(legs))
             slots.release()
 
         tasks = []
@@ -439,8 +448,7 @@ class _Scenario:
             # Host-side mediation per tasklet serializes on the device's
             # driver thread before the subgroup's transfers can start.
             yield self.sim.timeout(HANDLER_SUBGROUP_OVERHEAD)
-            tasks.append(self.sim.process(subgroup_task(),
-                                          name=f"csd{index}-subgroup"))
+            tasks.append(self.sim.deferred(subgroup_task, subgroup_done))
         yield self.sim.all_of(tasks)
         # The iteration is done when deferred write-backs and the upstream
         # parameter transfers have drained.

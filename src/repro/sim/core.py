@@ -12,7 +12,7 @@ Only the features the Smart-Infinity performance model needs are implemented:
 * :class:`Timeout` — an event scheduled ``delay`` seconds in the future.
 * :class:`Process` — wraps a generator; is itself an event that triggers when
   the generator returns (so processes can ``yield`` other processes to join).
-* :class:`Deferred` — a one-transfer process as one event.
+* :class:`Deferred` — a process that only runs fixed legs, as one event.
 * :class:`AllOf` — barrier over several events.
 * :class:`Simulator` — the event loop with deterministic FIFO tie-breaking.
 
@@ -29,23 +29,26 @@ number between the legs, so the waiter resumes in exactly the order the
 per-leg barrier resumed it.  A process likewise starts from one heap
 entry, with no bootstrap event.
 
-A *deferred* transfer (:meth:`Simulator.deferred`) is a process that
-would only wait on one transfer (the gradient offload, the lazy state
-write-back, the upstream master copy), without the process: one
-:class:`Deferred` event takes the heap entry the process took at spawn
-(same instant, same sequence number), reserves its legs when that entry
-is dispatched, as the process's first step did, and pushes itself back
-as the completion at the latest leg.  Reserving at spawn would take
-FIFO slots ahead of same-instant entries already queued.  Two heap
-entries either way, so the dispatch count and every resume order are
-the process's.
+A *deferred* task (:meth:`Simulator.deferred`) is a process whose body
+only waits on a fixed sequence of transfers or delays and then acts (a
+CSD subgroup tasklet, a baseline update block, the gradient offload,
+the lazy state write-back, the upstream master copy), without the
+process: one :class:`Deferred` event takes the heap entry the process
+took at spawn (same instant, same sequence number), reserves each leg
+when the entry at the previous leg's finish (or the spawn entry) is
+dispatched, as the process's next step did, and at the last leg's
+finish runs the completion action and triggers.  Reserving a leg any
+earlier would take FIFO slots ahead of same-instant entries queued in
+between (a semaphore wake, for one).  One heap entry per leg plus the
+spawn either way, so the dispatch count, the sequence numbers and every
+resume order are the process's.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -129,14 +132,18 @@ class Timeout(Event):
 
 
 class Deferred(Event):
-    """A transfer that reserves its legs (``reserve(*args)``, returning
-    the latest leg's finish) when its heap entry is dispatched, and
-    triggers with value ``None`` at that finish."""
+    """A straight-line process as one event: ``legs`` are zero-argument
+    callables, each reserving one transfer or delay and returning the
+    instant it finishes.  Leg k+1 is reserved when leg k's heap entry is
+    dispatched (the first when the spawn entry is); at the last leg's
+    finish ``then()`` runs, if given, and the event triggers with value
+    ``None``."""
 
-    __slots__ = ("_reserve", "_args")
+    __slots__ = ("_legs", "_next", "_then")
 
-    def __init__(self, sim: "Simulator", reserve: Callable[..., float],
-                 args: tuple) -> None:
+    def __init__(self, sim: "Simulator",
+                 legs: Sequence[Callable[[], float]],
+                 then: Optional[Callable[[], Any]]) -> None:
         # Event.__init__ and Simulator._schedule inlined, as in Timeout.
         self.sim = sim
         self.name = "deferred"
@@ -144,20 +151,23 @@ class Deferred(Event):
         self.value = None
         self.failed = False
         self._callbacks = []
-        self._reserve = reserve
-        self._args = args
+        self._legs = legs
+        self._next = 0
+        self._then = then
         heapq.heappush(sim._heap, (sim._now, next(sim._sequence), self,
                                    None))
 
     def _fire(self, value: Any) -> None:
-        reserve = self._reserve
-        if reserve is None:
-            self.succeed(value)
+        index, legs = self._next, self._legs
+        if index < len(legs):
+            self._next = index + 1
+            sim = self.sim
+            heapq.heappush(sim._heap, (legs[index](), next(sim._sequence),
+                                       self, None))
             return
-        self._reserve = None
-        sim = self.sim
-        heapq.heappush(sim._heap, (reserve(*self._args),
-                                   next(sim._sequence), self, None))
+        if self._then is not None:
+            self._then()
+        self.succeed(value)
 
 
 class AllOf(Event):
@@ -333,11 +343,19 @@ class Simulator:
         """Start ``generator`` as a process and return its handle."""
         return Process(self, generator, name=name)
 
-    def deferred(self, reserve: Callable[..., float], *args: Any
-                 ) -> Deferred:
-        """A process whose only step is to ``yield`` the transfer
-        ``reserve(*args)`` reserves, as one :class:`Deferred` event."""
-        return Deferred(self, reserve, args)
+    def deferred(self, legs: Sequence[Callable[[], float]],
+                 then: Optional[Callable[[], Any]] = None) -> Deferred:
+        """A process that runs ``legs`` one after another (``yield``ing
+        the transfer or delay each reserves, see :class:`Deferred`) and
+        then calls ``then()``, as one :class:`Deferred` event."""
+        return Deferred(self, legs, then)
+
+    def _after(self, delay: float) -> float:
+        """A delay leg for :meth:`deferred`: the instant a timeout of
+        ``delay`` created now fires."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        return self._now + delay
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Create a barrier that triggers once all ``events`` have."""

@@ -47,7 +47,7 @@ class Channel:
     """
 
     def __init__(self, sim: Simulator, name: str, bandwidth: float,
-                 latency: float = 0.0, record: bool = True) -> None:
+                 latency: float = 0.0) -> None:
         if bandwidth <= 0:
             raise SimulationError(
                 f"channel {name!r} needs positive bandwidth, got {bandwidth}")
@@ -59,7 +59,6 @@ class Channel:
         self.bandwidth = bandwidth
         self.latency = latency
         self._free_at = 0.0
-        self._record = record
         self.records: List[TransferRecord] = []
         self.bytes_total = 0.0
         self.ops_total = 0
@@ -94,11 +93,10 @@ class Channel:
         self._free_at = end
         self.bytes_total += nbytes
         self.ops_total += 1
-        if self._record:
-            # ``tuple.__new__`` skips the namedtuple's Python-level
-            # ``__new__``; one record per transfer leg.
-            self.records.append(tuple.__new__(
-                TransferRecord, (self.name, tag, nbytes, start, end)))
+        # ``tuple.__new__`` skips the namedtuple's Python-level
+        # ``__new__``; one record per transfer leg.
+        self.records.append(tuple.__new__(
+            TransferRecord, (self.name, tag, nbytes, start, end)))
         # Where a timeout of ``end - now`` fires, which can differ from
         # ``end`` in the last bit.
         return now + (end - now)

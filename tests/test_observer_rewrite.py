@@ -33,6 +33,7 @@ from repro.nn.models import get_model
 from repro.perf.analysis import observe, validate_scale
 from repro.perf.scenarios import METHODS, SCHEDULES, trace_scenario
 from repro.perf.workload import make_workload
+from repro.sim.core import Process
 from repro.sim.resources import TransferRecord
 from repro.telemetry.attrib import (COMPUTE, Attribution, ResourceUsage,
                                     Timeline, attribute,
@@ -502,6 +503,12 @@ GRID_RECORDS = 19176
 #: transfer, two entries per leaf transfer (deferred or not).  The per-leg
 #: kernel dispatched 29 652.
 GRID_EVENTS = 20088
+#: The generator processes the grid builds, exactly: the iteration, the
+#: interleaved update and one driver per CSD.  A straight-line task (a
+#: subgroup tasklet, a baseline block, a leaf transfer) is one
+#: ``Simulator.deferred`` event; with each tasklet and block a process
+#: the grid built 1 944.
+GRID_PROCESSES = 252
 
 
 def _grid():
@@ -515,7 +522,16 @@ def _grid():
                                          schedule=schedule)
 
 
-def test_grid_records_attribution_and_critical_path_are_unchanged():
+def test_grid_records_attribution_and_critical_path_are_unchanged(
+        monkeypatch):
+    processes = []
+    start = Process.__init__
+
+    def counted(self, *args, **kwargs):
+        start(self, *args, **kwargs)
+        processes.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", counted)
     digest = hashlib.sha256()
     events = records = scenarios = 0
     for trace in _grid():
@@ -540,6 +556,7 @@ def test_grid_records_attribution_and_critical_path_are_unchanged():
             [0.5, 1.7, 1.0])
     assert (scenarios, records) == (48, GRID_RECORDS)
     assert events == GRID_EVENTS
+    assert len(processes) == GRID_PROCESSES
     assert digest.hexdigest() == GRID_RECORDS_SHA256
 
 

@@ -81,7 +81,7 @@ def test_fabric_raid_read_is_link_capped():
     sim = Simulator()
     fabric = Fabric(sim, default_system(num_csds=10))
     nbytes = 128e9
-    fabric.raid_read(nbytes)
+    sim._timeout_at(fabric._raid_read(nbytes, "raid-read"))
     elapsed = sim.run()
     expected = nbytes / fabric.link_up.bandwidth
     assert elapsed == pytest.approx(expected, rel=0.05)
@@ -91,7 +91,7 @@ def test_fabric_raid_read_member_bound_when_few_devices():
     sim = Simulator()
     fabric = Fabric(sim, default_system(num_csds=1))
     nbytes = 32e9
-    fabric.raid_read(nbytes)
+    sim._timeout_at(fabric._raid_read(nbytes, "raid-read"))
     elapsed = sim.run()
     member_bw = fabric.devices[0].nand_read.bandwidth
     assert elapsed == pytest.approx(

@@ -1,5 +1,7 @@
 """Tests for channels, semaphores, stores, and the phase clock."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import SimulationError
@@ -312,7 +314,14 @@ class Composites:
                              make_workload(get_model("gpt2-1.16b")), "su",
                              0.02, 16)
         self.fabric, self.scenario = fabric, scenario
-        self.raid_read, self.raid_write = fabric.raid_read, fabric.raid_write
+
+    def raid_read(self, nbytes, tag="raid-read"):
+        return self.fabric.sim._timeout_at(
+            self.fabric._raid_read(nbytes, tag))
+
+    def raid_write(self, nbytes, tag="raid-write"):
+        return self.fabric.sim._timeout_at(
+            self.fabric._raid_write(nbytes, tag))
 
     def host_to_device(self, index, nbytes, tag="h2d"):
         return self.fabric.sim._timeout_at(
@@ -424,42 +433,94 @@ def test_composite_and_timeout_at_one_instant_keep_their_order(
 
 
 # ----------------------------------------------------------------------
-# Deferred transfers: one event against the one-transfer process
+# Deferred tasks: one event against the straight-line process
 # ----------------------------------------------------------------------
-def reference_leaf(sim, reserve, *args):
-    """The process a ``Simulator.deferred`` event stands for: its only
-    step is to ``yield`` the transfer ``reserve(*args)`` reserves."""
-    def leaf():
-        yield sim._timeout_at(reserve(*args))
-    return sim.process(leaf(), name="leaf")
+class ProcessLeaves:
+    """The processes a ``Simulator.deferred`` event stands for."""
+
+    @staticmethod
+    def leaf(sim, reserve, *args):
+        """A one-transfer process: its only step is to ``yield`` the
+        transfer ``reserve(*args)`` reserves."""
+        def leaf():
+            yield sim._timeout_at(reserve(*args))
+        return sim.process(leaf(), name="leaf")
+
+    @staticmethod
+    def chain(sim, fabric, name, then):
+        """A three-leg tasklet: a flash load, a link copy and a delay,
+        then ``then()``."""
+        def chain():
+            yield fabric.devices[name % 4].nand_read.transfer(
+                0.5e9, f"load{name}")
+            yield fabric.link_up.transfer(0.3e9, f"chain{name}")
+            yield sim.timeout(0.002)
+            then()
+        return sim.process(chain(), name="chain")
 
 
-def _drive_leaves(spawn, workers=3):
+class DeferredLeaves:
+    """The same tasks as ``Simulator.deferred`` events."""
+
+    @staticmethod
+    def leaf(sim, reserve, *args):
+        return sim.deferred((partial(reserve, *args),))
+
+    @staticmethod
+    def chain(sim, fabric, name, then):
+        return sim.deferred(
+            (partial(fabric.devices[name % 4].nand_read._reserve, 0.5e9,
+                     f"load{name}"),
+             partial(fabric.link_up._reserve, 0.3e9, f"chain{name}"),
+             partial(sim._after, 0.002)), then)
+
+
+def _drive_leaves(leaves, workers=3, chained=False):
     """Workers hand a one-slot semaphore on: each holder moves bytes on
     the shared up-link, releases the slot and, at that same instant,
     spawns leaf transfers (a link leg, a composite upstream copy, a
-    gradient offload), then waits on them.  Returns (log, fabric)."""
+    gradient offload), then waits on them.  ``chained`` adds a
+    three-leg task per worker, spawned with the leaves, whose action
+    spawns a tail transfer and releases a two-slot semaphore the
+    workers take first.  Returns (log, fabric)."""
     fabric = _fabric()
     sim, log = fabric.sim, []
     scenario = Composites(fabric).scenario
     slot = Semaphore(sim, "slot", capacity=1)
+    buffers = Semaphore(sim, "buffers", capacity=2)
 
     def worker(name):
         yield sim.timeout(0.001 * name)
+        if chained:
+            yield buffers.acquire()
         yield slot.acquire()
         log.append((name, "holds", sim.now))
         yield fabric.link_up.transfer(1.1e9, tag=f"held{name}")
         slot.release()
-        leaf = spawn(sim, fabric.link_up._reserve, 0.6e9, f"leaf{name}")
-        upstream = spawn(sim, fabric._device_to_host, name % 4, 0.4e9,
-                         f"up{name}")
-        grads = spawn(sim, scenario._offload_legs, 0.9e9)
+        leaf = leaves.leaf(sim, fabric.link_up._reserve, 0.6e9,
+                           f"leaf{name}")
+        upstream = leaves.leaf(sim, fabric._device_to_host, name % 4,
+                               0.4e9, f"up{name}")
+        grads = leaves.leaf(sim, scenario._offload_legs, 0.9e9)
+        chains, tail = [], []
+
+        def chain_done():
+            log.append((name, "chain", sim.now))
+            tail.append(leaves.leaf(sim, fabric._device_to_host,
+                                    (name + 1) % 4, 0.2e9, f"tail{name}"))
+            buffers.release()
+
+        if chained:
+            chains.append(leaves.chain(sim, fabric, name, chain_done))
         leaf.add_callback(lambda _event: log.append(
             (name, "leaf", sim.now)))
         yield upstream
         log.append((name, "upstream", sim.now))
-        yield sim.all_of([leaf, grads])
+        yield sim.all_of([leaf, grads] + chains)
         log.append((name, "joined", sim.now))
+        if chained:
+            yield sim.all_of(tail)
+            log.append((name, "tail", sim.now))
 
     for name in range(workers):
         sim.process(worker(name))
@@ -468,11 +529,23 @@ def _drive_leaves(spawn, workers=3):
 
 
 def test_deferred_transfer_matches_the_one_transfer_process():
-    log, fabric = _drive_leaves(Simulator.deferred)
-    reference, reference_fabric = _drive_leaves(reference_leaf)
+    log, fabric = _drive_leaves(DeferredLeaves)
+    reference, reference_fabric = _drive_leaves(ProcessLeaves)
     assert log == reference          # instants bit for bit, same order
     assert _records(fabric) == _records(reference_fabric)
     # Two heap entries each way: the spawn and the completion.
+    assert (fabric.sim.events_processed
+            == reference_fabric.sim.events_processed)
+
+
+def test_three_leg_deferred_matches_the_process_it_replaces():
+    log, fabric = _drive_leaves(DeferredLeaves, chained=True)
+    reference, reference_fabric = _drive_leaves(ProcessLeaves,
+                                                chained=True)
+    assert [entry[1] for entry in log].count("chain") == 3
+    assert log == reference          # instants bit for bit, same order
+    assert _records(fabric) == _records(reference_fabric)
+    # The spawn and one entry per leg each way.
     assert (fabric.sim.events_processed
             == reference_fabric.sim.events_processed)
 
@@ -481,18 +554,30 @@ def test_leaf_spawned_beside_a_semaphore_wake_reserves_after_it():
     # The release queues the next holder's wake first; the leaf spawned
     # at the same instant takes its link slot only when its own entry is
     # dispatched, behind the transfer the woken holder starts.
-    _log, fabric = _drive_leaves(Simulator.deferred, workers=2)
+    _log, fabric = _drive_leaves(DeferredLeaves, workers=2)
     tags = [record.tag for record in fabric.link_up.records]
     assert tags.index("held1") < tags.index("leaf0")
     assert fabric.link_up.records == _drive_leaves(
-        reference_leaf, workers=2)[1].link_up.records
+        ProcessLeaves, workers=2)[1].link_up.records
+
+
+def test_second_leg_reserves_behind_what_ran_while_the_first_did():
+    # The chain spawned beside the queued wake reserves its link leg
+    # only when its flash load finishes: behind the woken holder's
+    # transfer, and behind the leaf that holder spawned at its own
+    # release while the load ran.
+    _log, fabric = _drive_leaves(DeferredLeaves, workers=2, chained=True)
+    tags = [record.tag for record in fabric.link_up.records]
+    assert tags.index("held1") < tags.index("leaf1") < tags.index("chain0")
+    assert fabric.link_up.records == _drive_leaves(
+        ProcessLeaves, workers=2, chained=True)[1].link_up.records
 
 
 def test_deferred_transfer_reserves_at_dispatch_and_carries_no_value():
     sim = Simulator()
     channel = Channel(sim, "link", bandwidth=10.0)
-    done = sim.deferred(channel._reserve, 20.0, "x")
-    bad = sim.deferred(channel._reserve, -1.0, "y")
+    done = sim.deferred((partial(channel._reserve, 20.0, "x"),))
+    bad = sim.deferred((partial(channel._reserve, -1.0, "y"),))
     assert channel.records == [] and not done.triggered
     with pytest.raises(SimulationError):
         sim.run()                    # the bad size fails when dispatched
