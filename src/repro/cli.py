@@ -12,13 +12,12 @@ Five subcommands, plus ``--list-models`` (the analytic model zoo) and
   refreshes live; with nothing to attribute it degrades to a "no data
   yet" notice instead of an error.
 * ``whatif`` — the critical-path observatory's counterfactual engine:
-  reconstruct the per-step dependency DAG of one simulated iteration,
-  print the critical path with slack accounting, and rank what-if
-  projections (``--scale channel=factor``, ``--add-csds``,
-  ``--compression-ratio``) by projected step-time reduction;
-  ``--validate`` re-runs the DES with each channel scaling genuinely
-  applied and fails (exit 1) if the projection error exceeds
-  ``--max-error``; ``--jsonl`` writes the
+  print the critical path of one simulated iteration with slack
+  accounting, then re-run the DES once per counterfactual
+  (``--scale channel=factor``, ``--add-csds``, ``--compression-ratio``,
+  ``--interleave``; by default the busiest channels twice as fast, twice
+  the fleet, half the Top-K ratio and the interleaved schedule) and rank
+  them by the re-run's step time; ``--jsonl`` writes the
   ``smart-infinity/critpath/v1`` event log.
 * ``trace`` — export a Chrome trace-event JSON (open in Perfetto)
   unifying the sim-time DES timeline with wall-clock telemetry spans
@@ -42,7 +41,7 @@ Examples::
     python -m repro top --once --model gpt2-8.4b --csds 10 --method su_o_c
     python -m repro top --once --trace gpt2-4.0b-su_o_c.trace.json
     python -m repro whatif --model gpt2-4.0b --csds 10
-    python -m repro whatif --scale host-link-down=0.5 --validate
+    python -m repro whatif --scale host-link-down=0.5 --add-csds 2
     python -m repro trace --model gpt2-4.0b --csds 6 --method su_o_c
     python -m repro trace --fault-plan examples/chaos.json --chaos-seed 7
     python -m repro experiment fig9
@@ -86,9 +85,9 @@ from .experiments import REGISTRY, write_results
 from .faults import FaultPlan
 from .hw.gpu import GPUS
 from .nn.models import ZOO
-from .perf.analysis import (Observation, observe, resolve,
-                            validate_interleave, validate_scale)
-from .perf.scenarios import EXTENSION_METHODS, METHODS, simulate_iteration
+from .perf.analysis import Observation, observe, resolve
+from .perf.scenarios import (COMPRESSED_METHODS, EXTENSION_METHODS, METHODS,
+                             simulate_iteration)
 from .runtime.engine import ACTIVATION_MODES, SCHEDULES
 from .runtime.parallel import BACKENDS
 from .version import __version__
@@ -162,44 +161,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     whatif = commands.add_parser(
         "whatif", help="critical-path what-if engine: dependency DAG, "
-                       "slack, and ranked counterfactual projections "
-                       "over one simulated iteration")
+                       "slack, and counterfactuals re-simulated and "
+                       "ranked over one simulated iteration")
     _add_scenario_options(whatif)
     whatif.add_argument(
         "--scale", action="append", default=None, metavar="CHANNEL=FACTOR",
-        help="project the named channel's transfers taking FACTOR times "
-             "as long (0.5 = link twice as fast); repeatable, each "
-             "projected independently")
+        help="re-run with the named channel's transfers taking FACTOR "
+             "times as long (bandwidth / FACTOR; 0.5 = link twice as "
+             "fast); repeatable, each re-run independently")
     whatif.add_argument(
         "--add-csds", type=int, default=None, metavar="N",
-        help="project N additional CSDs (device-internal work spreads "
-             "over the larger fleet; shared host link unchanged)")
+        help="re-run with N (>= 1) more CSDs")
     whatif.add_argument(
         "--compression-ratio", type=float, default=None, metavar="R",
-        help="project the SmartComp volume ratio changing from --ratio "
-             "to R (gradient-offload transfers rescale)")
+        help="re-run with the SmartComp volume ratio R in (0, 1] instead "
+             "of --ratio")
     whatif.add_argument(
         "--interleave", action="store_true",
-        help="project the interleaved schedule from this phased trace "
+        help="re-run this phased step with schedule=interleaved "
              "(per-block updates start as gradients land instead of at "
-             "the offload barrier); with --validate, re-runs the DES "
-             "with schedule=interleaved genuinely applied")
+             "the offload barrier)")
     whatif.add_argument(
         "--top", type=int, default=6, metavar="N",
         help="path resources shown in the critical-path pane "
              "(default 6)")
     whatif.add_argument(
-        "--validate", action="store_true",
-        help="re-run the DES with each --scale genuinely applied and "
-             "report the projection error; exits 1 beyond --max-error")
-    whatif.add_argument(
-        "--max-error", type=float, default=0.05, metavar="FRACTION",
-        help="relative projection error --validate tolerates "
-             "(default 0.05 = 5%%)")
-    whatif.add_argument(
         "--jsonl", default=None, metavar="EVENTS_JSONL",
-        help="write the critical path, projections, and validations as "
-             "a smart-infinity/critpath/v1 JSONL event log")
+        help="write the critical path and the counterfactuals as a "
+             "smart-infinity/critpath/v1 JSONL event log")
     _add_schedule_option(whatif)
 
     trace = commands.add_parser(
@@ -332,14 +321,18 @@ def _add_engine_options(subparser) -> None:
              "backward); bit-identical either way (default recompute)")
 
 
-def _observe(args) -> Observation:
-    """Simulate the scenario :func:`_add_scenario_options` named."""
+def _observe(args, channel_scales=None, **changes) -> Observation:
+    """Simulate the scenario :func:`_add_scenario_options` named, with
+    ``changes`` to those flags (``csds=``, ``ratio=``, ``schedule=``)
+    and ``channel_scales`` applied: ``whatif``'s counterfactuals."""
+    args = argparse.Namespace(**{**vars(args), **changes})
     system, workload = resolve(args.model, args.csds, args.gpu,
                                batch_size=args.batch_size,
                                optimizer=args.optimizer)
     return observe(system, workload, args.method,
                    compression_ratio=args.ratio,
-                   schedule=args.schedule or "phased")
+                   schedule=args.schedule or "phased",
+                   channel_scales=channel_scales)
 
 
 def _resolve_fault_plan(args) -> Optional[FaultPlan]:
@@ -436,12 +429,38 @@ def _cmd_top(args) -> int:
     return 0
 
 
+def _counterfactuals(args, scales, add_csds=None, ratio=None,
+                     interleave=False) -> list:
+    """``(label, changes)`` per counterfactual, ``changes`` being what
+    :func:`_observe` re-runs the scenario with."""
+    out = [(f"scale({channel}, {factor:g})",
+            {"channel_scales": {channel: 1.0 / factor}})
+           for channel, factor in scales]
+    if add_csds is not None:
+        out.append((f"add_csds(+{add_csds})",
+                    {"csds": args.csds + add_csds}))
+    if ratio is not None:
+        out.append((f"compression_ratio({ratio:g})", {"ratio": ratio}))
+    if interleave:
+        out.append(("interleave()", {"schedule": "interleaved"}))
+    return out
+
+
 def _cmd_whatif(args) -> int:
     schedule = args.schedule or "phased"
     if args.interleave and schedule == "interleaved":
-        print("--interleave projects the schedule change from a phased "
-              "trace; drop --schedule interleaved (the change is "
+        print("--interleave re-runs a phased step with the interleaved "
+              "schedule; drop --schedule interleaved (the change is "
               "already applied there)")
+        return 2
+    if args.add_csds is not None and args.add_csds < 1:
+        print(f"invalid --add-csds {args.add_csds}; expected at least "
+              "one more CSD")
+        return 2
+    if (args.compression_ratio is not None
+            and not 0 < args.compression_ratio <= 1):
+        print(f"invalid --compression-ratio {args.compression_ratio:g}; "
+              "expected a ratio in (0, 1]")
         return 2
 
     scales = []
@@ -458,7 +477,7 @@ def _cmd_whatif(args) -> int:
         scales.append((channel, factor))
 
     observed = _observe(args)
-    graph, report = observed.graph, observed.critpath
+    report = observed.critpath
     if report is None:
         print("critical path: no dependency data (the simulated "
               "iteration recorded no transfers)")
@@ -470,57 +489,51 @@ def _cmd_whatif(args) -> int:
                   f"{', '.join(sorted(known))}")
             return 2
 
+    base = observed.breakdown.total
     print(f"what-if observatory — sim:{args.model}/{args.method} "
           f"({args.csds} CSDs, {args.gpu}"
           + ("" if schedule == "phased" else f", {schedule}") + ")")
-    print(f"step time {graph.step_seconds:.3f} s")
+    print(f"step time {base:.3f} s")
     print(report.render(top=args.top))
 
-    interventions = [telemetry.scale(channel, factor)
-                     for channel, factor in scales]
-    if args.add_csds is not None:
-        interventions.append(telemetry.add_csds(args.add_csds))
-    if args.compression_ratio is not None:
-        interventions.append(telemetry.compression_ratio(
-            args.compression_ratio, baseline=args.ratio))
-    if args.interleave:
-        interventions.append(telemetry.interleave())
-    if not interventions:
-        interventions = telemetry.default_interventions(
-            graph, ratio=args.ratio)
-    projections = telemetry.rank_interventions(graph, interventions)
-    print(telemetry.render_projections(projections))
-
-    validations = []
-    exit_code = 0
-    if args.validate:
-        if args.interleave:
-            validations.append(validate_interleave(observed))
-        # Without explicit --scale flags (and not in interleave mode),
-        # probe the busiest resource — the one whose projection a
-        # reader is most likely to act on.
-        targets = scales if (scales or args.interleave) \
-            else [(graph.resources()[0], 1.5)]
-        validations += [validate_scale(observed, channel, factor)
-                        for channel, factor in targets]
-        for validation in validations:
-            ok = validation.error <= args.max_error
-            print(("PASS " if ok else "FAIL ") + validation.render())
-            if not ok:
-                exit_code = 1
-        if exit_code == 0:
-            print(f"validation: all projections within "
-                  f"{args.max_error:.0%} of the DES re-run")
+    counterfactuals = _counterfactuals(
+        args, scales, args.add_csds, args.compression_ratio,
+        args.interleave)
+    if not counterfactuals:
+        # The busiest three channels twice as fast, twice the fleet,
+        # half the Top-K ratio where the method compresses, and the
+        # interleaved schedule for a phased step.
+        counterfactuals = _counterfactuals(
+            args, [(summary.name, 0.5)
+                   for summary in observed.summaries[:3]],
+            args.csds,
+            args.ratio / 2 if args.method in COMPRESSED_METHODS else None,
+            schedule == "phased")
+    rows = []
+    for label, changes in counterfactuals:
+        step = _observe(args, **changes).breakdown.total
+        rows.append({"label": label, "baseline_step_seconds": base,
+                     "projected_step_seconds": step,
+                     "reduction_seconds": base - step,
+                     "speedup": base / step})
+    rows.sort(key=lambda row: (-row["reduction_seconds"], row["label"]))
+    print("what-if (the DES re-run per counterfactual, ranked by "
+          "step-time reduction):")
+    width = max(len(row["label"]) for row in rows)
+    for row in rows:
+        print(f"  {row['label'].ljust(width)}  {base:.3f} s -> "
+              f"{row['projected_step_seconds']:.3f} s  "
+              f"({row['reduction_seconds']:+.3f} s saved, "
+              f"{row['speedup']:.2f}x)")
     if args.jsonl is not None:
         telemetry.write_critpath_jsonl(
-            args.jsonl, report, projections=projections,
-            validations=validations,
+            args.jsonl, report, projections=rows,
             meta={"source": "sim", "model": args.model,
                   "method": args.method, "csds": args.csds,
                   "gpu": args.gpu, "ratio": args.ratio,
                   "schedule": schedule})
         print(f"[critpath events: {args.jsonl}]")
-    return exit_code
+    return 0
 
 
 def _run_functional_proxy(args, fault_plan: Optional[FaultPlan]) -> dict:

@@ -17,8 +17,9 @@ way:
   load is the upstream parameter transfer (§VIII-B).
 
 :meth:`Observation.from_chrome_trace` observes a finished trace file
-instead, and :func:`validate_scale` / :func:`validate_interleave` check
-a what-if projection against a DES re-run of the observed scenario.
+instead.  A what-if question is one more :func:`observe` with the change
+applied (``channel_scales``, another device count or ratio, the
+interleaved schedule): the DES answers it exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..errors import TelemetryError
 from ..hw.gpu import GPUS
 from ..hw.topology import SystemSpec, default_system
 from ..nn.models import get_model
@@ -35,9 +35,7 @@ from ..sim.resources import Channel
 from ..sim.trace import (ChannelSummary, summarize_channels,
                          traffic_by_tag)
 from ..telemetry.attrib import Attribution, Timeline
-from ..telemetry.critpath import (CritPathReport, DepGraph, Intervention,
-                                  ProjectionValidation, interleave,
-                                  project, scale)
+from ..telemetry.critpath import CritPathReport, DepGraph
 from .scenarios import PhaseBreakdown, ScenarioTrace, trace_scenario
 from .workload import Workload, make_workload
 
@@ -71,7 +69,7 @@ class Observation:
         self.label = label
         self.meta = dict(meta or {})
         self.trace = trace
-        #: :func:`observe`'s arguments, for counterfactual re-runs.
+        #: :func:`observe`'s arguments.
         self.scenario = scenario
 
     @classmethod
@@ -178,51 +176,3 @@ def observe(system: SystemSpec, workload: Workload, method: str,
         scenario=dict(system=system, workload=workload, method=method,
                       compression_ratio=compression_ratio,
                       schedule=schedule))
-
-
-# ----------------------------------------------------------------------
-# self-validation: re-run the DES with the intervention applied
-# ----------------------------------------------------------------------
-def _validate(base: Observation, intervention: Intervention, channel: str,
-              factor: float, **counterfactual) -> ProjectionValidation:
-    """Project ``intervention`` from ``base``, then simulate ``base``'s
-    scenario with ``counterfactual`` genuinely applied."""
-    projection = project(base.graph, intervention)
-    rerun = observe(**{**base.scenario, **counterfactual})
-    return ProjectionValidation(
-        label=intervention.label, channel=channel, factor=float(factor),
-        baseline_step_seconds=base.breakdown.total,
-        projected_step_seconds=projection.projected_step_seconds,
-        actual_step_seconds=rerun.breakdown.total)
-
-
-def validate_interleave(base: Observation) -> ProjectionValidation:
-    """Project the interleaved schedule from the phased observation
-    ``base``, then run the DES with ``schedule="interleaved"``.  Any
-    disagreement is pure projection error (the two-regime bound in
-    :func:`repro.telemetry.critpath.interleave` vs the gated pipeline's
-    real contention)."""
-    return _validate(base, interleave(), "schedule:interleaved", 1.0,
-                     schedule="interleaved")
-
-
-def validate_scale(base: Observation, channel: str,
-                   factor: float) -> ProjectionValidation:
-    """Project a channel scaling from the observation ``base``, then
-    actually apply it in the DES.
-
-    The re-run multiplies the channel's bandwidth by ``1 / factor``
-    (a factor-0.5 projection — transfers twice as fast — doubles the
-    bandwidth), so per-record durations match the projection exactly
-    and any disagreement is pure edge-inference error.
-    """
-    if factor <= 0:
-        raise TelemetryError(
-            f"scale factor must be positive, got {factor}")
-    known = {c.name for c in base.channels}
-    if channel not in known:
-        raise TelemetryError(
-            f"unknown channel {channel!r}; this run has "
-            f"{sorted(known)}")
-    return _validate(base, scale(channel, factor), channel, factor,
-                     channel_scales={channel: 1.0 / factor})

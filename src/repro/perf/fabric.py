@@ -88,9 +88,9 @@ class Fabric:
         self.raid_efficiency = raid_efficiency
         self.p2p_efficiency = p2p_efficiency
         # Counterfactual bandwidth multipliers, keyed by channel name —
-        # the hook the what-if self-validation uses to re-run a scenario
-        # with one link genuinely faster or slower.  Command latency is
-        # unaffected, matching the critpath replay semantics.
+        # the hook ``repro whatif --scale`` uses to re-run a scenario
+        # with one link faster or slower.  Command latency is
+        # unaffected.
         scales = dict(channel_scales or {})
         for name, value in scales.items():
             if value <= 0:

@@ -56,6 +56,10 @@ SCHEDULES = ("phased", "interleaved")
 #: of SU+O+C, cutting the remaining upstream transfer ~4x.
 EXTENSION_METHODS = ("su_o_c_q",)
 
+#: The methods that Top-K-compress the gradient offload (SmartComp), so
+#: the only ones ``compression_ratio`` changes.
+COMPRESSED_METHODS = ("su_o_c", "su_o_c_q")
+
 #: Safety margin: fraction of FPGA DRAM usable for subgroup buffers.
 DRAM_UTILIZATION = 0.9
 
@@ -132,8 +136,7 @@ def trace_scenario(system: SystemSpec, workload: Workload, method: str,
     """Simulate one iteration and keep its full sim-time timeline.
 
     ``channel_scales`` multiplies named channels' bandwidths — the
-    counterfactual hook the critical-path what-if validation uses to
-    re-run an iteration with an intervention genuinely applied.
+    counterfactual hook ``repro whatif`` re-runs an iteration with.
     ``schedule="interleaved"`` gates per-device update work on the
     gradient blocks it needs instead of the whole offload barrier; the
     ``update`` phase window then covers only the residual tail past the
@@ -268,7 +271,7 @@ class _Scenario:
                                    ) / self.num_blocks
         param_block = self.workload.fp16_param_bytes / self.num_blocks
         act_block = self.workload.activation_bytes / self.num_blocks
-        if self.method in ("su_o_c", "su_o_c_q"):
+        if self.method in COMPRESSED_METHODS:
             grad_bytes = self.workload.compressed_gradient_bytes(
                 self.compression_ratio)
         else:
@@ -375,7 +378,7 @@ class _Scenario:
         nsub = subgroup_count(workload, self.system)
         device = self.fabric.devices[index]
         optimized = self.method in ("su_o", "su_o_c", "su_o_c_q")
-        compressed = self.method in ("su_o_c", "su_o_c_q")
+        compressed = self.method in COMPRESSED_METHODS
         quantized_up = self.method == "su_o_c_q"
 
         # Per-subgroup byte volumes for this device's shard.

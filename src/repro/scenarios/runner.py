@@ -586,22 +586,3 @@ class ScenarioRunner:
                     expect.bit_identical_to_reference,
                     {"run": checksum, "reference": reference},
                     identical == expect.bit_identical_to_reference)
-        if expect.whatif_error is not None:
-            # Gate the what-if projection engine against a DES re-run.
-            # The check is pure simulation (seed-independent and free of
-            # wall-clock state), so the event log stays byte-identical
-            # across replays; the error is rounded for log stability.
-            # Imported here: only this check needs the DES, and engines
-            # that never run it should not pay for loading it.
-            from ..perf.analysis import observe, resolve, validate_scale
-            spec = expect.whatif_error
-            max_error = float(spec.get("max_error", 0.05))
-            validation = validate_scale(
-                observe(*resolve(str(spec.get("model", "gpt2-1.16b")),
-                                 int(spec.get("csds", 4)),
-                                 str(spec.get("gpu", "a5000"))),
-                        str(spec.get("method", "su_o_c")),
-                        compression_ratio=float(spec.get("ratio", 0.02))),
-                str(spec["channel"]), float(spec["factor"]))
-            error = round(validation.error, 6)
-            add("whatif_error", max_error, error, error <= max_error)

@@ -138,15 +138,8 @@ _EXPECT_KEYS = (
     "min_injected", "max_injected", "injected_include", "min_retries",
     "min_demotions", "max_demotions", "alerts_include", "no_new_alerts",
     "dumps_written", "loss_finite", "max_loss",
-    "bit_identical_to_reference", "whatif_error",
+    "bit_identical_to_reference",
 )
-
-#: Sub-keys of the ``whatif_error`` expectation (see
-#: :mod:`repro.telemetry.critpath`): required ``channel``/``factor``
-#: pick the scaling to validate, ``max_error`` the tolerated relative
-#: projection error, and the rest the simulated configuration.
-_WHATIF_KEYS = ("channel", "factor", "max_error", "model", "csds",
-                "method", "gpu", "ratio")
 
 
 @dataclass(frozen=True)
@@ -159,12 +152,7 @@ class Expectations:
     permanent).  ``alerts_include`` names alert rules/incidents that
     must have fired during the phase; ``bit_identical_to_reference``
     compares the trained parameters against a no-fault reference run at
-    the same point in the schedule.  ``whatif_error`` gates the
-    critical-path projection engine: it projects a channel scaling over
-    the DES dependency DAG, re-runs the DES with the scaling genuinely
-    applied, and checks the relative projection error stays within
-    ``max_error`` (both runs are deterministic, so the check is
-    seed-stable and keeps the event log byte-identical).
+    the same point in the schedule.
     """
 
     min_injected: Optional[int] = None
@@ -179,7 +167,6 @@ class Expectations:
     loss_finite: Optional[bool] = None
     max_loss: Optional[float] = None
     bit_identical_to_reference: Optional[bool] = None
-    whatif_error: Optional[Dict[str, object]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "injected_include",
@@ -217,15 +204,6 @@ class Expectations:
                         f"{where}.expect.{key} must be a list of "
                         f"strings, got {value!r}")
                 kwargs[key] = tuple(value)
-        if kwargs.get("whatif_error") is not None:
-            value = kwargs["whatif_error"]
-            reject_unknown_keys(f"{where}.expect.whatif_error", value,
-                                _WHATIF_KEYS, ScenarioError)
-            for required in ("channel", "factor"):
-                if required not in value:
-                    raise ScenarioError(
-                        f"{where}.expect.whatif_error is missing "
-                        f"required key {required!r}")
         return cls(**kwargs)
 
 

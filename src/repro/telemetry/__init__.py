@@ -21,8 +21,8 @@ repository (the question the paper's whole evaluation answers):
   on attrib: ``repro top`` rendering, JSONL event log, and attribution
   metrics recording;
 * :mod:`~repro.telemetry.critpath` — the critical-path observatory:
-  per-step dependency DAGs over a timeline, CPM slack, and the what-if
-  projection engine behind ``repro whatif``;
+  per-step dependency DAGs over a timeline and CPM slack, the path pane
+  of ``repro top`` and ``repro whatif``;
 * :mod:`~repro.telemetry.flight` — the flight recorder: each engine's
   bounded deque of per-step records (spans, fault-ledger delta,
   alerts), appended at step end and rendered as one ordered
@@ -67,13 +67,8 @@ from typing import Iterator, Optional
 from .attrib import (Attribution, BottleneckVerdict, COMPUTE,
                      ResourceUsage, Timeline, attribute,
                      attribute_channels, merge_intervals)
-from .critpath import (CRITPATH_SCHEMA, CritPathReport, DagNode,
-                       DepGraph, Intervention,
-                       PathStep, Projection,
-                       ProjectionValidation, add_csds, compression_ratio,
-                       default_interventions, interleave, project,
-                       rank_interventions,
-                       render_projections, scale, write_critpath_jsonl)
+from .critpath import (CRITPATH_SCHEMA, CritPathReport, DepGraph,
+                       PathStep, write_critpath_jsonl)
 from .export import (chrome_trace, record_channel_metrics,
                      write_chrome_trace)
 from .flight import FLIGHT_SCHEMA, FlightRecorder, IncidentDumper
@@ -95,38 +90,26 @@ __all__ = [
     "Counter",
     "CritPathReport",
     "DEFAULT_SLO_RULES",
-    "DagNode",
     "DepGraph",
     "EVENTS_SCHEMA",
     "Ewma",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "IncidentDumper",
-    "Intervention",
     "PathStep",
-    "Projection",
-    "ProjectionValidation",
     "ResourceUsage",
     "Rule",
     "RulesEngine",
     "SignalWindow",
     "StepHealthMonitor",
-    "add_csds",
     "attribute",
     "attribute_channels",
-    "compression_ratio",
-    "default_interventions",
     "evaluate_attribution",
-    "interleave",
     "load_slo_rules",
     "merge_intervals",
     "parse_rules",
-    "project",
-    "rank_interventions",
     "record_attribution_metrics",
-    "render_projections",
     "render_top",
-    "scale",
     "write_critpath_jsonl",
     "write_events_jsonl",
     "Gauge",

@@ -333,9 +333,8 @@ class Timeline:
     whatever the source.  A resource may be
     listed with no operations (an idle DES channel still gets a trace
     lane).  ``bytes_total`` is each resource's byte count (a DES
-    channel's own running total, so nothing re-sums its records),
-    ``latency`` the fixed command overhead per operation on it and
-    ``capacity`` its bandwidth, where the source knows them.  There is
+    channel's own running total, so nothing re-sums its records) and
+    ``capacity`` its bandwidth, where the source knows it.  There is
     one constructor per evidence source; attribution, the dependency
     graph, the Chrome export and the ``util:*`` health signals read
     nothing else.
@@ -344,7 +343,6 @@ class Timeline:
     phases: List[PhaseWindow]
     ops: Dict[str, Sequence[TransferRecord]]
     bytes_total: Dict[str, float] = field(default_factory=dict)
-    latency: Dict[str, float] = field(default_factory=dict)
     capacity: Dict[str, float] = field(default_factory=dict)
     #: The instant the step's first operation may start; ``None`` means
     #: the earliest instant the timeline mentions.
@@ -352,8 +350,8 @@ class Timeline:
 
     @classmethod
     def from_channels(cls, channels, phase_windows) -> "Timeline":
-        """DES channels (``.name``/``.records``/``.latency``/
-        ``.bandwidth``/``.bytes_total``) and the
+        """DES channels (``.name``/``.records``/``.bandwidth``/
+        ``.bytes_total``) and the
         :class:`~repro.sim.resources.PhaseClock` windows.  Holds the
         channels' own record lists (FIFO by construction)."""
         channels = list(channels)
@@ -363,8 +361,6 @@ class Timeline:
             ops={channel.name: channel.records for channel in channels},
             bytes_total={channel.name: getattr(channel, "bytes_total", 0.0)
                          for channel in channels},
-            latency={channel.name: float(getattr(channel, "latency", 0.0))
-                     for channel in channels},
             capacity={channel.name: channel.bandwidth
                       for channel in channels
                       if getattr(channel, "bandwidth", None) is not None},

@@ -442,18 +442,25 @@ def test_version_flag_prints_package_version(capsys):
     assert f"repro {__version__}" in capsys.readouterr().out
 
 
+def _jsonl(path):
+    import json
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
 def test_whatif_prints_path_and_ranked_projections(capsys):
     assert main(["whatif", "--model", "gpt2-1.16b", "--csds", "2",
                  "--method", "su"]) == 0
     out = capsys.readouterr().out
     assert "what-if observatory" in out
     assert "critical path" in out
-    assert "what-if projections (ranked by step-time reduction)" in out
-    assert "add_csds(" in out
+    assert ("what-if (the DES re-run per counterfactual, ranked by "
+            "step-time reduction)") in out
+    assert "add_csds(+2)" in out
+    assert "interleave()" in out
 
 
 def test_whatif_explicit_interventions_and_jsonl(tmp_path, capsys):
-    import json
     jsonl = str(tmp_path / "critpath.jsonl")
     assert main(["whatif", "--model", "gpt2-1.16b", "--csds", "2",
                  "--method", "su_o_c", "--scale", "ssd0-write=1.5",
@@ -462,28 +469,88 @@ def test_whatif_explicit_interventions_and_jsonl(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scale(ssd0-write, 1.5)" in out
     assert f"[critpath events: {jsonl}]" in out
-    with open(jsonl) as handle:
-        lines = [json.loads(line) for line in handle]
+    lines = _jsonl(jsonl)
     assert lines[0]["schema"] == "smart-infinity/critpath/v1"
     assert lines[0]["model"] == "gpt2-1.16b"
     kinds = {line["type"] for line in lines}
     assert {"meta", "path_step", "path_resource",
             "projection"} <= kinds
+    assert "validation" not in kinds
 
 
-def test_whatif_validate_gates_projection_error(capsys):
+def test_whatif_prints_exactly_what_observe_answers(tmp_path, capsys):
+    """Every counterfactual number, printed or logged, is a direct
+    ``observe`` of that counterfactual: the same floats, not an
+    estimate of them."""
+    from repro.perf.analysis import observe, resolve
+
+    def step(csds=2, **changes):
+        return observe(*resolve("gpt2-1.16b", csds), "su_o_c",
+                       **changes).breakdown.total
+
+    jsonl = str(tmp_path / "critpath.jsonl")
     assert main(["whatif", "--model", "gpt2-1.16b", "--csds", "2",
                  "--method", "su_o_c", "--scale", "ssd0-write=1.5",
-                 "--validate", "--max-error", "0.05"]) == 0
+                 "--add-csds", "2", "--compression-ratio", "0.01",
+                 "--interleave", "--jsonl", jsonl]) == 0
     out = capsys.readouterr().out
-    assert "validate scale(ssd0-write, 1.5)" in out
-    assert "PASS" in out
-    assert "within 5% of the DES re-run" in out
+    base = step()
+    expected = {
+        "scale(ssd0-write, 1.5)": step(
+            channel_scales={"ssd0-write": 1 / 1.5}),
+        "add_csds(+2)": step(csds=4),
+        "compression_ratio(0.01)": step(compression_ratio=0.01),
+        "interleave()": step(schedule="interleaved"),
+    }
+    rows = {line["label"]: line for line in _jsonl(jsonl)
+            if line["type"] == "projection"}
+    assert rows.keys() == expected.keys()
+    assert f"step time {base:.3f} s" in out
+    printed = {line.strip().split("  ")[0]: line
+               for line in out.splitlines() if " s -> " in line}
+    for label, seconds in expected.items():
+        assert rows[label] == {
+            "type": "projection", "label": label,
+            "baseline_step_seconds": base,
+            "projected_step_seconds": seconds,
+            "reduction_seconds": base - seconds,
+            "speedup": base / seconds}
+        assert printed[label].endswith(
+            f"{base:.3f} s -> {seconds:.3f} s  "
+            f"({base - seconds:+.3f} s saved, {base / seconds:.2f}x)")
+
+
+@pytest.mark.parametrize("method,model,csds", [
+    ("baseline", "gpt2-1.16b", 2), ("su", "gpt2-4.0b", 10)])
+def test_whatif_finds_no_compression_gain_where_nothing_compresses(
+        tmp_path, capsys, method, model, csds):
+    scenario = ["whatif", "--model", model, "--csds", str(csds),
+                "--method", method]
+    assert main(scenario) == 0
+    assert "compression_ratio(" not in capsys.readouterr().out
+    jsonl = str(tmp_path / "critpath.jsonl")
+    assert main(scenario + ["--compression-ratio", "0.01",
+                            "--jsonl", jsonl]) == 0
+    (row,) = [line for line in _jsonl(jsonl)
+              if line["type"] == "projection"]
+    assert (row["reduction_seconds"], row["speedup"]) == (0.0, 1.0)
 
 
 def test_whatif_rejects_bad_scale_syntax(capsys):
     assert main(["whatif", "--scale", "nonsense"]) == 2
     assert "invalid --scale" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", ["0", "-3"])
+def test_whatif_rejects_a_fleet_that_does_not_grow(capsys, extra):
+    assert main(["whatif", "--add-csds", extra]) == 2
+    assert "invalid --add-csds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5"])
+def test_whatif_rejects_a_ratio_outside_the_unit_interval(capsys, ratio):
+    assert main(["whatif", "--compression-ratio", ratio]) == 2
+    assert "invalid --compression-ratio" in capsys.readouterr().out
 
 
 def test_whatif_rejects_unknown_channel(capsys):

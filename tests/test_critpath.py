@@ -1,41 +1,37 @@
-"""Critical-path observatory: DAG invariants, replay, what-if gates.
+"""Critical-path observatory: DAG invariants, and the DES the what-ifs
+re-run.
 
-The tentpole claims, checked here:
+The claims, checked here:
 
 * **conservation** — the critical path's busy time never exceeds the
   step wall time, every node's slack is non-negative, and the path's
   per-resource busy seconds reconcile with (never exceed) the
   attribution layer's busy buckets;
-* **identity** — a ``scale(channel, 1.0)`` intervention projects
-  EXACTLY the measured step time (by construction, not float luck);
-* **accuracy** — single-channel scalings on the paper modes project a
-  step time within 5% of a full DES re-run with the channel's
-  bandwidth actually changed (:func:`repro.perf.analysis.validate_scale`);
-* the intervention algebra (scale / add_csds / compression_ratio),
-  ranking, and the ``smart-infinity/critpath/v1`` JSONL export behave
-  as documented.
+* **monotonicity** — the DES ``repro whatif`` re-runs never answers a
+  counterfactual backwards: a slower channel never speeds the step, a
+  faster one never slows it, more CSDs never slow it and a larger Top-K
+  ratio never speeds it;
+* each counterfactual re-run changes what it names and nothing else
+  (device bytes for more CSDs, gradient bytes for another ratio), and
+  ``whatif`` ranks them by reduction;
+* the ``smart-infinity/critpath/v1`` JSONL export behaves as documented.
 """
 
-import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TelemetryError
+from repro.cli import main
 from repro.hw.topology import default_system
 from repro.nn.models import get_model
-from repro.perf.analysis import observe, resolve, validate_scale
+from repro.perf.analysis import observe, resolve
 from repro.perf.scenarios import trace_scenario
 from repro.perf.workload import make_workload
 from repro.sim.resources import TransferRecord
 from repro.telemetry import SpanTracer, Timeline, attribute_channels
 from repro.telemetry.critpath import (CRITPATH_SCHEMA, DepGraph,
-                                      add_csds, compression_ratio,
-                                      default_interventions,
-                                      project, rank_interventions,
-                                      render_projections, scale,
                                       write_critpath_jsonl)
 
 
@@ -43,6 +39,10 @@ def _trace(method, model="gpt2-1.16b", csds=4):
     workload = make_workload(get_model(model))
     system = default_system(num_csds=csds)
     return trace_scenario(system, workload, method)
+
+
+def _observe(method, csds=4, **changes):
+    return observe(*resolve("gpt2-1.16b", csds), method, **changes)
 
 
 def _graph(trace):
@@ -57,13 +57,6 @@ def _from_intervals(busy, phase_windows):
         ops={name: [TransferRecord(name, "", 0.0, start, end)
                    for start, end in intervals]
              for name, intervals in busy.items()}))
-
-
-@functools.lru_cache(maxsize=None)
-def _base(method):
-    """One observed base per method for every validation below: each
-    call then only runs its own counterfactual re-simulation."""
-    return observe(*resolve("gpt2-1.16b", 4), method)
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +87,10 @@ def test_slack_nonnegative_and_path_nodes_tight(method):
     assert all(s >= 0.0 for s in report.slack)
     # The last path node determines the makespan: zero slack.
     last = report.path[-1]
-    terminal = max(graph.nodes, key=lambda n: (n.end, -n.index))
-    assert last.end == terminal.end
-    assert report.slack[terminal.index] == pytest.approx(0.0, abs=1e-9)
+    terminal = max(range(len(graph.nodes)),
+                   key=lambda i: (graph.nodes[i].end, -i))
+    assert last.end == graph.nodes[terminal].end
+    assert report.slack[terminal] == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("method", ["su", "su_o", "su_o_c"])
@@ -124,124 +118,87 @@ def test_path_steps_are_causally_ordered():
 
 
 # ----------------------------------------------------------------------
-# replay: identity is exact, edits are monotone
+# the DES whatif re-runs: every knob moves the step the right way
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("method", ["su", "su_o", "su_o_c"])
-def test_identity_projection_is_exact(method):
-    trace = _trace(method)
-    graph = _graph(trace)
-    for channel in (graph.resources()[0], "host-link-down"):
-        projection = project(graph, scale(channel, 1.0))
-        assert projection.projected_step_seconds == graph.step_seconds
-        assert projection.reduction_seconds == 0.0
-    starts, ends, makespan = graph.replay()
-    assert starts == graph.measured_starts
-    assert ends == graph.measured_ends
-    assert makespan == graph.makespan
+def _step(system, workload, method, **changes):
+    return trace_scenario(system, workload, method,
+                          **changes).breakdown.total
 
 
-def test_slowing_a_path_channel_never_speeds_the_step():
-    graph = _graph(_trace("su_o_c"))
-    busiest = graph.resources()[0]
-    slower = project(graph, scale(busiest, 2.0))
-    faster = project(graph, scale(busiest, 0.5))
-    assert slower.projected_step_seconds >= graph.step_seconds
-    assert faster.projected_step_seconds <= graph.step_seconds
-
-
-def test_replay_rejects_wrong_duration_count():
-    graph = _graph(_trace("su"))
-    with pytest.raises(TelemetryError, match="durations"):
-        graph.replay([1.0])
-
-
-# ----------------------------------------------------------------------
-# accuracy: projection vs a DES re-run (the 5% acceptance gate)
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("method", ["su", "su_o", "su_o_c"])
-@pytest.mark.parametrize("channel,factor", [
-    ("host-link-down", 1.5),
-    ("ssd0-write", 1.5),
-    ("csd0-updater", 0.5),
-])
-def test_projection_within_5pct_of_des_rerun(method, channel, factor):
-    validation = validate_scale(_base(method), channel, factor)
-    assert validation.error <= 0.05, validation.render()
-
-
-def test_validate_scale_identity_is_zero_error():
-    validation = validate_scale(_base("su_o_c"), "host-link-down", 1.0)
-    assert validation.error == pytest.approx(0.0, abs=1e-12)
-    assert validation.projected_step_seconds == pytest.approx(
-        validation.baseline_step_seconds)
-
-
-def test_validate_scale_rejects_unknown_channel():
-    with pytest.raises(TelemetryError, match="unknown channel"):
-        validate_scale(_base("su_o_c"), "warp-core", 1.5)
-
-
-# ----------------------------------------------------------------------
-# interventions and ranking
-# ----------------------------------------------------------------------
-
-def test_rank_interventions_sorted_by_reduction():
-    graph = _graph(_trace("su_o_c"))
-    ranked = rank_interventions(graph, default_interventions(graph))
-    assert ranked
-    reductions = [p.reduction_seconds for p in ranked]
-    assert reductions == sorted(reductions, reverse=True)
-    text = render_projections(ranked)
-    assert "what-if projections" in text
-    for projection in ranked:
-        assert projection.label in text
-
-
-def test_default_interventions_cover_the_paper_knobs():
-    graph = _graph(_trace("su_o_c"))
-    labels = [item.label for item in default_interventions(graph)]
-    assert any(label.startswith("scale(") for label in labels)
-    assert any(label.startswith("add_csds(") for label in labels)
-    assert any(label.startswith("compression_ratio(")
-               for label in labels)
+def test_des_step_is_monotone_in_every_whatif_knob():
+    workload = make_workload(get_model("gpt2-1.16b"))
+    for method in ("baseline", "su", "su_o", "su_o_c"):
+        steps = []
+        for csds in (2, 4):
+            system = default_system(num_csds=csds)
+            trace = trace_scenario(system, workload, method)
+            step = trace.breakdown.total
+            steps.append(step)
+            for channel in trace.fabric.all_channels():
+                where = (method, csds, channel.name)
+                assert _step(system, workload, method, channel_scales={
+                    channel.name: 0.5}) >= step, where
+                assert _step(system, workload, method, channel_scales={
+                    channel.name: 2.0}) <= step, where
+            by_ratio = [_step(system, workload, method,
+                              compression_ratio=ratio)
+                        for ratio in (0.01, 0.02, 0.05)]
+            assert by_ratio == sorted(by_ratio), (method, csds)
+        assert steps[1] <= steps[0], method
 
 
 def test_add_csds_scales_only_device_channels():
-    graph = _graph(_trace("su"))
-    durations = add_csds(4).durations(graph)
-    devices = graph.device_count()
-    factor = devices / (devices + 4)
-    for node in graph.nodes:
-        if node.resource.startswith(("ssd", "csd")):
-            expected = node.latency + max(
-                0.0, node.duration - node.latency) * factor
-            assert durations[node.index] == pytest.approx(expected)
+    """Doubling the fleet halves each device's bytes and leaves the
+    shared host link's volume where it was."""
+    base, doubled = _observe("su", csds=2), _observe("su", csds=4)
+    for summary in base.summaries:
+        moved = doubled.channel(summary.name).bytes_total
+        if summary.name.startswith(("ssd", "csd")):
+            assert moved == pytest.approx(summary.bytes_total / 2)
         else:
-            assert durations[node.index] == node.duration
+            assert moved == pytest.approx(summary.bytes_total)
 
 
 def test_compression_ratio_scales_gradient_offload_only():
-    graph = _graph(_trace("su_o_c"))
-    durations = compression_ratio(0.01, baseline=0.02).durations(graph)
-    touched = untouched = 0
-    for node in graph.nodes:
-        if node.tag == "grad-offload" and node.duration > node.latency:
-            assert durations[node.index] < node.duration
-            touched += 1
-        elif node.tag != "grad-offload":
-            assert durations[node.index] == node.duration
-            untouched += 1
-    assert touched and untouched
+    """Halving the Top-K ratio halves the gradient's own traffic (the
+    offload, its bounce copy, part of the P2P load) and nothing else."""
+    base = _observe("su_o_c")
+    halved = _observe("su_o_c", compression_ratio=0.01)
+    changed = {tag for tag, nbytes in base.tag_bytes.items()
+               if halved.tag_bytes[tag] != nbytes}
+    assert changed == {"grad-offload", "bounce", "p2p-load"}
+    assert halved.tag_bytes["grad-offload"] == pytest.approx(
+        base.tag_bytes["grad-offload"] / 2)
+    assert halved.breakdown.total < base.breakdown.total
 
 
-def test_intervention_guardrails():
-    graph = _graph(_trace("su"))
-    with pytest.raises(TelemetryError, match="positive"):
-        scale("host-link-down", -1.0).durations(graph)
-    with pytest.raises(TelemetryError, match="baseline"):
-        compression_ratio(0.01, baseline=0.0).durations(graph)
+def _whatif_rows(tmp_path, *flags):
+    path = str(tmp_path / "critpath.jsonl")
+    assert main(["whatif", "--model", "gpt2-1.16b", "--csds", "4",
+                 *flags, "--jsonl", path]) == 0
+    with open(path) as handle:
+        return [line for line in map(json.loads, handle)
+                if line["type"] == "projection"]
+
+
+def test_rank_interventions_sorted_by_reduction(tmp_path, capsys):
+    rows = _whatif_rows(tmp_path, "--method", "su_o_c")
+    assert rows
+    reductions = [row["reduction_seconds"] for row in rows]
+    assert reductions == sorted(reductions, reverse=True)
+    out = capsys.readouterr().out
+    for row in rows:
+        assert row["label"] in out
+
+
+def test_default_interventions_cover_the_paper_knobs(tmp_path):
+    labels = [row["label"]
+              for row in _whatif_rows(tmp_path, "--method", "su_o_c")]
+    for knob in ("scale(", "add_csds(", "compression_ratio(",
+                 "interleave()"):
+        assert sum(label.startswith(knob) for label in labels) == (
+            3 if knob == "scale(" else 1), (knob, labels)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +239,6 @@ def test_from_spans_builds_chainable_graph():
     assert len(report.path) == 3
     assert report.path[-1].resource == "csd0-updater"
     assert report.path_seconds == pytest.approx(2.0)
-    # Identity replay holds for wall graphs too.
-    assert graph.projected_step_seconds() == graph.step_seconds
 
 
 def test_from_intervals_round_trip_invariants():
@@ -295,9 +250,6 @@ def test_from_intervals_round_trip_invariants():
     assert len(report.path) == 3
     assert report.path_seconds == pytest.approx(3.0)
     assert all(s >= 0.0 for s in report.slack)
-    # Halving "b" pulls a's second interval earlier.
-    projection = project(graph, scale("b", 0.5))
-    assert projection.projected_step_seconds == pytest.approx(3.0)
 
 
 def test_empty_graph_degrades_gracefully():
@@ -305,7 +257,6 @@ def test_empty_graph_degrades_gracefully():
     assert not graph.nodes
     report = graph.critical_path()
     assert "no dependency data" in report.render()
-    assert graph.projected_step_seconds() == graph.step_seconds
 
 
 @settings(max_examples=30, deadline=None)
@@ -337,11 +288,11 @@ def test_synthetic_fifo_chain_invariants(durations, gap):
 def test_critpath_jsonl_schema(tmp_path):
     graph = _graph(_trace("su_o_c"))
     report = graph.critical_path()
-    ranked = rank_interventions(graph, default_interventions(graph))
-    validation = validate_scale(_base("su_o_c"), "host-link-down", 1.0)
+    row = {"label": "add_csds(+4)", "baseline_step_seconds": 2.0,
+           "projected_step_seconds": 1.6, "reduction_seconds": 0.4,
+           "speedup": 1.25}
     path = str(tmp_path / "critpath.jsonl")
-    write_critpath_jsonl(path, report, projections=ranked,
-                         validations=[validation],
+    write_critpath_jsonl(path, report, projections=[row],
                          meta={"source": "test"})
     with open(path) as handle:
         lines = [json.loads(line) for line in handle]
@@ -361,7 +312,5 @@ def test_critpath_jsonl_schema(tmp_path):
     assert sum(s["seconds"] for s in shares) == pytest.approx(
         report.path_seconds)
 
-    projections = [line for line in lines if line["type"] == "projection"]
-    assert len(projections) == len(ranked)
-    validations = [line for line in lines if line["type"] == "validation"]
-    assert validations[0]["error"] == pytest.approx(0.0, abs=1e-12)
+    assert [line for line in lines if line["type"] == "projection"] == [
+        {"type": "projection", **row}]

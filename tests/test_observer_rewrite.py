@@ -9,7 +9,7 @@ code, which survives only here, verbatim, as the reference:
 * :func:`reference_attribute` — the per-slice scan (every interval of
   every resource re-scanned for every elementary slice);
 * :class:`ReferenceGraph` — the per-edge list builder with its
-  ``preds``/``succs`` copies, replay and CPM.
+  ``preds``/``succs`` copies and CPM.
 
 Checked on random inputs (hypothesis), on all 48 scenarios of the
 ``des_sweep`` benchmark grid, and by two complexity guards that count
@@ -22,6 +22,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.hw.topology import default_system
 from repro.nn.models import get_model
-from repro.perf.analysis import observe, validate_scale
 from repro.perf.scenarios import METHODS, SCHEDULES, trace_scenario
 from repro.perf.workload import make_workload
 from repro.sim.core import Process
@@ -162,6 +162,22 @@ def assert_same_attribution(new, old):
 # ----------------------------------------------------------------------
 # reference 2: the per-edge dependency graph, verbatim
 # ----------------------------------------------------------------------
+class ReferenceNode(NamedTuple):
+    """A graph node as the old graph held it: its index and the
+    operation's fields, with ``resource`` naming its channel."""
+
+    index: int
+    resource: str
+    tag: str
+    nbytes: float
+    start: float
+    end: float
+
+    @property
+    def duration(self):
+        return self.end - self.start
+
+
 @dataclass(frozen=True)
 class ReferenceEdge:
     src: int
@@ -176,7 +192,8 @@ class ReferenceGraph:
     the node order is not what changed."""
 
     def __init__(self, graph):
-        nodes = self.nodes = list(graph.nodes)
+        nodes = self.nodes = [ReferenceNode(index, *op)
+                              for index, op in enumerate(graph.nodes)]
         origin = self.origin = graph.origin
         self.step_seconds = graph.step_seconds
         edges = []
@@ -217,32 +234,6 @@ class ReferenceGraph:
         self.measured_ends = [node.end for node in nodes]
         self.makespan = (max(self.measured_ends) - origin
                          if nodes else 0.0)
-
-    def durations(self):
-        return [node.duration for node in self.nodes]
-
-    def replay(self, durations=None):
-        if durations is None:
-            durations = self.durations()
-        durations = list(durations)
-        if durations == self.durations():
-            return (list(self.measured_starts), list(self.measured_ends),
-                    self.makespan)
-        starts = [0.0] * len(self.nodes)
-        ends = [0.0] * len(self.nodes)
-        for node in self.nodes:
-            ready = self.origin
-            for edge in self.preds[node.index]:
-                base = self.origin if edge.src < 0 else ends[edge.src]
-                ready = max(ready, base + edge.lag)
-            starts[node.index] = ready
-            ends[node.index] = ready + durations[node.index]
-        makespan = (max(ends) - self.origin) if ends else 0.0
-        return starts, ends, makespan
-
-    def projected_step_seconds(self, durations=None):
-        _starts, _ends, makespan = self.replay(durations)
-        return self.step_seconds + (makespan - self.makespan)
 
     def critical_path(self):
         n = len(self.nodes)
@@ -296,17 +287,10 @@ class ReferenceGraph:
                               num_edges=len(self.edges))
 
 
-def assert_same_graph(graph, factors):
-    """``critical_path``, ``replay`` and ``projected_step_seconds`` of
-    ``graph`` equal the per-edge reference's, bit for bit."""
-    reference = ReferenceGraph(graph)
-    assert graph.critical_path() == reference.critical_path()
-    assert graph.replay() == reference.replay()
-    durations = [duration * factors[index % len(factors)]
-                 for index, duration in enumerate(graph.durations())]
-    assert graph.replay(durations) == reference.replay(durations)
-    assert (graph.projected_step_seconds(durations)
-            == reference.projected_step_seconds(durations))
+def assert_same_graph(graph):
+    """``critical_path`` of ``graph`` equals the per-edge reference's,
+    bit for bit."""
+    assert graph.critical_path() == ReferenceGraph(graph).critical_path()
 
 
 # ----------------------------------------------------------------------
@@ -419,9 +403,6 @@ def test_conservation_over_repeated_steps(inputs, steps):
 # ----------------------------------------------------------------------
 # (b) barrier-group graph == the per-edge graph, on random schedules
 # ----------------------------------------------------------------------
-FACTORS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.75, 3.0]),
-                   min_size=1, max_size=7)
-
 #: Durations and gaps whose float sums reach "the same" instant exactly
 #: on some resources and one rounding apart on others: exact ties (one
 #: barrier group) next to near-ties inside the path walk's tolerance.
@@ -451,18 +432,18 @@ def fifo_schedules(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fifo_schedules(), FACTORS)
-def test_graph_from_intervals_matches_the_per_edge_graph(busy, factors):
+@given(fifo_schedules())
+def test_graph_from_intervals_matches_the_per_edge_graph(busy):
     horizon = max((end for spans in busy.values() for _, end in spans),
                   default=0.0)
     graph = graph_from_intervals(busy, [("step", 0.0, horizon + 0.5)])
-    assert_same_graph(graph, factors)
+    assert_same_graph(graph)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), STEP, STEP, STEP),
-                max_size=16), FACTORS)
-def test_graph_from_spans_matches_the_per_edge_graph(draws, factors):
+                max_size=16))
+def test_graph_from_spans_matches_the_per_edge_graph(draws):
     """Wall-clock spans: same-resource spans may overlap (worker
     threads), so the serial predecessor can finish *after* its
     successor starts."""
@@ -473,7 +454,7 @@ def test_graph_from_spans_matches_the_per_edge_graph(draws, factors):
         spans.append(SimpleNamespace(
             name="io", start=cursor, end=cursor + duration,
             attrs={"resource": f"res{resource}", "nbytes": nbytes}))
-    assert_same_graph(DepGraph(Timeline.from_spans(spans)), factors)
+    assert_same_graph(DepGraph(Timeline.from_spans(spans)))
 
 
 def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
@@ -487,7 +468,7 @@ def test_lockstep_fan_in_counts_every_edge_it_does_not_store():
     # The walk starts at the lowest-index terminal node and, among the
     # tied triggers, steps to the highest index.
     assert [step.resource for step in report.path] == ["dev2", "dev0"]
-    assert_same_graph(graph, [0.5, 1.0, 2.0])
+    assert_same_graph(graph)
 
 
 # ----------------------------------------------------------------------
@@ -552,28 +533,11 @@ def test_grid_records_attribution_and_critical_path_are_unchanged(
             reference_attribute_channels(trace.phase_windows, channels,
                                          horizon=trace.breakdown.total))
         assert_same_graph(
-            DepGraph.from_channels(channels, trace.phase_windows),
-            [0.5, 1.7, 1.0])
+            DepGraph.from_channels(channels, trace.phase_windows))
     assert (scenarios, records) == (48, GRID_RECORDS)
     assert events == GRID_EVENTS
     assert len(processes) == GRID_PROCESSES
     assert digest.hexdigest() == GRID_RECORDS_SHA256
-
-
-def test_projection_sweep_worst_error_is_the_documented_one():
-    """OBSERVABILITY.md quotes 3.05 % as the worst what-if projection
-    error over su / su_o / su_o_c x 4 channels x 4 factors; one base per
-    method, 48 counterfactual re-simulations."""
-    worst = 0.0
-    for method in ("su", "su_o", "su_o_c"):
-        base = observe(default_system(num_csds=4),
-                       make_workload(get_model("gpt2-1.16b")), method)
-        for channel in ("host-link-down", "ssd0-write", "ssd0-read",
-                        "csd0-updater"):
-            for factor in (0.5, 0.75, 1.5, 2.0):
-                worst = max(worst, validate_scale(
-                    base, channel, factor).error)
-    assert round(worst, 4) == 0.0305
 
 
 # ----------------------------------------------------------------------

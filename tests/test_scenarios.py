@@ -253,47 +253,6 @@ def test_sweep_runs_one_campaign_per_value():
         report.campaigns[1].final_checksum
 
 
-def test_whatif_error_round_trips_and_validates():
-    expect = Expectations(whatif_error={"channel": "ssd0-write",
-                                        "factor": 1.5,
-                                        "max_error": 0.05})
-    phase = PhaseSpec(name="gate", steps=1, expect=expect)
-    assert PhaseSpec.from_dict(phase.to_dict(), 0) == phase
-    with pytest.raises(ScenarioError, match="must be an object"):
-        PhaseSpec.from_dict(
-            {"name": "p", "expect": {"whatif_error": "ssd0-write"}}, 0)
-    with pytest.raises(ScenarioError, match="missing required key"):
-        PhaseSpec.from_dict(
-            {"name": "p",
-             "expect": {"whatif_error": {"channel": "x"}}}, 0)
-    with pytest.raises(ScenarioError, match="did you mean 'factor'"):
-        PhaseSpec.from_dict(
-            {"name": "p",
-             "expect": {"whatif_error": {"channel": "x",
-                                         "factor": 1.5,
-                                         "facto": 2.0}}}, 0)
-
-
-def test_whatif_error_check_runs_in_a_phase():
-    scenario = Scenario(
-        name="whatif_gate", config=tiny_config(),
-        workload=tiny_workload(),
-        phases=(PhaseSpec(
-            name="gate", steps=1,
-            expect=Expectations(whatif_error={
-                "channel": "ssd0-write", "factor": 1.5,
-                "max_error": 0.05, "csds": 2,
-                "method": "su_o_c"})),))
-    report = ScenarioRunner(scenario).run()
-    assert report.passed
-    (check,) = [c for c in report.campaigns[0].phases[0].checks
-                if c.check == "whatif_error"]
-    assert check.ok
-    assert 0.0 <= check.actual <= 0.05
-    # The check is deterministic, so the log replays byte-identically.
-    assert ScenarioRunner(scenario).run().log_text == report.log_text
-
-
 def test_workload_batches_are_seed_and_step_keyed():
     workload = tiny_workload()
     a = workload.make_batches(seed=1, step=4, batch=2, micro_batches=2)
